@@ -14,7 +14,6 @@ from .errors import (
     DegenerateArgument,
     DomainError,
     EmptySweep,
-    EndpointSingularity,
     InsufficientData,
     MirError,
     NoConvergence,
@@ -53,7 +52,6 @@ from .receptor import (
     build_rate_matrix,
     chr2_skeleton,
     load_receptor,
-    mean_rate_matrix,
     sensitive_gain,
     stationary_distribution,
     steady_state,
@@ -82,7 +80,6 @@ from .truncgauss import (
     sample,
     scale,
     shifted_moment_vector,
-    truncated_mean_var,
 )
 
 __version__ = "0.1.0"

@@ -17,12 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    DegenerateArgument,
-    DomainError,
-    EndpointSingularity,
-    ValidationError,
-)
+from .errors import DegenerateArgument, DomainError, ValidationError
+from .mir import xlnx
 from .receptor import ReceptorSpec, sensitive_gain, stationary_distribution
 from .truncgauss import TruncatedGaussianSpec, raw_moments
 
@@ -58,13 +54,6 @@ class BoundPair:
         return self.upper - self.lower
 
 
-def _f(x: float) -> float:
-    """x ln x extended by continuity to 0 at x = 0."""
-    if x == 0.0:
-        return 0.0
-    return x * math.log(x)
-
-
 def _f_derivatives(mu: float) -> tuple[float, float, float]:
     """(f', f'', f''') of x ln x at mu: ln(mu)+1, 1/mu, -1/mu^2."""
     return (math.log(mu) + 1.0, 1.0 / mu, -1.0 / (mu * mu))
@@ -93,7 +82,7 @@ def h_s(x: float, mu: float, s: int) -> float:
             f"use h_s_limit(mu, s) for the continuous extension"
         )
     derivs = _f_derivatives(mu)
-    value = (_f(x) - _f(mu)) / dx**s
+    value = (xlnx(x) - xlnx(mu)) / dx**s
     for i in range(1, s):
         value -= derivs[i - 1] / (math.factorial(i) * dx ** (s - i))
     return value
@@ -120,13 +109,10 @@ def jensen_gap_bounds(
     the bounds reduce to h(endpoint; mu) * sigma^2; for s = 4 the second and
     third central moments enter through the Taylor prefix.
 
-    a = 0 is admitted: only f(0) = 0 is needed there.  EndpointSingularity is
-    reserved for a < 0, which valid specs cannot produce.
+    a = 0 is admitted: only f(0) = 0 is needed there.
     """
     if s not in _SUPPORTED_ORDERS:
         raise ValidationError(f"s must be one of {_SUPPORTED_ORDERS}, got {s}")
-    if dist.a < 0.0:
-        raise EndpointSingularity(f"x ln x has no real extension below 0, a = {dist.a}")
     table = raw_moments(dist, s)
     mu = dist.mu
     derivs = _f_derivatives(mu)

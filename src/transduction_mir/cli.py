@@ -114,9 +114,13 @@ def _sweep_config(doc: dict, args, config_path: str) -> SweepConfig:
     try:
         a = float(a)
         b = float(b)
-        series_k = args.series_k or int(entry.get("series_k", 40))
-        delta_t = args.delta_t or float(entry.get("delta_t", 1e-3))
-        mc_n = args.mc_n or int(entry.get("mc_n", 10**6))
+        series_k = (
+            args.series_k if args.series_k is not None else int(entry.get("series_k", 40))
+        )
+        delta_t = (
+            args.delta_t if args.delta_t is not None else float(entry.get("delta_t", 1e-3))
+        )
+        mc_n = args.mc_n if args.mc_n is not None else int(entry.get("mc_n", 10**6))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"sweep: non-numeric field: {exc}") from exc
     return SweepConfig(
@@ -145,31 +149,37 @@ def _emit(payload: dict, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _monte_carlo(args, doc: dict, receptor, dist, dump=None) -> dict:
+    """Simulate a seeded path, optionally dump it, and estimate the rate."""
+    seed = _seed_from(doc, args)
+    traj = simulate(receptor, dist, args.delta_t, args.mc_n, seed)
+    if dump:
+        dump_trajectory(traj, dump)
+    est = estimate_mir(traj, receptor, dist)
+    return {
+        "value_bits_per_s": est.value,
+        "stderr": est.stderr,
+        "n": est.n,
+        "delta_t": args.delta_t,
+        "seed": seed,
+    }
+
+
 def _cmd_mir(args) -> int:
     doc = _load_document(args.config)
     receptor = _receptor_from(doc, args.config)
     dist = _distribution_from(doc)
+    if args.method == "mc":
+        payload = _monte_carlo(args, doc, receptor, dist)
+        payload["method"] = f"monte_carlo(n={payload['n']})"
+        _emit(payload, args.out)
+        return 0
     if args.method == "quadrature":
         result = mir_quadrature(receptor, dist, initial_nodes=args.quad_nodes)
     elif args.method == "series":
         result = mir_series(receptor, dist, args.series_k, initial_nodes=args.quad_nodes)
-    elif args.method == "discrete":
+    else:  # discrete
         result = mir_discrete(receptor, dist, args.delta_t, initial_nodes=args.quad_nodes)
-    else:  # mc
-        seed = _seed_from(doc, args)
-        traj = simulate(receptor, dist, args.delta_t, args.mc_n, seed)
-        est = estimate_mir(traj, receptor, dist)
-        _emit(
-            {
-                "value_bits_per_s": est.value,
-                "method": f"monte_carlo(n={est.n})",
-                "stderr": est.stderr,
-                "delta_t": args.delta_t,
-                "seed": seed,
-            },
-            args.out,
-        )
-        return 0
     _emit(
         {
             "value_bits_per_s": result.value,
@@ -220,29 +230,15 @@ def _cmd_simulate(args) -> int:
     doc = _load_document(args.config)
     receptor = _receptor_from(doc, args.config)
     dist = _distribution_from(doc)
-    seed = _seed_from(doc, args)
-    traj = simulate(receptor, dist, args.delta_t, args.mc_n, seed)
-    if args.dump:
-        dump_trajectory(traj, args.dump)
-    est = estimate_mir(traj, receptor, dist)
-    _emit(
-        {
-            "value_bits_per_s": est.value,
-            "stderr": est.stderr,
-            "n": est.n,
-            "delta_t": args.delta_t,
-            "seed": seed,
-            "dump": args.dump,
-        },
-        args.out,
-    )
+    payload = _monte_carlo(args, doc, receptor, dist, dump=args.dump)
+    _emit({**payload, "dump": args.dump}, args.out)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     doc = _load_document(args.config)
     config = _sweep_config(doc, args, args.config)
-    rows = run_sweep(config, jobs=args.jobs)
+    rows = run_sweep(config)
     if config.out_path:
         write_rows(rows, config.out_path, config.out_format)
     else:
@@ -323,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--series-k", type=int, default=None)
     p_sweep.add_argument("--delta-t", type=float, default=None)
     p_sweep.add_argument("--mc-n", type=int, default=None)
-    p_sweep.add_argument("--jobs", type=int, default=1, help="worker threads")
     p_sweep.add_argument(
         "--capacity-by",
         default=None,

@@ -41,10 +41,6 @@ class DegenerateArgument(MirError):
     """Remainder function evaluated too close to its expansion point."""
 
 
-class EndpointSingularity(MirError):
-    """Reserved: bound endpoint where x*ln(x) cannot be continuously extended."""
-
-
 class InsufficientData(MirError):
     """Trajectory too short or inconsistent for the requested estimate."""
 

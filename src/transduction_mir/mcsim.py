@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, ValidationError
+from .mir import _xlnx_vec
 from .receptor import (
     ReceptorSpec,
     affine_generator,
     build_rate_matrix,
-    mean_rate_matrix,
     stationary_distribution,
     transition_matrix,
 )
@@ -156,9 +156,7 @@ def estimate_mir(
     base, slope = affine_generator(spec)
     const = np.eye(k) + traj.delta_t * base
     lin = traj.delta_t * slope
-    p_bar = transition_matrix(
-        mean_rate_matrix(spec, dist.mu), traj.delta_t
-    ).entries
+    p_bar = transition_matrix(build_rate_matrix(spec, dist.mu), traj.delta_t).entries
 
     prev = np.concatenate(([traj.initial_state], traj.states[:-1]))
     cur = traj.states
@@ -186,8 +184,7 @@ def mc_gap(dist: TruncatedGaussianSpec, n: int, seed) -> McEstimate:
         raise ValidationError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     xs = sample(dist, rng, n)
-    safe = np.where(xs > 0.0, xs, 1.0)
-    vals = np.where(xs > 0.0, xs * np.log(safe), 0.0)
+    vals = _xlnx_vec(xs)
     value = float(vals.mean()) - dist.mu * math.log(dist.mu)
     stderr = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return McEstimate(value=value, stderr=stderr, n=n)

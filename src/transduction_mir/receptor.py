@@ -230,21 +230,21 @@ def affine_generator(spec: ReceptorSpec) -> tuple[np.ndarray, np.ndarray]:
     return base, slope
 
 
-def build_rate_matrix(spec: ReceptorSpec, x: float) -> RateMatrix:
-    """Generator Q(x): sensitive entries scale linearly with the intensity x."""
+def _generator(spec: ReceptorSpec, x: float) -> np.ndarray:
+    """Plain array base + x * slope, after checking the intensity x."""
     if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0.0):
         raise ValidationError(f"intensity must be a nonnegative finite number, got {x!r}")
     base, slope = affine_generator(spec)
-    return RateMatrix(dim=spec.n_states, entries=base + x * slope)
+    return base + x * slope
 
 
-def mean_rate_matrix(spec: ReceptorSpec, mean_x: float) -> RateMatrix:
-    """Generator of the averaged chain.
+def build_rate_matrix(spec: ReceptorSpec, x: float) -> RateMatrix:
+    """Generator Q(x): sensitive entries scale linearly with the intensity x.
 
-    Because every sensitive entry is linear in x, E[Q(x)] equals Q(E[x]);
-    this named form feeds the time-homogeneous output chain.
+    Because every sensitive entry is linear in x, E[Q(x)] equals Q(E[x]), so
+    the generator of the averaged chain is build_rate_matrix(spec, E[x]).
     """
-    return build_rate_matrix(spec, mean_x)
+    return RateMatrix(dim=spec.n_states, entries=_generator(spec, x))
 
 
 def transition_matrix(q: RateMatrix, delta_t: float) -> TransitionMatrix:
@@ -284,22 +284,22 @@ def _strongly_connected(adjacency: np.ndarray) -> bool:
     return reach(adjacency) and reach(adjacency.T)
 
 
-def steady_state(p_bar: TransitionMatrix) -> SteadyState:
-    """Unique pi with pi @ P = pi and sum(pi) = 1.
+def _solve_stationary(p: np.ndarray) -> np.ndarray:
+    """Unique pi with pi @ p = pi and sum(pi) = 1 for a row-stochastic array p.
 
     Solved as an augmented linear system: one balance equation is replaced by
     the normalization constraint, which is deterministic and exact for the
     matrix sizes used here.  Irreducibility is checked on the positive-entry
     graph first so the failure mode is a clear error, not a singular solve.
     """
-    k = p_bar.dim
-    off = p_bar.entries.copy()
+    k = p.shape[0]
+    off = p.copy()
     np.fill_diagonal(off, 0.0)
     if not _strongly_connected(off > 0.0):
         raise NotIrreducible(
             "the positive-probability transition graph is not strongly connected"
         )
-    system = p_bar.entries.T - np.eye(k)
+    system = p.T - np.eye(k)
     system[-1, :] = 1.0
     rhs = np.zeros(k)
     rhs[-1] = 1.0
@@ -309,23 +309,35 @@ def steady_state(p_bar: TransitionMatrix) -> SteadyState:
         raise NotIrreducible(f"stationary system is singular: {exc}") from exc
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
-    residual = float(np.abs(pi @ p_bar.entries - pi).max())
+    residual = float(np.abs(pi @ p - pi).max())
     if residual > 1e-10:
         raise NotIrreducible(f"stationary residual {residual:.2e} exceeds 1e-10")
-    return SteadyState(probabilities=pi)
+    return pi
+
+
+def steady_state(p_bar: TransitionMatrix) -> SteadyState:
+    """Unique pi with pi @ P = pi and sum(pi) = 1.
+
+    Raises NotIrreducible if the positive-entry graph of P is not strongly
+    connected or the stationary system cannot be solved accurately.
+    """
+    return SteadyState(probabilities=_solve_stationary(p_bar.entries))
 
 
 def stationary_distribution(spec: ReceptorSpec, mean_x: float) -> SteadyState:
     """Steady state of the mean chain at E[x] = mean_x.
 
     The step used to form P only rescales P - I, so the fixed point does not
-    depend on it; an always-admissible step is chosen internally.
+    depend on it; the always-admissible step 0.5 / max|q_ii| is used, with
+    the same arithmetic as steady_state(transition_matrix(
+    build_rate_matrix(spec, mean_x), 0.5 / scale)), on plain arrays.
     """
-    q = mean_rate_matrix(spec, mean_x)
-    scale = float(np.abs(np.diag(q.entries)).max())
+    q = _generator(spec, mean_x)
+    scale = float(np.abs(np.diag(q)).max())
     if scale == 0.0:
         raise NotIrreducible("no transitions are active at this mean intensity")
-    return steady_state(transition_matrix(q, 0.5 / scale))
+    p = np.eye(spec.n_states) + (0.5 / scale) * q
+    return SteadyState(probabilities=_solve_stationary(p))
 
 
 def sensitive_gain(spec: ReceptorSpec, pi: SteadyState) -> float:

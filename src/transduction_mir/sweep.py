@@ -4,7 +4,7 @@ A sweep evaluates the selected methods at every grid point, never aborting
 on a per-point numerical failure (the row's status column records it), and
 emits rows in mu_bar-major order.  Monte Carlo points derive independent
 seeds from (master seed, row index), so output is byte-identical across
-runs and worker counts.
+runs.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -223,25 +222,18 @@ def audit_rows(rows: Sequence[SweepRow]) -> list[tuple[int, str]]:
     return violations
 
 
-def run_sweep(config: SweepConfig, *, jobs: int = 1) -> list[SweepRow]:
+def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate every grid point; rows ordered mu_bar-major, then sigma_bar.
 
     Per-point numerical failures are recorded in the row status and never
-    abort the sweep.  Rows are keyed by grid index, so the output does not
-    depend on the execution order or worker count.
+    abort the sweep.  Monte Carlo seeds are keyed by grid index, so each row
+    depends only on the config and its own grid point.
     """
-    points = [
-        (i * config.sigma_bar_grid.steps + j, mb, sb)
+    rows = [
+        _compute_row(config, i * config.sigma_bar_grid.steps + j, mb, sb)
         for i, mb in enumerate(config.mu_bar_grid.values())
         for j, sb in enumerate(config.sigma_bar_grid.values())
     ]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(
-                pool.map(lambda p: _compute_row(config, p[0], p[1], p[2]), points)
-            )
-    else:
-        rows = [_compute_row(config, idx, mb, sb) for idx, mb, sb in points]
 
     for index, message in audit_rows(rows):
         row = rows[index]

@@ -36,10 +36,6 @@ MIN_TRUNCATION_MASS = 1e-12
 # a narrow spike inside a wide [a, b] becomes resolvable by the nodes.
 _SUPPORT_SIGMAS = 40.0
 
-#: When True, moment-table construction verifies the recursion against the
-#: quadrature engine (low orders only).  Enabled by the test suite.
-QUADRATURE_CROSS_CHECK = False
-
 
 def _norm_pdf(t):
     return np.exp(-0.5 * np.square(t)) / _SQRT_2PI
@@ -55,7 +51,13 @@ class TruncatedGaussianSpec:
     a, b : truncation interval, ``0 <= a < b < inf``.
     alpha, beta : standardized truncation points ``(a - mu_bar)/sigma_bar`` etc.
     z : parent mass kept by the truncation.
-    mu, sigma2 : mean and variance of the truncated variable.
+    mu, sigma2 : mean and variance of the truncated variable, in closed form::
+
+        mu     = mu_bar - sigma_bar * (phi(beta) - phi(alpha)) / z
+        sigma2 = sigma_bar^2 * (1 - (beta phi(beta) - alpha phi(alpha))/z
+                                  - ((phi(beta) - phi(alpha))/z)^2)
+
+      with phi the standard normal pdf.
     """
 
     mu_bar: float
@@ -143,18 +145,6 @@ class MomentTable:
         self.central.flags.writeable = False
 
 
-def truncated_mean_var(spec: TruncatedGaussianSpec) -> tuple[float, float]:
-    """Mean and variance of the truncated variable (closed form).
-
-    mu     = mu_bar - sigma_bar * (phi(beta) - phi(alpha)) / z
-    sigma2 = sigma_bar^2 * (1 - (beta phi(beta) - alpha phi(alpha))/z
-                              - ((phi(beta) - phi(alpha))/z)^2)
-
-    with phi the standard normal pdf and z the kept mass.
-    """
-    return spec.mu, spec.sigma2
-
-
 def density(spec: TruncatedGaussianSpec, x):
     """Probability density: parent pdf renormalized by z inside [a, b], 0 outside."""
     arr = np.asarray(x, dtype=float)
@@ -235,15 +225,6 @@ def raw_moments(spec: TruncatedGaussianSpec, order: int) -> MomentTable:
                 f"central[2] = {central[2]} disagrees with sigma2 = {spec.sigma2} "
                 f"(relative {rel:.2e})"
             )
-
-    if QUADRATURE_CROSS_CHECK:
-        for m in range(1, min(order, 6) + 1):
-            ref = expectation(spec, lambda x, _m=m: x**_m)
-            if abs(raw[m] - ref) > 1e-8 * max(abs(ref), 1e-300):
-                raise ValidationError(
-                    f"moment recursion disagrees with quadrature at m={m}: "
-                    f"{raw[m]} vs {ref}"
-                )
 
     return MomentTable(raw=raw, central=central, order=order)
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import transduction_mir.truncgauss as tg
 from transduction_mir import TruncatedGaussianSpec, chr2_skeleton
 
 
@@ -15,15 +14,6 @@ def canonical_dist():
 def unit_chr2():
     """Three-state skeleton with unit placeholder rates."""
     return chr2_skeleton()
-
-
-@pytest.fixture
-def moment_cross_check():
-    """Enable the quadrature cross-check inside moment-table construction."""
-    old = tg.QUADRATURE_CROSS_CHECK
-    tg.QUADRATURE_CROSS_CHECK = True
-    yield
-    tg.QUADRATURE_CROSS_CHECK = old
 
 
 def random_valid_dist(rng: np.random.Generator) -> TruncatedGaussianSpec:

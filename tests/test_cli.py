@@ -61,6 +61,8 @@ class TestMir:
         assert main(["mir", "--config", str(point_config), "--method", "mc", "--mc-n", "20000", "--seed", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["stderr"] > 0
+        assert {"value_bits_per_s", "method", "stderr", "delta_t", "seed"} <= payload.keys()
+        assert payload["method"] == "monte_carlo(n=20000)"
 
     def test_numerical_failure_exit_code(self, point_config, capsys):
         code = main(["mir", "--config", str(point_config), "--method", "discrete", "--delta-t", "0.9"])
@@ -117,6 +119,7 @@ class TestSimulate:
         )
         payload = json.loads(capsys.readouterr().out)
         assert payload["n"] == 5000
+        assert payload.keys() == {"value_bits_per_s", "stderr", "n", "delta_t", "seed", "dump"}
         lines = dump.read_text().splitlines()
         assert lines[0] == "step\tx\ty"
         assert len(lines) == 5001
@@ -208,6 +211,13 @@ class TestConfigErrors:
         doc["sweep"]["series_k"] = "forty"
         bad.write_text(json.dumps(doc))
         assert main(["sweep", "--config", str(bad)]) == 2
+
+
+    @pytest.mark.parametrize("flag", ["--delta-t", "--series-k", "--mc-n"])
+    def test_explicit_zero_override_reaches_validation(self, point_config, tmp_path, flag):
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", str(point_config), "--out", str(out), flag, "0"]) == 2
+        assert not out.exists()
 
 
 class TestShippedConfigs:

