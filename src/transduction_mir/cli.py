@@ -20,7 +20,15 @@ from .errors import ConfigError, MirError
 from .mcsim import dump_trajectory, estimate_mir, simulate
 from .mir import mir_discrete, mir_quadrature, mir_series
 from .receptor import ReceptorSpec
-from .sweep import GridAxis, SweepConfig, find_capacity, run_sweep, write_rows
+from .sweep import (
+    GridAxis,
+    SweepConfig,
+    _check_ranges,
+    _format_rows,
+    find_capacity,
+    run_sweep,
+    write_rows,
+)
 from .truncgauss import TruncatedGaussianSpec, raw_moments
 
 
@@ -134,7 +142,6 @@ def _sweep_config(doc: dict, args, config_path: str) -> SweepConfig:
         delta_t=delta_t,
         mc_n=mc_n,
         seed=_seed_from(doc, args),
-        quad_nodes=args.quad_nodes,
         out_path=out_path,
         out_format=out_format,
     )
@@ -151,6 +158,7 @@ def _emit(payload: dict, out_path) -> None:
 
 def _monte_carlo(args, doc: dict, receptor, dist, dump=None) -> dict:
     """Simulate a seeded path, optionally dump it, and estimate the rate."""
+    _check_ranges(delta_t=args.delta_t, mc_n=args.mc_n)
     seed = _seed_from(doc, args)
     traj = simulate(receptor, dist, args.delta_t, args.mc_n, seed)
     if dump:
@@ -175,11 +183,13 @@ def _cmd_mir(args) -> int:
         _emit(payload, args.out)
         return 0
     if args.method == "quadrature":
-        result = mir_quadrature(receptor, dist, initial_nodes=args.quad_nodes)
+        result = mir_quadrature(receptor, dist)
     elif args.method == "series":
-        result = mir_series(receptor, dist, args.series_k, initial_nodes=args.quad_nodes)
+        _check_ranges(series_k=args.series_k)
+        result = mir_series(receptor, dist, args.series_k)
     else:  # discrete
-        result = mir_discrete(receptor, dist, args.delta_t, initial_nodes=args.quad_nodes)
+        _check_ranges(delta_t=args.delta_t)
+        result = mir_discrete(receptor, dist, args.delta_t)
     _emit(
         {
             "value_bits_per_s": result.value,
@@ -212,6 +222,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_moments(args) -> int:
     doc = _load_document(args.config)
     dist = _distribution_from(doc)
+    _check_ranges(order=args.order)
     table = raw_moments(dist, args.order)
     _emit(
         {
@@ -242,10 +253,7 @@ def _cmd_sweep(args) -> int:
     if config.out_path:
         write_rows(rows, config.out_path, config.out_format)
     else:
-        from .sweep import rows_to_csv, rows_to_json
-
-        text = rows_to_csv(rows) if config.out_format == "csv" else rows_to_json(rows)
-        sys.stdout.write(text)
+        sys.stdout.write(_format_rows(rows, config.out_format))
     failed = [row for row in rows if row.status != "ok"]
     if failed:
         print(
@@ -274,16 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, seed=False):
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument(
-            "--quad-nodes", type=int, default=200, help="initial quadrature nodes"
-        )
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override config seed")
 
     p_mir = sub.add_parser("mir", help="information rate at a single point")
-    add_common(p_mir)
+    add_common(p_mir, seed=True)
     p_mir.add_argument(
         "--method",
         choices=("quadrature", "series", "discrete", "mc"),
@@ -305,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_moments.set_defaults(handler=_cmd_moments)
 
     p_sim = sub.add_parser("simulate", help="sample-path Monte Carlo estimate")
-    add_common(p_sim)
+    add_common(p_sim, seed=True)
     p_sim.add_argument("--delta-t", type=float, default=1e-3)
     p_sim.add_argument("--mc-n", type=int, default=10**6, help="number of steps")
     p_sim.add_argument(
@@ -314,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(handler=_cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="grid sweep over (mu_bar, sigma_bar)")
-    add_common(p_sweep)
+    add_common(p_sweep, seed=True)
     p_sweep.add_argument("--format", choices=("csv", "json"), default=None)
     p_sweep.add_argument("--series-k", type=int, default=None)
     p_sweep.add_argument("--delta-t", type=float, default=None)

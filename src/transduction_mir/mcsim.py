@@ -132,8 +132,6 @@ def estimate_mir(
     traj: Trajectory,
     spec: ReceptorSpec,
     dist: TruncatedGaussianSpec,
-    *,
-    batches: int = BATCH_COUNT,
 ) -> McEstimate:
     """Plug-in rate estimate from a trajectory, in bits/s.
 
@@ -143,15 +141,15 @@ def estimate_mir(
     The averaged-kernel term uses the known mean chain rather than a binned
     nonparametric estimate, since the kernels are available exactly.
 
-    Standard error by batch means over ``batches`` consecutive blocks.
+    Standard error by batch means over BATCH_COUNT consecutive blocks.
 
     Raises InsufficientData if an observed pair has zero probability under
     the mean chain (model mismatch) or the path is shorter than the batch
     count.
     """
     n = len(traj)
-    if n < batches:
-        raise InsufficientData(f"need at least {batches} steps, got {n}")
+    if n < BATCH_COUNT:
+        raise InsufficientData(f"need at least {BATCH_COUNT} steps, got {n}")
     k = spec.n_states
     base, slope = affine_generator(spec)
     const = np.eye(k) + traj.delta_t * base
@@ -168,8 +166,8 @@ def estimate_mir(
         )
     z = np.log2(p_step / p_mean) / traj.delta_t
     value = float(z.mean())
-    batch_means = np.array([chunk.mean() for chunk in np.array_split(z, batches)])
-    stderr = float(batch_means.std(ddof=1) / math.sqrt(batches))
+    batch_means = np.array([chunk.mean() for chunk in np.array_split(z, BATCH_COUNT)])
+    stderr = float(batch_means.std(ddof=1) / math.sqrt(BATCH_COUNT))
     return McEstimate(value=value, stderr=stderr, n=n)
 
 

@@ -33,16 +33,12 @@ from .receptor import (
     transition_matrix,
 )
 from .truncgauss import (
+    MAX_MOMENT_ORDER,
     TruncatedGaussianSpec,
     expectation,
     raw_moments,
     shifted_moment_vector,
 )
-
-LN2 = math.log(2.0)
-
-#: Orders above the raw-moment table ceiling are refused (shared ceiling).
-MAX_SERIES_ORDER = 64
 
 #: The raw-vs-central cross-check is limited to this many terms; beyond it
 #: the raw alternating sum cannot be represented accurately in float64.
@@ -120,11 +116,9 @@ def xlnx(x: float) -> float:
     return x * math.log(x)
 
 
-def jensen_gap(
-    dist: TruncatedGaussianSpec, *, initial_nodes: int = 200
-) -> float:
+def jensen_gap(dist: TruncatedGaussianSpec) -> float:
     """E[x ln x] - mu ln(mu) in nats, by quadrature."""
-    e_xlnx = expectation(dist, _xlnx_vec, initial_nodes=initial_nodes)
+    e_xlnx = expectation(dist, _xlnx_vec)
     return e_xlnx - dist.mu * math.log(dist.mu)
 
 
@@ -140,8 +134,6 @@ def mir_discrete(
     spec: ReceptorSpec,
     dist: TruncatedGaussianSpec,
     delta_t: float,
-    *,
-    initial_nodes: int = 200,
 ) -> MirResult:
     """Information rate at a finite step, in bits/s.
 
@@ -175,10 +167,8 @@ def mir_discrete(
         def entry(x, c=const, m=lin):
             return c + m * x
 
-        e_phi = expectation(
-            dist, lambda x: _plogp_vec(entry(x)), initial_nodes=initial_nodes
-        )
-        mean_entry = expectation(dist, entry, initial_nodes=initial_nodes)
+        e_phi = expectation(dist, lambda x: _plogp_vec(entry(x)))
+        mean_entry = expectation(dist, entry)
         mean_entry = min(max(mean_entry, 0.0), 1.0)
         term = pi.probabilities[i] * (e_phi - plogp(mean_entry))
         total += term
@@ -186,7 +176,7 @@ def mir_discrete(
             diagonal += term
 
     value = total / delta_t
-    gap = jensen_gap(dist, initial_nodes=initial_nodes)
+    gap = jensen_gap(dist)
     return MirResult(
         value=value,
         method=f"discrete({delta_t!r})",
@@ -200,16 +190,11 @@ def mir_discrete(
     )
 
 
-def mir_quadrature(
-    spec: ReceptorSpec,
-    dist: TruncatedGaussianSpec,
-    *,
-    initial_nodes: int = 200,
-) -> MirResult:
+def mir_quadrature(spec: ReceptorSpec, dist: TruncatedGaussianSpec) -> MirResult:
     """Continuous-time information rate: gain * (E[x ln x] - mu ln mu)."""
     pi = stationary_distribution(spec, dist.mu)
     gain = sensitive_gain(spec, pi)
-    gap = jensen_gap(dist, initial_nodes=initial_nodes)
+    gap = jensen_gap(dist)
     return MirResult(
         value=gain * gap,
         method="quadrature",
@@ -271,8 +256,6 @@ def mir_series(
     spec: ReceptorSpec,
     dist: TruncatedGaussianSpec,
     order: int = 40,
-    *,
-    initial_nodes: int = 200,
 ) -> MirResult:
     """Series approximation of the continuous-time rate, truncated at ``order``.
 
@@ -294,10 +277,10 @@ def mir_series(
         )
     if order < 2:
         raise ValidationError(f"series order must be >= 2, got {order}")
-    if order > MAX_SERIES_ORDER:
-        raise OrderTooHigh(f"series order {order} exceeds ceiling {MAX_SERIES_ORDER}")
+    if order > MAX_MOMENT_ORDER:
+        raise OrderTooHigh(f"series order {order} exceeds ceiling {MAX_MOMENT_ORDER}")
 
-    moments = shifted_moment_vector(dist, 1.0, order, initial_nodes=initial_nodes)
+    moments = shifted_moment_vector(dist, 1.0, order)
     diff, tol, amplification = _raw_form_cross_check(dist, moments, order)
 
     series_sum = math.fsum(_series_gap_terms(moments, order))

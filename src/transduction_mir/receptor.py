@@ -267,21 +267,19 @@ def transition_matrix(q: RateMatrix, delta_t: float) -> TransitionMatrix:
 
 
 def _strongly_connected(adjacency: np.ndarray) -> bool:
-    """True if every state reaches every other along positive entries."""
+    """True if every state reaches every other along positive entries.
+
+    Squaring the reflexive boolean adjacency doubles the path length it
+    covers; once that reaches k - 1 steps, entry (i, j) says whether j is
+    reachable from i, and the graph is strongly connected iff all are.
+    """
     k = adjacency.shape[0]
-
-    def reach(adj):
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in np.nonzero(adj[i])[0]:
-                if j not in seen:
-                    seen.add(int(j))
-                    stack.append(int(j))
-        return len(seen) == k
-
-    return reach(adjacency) and reach(adjacency.T)
+    reach = adjacency | np.eye(k, dtype=bool)
+    length = 1
+    while length < k - 1:
+        reach = reach @ reach
+        length *= 2
+    return bool(reach.all())
 
 
 def _solve_stationary(p: np.ndarray) -> np.ndarray:

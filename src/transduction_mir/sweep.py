@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,12 +23,7 @@ from .errors import ConfigError, EmptySweep, MirError, ValidationError
 from .mcsim import estimate_mir, simulate
 from .mir import mir_discrete, mir_quadrature, mir_series
 from .receptor import ReceptorSpec
-from .truncgauss import TruncatedGaussianSpec
-
-CSV_HEADER = (
-    "mu_bar,sigma_bar,mu,sigma2,mir_quadrature,mir_series,lb_s2,ub_s2,"
-    "lb_s4,ub_s4,mir_discrete,mc_value,mc_stderr,status"
-)
+from .truncgauss import MAX_MOMENT_ORDER, TruncatedGaussianSpec
 
 VALID_METHODS = ("quadrature", "series", "bounds_s2", "bounds_s4", "discrete", "mc")
 
@@ -69,7 +65,6 @@ class SweepConfig:
     delta_t: float = 1e-3
     mc_n: int = 10**6
     seed: int = 0
-    quad_nodes: int = 200
     out_path: Optional[str] = None
     out_format: str = "csv"
 
@@ -79,39 +74,35 @@ class SweepConfig:
                 raise ConfigError(f"unknown method {m!r}; choose from {VALID_METHODS}")
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError("methods must not repeat")
-        if "series" in self.methods:
+        series = "series" in self.methods
+        if series:
             if self.b > 2.0:
                 raise ConfigError("series requires b <= 2 (expansion convergence)")
             if self.a <= 0.0:
                 raise ConfigError("series requires a > 0 (expansion convergence)")
-            if not 2 <= self.series_k <= 64:
-                raise ConfigError(f"series_k must be in [2, 64], got {self.series_k}")
-        if self.quad_nodes < 1:
-            raise ConfigError(f"quad_nodes must be >= 1, got {self.quad_nodes}")
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.out_format!r}")
-        if self.delta_t <= 0.0:
-            raise ConfigError(f"delta_t must be positive, got {self.delta_t}")
-        if self.mc_n < 1:
-            raise ConfigError(f"mc_n must be >= 1, got {self.mc_n}")
+        _check_ranges(
+            series_k=self.series_k if series else None,
+            delta_t=self.delta_t,
+            mc_n=self.mc_n,
+        )
 
 
-#: SweepRow float fields, in emission order.
-_NUMERIC_FIELDS = (
-    "mu_bar",
-    "sigma_bar",
-    "mu",
-    "sigma2",
-    "mir_quadrature",
-    "mir_series",
-    "lb_s2",
-    "ub_s2",
-    "lb_s4",
-    "ub_s4",
-    "mir_discrete",
-    "mc_value",
-    "mc_stderr",
-)
+def _check_ranges(*, series_k=None, order=None, delta_t=None, mc_n=None) -> None:
+    """Range checks on run parameters, shared by SweepConfig and the
+    single-point CLI commands.  A parameter left as None is not checked.
+
+    Raises ConfigError naming the first parameter out of range.
+    """
+    if series_k is not None and not 2 <= series_k <= MAX_MOMENT_ORDER:
+        raise ConfigError(f"series_k must be in [2, {MAX_MOMENT_ORDER}], got {series_k}")
+    if order is not None and not 0 <= order <= MAX_MOMENT_ORDER:
+        raise ConfigError(f"order must be in [0, {MAX_MOMENT_ORDER}], got {order}")
+    if delta_t is not None and not 0.0 < delta_t < math.inf:
+        raise ConfigError(f"delta_t must be positive and finite, got {delta_t}")
+    if mc_n is not None and mc_n < 1:
+        raise ConfigError(f"mc_n must be >= 1, got {mc_n}")
 
 
 @dataclass(frozen=True)
@@ -130,6 +121,13 @@ class SweepRow:
     mc_value: Optional[float] = None
     mc_stderr: Optional[float] = None
     status: str = "ok"
+
+
+#: The fixed output schema: every SweepRow field in declaration order, the
+#: float fields first and ``status`` last.
+_FIELDS = tuple(f.name for f in fields(SweepRow))
+_NUMERIC_FIELDS = _FIELDS[:-1]
+CSV_HEADER = ",".join(_FIELDS)
 
 
 def _derive_seed(master_seed: int, row_index: int) -> int:
@@ -153,18 +151,15 @@ def _compute_row(config: SweepConfig, index: int, mu_bar: float, sigma_bar: floa
     values["mu"] = dist.mu
     values["sigma2"] = dist.sigma2
 
-    nodes = config.quad_nodes
     if "quadrature" in config.methods:
         try:
-            values["mir_quadrature"] = mir_quadrature(
-                config.receptor, dist, initial_nodes=nodes
-            ).value
+            values["mir_quadrature"] = mir_quadrature(config.receptor, dist).value
         except MirError as exc:
             problems.append(f"quadrature:{type(exc).__name__}")
     if "series" in config.methods:
         try:
             values["mir_series"] = mir_series(
-                config.receptor, dist, config.series_k, initial_nodes=nodes
+                config.receptor, dist, config.series_k
             ).value
         except MirError as exc:
             problems.append(f"series:{type(exc).__name__}")
@@ -179,7 +174,7 @@ def _compute_row(config: SweepConfig, index: int, mu_bar: float, sigma_bar: floa
     if "discrete" in config.methods:
         try:
             values["mir_discrete"] = mir_discrete(
-                config.receptor, dist, config.delta_t, initial_nodes=nodes
+                config.receptor, dist, config.delta_t
             ).value
         except MirError as exc:
             problems.append(f"discrete:{type(exc).__name__}")
@@ -273,7 +268,7 @@ def rows_to_csv(rows: Sequence[SweepRow]) -> str:
     """Fixed-schema CSV; floats use shortest round-trip representation."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
+    writer.writerow(_FIELDS)
     for row in rows:
         cells = [_format_cell(getattr(row, name)) for name in _NUMERIC_FIELDS]
         cells.append(row.status)
@@ -285,13 +280,13 @@ def rows_from_csv(text: str) -> list[SweepRow]:
     """Inverse of rows_to_csv, field-for-field."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
-    if header != CSV_HEADER.split(","):
+    if tuple(header) != _FIELDS:
         raise ValidationError(f"unexpected CSV header: {header}")
     rows = []
     for record in reader:
         if not record:
             continue
-        if len(record) != len(_NUMERIC_FIELDS) + 1:
+        if len(record) != len(_FIELDS):
             raise ValidationError(f"malformed CSV record: {record}")
         kwargs = {
             name: (None if cell == "" else float(cell))
@@ -315,7 +310,11 @@ def rows_from_json(text: str) -> list[SweepRow]:
     return [SweepRow(**entry) for entry in payload]
 
 
+def _format_rows(rows: Sequence[SweepRow], fmt: str) -> str:
+    """Rows as CSV or JSON text: the one formatter behind every sweep output."""
+    return rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
+
+
 def write_rows(rows: Sequence[SweepRow], path, fmt: str = "csv") -> None:
-    text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.write(_format_rows(rows, fmt))

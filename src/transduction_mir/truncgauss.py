@@ -5,8 +5,8 @@ is conditioned on the interval ``[a, b]``.  This module provides the density,
 the closed-form truncated mean/variance, raw and recentred moments through
 the two-term recursion for the moments of the truncated standard normal,
 inverse-CDF sampling, the scaling closure (q*x is again truncated Gaussian),
-and a node-doubling Gauss-Legendre expectation engine used throughout the
-package for integrals against the density.
+and a node-doubling Gauss-Legendre expectation engine, on one fixed node
+schedule, used throughout the package for integrals against the density.
 """
 
 from __future__ import annotations
@@ -35,6 +35,15 @@ MIN_TRUNCATION_MASS = 1e-12
 # the discarded normal mass underflows double precision (exp(-800)), while
 # a narrow spike inside a wide [a, b] becomes resolvable by the nodes.
 _SUPPORT_SIGMAS = 40.0
+
+# The one quadrature schedule: Gauss-Legendre nodes per panel start at
+# _INITIAL_NODES and double until two successive estimates agree to _RTOL
+# relative (_ATOL absolute near zero).  Node computation is O(n^2), so the
+# cap keeps a non-convergent integrand a fast NoConvergence, not a hang.
+_INITIAL_NODES = 200
+_MAX_NODES = 1600
+_RTOL = 1e-12
+_ATOL = 1e-14
 
 
 def _norm_pdf(t):
@@ -328,58 +337,60 @@ def _gl_estimate(spec, f, n, edges):
     return float(ws @ np.asarray(f(xs), dtype=float))
 
 
+def _agree(current, previous) -> bool:
+    """Two successive estimates (floats, or arrays entry by entry) agree to
+    ``_RTOL`` relative, or ``_ATOL`` absolute near zero."""
+    if isinstance(current, float):
+        return abs(current - previous) <= max(_RTOL * abs(current), _ATOL)
+    return all(map(_agree, current.tolist(), previous.tolist()))
+
+
+def _refine(estimate: Callable[[int], float | np.ndarray], what: str):
+    """Run ``estimate(n)`` on the fixed node schedule until it settles.
+
+    n starts at ``_INITIAL_NODES`` and doubles; the first estimate that agrees
+    with its predecessor is returned.  Raises NoConvergence once
+    ``_MAX_NODES`` has been tried without agreement.
+    """
+    n = _INITIAL_NODES
+    previous = estimate(n)
+    while n < _MAX_NODES:
+        n *= 2
+        current = estimate(n)
+        if _agree(current, previous):
+            return current
+        previous = current
+    raise NoConvergence(f"{what} did not stabilize by n={_MAX_NODES} nodes per panel")
+
+
 def expectation(
-    spec: TruncatedGaussianSpec,
-    f: Callable[[np.ndarray], np.ndarray],
-    *,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
-    initial_nodes: int = 200,
-    max_doublings: int = 12,
+    spec: TruncatedGaussianSpec, f: Callable[[np.ndarray], np.ndarray]
 ) -> float:
     """E[f(x)] by Gauss-Legendre quadrature with node-doubling refinement.
 
-    ``f`` must accept an ndarray of evaluation points.  The node count
-    doubles until two successive estimates agree to ``rtol`` relative (or
-    ``atol`` absolute near zero); integration is restricted to the part of
-    [a, b] within 40 parent sigmas of mu_bar, outside which the density
-    underflows to zero.
+    ``f`` must accept an ndarray of evaluation points.  The node count per
+    panel doubles from 200 until two successive estimates agree to 1e-12
+    relative (or 1e-14 absolute near zero); integration is restricted to the
+    part of [a, b] within 40 parent sigmas of mu_bar, outside which the
+    density underflows to zero.
 
-    Raises NoConvergence if the estimates never stabilize.
+    Raises NoConvergence if the estimates have not stabilized by 1600 nodes.
     """
-    if initial_nodes < 1:
-        raise ValidationError(f"initial_nodes must be >= 1, got {initial_nodes}")
     lo, hi = _integration_bounds(spec)
     edges = _panel_edges(spec, lo, hi)
-    n = initial_nodes
-    previous = _gl_estimate(spec, f, n, edges)
-    for _ in range(max_doublings):
-        n *= 2
-        current = _gl_estimate(spec, f, n, edges)
-        if abs(current - previous) <= max(rtol * abs(current), atol):
-            return current
-        previous = current
-    raise NoConvergence(
-        f"expectation did not stabilize after {max_doublings} doublings (n={n})"
-    )
+    return _refine(lambda n: _gl_estimate(spec, f, n, edges), "expectation")
 
 
 def shifted_moment_vector(
-    spec: TruncatedGaussianSpec,
-    center: float,
-    order: int,
-    *,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
-    initial_nodes: int = 200,
-    max_doublings: int = 12,
+    spec: TruncatedGaussianSpec, center: float, order: int
 ) -> np.ndarray:
     """E[(x - center)^m] for m = 0..order by quadrature, all orders at once.
 
     Stable for any truncation: the integrand is bounded by max(|a - center|,
     |b - center|)^m, so no cancellation occurs.  Used as the production path
     for the series evaluation, for which the recursion loses too many digits
-    beyond order ~25.
+    beyond order ~25.  Refined on the same node schedule as ``expectation``,
+    every order to the same tolerance.
     """
     if order < 0:
         raise ValidationError(f"order must be >= 0, got {order}")
@@ -395,15 +406,4 @@ def shifted_moment_vector(
         powers = np.vander(shifted, order + 1, increasing=True)  # (n, order+1)
         return half * (powers.T @ (weights * dens_t))
 
-    n = initial_nodes
-    previous = moment_block(n)
-    for _ in range(max_doublings):
-        n *= 2
-        current = moment_block(n)
-        scale_ = np.maximum(np.abs(current), atol / rtol)
-        if np.all(np.abs(current - previous) <= rtol * scale_):
-            return current
-        previous = current
-    raise NoConvergence(
-        f"moment quadrature did not stabilize after {max_doublings} doublings (n={n})"
-    )
+    return _refine(moment_block, "moment quadrature")

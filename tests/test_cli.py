@@ -68,10 +68,6 @@ class TestMir:
         code = main(["mir", "--config", str(point_config), "--method", "discrete", "--delta-t", "0.9"])
         assert code == 3
 
-    def test_quad_nodes_flag(self, point_config, capsys):
-        assert main(["mir", "--config", str(point_config), "--quad-nodes", "64"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["value_bits_per_s"] == pytest.approx(0.05168672092450602, rel=1e-9)
 
 
 class TestBounds:
@@ -218,6 +214,42 @@ class TestConfigErrors:
         out = tmp_path / "rows.csv"
         assert main(["sweep", "--config", str(point_config), "--out", str(out), flag, "0"]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mir", "--method", "mc", "--mc-n", "0"],
+            ["mir", "--method", "discrete", "--delta-t", "0"],
+            ["mir", "--method", "series", "--series-k", "1"],
+            ["mir", "--method", "series", "--series-k", "65"],
+            ["simulate", "--mc-n", "0"],
+            ["simulate", "--delta-t", "0"],
+            ["simulate", "--delta-t", "nan"],
+            ["mir", "--method", "discrete", "--delta-t", "inf"],
+            ["moments", "--order", "-1"],
+            ["moments", "--order", "65"],
+        ],
+        ids=" ".join,
+    )
+    def test_single_point_out_of_range_is_config_error(self, point_config, argv, capsys):
+        assert main([*argv, "--config", str(point_config)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--seed", "1"],
+            ["moments", "--seed", "1"],
+            ["mir", "--quad-nodes", "64"],
+            ["sweep", "--quad-nodes", "64"],
+        ],
+        ids=" ".join,
+    )
+    def test_removed_flags_rejected(self, point_config, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(point_config)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestShippedConfigs:

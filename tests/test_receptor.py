@@ -25,6 +25,7 @@ from transduction_mir import (
     steady_state,
     transition_matrix,
 )
+from transduction_mir.receptor import _strongly_connected
 from transduction_mir.truncgauss import sample
 
 
@@ -37,6 +38,25 @@ def power_iteration_pi(p: np.ndarray, iters: int = 200_000, tol: float = 1e-14):
             return nxt / nxt.sum()
         pi = nxt
     return pi / pi.sum()
+
+
+def dfs_strongly_connected(adjacency: np.ndarray) -> bool:
+    """Depth-first search from state 0 on the graph and its transpose, the
+    irreducibility oracle."""
+    k = adjacency.shape[0]
+
+    def reach(adj):
+        seen = {0}
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            for j in np.nonzero(adj[i])[0]:
+                if j not in seen:
+                    seen.add(int(j))
+                    stack.append(int(j))
+        return len(seen) == k
+
+    return reach(adjacency) and reach(adjacency.T)
 
 
 def ring_spec(r12=1.0, r23=1.0, r31=1.0, sensitive_first=True):
@@ -228,6 +248,19 @@ class TestSteadyState:
     def test_dark_chain_not_irreducible(self, unit_chr2):
         with pytest.raises(NotIrreducible):
             stationary_distribution(unit_chr2, 0.0)
+
+    def test_connectivity_matches_dfs_oracle(self):
+        rng = np.random.default_rng(2024)
+        verdicts = set()
+        for k in range(2, 9):
+            for density in (0.15, 0.3, 0.5, 0.8):
+                for _ in range(150):
+                    adjacency = rng.random((k, k)) < density
+                    np.fill_diagonal(adjacency, False)
+                    expected = dfs_strongly_connected(adjacency)
+                    assert _strongly_connected(adjacency) is expected, adjacency
+                    verdicts.add(expected)
+        assert verdicts == {True, False}
 
 
 def four_state_two_sensitive():

@@ -128,8 +128,8 @@ class TestRunSweep:
         _gl_nodes.cache_clear()
         cold = rows_to_csv(run_sweep(config))
         again = rows_to_csv(run_sweep(config))
-        # an unrelated sweep leaves other node sets in the quadrature cache
-        run_sweep(small_config(unit_chr2, quad_nodes=64, seed=5))
+        # an unrelated sweep (other grid, other seed) runs between the reruns
+        run_sweep(small_config(unit_chr2, mu_bar_grid=GridAxis(0.7, 1.3, 2), seed=5))
         warm = rows_to_csv(run_sweep(config))
         assert cold == again == warm
 

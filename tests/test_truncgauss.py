@@ -6,6 +6,7 @@ engine and recursion; the oracle code is kept inline where it is cheap.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from transduction_mir import (
     shifted_moment_vector,
 )
 from transduction_mir import raw_moments as package_raw_moments
+from transduction_mir.truncgauss import _gl_nodes
 from conftest import random_valid_dist
 
 # FROZEN oracle values for the canonical spec (mu_bar=1, sigma_bar=0.5,
@@ -322,6 +324,17 @@ class TestExpectation:
         assert expectation(spec, lambda x: x) == pytest.approx(1.0, rel=1e-12)
 
     def test_no_convergence_on_discontinuity(self, canonical_dist):
+        # the default schedule, with no node set cached, must give up fast
         jump = lambda x: np.where(x > 1.0137, 1.0, 0.0)
+        _gl_nodes.cache_clear()
+        start = time.perf_counter()
         with pytest.raises(NoConvergence):
-            expectation(canonical_dist, jump, initial_nodes=8, max_doublings=3)
+            expectation(canonical_dist, jump)
+        assert time.perf_counter() - start < 1.0
+
+    def test_overflowing_moments_raise_not_return(self):
+        # nodes reach x = 21 (40 sigmas up) and 21^400 overflows: non-finite
+        # estimates never agree, so the capped schedule raises, fast
+        spec = TruncatedGaussianSpec(1.0, 0.5, 1e-5, 50.0)
+        with np.errstate(all="ignore"), pytest.raises(NoConvergence):
+            shifted_moment_vector(spec, 0.0, 400)

@@ -19,7 +19,6 @@ from transduction_mir import (
     ValidationError,
     build_rate_matrix,
     density,
-    expectation,
     h_s,
     jensen_gap_bounds,
     load_receptor,
@@ -84,10 +83,6 @@ class TestDistributionContracts:
     def test_density_at_exact_boundaries(self, canonical_dist):
         assert density(canonical_dist, canonical_dist.a) > 0.0
         assert density(canonical_dist, canonical_dist.b) > 0.0
-
-    def test_expectation_rejects_bad_nodes(self, canonical_dist):
-        with pytest.raises(ValidationError):
-            expectation(canonical_dist, lambda x: x, initial_nodes=0)
 
     def test_scale_rejects_nonfinite(self, canonical_dist):
         with pytest.raises(ValidationError):
