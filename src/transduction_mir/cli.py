@@ -185,7 +185,7 @@ def _cmd_mir(args) -> int:
     if args.method == "quadrature":
         result = mir_quadrature(receptor, dist)
     elif args.method == "series":
-        _check_ranges(series_k=args.series_k)
+        _check_ranges(series_k=args.series_k, series_support=(dist.a, dist.b))
         result = mir_series(receptor, dist, args.series_k)
     else:  # discrete
         _check_ranges(delta_t=args.delta_t)

@@ -15,13 +15,7 @@ import numpy as np
 
 from .errors import InsufficientData, ValidationError
 from .mir import _xlnx_vec
-from .receptor import (
-    ReceptorSpec,
-    affine_generator,
-    build_rate_matrix,
-    stationary_distribution,
-    transition_matrix,
-)
+from .receptor import ReceptorSpec, stationary_distribution, step_kernel
 from .truncgauss import TruncatedGaussianSpec, sample
 
 #: Batch count for batch-means standard errors; the path samples are Markov
@@ -89,17 +83,14 @@ def simulate(
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    transition_matrix(build_rate_matrix(spec, dist.b), delta_t)  # admissibility
-    if delta_t <= 0.0:
-        raise ValidationError("simulate needs a strictly positive delta_t")
+    const, lin = step_kernel(spec, delta_t, dist.b)
 
     rng = np.random.default_rng(seed)
     pi = stationary_distribution(spec, dist.mu)
     k = spec.n_states
-    base, slope = affine_generator(spec)
     # P(x) rows as cumulative sums: cum_const + x * cum_slope, linear in x
-    cum_const = np.cumsum(np.eye(k) + delta_t * base, axis=1).tolist()
-    cum_slope = np.cumsum(delta_t * slope, axis=1).tolist()
+    cum_const = np.cumsum(const, axis=1).tolist()
+    cum_slope = np.cumsum(lin, axis=1).tolist()
 
     y0 = int(np.searchsorted(np.cumsum(pi.probabilities), rng.random()))
     y0 = min(y0, k - 1)
@@ -145,16 +136,13 @@ def estimate_mir(
 
     Raises InsufficientData if an observed pair has zero probability under
     the mean chain (model mismatch) or the path is shorter than the batch
-    count.
+    count, and StepTooLarge if traj.delta_t is inadmissible at x = b.
     """
     n = len(traj)
     if n < BATCH_COUNT:
         raise InsufficientData(f"need at least {BATCH_COUNT} steps, got {n}")
-    k = spec.n_states
-    base, slope = affine_generator(spec)
-    const = np.eye(k) + traj.delta_t * base
-    lin = traj.delta_t * slope
-    p_bar = transition_matrix(build_rate_matrix(spec, dist.mu), traj.delta_t).entries
+    const, lin = step_kernel(spec, traj.delta_t, dist.b)
+    p_bar = const + dist.mu * lin
 
     prev = np.concatenate(([traj.initial_state], traj.states[:-1]))
     cur = traj.states

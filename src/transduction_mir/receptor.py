@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import NotIrreducible, StepTooLarge, ValidationError
@@ -266,6 +268,23 @@ def transition_matrix(q: RateMatrix, delta_t: float) -> TransitionMatrix:
     return TransitionMatrix(dim=q.dim, entries=p, delta_t=delta_t)
 
 
+def step_kernel(
+    spec: ReceptorSpec, delta_t: float, x_max: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """First-order step as the affine pair (C, L) = (I + dt*base, dt*slope).
+
+    P(x) = C + x * L is checked once, by transition_matrix at x = x_max; its
+    off-diagonals only grow with x and its diagonal only shrinks, so it is
+    then admissible for all 0 <= x <= x_max.  Raises ValidationError unless
+    0 < delta_t < inf, and StepTooLarge if P(x_max) leaves [0, 1].
+    """
+    transition_matrix(build_rate_matrix(spec, x_max), delta_t)
+    if delta_t <= 0.0:
+        raise ValidationError(f"the step kernel needs delta_t > 0, got {delta_t!r}")
+    base, slope = affine_generator(spec)
+    return np.eye(spec.n_states) + delta_t * base, delta_t * slope
+
+
 def _strongly_connected(adjacency: np.ndarray) -> bool:
     """True if every state reaches every other along positive entries.
 
@@ -322,6 +341,7 @@ def steady_state(p_bar: TransitionMatrix) -> SteadyState:
     return SteadyState(probabilities=_solve_stationary(p_bar.entries))
 
 
+@lru_cache(maxsize=16)
 def stationary_distribution(spec: ReceptorSpec, mean_x: float) -> SteadyState:
     """Steady state of the mean chain at E[x] = mean_x.
 
@@ -329,6 +349,10 @@ def stationary_distribution(spec: ReceptorSpec, mean_x: float) -> SteadyState:
     depend on it; the always-admissible step 0.5 / max|q_ii| is used, with
     the same arithmetic as steady_state(transition_matrix(
     build_rate_matrix(spec, mean_x), 0.5 / scale)), on plain arrays.
+
+    Memoised on the frozen spec and the mean (a float; an unhashable value
+    raises TypeError), so every method at one input shares one solve and one
+    read-only result.  Exceptions are not cached; a bad mean always raises.
     """
     q = _generator(spec, mean_x)
     scale = float(np.abs(np.diag(q)).max())

@@ -74,29 +74,32 @@ class SweepConfig:
                 raise ConfigError(f"unknown method {m!r}; choose from {VALID_METHODS}")
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError("methods must not repeat")
-        series = "series" in self.methods
-        if series:
-            if self.b > 2.0:
-                raise ConfigError("series requires b <= 2 (expansion convergence)")
-            if self.a <= 0.0:
-                raise ConfigError("series requires a > 0 (expansion convergence)")
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.out_format!r}")
+        series = "series" in self.methods
         _check_ranges(
             series_k=self.series_k if series else None,
+            series_support=(self.a, self.b) if series else None,
             delta_t=self.delta_t,
             mc_n=self.mc_n,
         )
 
 
-def _check_ranges(*, series_k=None, order=None, delta_t=None, mc_n=None) -> None:
+def _check_ranges(*, series_k=None, series_support=None, order=None, delta_t=None, mc_n=None):
     """Range checks on run parameters, shared by SweepConfig and the
-    single-point CLI commands.  A parameter left as None is not checked.
+    single-point CLI commands.  A parameter left as None is not checked;
+    ``series_support`` is the truncation (a, b) the series must converge on.
 
     Raises ConfigError naming the first parameter out of range.
     """
     if series_k is not None and not 2 <= series_k <= MAX_MOMENT_ORDER:
         raise ConfigError(f"series_k must be in [2, {MAX_MOMENT_ORDER}], got {series_k}")
+    if series_support is not None:
+        a, b = series_support
+        if not (a > 0.0 and b <= 2.0):
+            raise ConfigError(
+                f"series needs support within (0, 2] (expansion convergence), got [{a}, {b}]"
+            )
     if order is not None and not 0 <= order <= MAX_MOMENT_ORDER:
         raise ConfigError(f"order must be in [0, {MAX_MOMENT_ORDER}], got {order}")
     if delta_t is not None and not 0.0 < delta_t < math.inf:

@@ -8,6 +8,7 @@ import pytest
 from transduction_mir.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+RESULTS_DIR = CONFIG_DIR.parent / "results"
 
 
 @pytest.fixture
@@ -183,12 +184,18 @@ class TestConfigErrors:
         bad.write_text(json.dumps(doc))
         assert main(["sweep", "--config", str(bad)]) == 2
 
-    def test_series_outside_region(self, point_config):
+    @pytest.mark.parametrize("field, value", [("b", 2.5), ("a", 0.0)], ids=["b=2.5", "a=0"])
+    @pytest.mark.parametrize(
+        "command", [["sweep"], ["mir", "--method", "series"]], ids=["sweep", "mir-series"]
+    )
+    def test_series_outside_region(self, point_config, command, field, value):
+        # a support outside (0, 2] is a configuration error on every command
         doc = json.loads(point_config.read_text())
-        doc["sweep"]["b"] = 2.5
+        doc["distribution"][field] = value
+        doc["sweep"][field] = value
         bad = point_config.parent / "bad_series.json"
         bad.write_text(json.dumps(doc))
-        assert main(["sweep", "--config", str(bad)]) == 2
+        assert main([*command, "--config", str(bad)]) == 2
 
     def test_unknown_receptor_state(self, point_config):
         doc = json.loads(point_config.read_text())
@@ -261,3 +268,11 @@ class TestShippedConfigs:
 
     def test_receptor_file_reference_resolves(self, capsys):
         assert main(["bounds", "--config", str(CONFIG_DIR / "chr2_point.json")]) == 0
+
+    @pytest.mark.parametrize("name", ["capacity_surface", "chr2_mean_sweep", "chr2_spread_sweep"])
+    def test_sweep_reproduces_committed_results(self, name, tmp_path):
+        # rerun into a temp dir; results/ itself is never written
+        out = tmp_path / f"{name}.csv"
+        config = CONFIG_DIR / f"{name}.json"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        assert out.read_bytes() == (RESULTS_DIR / f"{name}.csv").read_bytes()

@@ -66,6 +66,12 @@ class TestSimulate:
         with pytest.raises(StepTooLarge):
             simulate(unit_chr2, canonical_dist, 0.6, 10, seed=1)
 
+    @pytest.mark.parametrize("delta_t", [0.0, -1e-3, math.nan, math.inf])
+    def test_bad_step_is_validation_error(self, unit_chr2, canonical_dist, delta_t):
+        with pytest.raises(ValidationError) as exc:
+            simulate(unit_chr2, canonical_dist, delta_t, 10, seed=1)
+        assert type(exc.value) is ValidationError
+
     def test_bigram_rows_normalize_to_mean_chain(self, unit_chr2, canonical_dist):
         traj = simulate(unit_chr2, canonical_dist, 1e-2, 200_000, seed=99)
         counts = bigram_counts(traj, 3)

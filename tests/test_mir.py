@@ -162,6 +162,32 @@ class TestDiscrete:
             dt = 0.05 / (float(rates.max()) * max(1.0, dist.b))
             assert mir_discrete(spec, dist, dt).value > 0.0
 
+    @pytest.mark.parametrize(
+        "mu_bar, sigma_bar, reference",
+        [(1.8, 0.1, 7.8192289923906234952e-4), (1.0, 0.5, 0.051733278595571945884)],
+    )
+    def test_unit_ring_mpmath_oracle(self, unit_chr2, mu_bar, sigma_bar, reference):
+        """FROZEN mpmath values (50 digits) on [1e-5, 2] at dt = 1e-3.
+
+        The unit ring's mean chain balances pi_0 * mu = pi_1 = pi_2, so
+        pi_0 = 1 / (1 + 2 mu).  Its x-dependent entries are p_01 = dt x and
+        p_00 = 1 - dt x, so the rate is
+
+            pi_0 * sum_{p in (p_01, p_00)} (E[phi(p(x))] - phi(p(mu))) / dt,
+
+        phi(p) = p log2 p, with mu and both expectations from mpmath
+        quadrature of the truncated density, split at mu_bar.
+        """
+        dist = TruncatedGaussianSpec(mu_bar, sigma_bar, 1e-5, 2.0)
+        value = mir_discrete(unit_chr2, dist, 1e-3).value
+        assert value == pytest.approx(reference, rel=1e-9)
+
+    @pytest.mark.parametrize("delta_t", [0.0, -1e-3, math.nan, math.inf])
+    def test_bad_step_is_validation_error(self, unit_chr2, canonical_dist, delta_t):
+        with pytest.raises(ValidationError) as exc:
+            mir_discrete(unit_chr2, canonical_dist, delta_t)
+        assert type(exc.value) is ValidationError
+
     def test_off_diagonal_term_is_step_free(self, unit_chr2, canonical_dist):
         # sensitive off-diagonal entries are exactly linear in x, so their
         # per-step contribution equals the asymptotic rate at any step

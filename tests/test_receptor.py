@@ -25,7 +25,7 @@ from transduction_mir import (
     steady_state,
     transition_matrix,
 )
-from transduction_mir.receptor import _strongly_connected
+from transduction_mir.receptor import _strongly_connected, step_kernel
 from transduction_mir.truncgauss import sample
 
 
@@ -298,8 +298,37 @@ class TestStationaryDistribution:
 
     @pytest.mark.parametrize("mean_x", [-0.5, math.nan, math.inf])
     def test_rejects_invalid_mean(self, unit_chr2, mean_x):
-        with pytest.raises(ValidationError):
-            stationary_distribution(unit_chr2, mean_x)
+        # failures are not cached: every repeat raises again
+        stationary_distribution.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ValidationError):
+                stationary_distribution(unit_chr2, mean_x)
+
+    def test_repeat_returns_identical_probabilities(self):
+        spec = four_state_two_sensitive()
+        stationary_distribution.cache_clear()
+        first = stationary_distribution(spec, 0.37).probabilities.tobytes()
+        assert stationary_distribution(spec, 0.37).probabilities.tobytes() == first
+        stationary_distribution.cache_clear()
+        assert stationary_distribution(spec, 0.37).probabilities.tobytes() == first
+
+
+class TestStepKernel:
+    @pytest.mark.parametrize("spec", [chr2_skeleton(), four_state_two_sensitive()])
+    def test_matches_transition_matrix(self, spec):
+        b, mu, dt = 2.0, 1.0000011313117316, 1e-3
+        const, lin = step_kernel(spec, dt, b)
+        for x in (0.0, mu, b):
+            reference = transition_matrix(build_rate_matrix(spec, x), dt).entries
+            np.testing.assert_allclose(const + x * lin, reference, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("spec", [chr2_skeleton(), four_state_two_sensitive()])
+    def test_step_too_large_just_above_limit(self, spec):
+        b = 2.0
+        limit = 1.0 / float(np.abs(np.diag(build_rate_matrix(spec, b).entries)).max())
+        step_kernel(spec, limit * (1.0 - 1e-9), b)
+        with pytest.raises(StepTooLarge):
+            step_kernel(spec, limit * (1.0 + 1e-9), b)
 
 
 class TestSensitiveGain:

@@ -22,6 +22,7 @@ from transduction_mir import (
     rows_to_json,
     run_sweep,
 )
+from transduction_mir import receptor
 from transduction_mir.sweep import CSV_HEADER
 from transduction_mir.truncgauss import _gl_nodes
 
@@ -132,6 +133,22 @@ class TestRunSweep:
         run_sweep(small_config(unit_chr2, mu_bar_grid=GridAxis(0.7, 1.3, 2), seed=5))
         warm = rows_to_csv(run_sweep(config))
         assert cold == again == warm
+
+    def test_one_stationary_solve_per_point(self, unit_chr2, monkeypatch):
+        calls = []
+        solve = receptor._solve_stationary
+        monkeypatch.setattr(
+            receptor, "_solve_stationary", lambda p: calls.append(1) or solve(p)
+        )
+        receptor.stationary_distribution.cache_clear()
+        config = small_config(
+            unit_chr2,
+            mu_bar_grid=GridAxis(0.5, 1.5, 2),
+            methods=("quadrature", "series", "bounds_s2", "bounds_s4", "discrete"),
+        )
+        rows = run_sweep(config)
+        assert [row.status for row in rows] == ["ok"] * 4
+        assert len(calls) == 4
 
     def test_audit_clean(self, unit_chr2):
         rows = run_sweep(small_config(unit_chr2, methods=("quadrature", "bounds_s2", "bounds_s4")))
