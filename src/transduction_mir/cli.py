@@ -19,7 +19,7 @@ from .bounds import mir_bounds
 from .errors import ConfigError, MirError
 from .mcsim import dump_trajectory, estimate_mir, simulate
 from .mir import mir_discrete, mir_quadrature, mir_series
-from .receptor import ReceptorSpec
+from .receptor import ReceptorSpec, load_receptor
 from .sweep import (
     GridAxis,
     SweepConfig,
@@ -49,19 +49,13 @@ def _receptor_from(doc: dict, config_path: str) -> ReceptorSpec:
     entry = doc.get("receptor")
     if entry is None:
         raise ConfigError("receptor: missing")
-    if isinstance(entry, str):
-        ref = Path(config_path).parent / entry
-        try:
-            with open(ref, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"receptor: cannot read {ref}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"receptor: {ref} is not valid JSON: {exc}") from exc
+    where = f"receptor file {entry}" if isinstance(entry, str) else "receptor"
     try:
+        if isinstance(entry, str):
+            return load_receptor(Path(config_path).parent / entry)
         return ReceptorSpec.from_mapping(entry)
-    except MirError as exc:
-        raise ConfigError(f"receptor: {exc}") from exc
+    except (OSError, json.JSONDecodeError, MirError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _distribution_from(doc: dict) -> TruncatedGaussianSpec:
@@ -116,19 +110,15 @@ def _sweep_config(doc: dict, args, config_path: str) -> SweepConfig:
     methods = entry.get("methods")
     if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
         raise ConfigError("sweep.methods: must be a list of method names")
-    output = doc.get("output", {})
-    out_path = args.out or output.get("path")
-    out_format = args.format or output.get("format", "csv")
     try:
         a = float(a)
         b = float(b)
-        series_k = (
-            args.series_k if args.series_k is not None else int(entry.get("series_k", 40))
-        )
-        delta_t = (
-            args.delta_t if args.delta_t is not None else float(entry.get("delta_t", 1e-3))
-        )
-        mc_n = args.mc_n if args.mc_n is not None else int(entry.get("mc_n", 10**6))
+        # a run parameter the config leaves out takes SweepConfig's default
+        run = {
+            key: cast(entry[key])
+            for key, cast in (("series_k", int), ("delta_t", float), ("mc_n", int))
+            if key in entry
+        }
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"sweep: non-numeric field: {exc}") from exc
     return SweepConfig(
@@ -138,12 +128,8 @@ def _sweep_config(doc: dict, args, config_path: str) -> SweepConfig:
         mu_bar_grid=_axis_from(entry.get("mu_bar"), "mu_bar"),
         sigma_bar_grid=_axis_from(entry.get("sigma_bar"), "sigma_bar"),
         methods=tuple(methods),
-        series_k=series_k,
-        delta_t=delta_t,
-        mc_n=mc_n,
         seed=_seed_from(doc, args),
-        out_path=out_path,
-        out_format=out_format,
+        **run,
     )
 
 
@@ -156,32 +142,10 @@ def _emit(payload: dict, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _monte_carlo(args, doc: dict, receptor, dist, dump=None) -> dict:
-    """Simulate a seeded path, optionally dump it, and estimate the rate."""
-    _check_ranges(delta_t=args.delta_t, mc_n=args.mc_n)
-    seed = _seed_from(doc, args)
-    traj = simulate(receptor, dist, args.delta_t, args.mc_n, seed)
-    if dump:
-        dump_trajectory(traj, dump)
-    est = estimate_mir(traj, receptor, dist)
-    return {
-        "value_bits_per_s": est.value,
-        "stderr": est.stderr,
-        "n": est.n,
-        "delta_t": args.delta_t,
-        "seed": seed,
-    }
-
-
 def _cmd_mir(args) -> int:
     doc = _load_document(args.config)
     receptor = _receptor_from(doc, args.config)
     dist = _distribution_from(doc)
-    if args.method == "mc":
-        payload = _monte_carlo(args, doc, receptor, dist)
-        payload["method"] = f"monte_carlo(n={payload['n']})"
-        _emit(payload, args.out)
-        return 0
     if args.method == "quadrature":
         result = mir_quadrature(receptor, dist)
     elif args.method == "series":
@@ -241,19 +205,40 @@ def _cmd_simulate(args) -> int:
     doc = _load_document(args.config)
     receptor = _receptor_from(doc, args.config)
     dist = _distribution_from(doc)
-    payload = _monte_carlo(args, doc, receptor, dist, dump=args.dump)
-    _emit({**payload, "dump": args.dump}, args.out)
+    _check_ranges(delta_t=args.delta_t, mc_n=args.mc_n)
+    seed = _seed_from(doc, args)
+    traj = simulate(receptor, dist, args.delta_t, args.mc_n, seed)
+    if args.dump:
+        dump_trajectory(traj, args.dump)
+    est = estimate_mir(traj, receptor, dist)
+    _emit(
+        {
+            "value_bits_per_s": est.value,
+            "stderr": est.stderr,
+            "n": est.n,
+            "delta_t": args.delta_t,
+            "seed": seed,
+            "dump": args.dump,
+        },
+        args.out,
+    )
     return 0
 
 
 def _cmd_sweep(args) -> int:
     doc = _load_document(args.config)
-    config = _sweep_config(doc, args, args.config)
-    rows = run_sweep(config)
-    if config.out_path:
-        write_rows(rows, config.out_path, config.out_format)
+    output = doc.get("output", {})
+    if not isinstance(output, dict):
+        raise ConfigError("output: must be an object")
+    out_path = args.out or output.get("path")
+    out_format = output.get("format", "csv")
+    if out_format not in ("csv", "json"):
+        raise ConfigError(f"output.format must be csv or json, got {out_format!r}")
+    rows = run_sweep(_sweep_config(doc, args, args.config))
+    if out_path:
+        write_rows(rows, out_path, out_format)
     else:
-        sys.stdout.write(_format_rows(rows, config.out_format))
+        sys.stdout.write(_format_rows(rows, out_format))
     failed = [row for row in rows if row.status != "ok"]
     if failed:
         print(
@@ -289,15 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=None, help="override config seed")
 
     p_mir = sub.add_parser("mir", help="information rate at a single point")
-    add_common(p_mir, seed=True)
+    add_common(p_mir)
     p_mir.add_argument(
-        "--method",
-        choices=("quadrature", "series", "discrete", "mc"),
-        default="quadrature",
+        "--method", choices=("quadrature", "series", "discrete"), default="quadrature"
     )
-    p_mir.add_argument("--series-k", type=int, default=40)
-    p_mir.add_argument("--delta-t", type=float, default=1e-3)
-    p_mir.add_argument("--mc-n", type=int, default=10**6)
+    p_mir.add_argument("--series-k", type=int, default=SweepConfig.series_k)
+    p_mir.add_argument("--delta-t", type=float, default=SweepConfig.delta_t)
     p_mir.set_defaults(handler=_cmd_mir)
 
     p_bounds = sub.add_parser("bounds", help="closed-form rate bounds")
@@ -312,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="sample-path Monte Carlo estimate")
     add_common(p_sim, seed=True)
-    p_sim.add_argument("--delta-t", type=float, default=1e-3)
-    p_sim.add_argument("--mc-n", type=int, default=10**6, help="number of steps")
+    p_sim.add_argument("--delta-t", type=float, default=SweepConfig.delta_t)
+    p_sim.add_argument("--mc-n", type=int, default=SweepConfig.mc_n, help="number of steps")
     p_sim.add_argument(
         "--dump", default=None, help="write the trajectory as TSV (step, x, y)"
     )
@@ -321,10 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="grid sweep over (mu_bar, sigma_bar)")
     add_common(p_sweep, seed=True)
-    p_sweep.add_argument("--format", choices=("csv", "json"), default=None)
-    p_sweep.add_argument("--series-k", type=int, default=None)
-    p_sweep.add_argument("--delta-t", type=float, default=None)
-    p_sweep.add_argument("--mc-n", type=int, default=None)
     p_sweep.add_argument(
         "--capacity-by",
         default=None,

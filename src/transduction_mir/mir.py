@@ -222,9 +222,8 @@ def _raw_form_cross_check(
         ) / (k * (k - 1))
     raw_sum = math.fsum(raw_terms)
     central_sum = math.fsum(_series_gap_terms(moments_about_one, kmax))
-    # the recursion moments carry at most 1e-8 relative error in-domain
-    # (enforced against quadrature elsewhere); the raw alternating sum is
-    # trustworthy only to that times its amplification factor
+    # the raw alternating sum amplifies the moments' relative error by
+    # ``amplification``; 1e-8 is the moment error tolerated, not a measured one
     tol = max(1e-9, 1e-8 * amplification)
     diff = abs(raw_sum - central_sum)
     if diff > tol:

@@ -65,8 +65,6 @@ class SweepConfig:
     delta_t: float = 1e-3
     mc_n: int = 10**6
     seed: int = 0
-    out_path: Optional[str] = None
-    out_format: str = "csv"
 
     def __post_init__(self):
         for m in self.methods:
@@ -74,8 +72,6 @@ class SweepConfig:
                 raise ConfigError(f"unknown method {m!r}; choose from {VALID_METHODS}")
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError("methods must not repeat")
-        if self.out_format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.out_format!r}")
         series = "series" in self.methods
         _check_ranges(
             series_k=self.series_k if series else None,
@@ -138,9 +134,30 @@ def _derive_seed(master_seed: int, row_index: int) -> int:
     return int(np.random.SeedSequence([master_seed, row_index]).generate_state(1)[0])
 
 
+def _evaluate(method: str, config: SweepConfig, dist: TruncatedGaussianSpec, index: int) -> dict:
+    """The SweepRow fields one method fills at one grid point.
+
+    Each layer is called through this module's names at call time, so a
+    name replaced on the module (a tracer, a test double) is the one run.
+    """
+    receptor = config.receptor
+    if method == "quadrature":
+        return {"mir_quadrature": mir_quadrature(receptor, dist).value}
+    if method == "series":
+        return {"mir_series": mir_series(receptor, dist, config.series_k).value}
+    if method == "discrete":
+        return {"mir_discrete": mir_discrete(receptor, dist, config.delta_t).value}
+    if method == "mc":
+        seed = _derive_seed(config.seed, index)
+        traj = simulate(receptor, dist, config.delta_t, config.mc_n, seed)
+        est = estimate_mir(traj, receptor, dist)
+        return {"mc_value": est.value, "mc_stderr": est.stderr}
+    s = int(method.removeprefix("bounds_s"))
+    pair = mir_bounds(receptor, dist, s)
+    return {f"lb_s{s}": pair.lower, f"ub_s{s}": pair.upper}
+
+
 def _compute_row(config: SweepConfig, index: int, mu_bar: float, sigma_bar: float) -> SweepRow:
-    problems: list[str] = []
-    values: dict = {}
     try:
         dist = TruncatedGaussianSpec(
             mu_bar=float(mu_bar), sigma_bar=float(sigma_bar), a=config.a, b=config.b
@@ -151,50 +168,16 @@ def _compute_row(config: SweepConfig, index: int, mu_bar: float, sigma_bar: floa
             sigma_bar=float(sigma_bar),
             status=f"distribution:{type(exc).__name__}:{exc}",
         )
-    values["mu"] = dist.mu
-    values["sigma2"] = dist.sigma2
-
-    if "quadrature" in config.methods:
+    values = {"mu": dist.mu, "sigma2": dist.sigma2}
+    problems: list[str] = []
+    # VALID_METHODS order, whatever order the config lists them in
+    for method in VALID_METHODS:
+        if method not in config.methods:
+            continue
         try:
-            values["mir_quadrature"] = mir_quadrature(config.receptor, dist).value
+            values.update(_evaluate(method, config, dist, index))
         except MirError as exc:
-            problems.append(f"quadrature:{type(exc).__name__}")
-    if "series" in config.methods:
-        try:
-            values["mir_series"] = mir_series(
-                config.receptor, dist, config.series_k
-            ).value
-        except MirError as exc:
-            problems.append(f"series:{type(exc).__name__}")
-    for s in (2, 4):
-        if f"bounds_s{s}" in config.methods:
-            try:
-                pair = mir_bounds(config.receptor, dist, s)
-                values[f"lb_s{s}"] = pair.lower
-                values[f"ub_s{s}"] = pair.upper
-            except MirError as exc:
-                problems.append(f"bounds_s{s}:{type(exc).__name__}")
-    if "discrete" in config.methods:
-        try:
-            values["mir_discrete"] = mir_discrete(
-                config.receptor, dist, config.delta_t
-            ).value
-        except MirError as exc:
-            problems.append(f"discrete:{type(exc).__name__}")
-    if "mc" in config.methods:
-        try:
-            traj = simulate(
-                config.receptor,
-                dist,
-                config.delta_t,
-                config.mc_n,
-                _derive_seed(config.seed, index),
-            )
-            est = estimate_mir(traj, config.receptor, dist)
-            values["mc_value"] = est.value
-            values["mc_stderr"] = est.stderr
-        except MirError as exc:
-            problems.append(f"mc:{type(exc).__name__}")
+            problems.append(f"{method}:{type(exc).__name__}")
 
     return SweepRow(
         mu_bar=float(mu_bar),

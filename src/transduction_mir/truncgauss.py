@@ -219,13 +219,19 @@ def raw_moments(spec: TruncatedGaussianSpec, order: int) -> MomentTable:
     raw = _moments_about(spec, 0.0, order, L)
     central = _moments_about(spec, spec.mu, order, L)
 
-    # support bound a^m <= E[x^m] <= b^m, with float slack
-    for m in range(order + 1):
+    # support bounds a^m <= E[x^m] <= b^m and, since x^(m-1) (x - a) >= 0 on
+    # [a, b], a E[x^(m-1)] <= E[x^m] <= b E[x^(m-1)], with float slack; the
+    # forward recursion is unstable on narrow windows and breaks the ratio
+    # form long before the power form
+    values = raw.tolist()
+    for m, value in enumerate(values):
         lo, hi = spec.a**m, spec.b**m
         slack = 1e-9 * max(1.0, hi)
-        if not (lo - slack <= raw[m] <= hi + slack):
+        if m > 0:
+            lo, hi = max(lo, spec.a * values[m - 1]), min(hi, spec.b * values[m - 1])
+        if not (lo - slack <= value <= hi + slack):
             raise ValidationError(
-                f"raw moment E[x^{m}] = {raw[m]} escaped support bound [{lo}, {hi}]"
+                f"raw moment E[x^{m}] = {value} escaped support bound [{lo}, {hi}]"
             )
     if order >= 2:
         rel = abs(central[2] - spec.sigma2) / spec.sigma2

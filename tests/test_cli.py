@@ -1,11 +1,12 @@
 """CLI surface tests: subcommands, exit codes, file outputs, determinism."""
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
-from transduction_mir.cli import main
+from transduction_mir.cli import build_parser, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 RESULTS_DIR = CONFIG_DIR.parent / "results"
@@ -58,13 +59,6 @@ class TestMir:
         payload = json.loads(capsys.readouterr().out)
         assert payload["value_bits_per_s"] == pytest.approx(0.0517332, rel=1e-4)
 
-    def test_mc_method(self, point_config, capsys):
-        assert main(["mir", "--config", str(point_config), "--method", "mc", "--mc-n", "20000", "--seed", "3"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["stderr"] > 0
-        assert {"value_bits_per_s", "method", "stderr", "delta_t", "seed"} <= payload.keys()
-        assert payload["method"] == "monte_carlo(n=20000)"
-
     def test_numerical_failure_exit_code(self, point_config, capsys):
         code = main(["mir", "--config", str(point_config), "--method", "discrete", "--delta-t", "0.9"])
         assert code == 3
@@ -116,6 +110,7 @@ class TestSimulate:
         )
         payload = json.loads(capsys.readouterr().out)
         assert payload["n"] == 5000
+        assert payload["stderr"] > 0
         assert payload.keys() == {"value_bits_per_s", "stderr", "n", "delta_t", "seed", "dump"}
         lines = dump.read_text().splitlines()
         assert lines[0] == "step\tx\ty"
@@ -136,8 +131,12 @@ class TestSweep:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_json_format(self, point_config, tmp_path):
+        doc = json.loads(point_config.read_text())
+        doc["output"] = {"format": "json"}
+        config = point_config.parent / "json_rows.json"
+        config.write_text(json.dumps(doc))
         out = tmp_path / "rows.json"
-        assert main(["sweep", "--config", str(point_config), "--out", str(out), "--format", "json"]) == 0
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert len(payload) == 6
 
@@ -197,6 +196,24 @@ class TestConfigErrors:
         bad.write_text(json.dumps(doc))
         assert main([*command, "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"], ids=["missing", "bad-json", "list"])
+    def test_bad_receptor_file(self, point_config, text, capsys):
+        doc = json.loads(point_config.read_text())
+        doc["receptor"] = "receptor_file.json"
+        if text is not None:
+            (point_config.parent / "receptor_file.json").write_text(text)
+        bad = point_config.parent / "bad_receptor_file.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["mir", "--config", str(bad)]) == 2
+        assert "receptor file receptor_file.json" in capsys.readouterr().err
+
+    def test_output_not_an_object(self, point_config):
+        doc = json.loads(point_config.read_text())
+        doc["output"] = "rows.csv"
+        bad = point_config.parent / "bad_output.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(bad)]) == 2
+
     def test_unknown_receptor_state(self, point_config):
         doc = json.loads(point_config.read_text())
         doc["receptor"]["transitions"][0]["to"] = "Z9"
@@ -216,16 +233,19 @@ class TestConfigErrors:
         assert main(["sweep", "--config", str(bad)]) == 2
 
 
-    @pytest.mark.parametrize("flag", ["--delta-t", "--series-k", "--mc-n"])
-    def test_explicit_zero_override_reaches_validation(self, point_config, tmp_path, flag):
+    @pytest.mark.parametrize("key", ["delta_t", "series_k", "mc_n"])
+    def test_explicit_zero_override_reaches_validation(self, point_config, tmp_path, key):
+        doc = json.loads(point_config.read_text())
+        doc["sweep"][key] = 0
+        bad = point_config.parent / "zero_override.json"
+        bad.write_text(json.dumps(doc))
         out = tmp_path / "rows.csv"
-        assert main(["sweep", "--config", str(point_config), "--out", str(out), flag, "0"]) == 2
+        assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["mir", "--method", "mc", "--mc-n", "0"],
             ["mir", "--method", "discrete", "--delta-t", "0"],
             ["mir", "--method", "series", "--series-k", "1"],
             ["mir", "--method", "series", "--series-k", "65"],
@@ -249,6 +269,13 @@ class TestConfigErrors:
             ["moments", "--seed", "1"],
             ["mir", "--quad-nodes", "64"],
             ["sweep", "--quad-nodes", "64"],
+            ["mir", "--method", "mc"],
+            ["mir", "--mc-n", "10"],
+            ["mir", "--seed", "1"],
+            ["sweep", "--format", "json"],
+            ["sweep", "--series-k", "20"],
+            ["sweep", "--delta-t", "1e-3"],
+            ["sweep", "--mc-n", "10"],
         ],
         ids=" ".join,
     )
@@ -256,7 +283,8 @@ class TestConfigErrors:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--config", str(point_config)])
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err or "invalid choice: 'mc'" in err
 
 
 class TestShippedConfigs:
@@ -276,3 +304,17 @@ class TestShippedConfigs:
         config = CONFIG_DIR / f"{name}.json"
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
         assert out.read_bytes() == (RESULTS_DIR / f"{name}.csv").read_bytes()
+
+
+class TestReadme:
+    def test_command_lines_parse(self):
+        # every example in the README's "Command line" block names only live
+        # subcommands and flags
+        text = (CONFIG_DIR.parent / "README.md").read_text()
+        block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line, comments=True) for line in lines if line.strip()]
+        assert commands and all(c[0] == "transduction-mir" for c in commands)
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv[1:])

@@ -23,7 +23,8 @@ from transduction_mir import (
     run_sweep,
 )
 from transduction_mir import receptor
-from transduction_mir.sweep import CSV_HEADER
+from transduction_mir.cli import main
+from transduction_mir.sweep import CSV_HEADER, VALID_METHODS
 from transduction_mir.truncgauss import _gl_nodes
 
 
@@ -70,9 +71,24 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config(unit_chr2, methods=("series",), a=0.0)
 
-    def test_bad_format(self, unit_chr2):
-        with pytest.raises(ConfigError):
-            small_config(unit_chr2, out_format="xml")
+    def test_bad_format(self, unit_chr2, tmp_path):
+        # the output format is read by the sweep command, before any row runs
+        doc = {
+            "receptor": unit_chr2.to_mapping(),
+            "sweep": {
+                "a": 1e-5,
+                "b": 2.0,
+                "mu_bar": {"min": 1.0, "max": 1.0, "steps": 1},
+                "sigma_bar": {"min": 0.5, "max": 0.5, "steps": 1},
+                "methods": ["quadrature"],
+            },
+            "output": {"format": "xml"},
+        }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "rows.out"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestRunSweep:
@@ -118,6 +134,22 @@ class TestRunSweep:
         rows = run_sweep(config)
         assert all("discrete:StepTooLarge" in row.status for row in rows)
         assert all(row.mir_quadrature is not None for row in rows)
+
+    def test_methods_run_in_one_fixed_order(self, unit_chr2):
+        # the config's method order changes neither the row nor the status
+        def sweep_csv(methods):
+            config = small_config(
+                unit_chr2,
+                mu_bar_grid=GridAxis(1.0, 1.0, 1),
+                sigma_bar_grid=GridAxis(0.5, 0.5, 1),
+                methods=methods,
+                delta_t=0.75,
+            )
+            return rows_to_csv(run_sweep(config))
+
+        forward = sweep_csv(VALID_METHODS)
+        assert sweep_csv(VALID_METHODS[::-1]) == forward
+        assert rows_from_csv(forward)[0].status == "discrete:StepTooLarge;mc:StepTooLarge"
 
     def test_deterministic_across_reruns(self, unit_chr2):
         config = small_config(

@@ -195,6 +195,17 @@ class TestMoments:
         for m in range(21):
             assert canonical_dist.a**m - 1e-9 <= table.raw[m] <= canonical_dist.b**m + 1e-9
 
+    def test_unstable_recursion_raises_not_returns(self):
+        # a narrow window under a wide parent: the forward recursion used to
+        # return E[x^20] = 1143.13 here with no error
+        spec = TruncatedGaussianSpec(0.7, 3.0, 0.5, 1.5)
+        reference = 232.72157950403442  # mpmath, 50 digits
+        try:
+            value = package_raw_moments(spec, 20).raw[20]
+        except ValidationError:
+            return
+        assert value == pytest.approx(reference, rel=1e-8)
+
     def test_central_moments(self, canonical_dist):
         table = raw_moments(canonical_dist, 8)
         assert table.central[0] == 1.0
