@@ -8,7 +8,7 @@ lower/upper bounds, and empirically (Monte Carlo), and sweeps the input
 parameters to locate capacity-achieving settings.
 """
 
-from .bounds import BoundPair, h_s, h_s_limit, jensen_gap_bounds, mir_bounds
+from .bounds import BoundPair, h_s, jensen_gap_bounds, mir_bounds
 from .errors import (
     ConfigError,
     DegenerateArgument,
@@ -26,11 +26,8 @@ from .errors import (
 from .mcsim import (
     McEstimate,
     Trajectory,
-    bigram_counts,
     dump_trajectory,
-    empirical_occupancy,
     estimate_mir,
-    mc_gap,
     simulate,
 )
 from .mir import (
@@ -44,18 +41,12 @@ from .mir import (
     xlnx,
 )
 from .receptor import (
-    RateMatrix,
     ReceptorSpec,
-    SteadyState,
     Transition,
-    TransitionMatrix,
-    build_rate_matrix,
     chr2_skeleton,
     load_receptor,
     sensitive_gain,
     stationary_distribution,
-    steady_state,
-    transition_matrix,
 )
 from .sweep import (
     GridAxis,
@@ -73,12 +64,9 @@ from .sweep import (
 from .truncgauss import (
     MomentTable,
     TruncatedGaussianSpec,
-    density,
     expectation,
-    moments_about,
     raw_moments,
     sample,
-    scale,
     shifted_moment_vector,
 )
 

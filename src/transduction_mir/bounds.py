@@ -23,7 +23,7 @@ from .receptor import ReceptorSpec, sensitive_gain, stationary_distribution
 from .truncgauss import TruncatedGaussianSpec, raw_moments
 
 #: Below this separation the remainder quotient is numerically meaningless;
-#: callers should switch to the Taylor limit h_s_limit.
+#: its value at x = mu is the Taylor limit f^(s)(mu)/s!.
 MIN_SEPARATION = 1e-10
 
 _SUPPORTED_ORDERS = (2, 4)
@@ -66,8 +66,8 @@ def h_s(x: float, mu: float, s: int) -> float:
                    - sum_{i=1..s-1} f^(i)(mu) / (i! (x - mu)^(s-i))
 
     Only f(x) itself is evaluated at x, so x = 0 is fine via the continuous
-    extension.  Raises DegenerateArgument when |x - mu| < 1e-10; use
-    h_s_limit for the value at the expansion point.
+    extension.  Raises DegenerateArgument when |x - mu| < 1e-10; at the
+    expansion point h is its limit f^(s)(mu)/s!.
     """
     if s not in _SUPPORTED_ORDERS:
         raise ValidationError(f"s must be one of {_SUPPORTED_ORDERS}, got {s}")
@@ -79,24 +79,13 @@ def h_s(x: float, mu: float, s: int) -> float:
     if abs(dx) < MIN_SEPARATION:
         raise DegenerateArgument(
             f"|x - mu| = {abs(dx):.2e} is below {MIN_SEPARATION}; "
-            f"use h_s_limit(mu, s) for the continuous extension"
+            f"the continuous extension there is the limit f^(s)(mu)/s!"
         )
     derivs = _f_derivatives(mu)
     value = (xlnx(x) - xlnx(mu)) / dx**s
     for i in range(1, s):
         value -= derivs[i - 1] / (math.factorial(i) * dx ** (s - i))
     return value
-
-
-def h_s_limit(mu: float, s: int) -> float:
-    """Continuous extension of h_s at x = mu: f^(s)(mu) / s!."""
-    if s not in _SUPPORTED_ORDERS:
-        raise ValidationError(f"s must be one of {_SUPPORTED_ORDERS}, got {s}")
-    if mu <= 0.0:
-        raise DomainError(f"h_s_limit requires mu > 0, got {mu}")
-    if s == 2:
-        return 1.0 / (2.0 * mu)
-    return 1.0 / (12.0 * mu**3)  # f'''' = 2/mu^3, / 4!
 
 
 def jensen_gap_bounds(

@@ -160,6 +160,7 @@ def _cmd_mir(args) -> int:
             "method": result.method,
             "gain": result.gain,
             "gap_nats": result.gap_nats,
+            "diagnostics": dict(result.diagnostics),
         },
         args.out,
     )

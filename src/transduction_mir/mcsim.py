@@ -1,9 +1,8 @@
 """Monte Carlo verification of the analytic rates.
 
 Simulates receptor trajectories under IID sampled intensities and estimates
-the information rate two ways: a plug-in estimator along the sample path
-(entropy difference of the averaged and input-conditioned kernels) and a
-direct Monte Carlo average of the Jensen gap.
+the information rate with a plug-in estimator along the sample path (the
+entropy difference of the averaged and input-conditioned kernels).
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, ValidationError
-from .mir import _xlnx_vec
 from .receptor import ReceptorSpec, stationary_distribution, step_kernel
 from .truncgauss import TruncatedGaussianSpec, sample
 
@@ -92,7 +90,7 @@ def simulate(
     cum_const = np.cumsum(const, axis=1).tolist()
     cum_slope = np.cumsum(lin, axis=1).tolist()
 
-    y0 = int(np.searchsorted(np.cumsum(pi.probabilities), rng.random()))
+    y0 = int(np.searchsorted(np.cumsum(pi), rng.random()))
     y0 = min(y0, k - 1)
     xs = sample(dist, rng, n)
     us = rng.random(n)
@@ -157,37 +155,6 @@ def estimate_mir(
     batch_means = np.array([chunk.mean() for chunk in np.array_split(z, BATCH_COUNT)])
     stderr = float(batch_means.std(ddof=1) / math.sqrt(BATCH_COUNT))
     return McEstimate(value=value, stderr=stderr, n=n)
-
-
-def mc_gap(dist: TruncatedGaussianSpec, n: int, seed) -> McEstimate:
-    """Monte Carlo estimate of the Jensen gap E[x ln x] - mu ln mu, in nats.
-
-    The mu ln mu term uses the analytic truncated mean, not the sample mean,
-    which avoids plug-in bias; the standard error comes from the sample
-    variance of x ln x alone.
-    """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    xs = sample(dist, rng, n)
-    vals = _xlnx_vec(xs)
-    value = float(vals.mean()) - dist.mu * math.log(dist.mu)
-    stderr = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return McEstimate(value=value, stderr=stderr, n=n)
-
-
-def empirical_occupancy(traj: Trajectory, n_states: int) -> np.ndarray:
-    """Fraction of steps spent in each state."""
-    counts = np.bincount(traj.states, minlength=n_states)
-    return counts / len(traj)
-
-
-def bigram_counts(traj: Trajectory, n_states: int) -> np.ndarray:
-    """Counts of consecutive state pairs, including the initial pair."""
-    prev = np.concatenate(([traj.initial_state], traj.states[:-1]))
-    counts = np.zeros((n_states, n_states), dtype=np.int64)
-    np.add.at(counts, (prev, traj.states), 1)
-    return counts
 
 
 def dump_trajectory(traj: Trajectory, path) -> None:

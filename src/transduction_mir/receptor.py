@@ -2,9 +2,10 @@
 
 A receptor is a continuous-time Markov chain whose generator entries are
 either constant rates or rates linear in the driving intensity x.  The
-module builds generator and first-order transition matrices, solves for
-steady states, and evaluates the information gain factor of the sensitive
-transitions.
+module reads the generator as plain arrays, Q(x) = base + x * slope, builds
+the first-order step kernel from them, solves for the mean chain's
+stationary vector, and evaluates the information gain factor of the
+sensitive transitions.
 """
 
 from __future__ import annotations
@@ -155,67 +156,6 @@ def chr2_skeleton(q12: float = 1.0, q23: float = 1.0, q31: float = 1.0) -> Recep
     )
 
 
-@dataclass(frozen=True)
-class RateMatrix:
-    """CTMC generator: nonnegative off-diagonals, rows summing to zero."""
-
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.shape != (self.dim, self.dim):
-            raise ValidationError(f"entries must be {self.dim}x{self.dim}, got {m.shape}")
-        off = m - np.diag(np.diag(m))
-        if off.min() < 0.0:
-            raise ValidationError("off-diagonal rates must be nonnegative")
-        scale = max(1.0, float(np.abs(np.diag(m)).max()))
-        if np.abs(m.sum(axis=1)).max() > 1e-12 * scale:
-            raise ValidationError("rows of a generator must sum to zero")
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """One-step transition probabilities P = I + Q*dt."""
-
-    dim: int
-    entries: np.ndarray
-    delta_t: float
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.shape != (self.dim, self.dim):
-            raise ValidationError(f"entries must be {self.dim}x{self.dim}, got {m.shape}")
-        if m.min() < -1e-15 or m.max() > 1.0 + 1e-15:
-            raise ValidationError("transition probabilities must lie in [0, 1]")
-        if np.abs(m.sum(axis=1) - 1.0).max() > 1e-12:
-            raise ValidationError("rows of a transition matrix must sum to one")
-        if self.delta_t < 0.0:
-            raise ValidationError(f"delta_t must be nonnegative, got {self.delta_t}")
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
-
-
-@dataclass(frozen=True)
-class SteadyState:
-    """Stationary distribution of the mean transition matrix."""
-
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        if p.ndim != 1:
-            raise ValidationError("probabilities must be a vector")
-        if p.min() < -1e-12:
-            raise ValidationError("stationary probabilities must be nonnegative")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValidationError("stationary probabilities must sum to one")
-        p.flags.writeable = False
-        object.__setattr__(self, "probabilities", p)
-
-
 def affine_generator(spec: ReceptorSpec) -> tuple[np.ndarray, np.ndarray]:
     """Decompose the generator as Q(x) = base + x * slope.
 
@@ -232,40 +172,9 @@ def affine_generator(spec: ReceptorSpec) -> tuple[np.ndarray, np.ndarray]:
     return base, slope
 
 
-def _generator(spec: ReceptorSpec, x: float) -> np.ndarray:
-    """Plain array base + x * slope, after checking the intensity x."""
+def _check_intensity(x) -> None:
     if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0.0):
         raise ValidationError(f"intensity must be a nonnegative finite number, got {x!r}")
-    base, slope = affine_generator(spec)
-    return base + x * slope
-
-
-def build_rate_matrix(spec: ReceptorSpec, x: float) -> RateMatrix:
-    """Generator Q(x): sensitive entries scale linearly with the intensity x.
-
-    Because every sensitive entry is linear in x, E[Q(x)] equals Q(E[x]), so
-    the generator of the averaged chain is build_rate_matrix(spec, E[x]).
-    """
-    return RateMatrix(dim=spec.n_states, entries=_generator(spec, x))
-
-
-def transition_matrix(q: RateMatrix, delta_t: float) -> TransitionMatrix:
-    """First-order step P = I + Q*dt.
-
-    Deliberately not a matrix exponential: the whole rate analysis is built
-    on the first-order form, so admissibility is enforced instead of hidden.
-    Raises StepTooLarge if any entry of I + Q*dt leaves [0, 1].
-    """
-    if not (isinstance(delta_t, (int, float)) and math.isfinite(delta_t) and delta_t >= 0.0):
-        raise ValidationError(f"delta_t must be nonnegative and finite, got {delta_t!r}")
-    p = np.eye(q.dim) + delta_t * q.entries
-    if p.min() < 0.0 or p.max() > 1.0:
-        worst = float(p.min()) if -p.min() > p.max() - 1.0 else float(p.max())
-        raise StepTooLarge(
-            f"delta_t = {delta_t} makes an entry of I + Q*dt equal {worst}; "
-            f"shrink the step below 1/max|q_ii| = {1.0 / np.abs(np.diag(q.entries)).max():.3e}"
-        )
-    return TransitionMatrix(dim=q.dim, entries=p, delta_t=delta_t)
 
 
 def step_kernel(
@@ -273,15 +182,28 @@ def step_kernel(
 ) -> tuple[np.ndarray, np.ndarray]:
     """First-order step as the affine pair (C, L) = (I + dt*base, dt*slope).
 
-    P(x) = C + x * L is checked once, by transition_matrix at x = x_max; its
-    off-diagonals only grow with x and its diagonal only shrinks, so it is
-    then admissible for all 0 <= x <= x_max.  Raises ValidationError unless
-    0 < delta_t < inf, and StepTooLarge if P(x_max) leaves [0, 1].
+    Deliberately not a matrix exponential: the whole rate analysis is built
+    on the first-order form, so admissibility is enforced instead of hidden.
+    P(x) = C + x * L is checked once, at x = x_max; its off-diagonals only
+    grow with x and its diagonal only shrinks, so it is then admissible for
+    all 0 <= x <= x_max.  Raises ValidationError unless 0 < delta_t < inf
+    and x_max is a nonnegative finite intensity, and StepTooLarge if P(x_max)
+    leaves [0, 1].
     """
-    transition_matrix(build_rate_matrix(spec, x_max), delta_t)
+    _check_intensity(x_max)
+    if not (isinstance(delta_t, (int, float)) and math.isfinite(delta_t) and delta_t >= 0.0):
+        raise ValidationError(f"delta_t must be nonnegative and finite, got {delta_t!r}")
     if delta_t <= 0.0:
         raise ValidationError(f"the step kernel needs delta_t > 0, got {delta_t!r}")
     base, slope = affine_generator(spec)
+    q = base + x_max * slope
+    p = np.eye(spec.n_states) + delta_t * q
+    if p.min() < 0.0 or p.max() > 1.0:
+        worst = float(p.min()) if -p.min() > p.max() - 1.0 else float(p.max())
+        raise StepTooLarge(
+            f"delta_t = {delta_t} makes an entry of I + Q*dt equal {worst}; "
+            f"shrink the step below 1/max|q_ii| = {1.0 / np.abs(np.diag(q)).max():.3e}"
+        )
     return np.eye(spec.n_states) + delta_t * base, delta_t * slope
 
 
@@ -332,46 +254,40 @@ def _solve_stationary(p: np.ndarray) -> np.ndarray:
     return pi
 
 
-def steady_state(p_bar: TransitionMatrix) -> SteadyState:
-    """Unique pi with pi @ P = pi and sum(pi) = 1.
-
-    Raises NotIrreducible if the positive-entry graph of P is not strongly
-    connected or the stationary system cannot be solved accurately.
-    """
-    return SteadyState(probabilities=_solve_stationary(p_bar.entries))
-
-
 @lru_cache(maxsize=16)
-def stationary_distribution(spec: ReceptorSpec, mean_x: float) -> SteadyState:
-    """Steady state of the mean chain at E[x] = mean_x.
+def stationary_distribution(spec: ReceptorSpec, mean_x: float) -> np.ndarray:
+    """Stationary vector of the mean chain at E[x] = mean_x, read-only.
 
-    The step used to form P only rescales P - I, so the fixed point does not
-    depend on it; the always-admissible step 0.5 / max|q_ii| is used, with
-    the same arithmetic as steady_state(transition_matrix(
-    build_rate_matrix(spec, mean_x), 0.5 / scale)), on plain arrays.
+    Because every sensitive entry is linear in x, E[Q(x)] equals Q(E[x]), so
+    the mean chain's generator is base + mean_x * slope.  The step used to
+    form P only rescales P - I, so the fixed point does not depend on it; the
+    always-admissible step 0.5 / max|q_ii| is used.
 
     Memoised on the frozen spec and the mean (a float; an unhashable value
     raises TypeError), so every method at one input shares one solve and one
-    read-only result.  Exceptions are not cached; a bad mean always raises.
+    read-only array.  Exceptions are not cached; a bad mean always raises.
     """
-    q = _generator(spec, mean_x)
+    _check_intensity(mean_x)
+    base, slope = affine_generator(spec)
+    q = base + mean_x * slope
     scale = float(np.abs(np.diag(q)).max())
     if scale == 0.0:
         raise NotIrreducible("no transitions are active at this mean intensity")
     p = np.eye(spec.n_states) + (0.5 / scale) * q
-    return SteadyState(probabilities=_solve_stationary(p))
+    pi = _solve_stationary(p)
+    pi.flags.writeable = False
+    return pi
 
 
-def sensitive_gain(spec: ReceptorSpec, pi: SteadyState) -> float:
+def sensitive_gain(spec: ReceptorSpec, pi: np.ndarray) -> float:
     """Gain factor g: sum of pi[source] * rate over sensitive transitions, / ln 2.
 
-    Multiplying g by the Jensen gap of x*ln(x) in nats yields the
-    continuous-time information rate in bits/s; the 1/ln 2 conversion lives
-    here by convention.
+    ``pi`` is the stationary vector from stationary_distribution.  Multiplying
+    g by the Jensen gap of x*ln(x) in nats yields the continuous-time
+    information rate in bits/s; the 1/ln 2 conversion lives here by
+    convention.
     """
-    if len(pi.probabilities) != spec.n_states:
+    if len(pi) != spec.n_states:
         raise ValidationError("steady state dimension does not match the receptor")
-    total = math.fsum(
-        pi.probabilities[t.source] * t.rate for t in spec.transitions if t.sensitive
-    )
+    total = math.fsum(pi[t.source] * t.rate for t in spec.transitions if t.sensitive)
     return total / LN2

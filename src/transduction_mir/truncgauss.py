@@ -1,12 +1,12 @@
 """Truncated Gaussian input distribution.
 
 A parent Gaussian with mean ``mu_bar`` and standard deviation ``sigma_bar``
-is conditioned on the interval ``[a, b]``.  This module provides the density,
-the closed-form truncated mean/variance, raw and recentred moments through
-the two-term recursion for the moments of the truncated standard normal,
-inverse-CDF sampling, the scaling closure (q*x is again truncated Gaussian),
-and a node-doubling Gauss-Legendre expectation engine, on one fixed node
-schedule, used throughout the package for integrals against the density.
+is conditioned on the interval ``[a, b]``.  This module provides the
+closed-form truncated mean/variance, raw and recentred moments through the
+two-term recursion for the moments of the truncated standard normal,
+inverse-CDF sampling, and a node-doubling Gauss-Legendre expectation engine,
+on one fixed node schedule, used throughout the package for integrals
+against the density.
 """
 
 from __future__ import annotations
@@ -59,7 +59,10 @@ class TruncatedGaussianSpec:
     mu_bar, sigma_bar : parent mean and standard deviation.
     a, b : truncation interval, ``0 <= a < b < inf``.
     alpha, beta : standardized truncation points ``(a - mu_bar)/sigma_bar`` etc.
-    z : parent mass kept by the truncation.
+    z : parent mass kept by the truncation, ``ndtr(beta) - ndtr(alpha)``; when
+      ``alpha > 0`` it is formed on the reflected upper tail as
+      ``ndtr(-alpha) - ndtr(-beta)``, which keeps its digits where
+      ``ndtr(alpha)`` rounds toward 1.
     mu, sigma2 : mean and variance of the truncated variable, in closed form::
 
         mu     = mu_bar - sigma_bar * (phi(beta) - phi(alpha)) / z
@@ -96,7 +99,10 @@ class TruncatedGaussianSpec:
 
         alpha = (self.a - self.mu_bar) / self.sigma_bar
         beta = (self.b - self.mu_bar) / self.sigma_bar
-        z = float(ndtr(beta) - ndtr(alpha))
+        if alpha > 0.0:
+            z = float(ndtr(-alpha) - ndtr(-beta))
+        else:
+            z = float(ndtr(beta) - ndtr(alpha))
         if z <= MIN_TRUNCATION_MASS:
             raise ValidationError(
                 f"truncation [{self.a}, {self.b}] keeps only {z:.3e} of the parent "
@@ -152,17 +158,6 @@ class MomentTable:
             raise ValidationError(f"first central moment must vanish, got {self.central[1]}")
         self.raw.flags.writeable = False
         self.central.flags.writeable = False
-
-
-def density(spec: TruncatedGaussianSpec, x):
-    """Probability density: parent pdf renormalized by z inside [a, b], 0 outside."""
-    arr = np.asarray(x, dtype=float)
-    t = (arr - spec.mu_bar) / spec.sigma_bar
-    inside = (arr >= spec.a) & (arr <= spec.b)
-    vals = np.where(inside, _norm_pdf(t) / (spec.sigma_bar * spec.z), 0.0)
-    if vals.ndim == 0:
-        return float(vals)
-    return vals
 
 
 def _l_coefficients(spec: TruncatedGaussianSpec, order: int) -> np.ndarray:
@@ -244,44 +239,27 @@ def raw_moments(spec: TruncatedGaussianSpec, order: int) -> MomentTable:
     return MomentTable(raw=raw, central=central, order=order)
 
 
-def moments_about(spec: TruncatedGaussianSpec, center: float, order: int) -> np.ndarray:
-    """Recentred moments E[(x - center)^m], m = 0..order, via the L-recursion."""
-    if order < 0:
-        raise ValidationError(f"order must be >= 0, got {order}")
-    if order > MAX_MOMENT_ORDER:
-        raise OrderTooHigh(f"order {order} exceeds ceiling {MAX_MOMENT_ORDER}")
-    return _moments_about(spec, center, order, _l_coefficients(spec, order))
-
-
 def sample(spec: TruncatedGaussianSpec, rng: np.random.Generator, size=None):
     """Inverse-CDF draw(s) from the truncated Gaussian.
 
     The uniform variate is mapped into the kept CDF mass and pushed through
-    the standard normal quantile function.  Deterministic for a given
-    generator state; the caller owns the generator.
+    the standard normal quantile function.  When ``alpha > 0`` it is drawn
+    on the reflected upper-tail mass instead, as for ``z``, so a far-tail
+    window keeps distinct draws.  Deterministic for a given generator state;
+    the caller owns the generator.
     """
-    lo = float(ndtr(spec.alpha))
-    hi = float(ndtr(spec.beta))
-    u = rng.uniform(lo, hi, size)
-    x = spec.mu_bar + spec.sigma_bar * ndtri(u)
+    if spec.alpha > 0.0:
+        u = rng.uniform(float(ndtr(-spec.beta)), float(ndtr(-spec.alpha)), size)
+        x = spec.mu_bar - spec.sigma_bar * ndtri(u)
+    else:
+        u = rng.uniform(float(ndtr(spec.alpha)), float(ndtr(spec.beta)), size)
+        x = spec.mu_bar + spec.sigma_bar * ndtri(u)
     # ndtri(0) = -inf can occur with probability 2^-53; clipping keeps the
     # support contract without distorting the distribution measurably
     x = np.clip(x, spec.a, spec.b)
     if size is None:
         return float(x)
     return x
-
-
-def scale(spec: TruncatedGaussianSpec, q: float) -> TruncatedGaussianSpec:
-    """Distribution of q*x: truncated Gaussian with every parameter scaled by q."""
-    if not (isinstance(q, (int, float)) and math.isfinite(q) and q > 0.0):
-        raise ValidationError(f"scale factor must be a positive finite number, got {q!r}")
-    return TruncatedGaussianSpec(
-        mu_bar=q * spec.mu_bar,
-        sigma_bar=q * spec.sigma_bar,
-        a=q * spec.a,
-        b=q * spec.b,
-    )
 
 
 @lru_cache(maxsize=64)

@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines.  Tolerances and runtime caps are pinned here, not configurable.
 Oracles: scipy.integrate.quad for moments, scipy.stats for KS/Spearman,
 analytic steady states; none of them share code with the paths under test.
+The test-only helpers (typed matrix pipeline, occupancy, direct Monte Carlo
+gap, scaling closure) come from ``oracles``.
 """
 
 import math
@@ -18,13 +20,10 @@ from transduction_mir import (
     GridAxis,
     SweepConfig,
     TruncatedGaussianSpec,
-    build_rate_matrix,
     chr2_skeleton,
-    empirical_occupancy,
     estimate_mir,
     find_capacity,
     jensen_gap,
-    mc_gap,
     mir_bounds,
     mir_discrete,
     mir_quadrature,
@@ -33,13 +32,12 @@ from transduction_mir import (
     rows_to_csv,
     run_sweep,
     sample,
-    scale,
     simulate,
     stationary_distribution,
-    transition_matrix,
 )
 from transduction_mir.truncgauss import _gl_nodes
 from conftest import random_valid_dist
+from oracles import build_rate_matrix, empirical_occupancy, mc_gap, scale, transition_matrix
 
 CHR2 = chr2_skeleton()
 CANONICAL = TruncatedGaussianSpec(1.0, 0.5, 1e-5, 2.0)
@@ -185,10 +183,10 @@ def test_criterion_6_steady_state():
     start = time.perf_counter()
     pi = stationary_distribution(CHR2, CANONICAL.mu)
     p_bar = transition_matrix(build_rate_matrix(CHR2, CANONICAL.mu), 1e-3)
-    residual = float(np.abs(pi.probabilities @ p_bar.entries - pi.probabilities).max())
+    residual = float(np.abs(pi @ p_bar.entries - pi).max())
     traj = simulate(CHR2, CANONICAL, 1e-2, 1_000_000, seed=20250806)
     occupancy_gap = float(
-        np.abs(empirical_occupancy(traj, 3) - pi.probabilities).max()
+        np.abs(empirical_occupancy(traj, 3) - pi).max()
     )
     elapsed = time.perf_counter() - start
     ok = residual < 1e-10 and occupancy_gap < 0.01 and elapsed < 15.0

@@ -18,13 +18,13 @@ from transduction_mir import (
     ValidationError,
     chr2_skeleton,
     h_s,
-    h_s_limit,
     jensen_gap,
     jensen_gap_bounds,
     mir_bounds,
     mir_quadrature,
 )
 from conftest import random_valid_dist
+from oracles import h_s_limit
 
 # FROZEN for the canonical dist (mu_bar=1, sigma_bar=0.5, [1e-5, 2]):
 # gap bounds in nats from the endpoint formulas with quad moments.

@@ -59,6 +59,23 @@ class TestMir:
         payload = json.loads(capsys.readouterr().out)
         assert payload["value_bits_per_s"] == pytest.approx(0.0517332, rel=1e-4)
 
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            ([], {"pi"}),
+            (["--method", "series"], {"tail_bound_nats"}),
+            (
+                ["--method", "discrete"],
+                {"diagonal_bits_per_s", "off_diagonal_bits_per_s", "delta_t"},
+            ),
+        ],
+    )
+    def test_diagnostics_keys(self, point_config, capsys, argv, keys):
+        assert main(["mir", "--config", str(point_config), *argv]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["value_bits_per_s", "method", "gain", "gap_nats", "diagnostics"]
+        assert set(payload["diagnostics"]) == keys
+
     def test_numerical_failure_exit_code(self, point_config, capsys):
         code = main(["mir", "--config", str(point_config), "--method", "discrete", "--delta-t", "0.9"])
         assert code == 3

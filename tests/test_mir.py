@@ -13,6 +13,7 @@ from scipy import integrate
 
 from transduction_mir import (
     DomainError,
+    NoConvergence,
     OrderTooHigh,
     OutOfConvergenceRegion,
     StepTooLarge,
@@ -25,6 +26,7 @@ from transduction_mir import (
     mir_quadrature,
     mir_series,
     plogp,
+    raw_moments,
     sensitive_pairs,
     xlnx,
 )
@@ -223,11 +225,59 @@ class TestSeries:
         with pytest.raises(ValidationError):
             mir_series(unit_chr2, canonical_dist, 1)
 
-    def test_cross_check_diagnostics(self, unit_chr2, canonical_dist):
-        result = mir_series(unit_chr2, canonical_dist, 40)
-        assert result.diagnostics["cross_check_diff"] <= result.diagnostics["cross_check_tol"]
-        # at the reference point the two forms agree to the sharp tolerance
-        assert result.diagnostics["cross_check_diff"] < 1e-9
+    def test_raw_form_agrees_at_order_20(self, unit_chr2, canonical_dist):
+        # expanding E[(x-1)^k] into sum_m (-1)^m C(k,m) E[x^m] with the
+        # recursion moments gives the same gap; at the canonical point the
+        # raw alternating sum is still accurate through order 20
+        order = 20
+        raw = raw_moments(canonical_dist, order).raw
+        raw_sum = math.fsum(
+            math.fsum((-1.0) ** m * math.comb(k, m) * raw[m] for m in range(k + 1))
+            / (k * (k - 1))
+            for k in range(2, order + 1)
+        )
+        mu = canonical_dist.mu
+        raw_gap = raw_sum - mu * (math.log(mu) - 1.0) - 1.0
+        result = mir_series(unit_chr2, canonical_dist, order)
+        assert abs(result.gap_nats - raw_gap) < 1e-9
+
+    # (mu_bar, sigma_bar) on [1e-5, 2] where the series' moment quadrature
+    # raises NoConvergence: far-tail windows whose mass hugs one edge of a
+    # single 200-1600 node panel
+    SCAN_NO_CONVERGENCE = {(-0.5, 0.08475), (-0.4, 0.08475), (-0.3, 0.08475),
+                           (2.3, 0.08475), (2.4, 0.08475), (2.5, 0.08475)}
+
+    @pytest.mark.parametrize("a, b", [(1e-5, 2.0), (0.5, 1.5)])
+    def test_within_tail_bound_of_quadrature_on_scan(self, unit_chr2, a, b):
+        # the series' one guarantee: |series(K) - quadrature| <= gain/K,
+        # on a 41x41 scan
+        order = 40
+        points = [
+            (round(float(mu_bar), 10), round(float(sigma_bar), 10))
+            for mu_bar in np.linspace(-1.0, 3.0, 41)
+            for sigma_bar in np.linspace(0.01, 3.0, 41)
+        ]
+        # on [0.5, 1.5] the series was once rejected here although it
+        # matched quadrature to 1e-13
+        assert (1.1, 2.47675) in points
+        checked, no_convergence = 0, set()
+        for mu_bar, sigma_bar in points:
+            try:
+                dist = TruncatedGaussianSpec(mu_bar, sigma_bar, a, b)
+            except ValidationError as exc:
+                # only windows that keep no parent mass are refused
+                assert "of the parent mass" in str(exc), (mu_bar, sigma_bar)
+                continue
+            exact = mir_quadrature(unit_chr2, dist)
+            try:
+                approx = mir_series(unit_chr2, dist, order)
+            except NoConvergence:
+                no_convergence.add((mu_bar, sigma_bar))
+                continue
+            assert abs(approx.value - exact.value) <= approx.gain / order, (mu_bar, sigma_bar)
+            checked += 1
+        assert no_convergence <= self.SCAN_NO_CONVERGENCE
+        assert checked > 1500
 
     def test_matches_adaptive_oracle(self, unit_chr2, canonical_dist):
         got = mir_series(unit_chr2, canonical_dist, 40)
@@ -265,9 +315,7 @@ class TestMultiSensitiveReceptor:
         spec = self.spec()
         pi = stationary_distribution(spec, canonical_dist.mu)
         g = sensitive_gain(spec, pi)
-        expected = (
-            pi.probabilities[0] * 0.8 + pi.probabilities[2] * 0.5
-        ) / math.log(2.0)
+        expected = (pi[0] * 0.8 + pi[2] * 0.5) / math.log(2.0)
         assert g == pytest.approx(expected, rel=1e-14)
 
     def test_discrete_converges_to_quadrature(self, canonical_dist):

@@ -1,7 +1,9 @@
 """Receptor Markov model tests.
 
 Steady-state DERIVED values are checked against an in-test power-iteration
-oracle, which is independent of the package's linear solve.
+oracle, which is independent of the package's linear solve.  The typed
+matrix pipeline in ``oracles`` is the reference the plain-array path is
+pinned against.
 """
 
 import math
@@ -13,20 +15,17 @@ from hypothesis import strategies as st
 
 from transduction_mir import (
     NotIrreducible,
-    RateMatrix,
     ReceptorSpec,
     StepTooLarge,
     Transition,
     ValidationError,
-    build_rate_matrix,
     chr2_skeleton,
     sensitive_gain,
     stationary_distribution,
-    steady_state,
-    transition_matrix,
 )
 from transduction_mir.receptor import _strongly_connected, step_kernel
 from transduction_mir.truncgauss import sample
+from oracles import RateMatrix, build_rate_matrix, steady_state, transition_matrix
 
 
 def power_iteration_pi(p: np.ndarray, iters: int = 200_000, tol: float = 1e-14):
@@ -293,7 +292,7 @@ class TestStationaryDistribution:
         q = build_rate_matrix(spec, mean_x)
         scale = float(np.abs(np.diag(q.entries)).max())
         reference = steady_state(transition_matrix(q, 0.5 / scale)).probabilities
-        direct = stationary_distribution(spec, mean_x).probabilities
+        direct = stationary_distribution(spec, mean_x)
         assert direct.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("mean_x", [-0.5, math.nan, math.inf])
@@ -307,10 +306,10 @@ class TestStationaryDistribution:
     def test_repeat_returns_identical_probabilities(self):
         spec = four_state_two_sensitive()
         stationary_distribution.cache_clear()
-        first = stationary_distribution(spec, 0.37).probabilities.tobytes()
-        assert stationary_distribution(spec, 0.37).probabilities.tobytes() == first
+        first = stationary_distribution(spec, 0.37).tobytes()
+        assert stationary_distribution(spec, 0.37).tobytes() == first
         stationary_distribution.cache_clear()
-        assert stationary_distribution(spec, 0.37).probabilities.tobytes() == first
+        assert stationary_distribution(spec, 0.37).tobytes() == first
 
 
 class TestStepKernel:
@@ -321,6 +320,32 @@ class TestStepKernel:
         for x in (0.0, mu, b):
             reference = transition_matrix(build_rate_matrix(spec, x), dt).entries
             np.testing.assert_allclose(const + x * lin, reference, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("spec", [chr2_skeleton(), four_state_two_sensitive()])
+    def test_admissibility_matches_transition_matrix_at_the_edge(self, spec):
+        # step_kernel forms P(b) with the typed pipeline's arithmetic, so the
+        # two accept and reject the same steps, ulp by ulp around the limit
+        b = 2.0
+        limit = 1.0 / float(np.abs(np.diag(build_rate_matrix(spec, b).entries)).max())
+        dt = limit
+        for _ in range(8):
+            dt = np.nextafter(dt, 0.0)
+        verdicts = set()
+        for _ in range(16):
+            dt = float(np.nextafter(dt, 1.0))
+            try:
+                transition_matrix(build_rate_matrix(spec, b), dt)
+                expected = True
+            except StepTooLarge:
+                expected = False
+            try:
+                step_kernel(spec, dt, b)
+                admitted = True
+            except StepTooLarge:
+                admitted = False
+            assert admitted is expected, dt
+            verdicts.add(admitted)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("spec", [chr2_skeleton(), four_state_two_sensitive()])
     def test_step_too_large_just_above_limit(self, spec):
@@ -344,7 +369,7 @@ class TestSensitiveGain:
         spec = ring_spec(2.5, 1.0, 1.0)
         pi = stationary_distribution(spec, 0.8)
         g = sensitive_gain(spec, pi)
-        assert g == pytest.approx(pi.probabilities[0] * 2.5 / math.log(2.0), rel=1e-14)
+        assert g == pytest.approx(pi[0] * 2.5 / math.log(2.0), rel=1e-14)
 
     def test_gain_positive(self):
         # sensitive set can never be empty, so g > 0 for active chains

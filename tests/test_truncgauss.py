@@ -19,16 +19,14 @@ from transduction_mir import (
     OrderTooHigh,
     TruncatedGaussianSpec,
     ValidationError,
-    density,
     expectation,
-    moments_about,
     sample,
-    scale,
     shifted_moment_vector,
 )
 from transduction_mir import raw_moments as package_raw_moments
 from transduction_mir.truncgauss import _gl_nodes
 from conftest import random_valid_dist
+from oracles import density, moments_about, scale
 
 # FROZEN oracle values for the canonical spec (mu_bar=1, sigma_bar=0.5,
 # [1e-5, 2]), from adaptive quadrature at 1e-14 tolerance.
@@ -139,6 +137,39 @@ class TestTruncatedMeanVar:
                              loc=canonical_dist.mu_bar, scale=canonical_dist.sigma_bar)
         assert canonical_dist.mu == pytest.approx(tn.mean(), rel=1e-12)
         assert canonical_dist.sigma2 == pytest.approx(tn.var(), rel=1e-12)
+
+
+class TestFarTail:
+    """Windows far in the parent's upper tail, alpha > 0, on sigma_bar=1, [0, 2].
+
+    There ndtr(alpha) rounds toward 1, so the kept mass is formed on the
+    reflected tail.  FROZEN values: mpmath at 50 digits, from the closed
+    forms with z = ncdf(-alpha) - ncdf(-beta), confirmed by mpmath
+    quadrature of the density.
+    """
+
+    @pytest.mark.parametrize(
+        "mu_bar, mu, sigma2, z",
+        [
+            (-3.0, 0.28269437994229845, 0.069797566070444930, 1.3496113800582153e-3),
+            (-6.0, 0.15848136683995947, 0.023985213408019760, 9.8658702294164071e-10),
+            (-7.0, 0.13754543941803794, 0.018261569719006344, 1.2798124310269944e-12),
+        ],
+    )
+    def test_mean_var_mass_against_mpmath(self, mu_bar, mu, sigma2, z):
+        spec = TruncatedGaussianSpec(mu_bar, 1.0, 0.0, 2.0)
+        assert spec.alpha > 0.0
+        np.testing.assert_allclose([spec.mu, spec.sigma2, spec.z], [mu, sigma2, z], rtol=1e-10)
+
+    def test_sample_far_tail(self):
+        spec = TruncatedGaussianSpec(-7.0, 1.0, 0.0, 2.0)
+        n = 100_000
+        draws = sample(spec, np.random.default_rng(2027), n)
+        assert draws.min() >= spec.a and draws.max() <= spec.b
+        assert abs(draws.mean() - spec.mu) < 5 * math.sqrt(spec.sigma2 / n)
+        # continuous draws are all distinct; a uniform on [ndtr(7), ndtr(9)]
+        # just below 1 can take only about 1.2e4 float values
+        assert len(np.unique(draws)) > 0.99 * n
 
 
 class TestDensity:

@@ -12,20 +12,23 @@ from transduction_mir import (
     MirResult,
     MomentTable,
     OrderTooHigh,
-    RateMatrix,
-    SteadyState,
     Trajectory,
-    TransitionMatrix,
     ValidationError,
-    build_rate_matrix,
-    density,
     h_s,
     jensen_gap_bounds,
     load_receptor,
-    moments_about,
-    scale,
     sensitive_gain,
     stationary_distribution,
+)
+from oracles import (
+    RateMatrix,
+    SteadyState,
+    TransitionMatrix,
+    build_rate_matrix,
+    density,
+    moments_about,
+    scale,
+    steady_state,
     transition_matrix,
 )
 
@@ -74,9 +77,8 @@ class TestMatrixTypes:
             SteadyState(probabilities=np.array([1.5, -0.5]))
 
     def test_sensitive_gain_dimension_mismatch(self, unit_chr2):
-        pi = SteadyState(probabilities=np.array([0.5, 0.5]))
         with pytest.raises(ValidationError):
-            sensitive_gain(unit_chr2, pi)
+            sensitive_gain(unit_chr2, np.array([0.5, 0.5]))
 
 
 class TestDistributionContracts:
@@ -167,11 +169,14 @@ class TestBoundContracts:
 
 class TestStationaryHelper:
     def test_matches_explicit_pipeline(self, unit_chr2, canonical_dist):
-        from transduction_mir import steady_state
-
         direct = stationary_distribution(unit_chr2, canonical_dist.mu)
         q = build_rate_matrix(unit_chr2, canonical_dist.mu)
         explicit = steady_state(transition_matrix(q, 0.01))
-        np.testing.assert_allclose(
-            direct.probabilities, explicit.probabilities, atol=1e-9
-        )
+        np.testing.assert_allclose(direct, explicit.probabilities, atol=1e-9)
+
+    def test_result_is_a_read_only_vector(self, unit_chr2, canonical_dist):
+        # memoised and shared by every method at one input, so never writable
+        pi = stationary_distribution(unit_chr2, canonical_dist.mu)
+        assert pi.ndim == 1 and pi.dtype == np.float64
+        with pytest.raises(ValueError):
+            pi[0] = 0.5
