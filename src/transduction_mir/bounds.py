@@ -15,7 +15,8 @@ the receptor gain turns gap bounds in nats into rate bounds in bits/s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Mapping
 
 from .errors import DegenerateArgument, DomainError, ValidationError
 from .mir import xlnx
@@ -31,12 +32,18 @@ _SUPPORTED_ORDERS = (2, 4)
 
 @dataclass(frozen=True)
 class BoundPair:
-    """Lower/upper rate bounds in bits/s for one remainder order s."""
+    """Lower/upper rate bounds in bits/s for one remainder order s.
+
+    ``diagnostics`` holds what the bounds were built from: the receptor
+    ``gain``, the truncated ``mu`` and ``sigma2``, and ``central_s``, the
+    central moment of order s in the remainder term.
+    """
 
     lower: float
     upper: float
     s: int
     gap_bounds_nats: tuple[float, float]
+    diagnostics: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         if self.s not in _SUPPORTED_ORDERS:
@@ -88,18 +95,9 @@ def h_s(x: float, mu: float, s: int) -> float:
     return value
 
 
-def jensen_gap_bounds(
-    dist: TruncatedGaussianSpec, s: int
-) -> tuple[float, float]:
-    """Lower and upper bounds on E[x ln x] - mu ln mu, in nats.
-
-    h is decreasing in x, so its infimum over the support sits at b and its
-    supremum at a.  For s = 2 the first-order term vanishes (mu_1 = 0) and
-    the bounds reduce to h(endpoint; mu) * sigma^2; for s = 4 the second and
-    third central moments enter through the Taylor prefix.
-
-    a = 0 is admitted: only f(0) = 0 is needed there.
-    """
+def _gap_bounds(dist: TruncatedGaussianSpec, s: int) -> tuple[float, float, float]:
+    """(lower, upper, mu_s): the gap bounds in nats and the central moment
+    of order s that multiplies the remainder; see ``jensen_gap_bounds``."""
     if s not in _SUPPORTED_ORDERS:
         raise ValidationError(f"s must be one of {_SUPPORTED_ORDERS}, got {s}")
     table = raw_moments(dist, s)
@@ -112,6 +110,22 @@ def jensen_gap_bounds(
     mu_s = float(table.central[s])
     lower = prefix + h_s(dist.b, mu, s) * mu_s
     upper = prefix + h_s(dist.a, mu, s) * mu_s
+    return lower, upper, mu_s
+
+
+def jensen_gap_bounds(
+    dist: TruncatedGaussianSpec, s: int
+) -> tuple[float, float]:
+    """Lower and upper bounds on E[x ln x] - mu ln mu, in nats.
+
+    h is decreasing in x, so its infimum over the support sits at b and its
+    supremum at a.  For s = 2 the first-order term vanishes (mu_1 = 0) and
+    the bounds reduce to h(endpoint; mu) * sigma^2; for s = 4 the second and
+    third central moments enter through the Taylor prefix.
+
+    a = 0 is admitted: only f(0) = 0 is needed there.
+    """
+    lower, upper, _ = _gap_bounds(dist, s)
     return lower, upper
 
 
@@ -119,7 +133,7 @@ def mir_bounds(
     spec: ReceptorSpec, dist: TruncatedGaussianSpec, s: int
 ) -> BoundPair:
     """Rate bounds in bits/s: gain times the gap bounds."""
-    gap_lower, gap_upper = jensen_gap_bounds(dist, s)
+    gap_lower, gap_upper, mu_s = _gap_bounds(dist, s)
     pi = stationary_distribution(spec, dist.mu)
     gain = sensitive_gain(spec, pi)
     return BoundPair(
@@ -127,4 +141,5 @@ def mir_bounds(
         upper=gain * gap_upper,
         s=s,
         gap_bounds_nats=(gap_lower, gap_upper),
+        diagnostics={"gain": gain, "mu": dist.mu, "sigma2": dist.sigma2, "central_s": mu_s},
     )

@@ -178,6 +178,7 @@ def _cmd_bounds(args) -> int:
             "upper_bits_per_s": pair.upper,
             "s": pair.s,
             "gap_bounds_nats": list(pair.gap_bounds_nats),
+            "diagnostics": dict(pair.diagnostics),
         },
         args.out,
     )

@@ -63,6 +63,38 @@ class McEstimate:
             raise ValidationError(f"n must be >= 1, got {self.n}")
 
 
+def _leave_steps(xs, us, cum_const, cum_slope) -> list[np.ndarray]:
+    """Per state y, the sorted steps at which a walker in y lands elsewhere.
+
+    The per-step rule lands on y iff u > cum[j] for every column j < y and,
+    unless y is the last column, not u > cum[y].  Every column below y is
+    tested, not only y - 1, so the result does not rest on the float rows
+    being monotone (slope rows carry negative diagonals).  The expressions
+    are the per-step rule's, term for term.
+    """
+    n = len(xs)
+    last = cum_const.shape[1] - 1
+    leave = []
+    u = np.empty(n)
+    edge = np.empty(n)
+    for y in range(last + 1):
+        # scale the draw by the float row total so the landing column always
+        # has positive probability, even when the total rounds below 1
+        np.multiply(xs, cum_slope[y, last], out=u)
+        u += cum_const[y, last]
+        u *= us
+        stay = np.ones(n, dtype=bool)
+        for j in range(min(y + 1, last)):
+            np.multiply(xs, cum_slope[y, j], out=edge)
+            edge += cum_const[y, j]
+            if j < y:
+                stay &= u > edge
+            else:
+                stay &= ~(u > edge)
+        leave.append(np.flatnonzero(~stay))
+    return leave
+
+
 def simulate(
     spec: ReceptorSpec,
     dist: TruncatedGaussianSpec,
@@ -73,9 +105,18 @@ def simulate(
     """Simulate n steps of the channel.
 
     The initial state is drawn from the stationary distribution of the mean
-    chain (no burn-in transient); each step draws x_i from the input
-    distribution and then the next state from row y_{i-1} of I + Q(x_i)*dt.
-    Fully deterministic given the seed.
+    chain (no burn-in transient); then all n inputs x_i are drawn from the
+    input distribution, then n uniforms u_i.  Step i moves from y_{i-1} to
+    the first column j of row y_{i-1} of I + Q(x_i)*dt whose cumulative
+    probability is not below u_i times the row total (the last column if
+    none is).  Fully deterministic given the seed.
+
+    The path is followed event by event: for each state, one vectorised
+    pass finds the steps at which a walker there would leave it, using the
+    same float expressions as the per-step rule, and the walk jumps from
+    one such step to the next, filling the stays in between as slices.
+    Python work scales with the number of jumps, not of steps, and the path
+    is bit-identical to drawing each step from the kernel in turn.
 
     Raises StepTooLarge if delta_t is inadmissible at x = b.
     """
@@ -85,33 +126,39 @@ def simulate(
 
     rng = np.random.default_rng(seed)
     pi = stationary_distribution(spec, dist.mu)
-    k = spec.n_states
+    last = spec.n_states - 1
     # P(x) rows as cumulative sums: cum_const + x * cum_slope, linear in x
-    cum_const = np.cumsum(const, axis=1).tolist()
-    cum_slope = np.cumsum(lin, axis=1).tolist()
+    cum_const = np.cumsum(const, axis=1)
+    cum_slope = np.cumsum(lin, axis=1)
 
     y0 = int(np.searchsorted(np.cumsum(pi), rng.random()))
-    y0 = min(y0, k - 1)
+    y0 = min(y0, last)
     xs = sample(dist, rng, n)
     us = rng.random(n)
 
+    leave = _leave_steps(xs, us, cum_const, cum_slope)
+    const_rows = cum_const.tolist()
+    slope_rows = cum_slope.tolist()
     states = np.empty(n, dtype=np.int64)
-    xs_list = xs.tolist()
-    us_list = us.tolist()
-    last = k - 1
-    y = y0
-    for i in range(n):
-        x = xs_list[i]
-        const_row = cum_const[y]
-        slope_row = cum_slope[y]
-        # scale the draw by the float row total so the landing column always
-        # has positive probability, even when the total rounds below 1
-        u = us_list[i] * (const_row[last] + x * slope_row[last])
+    i, y = 0, y0
+    while True:
+        steps = leave[y]
+        pos = int(steps.searchsorted(i))
+        if pos == len(steps):
+            states[i:] = y
+            break
+        stop = int(steps[pos])
+        states[i:stop] = y
+        # the jump step: the per-step landing rule, once
+        x = float(xs[stop])
+        const_row = const_rows[y]
+        slope_row = slope_rows[y]
+        u_stop = float(us[stop]) * (const_row[last] + x * slope_row[last])
         j = 0
-        while j < last and u > const_row[j] + x * slope_row[j]:
+        while j < last and u_stop > const_row[j] + x * slope_row[j]:
             j += 1
-        states[i] = j
-        y = j
+        states[stop] = j
+        i, y = stop + 1, j
     return Trajectory(
         delta_t=delta_t, initial_state=y0, states=states, inputs=xs, seed=seed
     )
@@ -142,10 +189,12 @@ def estimate_mir(
     const, lin = step_kernel(spec, traj.delta_t, dist.b)
     p_bar = const + dist.mu * lin
 
-    prev = np.concatenate(([traj.initial_state], traj.states[:-1]))
-    cur = traj.states
-    p_step = const[prev, cur] + traj.inputs * lin[prev, cur]
-    p_mean = p_bar[prev, cur]
+    # each (prev, cur) pair gathered once, as one flat index into the rows
+    pair = np.concatenate(([traj.initial_state], traj.states[:-1]))
+    pair *= spec.n_states
+    pair += traj.states
+    p_step = const.ravel()[pair] + traj.inputs * lin.ravel()[pair]
+    p_mean = p_bar.ravel()[pair]
     if np.any(p_mean <= 0.0):
         raise InsufficientData(
             "observed a transition that is impossible under the mean chain"

@@ -2,11 +2,11 @@
 
 A parent Gaussian with mean ``mu_bar`` and standard deviation ``sigma_bar``
 is conditioned on the interval ``[a, b]``.  This module provides the
-closed-form truncated mean/variance, raw and recentred moments through the
-two-term recursion for the moments of the truncated standard normal,
-inverse-CDF sampling, and a node-doubling Gauss-Legendre expectation engine,
-on one fixed node schedule, used throughout the package for integrals
-against the density.
+closed-form truncated mean/variance, raw and recentred moments (through the
+two-term recursion for the moments of the truncated standard normal up to
+order 20, by quadrature above), inverse-CDF sampling, and a node-doubling
+Gauss-Legendre expectation engine, on one fixed node schedule, used
+throughout the package for integrals against the density.
 """
 
 from __future__ import annotations
@@ -23,9 +23,15 @@ from .errors import NoConvergence, OrderTooHigh, ValidationError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-#: Hard ceiling on moment order; the recursion grows factorially and loses
-#: accuracy well before overflow, so higher orders are refused outright.
+#: Hard ceiling on moment order, for moment tables and the series order;
+#: higher orders are refused outright.
 MAX_MOMENT_ORDER = 64
+
+#: Highest order taken from the L-recursion; higher orders come from
+#: quadrature.  The forward recursion loses about a digit every four orders
+#: (on the canonical input E[x^m] is 2e-14 relative off at m = 20, 1e-8 at
+#: 44 and 5% at 64), while the quadrature stays near 5e-13 at every order.
+_RECURSION_MAX_ORDER = 20
 
 #: Truncations keeping less parent mass than this are rejected as numerically
 #: empty: every downstream formula divides by the kept mass.
@@ -197,11 +203,13 @@ def _moments_about(spec, center: float, order: int, L: np.ndarray) -> np.ndarray
 
 
 def raw_moments(spec: TruncatedGaussianSpec, order: int) -> MomentTable:
-    """Moment table up to ``order`` via the L-recursion.
+    """Moment table up to ``order``.
 
-    Central moments are expanded about the truncated mean using the same
-    recursion coefficients, which avoids the catastrophic cancellation of
-    differencing large raw moments when sigma_bar is small.
+    Orders up to 20 come from the L-recursion.  Central moments are expanded
+    about the truncated mean using the same recursion coefficients, which
+    avoids the catastrophic cancellation of differencing large raw moments
+    when sigma_bar is small.  Higher orders, where the recursion loses its
+    digits, come from ``shifted_moment_vector`` about 0 and about the mean.
 
     Raises OrderTooHigh for order > MAX_MOMENT_ORDER.
     """
@@ -210,9 +218,16 @@ def raw_moments(spec: TruncatedGaussianSpec, order: int) -> MomentTable:
     if order > MAX_MOMENT_ORDER:
         raise OrderTooHigh(f"order {order} exceeds ceiling {MAX_MOMENT_ORDER}")
 
-    L = _l_coefficients(spec, order)
-    raw = _moments_about(spec, 0.0, order, L)
-    central = _moments_about(spec, spec.mu, order, L)
+    low = min(order, _RECURSION_MAX_ORDER)
+    L = _l_coefficients(spec, low)
+    raw = _moments_about(spec, 0.0, low, L)
+    central = _moments_about(spec, spec.mu, low, L)
+    if order > low:
+        high = slice(low + 1, None)
+        raw = np.concatenate((raw, shifted_moment_vector(spec, 0.0, order)[high]))
+        central = np.concatenate(
+            (central, shifted_moment_vector(spec, spec.mu, order)[high])
+        )
 
     # support bounds a^m <= E[x^m] <= b^m and, since x^(m-1) (x - a) >= 0 on
     # [a, b], a E[x^(m-1)] <= E[x^m] <= b E[x^(m-1)], with float slack; the

@@ -5,8 +5,9 @@ builds the generator, the first-order step and the stationary vector as
 validated wrapper objects; the package computes the same quantities on plain
 arrays, and the tests pin the two against each other.  The remaining helpers
 (density, scaling closure, recursion moments about a center, the direct
-Monte Carlo gap, occupancy and bigram counts, the Taylor limit of h_s) are
-oracles for the acceptance criteria and the unit tests.
+Monte Carlo gap, occupancy and bigram counts, the Taylor limit of h_s, the
+per-step simulation loop) are oracles for the acceptance criteria and the
+unit tests.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from transduction_mir import (
     TruncatedGaussianSpec,
     ValidationError,
     sample,
+    stationary_distribution,
 )
 from transduction_mir.mir import _xlnx_vec
-from transduction_mir.receptor import _solve_stationary, affine_generator
+from transduction_mir.receptor import _solve_stationary, affine_generator, step_kernel
 from transduction_mir.truncgauss import (
     MAX_MOMENT_ORDER,
     _l_coefficients,
@@ -197,3 +199,56 @@ def h_s_limit(mu: float, s: int) -> float:
     if s == 2:
         return 1.0 / (2.0 * mu)
     return 1.0 / (12.0 * mu**3)  # f'''' = 2/mu^3, / 4!
+
+
+def simulate_reference(
+    spec: ReceptorSpec,
+    dist: TruncatedGaussianSpec,
+    delta_t: float,
+    n: int,
+    seed,
+) -> Trajectory:
+    """Simulate n steps of the channel with one loop iteration per step.
+
+    The per-step form of ``simulate``: the same draws in the same order and
+    the same landing rule, so the two return identical paths.  The initial
+    state is drawn from the stationary distribution of the mean chain; each
+    step draws x_i from the input distribution and then the next state from
+    row y_{i-1} of I + Q(x_i)*dt.
+    """
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    const, lin = step_kernel(spec, delta_t, dist.b)
+
+    rng = np.random.default_rng(seed)
+    pi = stationary_distribution(spec, dist.mu)
+    k = spec.n_states
+    # P(x) rows as cumulative sums: cum_const + x * cum_slope, linear in x
+    cum_const = np.cumsum(const, axis=1).tolist()
+    cum_slope = np.cumsum(lin, axis=1).tolist()
+
+    y0 = int(np.searchsorted(np.cumsum(pi), rng.random()))
+    y0 = min(y0, k - 1)
+    xs = sample(dist, rng, n)
+    us = rng.random(n)
+
+    states = np.empty(n, dtype=np.int64)
+    xs_list = xs.tolist()
+    us_list = us.tolist()
+    last = k - 1
+    y = y0
+    for i in range(n):
+        x = xs_list[i]
+        const_row = cum_const[y]
+        slope_row = cum_slope[y]
+        # scale the draw by the float row total so the landing column always
+        # has positive probability, even when the total rounds below 1
+        u = us_list[i] * (const_row[last] + x * slope_row[last])
+        j = 0
+        while j < last and u > const_row[j] + x * slope_row[j]:
+            j += 1
+        states[i] = j
+        y = j
+    return Trajectory(
+        delta_t=delta_t, initial_state=y0, states=states, inputs=xs, seed=seed
+    )

@@ -94,6 +94,22 @@ class TestBounds:
         payload = json.loads(capsys.readouterr().out)
         assert payload["s"] == 4
 
+    @pytest.mark.parametrize("s", ["2", "4"])
+    def test_diagnostics_keys(self, point_config, capsys, s):
+        assert main(["bounds", "--config", str(point_config), "--s", s]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == [
+            "lower_bits_per_s", "upper_bits_per_s", "s", "gap_bounds_nats", "diagnostics",
+        ]
+        diagnostics = payload["diagnostics"]
+        assert list(diagnostics) == ["gain", "mu", "sigma2", "central_s"]
+        lower, upper = payload["gap_bounds_nats"]
+        gain = diagnostics["gain"]
+        assert payload["lower_bits_per_s"] == gain * lower
+        assert payload["upper_bits_per_s"] == gain * upper
+        if s == "2":
+            assert diagnostics["central_s"] == pytest.approx(diagnostics["sigma2"], rel=1e-10)
+
 
 class TestMoments:
     def test_table(self, point_config, capsys):

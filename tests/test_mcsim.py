@@ -4,13 +4,18 @@ DERIVED targets come from the analytic steady state, mir_discrete, and the
 quadrature gap; standard-error tolerances are 4 sigma throughout.
 """
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from transduction_mir import (
     InsufficientData,
+    ReceptorSpec,
+    Transition,
     Trajectory,
     TruncatedGaussianSpec,
     ValidationError,
@@ -21,14 +26,18 @@ from transduction_mir import (
     simulate,
     stationary_distribution,
 )
+from transduction_mir.cli import main
 from oracles import (
     bigram_counts,
     build_rate_matrix,
     empirical_occupancy,
     mc_gap,
     scale,
+    simulate_reference,
     transition_matrix,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestSimulate:
@@ -84,6 +93,119 @@ class TestSimulate:
             row_n = counts[i].sum()
             emp = counts[i] / row_n
             assert np.abs(emp - p_bar[i]).max() < 4.0 / math.sqrt(row_n)
+
+
+def _five_state_receptor():
+    """Branching five-state receptor; rows 0-3 each hold a sensitive rate."""
+    return ReceptorSpec(
+        name="branching",
+        states=("A", "B", "C", "D", "E"),
+        transitions=(
+            Transition(0, 1, 2.0, True),
+            Transition(0, 3, 1.0, True),
+            Transition(1, 2, 1.5, True),
+            Transition(1, 0, 0.7, False),
+            Transition(2, 4, 1.0, False),
+            Transition(2, 1, 0.8, True),
+            Transition(3, 4, 1.2, True),
+            Transition(3, 0, 0.5, False),
+            Transition(4, 0, 1.3, False),
+            Transition(4, 2, 0.6, False),
+        ),
+    )
+
+
+class TestMatchesPerStepLoop:
+    """The event-driven walk returns the per-step loop's path bit for bit."""
+
+    @staticmethod
+    def assert_same_path(spec, dist, delta_t, n, seed):
+        got = simulate(spec, dist, delta_t, n, seed)
+        want = simulate_reference(spec, dist, delta_t, n, seed)
+        assert got.initial_state == want.initial_state
+        np.testing.assert_array_equal(got.states, want.states)
+        np.testing.assert_array_equal(got.inputs, want.inputs)
+        return got
+
+    @pytest.mark.parametrize("seed, n", [(0, 1_000_000), (7, 100_000), (1234, 100_000)])
+    def test_chr2(self, unit_chr2, canonical_dist, seed, n):
+        traj = self.assert_same_path(unit_chr2, canonical_dist, 1e-3, n, seed)
+        assert np.count_nonzero(np.diff(traj.states)) > 50
+
+    def test_branching_receptor_with_thousands_of_jumps(self, canonical_dist):
+        spec = _five_state_receptor()
+        traj = self.assert_same_path(spec, canonical_dist, 2e-2, 200_000, seed=5)
+        assert np.count_nonzero(np.diff(traj.states)) > 5_000
+        assert set(np.unique(traj.states).tolist()) == {0, 1, 2, 3, 4}
+
+    def test_far_tail_truncation(self, unit_chr2):
+        dist = TruncatedGaussianSpec(-3.0, 1.0, 0.0, 2.0)
+        assert dist.alpha > 0.0
+        self.assert_same_path(unit_chr2, dist, 1e-2, 50_000, seed=3)
+
+    def test_degenerate_narrow_input(self, unit_chr2):
+        dist = TruncatedGaussianSpec(1.0, 1e-8, 1e-5, 2.0)
+        self.assert_same_path(unit_chr2, dist, 1e-2, 50_000, seed=4)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_single_step(self, unit_chr2, canonical_dist, seed):
+        self.assert_same_path(unit_chr2, canonical_dist, 0.3, 1, seed)
+
+
+class TestFrozenPaths:
+    """Paths, CLI output and a Monte Carlo sweep, frozen as sha256 digests.
+
+    The values were taken from the per-step simulator before the
+    event-driven walk replaced it, so they pin the same answers
+    independently of the oracle loop.
+    """
+
+    STATES = {
+        0: "56b2d50939a6ba2067547efa6b1144b07ba88fd184ffb9eba37d2a1265251f09",
+        7: "4a5c0521840085ce8aaba8a7723f983148900d7152beed74466d8ea7a6253274",
+    }
+    CLI_JSON = {
+        0: "fc4939c42862089a281d0247f53de0871213870fe01e9046a43255ea5886b22f",
+        7: "d00a6b25946f5e9c9029fd6f07ec9a43b621a7c45ec6f65906b88b9440f3d781",
+    }
+    MC_SWEEP_CSV = "24cf788af48fd71703c0123def6048dd2ecaaba710c3518297f68bfebcb58d95"
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_states(self, unit_chr2, canonical_dist, seed):
+        # the digest the benchmark takes of each mc_path trajectory
+        traj = simulate(unit_chr2, canonical_dist, 1e-3, 10**6, seed)
+        digest = hashlib.sha256(str(traj.initial_state).encode() + traj.states.tobytes())
+        assert digest.hexdigest() == self.STATES[seed]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_cli_json(self, tmp_path, seed):
+        out = tmp_path / "sim.json"
+        argv = [
+            "simulate", "--config", str(CONFIG_DIR / "chr2_point.json"), "--out", str(out),
+            "--mc-n", "1000000", "--delta-t", "0.001", "--seed", str(seed),
+        ]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.CLI_JSON[seed]
+
+    def test_mc_sweep_csv(self, tmp_path):
+        doc = {
+            "receptor": json.loads((CONFIG_DIR / "chr2_receptor.json").read_text()),
+            "sweep": {
+                "a": 1e-5,
+                "b": 2.0,
+                "mu_bar": {"min": 0.5, "max": 1.5, "steps": 2},
+                "sigma_bar": {"min": 0.5, "max": 0.5, "steps": 1},
+                "methods": ["mc"],
+                "mc_n": 20000,
+                "delta_t": 0.001,
+            },
+            "seed": 1234,
+        }
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.MC_SWEEP_CSV
 
 
 class TestEstimateMir:

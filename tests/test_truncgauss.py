@@ -237,6 +237,29 @@ class TestMoments:
             return
         assert value == pytest.approx(reference, rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "m, raw, central",
+        [
+            # mpmath, 50 digits, central moments about the exact mean
+            (20, 16523.64575679340722691023, 0.0129981299530704629148896),
+            (44, 105880391950.3591172485157, 0.005492652862428450769215399),
+            (64, 72714145898122591.26167068, 0.003700356541223319487521412),
+        ],
+    )
+    def test_high_orders_against_mpmath(self, canonical_dist, m, raw, central):
+        # the forward recursion alone was 1e-8 off at m = 44 and 4.5% off at
+        # m = 64, with negative even central moments, yet passed its checks
+        table = package_raw_moments(canonical_dist, 64)
+        assert table.raw[m] == pytest.approx(raw, rel=1e-11)
+        assert table.central[m] == pytest.approx(central, rel=1e-10)
+        assert all(table.central[i] > 0 for i in range(2, 65, 2))
+
+    def test_high_orders_extend_the_lower_table(self, canonical_dist):
+        low = package_raw_moments(canonical_dist, 10)
+        high = package_raw_moments(canonical_dist, 64)
+        np.testing.assert_array_equal(high.raw[:11], low.raw)
+        np.testing.assert_array_equal(high.central[:11], low.central)
+
     def test_central_moments(self, canonical_dist):
         table = raw_moments(canonical_dist, 8)
         assert table.central[0] == 1.0
