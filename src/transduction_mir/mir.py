@@ -116,11 +116,10 @@ def jensen_gap(dist: TruncatedGaussianSpec) -> float:
 
 
 def sensitive_pairs(spec: ReceptorSpec) -> list[tuple[int, int]]:
-    """Entries of P(x) that depend on x: sensitive off-diagonals plus the
-    diagonals of rows that contain one."""
-    pairs = [(t.source, t.target) for t in spec.transitions if t.sensitive]
-    pairs.extend((i, i) for i in spec.sensitive_rows())
-    return pairs
+    """Entries of P(x) that depend on x: the nonzero entries of the slope,
+    sensitive off-diagonals plus the diagonals of rows that contain one."""
+    rows, cols = np.nonzero(spec.slope)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def mir_discrete(
@@ -134,7 +133,8 @@ def mir_discrete(
 
         pi_y * ( E[ phi(p_yy'(x)) ] - phi( E[p_yy'(x)] ) ) / delta_t
 
-    with phi(p) = p log2 p.  x-independent entries cancel exactly.  The
+    with phi(p) = p log2 p, summed with math.fsum so the result does not
+    depend on the pair order.  x-independent entries cancel exactly.  The
     diagonal pairs contribute O(delta_t); they are included, not assumed
     away, so the vanishing in the continuous-time limit is observable.
     Each entry is c + m*x, so E[p_yy'(x)] = c + m*mu in closed form; only
@@ -147,16 +147,14 @@ def mir_discrete(
     pi = stationary_distribution(spec, dist.mu)
     gain = sensitive_gain(spec, pi)
 
-    total = 0.0
-    diagonal = 0.0
+    terms = {}
     for (i, j) in sensitive_pairs(spec):
         c, m = const[i, j], lin[i, j]
         e_phi = expectation(dist, lambda x: _plogp_vec(c + m * x))
         mean_entry = min(max(c + m * dist.mu, 0.0), 1.0)
-        term = pi[i] * (e_phi - plogp(mean_entry))
-        total += term
-        if i == j:
-            diagonal += term
+        terms[i, j] = pi[i] * (e_phi - plogp(mean_entry))
+    total = math.fsum(terms.values())
+    diagonal = math.fsum(term for (i, j), term in terms.items() if i == j)
 
     value = total / delta_t
     gap = jensen_gap(dist)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -39,11 +39,18 @@ class Transition:
 
 @dataclass(frozen=True)
 class ReceptorSpec:
-    """State set plus transition list; diagonals are always derived."""
+    """State set plus transition list; diagonals are always derived.
+
+    ``base`` and ``slope`` hold the generator Q(x) = base + x * slope, built
+    once, read-only and left out of equality: ``base`` the insensitive rates,
+    ``slope`` the sensitive ones, each with its diagonal, so row-sum zero.
+    """
 
     name: str
     states: tuple[str, ...]
     transitions: tuple[Transition, ...]
+    base: np.ndarray = field(init=False, repr=False, compare=False)
+    slope: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
@@ -74,13 +81,18 @@ class ReceptorSpec:
         if not any_sensitive:
             raise ValidationError("at least one transition must be sensitive")
 
+        base, slope = np.zeros((k, k)), np.zeros((k, k))
+        for t in self.transitions:
+            m = slope if t.sensitive else base
+            m[t.source, t.target] += t.rate
+            m[t.source, t.source] -= t.rate
+        for name, m in (("base", base), ("slope", slope)):
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
+
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    def sensitive_rows(self) -> tuple[int, ...]:
-        """Rows whose diagonal depends on x through a sensitive exit rate."""
-        return tuple(sorted({t.source for t in self.transitions if t.sensitive}))
 
     @classmethod
     def from_mapping(cls, doc: dict) -> "ReceptorSpec":
@@ -156,22 +168,6 @@ def chr2_skeleton(q12: float = 1.0, q23: float = 1.0, q31: float = 1.0) -> Recep
     )
 
 
-def affine_generator(spec: ReceptorSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Decompose the generator as Q(x) = base + x * slope.
-
-    ``base`` carries the insensitive rates, ``slope`` the sensitive ones;
-    both include their diagonal compensation, so each is itself row-sum zero.
-    """
-    k = spec.n_states
-    base = np.zeros((k, k))
-    slope = np.zeros((k, k))
-    for t in spec.transitions:
-        m = slope if t.sensitive else base
-        m[t.source, t.target] += t.rate
-        m[t.source, t.source] -= t.rate
-    return base, slope
-
-
 def _check_intensity(x) -> None:
     if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0.0):
         raise ValidationError(f"intensity must be a nonnegative finite number, got {x!r}")
@@ -191,12 +187,9 @@ def step_kernel(
     leaves [0, 1].
     """
     _check_intensity(x_max)
-    if not (isinstance(delta_t, (int, float)) and math.isfinite(delta_t) and delta_t >= 0.0):
-        raise ValidationError(f"delta_t must be nonnegative and finite, got {delta_t!r}")
-    if delta_t <= 0.0:
-        raise ValidationError(f"the step kernel needs delta_t > 0, got {delta_t!r}")
-    base, slope = affine_generator(spec)
-    q = base + x_max * slope
+    if not (isinstance(delta_t, (int, float)) and 0.0 < delta_t < math.inf):
+        raise ValidationError(f"the step kernel needs 0 < delta_t < inf, got {delta_t!r}")
+    q = spec.base + x_max * spec.slope
     p = np.eye(spec.n_states) + delta_t * q
     if p.min() < 0.0 or p.max() > 1.0:
         worst = float(p.min()) if -p.min() > p.max() - 1.0 else float(p.max())
@@ -204,7 +197,7 @@ def step_kernel(
             f"delta_t = {delta_t} makes an entry of I + Q*dt equal {worst}; "
             f"shrink the step below 1/max|q_ii| = {1.0 / np.abs(np.diag(q)).max():.3e}"
         )
-    return np.eye(spec.n_states) + delta_t * base, delta_t * slope
+    return np.eye(spec.n_states) + delta_t * spec.base, delta_t * spec.slope
 
 
 def _strongly_connected(adjacency: np.ndarray) -> bool:
@@ -268,8 +261,7 @@ def stationary_distribution(spec: ReceptorSpec, mean_x: float) -> np.ndarray:
     read-only array.  Exceptions are not cached; a bad mean always raises.
     """
     _check_intensity(mean_x)
-    base, slope = affine_generator(spec)
-    q = base + mean_x * slope
+    q = spec.base + mean_x * spec.slope
     scale = float(np.abs(np.diag(q)).max())
     if scale == 0.0:
         raise NotIrreducible("no transitions are active at this mean intensity")

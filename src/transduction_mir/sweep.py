@@ -48,8 +48,6 @@ class GridAxis:
             )
 
     def values(self) -> np.ndarray:
-        if self.steps == 1:
-            return np.array([self.min])
         return np.linspace(self.min, self.max, self.steps)
 
 

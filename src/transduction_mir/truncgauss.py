@@ -56,6 +56,26 @@ def _norm_pdf(t):
     return np.exp(-0.5 * np.square(t)) / _SQRT_2PI
 
 
+def _l_coefficients(alpha: float, beta: float, z: float, order: int) -> np.ndarray:
+    """Raw moments L_i of the standard normal truncated to [alpha, beta], mass z.
+
+    L_0 = 1
+    L_1 = -(phi(beta) - phi(alpha)) / z
+    L_i = -(beta^(i-1) phi(beta) - alpha^(i-1) phi(alpha)) / z + (i-1) L_{i-2}
+
+    A huge standardized endpoint has phi exactly 0.0; its term is then 0,
+    never 0 * inf.
+    """
+    pdf_a = float(_norm_pdf(alpha))
+    pdf_b = float(_norm_pdf(beta))
+    L = [1.0, -(pdf_b - pdf_a) / z]
+    for i in range(2, order + 1):
+        tb = 0.0 if pdf_b == 0.0 else beta ** (i - 1) * pdf_b
+        ta = 0.0 if pdf_a == 0.0 else alpha ** (i - 1) * pdf_a
+        L.append(-(tb - ta) / z + (i - 1) * L[i - 2])
+    return np.array(L[: order + 1])
+
+
 @dataclass(frozen=True)
 class TruncatedGaussianSpec:
     """Parent Gaussian parameters plus truncation interval, with derived moments.
@@ -69,13 +89,12 @@ class TruncatedGaussianSpec:
       ``alpha > 0`` it is formed on the reflected upper tail as
       ``ndtr(-alpha) - ndtr(-beta)``, which keeps its digits where
       ``ndtr(alpha)`` rounds toward 1.
-    mu, sigma2 : mean and variance of the truncated variable, in closed form::
+    mu, sigma2 : mean and variance of the truncated variable, in closed form
+      from the first two raw moments L_1, L_2 of the truncated standard
+      normal (see ``_l_coefficients``)::
 
-        mu     = mu_bar - sigma_bar * (phi(beta) - phi(alpha)) / z
-        sigma2 = sigma_bar^2 * (1 - (beta phi(beta) - alpha phi(alpha))/z
-                                  - ((phi(beta) - phi(alpha))/z)^2)
-
-      with phi the standard normal pdf.
+        mu     = mu_bar + sigma_bar * L_1
+        sigma2 = sigma_bar^2 * (L_2 - L_1^2)
     """
 
     mu_bar: float
@@ -87,9 +106,6 @@ class TruncatedGaussianSpec:
     z: float = field(init=False, repr=False)
     mu: float = field(init=False, repr=False)
     sigma2: float = field(init=False, repr=False)
-    _pdf_alpha: float = field(init=False, repr=False)
-    _pdf_beta: float = field(init=False, repr=False)
-    _l1: float = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("mu_bar", "sigma_bar", "a", "b"):
@@ -114,14 +130,9 @@ class TruncatedGaussianSpec:
                 f"truncation [{self.a}, {self.b}] keeps only {z:.3e} of the parent "
                 f"mass (minimum {MIN_TRUNCATION_MASS:.0e})"
             )
-        pdf_a = float(_norm_pdf(alpha))
-        pdf_b = float(_norm_pdf(beta))
-        l1 = -(pdf_b - pdf_a) / z
-        mu = self.mu_bar + self.sigma_bar * l1
-        # guard 0*inf: a huge standardized endpoint always has pdf exactly 0.0
-        tb = 0.0 if pdf_b == 0.0 else beta * pdf_b
-        ta = 0.0 if pdf_a == 0.0 else alpha * pdf_a
-        sigma2 = self.sigma_bar**2 * (1.0 - (tb - ta) / z - l1 * l1)
+        L = _l_coefficients(alpha, beta, z, 2)
+        mu = self.mu_bar + self.sigma_bar * L[1]
+        sigma2 = self.sigma_bar**2 * (L[2] - L[1] * L[1])
 
         span = self.b - self.a
         if not (self.a - 1e-9 * span <= mu <= self.b + 1e-9 * span):
@@ -137,9 +148,6 @@ class TruncatedGaussianSpec:
             ("z", z),
             ("mu", mu),
             ("sigma2", sigma2),
-            ("_pdf_alpha", pdf_a),
-            ("_pdf_beta", pdf_b),
-            ("_l1", l1),
         ):
             object.__setattr__(self, name, float(value))
 
@@ -164,24 +172,6 @@ class MomentTable:
             raise ValidationError(f"first central moment must vanish, got {self.central[1]}")
         self.raw.flags.writeable = False
         self.central.flags.writeable = False
-
-
-def _l_coefficients(spec: TruncatedGaussianSpec, order: int) -> np.ndarray:
-    """Raw moments L_i of the truncated standard normal on [alpha, beta].
-
-    L_0 = 1
-    L_1 = -(phi(beta) - phi(alpha)) / z
-    L_i = -(beta^(i-1) phi(beta) - alpha^(i-1) phi(alpha)) / z + (i-1) L_{i-2}
-    """
-    L = np.empty(order + 1)
-    L[0] = 1.0
-    if order >= 1:
-        L[1] = spec._l1
-    for i in range(2, order + 1):
-        tb = 0.0 if spec._pdf_beta == 0.0 else spec.beta ** (i - 1) * spec._pdf_beta
-        ta = 0.0 if spec._pdf_alpha == 0.0 else spec.alpha ** (i - 1) * spec._pdf_alpha
-        L[i] = -(tb - ta) / spec.z + (i - 1) * L[i - 2]
-    return L
 
 
 def _moments_about(spec, center: float, order: int, L: np.ndarray) -> np.ndarray:
@@ -219,7 +209,7 @@ def raw_moments(spec: TruncatedGaussianSpec, order: int) -> MomentTable:
         raise OrderTooHigh(f"order {order} exceeds ceiling {MAX_MOMENT_ORDER}")
 
     low = min(order, _RECURSION_MAX_ORDER)
-    L = _l_coefficients(spec, low)
+    L = _l_coefficients(spec.alpha, spec.beta, spec.z, low)
     raw = _moments_about(spec, 0.0, low, L)
     central = _moments_about(spec, spec.mu, low, L)
     if order > low:
@@ -390,10 +380,24 @@ def shifted_moment_vector(
     for the series evaluation, for which the recursion loses too many digits
     beyond order ~25.  Refined on the same node schedule as ``expectation``,
     every order to the same tolerance.
+
+    A one-sided window (alpha > 0 or beta < 0) keeps its mass at the near
+    edge, and a far end many sigmas away stalls the node schedule.  It is cut
+    where every integrand is e^-40 below its near-edge value: the density
+    falls by e^-40 at t^2 = edge^2 + 80, and |x - center|^m rises at most by
+    (s_far / s_near)^m, which adds 2 * order * ln(s_far / s_near).
     """
     if order < 0:
         raise ValidationError(f"order must be >= 0, got {order}")
     lo, hi = _integration_bounds(spec)
+    if lo > 0.0 or hi < 0.0:
+        near, far = (lo, hi) if lo > 0.0 else (hi, lo)
+        s_near = abs(spec.mu_bar - center + spec.sigma_bar * near)
+        s_far = abs(spec.mu_bar - center + spec.sigma_bar * far)
+        if s_near > 0.0:
+            rise = math.log(max(s_far, s_near)) - math.log(s_near)
+            cut = math.sqrt(near * near + 80.0 + 2.0 * order * rise)
+            lo, hi = max(lo, -cut), min(hi, cut)
 
     def moment_block(n: int) -> np.ndarray:
         nodes, weights = _gl_nodes(n)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from transduction_mir import TruncatedGaussianSpec, chr2_skeleton
+from transduction_mir import ReceptorSpec, Transition, TruncatedGaussianSpec, chr2_skeleton
 
 
 @pytest.fixture
@@ -29,3 +29,23 @@ def random_valid_dist(rng: np.random.Generator) -> TruncatedGaussianSpec:
     a = rng.uniform(0.0, 0.1)
     b = rng.uniform(1.8, 2.2)
     return TruncatedGaussianSpec(mu_bar, sigma_bar, a, b)
+
+
+def five_state_receptor():
+    """Branching five-state receptor; rows 0-3 each hold a sensitive rate."""
+    return ReceptorSpec(
+        name="branching",
+        states=("A", "B", "C", "D", "E"),
+        transitions=(
+            Transition(0, 1, 2.0, True),
+            Transition(0, 3, 1.0, True),
+            Transition(1, 2, 1.5, True),
+            Transition(1, 0, 0.7, False),
+            Transition(2, 4, 1.0, False),
+            Transition(2, 1, 0.8, True),
+            Transition(3, 4, 1.2, True),
+            Transition(3, 0, 0.5, False),
+            Transition(4, 0, 1.3, False),
+            Transition(4, 2, 0.6, False),
+        ),
+    )

@@ -30,7 +30,7 @@ from transduction_mir import (
     stationary_distribution,
 )
 from transduction_mir.mir import _xlnx_vec
-from transduction_mir.receptor import _solve_stationary, affine_generator, step_kernel
+from transduction_mir.receptor import _solve_stationary, step_kernel
 from transduction_mir.truncgauss import (
     MAX_MOMENT_ORDER,
     _l_coefficients,
@@ -104,8 +104,7 @@ def build_rate_matrix(spec: ReceptorSpec, x: float) -> RateMatrix:
     """Generator Q(x) = base + x * slope: sensitive entries scale with x."""
     if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0.0):
         raise ValidationError(f"intensity must be a nonnegative finite number, got {x!r}")
-    base, slope = affine_generator(spec)
-    return RateMatrix(dim=spec.n_states, entries=base + x * slope)
+    return RateMatrix(dim=spec.n_states, entries=spec.base + x * spec.slope)
 
 
 def transition_matrix(q: RateMatrix, delta_t: float) -> TransitionMatrix:
@@ -156,7 +155,8 @@ def moments_about(spec: TruncatedGaussianSpec, center: float, order: int) -> np.
         raise ValidationError(f"order must be >= 0, got {order}")
     if order > MAX_MOMENT_ORDER:
         raise OrderTooHigh(f"order {order} exceeds ceiling {MAX_MOMENT_ORDER}")
-    return _moments_about(spec, center, order, _l_coefficients(spec, order))
+    L = _l_coefficients(spec.alpha, spec.beta, spec.z, order)
+    return _moments_about(spec, center, order, L)
 
 
 def mc_gap(dist: TruncatedGaussianSpec, n: int, seed) -> McEstimate:

@@ -1,5 +1,6 @@
 """CLI surface tests: subcommands, exit codes, file outputs, determinism."""
 
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -337,6 +338,31 @@ class TestShippedConfigs:
         config = CONFIG_DIR / f"{name}.json"
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
         assert out.read_bytes() == (RESULTS_DIR / f"{name}.csv").read_bytes()
+
+    # sha256 of the 8x8 sweep of every deterministic method on [1e-5, 2],
+    # where graded panels are active; it pins the series, s=4 and discrete
+    # bytes that no committed results file covers
+    PANEL_CSV = "e0da417845cead6bdf113355fa99603a1decb110c0953f94d2a9d8928fdb3d80"
+
+    def test_panel_sweep_csv_frozen(self, tmp_path):
+        doc = {
+            "receptor": json.loads((CONFIG_DIR / "chr2_receptor.json").read_text()),
+            "sweep": {
+                "a": 1e-5,
+                "b": 2.0,
+                "mu_bar": {"min": 0.2, "max": 1.8, "steps": 8},
+                "sigma_bar": {"min": 0.1, "max": 1.0, "steps": 8},
+                "methods": ["quadrature", "series", "bounds_s2", "bounds_s4", "discrete"],
+                "series_k": 40,
+                "delta_t": 0.001,
+            },
+            "seed": 0,
+        }
+        config = tmp_path / "panel.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "panel.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PANEL_CSV
 
 
 class TestReadme:

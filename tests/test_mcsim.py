@@ -14,8 +14,6 @@ import pytest
 
 from transduction_mir import (
     InsufficientData,
-    ReceptorSpec,
-    Transition,
     Trajectory,
     TruncatedGaussianSpec,
     ValidationError,
@@ -27,6 +25,7 @@ from transduction_mir import (
     stationary_distribution,
 )
 from transduction_mir.cli import main
+from conftest import five_state_receptor
 from oracles import (
     bigram_counts,
     build_rate_matrix,
@@ -95,26 +94,6 @@ class TestSimulate:
             assert np.abs(emp - p_bar[i]).max() < 4.0 / math.sqrt(row_n)
 
 
-def _five_state_receptor():
-    """Branching five-state receptor; rows 0-3 each hold a sensitive rate."""
-    return ReceptorSpec(
-        name="branching",
-        states=("A", "B", "C", "D", "E"),
-        transitions=(
-            Transition(0, 1, 2.0, True),
-            Transition(0, 3, 1.0, True),
-            Transition(1, 2, 1.5, True),
-            Transition(1, 0, 0.7, False),
-            Transition(2, 4, 1.0, False),
-            Transition(2, 1, 0.8, True),
-            Transition(3, 4, 1.2, True),
-            Transition(3, 0, 0.5, False),
-            Transition(4, 0, 1.3, False),
-            Transition(4, 2, 0.6, False),
-        ),
-    )
-
-
 class TestMatchesPerStepLoop:
     """The event-driven walk returns the per-step loop's path bit for bit."""
 
@@ -133,7 +112,7 @@ class TestMatchesPerStepLoop:
         assert np.count_nonzero(np.diff(traj.states)) > 50
 
     def test_branching_receptor_with_thousands_of_jumps(self, canonical_dist):
-        spec = _five_state_receptor()
+        spec = five_state_receptor()
         traj = self.assert_same_path(spec, canonical_dist, 2e-2, 200_000, seed=5)
         assert np.count_nonzero(np.diff(traj.states)) > 5_000
         assert set(np.unique(traj.states).tolist()) == {0, 1, 2, 3, 4}

@@ -30,7 +30,8 @@ from transduction_mir import (
     sensitive_pairs,
     xlnx,
 )
-from conftest import random_valid_dist
+from transduction_mir.receptor import step_kernel
+from conftest import five_state_receptor, random_valid_dist
 
 # FROZEN oracle values at the canonical point (unit-rate skeleton,
 # mu_bar=1, sigma_bar=0.5, [1e-5, 2]).
@@ -241,12 +242,6 @@ class TestSeries:
         result = mir_series(unit_chr2, canonical_dist, order)
         assert abs(result.gap_nats - raw_gap) < 1e-9
 
-    # (mu_bar, sigma_bar) on [1e-5, 2] where the series' moment quadrature
-    # raises NoConvergence: far-tail windows whose mass hugs one edge of a
-    # single 200-1600 node panel
-    SCAN_NO_CONVERGENCE = {(-0.5, 0.08475), (-0.4, 0.08475), (-0.3, 0.08475),
-                           (2.3, 0.08475), (2.4, 0.08475), (2.5, 0.08475)}
-
     @pytest.mark.parametrize("a, b", [(1e-5, 2.0), (0.5, 1.5)])
     def test_within_tail_bound_of_quadrature_on_scan(self, unit_chr2, a, b):
         # the series' one guarantee: |series(K) - quadrature| <= gain/K,
@@ -276,7 +271,7 @@ class TestSeries:
                 continue
             assert abs(approx.value - exact.value) <= approx.gain / order, (mu_bar, sigma_bar)
             checked += 1
-        assert no_convergence <= self.SCAN_NO_CONVERGENCE
+        assert no_convergence == set()
         assert checked > 1500
 
     def test_matches_adaptive_oracle(self, unit_chr2, canonical_dist):
@@ -347,3 +342,12 @@ class TestJensenGap:
         rng = np.random.default_rng(9)
         for _ in range(15):
             assert jensen_gap(random_valid_dist(rng)) >= -1e-12
+
+
+@pytest.mark.parametrize(
+    "spec", [TestMultiSensitiveReceptor.spec(), five_state_receptor()], ids=["two-gate", "five"]
+)
+def test_sensitive_pairs_are_the_nonzero_step_slope_entries(spec):
+    _, lin = step_kernel(spec, 1e-3, 2.0)
+    rows, cols = np.nonzero(lin)
+    assert sorted(sensitive_pairs(spec)) == sorted(zip(rows.tolist(), cols.tolist()))

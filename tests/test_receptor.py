@@ -25,6 +25,7 @@ from transduction_mir import (
 )
 from transduction_mir.receptor import _strongly_connected, step_kernel
 from transduction_mir.truncgauss import sample
+from conftest import five_state_receptor
 from oracles import RateMatrix, build_rate_matrix, steady_state, transition_matrix
 
 
@@ -275,6 +276,51 @@ def four_state_two_sensitive():
             Transition(2, 1, 0.4, False),
         ),
     )
+
+
+def assembled_generator(spec):
+    """(base, slope) written entry by entry from the transition list, each
+    diagonal the negated sum of its row's off-diagonal rates."""
+    k = spec.n_states
+    base, slope = np.zeros((k, k)), np.zeros((k, k))
+    for t in spec.transitions:
+        (slope if t.sensitive else base)[t.source, t.target] = t.rate
+    for m in (base, slope):
+        np.fill_diagonal(m, -m.sum(axis=1))
+    return base, slope
+
+
+AFFINE_SPECS = [chr2_skeleton(), ring_spec(0.7, 2.3, 1.1), four_state_two_sensitive(),
+                five_state_receptor()]
+
+
+class TestAffinePair:
+    """The receptor builds ``base`` and ``slope`` once, as derived fields."""
+
+    @pytest.mark.parametrize("spec", AFFINE_SPECS)
+    def test_equals_generator_assembled_from_transitions(self, spec):
+        base, slope = assembled_generator(spec)
+        np.testing.assert_array_equal(spec.base, base)
+        np.testing.assert_array_equal(spec.slope, slope)
+
+    def test_read_only(self, unit_chr2):
+        with pytest.raises(ValueError):
+            unit_chr2.base[1, 2] = 5.0
+        with pytest.raises(ValueError):
+            unit_chr2.slope[0, 1] = 5.0
+
+    def test_outside_equality_hash_and_repr(self):
+        first, second = four_state_two_sensitive(), four_state_two_sensitive()
+        assert first.base is not second.base
+        assert first == second and hash(first) == hash(second)
+        assert "base" not in repr(first) and "slope" not in repr(first)
+
+    def test_stationary_cache_hits_for_an_equal_spec(self):
+        stationary_distribution.cache_clear()
+        first = stationary_distribution(four_state_two_sensitive(), 0.37)
+        hits = stationary_distribution.cache_info().hits
+        assert stationary_distribution(four_state_two_sensitive(), 0.37) is first
+        assert stationary_distribution.cache_info().hits == hits + 1
 
 
 class TestStationaryDistribution:

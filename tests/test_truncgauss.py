@@ -161,6 +161,35 @@ class TestFarTail:
         assert spec.alpha > 0.0
         np.testing.assert_allclose([spec.mu, spec.sigma2, spec.z], [mu, sigma2, z], rtol=1e-10)
 
+    @pytest.mark.parametrize(
+        "mu_bar, moments",
+        [
+            # mpmath, 50 digits: E[(x-1)^k] for k = 2, 3, 40 on [1e-5, 2]
+            (-0.5, (0.9730675627344282253512204, -0.9601326315040438002245263,
+                    0.6427863450785679180909323)),
+            (2.5, (0.9730868087673915792349861, 0.9601611207523087474931912,
+                   0.6430415633244290751111333)),
+        ],
+    )
+    def test_one_sided_series_moments(self, mu_bar, moments):
+        # the mass hugs one edge of a window spanning ~24 sigmas; unclipped,
+        # the moment quadrature never settled here
+        spec = TruncatedGaussianSpec(mu_bar, 0.08475, 1e-5, 2.0)
+        assert spec.alpha > 0.0 or spec.beta < 0.0
+        got = shifted_moment_vector(spec, 1.0, 40)
+        np.testing.assert_allclose(got[[2, 3, 40]], moments, rtol=1e-11)
+
+    def test_one_sided_clip_keeps_high_orders(self):
+        # x^64 pdf peaks near 8 sigmas; a clip by the density alone, at
+        # sqrt(alpha^2 + 80), cut E[x^64] by 11%.  mpmath, 50 digits.
+        spec = TruncatedGaussianSpec(-0.1, 1.0, 0.05, 50.0)
+        assert spec.alpha > 0.0
+        got = shifted_moment_vector(spec, 0.0, 64)
+        np.testing.assert_allclose(
+            got[[40, 64]], [1.9167768599944563662236e23, 5.695578988961519641587167e43],
+            rtol=1e-11,
+        )
+
     def test_sample_far_tail(self):
         spec = TruncatedGaussianSpec(-7.0, 1.0, 0.0, 2.0)
         n = 100_000
