@@ -47,3 +47,15 @@ class InsufficientData(MirError):
 
 class EmptySweep(MirError):
     """No rows to reduce."""
+
+
+def unwrap(entry):
+    """The value of one row of a batched result, or raise that row's error.
+
+    The batched kernels return, per row, either a value or the MirError a
+    scalar call on that row raises; the error is raised where the scalar
+    call would have raised it.
+    """
+    if isinstance(entry, MirError):
+        raise entry
+    return entry

@@ -23,16 +23,24 @@ from .errors import (
     OrderTooHigh,
     OutOfConvergenceRegion,
     ValidationError,
+    unwrap,
 )
-from .receptor import ReceptorSpec, sensitive_gain, stationary_distribution, step_kernel
 
-# raw_moments is not called here: perfbench's tracer wraps ``mir.raw_moments``
-# and perfbench/tests/test_tracer.py looks up every wrapped name without a
-# default.  Remove it together with that wrap.
+# raw_moments and stationary_distribution are not called here: perfbench's
+# tracer wraps ``mir.raw_moments`` and ``mir.stationary_distribution``, and
+# perfbench/tests/test_tracer.py looks up every wrapped name without a
+# default.  Remove them together with those wraps.
+from .receptor import (
+    ReceptorSpec,
+    mean_chain_rows,
+    stationary_distribution,  # noqa: F401
+    step_kernel,
+)
 from .truncgauss import (
     MAX_MOMENT_ORDER,
     TruncatedGaussianSpec,
     expectation,
+    expectation_rows,
     raw_moments,  # noqa: F401
     shifted_moment_vector,
 )
@@ -111,7 +119,11 @@ def xlnx(x: float) -> float:
 
 def jensen_gap(dist: TruncatedGaussianSpec) -> float:
     """E[x ln x] - mu ln(mu) in nats, by quadrature."""
-    e_xlnx = expectation(dist, _xlnx_vec)
+    return _gap(dist, expectation(dist, _xlnx_vec))
+
+
+def _gap(dist: TruncatedGaussianSpec, e_xlnx: float) -> float:
+    # math.log, not np.log: the two differ in the last bit for some means
     return e_xlnx - dist.mu * math.log(dist.mu)
 
 
@@ -143,9 +155,16 @@ def mir_discrete(
     Raises StepTooLarge if the step is inadmissible at the worst-case
     intensity x = b.
     """
+    chain = mean_chain_rows(spec, [dist.mu])[0]
+    return _discrete(spec, dist, delta_t, chain, expectation_rows([dist], _xlnx_vec)[0])
+
+
+def _discrete(spec, dist, delta_t, chain, e_xlnx) -> MirResult:
+    """``mir_discrete`` from the entries of ``mean_chain_rows`` and of
+    ``expectation_rows`` with x ln x; each error is raised where computing
+    that quantity in place would raise it."""
     const, lin = step_kernel(spec, delta_t, dist.b)
-    pi = stationary_distribution(spec, dist.mu)
-    gain = sensitive_gain(spec, pi)
+    pi, gain = unwrap(chain)
 
     terms = {}
     for (i, j) in sensitive_pairs(spec):
@@ -157,12 +176,11 @@ def mir_discrete(
     diagonal = math.fsum(term for (i, j), term in terms.items() if i == j)
 
     value = total / delta_t
-    gap = jensen_gap(dist)
     return MirResult(
         value=value,
         method=f"discrete({delta_t!r})",
         gain=gain,
-        gap_nats=gap,
+        gap_nats=_gap(dist, unwrap(e_xlnx)[0]),
         diagnostics={
             "diagonal_bits_per_s": diagonal / delta_t,
             "off_diagonal_bits_per_s": (total - diagonal) / delta_t,
@@ -172,16 +190,31 @@ def mir_discrete(
 
 
 def mir_quadrature(spec: ReceptorSpec, dist: TruncatedGaussianSpec) -> MirResult:
-    """Continuous-time information rate: gain * (E[x ln x] - mu ln mu)."""
-    pi = stationary_distribution(spec, dist.mu)
-    gain = sensitive_gain(spec, pi)
-    gap = jensen_gap(dist)
+    """Continuous-time information rate: gain * (E[x ln x] - mu ln mu).
+
+    ``diagnostics`` holds the stationary vector ``pi``, the Gauss-Legendre
+    nodes per panel of the accepted E[x ln x] estimate (``nodes``) and its
+    change from the estimate before (``refine_delta``, nats).
+    """
+    chain = mean_chain_rows(spec, [dist.mu])[0]
+    return _quadrature(dist, chain, expectation_rows([dist], _xlnx_vec)[0])
+
+
+def _quadrature(dist, chain, e_xlnx) -> MirResult:
+    """``mir_quadrature`` from the same two entries as ``_discrete``."""
+    pi, gain = unwrap(chain)
+    e_value, nodes, delta = unwrap(e_xlnx)
+    gap_nats = _gap(dist, e_value)
     return MirResult(
-        value=gain * gap,
+        value=gain * gap_nats,
         method="quadrature",
         gain=gain,
-        gap_nats=gap,
-        diagnostics={"pi": tuple(float(p) for p in pi)},
+        gap_nats=gap_nats,
+        diagnostics={
+            "pi": tuple(float(p) for p in pi),
+            "nodes": nodes,
+            "refine_delta": delta,
+        },
     )
 
 
@@ -206,6 +239,11 @@ def mir_series(
     Raises OutOfConvergenceRegion when the support leaves (0, 2], and
     OrderTooHigh above the shared order ceiling.
     """
+    return _series(dist, order, mean_chain_rows(spec, [dist.mu])[0])
+
+
+def _series(dist, order, chain) -> MirResult:
+    """``mir_series`` from its ``mean_chain_rows`` entry."""
     if dist.a <= 0.0 or dist.b > 2.0:
         raise OutOfConvergenceRegion(
             f"series needs support within (0, 2], got [{dist.a}, {dist.b}]"
@@ -222,8 +260,7 @@ def mir_series(
     mu = dist.mu
     gap = series_sum - mu * (math.log(mu) - 1.0) - 1.0
 
-    pi = stationary_distribution(spec, dist.mu)
-    gain = sensitive_gain(spec, pi)
+    _, gain = unwrap(chain)
     return MirResult(
         value=gain * gap,
         method=f"series({order})",

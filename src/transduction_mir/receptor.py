@@ -13,11 +13,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotIrreducible, StepTooLarge, ValidationError
+from .errors import MirError, NotIrreducible, StepTooLarge, ValidationError, unwrap
 
 LN2 = math.log(2.0)
 
@@ -200,75 +199,116 @@ def step_kernel(
     return np.eye(spec.n_states) + delta_t * spec.base, delta_t * spec.slope
 
 
-def _strongly_connected(adjacency: np.ndarray) -> bool:
+def _strongly_connected(adjacency: np.ndarray):
     """True if every state reaches every other along positive entries.
 
     Squaring the reflexive boolean adjacency doubles the path length it
     covers; once that reaches k - 1 steps, entry (i, j) says whether j is
-    reachable from i, and the graph is strongly connected iff all are.
+    reachable from i, and the graph is strongly connected iff all are.  A
+    stack of adjacencies (..., k, k) gives a list with one verdict each.
     """
-    k = adjacency.shape[0]
+    k = adjacency.shape[-1]
     reach = adjacency | np.eye(k, dtype=bool)
     length = 1
     while length < k - 1:
         reach = reach @ reach
         length *= 2
-    return bool(reach.all())
+    return reach.all(axis=(-2, -1)).tolist()
 
 
-def _solve_stationary(p: np.ndarray) -> np.ndarray:
-    """Unique pi with pi @ p = pi and sum(pi) = 1 for a row-stochastic array p.
+def _solve_stationary(p: np.ndarray) -> list:
+    """Unique pi with pi @ p = pi and sum(pi) = 1 for each row-stochastic
+    array in the stack p of shape (N, k, k).
 
     Solved as an augmented linear system: one balance equation is replaced by
     the normalization constraint, which is deterministic and exact for the
     matrix sizes used here.  Irreducibility is checked on the positive-entry
     graph first so the failure mode is a clear error, not a singular solve.
+    Every check runs per array: the result holds one vector per array, or
+    the NotIrreducible that array fails with.
     """
-    k = p.shape[0]
-    off = p.copy()
-    np.fill_diagonal(off, 0.0)
-    if not _strongly_connected(off > 0.0):
-        raise NotIrreducible(
+    k = p.shape[-1]
+    adjacency = p > 0.0
+    adjacency[:, np.arange(k), np.arange(k)] = False
+    out: list = [
+        None if connected else NotIrreducible(
             "the positive-probability transition graph is not strongly connected"
         )
-    system = p.T - np.eye(k)
-    system[-1, :] = 1.0
-    rhs = np.zeros(k)
+        for connected in _strongly_connected(adjacency)
+    ]
+    rows = [i for i, entry in enumerate(out) if entry is None]
+    p = p[rows]
+    system = p.transpose(0, 2, 1) - np.eye(k)
+    system[:, -1, :] = 1.0
+    rhs = np.zeros((k, 1))
     rhs[-1] = 1.0
     try:
-        pi = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NotIrreducible(f"stationary system is singular: {exc}") from exc
+        pi = np.linalg.solve(system, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        # a singular array fails the whole stack: solve each alone to tell
+        pi = np.full((len(rows), k), np.nan)
+        for j, i in enumerate(rows):
+            try:
+                pi[j] = np.linalg.solve(system[j : j + 1], rhs)[0, :, 0]
+            except np.linalg.LinAlgError as exc:
+                out[i] = NotIrreducible(f"stationary system is singular: {exc}")
     pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
-    residual = float(np.abs(pi @ p - pi).max())
-    if residual > 1e-10:
-        raise NotIrreducible(f"stationary residual {residual:.2e} exceeds 1e-10")
-    return pi
+    pi /= pi.sum(axis=1, keepdims=True)
+    residual = np.abs((pi[:, None, :] @ p)[:, 0, :] - pi).max(axis=1)
+    pi.flags.writeable = False
+    for j, i in enumerate(rows):
+        if out[i] is None:
+            out[i] = pi[j]
+            if residual[j] > 1e-10:
+                out[i] = NotIrreducible(f"stationary residual {residual[j]:.2e} exceeds 1e-10")
+    return out
 
 
-@lru_cache(maxsize=16)
+def mean_chain_rows(spec: ReceptorSpec, means) -> list:
+    """Stationary vector and gain of the mean chain at every mean, from one
+    stacked solve.
+
+    Because every sensitive entry is linear in x, E[Q(x)] equals Q(E[x]), so
+    the mean chain's generator at mean m is base + m * slope; all of them are
+    solved as one stack.  The step used to form P only rescales P - I, so the
+    fixed point does not depend on it; the always-admissible step
+    0.5 / max|q_ii| is used, per mean.
+
+    Returns one entry per mean: (pi, gain) with pi read-only and gain from
+    ``sensitive_gain``, or the MirError that mean fails with
+    (ValidationError for a mean that is not a nonnegative finite number,
+    NotIrreducible otherwise).
+    """
+    out: list = [None] * len(means)
+    rows = []
+    for i, mean_x in enumerate(means):
+        try:
+            _check_intensity(mean_x)
+        except ValidationError as exc:
+            out[i] = exc
+            continue
+        rows.append(i)
+    # q = base + mean * slope and p = I + (0.5 / scale) * q, formed in place
+    q = np.array([means[i] for i in rows], dtype=float)[:, None, None] * spec.slope
+    q += spec.base
+    scale = np.abs(np.diagonal(q, axis1=1, axis2=2)).max(axis=1)
+    active = scale > 0.0
+    for i in np.asarray(rows)[~active].tolist():
+        out[i] = NotIrreducible("no transitions are active at this mean intensity")
+    p = q[active]
+    p *= (0.5 / scale[active])[:, None, None]
+    p += np.eye(spec.n_states)
+    for i, pi in zip(np.asarray(rows)[active].tolist(), _solve_stationary(p)):
+        out[i] = pi if isinstance(pi, MirError) else (pi, sensitive_gain(spec, pi))
+    return out
+
+
 def stationary_distribution(spec: ReceptorSpec, mean_x: float) -> np.ndarray:
     """Stationary vector of the mean chain at E[x] = mean_x, read-only.
 
-    Because every sensitive entry is linear in x, E[Q(x)] equals Q(E[x]), so
-    the mean chain's generator is base + mean_x * slope.  The step used to
-    form P only rescales P - I, so the fixed point does not depend on it; the
-    always-admissible step 0.5 / max|q_ii| is used.
-
-    Memoised on the frozen spec and the mean (a float; an unhashable value
-    raises TypeError), so every method at one input shares one solve and one
-    read-only array.  Exceptions are not cached; a bad mean always raises.
+    The one-mean case of ``mean_chain_rows``; raises its error for this mean.
     """
-    _check_intensity(mean_x)
-    q = spec.base + mean_x * spec.slope
-    scale = float(np.abs(np.diag(q)).max())
-    if scale == 0.0:
-        raise NotIrreducible("no transitions are active at this mean intensity")
-    p = np.eye(spec.n_states) + (0.5 / scale) * q
-    pi = _solve_stationary(p)
-    pi.flags.writeable = False
-    return pi
+    return unwrap(mean_chain_rows(spec, [mean_x])[0])[0]
 
 
 def sensitive_gain(spec: ReceptorSpec, pi: np.ndarray) -> float:

@@ -2,9 +2,15 @@
 
 A sweep evaluates the selected methods at every grid point, never aborting
 on a per-point numerical failure (the row's status column records it), and
-emits rows in mu_bar-major order.  Monte Carlo points derive independent
-seeds from (master seed, row index), so output is byte-identical across
-runs.
+emits rows in mu_bar-major order.  Each grid-wide quantity is computed once,
+as an array kernel: after the input distribution of every point is built,
+the mean chains of all valid points are solved as one stack, and their
+Jensen gaps come from one Gauss-Legendre pass, integrated in row blocks.
+The methods then run point by point on those precomputed rows.  The scalar
+library functions are the same kernels on one point, so a row holds the
+bits a single-point call returns, and the failure it would raise.  Monte
+Carlo points derive independent seeds from (master seed, row index), so
+output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -18,12 +24,24 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import mir_bounds
+# mir_bounds, mir_discrete, mir_quadrature and mir_series are not called here:
+# the sweep runs their per-row cores on precomputed rows.  perfbench's tracer
+# wraps these names and perfbench/tests/test_tracer.py looks each up without
+# a default; remove them together with those wraps.
+from .bounds import _bounds, mir_bounds  # noqa: F401
 from .errors import ConfigError, EmptySweep, MirError, ValidationError
 from .mcsim import estimate_mir, simulate
-from .mir import mir_discrete, mir_quadrature, mir_series
-from .receptor import ReceptorSpec
-from .truncgauss import MAX_MOMENT_ORDER, TruncatedGaussianSpec
+from .mir import (
+    _discrete,
+    _quadrature,
+    _series,
+    _xlnx_vec,
+    mir_discrete,  # noqa: F401
+    mir_quadrature,  # noqa: F401
+    mir_series,  # noqa: F401
+)
+from .receptor import ReceptorSpec, mean_chain_rows
+from .truncgauss import MAX_MOMENT_ORDER, TruncatedGaussianSpec, expectation_rows
 
 VALID_METHODS = ("quadrature", "series", "bounds_s2", "bounds_s4", "discrete", "mc")
 
@@ -132,40 +150,31 @@ def _derive_seed(master_seed: int, row_index: int) -> int:
     return int(np.random.SeedSequence([master_seed, row_index]).generate_state(1)[0])
 
 
-def _evaluate(method: str, config: SweepConfig, dist: TruncatedGaussianSpec, index: int) -> dict:
-    """The SweepRow fields one method fills at one grid point.
-
-    Each layer is called through this module's names at call time, so a
-    name replaced on the module (a tracer, a test double) is the one run.
-    """
+def _evaluate(
+    method: str, config: SweepConfig, dist: TruncatedGaussianSpec, index: int, chain, e_xlnx
+) -> dict:
+    """The SweepRow fields one method fills at one grid point, given the
+    point's entries of the mean chain and of E[x ln x] (see ``run_sweep``)."""
     receptor = config.receptor
     if method == "quadrature":
-        return {"mir_quadrature": mir_quadrature(receptor, dist).value}
+        return {"mir_quadrature": _quadrature(dist, chain, e_xlnx).value}
     if method == "series":
-        return {"mir_series": mir_series(receptor, dist, config.series_k).value}
+        return {"mir_series": _series(dist, config.series_k, chain).value}
     if method == "discrete":
-        return {"mir_discrete": mir_discrete(receptor, dist, config.delta_t).value}
+        return {"mir_discrete": _discrete(receptor, dist, config.delta_t, chain, e_xlnx).value}
     if method == "mc":
         seed = _derive_seed(config.seed, index)
         traj = simulate(receptor, dist, config.delta_t, config.mc_n, seed)
         est = estimate_mir(traj, receptor, dist)
         return {"mc_value": est.value, "mc_stderr": est.stderr}
     s = int(method.removeprefix("bounds_s"))
-    pair = mir_bounds(receptor, dist, s)
+    pair = _bounds(dist, s, chain)
     return {f"lb_s{s}": pair.lower, f"ub_s{s}": pair.upper}
 
 
-def _compute_row(config: SweepConfig, index: int, mu_bar: float, sigma_bar: float) -> SweepRow:
-    try:
-        dist = TruncatedGaussianSpec(
-            mu_bar=float(mu_bar), sigma_bar=float(sigma_bar), a=config.a, b=config.b
-        )
-    except ValidationError as exc:
-        return SweepRow(
-            mu_bar=float(mu_bar),
-            sigma_bar=float(sigma_bar),
-            status=f"distribution:{type(exc).__name__}:{exc}",
-        )
+def _compute_row(
+    config: SweepConfig, index: int, dist: TruncatedGaussianSpec, chain, e_xlnx
+) -> SweepRow:
     values = {"mu": dist.mu, "sigma2": dist.sigma2}
     problems: list[str] = []
     # VALID_METHODS order, whatever order the config lists them in
@@ -173,13 +182,13 @@ def _compute_row(config: SweepConfig, index: int, mu_bar: float, sigma_bar: floa
         if method not in config.methods:
             continue
         try:
-            values.update(_evaluate(method, config, dist, index))
+            values.update(_evaluate(method, config, dist, index, chain, e_xlnx))
         except MirError as exc:
             problems.append(f"{method}:{type(exc).__name__}")
 
     return SweepRow(
-        mu_bar=float(mu_bar),
-        sigma_bar=float(sigma_bar),
+        mu_bar=dist.mu_bar,
+        sigma_bar=dist.sigma_bar,
         status=";".join(problems) if problems else "ok",
         **values,
     )
@@ -208,11 +217,37 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     abort the sweep.  Monte Carlo seeds are keyed by grid index, so each row
     depends only on the config and its own grid point.
     """
-    rows = [
-        _compute_row(config, i * config.sigma_bar_grid.steps + j, mb, sb)
-        for i, mb in enumerate(config.mu_bar_grid.values())
-        for j, sb in enumerate(config.sigma_bar_grid.values())
+    points = [
+        (float(mu_bar), float(sigma_bar))
+        for mu_bar in config.mu_bar_grid.values()
+        for sigma_bar in config.sigma_bar_grid.values()
     ]
+    rows: list = [None] * len(points)
+    dists = {}
+    for index, (mu_bar, sigma_bar) in enumerate(points):
+        try:
+            dists[index] = TruncatedGaussianSpec(
+                mu_bar=mu_bar, sigma_bar=sigma_bar, a=config.a, b=config.b
+            )
+        except ValidationError as exc:
+            rows[index] = SweepRow(
+                mu_bar=mu_bar,
+                sigma_bar=sigma_bar,
+                status=f"distribution:{type(exc).__name__}:{exc}",
+            )
+
+    # the quadrature pass, with the larger temporaries, runs first; a
+    # point's inputs are dropped once its row is built, to bound peak memory
+    valid = list(dists.values())
+    if {"quadrature", "discrete"} & set(config.methods):
+        e_xlnx = expectation_rows(valid, _xlnx_vec)
+    else:
+        e_xlnx = [None] * len(valid)
+    chains = mean_chain_rows(config.receptor, [dist.mu for dist in valid])
+    del valid
+    for k, index in enumerate(list(dists)):
+        rows[index] = _compute_row(config, index, dists.pop(index), chains[k], e_xlnx[k])
+        chains[k] = e_xlnx[k] = None
 
     for index, message in audit_rows(rows):
         row = rows[index]

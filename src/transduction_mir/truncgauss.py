@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr, ndtri, roots_legendre
 
-from .errors import NoConvergence, OrderTooHigh, ValidationError
+from .errors import NoConvergence, OrderTooHigh, ValidationError, unwrap
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -50,6 +50,11 @@ _INITIAL_NODES = 200
 _MAX_NODES = 1600
 _RTOL = 1e-12
 _ATOL = 1e-14
+
+# Most nodes one block of rows holds in ``_gl_rows`` (a block keeps at least
+# one row).  On the capacity-surface grid 32 single-panel rows at 400 nodes
+# was the fastest block measured; 256 rows was slower and held more memory.
+_BLOCK_NODES = 32 * 400
 
 
 def _norm_pdf(t):
@@ -312,20 +317,6 @@ def _panel_edges(spec: TruncatedGaussianSpec, lo: float, hi: float) -> tuple[flo
     return tuple(edges)
 
 
-def _gl_estimate(spec, f, n, edges):
-    nodes, weights = _gl_nodes(n)
-    xs_parts = []
-    w_parts = []
-    for t0, t1 in zip(edges, edges[1:]):
-        half = 0.5 * (t1 - t0)
-        ts = half * nodes + 0.5 * (t1 + t0)
-        xs_parts.append(spec.mu_bar + spec.sigma_bar * ts)
-        w_parts.append(half * weights * _norm_pdf(ts))
-    xs = np.concatenate(xs_parts)
-    ws = np.concatenate(w_parts) / spec.z
-    return float(ws @ np.asarray(f(xs), dtype=float))
-
-
 def _agree(current, previous) -> bool:
     """Two successive estimates (floats, or arrays entry by entry) agree to
     ``_RTOL`` relative, or ``_ATOL`` absolute near zero."""
@@ -334,22 +325,95 @@ def _agree(current, previous) -> bool:
     return all(map(_agree, current.tolist(), previous.tolist()))
 
 
-def _refine(estimate: Callable[[int], float | np.ndarray], what: str):
-    """Run ``estimate(n)`` on the fixed node schedule until it settles.
+def _refine(estimate: Callable[[int, list], list], count: int, what: str) -> list:
+    """Run ``estimate(n, rows)`` on the fixed node schedule until each row settles.
 
-    n starts at ``_INITIAL_NODES`` and doubles; the first estimate that agrees
-    with its predecessor is returned.  Raises NoConvergence once
-    ``_MAX_NODES`` has been tried without agreement.
+    ``estimate(n, rows)`` returns one estimate (a float, or an array compared
+    entry by entry) per row index in ``rows``.  n starts at
+    ``_INITIAL_NODES`` and doubles; a row whose estimate agrees with its
+    predecessor keeps it, and only the unsettled rows go on to the next n.
+    Returns one entry per row: (estimate, n, |estimate - previous
+    estimate|), or NoConvergence for a row still unsettled once
+    ``_MAX_NODES`` was tried.
     """
     n = _INITIAL_NODES
-    previous = estimate(n)
-    while n < _MAX_NODES:
+    rows = list(range(count))
+    previous = estimate(n, rows)
+    out: list = [None] * count
+    while rows and n < _MAX_NODES:
         n *= 2
-        current = estimate(n)
-        if _agree(current, previous):
-            return current
-        previous = current
-    raise NoConvergence(f"{what} did not stabilize by n={_MAX_NODES} nodes per panel")
+        current = estimate(n, rows)
+        unsettled, kept = [], []
+        for row, cur, prev in zip(rows, current, previous):
+            if _agree(cur, prev):
+                out[row] = (cur, n, abs(cur - prev))
+            else:
+                unsettled.append(row)
+                kept.append(cur)
+        rows, previous = unsettled, kept
+    for row in rows:
+        out[row] = NoConvergence(
+            f"{what} did not stabilize by n={_MAX_NODES} nodes per panel"
+        )
+    return out
+
+
+def _gl_rows(edges, loc, scale, mass, f, n: int) -> list:
+    """n-node Gauss-Legendre estimates of E[f(x)], one per row.
+
+    Row i integrates f against the density of parent mean ``loc[i]``,
+    standard deviation ``scale[i]`` and kept mass ``mass[i]`` over the
+    standardized panels ``edges[i]``, n nodes on each; every row has the
+    same panel count.  Rows go through in blocks of at most
+    ``_BLOCK_NODES`` nodes (and at least one row) as node arrays of shape
+    (rows, panels * n); ``f`` gets a block's nodes as one flat array and
+    must act entry by entry.  The sum over a row's nodes is a stacked
+    matmul, the same dot product as for that row alone, so a row's value
+    does not depend on the rows batched with it.
+    """
+    nodes, weights = _gl_nodes(n)
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
+    block = max(1, _BLOCK_NODES // (half.shape[1] * n))
+    values = []
+    for start in range(0, len(edges), block):
+        b = slice(start, start + block)
+        ts = half[b, :, None] * nodes + mid[b, :, None]
+        xs = loc[b, None, None] + scale[b, None, None] * ts
+        ws = half[b, :, None] * weights * _norm_pdf(ts) / mass[b, None, None]
+        ws = ws.reshape(len(ts), -1)
+        fx = np.asarray(f(xs.ravel()), dtype=float).reshape(len(ts), -1)
+        values += (ws[:, None, :] @ fx[:, :, None])[:, 0, 0].tolist()
+    return values
+
+
+def expectation_rows(specs, f: Callable[[np.ndarray], np.ndarray]) -> list:
+    """E[f(x)] under each spec, by one Gauss-Legendre pass over all of them.
+
+    Specs are grouped by panel count, never padded, and each group runs the
+    fixed node schedule with a per-row agreement test (``_refine``), so only
+    unsettled rows go on to more nodes.  ``f`` must act entry by entry (see
+    ``_gl_rows``).  Returns one entry per spec: (value, n, delta), with n
+    the nodes per panel of the accepted estimate and delta its change from
+    the estimate before, or NoConvergence.
+    """
+    groups: dict[int, tuple[list, list]] = {}
+    for i, spec in enumerate(specs):
+        edges = _panel_edges(spec, *_integration_bounds(spec))
+        members, records = groups.setdefault(len(edges) - 1, ([], []))
+        members.append(i)
+        records.append((spec.mu_bar, spec.sigma_bar, spec.z, *edges))
+    out: list = [None] * len(specs)
+    for members, records in groups.values():
+        table = np.array(records)
+        records.clear()
+
+        def estimate(n: int, rows: list, table=table) -> list:
+            return _gl_rows(table[rows, 3:], *table[rows, :3].T, f, n)
+
+        for i, entry in zip(members, _refine(estimate, len(members), "expectation")):
+            out[i] = entry
+    return out
 
 
 def expectation(
@@ -361,13 +425,11 @@ def expectation(
     panel doubles from 200 until two successive estimates agree to 1e-12
     relative (or 1e-14 absolute near zero); integration is restricted to the
     part of [a, b] within 40 parent sigmas of mu_bar, outside which the
-    density underflows to zero.
+    density underflows to zero.  The one-spec case of ``expectation_rows``.
 
     Raises NoConvergence if the estimates have not stabilized by 1600 nodes.
     """
-    lo, hi = _integration_bounds(spec)
-    edges = _panel_edges(spec, lo, hi)
-    return _refine(lambda n: _gl_estimate(spec, f, n, edges), "expectation")
+    return unwrap(expectation_rows([spec], f)[0])[0]
 
 
 def shifted_moment_vector(
@@ -409,4 +471,5 @@ def shifted_moment_vector(
         powers = np.vander(shifted, order + 1, increasing=True)  # (n, order+1)
         return half * (powers.T @ (weights * dens_t))
 
-    return _refine(moment_block, "moment quadrature")
+    (entry,) = _refine(lambda n, rows: [moment_block(n)], 1, "moment quadrature")
+    return unwrap(entry)[0]

@@ -7,7 +7,8 @@ arrays, and the tests pin the two against each other.  The remaining helpers
 (density, scaling closure, recursion moments about a center, the direct
 Monte Carlo gap, occupancy and bigram counts, the Taylor limit of h_s, the
 per-step simulation loop) are oracles for the acceptance criteria and the
-unit tests.
+unit tests.  The one-array stationary solve and the one-spec Gauss-Legendre
+estimate are the scalar forms the batched kernels must match bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from transduction_mir import (
     DomainError,
     McEstimate,
+    NotIrreducible,
     OrderTooHigh,
     ReceptorSpec,
     StepTooLarge,
@@ -29,10 +31,12 @@ from transduction_mir import (
     sample,
     stationary_distribution,
 )
+from transduction_mir.errors import unwrap
 from transduction_mir.mir import _xlnx_vec
-from transduction_mir.receptor import _solve_stationary, step_kernel
+from transduction_mir.receptor import _solve_stationary, _strongly_connected, step_kernel
 from transduction_mir.truncgauss import (
     MAX_MOMENT_ORDER,
+    _gl_nodes,
     _l_coefficients,
     _moments_about,
     _norm_pdf,
@@ -123,7 +127,61 @@ def transition_matrix(q: RateMatrix, delta_t: float) -> TransitionMatrix:
 
 def steady_state(p_bar: TransitionMatrix) -> SteadyState:
     """Unique pi with pi @ P = pi and sum(pi) = 1; NotIrreducible otherwise."""
-    return SteadyState(probabilities=_solve_stationary(p_bar.entries))
+    return SteadyState(probabilities=unwrap(_solve_stationary(p_bar.entries[None])[0]))
+
+
+def solve_stationary_one(p: np.ndarray) -> np.ndarray:
+    """The stationary solve of one row-stochastic array, one call per array.
+
+    The augmented system with one balance equation replaced by the
+    normalization, then clip, renormalise and the 1e-10 residual check; the
+    package solves a whole stack of arrays in one call and must give each
+    the bits of this form.
+    """
+    k = p.shape[0]
+    off = p.copy()
+    np.fill_diagonal(off, 0.0)
+    if not _strongly_connected(off > 0.0):
+        raise NotIrreducible("the positive-probability transition graph is not strongly connected")
+    system = p.T - np.eye(k)
+    system[-1, :] = 1.0
+    rhs = np.zeros(k)
+    rhs[-1] = 1.0
+    pi = np.linalg.solve(system, rhs)
+    pi = np.clip(pi, 0.0, None)
+    pi /= pi.sum()
+    residual = float(np.abs(pi @ p - pi).max())
+    if residual > 1e-10:
+        raise NotIrreducible(f"stationary residual {residual:.2e} exceeds 1e-10")
+    return pi
+
+
+def mean_chain_stationary(spec: ReceptorSpec, mean_x: float) -> np.ndarray:
+    """``solve_stationary_one`` on the mean chain at mean_x, with the step
+    0.5 / max|q_ii| the package uses."""
+    q = spec.base + mean_x * spec.slope
+    scale = float(np.abs(np.diag(q)).max())
+    return solve_stationary_one(np.eye(spec.n_states) + (0.5 / scale) * q)
+
+
+def gl_estimate(spec: TruncatedGaussianSpec, f, n: int, edges) -> float:
+    """One Gauss-Legendre estimate of E[f(x)] with n nodes on each panel.
+
+    Builds each panel's nodes and weights in turn, concatenates them and
+    sums with one 1-D dot product: the one-spec form that the batched
+    ``expectation_rows`` must reproduce bit for bit in every row.
+    """
+    nodes, weights = _gl_nodes(n)
+    xs_parts = []
+    w_parts = []
+    for t0, t1 in zip(edges, edges[1:]):
+        half = 0.5 * (t1 - t0)
+        ts = half * nodes + 0.5 * (t1 + t0)
+        xs_parts.append(spec.mu_bar + spec.sigma_bar * ts)
+        w_parts.append(half * weights * _norm_pdf(ts))
+    xs = np.concatenate(xs_parts)
+    ws = np.concatenate(w_parts) / spec.z
+    return float(ws @ np.asarray(f(xs), dtype=float))
 
 
 def density(spec: TruncatedGaussianSpec, x):

@@ -63,7 +63,7 @@ class TestMir:
     @pytest.mark.parametrize(
         "argv, keys",
         [
-            ([], {"pi"}),
+            ([], {"pi", "nodes", "refine_delta"}),
             (["--method", "series"], {"tail_bound_nats"}),
             (
                 ["--method", "discrete"],
@@ -76,6 +76,13 @@ class TestMir:
         payload = json.loads(capsys.readouterr().out)
         assert list(payload) == ["value_bits_per_s", "method", "gain", "gap_nats", "diagnostics"]
         assert set(payload["diagnostics"]) == keys
+
+    def test_quadrature_cost_diagnostics(self, point_config, capsys):
+        # settled at 400 nodes per panel
+        assert main(["mir", "--config", str(point_config)]) == 0
+        diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diagnostics["nodes"] == 400
+        assert 0.0 <= diagnostics["refine_delta"] <= 1e-12
 
     def test_numerical_failure_exit_code(self, point_config, capsys):
         code = main(["mir", "--config", str(point_config), "--method", "discrete", "--delta-t", "0.9"])

@@ -23,10 +23,22 @@ from transduction_mir import (
     sensitive_gain,
     stationary_distribution,
 )
-from transduction_mir.receptor import _strongly_connected, step_kernel
+from transduction_mir.receptor import (
+    _solve_stationary,
+    _strongly_connected,
+    mean_chain_rows,
+    step_kernel,
+)
 from transduction_mir.truncgauss import sample
 from conftest import five_state_receptor
-from oracles import RateMatrix, build_rate_matrix, steady_state, transition_matrix
+from oracles import (
+    RateMatrix,
+    build_rate_matrix,
+    mean_chain_stationary,
+    solve_stationary_one,
+    steady_state,
+    transition_matrix,
+)
 
 
 def power_iteration_pi(p: np.ndarray, iters: int = 200_000, tol: float = 1e-14):
@@ -315,13 +327,6 @@ class TestAffinePair:
         assert first == second and hash(first) == hash(second)
         assert "base" not in repr(first) and "slope" not in repr(first)
 
-    def test_stationary_cache_hits_for_an_equal_spec(self):
-        stationary_distribution.cache_clear()
-        first = stationary_distribution(four_state_two_sensitive(), 0.37)
-        hits = stationary_distribution.cache_info().hits
-        assert stationary_distribution(four_state_two_sensitive(), 0.37) is first
-        assert stationary_distribution.cache_info().hits == hits + 1
-
 
 class TestStationaryDistribution:
     @pytest.mark.parametrize(
@@ -343,19 +348,59 @@ class TestStationaryDistribution:
 
     @pytest.mark.parametrize("mean_x", [-0.5, math.nan, math.inf])
     def test_rejects_invalid_mean(self, unit_chr2, mean_x):
-        # failures are not cached: every repeat raises again
-        stationary_distribution.cache_clear()
+        # every repeat raises again
         for _ in range(3):
             with pytest.raises(ValidationError):
                 stationary_distribution(unit_chr2, mean_x)
 
     def test_repeat_returns_identical_probabilities(self):
         spec = four_state_two_sensitive()
-        stationary_distribution.cache_clear()
         first = stationary_distribution(spec, 0.37).tobytes()
         assert stationary_distribution(spec, 0.37).tobytes() == first
-        stationary_distribution.cache_clear()
         assert stationary_distribution(spec, 0.37).tobytes() == first
+
+
+class TestMeanChainRows:
+    """All means solved as one stack, each row as its own one-array solve."""
+
+    @pytest.mark.parametrize("spec", AFFINE_SPECS, ids=lambda spec: spec.name)
+    def test_stack_equals_one_array_solves(self, spec):
+        rng = np.random.default_rng(11)
+        means = rng.uniform(1e-3, 5.0, 400).tolist() + [1.0, 1.0000011313117316, 0.37]
+        rows = mean_chain_rows(spec, means)
+        for (pi, gain), mean_x in zip(rows, means):
+            assert pi.tobytes() == stationary_distribution(spec, mean_x).tobytes()
+            assert pi.tobytes() == mean_chain_stationary(spec, mean_x).tobytes()
+            assert gain == sensitive_gain(spec, pi)
+            assert not pi.flags.writeable
+
+    def test_bad_means_fail_alone(self, unit_chr2):
+        means = [0.5, -0.5, 1.5, math.nan, 0.0, 2.5]
+        rows = mean_chain_rows(unit_chr2, means)
+        assert [type(row).__name__ for row in rows] == [
+            "tuple", "ValidationError", "tuple", "ValidationError", "NotIrreducible", "tuple",
+        ]
+        for i in (0, 2, 5):
+            assert rows[i][0].tobytes() == mean_chain_stationary(unit_chr2, means[i]).tobytes()
+
+    def test_each_check_runs_per_array(self):
+        good = np.array([[0.75, 0.25], [0.5, 0.5]])
+        other = np.array([[0.2, 0.8], [0.4, 0.6]])
+        stack = np.array([
+            good,
+            np.eye(2),  # no positive off-diagonal: not strongly connected
+            [[1.5, 0.5], [0.5, 0.5]],  # connected, but its augmented system is singular
+            [[0.5, 0.6], [0.5, 0.5]],  # solvable, with residual 0.05
+            other,
+        ])
+        rows = _solve_stationary(stack)
+        assert rows[0].tobytes() == solve_stationary_one(good).tobytes()
+        assert rows[4].tobytes() == solve_stationary_one(other).tobytes()
+        messages = [str(row) for row in rows[1:4]]
+        assert all(isinstance(row, NotIrreducible) for row in rows[1:4])
+        assert "not strongly connected" in messages[0]
+        assert "singular" in messages[1]
+        assert "residual 5.00e-02" in messages[2]
 
 
 class TestStepKernel:

@@ -11,20 +11,30 @@ from transduction_mir import (
     ConfigError,
     EmptySweep,
     GridAxis,
+    MirError,
+    ReceptorSpec,
     SweepConfig,
     SweepRow,
+    Transition,
+    TruncatedGaussianSpec,
     ValidationError,
     audit_rows,
+    estimate_mir,
     find_capacity,
+    mir_bounds,
+    mir_discrete,
+    mir_quadrature,
+    mir_series,
+    receptor,
     rows_from_csv,
     rows_from_json,
     rows_to_csv,
     rows_to_json,
     run_sweep,
+    simulate,
 )
-from transduction_mir import receptor
 from transduction_mir.cli import main
-from transduction_mir.sweep import CSV_HEADER, VALID_METHODS
+from transduction_mir.sweep import CSV_HEADER, VALID_METHODS, _derive_seed
 from transduction_mir.truncgauss import _gl_nodes
 
 
@@ -40,6 +50,44 @@ def small_config(unit_chr2, **overrides):
     )
     defaults.update(overrides)
     return SweepConfig(**defaults)
+
+
+def single_point_row(config, index, mu_bar, sigma_bar):
+    """The row a sweep should hold at one point, from the public
+    single-point functions called one method at a time in VALID_METHODS
+    order (the sweep's audit is not applied)."""
+    try:
+        dist = TruncatedGaussianSpec(mu_bar, sigma_bar, config.a, config.b)
+    except ValidationError as exc:
+        return SweepRow(mu_bar, sigma_bar, status=f"distribution:{type(exc).__name__}:{exc}")
+    spec = config.receptor
+    calls = {
+        "quadrature": lambda: {"mir_quadrature": mir_quadrature(spec, dist).value},
+        "series": lambda: {"mir_series": mir_series(spec, dist, config.series_k).value},
+        "discrete": lambda: {"mir_discrete": mir_discrete(spec, dist, config.delta_t).value},
+    }
+
+    def bounds(s):
+        pair = mir_bounds(spec, dist, s)
+        return {f"lb_s{s}": pair.lower, f"ub_s{s}": pair.upper}
+
+    calls["bounds_s2"] = lambda: bounds(2)
+    calls["bounds_s4"] = lambda: bounds(4)
+
+    def mc():
+        traj = simulate(spec, dist, config.delta_t, config.mc_n, _derive_seed(config.seed, index))
+        est = estimate_mir(traj, spec, dist)
+        return {"mc_value": est.value, "mc_stderr": est.stderr}
+
+    calls["mc"] = mc
+    values, problems = {"mu": dist.mu, "sigma2": dist.sigma2}, []
+    for method in VALID_METHODS:
+        if method in config.methods:
+            try:
+                values.update(calls[method]())
+            except MirError as exc:
+                problems.append(f"{method}:{type(exc).__name__}")
+    return SweepRow(mu_bar, sigma_bar, status=";".join(problems) or "ok", **values)
 
 
 class TestGridAxis:
@@ -166,13 +214,12 @@ class TestRunSweep:
         warm = rows_to_csv(run_sweep(config))
         assert cold == again == warm
 
-    def test_one_stationary_solve_per_point(self, unit_chr2, monkeypatch):
-        calls = []
+    def test_one_stacked_solve_per_sweep(self, unit_chr2, monkeypatch):
+        stacks = []
         solve = receptor._solve_stationary
         monkeypatch.setattr(
-            receptor, "_solve_stationary", lambda p: calls.append(1) or solve(p)
+            receptor, "_solve_stationary", lambda p: stacks.append(len(p)) or solve(p)
         )
-        receptor.stationary_distribution.cache_clear()
         config = small_config(
             unit_chr2,
             mu_bar_grid=GridAxis(0.5, 1.5, 2),
@@ -180,7 +227,37 @@ class TestRunSweep:
         )
         rows = run_sweep(config)
         assert [row.status for row in rows] == ["ok"] * 4
-        assert len(calls) == 4
+        assert stacks == [4]
+
+    # the reducible receptor fails every valid row's stationary solve; at
+    # delta_t = 0.75 discrete and mc fail with StepTooLarge, raised first
+    @pytest.mark.parametrize("delta_t", [1e-3, 0.75])
+    @pytest.mark.parametrize("spec", ["reducible", "chr2"])
+    def test_statuses_match_single_point_calls(self, unit_chr2, spec, delta_t):
+        receptor_spec = unit_chr2 if spec == "chr2" else ReceptorSpec(
+            "reducible",
+            ("A", "B", "C"),
+            (
+                Transition(0, 1, 1.0, True),
+                Transition(1, 0, 1.0, False),
+                Transition(2, 0, 1.0, False),  # nothing enters C
+            ),
+        )
+        config = small_config(
+            receptor_spec,
+            a=0.02,
+            mu_bar_grid=GridAxis(-3.0, 1.0, 3),  # mu_bar = -3 at sigma 0.05 keeps no mass
+            sigma_bar_grid=GridAxis(0.05, 0.5, 2),
+            methods=VALID_METHODS,
+            delta_t=delta_t,
+            mc_n=2000,
+        )
+        rows = run_sweep(config)
+        expected = [single_point_row(config, i, row.mu_bar, row.sigma_bar)
+                    for i, row in enumerate(rows)]
+        assert rows == expected
+        statuses = {row.status.split(":")[0] for row in rows}
+        assert "distribution" in statuses and len(statuses) > 1
 
     def test_audit_clean(self, unit_chr2):
         rows = run_sweep(small_config(unit_chr2, methods=("quadrature", "bounds_s2", "bounds_s4")))

@@ -5,8 +5,10 @@ scipy.stats.truncnorm oracles, independent of the package's own quadrature
 engine and recursion; the oracle code is kept inline where it is cheap.
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +26,18 @@ from transduction_mir import (
     shifted_moment_vector,
 )
 from transduction_mir import raw_moments as package_raw_moments
-from transduction_mir.truncgauss import _gl_nodes
+from transduction_mir.mir import _xlnx_vec
+from transduction_mir.truncgauss import (
+    _gl_nodes,
+    _gl_rows,
+    _integration_bounds,
+    _panel_edges,
+    expectation_rows,
+)
 from conftest import random_valid_dist
-from oracles import density, moments_about, scale
+from oracles import density, gl_estimate, moments_about, scale
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # FROZEN oracle values for the canonical spec (mu_bar=1, sigma_bar=0.5,
 # [1e-5, 2]), from adaptive quadrature at 1e-14 tolerance.
@@ -432,3 +443,91 @@ class TestExpectation:
         spec = TruncatedGaussianSpec(1.0, 0.5, 1e-5, 50.0)
         with np.errstate(all="ignore"), pytest.raises(NoConvergence):
             shifted_moment_vector(spec, 0.0, 400)
+
+
+def grid_specs(a, b, mu_axis, sigma_axis):
+    """Specs on a mu_bar-major grid; each axis is (min, max, steps)."""
+    return [
+        TruncatedGaussianSpec(float(m), float(s), a, b)
+        for m in np.linspace(*mu_axis)
+        for s in np.linspace(*sigma_axis)
+    ]
+
+
+def surface_specs():
+    sweep = json.loads((ROOT / "configs" / "capacity_surface.json").read_text())["sweep"]
+    axes = [tuple(sweep[k][f] for f in ("min", "max", "steps")) for k in ("mu_bar", "sigma_bar")]
+    return grid_specs(sweep["a"], sweep["b"], *axes)
+
+
+def one_spec_schedule(spec, f):
+    """The fixed schedule on one spec with the one-spec estimate:
+    (value, nodes per panel, last delta), or None if it never settles."""
+    edges = _panel_edges(spec, *_integration_bounds(spec))
+    n = 200
+    previous = gl_estimate(spec, f, n, edges)
+    while n < 1600:
+        n *= 2
+        current = gl_estimate(spec, f, n, edges)
+        if abs(current - previous) <= max(1e-12 * abs(current), 1e-14):
+            return current, n, abs(current - previous)
+        previous = current
+    return None
+
+
+class TestExpectationRows:
+    """The batched Gauss-Legendre pass gives every row the bits of the
+    one-spec estimate, whatever rows share its block."""
+
+    @pytest.mark.parametrize(
+        "specs, panels",
+        [
+            (surface_specs, 1),
+            (lambda: grid_specs(1e-5, 2.0, (0.05, 2.0, 50), (0.1, 3.0, 50)), 19),
+        ],
+        ids=["capacity_surface", "graded"],
+    )
+    def test_rows_equal_one_spec_estimates(self, specs, panels):
+        specs = specs()
+        edges = [_panel_edges(spec, *_integration_bounds(spec)) for spec in specs]
+        assert len(specs) == 2500 and {len(e) - 1 for e in edges} == {panels}
+        grid = np.array(edges)
+        params = np.array([(spec.mu_bar, spec.sigma_bar, spec.z) for spec in specs])
+        for n in (200, 400):
+            got = _gl_rows(grid, *params.T, _xlnx_vec, n)
+            assert got == [gl_estimate(spec, _xlnx_vec, n, e) for spec, e in zip(specs, edges)]
+
+    def test_mixed_panel_counts_follow_the_schedule(self):
+        specs = (
+            grid_specs(1e-5, 2.0, (0.2, 1.8, 6), (0.1, 1.0, 5))
+            + grid_specs(0.02, 2.0, (0.2, 1.8, 6), (0.1, 1.0, 5))
+            + grid_specs(1e-5, 1.0, (0.2, 0.8, 3), (0.1, 1.0, 3))
+            + [TruncatedGaussianSpec(1.0, 1e-8, 1e-5, 2.0)]
+        )
+        specs = specs[::2] + specs[1::2]  # interleave the panel groups
+        assert len({len(_panel_edges(s, *_integration_bounds(s))) for s in specs}) > 2
+        assert expectation_rows(specs, _xlnx_vec) == [
+            one_spec_schedule(spec, _xlnx_vec) for spec in specs
+        ]
+
+    def test_unsettled_row_fails_alone(self):
+        # x ln x plus a unit step at 1.0137: only the last window holds the step
+        step = lambda x: _xlnx_vec(x) + np.where(x > 1.0137, 1.0, 0.0)
+        sizes = []
+
+        def recorded(x):
+            sizes.append(x.size)
+            return step(x)
+
+        smooth = [TruncatedGaussianSpec(0.5, 0.01, 0.02, 2.0),
+                  TruncatedGaussianSpec(1.5, 0.01, 0.02, 2.0)]
+        stepped = TruncatedGaussianSpec(1.0, 0.5, 0.02, 2.0)
+        rows = expectation_rows([smooth[0], stepped, smooth[1]], recorded)
+        assert isinstance(rows[1], NoConvergence)
+        alone = [expectation_rows([spec], step)[0] for spec in smooth]
+        assert [rows[0], rows[2]] == alone == expectation_rows(smooth, step)
+        assert [row[1] for row in alone] == [400, 400]
+        # the settled rows stop at 400 nodes; only the stepped row goes on
+        assert sizes == [600, 1200, 800, 1600]
+        with pytest.raises(NoConvergence):
+            expectation(stepped, step)
