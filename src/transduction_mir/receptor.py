@@ -240,8 +240,10 @@ def _solve_stationary(p: np.ndarray) -> list:
     p = p[rows]
     system = p.transpose(0, 2, 1) - np.eye(k)
     system[:, -1, :] = 1.0
-    rhs = np.zeros((k, 1))
-    rhs[-1] = 1.0
+    # one (k, 1) column per array: numpy 1.x reads an rhs of one dimension
+    # less than the system as a stack of vectors, so give it the stack shape
+    rhs = np.zeros((len(rows), k, 1))
+    rhs[:, -1] = 1.0
     try:
         pi = np.linalg.solve(system, rhs)[..., 0]
     except np.linalg.LinAlgError:
@@ -249,7 +251,7 @@ def _solve_stationary(p: np.ndarray) -> list:
         pi = np.full((len(rows), k), np.nan)
         for j, i in enumerate(rows):
             try:
-                pi[j] = np.linalg.solve(system[j : j + 1], rhs)[0, :, 0]
+                pi[j] = np.linalg.solve(system[j : j + 1], rhs[j : j + 1])[0, :, 0]
             except np.linalg.LinAlgError as exc:
                 out[i] = NotIrreducible(f"stationary system is singular: {exc}")
     pi = np.clip(pi, 0.0, None)

@@ -237,7 +237,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
             )
 
     # the quadrature pass, with the larger temporaries, runs first; a
-    # point's inputs are dropped once its row is built, to bound peak memory
+    # point's distribution is dropped once its row is built, to bound peak memory
     valid = list(dists.values())
     if {"quadrature", "discrete"} & set(config.methods):
         e_xlnx = expectation_rows(valid, _xlnx_vec)
@@ -247,7 +247,6 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     del valid
     for k, index in enumerate(list(dists)):
         rows[index] = _compute_row(config, index, dists.pop(index), chains[k], e_xlnx[k])
-        chains[k] = e_xlnx[k] = None
 
     for index, message in audit_rows(rows):
         row = rows[index]

@@ -406,7 +406,6 @@ def expectation_rows(specs, f: Callable[[np.ndarray], np.ndarray]) -> list:
     out: list = [None] * len(specs)
     for members, records in groups.values():
         table = np.array(records)
-        records.clear()
 
         def estimate(n: int, rows: list, table=table) -> list:
             return _gl_rows(table[rows, 3:], *table[rows, :3].T, f, n)

@@ -402,6 +402,28 @@ class TestMeanChainRows:
         assert "singular" in messages[1]
         assert "residual 5.00e-02" in messages[2]
 
+    def test_rhs_has_the_stack_shape(self, monkeypatch, unit_chr2):
+        # numpy 1.x reads an rhs with one dimension less than the system as
+        # a stack of vectors and numpy 2.x as one matrix; an rhs with the
+        # system's dimension means the same under both
+        solve = np.linalg.solve
+        shapes = []
+
+        def solve_same_ndim(a, b):
+            shapes.append((a.shape, b.shape))
+            assert b.ndim == a.ndim and b.shape[:-1] == a.shape[:-1]
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_same_ndim)
+        stack = np.array([
+            [[0.75, 0.25], [0.5, 0.5]],
+            [[1.5, 0.5], [0.5, 0.5]],  # singular: takes the per-array fallback
+        ])
+        rows = _solve_stationary(stack)
+        assert isinstance(rows[1], NotIrreducible)
+        assert [pi.shape for pi, _ in mean_chain_rows(unit_chr2, [0.5, 1.5])] == [(3,), (3,)]
+        assert len(shapes) == 4  # stack, two fallbacks, then the chr2 stack
+
 
 class TestStepKernel:
     @pytest.mark.parametrize("spec", [chr2_skeleton(), four_state_two_sensitive()])
