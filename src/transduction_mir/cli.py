@@ -79,9 +79,10 @@ def _axis_from(entry, name: str) -> GridAxis:
     if not isinstance(entry, dict):
         raise ConfigError(f"sweep.{name}: missing or not an object")
     try:
-        return GridAxis(
-            min=float(entry["min"]), max=float(entry["max"]), steps=int(entry["steps"])
-        )
+        steps = entry["steps"]
+        if isinstance(steps, float) and not steps.is_integer():
+            raise ConfigError(f"steps must be a whole number, got {steps}")
+        return GridAxis(min=float(entry["min"]), max=float(entry["max"]), steps=int(steps))
     except KeyError as exc:
         raise ConfigError(f"sweep.{name}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -54,8 +54,9 @@ def unwrap(entry):
 
     The batched kernels return, per row, either a value or the MirError a
     scalar call on that row raises; the error is raised where the scalar
-    call would have raised it.
+    call would have raised it.  A stored error may be read many times, so
+    each raise starts a fresh traceback rather than growing the last one.
     """
     if isinstance(entry, MirError):
-        raise entry
+        raise entry.with_traceback(None)
     return entry

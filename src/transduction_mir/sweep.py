@@ -6,11 +6,12 @@ emits rows in mu_bar-major order.  Each grid-wide quantity is computed once,
 as an array kernel: after the input distribution of every point is built,
 the mean chains of all valid points are solved as one stack, and their
 Jensen gaps come from one Gauss-Legendre pass, integrated in row blocks.
-The methods then run point by point on those precomputed rows.  The scalar
-library functions are the same kernels on one point, so a row holds the
-bits a single-point call returns, and the failure it would raise.  Monte
-Carlo points derive independent seeds from (master seed, row index), so
-output is byte-identical across runs.
+Each point then has one entry per quantity, a value or the error that
+rejected it, and one pass over the grid turns a point's entries into its
+row.  The scalar library functions are the same kernels on one point, so a
+row holds the bits a single-point call returns, and the failure it would
+raise.  Monte Carlo points derive independent seeds from (master seed, row
+index), so output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ class GridAxis:
     steps: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
+            raise ConfigError(f"grid bounds must be finite, got [{self.min}, {self.max}]")
         if self.steps < 1:
             raise ConfigError(f"grid steps must be >= 1, got {self.steps}")
         if self.steps == 1:
@@ -83,6 +86,10 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not 0.0 <= self.a < self.b < math.inf:
+            raise ConfigError(
+                f"truncation must satisfy 0 <= a < b < inf, got [{self.a}, {self.b}]"
+            )
         for m in self.methods:
             if m not in VALID_METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {VALID_METHODS}")
@@ -150,31 +157,13 @@ def _derive_seed(master_seed: int, row_index: int) -> int:
     return int(np.random.SeedSequence([master_seed, row_index]).generate_state(1)[0])
 
 
-def _evaluate(
-    method: str, config: SweepConfig, dist: TruncatedGaussianSpec, index: int, chain, e_xlnx
-) -> dict:
-    """The SweepRow fields one method fills at one grid point, given the
-    point's entries of the mean chain and of E[x ln x] (see ``run_sweep``)."""
+def _compute_row(config: SweepConfig, index: int, point, dist, chain, e_xlnx) -> SweepRow:
+    """The SweepRow of one grid point from its entries (see ``run_sweep``):
+    its input distribution, or the ValidationError that rejected it, and,
+    for a distribution, its entries of the mean chain and of E[x ln x]."""
+    if isinstance(dist, ValidationError):
+        return SweepRow(*point, status=f"distribution:{type(dist).__name__}:{dist}")
     receptor = config.receptor
-    if method == "quadrature":
-        return {"mir_quadrature": _quadrature(dist, chain, e_xlnx).value}
-    if method == "series":
-        return {"mir_series": _series(dist, config.series_k, chain).value}
-    if method == "discrete":
-        return {"mir_discrete": _discrete(receptor, dist, config.delta_t, chain, e_xlnx).value}
-    if method == "mc":
-        seed = _derive_seed(config.seed, index)
-        traj = simulate(receptor, dist, config.delta_t, config.mc_n, seed)
-        est = estimate_mir(traj, receptor, dist)
-        return {"mc_value": est.value, "mc_stderr": est.stderr}
-    s = int(method.removeprefix("bounds_s"))
-    pair = _bounds(dist, s, chain)
-    return {f"lb_s{s}": pair.lower, f"ub_s{s}": pair.upper}
-
-
-def _compute_row(
-    config: SweepConfig, index: int, dist: TruncatedGaussianSpec, chain, e_xlnx
-) -> SweepRow:
     values = {"mu": dist.mu, "sigma2": dist.sigma2}
     problems: list[str] = []
     # VALID_METHODS order, whatever order the config lists them in
@@ -182,16 +171,25 @@ def _compute_row(
         if method not in config.methods:
             continue
         try:
-            values.update(_evaluate(method, config, dist, index, chain, e_xlnx))
+            if method == "quadrature":
+                values["mir_quadrature"] = _quadrature(dist, chain, e_xlnx).value
+            elif method == "series":
+                values["mir_series"] = _series(dist, config.series_k, chain).value
+            elif method == "discrete":
+                rate = _discrete(receptor, dist, config.delta_t, chain, e_xlnx)
+                values["mir_discrete"] = rate.value
+            elif method == "mc":
+                seed = _derive_seed(config.seed, index)
+                traj = simulate(receptor, dist, config.delta_t, config.mc_n, seed)
+                est = estimate_mir(traj, receptor, dist)
+                values.update(mc_value=est.value, mc_stderr=est.stderr)
+            else:
+                s = int(method.removeprefix("bounds_s"))
+                pair = _bounds(dist, s, chain)
+                values.update({f"lb_s{s}": pair.lower, f"ub_s{s}": pair.upper})
         except MirError as exc:
             problems.append(f"{method}:{type(exc).__name__}")
-
-    return SweepRow(
-        mu_bar=dist.mu_bar,
-        sigma_bar=dist.sigma_bar,
-        status=";".join(problems) if problems else "ok",
-        **values,
-    )
+    return SweepRow(*point, status=";".join(problems) or "ok", **values)
 
 
 def audit_rows(rows: Sequence[SweepRow]) -> list[tuple[int, str]]:
@@ -222,31 +220,28 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         for mu_bar in config.mu_bar_grid.values()
         for sigma_bar in config.sigma_bar_grid.values()
     ]
-    rows: list = [None] * len(points)
-    dists = {}
-    for index, (mu_bar, sigma_bar) in enumerate(points):
+    # one entry per point: its distribution, or the error that rejected it
+    dists: list = []
+    for mu_bar, sigma_bar in points:
         try:
-            dists[index] = TruncatedGaussianSpec(
-                mu_bar=mu_bar, sigma_bar=sigma_bar, a=config.a, b=config.b
-            )
+            dists.append(TruncatedGaussianSpec(mu_bar, sigma_bar, config.a, config.b))
         except ValidationError as exc:
-            rows[index] = SweepRow(
-                mu_bar=mu_bar,
-                sigma_bar=sigma_bar,
-                status=f"distribution:{type(exc).__name__}:{exc}",
-            )
+            dists.append(exc)
 
     # the quadrature pass, with the larger temporaries, runs first; a
     # point's distribution is dropped once its row is built, to bound peak memory
-    valid = list(dists.values())
+    valid = [dist for dist in dists if not isinstance(dist, ValidationError)]
     if {"quadrature", "discrete"} & set(config.methods):
         e_xlnx = expectation_rows(valid, _xlnx_vec)
     else:
         e_xlnx = [None] * len(valid)
-    chains = mean_chain_rows(config.receptor, [dist.mu for dist in valid])
+    entries = zip(mean_chain_rows(config.receptor, [dist.mu for dist in valid]), e_xlnx)
     del valid
-    for k, index in enumerate(list(dists)):
-        rows[index] = _compute_row(config, index, dists.pop(index), chains[k], e_xlnx[k])
+    rows = []
+    for index, point in enumerate(points):
+        dist, dists[index] = dists[index], None
+        chain, xlnx = (None, None) if isinstance(dist, ValidationError) else next(entries)
+        rows.append(_compute_row(config, index, point, dist, chain, xlnx))
 
     for index, message in audit_rows(rows):
         row = rows[index]

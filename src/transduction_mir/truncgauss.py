@@ -317,41 +317,32 @@ def _panel_edges(spec: TruncatedGaussianSpec, lo: float, hi: float) -> tuple[flo
     return tuple(edges)
 
 
-def _agree(current, previous) -> bool:
-    """Two successive estimates (floats, or arrays entry by entry) agree to
-    ``_RTOL`` relative, or ``_ATOL`` absolute near zero."""
-    if isinstance(current, float):
-        return abs(current - previous) <= max(_RTOL * abs(current), _ATOL)
-    return all(map(_agree, current.tolist(), previous.tolist()))
-
-
-def _refine(estimate: Callable[[int, list], list], count: int, what: str) -> list:
+def _refine(estimate: Callable[[int, np.ndarray], list], count: int, what: str) -> list:
     """Run ``estimate(n, rows)`` on the fixed node schedule until each row settles.
 
-    ``estimate(n, rows)`` returns one estimate (a float, or an array compared
-    entry by entry) per row index in ``rows``.  n starts at
-    ``_INITIAL_NODES`` and doubles; a row whose estimate agrees with its
-    predecessor keeps it, and only the unsettled rows go on to the next n.
-    Returns one entry per row: (estimate, n, |estimate - previous
-    estimate|), or NoConvergence for a row still unsettled once
+    ``estimate(n, rows)`` returns one estimate per row index in the array
+    ``rows``: a float, or a vector compared entry by entry.  n starts at
+    ``_INITIAL_NODES`` and doubles; a row whose every entry agrees with its
+    predecessor to ``_RTOL`` relative (``_ATOL`` absolute near zero) keeps
+    its estimate, and only the unsettled rows go on to the next n.  Returns
+    one entry per row: (estimate, n, |estimate - previous estimate|), as
+    floats or lists, or NoConvergence for a row still unsettled once
     ``_MAX_NODES`` was tried.
     """
     n = _INITIAL_NODES
-    rows = list(range(count))
-    previous = estimate(n, rows)
+    rows = np.arange(count)
+    previous = np.asarray(estimate(n, rows))
     out: list = [None] * count
-    while rows and n < _MAX_NODES:
+    while rows.size and n < _MAX_NODES:
         n *= 2
-        current = estimate(n, rows)
-        unsettled, kept = [], []
-        for row, cur, prev in zip(rows, current, previous):
-            if _agree(cur, prev):
-                out[row] = (cur, n, abs(cur - prev))
-            else:
-                unsettled.append(row)
-                kept.append(cur)
-        rows, previous = unsettled, kept
-    for row in rows:
+        current = np.asarray(estimate(n, rows))
+        delta = np.abs(current - previous)
+        agree = delta <= np.maximum(_RTOL * np.abs(current), _ATOL)
+        settled = agree.reshape(rows.size, -1).all(axis=1)
+        for row, value, change in zip(*(v[settled].tolist() for v in (rows, current, delta))):
+            out[row] = (value, n, change)
+        rows, previous = rows[~settled], current[~settled]
+    for row in rows.tolist():
         out[row] = NoConvergence(
             f"{what} did not stabilize by n={_MAX_NODES} nodes per panel"
         )
@@ -407,7 +398,7 @@ def expectation_rows(specs, f: Callable[[np.ndarray], np.ndarray]) -> list:
     for members, records in groups.values():
         table = np.array(records)
 
-        def estimate(n: int, rows: list, table=table) -> list:
+        def estimate(n: int, rows: np.ndarray, table=table) -> list:
             return _gl_rows(table[rows, 3:], *table[rows, :3].T, f, n)
 
         for i, entry in zip(members, _refine(estimate, len(members), "expectation")):
@@ -440,7 +431,8 @@ def shifted_moment_vector(
     |b - center|)^m, so no cancellation occurs.  Used as the production path
     for the series evaluation, for which the recursion loses too many digits
     beyond order ~25.  Refined on the same node schedule as ``expectation``,
-    every order to the same tolerance.
+    every order from 2 up to the same tolerance; orders 0 and 1 are the
+    closed forms 1 and ``mu - center``.
 
     A one-sided window (alpha > 0 or beta < 0) keeps its mass at the near
     edge, and a far end many sigmas away stalls the node schedule.  It is cut
@@ -468,7 +460,11 @@ def shifted_moment_vector(
         # (x - center) built from exact t keeps full relative precision
         shifted = (spec.mu_bar - center) + spec.sigma_bar * ts
         powers = np.vander(shifted, order + 1, increasing=True)  # (n, order+1)
-        return half * (powers.T @ (weights * dens_t))
+        block = half * (powers.T @ (weights * dens_t))
+        # orders 0 and 1 have closed forms; the rounding noise of their
+        # quadrature (order 1 is near 0) must not hold back the agreement test
+        block[:2] = (1.0, spec.mu - center)[: order + 1]
+        return block
 
     (entry,) = _refine(lambda n, rows: [moment_block(n)], 1, "moment quadrature")
-    return unwrap(entry)[0]
+    return np.array(unwrap(entry)[0])

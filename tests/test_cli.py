@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -218,11 +219,31 @@ class TestConfigErrors:
         assert main(["mir", "--config", str(bad)]) == 2
 
     def test_bad_grid(self, point_config):
-        doc = json.loads(point_config.read_text())
-        doc["sweep"]["mu_bar"]["steps"] = 0
-        bad = point_config.parent / "bad_grid.json"
-        bad.write_text(json.dumps(doc))
-        assert main(["sweep", "--config", str(bad)]) == 2
+        # a bad grid or truncation fails the whole sweep before any row is
+        # computed; series is left out, as its own support check would reject
+        # some of these intervals
+        cases = [
+            {"mu_bar": {"steps": 0}},
+            {"mu_bar": {"steps": 2.7}},
+            {"sigma_bar": {"steps": math.inf}},
+            {"mu_bar": {"min": -math.inf}},
+            {"a": -1.0},
+            {"a": 3.0, "b": 2.0},
+            {"b": math.inf},
+        ]
+        for case in cases:
+            doc = json.loads(point_config.read_text())
+            doc["sweep"]["methods"] = ["quadrature", "bounds_s2"]
+            for key, value in case.items():
+                if isinstance(value, dict):
+                    doc["sweep"][key].update(value)
+                else:
+                    doc["sweep"][key] = value
+            bad = point_config.parent / "bad_grid.json"
+            bad.write_text(json.dumps(doc))
+            out = point_config.parent / "bad_grid.csv"
+            assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2, case
+            assert not out.exists(), case
 
     @pytest.mark.parametrize("field, value", [("b", 2.5), ("a", 0.0)], ids=["b=2.5", "a=0"])
     @pytest.mark.parametrize(

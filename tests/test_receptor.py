@@ -7,6 +7,7 @@ pinned against.
 """
 
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from transduction_mir import (
     sensitive_gain,
     stationary_distribution,
 )
+from transduction_mir.errors import unwrap
 from transduction_mir.receptor import (
     _solve_stationary,
     _strongly_connected,
@@ -382,6 +384,17 @@ class TestMeanChainRows:
         ]
         for i in (0, 2, 5):
             assert rows[i][0].tobytes() == mean_chain_stationary(unit_chr2, means[i]).tobytes()
+
+    def test_stored_error_raises_with_a_fresh_traceback(self, unit_chr2):
+        # every method reading a row raises its stored error again; each raise
+        # must not carry the frames of the raises before it
+        (entry,) = mean_chain_rows(unit_chr2, [-0.5])
+        lengths = []
+        for _ in range(3):
+            with pytest.raises(ValidationError) as info:
+                unwrap(entry)
+            lengths.append(len(traceback.extract_tb(info.value.__traceback__)))
+        assert lengths == [lengths[0]] * 3
 
     def test_each_check_runs_per_array(self):
         good = np.array([[0.75, 0.25], [0.5, 0.5]])

@@ -201,6 +201,28 @@ class TestFarTail:
             rtol=1e-11,
         )
 
+    @pytest.mark.parametrize(
+        "args, raw, central",
+        [
+            # mpmath quadrature of the density, 50 digits (confirmed at 130),
+            # the central moment about the exact mean
+            ((-0.5, 0.08475, 1e-5, 2.0),
+             1.1637299416531227256750092374068958225571926080843e-41,
+             1.8057405893316245402705981622669427689992737407127e-42),
+            ((-0.1, 1.0, 0.05, 50.0),
+             5.6955789889615196415871674621547984274356969474779e+43,
+             7.7976166449365560676226675842354967624645349486784e+40),
+        ],
+        ids=["sigma=0.08475", "b=50"],
+    )
+    def test_order_64_table(self, args, raw, central):
+        # the quadrature's order 1 about the mean, exactly 0, moved by 3e-13
+        # and 3e-12 between 800 and 1600 nodes, never meeting the 1e-14 floor:
+        # the table raised NoConvergence though every order it takes settled
+        table = package_raw_moments(TruncatedGaussianSpec(*args), 64)
+        assert table.raw[64] == pytest.approx(raw, rel=1e-12)
+        assert table.central[64] == pytest.approx(central, rel=1e-12)
+
     def test_sample_far_tail(self):
         spec = TruncatedGaussianSpec(-7.0, 1.0, 0.0, 2.0)
         n = 100_000
