@@ -19,6 +19,7 @@ from scipy.stats import spearmanr  # noqa: E402
 
 from transduction_mir import find_capacity, rows_from_csv  # noqa: E402
 from transduction_mir.cli import main  # noqa: E402
+from transduction_mir.sweep import _edge_note  # noqa: E402
 
 
 def run() -> int:
@@ -37,8 +38,14 @@ def run() -> int:
     by_upper = find_capacity(rows, by="ub_s2")
     print(f"wrote {out}")
     print(f"spearman(exact, upper_s2) = {rho:.4f}")
-    print(f"capacity by exact rate: mu_bar={by_exact[0]:.4f} sigma_bar={by_exact[1]:.4f} value={by_exact[2]:.6f} bits/s")
-    print(f"capacity by s=2 upper:  mu_bar={by_upper[0]:.4f} sigma_bar={by_upper[1]:.4f} value={by_upper[2]:.6f} bits/s")
+    for label, (mu_bar, sigma_bar, value) in (
+        ("exact rate", by_exact),
+        ("s=2 upper", by_upper),
+    ):
+        print(
+            f"capacity by {label + ':':11} mu_bar={mu_bar:.4f} sigma_bar={sigma_bar:.4f} "
+            f"value={value:.6f} bits/s{_edge_note(rows, mu_bar, sigma_bar)}"
+        )
     return 0
 
 

@@ -10,6 +10,14 @@ mu_i the central moments,
 because h is monotonically decreasing in x (f^(s-1) is concave for both
 s = 2 and s = 4: f''' = -1/x^2 < 0 and f^(5) = -6/x^4 < 0).  Multiplying by
 the receptor gain turns gap bounds in nats into rate bounds in bits/s.
+
+The bounds of many distributions are one array pass (``_bounds_rows``):
+moment tables, remainders and checks run on arrays, one row per
+distribution, and each row ends as its bounds or the error that rejected
+it.  ``mir_bounds``, ``jensen_gap_bounds`` and ``h_s`` are the one-row
+case.  Powers, logs and correctly rounded sums are taken entry by entry with
+Python's ``**``, ``math.log`` and ``math.fsum``, so a row has the bits of a
+scalar evaluation of the formulas above.
 """
 
 from __future__ import annotations
@@ -18,20 +26,31 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import DegenerateArgument, DomainError, ValidationError, unwrap
-from .mir import xlnx
+import numpy as np
 
-# stationary_distribution is not called here: perfbench's tracer wraps
-# ``bounds.stationary_distribution`` and perfbench/tests/test_tracer.py looks
-# up every wrapped name without a default.  Remove it with that wrap.
+from .errors import DegenerateArgument, DomainError, MirError, ValidationError, mark_rows, unwrap
+
+# stationary_distribution and raw_moments are not called here: perfbench's
+# tracer wraps ``bounds.stationary_distribution`` and ``bounds.raw_moments``,
+# and perfbench/tests/test_tracer.py looks up every wrapped name without a
+# default.  Remove them with those wraps.
 from .receptor import ReceptorSpec, mean_chain_rows, stationary_distribution  # noqa: F401
-from .truncgauss import TruncatedGaussianSpec, raw_moments
+from .truncgauss import (
+    TruncatedGaussianSpec,
+    _fsum_rows,
+    _moment_rows,
+    _pow_rows,
+    raw_moments,  # noqa: F401
+)
 
 #: Below this separation the remainder quotient is numerically meaningless;
 #: its value at x = mu is the Taylor limit f^(s)(mu)/s!.
 MIN_SEPARATION = 1e-10
 
 _SUPPORTED_ORDERS = (2, 4)
+
+# Distributions per block in ``_bounds_rows``.
+_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -50,24 +69,80 @@ class BoundPair:
     diagnostics: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.s not in _SUPPORTED_ORDERS:
-            raise ValidationError(f"s must be one of {_SUPPORTED_ORDERS}, got {self.s}")
-        if self.lower > self.upper + 1e-12 * max(1.0, abs(self.upper)):
-            raise ValidationError(
-                f"lower bound {self.lower} exceeds upper bound {self.upper}"
-            )
-        # nonnegativity of the lower bound is a theorem only for s = 2
-        if self.s == 2 and self.lower < -1e-9:
-            raise ValidationError(f"s=2 lower bound {self.lower} is negative")
+        _check_order(self.s)
+        errors = [None]
+        _mark_pair_errors(errors, np.array([self.lower]), np.array([self.upper]), self.s)
+        unwrap(errors[0])
 
     @property
     def width(self) -> float:
         return self.upper - self.lower
 
 
-def _f_derivatives(mu: float) -> tuple[float, float, float]:
-    """(f', f'', f''') of x ln x at mu: ln(mu)+1, 1/mu, -1/mu^2."""
-    return (math.log(mu) + 1.0, 1.0 / mu, -1.0 / (mu * mu))
+def _check_order(s: int) -> None:
+    if s not in _SUPPORTED_ORDERS:
+        raise ValidationError(f"s must be one of {_SUPPORTED_ORDERS}, got {s}")
+
+
+def _mark_pair_errors(errors: list, lower: np.ndarray, upper: np.ndarray, s: int) -> None:
+    """The ``BoundPair`` checks on rows of rate bounds, marked as by ``mark_rows``."""
+    mark_rows(
+        errors,
+        lower > upper + 1e-12 * np.maximum(1.0, np.abs(upper)),
+        lambda i: ValidationError(f"lower bound {lower[i]} exceeds upper bound {upper[i]}"),
+    )
+    # nonnegativity of the lower bound is a theorem only for s = 2
+    if s == 2:
+        mark_rows(
+            errors,
+            lower < -1e-9,
+            lambda i: ValidationError(f"s=2 lower bound {lower[i]} is negative"),
+        )
+
+
+def _log_rows(x: np.ndarray) -> np.ndarray:
+    """ln(x) entry by entry with ``math.log``, whose last bit ``np.log`` does
+    not always match.  Raises ValueError at x <= 0, as math.log does."""
+    return np.array(list(map(math.log, x.tolist())), dtype=float)
+
+
+def _f_derivatives(mu: np.ndarray, log_mu: np.ndarray) -> tuple:
+    """(f', f'', f''') of x ln x at each mu: ln(mu)+1, 1/mu, -1/mu^2."""
+    return (log_mu + 1.0, 1.0 / mu, -1.0 / (mu * mu))
+
+
+def _h_rows(x: np.ndarray, mu: np.ndarray, s: int) -> tuple[np.ndarray, list]:
+    """h(x[r]; mu[r]) of order s for every row r (see ``h_s``).
+
+    Returns the values, nan where a row fails, and per row the error
+    ``h_s`` raises there, or None.  Only the rows that pass are evaluated.
+    """
+    errors: list = [None] * len(x)
+    dx = x - mu
+    mark_rows(errors, x < 0.0, lambda i: DomainError(f"h_s requires x >= 0, got {x[i]}"))
+    mark_rows(errors, mu <= 0.0, lambda i: DomainError(f"h_s requires mu > 0, got {mu[i]}"))
+    mark_rows(
+        errors,
+        np.abs(dx) < MIN_SEPARATION,
+        lambda i: DegenerateArgument(
+            f"|x - mu| = {abs(dx[i]):.2e} is below {MIN_SEPARATION}; "
+            f"the continuous extension there is the limit f^(s)(mu)/s!"
+        ),
+    )
+    ok = np.array([error is None for error in errors], dtype=bool)
+    x, mu, dx = x[ok], mu[ok], dx[ok]
+    log_mu = _log_rows(mu)
+    derivs = _f_derivatives(mu, log_mu)
+    # x ln x, continuously 0 at x = 0
+    f_x = np.zeros_like(x)
+    inside = x != 0.0
+    f_x[inside] = x[inside] * _log_rows(x[inside])
+    value = (f_x - mu * log_mu) / _pow_rows(dx, s)
+    for i in range(1, s):
+        value -= derivs[i - 1] / (math.factorial(i) * _pow_rows(dx, s - i))
+    values = np.full(len(ok), np.nan)
+    values[ok] = value
+    return values, errors
 
 
 def h_s(x: float, mu: float, s: int) -> float:
@@ -78,43 +153,63 @@ def h_s(x: float, mu: float, s: int) -> float:
 
     Only f(x) itself is evaluated at x, so x = 0 is fine via the continuous
     extension.  Raises DegenerateArgument when |x - mu| < 1e-10; at the
-    expansion point h is its limit f^(s)(mu)/s!.
+    expansion point h is its limit f^(s)(mu)/s!.  The one-row case of the
+    remainder kernel of ``_bounds_rows``.
     """
-    if s not in _SUPPORTED_ORDERS:
-        raise ValidationError(f"s must be one of {_SUPPORTED_ORDERS}, got {s}")
-    if x < 0.0:
-        raise DomainError(f"h_s requires x >= 0, got {x}")
-    if mu <= 0.0:
-        raise DomainError(f"h_s requires mu > 0, got {mu}")
-    dx = x - mu
-    if abs(dx) < MIN_SEPARATION:
-        raise DegenerateArgument(
-            f"|x - mu| = {abs(dx):.2e} is below {MIN_SEPARATION}; "
-            f"the continuous extension there is the limit f^(s)(mu)/s!"
-        )
-    derivs = _f_derivatives(mu)
-    value = (xlnx(x) - xlnx(mu)) / dx**s
-    for i in range(1, s):
-        value -= derivs[i - 1] / (math.factorial(i) * dx ** (s - i))
-    return value
+    _check_order(s)
+    values, (error,) = _h_rows(np.array([x], dtype=float), np.array([mu], dtype=float), s)
+    unwrap(error)
+    return float(values[0])
 
 
-def _gap_bounds(dist: TruncatedGaussianSpec, s: int) -> tuple[float, float, float]:
-    """(lower, upper, mu_s): the gap bounds in nats and the central moment
-    of order s that multiplies the remainder; see ``jensen_gap_bounds``."""
-    if s not in _SUPPORTED_ORDERS:
-        raise ValidationError(f"s must be one of {_SUPPORTED_ORDERS}, got {s}")
-    table = raw_moments(dist, s)
-    mu = dist.mu
-    derivs = _f_derivatives(mu)
-    prefix = math.fsum(
-        float(table.central[i]) * derivs[i - 1] / math.factorial(i)
-        for i in range(1, s)
-    )
-    mu_s = float(table.central[s])
-    lower = prefix + h_s(dist.b, mu, s) * mu_s
-    upper = prefix + h_s(dist.a, mu, s) * mu_s
-    return lower, upper, mu_s
+def _bounds_rows(dists, s: int, chains=None) -> list:
+    """Gap and rate bounds of order s for every distribution, as one array pass.
+
+    ``chains`` holds each distribution's ``mean_chain_rows`` entry; without
+    it no gain enters and only the gap bounds are checked.  Returns one
+    entry per distribution: (gap_lower, gap_upper, mu_s, gain), the gap
+    bounds in nats, the central moment of order s and the gain (None
+    without ``chains``), or the MirError a one-point call raises for it.
+    The checks keep the one-point order: the moment table, h(b), h(a), the
+    mean chain, then the ``BoundPair`` checks on gain times the gap bounds.
+    Distributions go through in blocks of ``_BLOCK_ROWS``, which bounds the
+    temporaries; every operation acts row by row, so blocks do not change
+    a row's bits.
+    """
+    _check_order(s)
+    out: list = []
+    for first in range(0, len(dists), _BLOCK_ROWS):
+        rows = slice(first, first + _BLOCK_ROWS)
+        out += _bounds_block(dists[rows], s, None if chains is None else chains[rows])
+    return out
+
+
+def _bounds_block(dists, s: int, chains) -> list:
+    """``_bounds_rows`` on one block of distributions."""
+    _, central, errors = _moment_rows(dists, s)
+    live = np.flatnonzero([error is None for error in errors])
+    mu, a, b = np.array([(d.mu, d.a, d.b) for d in dists], dtype=float).reshape(-1, 3)[live].T
+    derivs = _f_derivatives(mu, _log_rows(mu))
+    terms = [central[live, i] * derivs[i - 1] / math.factorial(i) for i in range(1, s)]
+    (prefix,) = _fsum_rows(np.stack(terms, axis=1), [(0, s - 1)]).T
+    mu_s = central[live, s]
+    h_b, b_errors = _h_rows(b, mu, s)
+    h_a, a_errors = _h_rows(a, mu, s)
+    gap_lower = prefix + h_b * mu_s
+    gap_upper = prefix + h_a * mu_s
+    stage = [eb if eb is not None else ea for eb, ea in zip(b_errors, a_errors)]
+    gains = [None] * len(live)
+    if chains is not None:
+        entries = [chains[i] for i in live.tolist()]
+        failed = [isinstance(entry, MirError) for entry in entries]
+        mark_rows(stage, failed, lambda j: entries[j])
+        gain = np.array([np.nan if bad else e[1] for bad, e in zip(failed, entries)], dtype=float)
+        _mark_pair_errors(stage, gain * gap_lower, gain * gap_upper, s)
+        gains = gain.tolist()
+    values = zip(gap_lower.tolist(), gap_upper.tolist(), mu_s.tolist(), gains)
+    for i, error, value in zip(live.tolist(), stage, values):
+        errors[i] = value if error is None else error
+    return errors
 
 
 def jensen_gap_bounds(
@@ -127,23 +222,20 @@ def jensen_gap_bounds(
     the bounds reduce to h(endpoint; mu) * sigma^2; for s = 4 the second and
     third central moments enter through the Taylor prefix.
 
-    a = 0 is admitted: only f(0) = 0 is needed there.
+    a = 0 is admitted: only f(0) = 0 is needed there.  The one-row case of
+    ``_bounds_rows``, without a mean chain.
     """
-    lower, upper, _ = _gap_bounds(dist, s)
+    lower, upper, _, _ = unwrap(_bounds_rows([dist], s)[0])
     return lower, upper
 
 
 def mir_bounds(
     spec: ReceptorSpec, dist: TruncatedGaussianSpec, s: int
 ) -> BoundPair:
-    """Rate bounds in bits/s: gain times the gap bounds."""
-    return _bounds(dist, s, mean_chain_rows(spec, [dist.mu])[0])
-
-
-def _bounds(dist: TruncatedGaussianSpec, s: int, chain) -> BoundPair:
-    """``mir_bounds`` from its ``mean_chain_rows`` entry."""
-    gap_lower, gap_upper, mu_s = _gap_bounds(dist, s)
-    _, gain = unwrap(chain)
+    """Rate bounds in bits/s: gain times the gap bounds; the one-row case of
+    ``_bounds_rows``."""
+    chains = mean_chain_rows(spec, [dist.mu])
+    gap_lower, gap_upper, mu_s, gain = unwrap(_bounds_rows([dist], s, chains)[0])
     return BoundPair(
         lower=gain * gap_lower,
         upper=gain * gap_upper,

@@ -24,6 +24,7 @@ from .sweep import (
     GridAxis,
     SweepConfig,
     _check_ranges,
+    _edge_note,
     _format_rows,
     find_capacity,
     run_sweep,
@@ -75,14 +76,20 @@ def _distribution_from(doc: dict) -> TruncatedGaussianSpec:
         raise ConfigError(f"distribution: {exc}") from exc
 
 
+def _whole_number(value, name: str) -> int:
+    """``int(value)`` for a config field that counts something; a float
+    must be whole (so not infinite or nan), never truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be a whole number, got {value}")
+    return int(value)
+
+
 def _axis_from(entry, name: str) -> GridAxis:
     if not isinstance(entry, dict):
         raise ConfigError(f"sweep.{name}: missing or not an object")
     try:
-        steps = entry["steps"]
-        if isinstance(steps, float) and not steps.is_integer():
-            raise ConfigError(f"steps must be a whole number, got {steps}")
-        return GridAxis(min=float(entry["min"]), max=float(entry["max"]), steps=int(steps))
+        steps = _whole_number(entry["steps"], "steps")
+        return GridAxis(min=float(entry["min"]), max=float(entry["max"]), steps=steps)
     except KeyError as exc:
         raise ConfigError(f"sweep.{name}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -93,7 +100,9 @@ def _seed_from(doc: dict, args) -> int:
     if args.seed is not None:
         return args.seed
     try:
-        return int(doc.get("seed", 0))
+        return _whole_number(doc.get("seed", 0), "seed")
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"seed: {exc}") from exc
 
@@ -115,11 +124,9 @@ def _sweep_config(doc: dict, args, config_path: str) -> SweepConfig:
         a = float(a)
         b = float(b)
         # a run parameter the config leaves out takes SweepConfig's default
-        run = {
-            key: cast(entry[key])
-            for key, cast in (("series_k", int), ("delta_t", float), ("mc_n", int))
-            if key in entry
-        }
+        run = {key: _whole_number(entry[key], key) for key in ("series_k", "mc_n") if key in entry}
+        if "delta_t" in entry:
+            run["delta_t"] = float(entry["delta_t"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"sweep: non-numeric field: {exc}") from exc
     return SweepConfig(
@@ -254,7 +261,8 @@ def _cmd_sweep(args) -> int:
         mu_bar, sigma_bar, value = find_capacity(rows, by=args.capacity_by)
         print(
             f"capacity-achieving point by {args.capacity_by}: "
-            f"mu_bar={mu_bar!r} sigma_bar={sigma_bar!r} value={value!r}",
+            f"mu_bar={mu_bar!r} sigma_bar={sigma_bar!r} value={value!r}"
+            f"{_edge_note(rows, mu_bar, sigma_bar)}",
             file=sys.stderr,
         )
     return 0

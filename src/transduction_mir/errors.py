@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how the batched kernels
+carry them per row."""
+
+import numpy as np
 
 
 class MirError(Exception):
@@ -60,3 +63,15 @@ def unwrap(entry):
     if isinstance(entry, MirError):
         raise entry.with_traceback(None)
     return entry
+
+
+def mark_rows(errors: list, failed, make) -> None:
+    """Give each row that the mask ``failed`` selects, and that has no error
+    yet, the error ``make(row)``.
+
+    Run in the order a scalar call makes its checks, this leaves each row
+    the first error that call raises.
+    """
+    for row in np.nonzero(failed)[0].tolist():
+        if errors[row] is None:
+            errors[row] = make(row)

@@ -4,8 +4,9 @@ A sweep evaluates the selected methods at every grid point, never aborting
 on a per-point numerical failure (the row's status column records it), and
 emits rows in mu_bar-major order.  Each grid-wide quantity is computed once,
 as an array kernel: after the input distribution of every point is built,
-the mean chains of all valid points are solved as one stack, and their
-Jensen gaps come from one Gauss-Legendre pass, integrated in row blocks.
+the mean chains of all valid points are solved as one stack, their
+Jensen gaps come from one Gauss-Legendre pass, integrated in row blocks,
+and the bounds of each selected order s = 2, 4 come from one array pass.
 Each point then has one entry per quantity, a value or the error that
 rejected it, and one pass over the grid turns a point's entries into its
 row.  The scalar library functions are the same kernels on one point, so a
@@ -26,11 +27,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 # mir_bounds, mir_discrete, mir_quadrature and mir_series are not called here:
-# the sweep runs their per-row cores on precomputed rows.  perfbench's tracer
-# wraps these names and perfbench/tests/test_tracer.py looks each up without
-# a default; remove them together with those wraps.
-from .bounds import _bounds, mir_bounds  # noqa: F401
-from .errors import ConfigError, EmptySweep, MirError, ValidationError
+# the sweep runs their row kernels and per-row cores on precomputed rows.
+# perfbench's tracer wraps these names and perfbench/tests/test_tracer.py
+# looks each up without a default; remove them together with those wraps.
+from .bounds import _bounds_rows, mir_bounds  # noqa: F401
+from .errors import ConfigError, EmptySweep, MirError, ValidationError, unwrap
 from .mcsim import estimate_mir, simulate
 from .mir import (
     _discrete,
@@ -157,10 +158,13 @@ def _derive_seed(master_seed: int, row_index: int) -> int:
     return int(np.random.SeedSequence([master_seed, row_index]).generate_state(1)[0])
 
 
-def _compute_row(config: SweepConfig, index: int, point, dist, chain, e_xlnx) -> SweepRow:
+def _compute_row(
+    config: SweepConfig, index: int, point, dist, chain, e_xlnx, bounds
+) -> SweepRow:
     """The SweepRow of one grid point from its entries (see ``run_sweep``):
     its input distribution, or the ValidationError that rejected it, and,
-    for a distribution, its entries of the mean chain and of E[x ln x]."""
+    for a distribution, its entries of the mean chain, of E[x ln x] and, by
+    method name, of each selected bounds order."""
     if isinstance(dist, ValidationError):
         return SweepRow(*point, status=f"distribution:{type(dist).__name__}:{dist}")
     receptor = config.receptor
@@ -184,9 +188,9 @@ def _compute_row(config: SweepConfig, index: int, point, dist, chain, e_xlnx) ->
                 est = estimate_mir(traj, receptor, dist)
                 values.update(mc_value=est.value, mc_stderr=est.stderr)
             else:
-                s = int(method.removeprefix("bounds_s"))
-                pair = _bounds(dist, s, chain)
-                values.update({f"lb_s{s}": pair.lower, f"ub_s{s}": pair.upper})
+                gap_lower, gap_upper, _, gain = unwrap(bounds[method])
+                s = method[-1]
+                values.update({f"lb_s{s}": gain * gap_lower, f"ub_s{s}": gain * gap_upper})
         except MirError as exc:
             problems.append(f"{method}:{type(exc).__name__}")
     return SweepRow(*point, status=";".join(problems) or "ok", **values)
@@ -235,13 +239,19 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         e_xlnx = expectation_rows(valid, _xlnx_vec)
     else:
         e_xlnx = [None] * len(valid)
-    entries = zip(mean_chain_rows(config.receptor, [dist.mu for dist in valid]), e_xlnx)
-    del valid
+    chains = mean_chain_rows(config.receptor, [dist.mu for dist in valid])
+    # one bounds pass per selected order
+    orders = [method for method in ("bounds_s2", "bounds_s4") if method in config.methods]
+    bounds = [_bounds_rows(valid, int(method[-1]), chains) for method in orders]
+    entries = zip(chains, e_xlnx, *bounds)
+    del valid, chains, e_xlnx, bounds
     rows = []
     for index, point in enumerate(points):
         dist, dists[index] = dists[index], None
-        chain, xlnx = (None, None) if isinstance(dist, ValidationError) else next(entries)
-        rows.append(_compute_row(config, index, point, dist, chain, xlnx))
+        chain, xlnx, *pairs = (None, None) if isinstance(dist, ValidationError) else next(entries)
+        rows.append(
+            _compute_row(config, index, point, dist, chain, xlnx, dict(zip(orders, pairs)))
+        )
 
     for index, message in audit_rows(rows):
         row = rows[index]
@@ -271,6 +281,22 @@ def find_capacity(rows: Sequence[SweepRow], by: str = "mir_quadrature"):
             best = (key, row)
     row = best[1]
     return row.mu_bar, row.sigma_bar, getattr(row, by)
+
+
+def _edge_note(rows: Sequence[SweepRow], mu_bar: float, sigma_bar: float) -> str:
+    """The clause a capacity report appends when its grid point lies on the
+    grid's edge: "" inside the grid, else, for example, " on the mu_bar min
+    edge; the maximum may lie outside the grid".  An axis of one step has
+    no edge."""
+    edges = []
+    for name, value in (("mu_bar", mu_bar), ("sigma_bar", sigma_bar)):
+        axis = [getattr(row, name) for row in rows]
+        low, high = min(axis), max(axis)
+        if low < high and value in (low, high):
+            edges.append(f"the {name} {'min' if value == low else 'max'} edge")
+    if not edges:
+        return ""
+    return f" on {' and '.join(edges)}; the maximum may lie outside the grid"
 
 
 def _format_cell(value) -> str:

@@ -4,9 +4,10 @@ A parent Gaussian with mean ``mu_bar`` and standard deviation ``sigma_bar``
 is conditioned on the interval ``[a, b]``.  This module provides the
 closed-form truncated mean/variance, raw and recentred moments (through the
 two-term recursion for the moments of the truncated standard normal up to
-order 20, by quadrature above), inverse-CDF sampling, and a node-doubling
-Gauss-Legendre expectation engine, on one fixed node schedule, used
-throughout the package for integrals against the density.
+order 20, for many specs as one array pass, by quadrature above),
+inverse-CDF sampling, and a node-doubling Gauss-Legendre expectation
+engine, on one fixed node schedule, used throughout the package for
+integrals against the density.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr, ndtri, roots_legendre
 
-from .errors import NoConvergence, OrderTooHigh, ValidationError, unwrap
+from .errors import NoConvergence, OrderTooHigh, ValidationError, mark_rows, unwrap
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -61,24 +62,60 @@ def _norm_pdf(t):
     return np.exp(-0.5 * np.square(t)) / _SQRT_2PI
 
 
-def _l_coefficients(alpha: float, beta: float, z: float, order: int) -> np.ndarray:
+def _pow_rows(x: np.ndarray, e: int) -> np.ndarray:
+    """x ** e entry by entry, with Python's float ``**`` (the C library's pow).
+
+    numpy's ``**`` squares, or runs its own pow, and differs from the C
+    library's in the last bit on some inputs; the scalar formulas that the
+    row kernels vectorise use Python's, so the rows keep their bits.
+    Exponents 0 and 1 are exact either way.  Like Python's, an overflow
+    raises OverflowError.
+    """
+    if e == 0:
+        return np.ones_like(x)
+    if e == 1:
+        return x
+    return np.array([v**e for v in x.tolist()], dtype=float)
+
+
+def _fsum_rows(terms: np.ndarray, spans) -> np.ndarray:
+    """Correctly rounded sums, by ``math.fsum``: entry (r, k) sums the
+    slice ``start:stop`` of row r of ``terms``, for the k-th (start, stop)
+    in ``spans``."""
+    sums = [list(map(math.fsum, terms[:, start:stop].tolist())) for start, stop in spans]
+    return np.array(sums, dtype=float).reshape(len(spans), len(terms)).T
+
+
+def _edge_terms(t, pdf, e: int):
+    """t ** e * pdf, for a float or entry by entry for row arrays.
+
+    A huge standardized endpoint has phi exactly 0.0; its term is then 0.0,
+    never 0 * inf, and its power is never taken.
+    """
+    if not isinstance(pdf, np.ndarray):
+        return 0.0 if pdf == 0.0 else t**e * pdf
+    pairs = zip(t.tolist(), pdf.tolist())
+    return np.array([0.0 if p == 0.0 else v**e * p for v, p in pairs], dtype=float)
+
+
+def _l_coefficients(alpha, beta, z, order: int) -> list:
     """Raw moments L_i of the standard normal truncated to [alpha, beta], mass z.
 
     L_0 = 1
     L_1 = -(phi(beta) - phi(alpha)) / z
     L_i = -(beta^(i-1) phi(beta) - alpha^(i-1) phi(alpha)) / z + (i-1) L_{i-2}
 
-    A huge standardized endpoint has phi exactly 0.0; its term is then 0,
-    never 0 * inf.
+    Returns [L_0, ..., L_order]: floats for float arguments, and for row
+    arrays one array per order (L_0 stays the float 1.0).
     """
-    pdf_a = float(_norm_pdf(alpha))
-    pdf_b = float(_norm_pdf(beta))
+    pdf_a = _norm_pdf(alpha)
+    pdf_b = _norm_pdf(beta)
     L = [1.0, -(pdf_b - pdf_a) / z]
     for i in range(2, order + 1):
-        tb = 0.0 if pdf_b == 0.0 else beta ** (i - 1) * pdf_b
-        ta = 0.0 if pdf_a == 0.0 else alpha ** (i - 1) * pdf_a
+        tb = _edge_terms(beta, pdf_b, i - 1)
+        ta = _edge_terms(alpha, pdf_a, i - 1)
         L.append(-(tb - ta) / z + (i - 1) * L[i - 2])
-    return np.array(L[: order + 1])
+    return L[: order + 1]
 
 
 @dataclass(frozen=True)
@@ -171,34 +208,134 @@ class MomentTable:
     def __post_init__(self):
         if len(self.raw) != self.order + 1 or len(self.central) != self.order + 1:
             raise ValidationError("moment vectors must have length order + 1")
-        if abs(self.raw[0] - 1.0) > 1e-12 or abs(self.central[0] - 1.0) > 1e-12:
-            raise ValidationError("zeroth moments must equal 1")
-        if self.order >= 1 and abs(self.central[1]) > 1e-12:
-            raise ValidationError(f"first central moment must vanish, got {self.central[1]}")
+        errors = [None]
+        _mark_table_errors(errors, self.raw[None], self.central[None])
+        unwrap(errors[0])
         self.raw.flags.writeable = False
         self.central.flags.writeable = False
 
 
-def _moments_about(spec, center: float, order: int, L: np.ndarray) -> np.ndarray:
+def _mark_table_errors(errors: list, raw: np.ndarray, central: np.ndarray) -> None:
+    """The ``MomentTable`` checks on rows of (rows, order + 1) moment arrays,
+    marked as by ``mark_rows``."""
+    zeroth = (np.abs(raw[:, 0] - 1.0) > 1e-12) | (np.abs(central[:, 0] - 1.0) > 1e-12)
+    mark_rows(errors, zeroth, lambda i: ValidationError("zeroth moments must equal 1"))
+    if central.shape[1] > 1:
+        mark_rows(
+            errors,
+            np.abs(central[:, 1]) > 1e-12,
+            lambda i: ValidationError(f"first central moment must vanish, got {central[i, 1]}"),
+        )
+
+
+@lru_cache(maxsize=None)
+def _binomial_layout(width: int):
+    """The terms of the binomial expansions of orders m < width, flattened:
+    (m, i, C(m, i)) per term with i <= m, m-major, and per order its
+    (start, stop) in that flat order."""
+    m, i = np.tril_indices(width)
+    comb = np.array([math.comb(*pair) for pair in zip(m.tolist(), i.tolist())], dtype=float)
+    for shared in (m, i, comb):
+        shared.flags.writeable = False
+    spans = tuple((k * (k + 1) // 2, (k + 1) * (k + 2) // 2) for k in range(width))
+    return m, i, comb, spans
+
+
+def _moments_about(mu_bar, sigma_bar, center, L: np.ndarray) -> np.ndarray:
     """E[(x - center)^m] for m = 0..order via the binomial expansion in L_i.
 
+    Row arrays: row r has parent mean ``mu_bar[r]``, standard deviation
+    ``sigma_bar[r]``, center ``center[r]`` and L_0..L_order in ``L[r]``.
     x - center = (mu_bar - center) + sigma_bar * t, so the m-th moment is
     sum_i C(m, i) sigma_bar^i (mu_bar - center)^(m-i) L_i.  Summed with
     compensated summation; the terms stay O(|x - center|^m) when the center
     is near the mass, which keeps small-sigma cases exact.
     """
-    d = spec.mu_bar - center
-    out = np.empty(order + 1)
-    for m in range(order + 1):
-        out[m] = math.fsum(
-            math.comb(m, i) * spec.sigma_bar**i * d ** (m - i) * L[i]
-            for i in range(m + 1)
+    width = L.shape[1]
+    m, i, comb, spans = _binomial_layout(width)
+    sigma_pow = np.array([_pow_rows(sigma_bar, k) for k in range(width)]).T
+    d_pow = np.array([_pow_rows(mu_bar - center, k) for k in range(width)]).T
+    return _fsum_rows(comb * sigma_pow[:, i] * d_pow[:, m - i] * L[:, i], spans)
+
+
+def _moment_rows(specs, order: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Raw and central moments up to ``order`` of every spec, as one array pass.
+
+    Returns (raw, central, errors): (specs, order + 1) arrays and, per spec,
+    the ValidationError ``raw_moments`` raises for it, or None.  Orders up
+    to 20 come from the L-recursion: the moments about 0 and about the mean
+    of every spec are one expansion.  Higher orders come from
+    ``shifted_moment_vector``, spec by spec (see ``raw_moments``).
+    """
+    n = len(specs)
+    columns = np.array(
+        [(s.mu_bar, s.sigma_bar, s.a, s.b, s.alpha, s.beta, s.z, s.mu, s.sigma2) for s in specs],
+        dtype=float,
+    ).reshape(n, 9)
+    mu_bar, sigma_bar, a, b, alpha, beta, z, mu, sigma2 = columns.T
+    low = min(order, _RECURSION_MAX_ORDER)
+    L = np.empty((n, low + 1))
+    for i, column in enumerate(_l_coefficients(alpha, beta, z, low)):
+        L[:, i] = column
+    # the expansions about 0 and about the mean, as one of 2n rows
+    both = _moments_about(
+        np.concatenate((mu_bar, mu_bar)),
+        np.concatenate((sigma_bar, sigma_bar)),
+        np.concatenate((np.zeros(n), mu)),
+        np.concatenate((L, L)),
+    )
+    raw, central = both[:n], both[n:]
+    if order > _RECURSION_MAX_ORDER:
+        high = slice(_RECURSION_MAX_ORDER + 1, None)
+        raw = np.hstack((raw, [shifted_moment_vector(s, 0.0, order)[high] for s in specs]))
+        central = np.hstack(
+            (central, [shifted_moment_vector(s, s.mu, order)[high] for s in specs])
         )
-    return out
+
+    # support bounds a^m <= E[x^m] <= b^m and, since x^(m-1) (x - a) >= 0 on
+    # [a, b], a E[x^(m-1)] <= E[x^m] <= b E[x^(m-1)], with float slack; the
+    # forward recursion is unstable on narrow windows and breaks the ratio
+    # form long before the power form.  As in a scalar check, which stops at
+    # the first failure, a spec leaves the checks once it fails one.
+    errors: list = [None] * n
+    live, a_live, b_live, raw_live = np.arange(n), a, b, raw
+    for m in range(order + 1):
+        value = raw_live[:, m]
+        lo, hi = _pow_rows(a_live, m), _pow_rows(b_live, m)
+        slack = 1e-9 * np.maximum(1.0, hi)
+        if m > 0:
+            # Python's max(lo, v) and min(hi, v), which keep lo and hi on ties
+            lo_ratio, hi_ratio = a_live * raw_live[:, m - 1], b_live * raw_live[:, m - 1]
+            lo = np.where(lo_ratio > lo, lo_ratio, lo)
+            hi = np.where(hi_ratio < hi, hi_ratio, hi)
+        bad = ~((lo - slack <= value) & (value <= hi + slack))
+        if bad.any():
+            for i, v, low, high in zip(*(x[bad].tolist() for x in (live, value, lo, hi))):
+                errors[i] = ValidationError(
+                    f"raw moment E[x^{m}] = {v} escaped support bound [{low}, {high}]"
+                )
+            keep = ~bad
+            live, a_live, b_live, raw_live = live[keep], a_live[keep], b_live[keep], raw_live[keep]
+    # then central[2] against sigma2, and the MomentTable checks
+    stage: list = [None] * len(live)
+    if order >= 2:
+        c2, s2 = central[live, 2], sigma2[live]
+        rel = np.abs(c2 - s2) / s2
+        mark_rows(
+            stage,
+            rel > 1e-10,
+            lambda j: ValidationError(
+                f"central[2] = {c2[j]} disagrees with sigma2 = {s2[j]} (relative {rel[j]:.2e})"
+            ),
+        )
+    _mark_table_errors(stage, raw_live, central[live])
+    for i, error in zip(live.tolist(), stage):
+        errors[i] = error
+    return raw, central, errors
 
 
 def raw_moments(spec: TruncatedGaussianSpec, order: int) -> MomentTable:
-    """Moment table up to ``order``.
+    """Moment table up to ``order``; the one-spec case of ``_moment_rows``.
 
     Orders up to 20 come from the L-recursion.  Central moments are expanded
     about the truncated mean using the same recursion coefficients, which
@@ -206,47 +343,17 @@ def raw_moments(spec: TruncatedGaussianSpec, order: int) -> MomentTable:
     when sigma_bar is small.  Higher orders, where the recursion loses its
     digits, come from ``shifted_moment_vector`` about 0 and about the mean.
 
-    Raises OrderTooHigh for order > MAX_MOMENT_ORDER.
+    Raises OrderTooHigh for order > MAX_MOMENT_ORDER, and ValidationError
+    when a moment escapes its support bound or central[2] disagrees with
+    sigma2.
     """
     if order < 0:
         raise ValidationError(f"order must be >= 0, got {order}")
     if order > MAX_MOMENT_ORDER:
         raise OrderTooHigh(f"order {order} exceeds ceiling {MAX_MOMENT_ORDER}")
-
-    low = min(order, _RECURSION_MAX_ORDER)
-    L = _l_coefficients(spec.alpha, spec.beta, spec.z, low)
-    raw = _moments_about(spec, 0.0, low, L)
-    central = _moments_about(spec, spec.mu, low, L)
-    if order > low:
-        high = slice(low + 1, None)
-        raw = np.concatenate((raw, shifted_moment_vector(spec, 0.0, order)[high]))
-        central = np.concatenate(
-            (central, shifted_moment_vector(spec, spec.mu, order)[high])
-        )
-
-    # support bounds a^m <= E[x^m] <= b^m and, since x^(m-1) (x - a) >= 0 on
-    # [a, b], a E[x^(m-1)] <= E[x^m] <= b E[x^(m-1)], with float slack; the
-    # forward recursion is unstable on narrow windows and breaks the ratio
-    # form long before the power form
-    values = raw.tolist()
-    for m, value in enumerate(values):
-        lo, hi = spec.a**m, spec.b**m
-        slack = 1e-9 * max(1.0, hi)
-        if m > 0:
-            lo, hi = max(lo, spec.a * values[m - 1]), min(hi, spec.b * values[m - 1])
-        if not (lo - slack <= value <= hi + slack):
-            raise ValidationError(
-                f"raw moment E[x^{m}] = {value} escaped support bound [{lo}, {hi}]"
-            )
-    if order >= 2:
-        rel = abs(central[2] - spec.sigma2) / spec.sigma2
-        if rel > 1e-10:
-            raise ValidationError(
-                f"central[2] = {central[2]} disagrees with sigma2 = {spec.sigma2} "
-                f"(relative {rel:.2e})"
-            )
-
-    return MomentTable(raw=raw, central=central, order=order)
+    raw, central, (error,) = _moment_rows([spec], order)
+    unwrap(error)
+    return MomentTable(raw=raw[0], central=central[0], order=order)
 
 
 def sample(spec: TruncatedGaussianSpec, rng: np.random.Generator, size=None):

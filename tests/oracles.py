@@ -7,8 +7,9 @@ arrays, and the tests pin the two against each other.  The remaining helpers
 (density, scaling closure, recursion moments about a center, the direct
 Monte Carlo gap, occupancy and bigram counts, the Taylor limit of h_s, the
 per-step simulation loop) are oracles for the acceptance criteria and the
-unit tests.  The one-array stationary solve and the one-spec Gauss-Legendre
-estimate are the scalar forms the batched kernels must match bit for bit.
+unit tests.  The one-array stationary solve, the one-spec Gauss-Legendre
+estimate and the float-by-float gap bounds are the scalar forms the batched
+kernels must match bit for bit.
 """
 
 from __future__ import annotations
@@ -213,8 +214,40 @@ def moments_about(spec: TruncatedGaussianSpec, center: float, order: int) -> np.
         raise ValidationError(f"order must be >= 0, got {order}")
     if order > MAX_MOMENT_ORDER:
         raise OrderTooHigh(f"order {order} exceeds ceiling {MAX_MOMENT_ORDER}")
-    L = _l_coefficients(spec.alpha, spec.beta, spec.z, order)
-    return _moments_about(spec, center, order, L)
+    L = np.array([_l_coefficients(spec.alpha, spec.beta, spec.z, order)])
+    return _moments_about(np.array([spec.mu_bar]), np.array([spec.sigma_bar]), center, L)[0]
+
+
+def scalar_gap_bounds(dist: TruncatedGaussianSpec, s: int) -> tuple[float, float, float]:
+    """(gap_lower, gap_upper, mu_s) of order s, float by float.
+
+    The bounds formulas on one distribution in plain Python floats: the
+    L-recursion, the binomial expansion about the mean summed with
+    ``math.fsum``, and h at b and at a with Python's ``**`` and ``math.log``.
+    No checks: a row the package rejects has no value to compare.
+    """
+    pdf_a, pdf_b = (float(_norm_pdf(t)) for t in (dist.alpha, dist.beta))
+    L = [1.0, -(pdf_b - pdf_a) / dist.z]
+    for i in range(2, s + 1):
+        tb = 0.0 if pdf_b == 0.0 else dist.beta ** (i - 1) * pdf_b
+        ta = 0.0 if pdf_a == 0.0 else dist.alpha ** (i - 1) * pdf_a
+        L.append(-(tb - ta) / dist.z + (i - 1) * L[i - 2])
+    mu, d = dist.mu, dist.mu_bar - dist.mu
+    central = [
+        math.fsum(math.comb(m, i) * dist.sigma_bar**i * d ** (m - i) * L[i] for i in range(m + 1))
+        for m in range(s + 1)
+    ]
+    derivs = (math.log(mu) + 1.0, 1.0 / mu, -1.0 / (mu * mu))
+
+    def h(x: float) -> float:
+        dx = x - mu
+        value = ((0.0 if x == 0.0 else x * math.log(x)) - mu * math.log(mu)) / dx**s
+        for i in range(1, s):
+            value -= derivs[i - 1] / (math.factorial(i) * dx ** (s - i))
+        return value
+
+    prefix = math.fsum(central[i] * derivs[i - 1] / math.factorial(i) for i in range(1, s))
+    return prefix + h(dist.b) * central[s], prefix + h(dist.a) * central[s], central[s]
 
 
 def mc_gap(dist: TruncatedGaussianSpec, n: int, seed) -> McEstimate:

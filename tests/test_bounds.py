@@ -6,6 +6,7 @@ the package's moment recursion.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,17 +15,27 @@ from hypothesis import strategies as st
 
 from transduction_mir import (
     DegenerateArgument,
+    MirError,
+    ReceptorSpec,
+    Transition,
     TruncatedGaussianSpec,
     ValidationError,
     chr2_skeleton,
     h_s,
     jensen_gap,
     jensen_gap_bounds,
+    load_receptor,
     mir_bounds,
     mir_quadrature,
 )
+from transduction_mir import bounds as bounds_module
+from transduction_mir.bounds import _bounds_rows, _log_rows
+from transduction_mir.receptor import mean_chain_rows
+from transduction_mir.truncgauss import _pow_rows
 from conftest import random_valid_dist
-from oracles import h_s_limit
+from oracles import h_s_limit, scalar_gap_bounds
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 # FROZEN for the canonical dist (mu_bar=1, sigma_bar=0.5, [1e-5, 2]):
 # gap bounds in nats from the endpoint formulas with quad moments.
@@ -163,3 +174,154 @@ class TestMirBounds:
     def test_rejects_unsupported_order(self, unit_chr2, canonical_dist):
         with pytest.raises(ValidationError):
             mir_bounds(unit_chr2, canonical_dist, 3)
+
+
+@pytest.fixture(scope="module")
+def chr2_receptor():
+    """The shipped ChR2 receptor, as the shipped sweeps read it."""
+    return load_receptor(CONFIG_DIR / "chr2_receptor.json")
+
+
+def _grid(mu_bars, sigma_bars, a, b):
+    """Every valid distribution of a (mu_bar, sigma_bar) grid on [a, b]."""
+    dists = []
+    for mu_bar in mu_bars:
+        for sigma_bar in sigma_bars:
+            try:
+                dists.append(TruncatedGaussianSpec(float(mu_bar), float(sigma_bar), a, b))
+            except ValidationError:
+                pass
+    return dists
+
+
+GRIDS = {
+    "capacity": lambda: _grid(np.linspace(0.05, 2.0, 50), np.linspace(0.1, 3.0, 50), 0.02, 2.0),
+    "panel": lambda: _grid(np.linspace(0.2, 1.8, 8), np.linspace(0.1, 1.0, 8), 1e-5, 2.0),
+    "wide": lambda: _grid(np.linspace(-3.0, 5.0, 30), np.linspace(0.01, 3.0, 30), 1e-5, 2.0),
+}
+
+SPLIT = ReceptorSpec(
+    "split",
+    ("A", "B", "C", "D"),
+    (
+        Transition(0, 1, 1.0, True),
+        Transition(1, 0, 1.0, False),
+        Transition(2, 3, 1.0, False),
+        Transition(3, 2, 1.0, False),
+    ),
+)
+
+#: (receptor, distribution, the error a one-point call raises at s=2 and at
+#: s=4); rows that fail at each stage of the kernel, in its check order
+FAILING = [
+    # the mean sits 8e-13 above a: h(a) is degenerate
+    (None, (1e-5, 1e-12, 1e-5, 2.0), "DegenerateArgument", "DegenerateArgument"),
+    # a narrow window breaks the recursion's support bound
+    (None, (3.365807324814968, 1.0634951824538557, 0.0015116004714033071,
+            0.0015129628060781403), "ValidationError", "ValidationError"),
+    # central[2] disagrees with the closed-form variance
+    (None, (2.0, 1e-11, 1e-5, 2.0), "ValidationError", "ValidationError"),
+    # the mean chain has two recurrent classes
+    (SPLIT, (1.0, 0.5, 1e-5, 2.0), "NotIrreducible", "NotIrreducible"),
+    # the s=4 bounds cross on a narrow window
+    (None, (-4.842012532672418, 2.562038689645731, 0.18755529632959123,
+            0.19085944706556), None, "ValidationError"),
+]
+
+
+def _outcome(call):
+    """A call's result as bytes-exact text: its BoundPair fields or its error."""
+    try:
+        pair = call()
+    except MirError as exc:
+        return type(exc).__name__, str(exc)
+    return repr((pair.lower, pair.upper, pair.gap_bounds_nats, dict(pair.diagnostics)))
+
+
+def _entry_outcome(entry, dist):
+    """A ``_bounds_rows`` entry in the form of ``_outcome``."""
+    if isinstance(entry, MirError):
+        return type(entry).__name__, str(entry)
+    gap_lower, gap_upper, mu_s, gain = entry
+    diagnostics = {"gain": gain, "mu": dist.mu, "sigma2": dist.sigma2, "central_s": mu_s}
+    return repr((gain * gap_lower, gain * gap_upper, (gap_lower, gap_upper), diagnostics))
+
+
+class TestBoundsRows:
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_rows_equal_one_point_calls(self, name, chr2_receptor):
+        dists = GRIDS[name]()
+        chains = mean_chain_rows(chr2_receptor, [d.mu for d in dists])
+        for s in (2, 4):
+            rows = _bounds_rows(dists, s, chains)
+            assert len(rows) == len(dists)
+            for dist, entry in zip(dists, rows):
+                assert _entry_outcome(entry, dist) == _outcome(
+                    lambda: mir_bounds(chr2_receptor, dist, s)
+                )
+                if not isinstance(entry, MirError):
+                    # the scalar formulas, float by float
+                    assert entry[:3] == scalar_gap_bounds(dist, s)
+
+    def test_failing_rows_keep_the_one_point_error(self, chr2_receptor):
+        # failing rows interleaved with good ones, each against its own call
+        good = GRIDS["panel"]()[:6]
+        cases = [(chr2_receptor, d) for d in good[:3]]
+        cases += [(receptor or chr2_receptor, TruncatedGaussianSpec(*args)) for receptor, args, *_ in FAILING]
+        cases += [(chr2_receptor, d) for d in good[3:]]
+        dists = [dist for _, dist in cases]
+        chains = [mean_chain_rows(receptor, [dist.mu])[0] for receptor, dist in cases]
+        for column, s in ((2, 2), (3, 4)):
+            rows = _bounds_rows(dists, s, chains)
+            for (receptor, dist), entry in zip(cases, rows):
+                assert _entry_outcome(entry, dist) == _outcome(lambda: mir_bounds(receptor, dist, s))
+            expected = [failing[column] for failing in FAILING]
+            got = [type(e).__name__ if isinstance(e, MirError) else None for e in rows[3:-3]]
+            assert got == expected
+
+    def test_gap_rows_without_chains(self):
+        dists = GRIDS["panel"]() + [TruncatedGaussianSpec(1e-5, 1e-12, 1e-5, 2.0)]
+        for s in (2, 4):
+            for dist, entry in zip(dists, _bounds_rows(dists, s)):
+                try:
+                    expected = repr(jensen_gap_bounds(dist, s))
+                except MirError as exc:
+                    assert (type(entry), str(entry)) == (type(exc), str(exc))
+                    continue
+                assert entry[3] is None
+                assert repr(entry[:2]) == expected
+
+    def test_blocks_do_not_change_bits(self, chr2_receptor, monkeypatch):
+        dists = GRIDS["wide"]()
+        chains = mean_chain_rows(chr2_receptor, [d.mu for d in dists])
+        whole = _bounds_rows(dists, 4, chains)
+        monkeypatch.setattr(bounds_module, "_BLOCK_ROWS", 7)
+        blocked = _bounds_rows(dists, 4, chains)
+        assert [_entry_outcome(e, d) for e, d in zip(blocked, dists)] == [
+            _entry_outcome(e, d) for e, d in zip(whole, dists)
+        ]
+
+    def test_no_rows(self):
+        assert _bounds_rows([], 2, []) == []
+        with pytest.raises(ValidationError):
+            _bounds_rows([], 3, [])
+
+
+class TestScalarOperations:
+    """The elementwise helpers are Python's own operations, bit for bit."""
+
+    @given(
+        values=st.lists(st.floats(-1e3, 1e3), max_size=40),
+        exponent=st.integers(0, 40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pow_rows_is_python_pow(self, values, exponent):
+        got = _pow_rows(np.array(values, dtype=float), exponent)
+        expected = np.array([v**exponent for v in values], dtype=float)
+        assert got.tobytes() == expected.tobytes()
+
+    @given(values=st.lists(st.floats(5e-324, 1e300), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_log_rows_is_math_log(self, values):
+        got = _log_rows(np.array(values, dtype=float))
+        assert got.tobytes() == np.array([math.log(v) for v in values], dtype=float).tobytes()

@@ -208,6 +208,18 @@ class TestSweep:
         assert code == 0
         assert "capacity-achieving point" in capsys.readouterr().err
 
+    def test_capacity_report_names_the_grid_edge(self, tmp_path, capsys):
+        # on the shipped surface the rate still rises toward the smallest
+        # mu_bar, so the argmax sits on that edge of the grid
+        out = tmp_path / "surface.csv"
+        config = CONFIG_DIR / "capacity_surface.json"
+        argv = ["sweep", "--config", str(config), "--out", str(out), "--capacity-by", "mir_quadrature"]
+        assert main(argv) == 0
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("capacity-achieving point by mir_quadrature: mu_bar=0.05 ")
+        assert line.endswith(" on the mu_bar min edge; the maximum may lie outside the grid")
+        assert out.read_bytes() == (RESULTS_DIR / "capacity_surface.csv").read_bytes()
+
 
 class TestConfigErrors:
     def test_missing_file(self):
@@ -244,6 +256,41 @@ class TestConfigErrors:
             out = point_config.parent / "bad_grid.csv"
             assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2, case
             assert not out.exists(), case
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("series_k", 20.7),
+            ("mc_n", 1000.9),
+            ("mc_n", math.inf),
+            ("mc_n", math.nan),
+            ("seed", 2.5),
+            ("seed", math.inf),
+        ],
+        ids=["series_k=20.7", "mc_n=1000.9", "mc_n=inf", "mc_n=nan", "seed=2.5", "seed=inf"],
+    )
+    def test_run_parameter_not_whole(self, point_config, field, value, capsys):
+        # a count is never truncated, and Infinity is a configuration error,
+        # not an uncaught OverflowError
+        doc = json.loads(point_config.read_text())
+        (doc if field == "seed" else doc["sweep"])[field] = value
+        bad = point_config.parent / "bad_run.json"
+        bad.write_text(json.dumps(doc))
+        out = point_config.parent / "bad_run.csv"
+        assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
+        assert f"{field} must be a whole number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_whole_float_run_parameters_accepted(self, point_config, tmp_path):
+        doc = json.loads(point_config.read_text())
+        doc["sweep"].update(series_k=20.0, mc_n=1000.0)
+        doc["seed"] = 77.0
+        config = tmp_path / "whole.json"
+        config.write_text(json.dumps(doc))
+        out, reference = tmp_path / "whole.csv", tmp_path / "reference.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["sweep", "--config", str(point_config), "--out", str(reference)]) == 0
+        assert out.read_bytes() == reference.read_bytes()
 
     @pytest.mark.parametrize("field, value", [("b", 2.5), ("a", 0.0)], ids=["b=2.5", "a=0"])
     @pytest.mark.parametrize(

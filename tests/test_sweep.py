@@ -34,7 +34,7 @@ from transduction_mir import (
     simulate,
 )
 from transduction_mir.cli import main
-from transduction_mir.sweep import CSV_HEADER, VALID_METHODS, _derive_seed
+from transduction_mir.sweep import CSV_HEADER, VALID_METHODS, _derive_seed, _edge_note
 from transduction_mir.truncgauss import _gl_nodes
 
 
@@ -299,6 +299,41 @@ class TestFindCapacity:
         rows = run_sweep(small_config(unit_chr2))
         mu_bar, sigma_bar, value = find_capacity(rows, by="ub_s2")
         assert value == max(row.ub_s2 for row in rows)
+
+
+class TestEdgeNote:
+    @staticmethod
+    def grid(peak, mu_bars=(0.5, 1.0, 1.5), sigma_bars=(0.2, 0.4, 0.6)):
+        """Rows whose mir_quadrature peaks at the grid point ``peak``."""
+        return [
+            SweepRow(mu_bar=mb, sigma_bar=sb, mir_quadrature=-abs(mb - peak[0]) - abs(sb - peak[1]))
+            for mb in mu_bars
+            for sb in sigma_bars
+        ]
+
+    def test_interior_argmax_has_no_edge(self):
+        rows = self.grid((1.0, 0.4))
+        assert find_capacity(rows)[:2] == (1.0, 0.4)
+        assert _edge_note(rows, 1.0, 0.4) == ""
+
+    @pytest.mark.parametrize(
+        "peak, clause",
+        [
+            ((0.5, 0.4), "the mu_bar min edge"),
+            ((1.0, 0.6), "the sigma_bar max edge"),
+            ((1.5, 0.2), "the mu_bar max edge and the sigma_bar min edge"),
+        ],
+    )
+    def test_edge_argmax_is_named(self, peak, clause):
+        rows = self.grid(peak)
+        assert find_capacity(rows)[:2] == peak
+        note = _edge_note(rows, *peak)
+        assert note == f" on {clause}; the maximum may lie outside the grid"
+
+    def test_single_step_axis_has_no_edge(self):
+        rows = self.grid((1.0, 0.4), sigma_bars=(0.4,))
+        assert _edge_note(rows, 1.0, 0.4) == ""
+        assert _edge_note(rows, 0.5, 0.4).startswith(" on the mu_bar min edge;")
 
 
 class TestSerialization:
