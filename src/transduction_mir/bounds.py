@@ -193,11 +193,12 @@ def _bounds_block(dists, s: int, chains) -> list:
     terms = [central[live, i] * derivs[i - 1] / math.factorial(i) for i in range(1, s)]
     (prefix,) = _fsum_rows(np.stack(terms, axis=1), [(0, s - 1)]).T
     mu_s = central[live, s]
-    h_b, b_errors = _h_rows(b, mu, s)
-    h_a, a_errors = _h_rows(a, mu, s)
-    gap_lower = prefix + h_b * mu_s
-    gap_upper = prefix + h_a * mu_s
-    stage = [eb if eb is not None else ea for eb, ea in zip(b_errors, a_errors)]
+    # h at b and at a, as one call on 2n rows
+    n = len(live)
+    h, h_errors = _h_rows(np.concatenate((b, a)), np.concatenate((mu, mu)), s)
+    gap_lower = prefix + h[:n] * mu_s
+    gap_upper = prefix + h[n:] * mu_s
+    stage = [eb if eb is not None else ea for eb, ea in zip(h_errors[:n], h_errors[n:])]
     gains = [None] * len(live)
     if chains is not None:
         entries = [chains[i] for i in live.tolist()]
