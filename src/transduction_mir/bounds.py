@@ -38,6 +38,7 @@ from .receptor import ReceptorSpec, mean_chain_rows, stationary_distribution  # 
 from .truncgauss import (
     TruncatedGaussianSpec,
     _fsum_rows,
+    _log_rows,
     _moment_rows,
     _pow_rows,
     raw_moments,  # noqa: F401
@@ -98,12 +99,6 @@ def _mark_pair_errors(errors: list, lower: np.ndarray, upper: np.ndarray, s: int
             lower < -1e-9,
             lambda i: ValidationError(f"s=2 lower bound {lower[i]} is negative"),
         )
-
-
-def _log_rows(x: np.ndarray) -> np.ndarray:
-    """ln(x) entry by entry with ``math.log``, whose last bit ``np.log`` does
-    not always match.  Raises ValueError at x <= 0, as math.log does."""
-    return np.array(list(map(math.log, x.tolist())), dtype=float)
 
 
 def _f_derivatives(mu: np.ndarray, log_mu: np.ndarray) -> tuple:

@@ -20,9 +20,11 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    MirError,
     OrderTooHigh,
     OutOfConvergenceRegion,
     ValidationError,
+    mark_rows,
     unwrap,
 )
 
@@ -39,6 +41,8 @@ from .receptor import (
 from .truncgauss import (
     MAX_MOMENT_ORDER,
     TruncatedGaussianSpec,
+    _fsum_rows,
+    _log_rows,
     expectation,
     expectation_rows,
     raw_moments,  # noqa: F401
@@ -65,7 +69,7 @@ class MirResult:
     def __post_init__(self):
         kind = self.method.split("(")[0]
         if kind in ("quadrature", "discrete"):
-            floor = -1e-9
+            floor = _RATE_FLOOR
         elif kind == "series":
             if not self.order or self.order < 2:
                 raise ValidationError("series results must carry their order")
@@ -73,15 +77,27 @@ class MirResult:
             floor = -(self.gain / self.order + 1e-9)
         else:
             floor = -math.inf
-        if self.value < floor:
-            raise ValidationError(
-                f"{self.method} rate {self.value} below admissible floor {floor}"
-            )
+        errors = [None]
+        _mark_floor(errors, self.method, np.array([self.value]), floor)
+        unwrap(errors[0])
         if kind in ("quadrature", "series"):
             if abs(self.value - self.gain * self.gap_nats) > 1e-12 * max(
                 abs(self.value), 1e-300
             ):
                 raise ValidationError("value must equal gain * gap_nats")
+
+
+#: Lowest admissible quadrature or discrete rate: zero less rounding slack.
+_RATE_FLOOR = -1e-9
+
+
+def _mark_floor(errors: list, method: str, values: np.ndarray, floor: float) -> None:
+    """The ``MirResult`` floor check on rows of rates, marked as by ``mark_rows``."""
+    mark_rows(
+        errors,
+        values < floor,
+        lambda i: ValidationError(f"{method} rate {values[i]} below admissible floor {floor}"),
+    )
 
 
 def plogp(p: float) -> float:
@@ -102,6 +118,11 @@ def _plogp_vec(p: np.ndarray) -> np.ndarray:
     return np.where(p > 0.0, p * np.log2(safe), 0.0)
 
 
+def _plogp_entry(x: np.ndarray, c, m) -> np.ndarray:
+    """phi(p(x)) for the step-kernel entry p(x) = c + m * x."""
+    return _plogp_vec(c + m * x)
+
+
 def _xlnx_vec(x: np.ndarray) -> np.ndarray:
     """x * ln(x) extended by continuity to 0 at x = 0."""
     safe = np.where(x > 0.0, x, 1.0)
@@ -119,12 +140,28 @@ def xlnx(x: float) -> float:
 
 def jensen_gap(dist: TruncatedGaussianSpec) -> float:
     """E[x ln x] - mu ln(mu) in nats, by quadrature."""
-    return _gap(dist, expectation(dist, _xlnx_vec))
+    return float(_gap(np.array([expectation(dist, _xlnx_vec)]), np.array([dist.mu]))[0])
 
 
-def _gap(dist: TruncatedGaussianSpec, e_xlnx: float) -> float:
-    # math.log, not np.log: the two differ in the last bit for some means
-    return e_xlnx - dist.mu * math.log(dist.mu)
+def _gap(e_xlnx: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """E[x ln x] - mu ln(mu) per row; math.log, not np.log: the two differ
+    in the last bit for some means."""
+    return e_xlnx - mu * _log_rows(mu)
+
+
+def _values(entries: list, live: np.ndarray, k: int = 0) -> np.ndarray:
+    """Entry k of each value-or-error entry, nan off the rows ``live`` marks."""
+    return np.array([entry[k] if ok else np.nan for entry, ok in zip(entries, live)], dtype=float)
+
+
+def _mark_entry_errors(errors: list, entries: list) -> None:
+    """Give each row whose entry is a MirError that error, as by ``mark_rows``."""
+    mark_rows(errors, [isinstance(entry, MirError) for entry in entries], lambda i: entries[i])
+
+
+def _live(errors: list) -> np.ndarray:
+    """True on the rows that have no error."""
+    return np.array([error is None for error in errors], dtype=bool)
 
 
 def sensitive_pairs(spec: ReceptorSpec) -> list[tuple[int, int]]:
@@ -150,43 +187,92 @@ def mir_discrete(
     diagonal pairs contribute O(delta_t); they are included, not assumed
     away, so the vanishing in the continuous-time limit is observable.
     Each entry is c + m*x, so E[p_yy'(x)] = c + m*mu in closed form; only
-    E[phi(p_yy'(x))] needs quadrature.
+    E[phi(p_yy'(x))] needs quadrature.  The one-row case of
+    ``_discrete_rows``.
 
     Raises StepTooLarge if the step is inadmissible at the worst-case
     intensity x = b.
     """
-    chain = mean_chain_rows(spec, [dist.mu])[0]
-    return _discrete(spec, dist, delta_t, chain, expectation_rows([dist], _xlnx_vec)[0])
-
-
-def _discrete(spec, dist, delta_t, chain, e_xlnx) -> MirResult:
-    """``mir_discrete`` from the entries of ``mean_chain_rows`` and of
-    ``expectation_rows`` with x ln x; each error is raised where computing
-    that quantity in place would raise it."""
-    const, lin = step_kernel(spec, delta_t, dist.b)
-    pi, gain = unwrap(chain)
-
-    terms = {}
-    for (i, j) in sensitive_pairs(spec):
-        c, m = const[i, j], lin[i, j]
-        e_phi = expectation(dist, lambda x: _plogp_vec(c + m * x))
-        mean_entry = min(max(c + m * dist.mu, 0.0), 1.0)
-        terms[i, j] = pi[i] * (e_phi - plogp(mean_entry))
-    total = math.fsum(terms.values())
-    diagonal = math.fsum(term for (i, j), term in terms.items() if i == j)
-
-    value = total / delta_t
+    chains = mean_chain_rows(spec, [dist.mu])
+    rates, (error,) = _discrete_rows(
+        spec, [dist], delta_t, chains, expectation_rows([dist], _xlnx_vec)
+    )
+    unwrap(error)
+    value, gap_nats, diagonal, off_diagonal = rates[0].tolist()
     return MirResult(
         value=value,
         method=f"discrete({delta_t!r})",
-        gain=gain,
-        gap_nats=_gap(dist, unwrap(e_xlnx)[0]),
+        gain=chains[0][1],
+        gap_nats=gap_nats,
         diagnostics={
-            "diagonal_bits_per_s": diagonal / delta_t,
-            "off_diagonal_bits_per_s": (total - diagonal) / delta_t,
+            "diagonal_bits_per_s": diagonal,
+            "off_diagonal_bits_per_s": off_diagonal,
             "delta_t": delta_t,
         },
     )
+
+
+def _discrete_rows(spec, dists, delta_t, chains, e_xlnx) -> tuple[np.ndarray, list]:
+    """``mir_discrete`` at every distribution, from their entries of
+    ``mean_chain_rows`` and of ``expectation_rows`` with x ln x.
+
+    The E[phi(p_yy'(x))] of every sensitive pair of every distribution are
+    one ``expectation_rows`` pass.  Returns (rates, errors): per row the
+    rate, its Jensen gap in nats and its diagonal and off-diagonal parts in
+    bits/s, as a (rows, 4) array with nan on failed rows, and the MirError
+    ``mir_discrete`` raises for the row, or None.  The errors keep the
+    one-row order: ``step_kernel`` at the row's b, the mean chain, the pairs
+    in ``sensitive_pairs`` order, E[x ln x], then the ``MirResult`` floor.
+    """
+    kernels: dict = {}
+    for b in {dist.b for dist in dists}:
+        try:
+            kernels[b] = step_kernel(spec, delta_t, b)
+        except MirError as exc:
+            kernels[b] = exc
+    errors = [kernels[dist.b] if isinstance(kernels[dist.b], MirError) else None for dist in dists]
+    _mark_entry_errors(errors, chains)
+    live = [i for i, error in enumerate(errors) if error is None]
+    rates = np.full((len(dists), 4), np.nan)
+    if not live:
+        return rates, errors
+
+    # every kernel that passed its check is the same pair (C, L)
+    const, lin = next(k for k in kernels.values() if not isinstance(k, MirError))
+    pairs = sensitive_pairs(spec)
+    y, y_next = (np.array(index) for index in zip(*pairs))
+    c, m = const[y, y_next], lin[y, y_next]
+    entries = expectation_rows(
+        [dists[i] for i in live for _ in pairs],
+        _plogp_entry,
+        np.tile(np.stack((c, m), axis=1), (len(live), 1)),
+    )
+    by_pair = [entries[k :: len(pairs)] for k in range(len(pairs))]
+    e_live = [e_xlnx[i] for i in live]
+    stage = [None] * len(live)
+    for pair_entries in by_pair:
+        _mark_entry_errors(stage, pair_entries)
+    _mark_entry_errors(stage, e_live)
+    ok = _live(stage)
+    e_phi = np.stack([_values(pair_entries, ok) for pair_entries in by_pair], axis=1)
+    mu = np.array([dists[i].mu for i in live], dtype=float)
+    pi = np.array([chains[i][0] for i in live], dtype=float)
+
+    mean_entry = np.minimum(np.maximum(c + m * mu[:, None], 0.0), 1.0)
+    phi_mean = np.array([plogp(p) for p in mean_entry.ravel().tolist()]).reshape(mean_entry.shape)
+    terms = pi[:, y] * (e_phi - phi_mean)
+    diagonal = y == y_next
+    total = _fsum_rows(terms, [(0, len(pairs))])[:, 0]
+    diag = _fsum_rows(terms[:, diagonal], [(0, int(diagonal.sum()))])[:, 0]
+    value = total / delta_t
+    _mark_floor(stage, f"discrete({delta_t!r})", value, _RATE_FLOOR)
+
+    gap = np.full(len(live), np.nan)
+    gap[ok] = _gap(_values(e_live, ok)[ok], mu[ok])
+    rates[live] = np.stack((value, gap, diag / delta_t, (total - diag) / delta_t), axis=1)
+    for i, error in zip(live, stage):
+        errors[i] = error
+    return rates, errors
 
 
 def mir_quadrature(spec: ReceptorSpec, dist: TruncatedGaussianSpec) -> MirResult:
@@ -194,28 +280,47 @@ def mir_quadrature(spec: ReceptorSpec, dist: TruncatedGaussianSpec) -> MirResult
 
     ``diagnostics`` holds the stationary vector ``pi``, the Gauss-Legendre
     nodes per panel of the accepted E[x ln x] estimate (``nodes``) and its
-    change from the estimate before (``refine_delta``, nats).
+    change from the estimate before (``refine_delta``, nats).  The one-row
+    case of ``_quadrature_rows``.
     """
-    chain = mean_chain_rows(spec, [dist.mu])[0]
-    return _quadrature(dist, chain, expectation_rows([dist], _xlnx_vec)[0])
-
-
-def _quadrature(dist, chain, e_xlnx) -> MirResult:
-    """``mir_quadrature`` from the same two entries as ``_discrete``."""
-    pi, gain = unwrap(chain)
-    e_value, nodes, delta = unwrap(e_xlnx)
-    gap_nats = _gap(dist, e_value)
+    chains = mean_chain_rows(spec, [dist.mu])
+    e_xlnx = expectation_rows([dist], _xlnx_vec)
+    values, gaps, (error,) = _quadrature_rows(np.array([dist.mu]), chains, e_xlnx)
+    unwrap(error)
+    pi, gain = chains[0]
+    _, nodes, delta = e_xlnx[0]
     return MirResult(
-        value=gain * gap_nats,
+        value=float(values[0]),
         method="quadrature",
         gain=gain,
-        gap_nats=gap_nats,
+        gap_nats=float(gaps[0]),
         diagnostics={
             "pi": tuple(float(p) for p in pi),
             "nodes": nodes,
             "refine_delta": delta,
         },
     )
+
+
+def _quadrature_rows(mu: np.ndarray, chains: list, e_xlnx: list) -> tuple:
+    """``mir_quadrature`` at every distribution, from its truncated mean
+    ``mu[i]`` and its entries of ``mean_chain_rows`` and of
+    ``expectation_rows`` with x ln x.
+
+    Returns (values, gaps, errors): per row the rate gain * (E[x ln x] -
+    mu ln mu) in bits/s and the gap in nats, nan on failed rows, and the
+    MirError ``mir_quadrature`` raises for the row, or None: the mean
+    chain's, E[x ln x]'s, then the ``MirResult`` floor's.
+    """
+    errors = [None] * len(mu)
+    _mark_entry_errors(errors, chains)
+    _mark_entry_errors(errors, e_xlnx)
+    ok = _live(errors)
+    gaps = np.full(len(mu), np.nan)
+    gaps[ok] = _gap(_values(e_xlnx, ok)[ok], mu[ok])
+    values = _values(chains, ok, 1) * gaps
+    _mark_floor(errors, "quadrature", values, _RATE_FLOOR)
+    return values, gaps, errors
 
 
 def mir_series(

@@ -276,10 +276,10 @@ def mean_chain_rows(spec: ReceptorSpec, means) -> list:
     fixed point does not depend on it; the always-admissible step
     0.5 / max|q_ii| is used, per mean.
 
-    Returns one entry per mean: (pi, gain) with pi read-only and gain from
-    ``sensitive_gain``, or the MirError that mean fails with
-    (ValidationError for a mean that is not a nonnegative finite number,
-    NotIrreducible otherwise).
+    Returns one entry per mean: (pi, gain), with pi read-only and the gains
+    of all means from one pass (``sensitive_gain`` is its one-row case), or
+    the MirError that mean fails with (ValidationError for a mean that is
+    not a nonnegative finite number, NotIrreducible otherwise).
     """
     out: list = [None] * len(means)
     rows = []
@@ -300,8 +300,11 @@ def mean_chain_rows(spec: ReceptorSpec, means) -> list:
     p = q[active]
     p *= (0.5 / scale[active])[:, None, None]
     p += np.eye(spec.n_states)
-    for i, pi in zip(np.asarray(rows)[active].tolist(), _solve_stationary(p)):
-        out[i] = pi if isinstance(pi, MirError) else (pi, sensitive_gain(spec, pi))
+    solved = _solve_stationary(p)
+    good = [pi for pi in solved if not isinstance(pi, MirError)]
+    gains = iter(_gain_rows(spec, np.reshape(good, (len(good), spec.n_states))))
+    for i, pi in zip(np.asarray(rows)[active].tolist(), solved):
+        out[i] = pi if isinstance(pi, MirError) else (pi, next(gains))
     return out
 
 
@@ -319,9 +322,17 @@ def sensitive_gain(spec: ReceptorSpec, pi: np.ndarray) -> float:
     ``pi`` is the stationary vector from stationary_distribution.  Multiplying
     g by the Jensen gap of x*ln(x) in nats yields the continuous-time
     information rate in bits/s; the 1/ln 2 conversion lives here by
-    convention.
+    convention.  The one-row case of the gain pass of ``mean_chain_rows``.
     """
     if len(pi) != spec.n_states:
         raise ValidationError("steady state dimension does not match the receptor")
-    total = math.fsum(pi[t.source] * t.rate for t in spec.transitions if t.sensitive)
-    return total / LN2
+    return _gain_rows(spec, np.asarray(pi, dtype=float)[None])[0]
+
+
+def _gain_rows(spec: ReceptorSpec, pi: np.ndarray) -> list:
+    """``sensitive_gain`` of every row of the (rows, n_states) array ``pi``:
+    the terms pi[source] * rate in transition order, each row summed with
+    ``math.fsum``, then divided by ln 2."""
+    sensitive = [t for t in spec.transitions if t.sensitive]
+    terms = pi[:, [t.source for t in sensitive]] * np.array([t.rate for t in sensitive])
+    return [total / LN2 for total in map(math.fsum, terms.tolist())]

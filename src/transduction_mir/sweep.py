@@ -3,16 +3,20 @@
 A sweep evaluates the selected methods at every grid point, never aborting
 on a per-point numerical failure (the row's status column records it), and
 emits rows in mu_bar-major order.  Each grid-wide quantity is computed once,
-as an array kernel: after the input distribution of every point is built,
-the mean chains of all valid points are solved as one stack, their
-Jensen gaps come from one Gauss-Legendre pass, integrated in row blocks,
-and the bounds of each selected order s = 2, 4 come from one array pass.
-Each point then has one entry per quantity, a value or the error that
-rejected it, and one pass over the grid turns a point's entries into its
-row.  The scalar library functions are the same kernels on one point, so a
-row holds the bits a single-point call returns, and the failure it would
-raise.  Monte Carlo points derive independent seeds from (master seed, row
-index), so output is byte-identical across runs.
+as one array pass over the grid's columns: the input distributions of all
+points (``truncgauss._spec_rows``, its checks as per-row masks), the mean
+chains and gains of all valid points as one stack, their Jensen gaps from
+one Gauss-Legendre pass integrated in row blocks, the quadrature rates, the
+E[p log p] of every sensitive pair of every point for the discrete rate,
+and the bounds of each selected order s = 2, 4.  Each point then has one
+entry per quantity, a value or the error that rejected it; method by
+method, the entries fill one column per output field and the failures the
+status column, and the rows are built from the columns.  The series and
+Monte Carlo still run point by point.  The scalar library functions are the same
+kernels on one point, so a row holds the bits a single-point call returns,
+and the failure it would raise.  Monte Carlo points derive independent
+seeds from (master seed, row index), so output is byte-identical across
+runs.
 """
 
 from __future__ import annotations
@@ -26,16 +30,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# mir_bounds, mir_discrete, mir_quadrature and mir_series are not called here:
-# the sweep runs their row kernels and per-row cores on precomputed rows.
-# perfbench's tracer wraps these names and perfbench/tests/test_tracer.py
-# looks each up without a default; remove them together with those wraps.
+# TruncatedGaussianSpec, mir_bounds, mir_discrete, mir_quadrature and
+# mir_series are not called here: the sweep runs their row kernels and
+# per-row cores on precomputed rows.  perfbench's tracer wraps these names and
+# perfbench/tests/test_tracer.py looks each up without a default; remove them
+# together with those wraps.
 from .bounds import _bounds_rows, mir_bounds  # noqa: F401
-from .errors import ConfigError, EmptySweep, MirError, ValidationError, unwrap
+from .errors import ConfigError, EmptySweep, MirError, ValidationError
 from .mcsim import estimate_mir, simulate
 from .mir import (
-    _discrete,
-    _quadrature,
+    _discrete_rows,
+    _quadrature_rows,
     _series,
     _xlnx_vec,
     mir_discrete,  # noqa: F401
@@ -43,7 +48,12 @@ from .mir import (
     mir_series,  # noqa: F401
 )
 from .receptor import ReceptorSpec, mean_chain_rows
-from .truncgauss import MAX_MOMENT_ORDER, TruncatedGaussianSpec, expectation_rows
+from .truncgauss import (
+    MAX_MOMENT_ORDER,
+    TruncatedGaussianSpec,  # noqa: F401
+    _spec_objects,
+    expectation_rows,
+)
 
 VALID_METHODS = ("quadrature", "series", "bounds_s2", "bounds_s4", "discrete", "mc")
 
@@ -158,42 +168,65 @@ def _derive_seed(master_seed: int, row_index: int) -> int:
     return int(np.random.SeedSequence([master_seed, row_index]).generate_state(1)[0])
 
 
-def _compute_row(
-    config: SweepConfig, index: int, point, dist, chain, e_xlnx, bounds
-) -> SweepRow:
-    """The SweepRow of one grid point from its entries (see ``run_sweep``):
-    its input distribution, or the ValidationError that rejected it, and,
-    for a distribution, its entries of the mean chain, of E[x ln x] and, by
-    method name, of each selected bounds order."""
-    if isinstance(dist, ValidationError):
-        return SweepRow(*point, status=f"distribution:{type(dist).__name__}:{dist}")
-    receptor = config.receptor
-    values = {"mu": dist.mu, "sigma2": dist.sigma2}
-    problems: list[str] = []
-    # VALID_METHODS order, whatever order the config lists them in
-    for method in VALID_METHODS:
-        if method not in config.methods:
-            continue
-        try:
-            if method == "quadrature":
-                values["mir_quadrature"] = _quadrature(dist, chain, e_xlnx).value
-            elif method == "series":
-                values["mir_series"] = _series(dist, config.series_k, chain).value
-            elif method == "discrete":
-                rate = _discrete(receptor, dist, config.delta_t, chain, e_xlnx)
-                values["mir_discrete"] = rate.value
-            elif method == "mc":
-                seed = _derive_seed(config.seed, index)
-                traj = simulate(receptor, dist, config.delta_t, config.mc_n, seed)
-                est = estimate_mir(traj, receptor, dist)
-                values.update(mc_value=est.value, mc_stderr=est.stderr)
-            else:
-                gap_lower, gap_upper, _, gain = unwrap(bounds[method])
-                s = method[-1]
-                values.update({f"lb_s{s}": gain * gap_lower, f"ub_s{s}": gain * gap_upper})
-        except MirError as exc:
-            problems.append(f"{method}:{type(exc).__name__}")
-    return SweepRow(*point, status=";".join(problems) or "ok", **values)
+#: The SweepRow columns each method fills.
+_METHOD_COLUMNS = {
+    "quadrature": ("mir_quadrature",),
+    "series": ("mir_series",),
+    "bounds_s2": ("lb_s2", "ub_s2"),
+    "bounds_s4": ("lb_s4", "ub_s4"),
+    "discrete": ("mir_discrete",),
+    "mc": ("mc_value", "mc_stderr"),
+}
+
+
+def _method_entries(config: SweepConfig, method: str, indices, valid, chains, e_xlnx) -> list:
+    """One entry per valid point for ``method``: the values of its columns,
+    or the MirError it fails with there.  ``indices`` holds each valid
+    point's grid index, ``chains`` and ``e_xlnx`` its entries of the mean
+    chain and E[x ln x] passes.  Quadrature, discrete and the bounds are
+    one pass over the points; the series and Monte Carlo run point by
+    point."""
+    if method == "quadrature":
+        mu = np.array([dist.mu for dist in valid], dtype=float)
+        values, _, errors = _quadrature_rows(mu, chains, e_xlnx)
+        return _column_entries(values.tolist(), errors)
+    if method == "discrete":
+        rates, errors = _discrete_rows(config.receptor, valid, config.delta_t, chains, e_xlnx)
+        return _column_entries(rates[:, 0].tolist(), errors)
+    if method in ("bounds_s2", "bounds_s4"):
+        return list(map(_rate_bounds, _bounds_rows(valid, int(method[-1]), chains)))
+    return [
+        _point_entry(config, method, index, dist, chain)
+        for index, dist, chain in zip(indices, valid, chains)
+    ]
+
+
+def _point_entry(config: SweepConfig, method: str, index: int, dist, chain):
+    """The series or Monte Carlo values at the grid point ``index``, or the
+    MirError that method fails with there."""
+    try:
+        if method == "series":
+            return (_series(dist, config.series_k, chain).value,)
+        seed = _derive_seed(config.seed, index)
+        traj = simulate(config.receptor, dist, config.delta_t, config.mc_n, seed)
+        est = estimate_mir(traj, config.receptor, dist)
+        return est.value, est.stderr
+    except MirError as exc:
+        return exc
+
+
+def _column_entries(values, errors) -> list:
+    """Per row its error, or the one-tuple of its value in ``values``."""
+    return [(value,) if error is None else error for value, error in zip(values, errors)]
+
+
+def _rate_bounds(entry):
+    """A ``_bounds_rows`` entry as its (lower, upper) rate bounds, gain
+    times the gap bounds, or its error."""
+    if isinstance(entry, MirError):
+        return entry
+    gap_lower, gap_upper, _, gain = entry
+    return gain * gap_lower, gain * gap_upper
 
 
 def audit_rows(rows: Sequence[SweepRow]) -> list[tuple[int, str]]:
@@ -224,34 +257,41 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         for mu_bar in config.mu_bar_grid.values()
         for sigma_bar in config.sigma_bar_grid.values()
     ]
-    # one entry per point: its distribution, or the error that rejected it
-    dists: list = []
-    for mu_bar, sigma_bar in points:
-        try:
-            dists.append(TruncatedGaussianSpec(mu_bar, sigma_bar, config.a, config.b))
-        except ValidationError as exc:
-            dists.append(exc)
+    n = len(points)
+    # one column per numeric field, filled in per method, and per point its
+    # distribution's error or the methods that failed there
+    columns = {name: [None] * n for name in _NUMERIC_FIELDS}
+    mu_bars = columns["mu_bar"] = [mu_bar for mu_bar, _ in points]
+    sigma_bars = columns["sigma_bar"] = [sigma_bar for _, sigma_bar in points]
+    dists = _spec_objects(mu_bars, sigma_bars, [config.a] * n, [config.b] * n)
+    problems: list[list[str]] = [[] for _ in dists]
+    indices = []
+    for i, dist in enumerate(dists):
+        if isinstance(dist, ValidationError):
+            problems[i].append(f"distribution:{type(dist).__name__}:{dist}")
+        else:
+            indices.append(i)
+            columns["mu"][i], columns["sigma2"][i] = dist.mu, dist.sigma2
+    valid = [dists[i] for i in indices]
 
-    # the quadrature pass, with the larger temporaries, runs first; a
-    # point's distribution is dropped once its row is built, to bound peak memory
-    valid = [dist for dist in dists if not isinstance(dist, ValidationError)]
+    chains = mean_chain_rows(config.receptor, [dist.mu for dist in valid])
+    e_xlnx = None
     if {"quadrature", "discrete"} & set(config.methods):
         e_xlnx = expectation_rows(valid, _xlnx_vec)
-    else:
-        e_xlnx = [None] * len(valid)
-    chains = mean_chain_rows(config.receptor, [dist.mu for dist in valid])
-    # one bounds pass per selected order
-    orders = [method for method in ("bounds_s2", "bounds_s4") if method in config.methods]
-    bounds = [_bounds_rows(valid, int(method[-1]), chains) for method in orders]
-    entries = zip(chains, e_xlnx, *bounds)
-    del valid, chains, e_xlnx, bounds
-    rows = []
-    for index, point in enumerate(points):
-        dist, dists[index] = dists[index], None
-        chain, xlnx, *pairs = (None, None) if isinstance(dist, ValidationError) else next(entries)
-        rows.append(
-            _compute_row(config, index, point, dist, chain, xlnx, dict(zip(orders, pairs)))
-        )
+    # VALID_METHODS order, whatever order the config lists them in
+    for method in VALID_METHODS:
+        if method not in config.methods:
+            continue
+        targets = [columns[name] for name in _METHOD_COLUMNS[method]]
+        entries = _method_entries(config, method, indices, valid, chains, e_xlnx)
+        for i, entry in zip(indices, entries):
+            if isinstance(entry, MirError):
+                problems[i].append(f"{method}:{type(entry).__name__}")
+            else:
+                for target, value in zip(targets, entry):
+                    target[i] = value
+    statuses = [";".join(failed) or "ok" for failed in problems]
+    rows = list(map(SweepRow, *columns.values(), statuses))
 
     for index, message in audit_rows(rows):
         row = rows[index]
@@ -299,19 +339,21 @@ def _edge_note(rows: Sequence[SweepRow], mu_bar: float, sigma_bar: float) -> str
     return f" on {' and '.join(edges)}; the maximum may lie outside the grid"
 
 
-def _format_cell(value) -> str:
-    return "" if value is None else repr(float(value))
+def _format_column(values) -> list[str]:
+    return ["" if value is None else repr(float(value)) for value in values]
 
 
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:
-    """Fixed-schema CSV; floats use shortest round-trip representation."""
+    """Fixed-schema CSV; floats use shortest round-trip representation.
+
+    Formatted column by column; ``csv.writer`` quotes the statuses that
+    hold commas."""
+    columns = [_format_column([getattr(row, name) for row in rows]) for name in _NUMERIC_FIELDS]
+    columns.append([row.status for row in rows])
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_FIELDS)
-    for row in rows:
-        cells = [_format_cell(getattr(row, name)) for name in _NUMERIC_FIELDS]
-        cells.append(row.status)
-        writer.writerow(cells)
+    writer.writerows(zip(*columns))
     return buffer.getvalue()
 
 

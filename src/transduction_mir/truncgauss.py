@@ -68,14 +68,31 @@ def _pow_rows(x: np.ndarray, e: int) -> np.ndarray:
     numpy's ``**`` squares, or runs its own pow, and differs from the C
     library's in the last bit on some inputs; the scalar formulas that the
     row kernels vectorise use Python's, so the rows keep their bits.
-    Exponents 0 and 1 are exact either way.  Like Python's, an overflow
-    raises OverflowError.
+    Exponents 0 and 1 are exact either way.  A power that overflows is
+    +-inf, as in IEEE arithmetic, where Python's ``**`` raises.
     """
     if e == 0:
         return np.ones_like(x)
     if e == 1:
         return x
-    return np.array([v**e for v in x.tolist()], dtype=float)
+    values = x.tolist()
+    try:
+        return np.array([v**e for v in values], dtype=float)
+    except OverflowError:
+        return np.array([_pow_or_inf(v, e) for v in values], dtype=float)
+
+
+def _pow_or_inf(v: float, e: int) -> float:
+    try:
+        return v**e
+    except OverflowError:
+        return math.copysign(math.inf, v) if e % 2 else math.inf
+
+
+def _log_rows(x: np.ndarray) -> np.ndarray:
+    """ln(x) entry by entry with ``math.log``, whose last bit ``np.log`` does
+    not always match.  Raises ValueError at x <= 0, as math.log does."""
+    return np.array(list(map(math.log, x.tolist())), dtype=float)
 
 
 def _fsum_rows(terms: np.ndarray, spans) -> np.ndarray:
@@ -86,14 +103,12 @@ def _fsum_rows(terms: np.ndarray, spans) -> np.ndarray:
     return np.array(sums, dtype=float).reshape(len(spans), len(terms)).T
 
 
-def _edge_terms(t, pdf, e: int):
-    """t ** e * pdf, for a float or entry by entry for row arrays.
+def _edge_terms(t: np.ndarray, pdf: np.ndarray, e: int) -> np.ndarray:
+    """t ** e * pdf entry by entry, with Python's ``**``.
 
     A huge standardized endpoint has phi exactly 0.0; its term is then 0.0,
     never 0 * inf, and its power is never taken.
     """
-    if not isinstance(pdf, np.ndarray):
-        return 0.0 if pdf == 0.0 else t**e * pdf
     pairs = zip(t.tolist(), pdf.tolist())
     return np.array([0.0 if p == 0.0 else v**e * p for v, p in pairs], dtype=float)
 
@@ -105,8 +120,8 @@ def _l_coefficients(alpha, beta, z, order: int) -> list:
     L_1 = -(phi(beta) - phi(alpha)) / z
     L_i = -(beta^(i-1) phi(beta) - alpha^(i-1) phi(alpha)) / z + (i-1) L_{i-2}
 
-    Returns [L_0, ..., L_order]: floats for float arguments, and for row
-    arrays one array per order (L_0 stays the float 1.0).
+    The arguments are row arrays; returns [L_0, ..., L_order], one array
+    per order (L_0 stays the float 1.0).
     """
     pdf_a = _norm_pdf(alpha)
     pdf_b = _norm_pdf(beta)
@@ -154,44 +169,92 @@ class TruncatedGaussianSpec:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ValidationError(f"{name} must be a finite number, got {value!r}")
-        if self.sigma_bar <= 0.0:
-            raise ValidationError(f"sigma_bar must be positive, got {self.sigma_bar}")
-        if not 0.0 <= self.a < self.b:
-            raise ValidationError(
-                f"truncation must satisfy 0 <= a < b, got [{self.a}, {self.b}]"
-            )
+        derived, (error,) = _spec_rows((self.mu_bar,), (self.sigma_bar,), (self.a,), (self.b,))
+        unwrap(error)
+        for name, column in zip(_DERIVED, derived):
+            object.__setattr__(self, name, float(column[0]))
 
-        alpha = (self.a - self.mu_bar) / self.sigma_bar
-        beta = (self.b - self.mu_bar) / self.sigma_bar
-        if alpha > 0.0:
-            z = float(ndtr(-alpha) - ndtr(-beta))
-        else:
-            z = float(ndtr(beta) - ndtr(alpha))
-        if z <= MIN_TRUNCATION_MASS:
-            raise ValidationError(
-                f"truncation [{self.a}, {self.b}] keeps only {z:.3e} of the parent "
+
+#: The fields ``TruncatedGaussianSpec`` derives from its parameters.
+_DERIVED = ("alpha", "beta", "z", "mu", "sigma2")
+
+
+def _spec_rows(mu_bar, sigma_bar, a, b) -> tuple[tuple, list]:
+    """The derived fields of ``TruncatedGaussianSpec`` for whole columns.
+
+    Each argument holds one finite number per row.  Returns (alpha, beta, z,
+    mu, sigma2) as float arrays, and per row the ValidationError the
+    constructor raises there, or None: the checks run as masks in the
+    constructor's order, and a message shows each parameter as the caller
+    passed it.  Each row has the bits of the scalar formulas; ``z`` takes
+    the reflected upper tail on the rows where alpha > 0.
+    """
+    mb, sb, lo, hi = (np.asarray(column, dtype=float) for column in (mu_bar, sigma_bar, a, b))
+    errors: list = [None] * len(mb)
+    mark_rows(
+        errors,
+        sb <= 0.0,
+        lambda i: ValidationError(f"sigma_bar must be positive, got {sigma_bar[i]}"),
+    )
+    mark_rows(
+        errors,
+        ~((0.0 <= lo) & (lo < hi)),
+        lambda i: ValidationError(f"truncation must satisfy 0 <= a < b, got [{a[i]}, {b[i]}]"),
+    )
+    # rows already rejected may divide by zero; their values are never read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = (lo - mb) / sb
+        beta = (hi - mb) / sb
+        z = np.where(alpha > 0.0, ndtr(-alpha) - ndtr(-beta), ndtr(beta) - ndtr(alpha))
+        mark_rows(
+            errors,
+            z <= MIN_TRUNCATION_MASS,
+            lambda i: ValidationError(
+                f"truncation [{a[i]}, {b[i]}] keeps only {z[i]:.3e} of the parent "
                 f"mass (minimum {MIN_TRUNCATION_MASS:.0e})"
-            )
-        L = _l_coefficients(alpha, beta, z, 2)
-        mu = self.mu_bar + self.sigma_bar * L[1]
-        sigma2 = self.sigma_bar**2 * (L[2] - L[1] * L[1])
+            ),
+        )
+        _, L1, L2 = _l_coefficients(alpha, beta, z, 2)
+        mu = mb + sb * L1
+        sigma_sq = _pow_rows(sb, 2)
+        sigma2 = sigma_sq * (L2 - L1 * L1)
 
-        span = self.b - self.a
-        if not (self.a - 1e-9 * span <= mu <= self.b + 1e-9 * span):
-            raise ValidationError(f"truncated mean {mu} escaped [{self.a}, {self.b}]")
-        if not (0.0 < sigma2 <= self.sigma_bar**2 * (1.0 + 1e-12)):
-            raise ValidationError(
-                f"truncated variance {sigma2} outside (0, sigma_bar^2]"
-            )
+    span = hi - lo
+    mark_rows(
+        errors,
+        ~((lo - 1e-9 * span <= mu) & (mu <= hi + 1e-9 * span)),
+        lambda i: ValidationError(f"truncated mean {float(mu[i])} escaped [{a[i]}, {b[i]}]"),
+    )
+    # an overflowed sigma_bar^2 leaves an infinite variance, rejected here
+    mark_rows(
+        errors,
+        ~((0.0 < sigma2) & (sigma2 <= sigma_sq * (1.0 + 1e-12)) & (sigma2 < math.inf)),
+        lambda i: ValidationError(
+            f"truncated variance {float(sigma2[i])} outside (0, sigma_bar^2]"
+        ),
+    )
+    return (alpha, beta, z, mu, sigma2), errors
 
-        for name, value in (
-            ("alpha", alpha),
-            ("beta", beta),
-            ("z", z),
-            ("mu", mu),
-            ("sigma2", sigma2),
-        ):
-            object.__setattr__(self, name, float(value))
+
+def _spec_objects(mu_bar, sigma_bar, a, b) -> list:
+    """One entry per row: the ``TruncatedGaussianSpec`` of that row's finite
+    parameters, or the ValidationError its constructor raises there.
+
+    The checks run once, as ``_spec_rows`` masks, and each spec is filled
+    in from its columns without running them again.
+    """
+    derived, errors = _spec_rows(mu_bar, sigma_bar, a, b)
+    names = ("mu_bar", "sigma_bar", "a", "b", *_DERIVED)
+    rows = zip(mu_bar, sigma_bar, a, b, *(column.tolist() for column in derived))
+    out: list = []
+    for error, values in zip(errors, rows):
+        if error is not None:
+            out.append(error)
+            continue
+        spec = object.__new__(TruncatedGaussianSpec)
+        vars(spec).update(zip(names, values))
+        out.append(spec)
+    return out
 
 
 @dataclass(frozen=True)
@@ -258,6 +321,7 @@ def _moments_about(mu_bar, sigma_bar, center, L: np.ndarray) -> np.ndarray:
     return _fsum_rows(comb * sigma_pow[:, i] * d_pow[:, m - i] * L[:, i], spans)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _moment_rows(specs, order: int) -> tuple[np.ndarray, np.ndarray, list]:
     """Raw and central moments up to ``order`` of every spec, as one array pass.
 
@@ -456,7 +520,7 @@ def _refine(estimate: Callable[[int, np.ndarray], list], count: int, what: str) 
     return out
 
 
-def _gl_rows(edges, loc, scale, mass, f, n: int) -> list:
+def _gl_rows(edges, loc, scale, mass, f, n: int, params=None) -> list:
     """n-node Gauss-Legendre estimates of E[f(x)], one per row.
 
     Row i integrates f against the density of parent mean ``loc[i]``,
@@ -464,10 +528,11 @@ def _gl_rows(edges, loc, scale, mass, f, n: int) -> list:
     standardized panels ``edges[i]``, n nodes on each; every row has the
     same panel count.  Rows go through in blocks of at most
     ``_BLOCK_NODES`` nodes (and at least one row) as node arrays of shape
-    (rows, panels * n); ``f`` gets a block's nodes as one flat array and
-    must act entry by entry.  The sum over a row's nodes is a stacked
-    matmul, the same dot product as for that row alone, so a row's value
-    does not depend on the rows batched with it.
+    (rows, panels * n); ``f`` gets a block's nodes in that 2-D shape, then,
+    when ``params`` (one row of parameters per row) is given, one (rows, 1)
+    column per parameter, and must act entry by entry.  The sum over a
+    row's nodes is a stacked matmul, the same dot product as for that row
+    alone, so a row's value does not depend on the rows batched with it.
     """
     nodes, weights = _gl_nodes(n)
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])
@@ -480,20 +545,22 @@ def _gl_rows(edges, loc, scale, mass, f, n: int) -> list:
         xs = loc[b, None, None] + scale[b, None, None] * ts
         ws = half[b, :, None] * weights * _norm_pdf(ts) / mass[b, None, None]
         ws = ws.reshape(len(ts), -1)
-        fx = np.asarray(f(xs.ravel()), dtype=float).reshape(len(ts), -1)
+        columns = () if params is None else params[b].T[:, :, None]
+        fx = np.asarray(f(xs.reshape(len(ts), -1), *columns), dtype=float)
         values += (ws[:, None, :] @ fx[:, :, None])[:, 0, 0].tolist()
     return values
 
 
-def expectation_rows(specs, f: Callable[[np.ndarray], np.ndarray]) -> list:
+def expectation_rows(specs, f: Callable[..., np.ndarray], params=None) -> list:
     """E[f(x)] under each spec, by one Gauss-Legendre pass over all of them.
 
     Specs are grouped by panel count, never padded, and each group runs the
     fixed node schedule with a per-row agreement test (``_refine``), so only
-    unsettled rows go on to more nodes.  ``f`` must act entry by entry (see
-    ``_gl_rows``).  Returns one entry per spec: (value, n, delta), with n
-    the nodes per panel of the accepted estimate and delta its change from
-    the estimate before, or NoConvergence.
+    unsettled rows go on to more nodes.  ``f`` must act entry by entry; with
+    ``params``, a (specs, k) array, row i integrates ``f(x, *params[i])``
+    (see ``_gl_rows``).  Returns one entry per spec: (value, n, delta), with
+    n the nodes per panel of the accepted estimate and delta its change
+    from the estimate before, or NoConvergence.
     """
     groups: dict[int, tuple[list, list]] = {}
     for i, spec in enumerate(specs):
@@ -502,11 +569,15 @@ def expectation_rows(specs, f: Callable[[np.ndarray], np.ndarray]) -> list:
         members.append(i)
         records.append((spec.mu_bar, spec.sigma_bar, spec.z, *edges))
     out: list = [None] * len(specs)
+    if params is not None:
+        params = np.asarray(params, dtype=float)
     for members, records in groups.values():
         table = np.array(records)
+        group_params = None if params is None else params[members]
 
-        def estimate(n: int, rows: np.ndarray, table=table) -> list:
-            return _gl_rows(table[rows, 3:], *table[rows, :3].T, f, n)
+        def estimate(n: int, rows: np.ndarray, table=table, group_params=group_params) -> list:
+            row_params = None if group_params is None else group_params[rows]
+            return _gl_rows(table[rows, 3:], *table[rows, :3].T, f, n, row_params)
 
         for i, entry in zip(members, _refine(estimate, len(members), "expectation")):
             out[i] = entry

@@ -8,8 +8,9 @@ arrays, and the tests pin the two against each other.  The remaining helpers
 Monte Carlo gap, occupancy and bigram counts, the Taylor limit of h_s, the
 per-step simulation loop) are oracles for the acceptance criteria and the
 unit tests.  The one-array stationary solve, the one-spec Gauss-Legendre
-estimate and the float-by-float gap bounds are the scalar forms the batched
-kernels must match bit for bit.
+estimate, the float-by-float spec fields, gain and gap bounds, and the
+pair-by-pair discrete rate are the scalar forms the batched kernels must
+match bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from transduction_mir import (
     DomainError,
@@ -33,10 +35,12 @@ from transduction_mir import (
     stationary_distribution,
 )
 from transduction_mir.errors import unwrap
-from transduction_mir.mir import _xlnx_vec
-from transduction_mir.receptor import _solve_stationary, _strongly_connected, step_kernel
+from transduction_mir.mir import _plogp_vec, _xlnx_vec, plogp
+from transduction_mir.receptor import LN2, _solve_stationary, _strongly_connected, step_kernel
 from transduction_mir.truncgauss import (
     MAX_MOMENT_ORDER,
+    MIN_TRUNCATION_MASS,
+    expectation,
     _gl_nodes,
     _l_coefficients,
     _moments_about,
@@ -165,6 +169,72 @@ def mean_chain_stationary(spec: ReceptorSpec, mean_x: float) -> np.ndarray:
     return solve_stationary_one(np.eye(spec.n_states) + (0.5 / scale) * q)
 
 
+def scalar_spec_fields(mu_bar, sigma_bar, a, b) -> tuple[float, ...]:
+    """(alpha, beta, z, mu, sigma2) of a truncated Gaussian, float by float.
+
+    The constructor's formulas and checks in plain Python floats, for
+    finite parameters; raises the ValidationError the constructor raises.
+    """
+    if sigma_bar <= 0.0:
+        raise ValidationError(f"sigma_bar must be positive, got {sigma_bar}")
+    if not 0.0 <= a < b:
+        raise ValidationError(f"truncation must satisfy 0 <= a < b, got [{a}, {b}]")
+    alpha = (a - mu_bar) / sigma_bar
+    beta = (b - mu_bar) / sigma_bar
+    if alpha > 0.0:
+        z = float(ndtr(-alpha) - ndtr(-beta))
+    else:
+        z = float(ndtr(beta) - ndtr(alpha))
+    if z <= MIN_TRUNCATION_MASS:
+        raise ValidationError(
+            f"truncation [{a}, {b}] keeps only {z:.3e} of the parent "
+            f"mass (minimum {MIN_TRUNCATION_MASS:.0e})"
+        )
+    pdf_a, pdf_b = (float(_norm_pdf(t)) for t in (alpha, beta))
+    L1 = -(pdf_b - pdf_a) / z
+    tb = 0.0 if pdf_b == 0.0 else beta * pdf_b
+    ta = 0.0 if pdf_a == 0.0 else alpha * pdf_a
+    L2 = -(tb - ta) / z + 1.0
+    mu = mu_bar + sigma_bar * L1
+    sigma2 = sigma_bar**2 * (L2 - L1 * L1)
+    span = b - a
+    if not (a - 1e-9 * span <= mu <= b + 1e-9 * span):
+        raise ValidationError(f"truncated mean {mu} escaped [{a}, {b}]")
+    if not (0.0 < sigma2 <= sigma_bar**2 * (1.0 + 1e-12)):
+        raise ValidationError(f"truncated variance {sigma2} outside (0, sigma_bar^2]")
+    return alpha, beta, z, mu, sigma2
+
+
+def scalar_gain(spec: ReceptorSpec, pi) -> float:
+    """The gain factor float by float: math.fsum of pi[source] * rate over
+    the sensitive transitions, divided by ln 2."""
+    return math.fsum(float(pi[t.source]) * t.rate for t in spec.transitions if t.sensitive) / LN2
+
+
+def pair_integrand(c: float, m: float):
+    """phi(c + m * x) as a one-pair closure, the integrand of one entry."""
+    return lambda x: _plogp_vec(c + m * x)
+
+
+def scalar_discrete(spec: ReceptorSpec, dist: TruncatedGaussianSpec, delta_t: float) -> tuple:
+    """(value, diagonal part) of the finite-step rate in bits/s, pair by pair.
+
+    Each x-dependent entry's E[phi(p(x))] comes from its own one-spec
+    ``expectation`` call with a closure, and the terms are summed with
+    ``math.fsum``; no checks beyond the ones those calls make.
+    """
+    const, lin = step_kernel(spec, delta_t, dist.b)
+    pi = stationary_distribution(spec, dist.mu)
+    terms = {}
+    for i, j in zip(*(index.tolist() for index in np.nonzero(spec.slope))):
+        c, m = const[i, j], lin[i, j]
+        e_phi = expectation(dist, pair_integrand(c, m))
+        mean_entry = min(max(c + m * dist.mu, 0.0), 1.0)
+        terms[i, j] = pi[i] * (e_phi - plogp(mean_entry))
+    diagonal = math.fsum(term for (i, j), term in terms.items() if i == j)
+    return math.fsum(terms.values()) / delta_t, diagonal / delta_t
+
+
 def gl_estimate(spec: TruncatedGaussianSpec, f, n: int, edges) -> float:
     """One Gauss-Legendre estimate of E[f(x)] with n nodes on each panel.
 
@@ -214,7 +284,8 @@ def moments_about(spec: TruncatedGaussianSpec, center: float, order: int) -> np.
         raise ValidationError(f"order must be >= 0, got {order}")
     if order > MAX_MOMENT_ORDER:
         raise OrderTooHigh(f"order {order} exceeds ceiling {MAX_MOMENT_ORDER}")
-    L = np.array([_l_coefficients(spec.alpha, spec.beta, spec.z, order)])
+    rows = (np.array([value]) for value in (spec.alpha, spec.beta, spec.z))
+    L = np.column_stack(np.broadcast_arrays(*_l_coefficients(*rows, order)))
     return _moments_about(np.array([spec.mu_bar]), np.array([spec.sigma_bar]), center, L)[0]
 
 

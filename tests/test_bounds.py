@@ -325,3 +325,18 @@ class TestScalarOperations:
     def test_log_rows_is_math_log(self, values):
         got = _log_rows(np.array(values, dtype=float))
         assert got.tobytes() == np.array([math.log(v) for v in values], dtype=float).tobytes()
+
+
+class TestWideWindows:
+    """b**s and b**m overflow on very wide windows; the bounds still hold."""
+
+    @pytest.mark.parametrize("s", [2, 4])
+    def test_bounds_sandwich_the_rate_at_b_1e80(self, s):
+        spec = chr2_skeleton()
+        dist = TruncatedGaussianSpec(1.0, 0.5, 1e-5, 1e80)
+        pair = mir_bounds(spec, dist, s)
+        exact = mir_quadrature(spec, dist).value
+        assert 0.0 <= pair.lower <= exact <= pair.upper < 1.0
+        # the window's mass beyond x = 10 is below e^-160: the same rate
+        near = mir_quadrature(spec, TruncatedGaussianSpec(1.0, 0.5, 1e-5, 10.0)).value
+        assert exact == pytest.approx(near, rel=1e-12)

@@ -120,6 +120,36 @@ class TestBounds:
             assert diagnostics["central_s"] == pytest.approx(diagnostics["sigma2"], rel=1e-10)
 
 
+def _with_upper_end(point_config, b):
+    doc = json.loads(point_config.read_text())
+    doc["distribution"]["b"] = b
+    path = point_config.parent / f"b_{b}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestWideWindows:
+    """Powers of b past the float range are +inf, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["moments", "--order", "20"], ["moments", "--order", "64"], ["bounds", "--s", "4"],
+         ["bounds", "--s", "2"]],
+        ids=" ".join,
+    )
+    @pytest.mark.parametrize("b", [1e16, 1e80])
+    def test_command_returns(self, point_config, capsys, argv, b):
+        config = _with_upper_end(point_config, b)
+        assert main([argv[0], "--config", str(config), *argv[1:]]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        if argv[0] == "bounds":
+            assert 0.0 <= payload["lower_bits_per_s"] <= payload["upper_bits_per_s"] < 1.0
+        else:
+            assert all(math.isfinite(v) for v in payload["raw"] + payload["central"])
+
+
 class TestMoments:
     def test_table(self, point_config, capsys):
         assert main(["moments", "--config", str(point_config), "--order", "6"]) == 0

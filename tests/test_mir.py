@@ -20,6 +20,7 @@ from transduction_mir import (
     TruncatedGaussianSpec,
     ValidationError,
     chr2_skeleton,
+    expectation,
     jensen_gap,
     mir_bounds,
     mir_discrete,
@@ -30,8 +31,19 @@ from transduction_mir import (
     sensitive_pairs,
     xlnx,
 )
-from transduction_mir.receptor import step_kernel
+from transduction_mir.errors import MirError, NotIrreducible
+from transduction_mir.mir import (
+    MirResult,
+    _discrete_rows,
+    _plogp_entry,
+    _plogp_vec,
+    _quadrature_rows,
+    _xlnx_vec,
+)
+from transduction_mir.receptor import ReceptorSpec, Transition, mean_chain_rows, step_kernel
+from transduction_mir.truncgauss import expectation_rows
 from conftest import five_state_receptor, random_valid_dist
+from oracles import pair_integrand, scalar_discrete
 
 # FROZEN oracle values at the canonical point (unit-rate skeleton,
 # mu_bar=1, sigma_bar=0.5, [1e-5, 2]).
@@ -351,3 +363,179 @@ def test_sensitive_pairs_are_the_nonzero_step_slope_entries(spec):
     _, lin = step_kernel(spec, 1e-3, 2.0)
     rows, cols = np.nonzero(lin)
     assert sorted(sensitive_pairs(spec)) == sorted(zip(rows.tolist(), cols.tolist()))
+
+
+def _grid_dists(a=1e-5, b=2.0, steps=8):
+    return [
+        TruncatedGaussianSpec(float(m), float(s), a, b)
+        for m in np.linspace(0.2, 1.8, steps)
+        for s in np.linspace(0.1, 1.0, steps)
+    ]
+
+
+def _outcome(run):
+    """What ``run()`` returns, or its error's type and message."""
+    try:
+        return run()
+    except MirError as exc:
+        return type(exc).__name__, str(exc)
+
+
+REDUCIBLE = ReceptorSpec(
+    "reducible",
+    ("A", "B", "C"),
+    (Transition(0, 1, 1.0, True), Transition(1, 0, 1.0, False), Transition(2, 0, 1.0, False)),
+)
+
+
+class TestQuadratureRows:
+    """Every row of the quadrature core has the bits, or the error, of
+    ``mir_quadrature`` at that point."""
+
+    @pytest.mark.parametrize("spec", [chr2_skeleton(), five_state_receptor(), REDUCIBLE],
+                             ids=lambda spec: spec.name)
+    def test_rows_equal_one_point_calls(self, spec):
+        dists = _grid_dists()
+        chains = mean_chain_rows(spec, [d.mu for d in dists])
+        e_xlnx = expectation_rows(dists, _xlnx_vec)
+        values, gaps, errors = _quadrature_rows(np.array([d.mu for d in dists]), chains, e_xlnx)
+        for dist, value, gap, error in zip(dists, values, gaps, errors):
+            got = (type(error).__name__, str(error)) if error else (value, gap)
+            expected = _outcome(lambda: mir_quadrature(spec, dist))
+            if isinstance(expected, MirResult):
+                expected = (expected.value, expected.gap_nats)
+                pi, gain = mean_chain_rows(spec, [dist.mu])[0]
+                e_value = expectation(dist, _xlnx_vec)
+                assert value == gain * (e_value - dist.mu * math.log(dist.mu))
+            assert got == expected
+
+    def test_gap_takes_the_scalar_log(self, unit_chr2):
+        # truncated means whose np.log differs in the last bit from math.log
+        candidates = [TruncatedGaussianSpec(float(m), 0.3, 1e-5, 2.0)
+                      for m in np.linspace(0.2, 1.8, 400)]
+        mu = np.array([d.mu for d in candidates])
+        odd = np.log(mu) != [math.log(m) for m in mu.tolist()]
+        dists = [d for d, flag in zip(candidates, odd) if flag][:8]
+        assert len(dists) >= 2
+        chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
+        e_xlnx = expectation_rows(dists, _xlnx_vec)
+        values, gaps, _ = _quadrature_rows(np.array([d.mu for d in dists]), chains, e_xlnx)
+        for dist, (_, gain), (e_value, _, _), value, gap in zip(dists, chains, e_xlnx, values, gaps):
+            assert gap == e_value - dist.mu * math.log(dist.mu)
+            assert value == gain * gap
+
+    def test_failing_rows_keep_the_one_point_order(self, unit_chr2):
+        dists = _grid_dists(steps=3)[:6]
+        chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
+        e_xlnx = expectation_rows(dists, _xlnx_vec)
+        unsettled = NoConvergence("expectation did not stabilize")
+        irreducible = NotIrreducible("no single recurrent class")
+        chains[1] = chains[2] = irreducible
+        e_xlnx[2] = e_xlnx[3] = unsettled
+        # E[x ln x] 1e-6 nats below mu ln mu: a rate below the floor
+        mu = dists[4].mu
+        e_xlnx[4] = (mu * math.log(mu) - 1e-6, 400, 0.0)
+        values, _, errors = _quadrature_rows(np.array([d.mu for d in dists]), chains, e_xlnx)
+        assert errors[0] is None and errors[5] is None
+        assert errors[1] is irreducible and errors[2] is irreducible and errors[3] is unsettled
+        gain = chains[4][1]
+        with pytest.raises(ValidationError) as info:
+            MirResult(value=values[4], method="quadrature", gain=gain, gap_nats=values[4] / gain)
+        assert type(errors[4]) is ValidationError and str(errors[4]) == str(info.value)
+        assert np.isnan(values[1:4]).all()
+
+
+class TestDiscreteRows:
+    """The E[phi(p(x))] of every sensitive pair of every point is one pass;
+    each row has the bits, or the error, of the one-point call."""
+
+    @pytest.mark.parametrize("spec", [chr2_skeleton(), five_state_receptor()],
+                             ids=lambda spec: spec.name)
+    def test_pair_pass_equals_one_pair_calls(self, spec):
+        dists = _grid_dists(steps=5)
+        pairs = sensitive_pairs(spec)
+        const, lin = step_kernel(spec, 1e-3, 2.0)
+        cm = [(const[i, j], lin[i, j]) for i, j in pairs]
+        rows = expectation_rows([d for d in dists for _ in pairs], _plogp_entry,
+                                np.tile(np.array(cm), (len(dists), 1)))
+        expected = [expectation_rows([d], pair_integrand(c, m))[0] for d in dists for c, m in cm]
+        assert rows == expected
+
+    @pytest.mark.parametrize("delta_t", [1e-3, 0.75])
+    @pytest.mark.parametrize("spec", [chr2_skeleton(), five_state_receptor(), REDUCIBLE],
+                             ids=lambda spec: spec.name)
+    def test_rows_equal_one_point_calls(self, spec, delta_t):
+        dists = _grid_dists(steps=5)
+        chains = mean_chain_rows(spec, [d.mu for d in dists])
+        e_xlnx = expectation_rows(dists, _xlnx_vec)
+        rates, errors = _discrete_rows(spec, dists, delta_t, chains, e_xlnx)
+        for dist, rate, error in zip(dists, rates.tolist(), errors):
+            expected = _outcome(lambda: mir_discrete(spec, dist, delta_t))
+            if error is not None:
+                assert (type(error).__name__, str(error)) == expected
+                continue
+            value, gap_nats, diagonal, off_diagonal = rate
+            assert expected.value == value and expected.gap_nats == gap_nats
+            assert expected.diagnostics["diagonal_bits_per_s"] == diagonal
+            assert expected.diagnostics["off_diagonal_bits_per_s"] == off_diagonal
+            assert (value, diagonal) == scalar_discrete(spec, dist, delta_t)
+        # the step kernel is checked first, then the mean chain
+        kind = "NotIrreducible" if spec is REDUCIBLE else "NoneType"
+        assert {type(e).__name__ for e in errors} == {"StepTooLarge" if delta_t > 0.5 else kind}
+
+    def test_mean_entries_take_the_scalar_log2(self, unit_chr2):
+        # points whose closed-form mean entry c + m * mu has an np.log2 that
+        # differs in the last bit from math.log2
+        # at delta_t = 0.2 the entries spread over (0.04, 0.96)
+        const, lin = step_kernel(unit_chr2, 0.2, 2.0)
+        candidates = [TruncatedGaussianSpec(float(m), 0.3, 1e-5, 2.0)
+                      for m in np.linspace(0.2, 1.8, 2000)]
+        mu = np.array([d.mu for d in candidates])
+        odd = np.zeros(len(candidates), dtype=bool)
+        for i, j in sensitive_pairs(unit_chr2):
+            entries = const[i, j] + lin[i, j] * mu
+            odd |= _plogp_vec(entries) != [plogp(p) for p in entries.tolist()]
+        dists = [d for d, flag in zip(candidates, odd) if flag][:6]
+        assert len(dists) >= 2
+        chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
+        e_xlnx = expectation_rows(dists, _xlnx_vec)
+        rates, errors = _discrete_rows(unit_chr2, dists, 0.2, chains, e_xlnx)
+        assert errors == [None] * len(dists)
+        got = [tuple(rate[[0, 2]]) for rate in rates]
+        assert got == [scalar_discrete(unit_chr2, dist, 0.2) for dist in dists]
+
+    def test_step_kernel_error_reaches_only_its_rows(self, unit_chr2):
+        # at delta_t = 0.4 the step is admissible up to x = 2.5 only
+        dists = [TruncatedGaussianSpec(1.0, 0.5, 1e-5, b) for b in (1.0, 3.0, 2.0, 4.0)]
+        chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
+        e_xlnx = expectation_rows(dists, _xlnx_vec)
+        _, errors = _discrete_rows(unit_chr2, dists, 0.4, chains, e_xlnx)
+        kinds = [type(e).__name__ for e in errors]
+        assert kinds == ["NoneType", "StepTooLarge", "NoneType", "StepTooLarge"]
+        for dist, error in zip(dists, errors):
+            if error is not None:
+                assert (type(error).__name__, str(error)) == _outcome(
+                    lambda: mir_discrete(unit_chr2, dist, 0.4)
+                )
+
+    def test_unsettled_pair_is_the_row_error(self, unit_chr2, monkeypatch):
+        # the second pair of the second point never settles
+        import transduction_mir.mir as mir_module
+
+        real = mir_module.expectation_rows
+        unsettled = NoConvergence("expectation did not stabilize by n=1600 nodes per panel")
+
+        def failing(specs, f, params=None):
+            rows = real(specs, f, params)
+            if params is not None:
+                rows[3] = unsettled
+            return rows
+
+        monkeypatch.setattr(mir_module, "expectation_rows", failing)
+        dists = _grid_dists(steps=3)[:3]
+        chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
+        e_xlnx = real(dists, _xlnx_vec)
+        e_xlnx[1] = e_xlnx[2] = NoConvergence("x ln x did not settle")
+        rates, errors = _discrete_rows(unit_chr2, dists, 1e-3, chains, e_xlnx)
+        assert errors[0] is None and errors[1] is unsettled and errors[2] is e_xlnx[2]
+        assert np.isnan(rates[1:]).all() and not np.isnan(rates[0]).any()

@@ -37,6 +37,7 @@ from oracles import (
     RateMatrix,
     build_rate_matrix,
     mean_chain_stationary,
+    scalar_gain,
     solve_stationary_one,
     steady_state,
     transition_matrix,
@@ -375,6 +376,13 @@ class TestMeanChainRows:
             assert pi.tobytes() == mean_chain_stationary(spec, mean_x).tobytes()
             assert gain == sensitive_gain(spec, pi)
             assert not pi.flags.writeable
+
+    @pytest.mark.parametrize("spec", AFFINE_SPECS, ids=lambda spec: spec.name)
+    def test_gain_pass_equals_float_by_float_sums(self, spec):
+        means = np.random.default_rng(12).uniform(1e-3, 5.0, 300).tolist()
+        for pi, gain in mean_chain_rows(spec, means):
+            assert gain == scalar_gain(spec, pi) == sensitive_gain(spec, pi)
+            assert gain == sensitive_gain(spec, pi.tolist())
 
     def test_bad_means_fail_alone(self, unit_chr2):
         means = [0.5, -0.5, 1.5, math.nan, 0.0, 2.5]

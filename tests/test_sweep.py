@@ -32,6 +32,7 @@ from transduction_mir import (
     rows_to_json,
     run_sweep,
     simulate,
+    truncgauss,
 )
 from transduction_mir.cli import main
 from transduction_mir.sweep import CSV_HEADER, VALID_METHODS, _derive_seed, _edge_note
@@ -228,6 +229,27 @@ class TestRunSweep:
         rows = run_sweep(config)
         assert [row.status for row in rows] == ["ok"] * 4
         assert stacks == [4]
+
+    def test_refinement_calls_per_sweep(self, unit_chr2, monkeypatch):
+        # one E[x ln x] pass, one pass over every sensitive pair of every
+        # point, and one moment vector per point for the series
+        calls = []
+        refine = truncgauss._refine
+        monkeypatch.setattr(
+            truncgauss, "_refine", lambda *args: calls.append(args[1:]) or refine(*args)
+        )
+        config = small_config(
+            unit_chr2,
+            mu_bar_grid=GridAxis(0.2, 1.8, 8),
+            sigma_bar_grid=GridAxis(0.1, 1.0, 8),
+            methods=("quadrature", "series", "bounds_s2", "bounds_s4", "discrete"),
+        )
+        rows = run_sweep(config)
+        assert [row.status for row in rows] == ["ok"] * 64
+        assert len(calls) == 66
+        assert calls.count((64, "expectation")) == 1
+        assert calls.count((128, "expectation")) == 1  # two sensitive pairs per point
+        assert calls.count((1, "moment quadrature")) == 64
 
     # the reducible receptor fails every valid row's stationary solve; at
     # delta_t = 0.75 discrete and mc fail with StepTooLarge, raised first

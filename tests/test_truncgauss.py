@@ -28,14 +28,18 @@ from transduction_mir import (
 from transduction_mir import raw_moments as package_raw_moments
 from transduction_mir.mir import _xlnx_vec
 from transduction_mir.truncgauss import (
+    MIN_TRUNCATION_MASS,
     _gl_nodes,
     _gl_rows,
     _integration_bounds,
     _panel_edges,
+    _pow_rows,
+    _spec_objects,
+    _spec_rows,
     expectation_rows,
 )
 from conftest import random_valid_dist
-from oracles import density, gl_estimate, moments_about, scale
+from oracles import density, gl_estimate, moments_about, scalar_spec_fields, scale
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -553,3 +557,139 @@ class TestExpectationRows:
         assert sizes == [600, 1200, 800, 1600]
         with pytest.raises(NoConvergence):
             expectation(stepped, step)
+
+
+def _spec_outcome(run):
+    """The bits of the fields ``run()`` returns, or its error's type and message."""
+    try:
+        return tuple(float(v).hex() for v in run())
+    except ValidationError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _spec_fields(spec):
+    return tuple(getattr(spec, name) for name in ("alpha", "beta", "z", "mu", "sigma2"))
+
+
+# (mu_bar, sigma_bar, a, b) rows each constructor check rejects, in its order
+FAILING_SPECS = [
+    (1.0, 0.0, 1e-5, 2.0),  # sigma_bar <= 0
+    (1.0, -0.5, 1e-5, 2.0),
+    (1.0, 0.5, 2.0, 1.0),  # a >= b
+    (1.0, 0.5, -0.1, 1.0),  # a < 0
+    (-40.0, 1.0, 0.0, 2.0),  # mass below MIN_TRUNCATION_MASS
+    (-8.0, 1.0, 0.0, 2.0),  # far tail, alpha > 0, below the floor on the reflected mass
+    (0.0, 0.01, 1.0, 1.1),  # 100 sigmas away
+    (0.0, 1e200, 0.0, 1e200),  # sigma_bar^2 overflows: infinite variance
+]
+
+
+class TestSpecRows:
+    """Every row of the column pass has the bits, or the error, of the
+    constructor and of the float-by-float formulas."""
+
+    @staticmethod
+    def rows():
+        rng = np.random.default_rng(5)
+        rows = [(float(m), float(s), 1e-5, 2.0)
+                for m in np.linspace(-3.0, 5.0, 41) for s in np.linspace(0.0, 3.0, 31)]
+        for _ in range(1500):
+            a = float(rng.uniform(0.0, 3.0))
+            b = a + float(10 ** rng.uniform(-6, 2))
+            rows.append((float(rng.uniform(-10, 10)), float(10 ** rng.uniform(-4, 1)), a, b))
+        far_tail = [(-7.0, 1.0, 0.0, 2.0), (-6.0, 1.0, 0.0, 2.0)]  # alpha > 0, kept
+        # the failing rows interleaved with good ones
+        for k, row in enumerate(FAILING_SPECS + far_tail):
+            rows.insert(97 * k, row)
+        return rows
+
+    def test_rows_equal_scalar_constructions(self):
+        rows = self.rows()
+        columns = [list(column) for column in zip(*rows)]
+        derived, errors = _spec_rows(*columns)
+        got = [
+            (type(error).__name__, str(error)) if error is not None
+            else tuple(float(column[i]).hex() for column in derived)
+            for i, error in enumerate(errors)
+        ]
+        for row, outcome in zip(rows, got):
+            assert outcome == _spec_outcome(lambda: _spec_fields(TruncatedGaussianSpec(*row)))
+            if row != FAILING_SPECS[-1]:  # the oracle's ** raises OverflowError there
+                assert outcome == _spec_outcome(lambda: scalar_spec_fields(*row))
+        kinds = {outcome[1].split(" ")[0] for outcome in got if len(outcome) == 2}
+        assert kinds == {"sigma_bar", "truncation", "truncated"}
+        assert sum(len(outcome) == 5 for outcome in got) > 1500
+
+    def test_each_failing_row_names_its_check(self):
+        derived, errors = _spec_rows(*(list(column) for column in zip(*FAILING_SPECS)))
+        messages = [str(error) for error in errors]
+        assert messages[0] == "sigma_bar must be positive, got 0.0"
+        assert messages[1] == "sigma_bar must be positive, got -0.5"
+        assert messages[2].startswith("truncation must satisfy 0 <= a < b, got [2.0, 1.0]")
+        assert messages[3].startswith("truncation must satisfy 0 <= a < b, got [-0.1, 1.0]")
+        assert messages[4].startswith("truncation [0.0, 2.0] keeps only 0.000e+00 of the parent")
+        assert messages[5].startswith("truncation [0.0, 2.0] keeps only 6.")
+        assert derived[0][5] > 0.0 and derived[2][5] < MIN_TRUNCATION_MASS
+        assert "keeps only" in messages[6]
+        assert messages[7] == "truncated variance inf outside (0, sigma_bar^2]"
+
+    def test_variance_takes_the_scalar_square(self):
+        # sigma_bar values whose numpy square differs in the last bit from
+        # Python's ** (the C library's pow), which the constructor used
+        sigma = np.random.default_rng(3).uniform(0.05, 3.0, 20000)
+        odd = sigma[sigma * sigma != np.array([v**2 for v in sigma.tolist()])][:40].tolist()
+        assert len(odd) >= 10
+        rows = [(1.0, v, 1e-5, 2.0) for v in odd]
+        derived, errors = _spec_rows(*(list(column) for column in zip(*rows)))
+        assert errors == [None] * len(rows)
+        got = [tuple(float(column[i]).hex() for column in derived) for i in range(len(rows))]
+        assert got == [tuple(v.hex() for v in scalar_spec_fields(*row)) for row in rows]
+
+    def test_messages_show_parameters_as_passed(self):
+        # an int parameter prints as the int it is, in rows and one by one
+        with pytest.raises(ValidationError, match=r"^sigma_bar must be positive, got 0$"):
+            TruncatedGaussianSpec(1, 0, 0, 2)
+        with pytest.raises(ValidationError, match=r"got \[3, 2\]$"):
+            TruncatedGaussianSpec(1, 1, 3, 2)
+        _, errors = _spec_rows([1, 1], [0, 1], [0, 3], [2, 2])
+        assert [str(e) for e in errors] == [
+            "sigma_bar must be positive, got 0",
+            "truncation must satisfy 0 <= a < b, got [3, 2]",
+        ]
+
+    def test_objects_equal_constructed_specs(self):
+        rows = self.rows()
+        specs = _spec_objects(*(list(column) for column in zip(*rows)))
+        for row, spec in zip(rows, specs):
+            try:
+                expected = TruncatedGaussianSpec(*row)
+            except ValidationError as exc:
+                assert type(spec) is ValidationError and str(spec) == str(exc)
+                continue
+            assert spec == expected and hash(spec) == hash(expected)
+            assert repr(spec) == repr(expected)
+            assert [float(v).hex() for v in _spec_fields(spec)] == [
+                float(v).hex() for v in _spec_fields(expected)
+            ]
+
+    def test_no_rows(self):
+        derived, errors = _spec_rows([], [], [], [])
+        assert errors == [] and all(column.shape == (0,) for column in derived)
+        assert _spec_objects([], [], [], []) == []
+
+
+class TestOverflowingPowers:
+    """A power past the float range is +-inf, never a bare OverflowError."""
+
+    def test_pow_rows_overflow_is_inf(self):
+        got = _pow_rows(np.array([1e200, -1e200, 2.0, -1e200]), 3)
+        assert got[0] == math.inf and got[1] == -math.inf and got[2] == 8.0
+        assert _pow_rows(np.array([-1e200]), 2)[0] == math.inf
+
+    def test_wide_window_table(self):
+        # b**20 = 1e320 overflows; the mass beyond x = 10 (18 parent sigmas)
+        # is below e^-160, so the table equals that of [1e-5, 10]
+        wide = package_raw_moments(TruncatedGaussianSpec(1, 0.5, 1e-5, 1e16), 20)
+        near = package_raw_moments(TruncatedGaussianSpec(1, 0.5, 1e-5, 10.0), 20)
+        np.testing.assert_allclose(wide.raw, near.raw, rtol=1e-13)
+        np.testing.assert_allclose(wide.central, near.central, rtol=1e-12, atol=1e-15)
