@@ -13,9 +13,10 @@ the receptor gain turns gap bounds in nats into rate bounds in bits/s.
 
 The bounds of many distributions are one array pass (``_bounds_rows``):
 moment tables, remainders and checks run on arrays, one row per
-distribution, and each row ends as its bounds or the error that rejected
-it.  ``mir_bounds``, ``jensen_gap_bounds`` and ``h_s`` are the one-row
-case.  Powers, logs and correctly rounded sums are taken entry by entry with
+distribution, and end in the package's one row format: value columns, nan
+where a row fails, and one error list holding the error that rejected it.
+``mir_bounds``, ``jensen_gap_bounds`` and ``h_s`` are the one-row case.
+Powers, logs and correctly rounded sums are taken entry by entry with
 Python's ``**``, ``math.log`` and ``math.fsum``, so a row has the bits of a
 scalar evaluation of the formulas above.
 """
@@ -28,7 +29,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DegenerateArgument, DomainError, MirError, ValidationError, mark_rows, unwrap
+from .errors import (
+    DegenerateArgument,
+    DomainError,
+    ValidationError,
+    live_rows,
+    mark_rows,
+    merge_rows,
+    unwrap,
+)
 
 # stationary_distribution and raw_moments are not called here: perfbench's
 # tracer wraps ``bounds.stationary_distribution`` and ``bounds.raw_moments``,
@@ -49,9 +58,6 @@ from .truncgauss import (
 MIN_SEPARATION = 1e-10
 
 _SUPPORTED_ORDERS = (2, 4)
-
-# Distributions per block in ``_bounds_rows``.
-_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -124,7 +130,7 @@ def _h_rows(x: np.ndarray, mu: np.ndarray, s: int) -> tuple[np.ndarray, list]:
             f"the continuous extension there is the limit f^(s)(mu)/s!"
         ),
     )
-    ok = np.array([error is None for error in errors], dtype=bool)
+    ok = live_rows(errors)
     x, mu, dx = x[ok], mu[ok], dx[ok]
     log_mu = _log_rows(mu)
     derivs = _f_derivatives(mu, log_mu)
@@ -157,55 +163,40 @@ def h_s(x: float, mu: float, s: int) -> float:
     return float(values[0])
 
 
-def _bounds_rows(dists, s: int, chains=None) -> list:
+def _bounds_rows(dists, s: int, chains=None) -> tuple:
     """Gap and rate bounds of order s for every distribution, as one array pass.
 
-    ``chains`` holds each distribution's ``mean_chain_rows`` entry; without
-    it no gain enters and only the gap bounds are checked.  Returns one
-    entry per distribution: (gap_lower, gap_upper, mu_s, gain), the gap
-    bounds in nats, the central moment of order s and the gain (None
-    without ``chains``), or the MirError a one-point call raises for it.
+    ``chains`` holds the distributions' rows of ``mean_chain_rows``;
+    without it no gain enters and only the gap bounds are checked.  Returns
+    (gap_lower, gap_upper, mu_s, gain, errors): the gap bounds in nats, the
+    central moment of order s and the gain (nan without ``chains``), nan on
+    failed rows, and per row the MirError a one-point call raises, or None.
     The checks keep the one-point order: the moment table, h(b), h(a), the
     mean chain, then the ``BoundPair`` checks on gain times the gap bounds.
-    Distributions go through in blocks of ``_BLOCK_ROWS``, which bounds the
-    temporaries; every operation acts row by row, so blocks do not change
-    a row's bits.
     """
     _check_order(s)
-    out: list = []
-    for first in range(0, len(dists), _BLOCK_ROWS):
-        rows = slice(first, first + _BLOCK_ROWS)
-        out += _bounds_block(dists[rows], s, None if chains is None else chains[rows])
-    return out
-
-
-def _bounds_block(dists, s: int, chains) -> list:
-    """``_bounds_rows`` on one block of distributions."""
     _, central, errors = _moment_rows(dists, s)
-    live = np.flatnonzero([error is None for error in errors])
+    live = np.flatnonzero(live_rows(errors))
     mu, a, b = np.array([(d.mu, d.a, d.b) for d in dists], dtype=float).reshape(-1, 3)[live].T
     derivs = _f_derivatives(mu, _log_rows(mu))
     terms = [central[live, i] * derivs[i - 1] / math.factorial(i) for i in range(1, s)]
     (prefix,) = _fsum_rows(np.stack(terms, axis=1), [(0, s - 1)]).T
-    mu_s = central[live, s]
     # h at b and at a, as one call on 2n rows
     n = len(live)
     h, h_errors = _h_rows(np.concatenate((b, a)), np.concatenate((mu, mu)), s)
-    gap_lower = prefix + h[:n] * mu_s
-    gap_upper = prefix + h[n:] * mu_s
-    stage = [eb if eb is not None else ea for eb, ea in zip(h_errors[:n], h_errors[n:])]
-    gains = [None] * len(live)
+    for i, error in zip(live.tolist(), merge_rows(h_errors[:n], h_errors[n:])):
+        errors[i] = error
+    gap_lower, gap_upper, mu_s, gain = np.full((4, len(dists)), np.nan)
+    mu_s[live] = central[live, s]
+    gap_lower[live] = prefix + h[:n] * mu_s[live]
+    gap_upper[live] = prefix + h[n:] * mu_s[live]
     if chains is not None:
-        entries = [chains[i] for i in live.tolist()]
-        failed = [isinstance(entry, MirError) for entry in entries]
-        mark_rows(stage, failed, lambda j: entries[j])
-        gain = np.array([np.nan if bad else e[1] for bad, e in zip(failed, entries)], dtype=float)
-        _mark_pair_errors(stage, gain * gap_lower, gain * gap_upper, s)
-        gains = gain.tolist()
-    values = zip(gap_lower.tolist(), gap_upper.tolist(), mu_s.tolist(), gains)
-    for i, error, value in zip(live.tolist(), stage, values):
-        errors[i] = value if error is None else error
-    return errors
+        errors = merge_rows(errors, chains[2])
+        gain = chains[1]
+        _mark_pair_errors(errors, gain * gap_lower, gain * gap_upper, s)
+    ok = live_rows(errors)
+    columns = (np.where(ok, column, np.nan) for column in (gap_lower, gap_upper, mu_s, gain))
+    return (*columns, errors)
 
 
 def jensen_gap_bounds(
@@ -221,8 +212,9 @@ def jensen_gap_bounds(
     a = 0 is admitted: only f(0) = 0 is needed there.  The one-row case of
     ``_bounds_rows``, without a mean chain.
     """
-    lower, upper, _, _ = unwrap(_bounds_rows([dist], s)[0])
-    return lower, upper
+    lower, upper, _, _, (error,) = _bounds_rows([dist], s)
+    unwrap(error)
+    return float(lower[0]), float(upper[0])
 
 
 def mir_bounds(
@@ -230,8 +222,9 @@ def mir_bounds(
 ) -> BoundPair:
     """Rate bounds in bits/s: gain times the gap bounds; the one-row case of
     ``_bounds_rows``."""
-    chains = mean_chain_rows(spec, [dist.mu])
-    gap_lower, gap_upper, mu_s, gain = unwrap(_bounds_rows([dist], s, chains)[0])
+    *columns, (error,) = _bounds_rows([dist], s, mean_chain_rows(spec, [dist.mu]))
+    unwrap(error)
+    gap_lower, gap_upper, mu_s, gain = (float(column[0]) for column in columns)
     return BoundPair(
         lower=gain * gap_lower,
         upper=gain * gap_upper,

@@ -113,6 +113,8 @@ def _sweep_config(doc: dict, args, config_path: str) -> SweepConfig:
     if not isinstance(entry, dict):
         raise ConfigError("sweep: missing or not an object")
     dist_entry = doc.get("distribution", {})
+    if not isinstance(dist_entry, dict):
+        raise ConfigError("distribution: not an object")
     a = entry.get("a", dist_entry.get("a"))
     b = entry.get("b", dist_entry.get("b"))
     if a is None or b is None:

@@ -52,17 +52,28 @@ class EmptySweep(MirError):
     """No rows to reduce."""
 
 
-def unwrap(entry):
-    """The value of one row of a batched result, or raise that row's error.
+def unwrap(error) -> None:
+    """Raise one row's error from a batched result, if it has one.
 
-    The batched kernels return, per row, either a value or the MirError a
-    scalar call on that row raises; the error is raised where the scalar
-    call would have raised it.  A stored error may be read many times, so
-    each raise starts a fresh traceback rather than growing the last one.
+    Every batched kernel returns value columns, float arrays with nan on the
+    rows that fail, and one error list: per row the MirError a scalar call
+    on that row raises, or None.  A scalar call reads row 0 and unwraps its
+    error.  A stored error may be raised many times, so each raise starts a
+    fresh traceback rather than growing the last one.
     """
-    if isinstance(entry, MirError):
-        raise entry.with_traceback(None)
-    return entry
+    if error is not None:
+        raise error.with_traceback(None)
+
+
+def live_rows(errors: list) -> np.ndarray:
+    """True on the rows that have no error."""
+    return np.array([error is None for error in errors], dtype=bool)
+
+
+def merge_rows(errors: list, *others: list) -> list:
+    """Per row the first error in ``errors`` and then ``others``, or None: the
+    first error wins, as in a scalar call that stops at its first failure."""
+    return [next((e for e in row if e is not None), None) for row in zip(errors, *others)]
 
 
 def mark_rows(errors: list, failed, make) -> None:

@@ -24,7 +24,9 @@ from .errors import (
     OrderTooHigh,
     OutOfConvergenceRegion,
     ValidationError,
+    live_rows,
     mark_rows,
+    merge_rows,
     unwrap,
 )
 
@@ -149,21 +151,6 @@ def _gap(e_xlnx: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return e_xlnx - mu * _log_rows(mu)
 
 
-def _values(entries: list, live: np.ndarray, k: int = 0) -> np.ndarray:
-    """Entry k of each value-or-error entry, nan off the rows ``live`` marks."""
-    return np.array([entry[k] if ok else np.nan for entry, ok in zip(entries, live)], dtype=float)
-
-
-def _mark_entry_errors(errors: list, entries: list) -> None:
-    """Give each row whose entry is a MirError that error, as by ``mark_rows``."""
-    mark_rows(errors, [isinstance(entry, MirError) for entry in entries], lambda i: entries[i])
-
-
-def _live(errors: list) -> np.ndarray:
-    """True on the rows that have no error."""
-    return np.array([error is None for error in errors], dtype=bool)
-
-
 def sensitive_pairs(spec: ReceptorSpec) -> list[tuple[int, int]]:
     """Entries of P(x) that depend on x: the nonzero entries of the slope,
     sensitive off-diagonals plus the diagonals of rows that contain one."""
@@ -194,15 +181,14 @@ def mir_discrete(
     intensity x = b.
     """
     chains = mean_chain_rows(spec, [dist.mu])
-    rates, (error,) = _discrete_rows(
-        spec, [dist], delta_t, chains, expectation_rows([dist], _xlnx_vec)
-    )
+    e_xlnx = expectation_rows([dist], _xlnx_vec)
+    rates, (error,) = _discrete_rows(spec, [dist], dist.b, delta_t, chains, e_xlnx)
     unwrap(error)
     value, gap_nats, diagonal, off_diagonal = rates[0].tolist()
     return MirResult(
         value=value,
         method=f"discrete({delta_t!r})",
-        gain=chains[0][1],
+        gain=float(chains[1][0]),
         gap_nats=gap_nats,
         diagnostics={
             "diagonal_bits_per_s": diagonal,
@@ -212,51 +198,44 @@ def mir_discrete(
     )
 
 
-def _discrete_rows(spec, dists, delta_t, chains, e_xlnx) -> tuple[np.ndarray, list]:
-    """``mir_discrete`` at every distribution, from their entries of
-    ``mean_chain_rows`` and of ``expectation_rows`` with x ln x.
+def _discrete_rows(spec, dists, b, delta_t, chains, e_xlnx) -> tuple[np.ndarray, list]:
+    """``mir_discrete`` at every distribution on a support that ends at
+    ``b``, from their rows of ``mean_chain_rows`` and of
+    ``expectation_rows`` with x ln x.
 
     The E[phi(p_yy'(x))] of every sensitive pair of every distribution are
     one ``expectation_rows`` pass.  Returns (rates, errors): per row the
     rate, its Jensen gap in nats and its diagonal and off-diagonal parts in
     bits/s, as a (rows, 4) array with nan on failed rows, and the MirError
     ``mir_discrete`` raises for the row, or None.  The errors keep the
-    one-row order: ``step_kernel`` at the row's b, the mean chain, the pairs
-    in ``sensitive_pairs`` order, E[x ln x], then the ``MirResult`` floor.
+    one-row order: ``step_kernel`` at b, which every row shares, the mean
+    chain, the pairs in ``sensitive_pairs`` order, E[x ln x], then the
+    ``MirResult`` floor.
     """
-    kernels: dict = {}
-    for b in {dist.b for dist in dists}:
-        try:
-            kernels[b] = step_kernel(spec, delta_t, b)
-        except MirError as exc:
-            kernels[b] = exc
-    errors = [kernels[dist.b] if isinstance(kernels[dist.b], MirError) else None for dist in dists]
-    _mark_entry_errors(errors, chains)
-    live = [i for i, error in enumerate(errors) if error is None]
     rates = np.full((len(dists), 4), np.nan)
-    if not live:
+    try:
+        const, lin = step_kernel(spec, delta_t, b)
+    except MirError as exc:
+        return rates, [exc] * len(dists)
+    errors = list(chains[2])
+    live = np.flatnonzero(live_rows(errors))
+    if not live.size:
         return rates, errors
 
-    # every kernel that passed its check is the same pair (C, L)
-    const, lin = next(k for k in kernels.values() if not isinstance(k, MirError))
     pairs = sensitive_pairs(spec)
     y, y_next = (np.array(index) for index in zip(*pairs))
     c, m = const[y, y_next], lin[y, y_next]
-    entries = expectation_rows(
+    e_phi, _, _, pair_errors = expectation_rows(
         [dists[i] for i in live for _ in pairs],
         _plogp_entry,
         np.tile(np.stack((c, m), axis=1), (len(live), 1)),
     )
-    by_pair = [entries[k :: len(pairs)] for k in range(len(pairs))]
-    e_live = [e_xlnx[i] for i in live]
-    stage = [None] * len(live)
-    for pair_entries in by_pair:
-        _mark_entry_errors(stage, pair_entries)
-    _mark_entry_errors(stage, e_live)
-    ok = _live(stage)
-    e_phi = np.stack([_values(pair_entries, ok) for pair_entries in by_pair], axis=1)
+    by_pair = (pair_errors[k :: len(pairs)] for k in range(len(pairs)))
+    stage = merge_rows(*by_pair, [e_xlnx[3][i] for i in live])
+    ok = live_rows(stage)
+    e_phi = e_phi.reshape(len(live), len(pairs))
     mu = np.array([dists[i].mu for i in live], dtype=float)
-    pi = np.array([chains[i][0] for i in live], dtype=float)
+    pi = chains[0][live]
 
     mean_entry = np.minimum(np.maximum(c + m * mu[:, None], 0.0), 1.0)
     phi_mean = np.array([plogp(p) for p in mean_entry.ravel().tolist()]).reshape(mean_entry.shape)
@@ -268,10 +247,11 @@ def _discrete_rows(spec, dists, delta_t, chains, e_xlnx) -> tuple[np.ndarray, li
     _mark_floor(stage, f"discrete({delta_t!r})", value, _RATE_FLOOR)
 
     gap = np.full(len(live), np.nan)
-    gap[ok] = _gap(_values(e_live, ok)[ok], mu[ok])
+    gap[ok] = _gap(e_xlnx[0][live][ok], mu[ok])
     rates[live] = np.stack((value, gap, diag / delta_t, (total - diag) / delta_t), axis=1)
-    for i, error in zip(live, stage):
+    for i, error in zip(live.tolist(), stage):
         errors[i] = error
+    rates[~live_rows(errors)] = np.nan
     return rates, errors
 
 
@@ -287,24 +267,24 @@ def mir_quadrature(spec: ReceptorSpec, dist: TruncatedGaussianSpec) -> MirResult
     e_xlnx = expectation_rows([dist], _xlnx_vec)
     values, gaps, (error,) = _quadrature_rows(np.array([dist.mu]), chains, e_xlnx)
     unwrap(error)
-    pi, gain = chains[0]
-    _, nodes, delta = e_xlnx[0]
+    pi, gain, _ = chains
+    _, nodes, delta, _ = e_xlnx
     return MirResult(
         value=float(values[0]),
         method="quadrature",
-        gain=gain,
+        gain=float(gain[0]),
         gap_nats=float(gaps[0]),
         diagnostics={
-            "pi": tuple(float(p) for p in pi),
-            "nodes": nodes,
-            "refine_delta": delta,
+            "pi": tuple(pi[0].tolist()),
+            "nodes": int(nodes[0]),
+            "refine_delta": float(delta[0]),
         },
     )
 
 
-def _quadrature_rows(mu: np.ndarray, chains: list, e_xlnx: list) -> tuple:
+def _quadrature_rows(mu: np.ndarray, chains: tuple, e_xlnx: tuple) -> tuple:
     """``mir_quadrature`` at every distribution, from its truncated mean
-    ``mu[i]`` and its entries of ``mean_chain_rows`` and of
+    ``mu[i]`` and its rows of ``mean_chain_rows`` and of
     ``expectation_rows`` with x ln x.
 
     Returns (values, gaps, errors): per row the rate gain * (E[x ln x] -
@@ -312,14 +292,14 @@ def _quadrature_rows(mu: np.ndarray, chains: list, e_xlnx: list) -> tuple:
     MirError ``mir_quadrature`` raises for the row, or None: the mean
     chain's, E[x ln x]'s, then the ``MirResult`` floor's.
     """
-    errors = [None] * len(mu)
-    _mark_entry_errors(errors, chains)
-    _mark_entry_errors(errors, e_xlnx)
-    ok = _live(errors)
+    errors = merge_rows(chains[2], e_xlnx[3])
+    ok = live_rows(errors)
     gaps = np.full(len(mu), np.nan)
-    gaps[ok] = _gap(_values(e_xlnx, ok)[ok], mu[ok])
-    values = _values(chains, ok, 1) * gaps
+    gaps[ok] = _gap(e_xlnx[0][ok], mu[ok])
+    values = chains[1] * gaps
     _mark_floor(errors, "quadrature", values, _RATE_FLOOR)
+    failed = ~live_rows(errors)
+    values[failed], gaps[failed] = np.nan, np.nan
     return values, gaps, errors
 
 
@@ -344,11 +324,13 @@ def mir_series(
     Raises OutOfConvergenceRegion when the support leaves (0, 2], and
     OrderTooHigh above the shared order ceiling.
     """
-    return _series(dist, order, mean_chain_rows(spec, [dist.mu])[0])
+    _, gain, (error,) = mean_chain_rows(spec, [dist.mu])
+    return _series(dist, order, float(gain[0]), error)
 
 
-def _series(dist, order, chain) -> MirResult:
-    """``mir_series`` from its ``mean_chain_rows`` entry."""
+def _series(dist, order, gain, chain_error) -> MirResult:
+    """``mir_series`` from its row of ``mean_chain_rows``: the gain, or the
+    error the mean chain fails with."""
     if dist.a <= 0.0 or dist.b > 2.0:
         raise OutOfConvergenceRegion(
             f"series needs support within (0, 2], got [{dist.a}, {dist.b}]"
@@ -365,7 +347,7 @@ def _series(dist, order, chain) -> MirResult:
     mu = dist.mu
     gap = series_sum - mu * (math.log(mu) - 1.0) - 1.0
 
-    _, gain = unwrap(chain)
+    unwrap(chain_error)
     return MirResult(
         value=gain * gap,
         method=f"series({order})",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MirError, NotIrreducible, StepTooLarge, ValidationError, unwrap
+from .errors import NotIrreducible, StepTooLarge, ValidationError, live_rows, mark_rows, unwrap
 
 LN2 = math.log(2.0)
 
@@ -216,7 +216,7 @@ def _strongly_connected(adjacency: np.ndarray):
     return reach.all(axis=(-2, -1)).tolist()
 
 
-def _solve_stationary(p: np.ndarray) -> list:
+def _solve_stationary(p: np.ndarray) -> tuple[np.ndarray, list]:
     """Unique pi with pi @ p = pi and sum(pi) = 1 for each row-stochastic
     array in the stack p of shape (N, k, k).
 
@@ -224,49 +224,50 @@ def _solve_stationary(p: np.ndarray) -> list:
     the normalization constraint, which is deterministic and exact for the
     matrix sizes used here.  Irreducibility is checked on the positive-entry
     graph first so the failure mode is a clear error, not a singular solve.
-    Every check runs per array: the result holds one vector per array, or
-    the NotIrreducible that array fails with.
+    Every check runs per array.  Returns (pi, errors): the (N, k) read-only
+    stationary vectors, nan on the arrays that fail, and per array the
+    NotIrreducible it fails with, or None.
     """
     k = p.shape[-1]
     adjacency = p > 0.0
     adjacency[:, np.arange(k), np.arange(k)] = False
-    out: list = [
+    errors: list = [
         None if connected else NotIrreducible(
             "the positive-probability transition graph is not strongly connected"
         )
         for connected in _strongly_connected(adjacency)
     ]
-    rows = [i for i, entry in enumerate(out) if entry is None]
-    p = p[rows]
-    system = p.transpose(0, 2, 1) - np.eye(k)
+    rows = np.flatnonzero(live_rows(errors))
+    system = p[rows].transpose(0, 2, 1) - np.eye(k)
     system[:, -1, :] = 1.0
     # one (k, 1) column per array: numpy 1.x reads an rhs of one dimension
     # less than the system as a stack of vectors, so give it the stack shape
     rhs = np.zeros((len(rows), k, 1))
     rhs[:, -1] = 1.0
+    pi = np.full((len(p), k), np.nan)
     try:
-        pi = np.linalg.solve(system, rhs)[..., 0]
+        pi[rows] = np.linalg.solve(system, rhs)[..., 0]
     except np.linalg.LinAlgError:
         # a singular array fails the whole stack: solve each alone to tell
-        pi = np.full((len(rows), k), np.nan)
-        for j, i in enumerate(rows):
+        for j, i in enumerate(rows.tolist()):
             try:
-                pi[j] = np.linalg.solve(system[j : j + 1], rhs[j : j + 1])[0, :, 0]
+                pi[i] = np.linalg.solve(system[j : j + 1], rhs[j : j + 1])[0, :, 0]
             except np.linalg.LinAlgError as exc:
-                out[i] = NotIrreducible(f"stationary system is singular: {exc}")
+                errors[i] = NotIrreducible(f"stationary system is singular: {exc}")
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum(axis=1, keepdims=True)
     residual = np.abs((pi[:, None, :] @ p)[:, 0, :] - pi).max(axis=1)
+    mark_rows(
+        errors,
+        residual > 1e-10,
+        lambda i: NotIrreducible(f"stationary residual {residual[i]:.2e} exceeds 1e-10"),
+    )
+    pi[~live_rows(errors)] = np.nan
     pi.flags.writeable = False
-    for j, i in enumerate(rows):
-        if out[i] is None:
-            out[i] = pi[j]
-            if residual[j] > 1e-10:
-                out[i] = NotIrreducible(f"stationary residual {residual[j]:.2e} exceeds 1e-10")
-    return out
+    return pi, errors
 
 
-def mean_chain_rows(spec: ReceptorSpec, means) -> list:
+def mean_chain_rows(spec: ReceptorSpec, means) -> tuple[np.ndarray, np.ndarray, list]:
     """Stationary vector and gain of the mean chain at every mean, from one
     stacked solve.
 
@@ -276,36 +277,39 @@ def mean_chain_rows(spec: ReceptorSpec, means) -> list:
     fixed point does not depend on it; the always-admissible step
     0.5 / max|q_ii| is used, per mean.
 
-    Returns one entry per mean: (pi, gain), with pi read-only and the gains
-    of all means from one pass (``sensitive_gain`` is its one-row case), or
-    the MirError that mean fails with (ValidationError for a mean that is
-    not a nonnegative finite number, NotIrreducible otherwise).
+    Returns (pi, gain, errors): the (means, n_states) read-only stationary
+    vectors and the gains of all means from one pass (``sensitive_gain`` is
+    its one-row case), nan on failed rows, and per mean the MirError it
+    fails with (ValidationError for a mean that is not a nonnegative finite
+    number, NotIrreducible otherwise), or None.
     """
-    out: list = [None] * len(means)
-    rows = []
+    errors: list = [None] * len(means)
     for i, mean_x in enumerate(means):
         try:
             _check_intensity(mean_x)
         except ValidationError as exc:
-            out[i] = exc
-            continue
-        rows.append(i)
+            errors[i] = exc
+    rows = np.flatnonzero(live_rows(errors))
     # q = base + mean * slope and p = I + (0.5 / scale) * q, formed in place
-    q = np.array([means[i] for i in rows], dtype=float)[:, None, None] * spec.slope
+    q = np.array([means[i] for i in rows.tolist()], dtype=float)[:, None, None] * spec.slope
     q += spec.base
     scale = np.abs(np.diagonal(q, axis1=1, axis2=2)).max(axis=1)
     active = scale > 0.0
-    for i in np.asarray(rows)[~active].tolist():
-        out[i] = NotIrreducible("no transitions are active at this mean intensity")
+    for i in rows[~active].tolist():
+        errors[i] = NotIrreducible("no transitions are active at this mean intensity")
     p = q[active]
     p *= (0.5 / scale[active])[:, None, None]
     p += np.eye(spec.n_states)
-    solved = _solve_stationary(p)
-    good = [pi for pi in solved if not isinstance(pi, MirError)]
-    gains = iter(_gain_rows(spec, np.reshape(good, (len(good), spec.n_states))))
-    for i, pi in zip(np.asarray(rows)[active].tolist(), solved):
-        out[i] = pi if isinstance(pi, MirError) else (pi, next(gains))
-    return out
+    solved, solve_errors = _solve_stationary(p)
+    pi = np.full((len(means), spec.n_states), np.nan)
+    pi[rows[active]] = solved
+    for i, error in zip(rows[active].tolist(), solve_errors):
+        errors[i] = error
+    gain = np.full(len(means), np.nan)
+    ok = live_rows(errors)
+    gain[ok] = _gain_rows(spec, pi[ok])
+    pi.flags.writeable = False
+    return pi, gain, errors
 
 
 def stationary_distribution(spec: ReceptorSpec, mean_x: float) -> np.ndarray:
@@ -313,7 +317,9 @@ def stationary_distribution(spec: ReceptorSpec, mean_x: float) -> np.ndarray:
 
     The one-mean case of ``mean_chain_rows``; raises its error for this mean.
     """
-    return unwrap(mean_chain_rows(spec, [mean_x])[0])[0]
+    pi, _, (error,) = mean_chain_rows(spec, [mean_x])
+    unwrap(error)
+    return pi[0]
 
 
 def sensitive_gain(spec: ReceptorSpec, pi: np.ndarray) -> float:

@@ -8,15 +8,16 @@ points (``truncgauss._spec_rows``, its checks as per-row masks), the mean
 chains and gains of all valid points as one stack, their Jensen gaps from
 one Gauss-Legendre pass integrated in row blocks, the quadrature rates, the
 E[p log p] of every sensitive pair of every point for the discrete rate,
-and the bounds of each selected order s = 2, 4.  Each point then has one
-entry per quantity, a value or the error that rejected it; method by
-method, the entries fill one column per output field and the failures the
-status column, and the rows are built from the columns.  The series and
-Monte Carlo still run point by point.  The scalar library functions are the same
-kernels on one point, so a row holds the bits a single-point call returns,
-and the failure it would raise.  Monte Carlo points derive independent
-seeds from (master seed, row index), so output is byte-identical across
-runs.
+and the bounds of each selected order s = 2, 4.  Every batched kernel
+returns one row format: value columns, float arrays with nan on the rows
+that fail, and one error list holding per row the MirError that rejected
+it, or None.  Method by method, the value columns fill the output fields
+and the errors the status column, and the rows are built from the
+columns.  The series and Monte Carlo run point by point into the same
+format.  The scalar library functions are the same kernels on one point,
+so a row holds the bits a single-point call returns, and the failure it
+would raise.  Monte Carlo points derive independent seeds from (master
+seed, row index), so output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -179,54 +180,39 @@ _METHOD_COLUMNS = {
 }
 
 
-def _method_entries(config: SweepConfig, method: str, indices, valid, chains, e_xlnx) -> list:
-    """One entry per valid point for ``method``: the values of its columns,
-    or the MirError it fails with there.  ``indices`` holds each valid
-    point's grid index, ``chains`` and ``e_xlnx`` its entries of the mean
-    chain and E[x ln x] passes.  Quadrature, discrete and the bounds are
-    one pass over the points; the series and Monte Carlo run point by
-    point."""
+def _method_columns(config: SweepConfig, method: str, indices, valid, chains, e_xlnx) -> tuple:
+    """(columns, errors): per ``_METHOD_COLUMNS`` field of ``method`` its
+    values at the valid points, nan where the method fails with the error in
+    ``errors``.  ``indices`` holds each point's grid index, ``chains`` and
+    ``e_xlnx`` its rows of the mean chain and E[x ln x] passes.  Quadrature,
+    discrete and the bounds are one pass over the points; the series and
+    Monte Carlo run point by point."""
     if method == "quadrature":
         mu = np.array([dist.mu for dist in valid], dtype=float)
         values, _, errors = _quadrature_rows(mu, chains, e_xlnx)
-        return _column_entries(values.tolist(), errors)
+        return (values,), errors
     if method == "discrete":
-        rates, errors = _discrete_rows(config.receptor, valid, config.delta_t, chains, e_xlnx)
-        return _column_entries(rates[:, 0].tolist(), errors)
+        receptor, b, delta_t = config.receptor, config.b, config.delta_t
+        rates, errors = _discrete_rows(receptor, valid, b, delta_t, chains, e_xlnx)
+        return (rates[:, 0],), errors
     if method in ("bounds_s2", "bounds_s4"):
-        return list(map(_rate_bounds, _bounds_rows(valid, int(method[-1]), chains)))
-    return [
-        _point_entry(config, method, index, dist, chain)
-        for index, dist, chain in zip(indices, valid, chains)
-    ]
-
-
-def _point_entry(config: SweepConfig, method: str, index: int, dist, chain):
-    """The series or Monte Carlo values at the grid point ``index``, or the
-    MirError that method fails with there."""
-    try:
-        if method == "series":
-            return (_series(dist, config.series_k, chain).value,)
-        seed = _derive_seed(config.seed, index)
-        traj = simulate(config.receptor, dist, config.delta_t, config.mc_n, seed)
-        est = estimate_mir(traj, config.receptor, dist)
-        return est.value, est.stderr
-    except MirError as exc:
-        return exc
-
-
-def _column_entries(values, errors) -> list:
-    """Per row its error, or the one-tuple of its value in ``values``."""
-    return [(value,) if error is None else error for value, error in zip(values, errors)]
-
-
-def _rate_bounds(entry):
-    """A ``_bounds_rows`` entry as its (lower, upper) rate bounds, gain
-    times the gap bounds, or its error."""
-    if isinstance(entry, MirError):
-        return entry
-    gap_lower, gap_upper, _, gain = entry
-    return gain * gap_lower, gain * gap_upper
+        gap_lower, gap_upper, _, gain, errors = _bounds_rows(valid, int(method[-1]), chains)
+        return (gain * gap_lower, gain * gap_upper), errors
+    columns = np.full((len(_METHOD_COLUMNS[method]), len(valid)), np.nan)
+    errors: list = [None] * len(valid)
+    for j, (index, dist) in enumerate(zip(indices, valid)):
+        try:
+            if method == "series":
+                gain, error = float(chains[1][j]), chains[2][j]
+                columns[0, j] = _series(dist, config.series_k, gain, error).value
+            else:
+                seed = _derive_seed(config.seed, index)
+                traj = simulate(config.receptor, dist, config.delta_t, config.mc_n, seed)
+                est = estimate_mir(traj, config.receptor, dist)
+                columns[:, j] = est.value, est.stderr
+        except MirError as exc:
+            errors[j] = exc
+    return tuple(columns), errors
 
 
 def audit_rows(rows: Sequence[SweepRow]) -> list[tuple[int, str]]:
@@ -263,16 +249,12 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     columns = {name: [None] * n for name in _NUMERIC_FIELDS}
     mu_bars = columns["mu_bar"] = [mu_bar for mu_bar, _ in points]
     sigma_bars = columns["sigma_bar"] = [sigma_bar for _, sigma_bar in points]
-    dists = _spec_objects(mu_bars, sigma_bars, [config.a] * n, [config.b] * n)
-    problems: list[list[str]] = [[] for _ in dists]
-    indices = []
-    for i, dist in enumerate(dists):
-        if isinstance(dist, ValidationError):
-            problems[i].append(f"distribution:{type(dist).__name__}:{dist}")
-        else:
-            indices.append(i)
-            columns["mu"][i], columns["sigma2"][i] = dist.mu, dist.sigma2
+    dists, errors = _spec_objects(mu_bars, sigma_bars, [config.a] * n, [config.b] * n)
+    problems = [[] if e is None else [f"distribution:{type(e).__name__}:{e}"] for e in errors]
+    indices = [i for i, dist in enumerate(dists) if dist is not None]
     valid = [dists[i] for i in indices]
+    for i, dist in zip(indices, valid):
+        columns["mu"][i], columns["sigma2"][i] = dist.mu, dist.sigma2
 
     chains = mean_chain_rows(config.receptor, [dist.mu for dist in valid])
     e_xlnx = None
@@ -282,14 +264,15 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     for method in VALID_METHODS:
         if method not in config.methods:
             continue
-        targets = [columns[name] for name in _METHOD_COLUMNS[method]]
-        entries = _method_entries(config, method, indices, valid, chains, e_xlnx)
-        for i, entry in zip(indices, entries):
-            if isinstance(entry, MirError):
-                problems[i].append(f"{method}:{type(entry).__name__}")
-            else:
-                for target, value in zip(targets, entry):
+        values, errors = _method_columns(config, method, indices, valid, chains, e_xlnx)
+        for name, column in zip(_METHOD_COLUMNS[method], values):
+            target = columns[name]
+            for i, value, error in zip(indices, column.tolist(), errors):
+                if error is None:
                     target[i] = value
+        for i, error in zip(indices, errors):
+            if error is not None:
+                problems[i].append(f"{method}:{type(error).__name__}")
     statuses = [";".join(failed) or "ok" for failed in problems]
     rows = list(map(SweepRow, *columns.values(), statuses))
 
@@ -358,9 +341,9 @@ def rows_to_csv(rows: Sequence[SweepRow]) -> str:
 
 
 def rows_from_csv(text: str) -> list[SweepRow]:
-    """Inverse of rows_to_csv, field-for-field."""
+    """Inverse of rows_to_csv, field-for-field; ValidationError on other text."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, [])
     if tuple(header) != _FIELDS:
         raise ValidationError(f"unexpected CSV header: {header}")
     rows = []
@@ -369,10 +352,13 @@ def rows_from_csv(text: str) -> list[SweepRow]:
             continue
         if len(record) != len(_FIELDS):
             raise ValidationError(f"malformed CSV record: {record}")
-        kwargs = {
-            name: (None if cell == "" else float(cell))
-            for name, cell in zip(_NUMERIC_FIELDS, record)
-        }
+        try:
+            kwargs = {
+                name: (None if cell == "" else float(cell))
+                for name, cell in zip(_NUMERIC_FIELDS, record)
+            }
+        except ValueError as exc:
+            raise ValidationError(f"non-numeric CSV cell in {record}: {exc}") from exc
         rows.append(SweepRow(status=record[-1], **kwargs))
     return rows
 
@@ -387,8 +373,11 @@ def rows_to_json(rows: Sequence[SweepRow]) -> str:
 
 
 def rows_from_json(text: str) -> list[SweepRow]:
-    payload = json.loads(text)
-    return [SweepRow(**entry) for entry in payload]
+    """Inverse of rows_to_json; ValidationError on other text."""
+    try:
+        return [SweepRow(**entry) for entry in json.loads(text)]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed JSON rows: {exc}") from exc
 
 
 def _format_rows(rows: Sequence[SweepRow], fmt: str) -> str:

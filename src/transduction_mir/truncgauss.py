@@ -236,25 +236,23 @@ def _spec_rows(mu_bar, sigma_bar, a, b) -> tuple[tuple, list]:
     return (alpha, beta, z, mu, sigma2), errors
 
 
-def _spec_objects(mu_bar, sigma_bar, a, b) -> list:
-    """One entry per row: the ``TruncatedGaussianSpec`` of that row's finite
-    parameters, or the ValidationError its constructor raises there.
+def _spec_objects(mu_bar, sigma_bar, a, b) -> tuple[list, list]:
+    """The ``TruncatedGaussianSpec`` of each row's finite parameters.
 
-    The checks run once, as ``_spec_rows`` masks, and each spec is filled
-    in from its columns without running them again.
+    Returns (specs, errors): per row the spec, or None where its
+    constructor raises the ValidationError in ``errors``.  The checks run
+    once, as ``_spec_rows`` masks, and each spec is filled in from its
+    columns without running them again.
     """
     derived, errors = _spec_rows(mu_bar, sigma_bar, a, b)
     names = ("mu_bar", "sigma_bar", "a", "b", *_DERIVED)
     rows = zip(mu_bar, sigma_bar, a, b, *(column.tolist() for column in derived))
-    out: list = []
-    for error, values in zip(errors, rows):
-        if error is not None:
-            out.append(error)
-            continue
-        spec = object.__new__(TruncatedGaussianSpec)
-        vars(spec).update(zip(names, values))
-        out.append(spec)
-    return out
+    specs: list = [None] * len(errors)
+    for i, (error, values) in enumerate(zip(errors, rows)):
+        if error is None:
+            specs[i] = object.__new__(TruncatedGaussianSpec)
+            vars(specs[i]).update(zip(names, values))
+    return specs, errors
 
 
 @dataclass(frozen=True)
@@ -359,42 +357,37 @@ def _moment_rows(specs, order: int) -> tuple[np.ndarray, np.ndarray, list]:
     # support bounds a^m <= E[x^m] <= b^m and, since x^(m-1) (x - a) >= 0 on
     # [a, b], a E[x^(m-1)] <= E[x^m] <= b E[x^(m-1)], with float slack; the
     # forward recursion is unstable on narrow windows and breaks the ratio
-    # form long before the power form.  As in a scalar check, which stops at
-    # the first failure, a spec leaves the checks once it fails one.
+    # form long before the power form.
     errors: list = [None] * n
-    live, a_live, b_live, raw_live = np.arange(n), a, b, raw
     for m in range(order + 1):
-        value = raw_live[:, m]
-        lo, hi = _pow_rows(a_live, m), _pow_rows(b_live, m)
+        value = raw[:, m]
+        lo, hi = _pow_rows(a, m), _pow_rows(b, m)
         slack = 1e-9 * np.maximum(1.0, hi)
         if m > 0:
             # Python's max(lo, v) and min(hi, v), which keep lo and hi on ties
-            lo_ratio, hi_ratio = a_live * raw_live[:, m - 1], b_live * raw_live[:, m - 1]
+            lo_ratio, hi_ratio = a * raw[:, m - 1], b * raw[:, m - 1]
             lo = np.where(lo_ratio > lo, lo_ratio, lo)
             hi = np.where(hi_ratio < hi, hi_ratio, hi)
-        bad = ~((lo - slack <= value) & (value <= hi + slack))
-        if bad.any():
-            for i, v, low, high in zip(*(x[bad].tolist() for x in (live, value, lo, hi))):
-                errors[i] = ValidationError(
-                    f"raw moment E[x^{m}] = {v} escaped support bound [{low}, {high}]"
-                )
-            keep = ~bad
-            live, a_live, b_live, raw_live = live[keep], a_live[keep], b_live[keep], raw_live[keep]
-    # then central[2] against sigma2, and the MomentTable checks
-    stage: list = [None] * len(live)
-    if order >= 2:
-        c2, s2 = central[live, 2], sigma2[live]
-        rel = np.abs(c2 - s2) / s2
         mark_rows(
-            stage,
-            rel > 1e-10,
-            lambda j: ValidationError(
-                f"central[2] = {c2[j]} disagrees with sigma2 = {s2[j]} (relative {rel[j]:.2e})"
+            errors,
+            ~((lo - slack <= value) & (value <= hi + slack)),
+            lambda i: ValidationError(
+                f"raw moment E[x^{m}] = {float(value[i])} escaped support bound "
+                f"[{float(lo[i])}, {float(hi[i])}]"
             ),
         )
-    _mark_table_errors(stage, raw_live, central[live])
-    for i, error in zip(live.tolist(), stage):
-        errors[i] = error
+    # then central[2] against sigma2, and the MomentTable checks
+    if order >= 2:
+        rel = np.abs(central[:, 2] - sigma2) / sigma2
+        mark_rows(
+            errors,
+            rel > 1e-10,
+            lambda i: ValidationError(
+                f"central[2] = {central[i, 2]} disagrees with sigma2 = {sigma2[i]} "
+                f"(relative {rel[i]:.2e})"
+            ),
+        )
+    _mark_table_errors(errors, raw, central)
     return raw, central, errors
 
 
@@ -488,7 +481,7 @@ def _panel_edges(spec: TruncatedGaussianSpec, lo: float, hi: float) -> tuple[flo
     return tuple(edges)
 
 
-def _refine(estimate: Callable[[int, np.ndarray], list], count: int, what: str) -> list:
+def _refine(estimate: Callable[[int, np.ndarray], list], count: int, what: str) -> tuple:
     """Run ``estimate(n, rows)`` on the fixed node schedule until each row settles.
 
     ``estimate(n, rows)`` returns one estimate per row index in the array
@@ -496,28 +489,28 @@ def _refine(estimate: Callable[[int, np.ndarray], list], count: int, what: str) 
     ``_INITIAL_NODES`` and doubles; a row whose every entry agrees with its
     predecessor to ``_RTOL`` relative (``_ATOL`` absolute near zero) keeps
     its estimate, and only the unsettled rows go on to the next n.  Returns
-    one entry per row: (estimate, n, |estimate - previous estimate|), as
-    floats or lists, or NoConvergence for a row still unsettled once
-    ``_MAX_NODES`` was tried.
+    (values, nodes, deltas, errors): per row the accepted estimate, its n
+    and its change |estimate - previous estimate|, nan on the rows still
+    unsettled once ``_MAX_NODES`` was tried, whose error is NoConvergence.
     """
     n = _INITIAL_NODES
     rows = np.arange(count)
-    previous = np.asarray(estimate(n, rows))
-    out: list = [None] * count
+    previous = np.asarray(estimate(n, rows), dtype=float)
+    values, deltas = np.full(previous.shape, np.nan), np.full(previous.shape, np.nan)
+    nodes = np.full(count, np.nan)
     while rows.size and n < _MAX_NODES:
         n *= 2
-        current = np.asarray(estimate(n, rows))
+        current = np.asarray(estimate(n, rows), dtype=float)
         delta = np.abs(current - previous)
         agree = delta <= np.maximum(_RTOL * np.abs(current), _ATOL)
         settled = agree.reshape(rows.size, -1).all(axis=1)
-        for row, value, change in zip(*(v[settled].tolist() for v in (rows, current, delta))):
-            out[row] = (value, n, change)
+        done = rows[settled]
+        values[done], nodes[done], deltas[done] = current[settled], n, delta[settled]
         rows, previous = rows[~settled], current[~settled]
+    errors: list = [None] * count
     for row in rows.tolist():
-        out[row] = NoConvergence(
-            f"{what} did not stabilize by n={_MAX_NODES} nodes per panel"
-        )
-    return out
+        errors[row] = NoConvergence(f"{what} did not stabilize by n={_MAX_NODES} nodes per panel")
+    return values, nodes, deltas, errors
 
 
 def _gl_rows(edges, loc, scale, mass, f, n: int, params=None) -> list:
@@ -551,16 +544,17 @@ def _gl_rows(edges, loc, scale, mass, f, n: int, params=None) -> list:
     return values
 
 
-def expectation_rows(specs, f: Callable[..., np.ndarray], params=None) -> list:
+def expectation_rows(specs, f: Callable[..., np.ndarray], params=None) -> tuple:
     """E[f(x)] under each spec, by one Gauss-Legendre pass over all of them.
 
     Specs are grouped by panel count, never padded, and each group runs the
     fixed node schedule with a per-row agreement test (``_refine``), so only
     unsettled rows go on to more nodes.  ``f`` must act entry by entry; with
     ``params``, a (specs, k) array, row i integrates ``f(x, *params[i])``
-    (see ``_gl_rows``).  Returns one entry per spec: (value, n, delta), with
-    n the nodes per panel of the accepted estimate and delta its change
-    from the estimate before, or NoConvergence.
+    (see ``_gl_rows``).  Returns (values, nodes, deltas, errors) as
+    ``_refine`` does: per spec E[f(x)], the nodes per panel of the accepted
+    estimate and its change from the estimate before, and NoConvergence
+    where the schedule ran out.
     """
     groups: dict[int, tuple[list, list]] = {}
     for i, spec in enumerate(specs):
@@ -568,7 +562,8 @@ def expectation_rows(specs, f: Callable[..., np.ndarray], params=None) -> list:
         members, records = groups.setdefault(len(edges) - 1, ([], []))
         members.append(i)
         records.append((spec.mu_bar, spec.sigma_bar, spec.z, *edges))
-    out: list = [None] * len(specs)
+    values, nodes, deltas = (np.full(len(specs), np.nan) for _ in range(3))
+    errors: list = [None] * len(specs)
     if params is not None:
         params = np.asarray(params, dtype=float)
     for members, records in groups.values():
@@ -579,9 +574,11 @@ def expectation_rows(specs, f: Callable[..., np.ndarray], params=None) -> list:
             row_params = None if group_params is None else group_params[rows]
             return _gl_rows(table[rows, 3:], *table[rows, :3].T, f, n, row_params)
 
-        for i, entry in zip(members, _refine(estimate, len(members), "expectation")):
-            out[i] = entry
-    return out
+        group = _refine(estimate, len(members), "expectation")
+        values[members], nodes[members], deltas[members] = group[:3]
+        for i, error in zip(members, group[3]):
+            errors[i] = error
+    return values, nodes, deltas, errors
 
 
 def expectation(
@@ -597,7 +594,9 @@ def expectation(
 
     Raises NoConvergence if the estimates have not stabilized by 1600 nodes.
     """
-    return unwrap(expectation_rows([spec], f)[0])[0]
+    values, _, _, (error,) = expectation_rows([spec], f)
+    unwrap(error)
+    return float(values[0])
 
 
 def shifted_moment_vector(
@@ -644,5 +643,6 @@ def shifted_moment_vector(
         block[:2] = (1.0, spec.mu - center)[: order + 1]
         return block
 
-    (entry,) = _refine(lambda n, rows: [moment_block(n)], 1, "moment quadrature")
-    return np.array(unwrap(entry)[0])
+    values, _, _, (error,) = _refine(lambda n, rows: [moment_block(n)], 1, "moment quadrature")
+    unwrap(error)
+    return values[0]

@@ -132,7 +132,9 @@ def transition_matrix(q: RateMatrix, delta_t: float) -> TransitionMatrix:
 
 def steady_state(p_bar: TransitionMatrix) -> SteadyState:
     """Unique pi with pi @ P = pi and sum(pi) = 1; NotIrreducible otherwise."""
-    return SteadyState(probabilities=unwrap(_solve_stationary(p_bar.entries[None])[0]))
+    pi, (error,) = _solve_stationary(p_bar.entries[None])
+    unwrap(error)
+    return SteadyState(probabilities=pi[0])
 
 
 def solve_stationary_one(p: np.ndarray) -> np.ndarray:

@@ -28,7 +28,6 @@ from transduction_mir import (
     mir_bounds,
     mir_quadrature,
 )
-from transduction_mir import bounds as bounds_module
 from transduction_mir.bounds import _bounds_rows, _log_rows
 from transduction_mir.receptor import mean_chain_rows
 from transduction_mir.truncgauss import _pow_rows
@@ -238,11 +237,12 @@ def _outcome(call):
     return repr((pair.lower, pair.upper, pair.gap_bounds_nats, dict(pair.diagnostics)))
 
 
-def _entry_outcome(entry, dist):
-    """A ``_bounds_rows`` entry in the form of ``_outcome``."""
-    if isinstance(entry, MirError):
-        return type(entry).__name__, str(entry)
-    gap_lower, gap_upper, mu_s, gain = entry
+def _row_outcome(rows, i, dist):
+    """Row i of a ``_bounds_rows`` result in the form of ``_outcome``."""
+    *columns, errors = rows
+    if errors[i] is not None:
+        return type(errors[i]).__name__, str(errors[i])
+    gap_lower, gap_upper, mu_s, gain = (float(column[i]) for column in columns)
     diagnostics = {"gain": gain, "mu": dist.mu, "sigma2": dist.sigma2, "central_s": mu_s}
     return repr((gain * gap_lower, gain * gap_upper, (gap_lower, gap_upper), diagnostics))
 
@@ -254,14 +254,18 @@ class TestBoundsRows:
         chains = mean_chain_rows(chr2_receptor, [d.mu for d in dists])
         for s in (2, 4):
             rows = _bounds_rows(dists, s, chains)
-            assert len(rows) == len(dists)
-            for dist, entry in zip(dists, rows):
-                assert _entry_outcome(entry, dist) == _outcome(
+            *columns, errors = rows
+            assert len(errors) == len(dists)
+            assert all(column.shape == (len(dists),) for column in columns)
+            for i, dist in enumerate(dists):
+                assert _row_outcome(rows, i, dist) == _outcome(
                     lambda: mir_bounds(chr2_receptor, dist, s)
                 )
-                if not isinstance(entry, MirError):
+                if errors[i] is None:
                     # the scalar formulas, float by float
-                    assert entry[:3] == scalar_gap_bounds(dist, s)
+                    assert tuple(float(c[i]) for c in columns[:3]) == scalar_gap_bounds(dist, s)
+                else:
+                    assert all(math.isnan(column[i]) for column in columns)
 
     def test_failing_rows_keep_the_one_point_error(self, chr2_receptor):
         # failing rows interleaved with good ones, each against its own call
@@ -270,41 +274,38 @@ class TestBoundsRows:
         cases += [(receptor or chr2_receptor, TruncatedGaussianSpec(*args)) for receptor, args, *_ in FAILING]
         cases += [(chr2_receptor, d) for d in good[3:]]
         dists = [dist for _, dist in cases]
-        chains = [mean_chain_rows(receptor, [dist.mu])[0] for receptor, dist in cases]
+        # the receptors differ in their state count, so no pi column; the
+        # bounds read only the gains and the errors
+        one = [mean_chain_rows(receptor, [dist.mu]) for receptor, dist in cases]
+        chains = (None, np.array([gain[0] for _, gain, _ in one]), [e[0] for *_, e in one])
         for column, s in ((2, 2), (3, 4)):
             rows = _bounds_rows(dists, s, chains)
-            for (receptor, dist), entry in zip(cases, rows):
-                assert _entry_outcome(entry, dist) == _outcome(lambda: mir_bounds(receptor, dist, s))
+            for i, (receptor, dist) in enumerate(cases):
+                expected = _outcome(lambda: mir_bounds(receptor, dist, s))
+                assert _row_outcome(rows, i, dist) == expected
             expected = [failing[column] for failing in FAILING]
-            got = [type(e).__name__ if isinstance(e, MirError) else None for e in rows[3:-3]]
+            got = [None if e is None else type(e).__name__ for e in rows[-1][3:-3]]
             assert got == expected
 
     def test_gap_rows_without_chains(self):
         dists = GRIDS["panel"]() + [TruncatedGaussianSpec(1e-5, 1e-12, 1e-5, 2.0)]
         for s in (2, 4):
-            for dist, entry in zip(dists, _bounds_rows(dists, s)):
+            gap_lower, gap_upper, _, gain, errors = _bounds_rows(dists, s)
+            for i, (dist, error) in enumerate(zip(dists, errors)):
+                assert math.isnan(gain[i])
                 try:
                     expected = repr(jensen_gap_bounds(dist, s))
                 except MirError as exc:
-                    assert (type(entry), str(entry)) == (type(exc), str(exc))
+                    assert (type(error), str(error)) == (type(exc), str(exc))
                     continue
-                assert entry[3] is None
-                assert repr(entry[:2]) == expected
+                assert repr((float(gap_lower[i]), float(gap_upper[i]))) == expected
 
-    def test_blocks_do_not_change_bits(self, chr2_receptor, monkeypatch):
-        dists = GRIDS["wide"]()
-        chains = mean_chain_rows(chr2_receptor, [d.mu for d in dists])
-        whole = _bounds_rows(dists, 4, chains)
-        monkeypatch.setattr(bounds_module, "_BLOCK_ROWS", 7)
-        blocked = _bounds_rows(dists, 4, chains)
-        assert [_entry_outcome(e, d) for e, d in zip(blocked, dists)] == [
-            _entry_outcome(e, d) for e, d in zip(whole, dists)
-        ]
-
-    def test_no_rows(self):
-        assert _bounds_rows([], 2, []) == []
+    def test_no_rows(self, chr2_receptor):
+        *columns, errors = _bounds_rows([], 2, mean_chain_rows(chr2_receptor, []))
+        assert [column.shape for column in columns] == [(0,)] * 4
+        assert errors == []
         with pytest.raises(ValidationError):
-            _bounds_rows([], 3, [])
+            _bounds_rows([], 3, mean_chain_rows(chr2_receptor, []))
 
 
 class TestScalarOperations:

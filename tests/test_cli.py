@@ -346,6 +346,19 @@ class TestConfigErrors:
         assert main(["mir", "--config", str(bad)]) == 2
         assert "receptor file receptor_file.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [[1, 2], None, 3.0], ids=["list", "null", "number"])
+    def test_sweep_distribution_not_an_object(self, point_config, value, capsys):
+        # the sweep reads a and b from its own section; a distribution that is
+        # present but not an object is a configuration error, not a traceback
+        doc = json.loads(point_config.read_text())
+        doc["distribution"] = value
+        bad = point_config.parent / "bad_distribution.json"
+        bad.write_text(json.dumps(doc))
+        out = point_config.parent / "bad_distribution.csv"
+        assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
+        assert "distribution: not an object" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_output_not_an_object(self, point_config):
         doc = json.loads(point_config.read_text())
         doc["output"] = "rows.csv"

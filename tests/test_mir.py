@@ -404,9 +404,11 @@ class TestQuadratureRows:
             expected = _outcome(lambda: mir_quadrature(spec, dist))
             if isinstance(expected, MirResult):
                 expected = (expected.value, expected.gap_nats)
-                pi, gain = mean_chain_rows(spec, [dist.mu])[0]
+                _, gain, _ = mean_chain_rows(spec, [dist.mu])
                 e_value = expectation(dist, _xlnx_vec)
-                assert value == gain * (e_value - dist.mu * math.log(dist.mu))
+                assert value == gain[0] * (e_value - dist.mu * math.log(dist.mu))
+            else:
+                assert np.isnan(value) and np.isnan(gap)
             assert got == expected
 
     def test_gap_takes_the_scalar_log(self, unit_chr2):
@@ -420,7 +422,7 @@ class TestQuadratureRows:
         chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
         e_xlnx = expectation_rows(dists, _xlnx_vec)
         values, gaps, _ = _quadrature_rows(np.array([d.mu for d in dists]), chains, e_xlnx)
-        for dist, (_, gain), (e_value, _, _), value, gap in zip(dists, chains, e_xlnx, values, gaps):
+        for dist, gain, e_value, value, gap in zip(dists, chains[1], e_xlnx[0], values, gaps):
             assert gap == e_value - dist.mu * math.log(dist.mu)
             assert value == gain * gap
 
@@ -430,19 +432,22 @@ class TestQuadratureRows:
         e_xlnx = expectation_rows(dists, _xlnx_vec)
         unsettled = NoConvergence("expectation did not stabilize")
         irreducible = NotIrreducible("no single recurrent class")
-        chains[1] = chains[2] = irreducible
-        e_xlnx[2] = e_xlnx[3] = unsettled
+        chains[2][1] = chains[2][2] = irreducible
+        chains[1][1:3] = np.nan
+        e_xlnx[3][2] = e_xlnx[3][3] = unsettled
+        e_xlnx[0][2:4] = np.nan
         # E[x ln x] 1e-6 nats below mu ln mu: a rate below the floor
         mu = dists[4].mu
-        e_xlnx[4] = (mu * math.log(mu) - 1e-6, 400, 0.0)
-        values, _, errors = _quadrature_rows(np.array([d.mu for d in dists]), chains, e_xlnx)
+        e_xlnx[0][4] = mu * math.log(mu) - 1e-6
+        values, gaps, errors = _quadrature_rows(np.array([d.mu for d in dists]), chains, e_xlnx)
         assert errors[0] is None and errors[5] is None
         assert errors[1] is irreducible and errors[2] is irreducible and errors[3] is unsettled
-        gain = chains[4][1]
+        gain = float(chains[1][4])
+        gap = float(e_xlnx[0][4]) - mu * math.log(mu)
         with pytest.raises(ValidationError) as info:
-            MirResult(value=values[4], method="quadrature", gain=gain, gap_nats=values[4] / gain)
+            MirResult(value=gain * gap, method="quadrature", gain=gain, gap_nats=gap)
         assert type(errors[4]) is ValidationError and str(errors[4]) == str(info.value)
-        assert np.isnan(values[1:4]).all()
+        assert np.isnan(values[1:5]).all() and np.isnan(gaps[1:5]).all()
 
 
 class TestDiscreteRows:
@@ -458,8 +463,9 @@ class TestDiscreteRows:
         cm = [(const[i, j], lin[i, j]) for i, j in pairs]
         rows = expectation_rows([d for d in dists for _ in pairs], _plogp_entry,
                                 np.tile(np.array(cm), (len(dists), 1)))
-        expected = [expectation_rows([d], pair_integrand(c, m))[0] for d in dists for c, m in cm]
-        assert rows == expected
+        alone = [expectation_rows([d], pair_integrand(c, m)) for d in dists for c, m in cm]
+        for k, column in enumerate(rows):
+            assert list(column) == [one[k][0] for one in alone]
 
     @pytest.mark.parametrize("delta_t", [1e-3, 0.75])
     @pytest.mark.parametrize("spec", [chr2_skeleton(), five_state_receptor(), REDUCIBLE],
@@ -468,11 +474,12 @@ class TestDiscreteRows:
         dists = _grid_dists(steps=5)
         chains = mean_chain_rows(spec, [d.mu for d in dists])
         e_xlnx = expectation_rows(dists, _xlnx_vec)
-        rates, errors = _discrete_rows(spec, dists, delta_t, chains, e_xlnx)
+        rates, errors = _discrete_rows(spec, dists, 2.0, delta_t, chains, e_xlnx)
         for dist, rate, error in zip(dists, rates.tolist(), errors):
             expected = _outcome(lambda: mir_discrete(spec, dist, delta_t))
             if error is not None:
                 assert (type(error).__name__, str(error)) == expected
+                assert all(math.isnan(v) for v in rate)
                 continue
             value, gap_nats, diagonal, off_diagonal = rate
             assert expected.value == value and expected.gap_nats == gap_nats
@@ -499,24 +506,25 @@ class TestDiscreteRows:
         assert len(dists) >= 2
         chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
         e_xlnx = expectation_rows(dists, _xlnx_vec)
-        rates, errors = _discrete_rows(unit_chr2, dists, 0.2, chains, e_xlnx)
+        rates, errors = _discrete_rows(unit_chr2, dists, 2.0, 0.2, chains, e_xlnx)
         assert errors == [None] * len(dists)
         got = [tuple(rate[[0, 2]]) for rate in rates]
         assert got == [scalar_discrete(unit_chr2, dist, 0.2) for dist in dists]
 
-    def test_step_kernel_error_reaches_only_its_rows(self, unit_chr2):
+    def test_step_kernel_error_reaches_every_row(self, unit_chr2):
         # at delta_t = 0.4 the step is admissible up to x = 2.5 only
-        dists = [TruncatedGaussianSpec(1.0, 0.5, 1e-5, b) for b in (1.0, 3.0, 2.0, 4.0)]
-        chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
-        e_xlnx = expectation_rows(dists, _xlnx_vec)
-        _, errors = _discrete_rows(unit_chr2, dists, 0.4, chains, e_xlnx)
-        kinds = [type(e).__name__ for e in errors]
-        assert kinds == ["NoneType", "StepTooLarge", "NoneType", "StepTooLarge"]
-        for dist, error in zip(dists, errors):
-            if error is not None:
-                assert (type(error).__name__, str(error)) == _outcome(
-                    lambda: mir_discrete(unit_chr2, dist, 0.4)
-                )
+        for b, kind in ((2.0, "NoneType"), (3.0, "StepTooLarge")):
+            dists = [TruncatedGaussianSpec(m, 0.5, 1e-5, b) for m in (0.5, 1.0, 1.5)]
+            chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
+            e_xlnx = expectation_rows(dists, _xlnx_vec)
+            rates, errors = _discrete_rows(unit_chr2, dists, b, 0.4, chains, e_xlnx)
+            assert [type(e).__name__ for e in errors] == [kind] * len(dists)
+            assert np.isnan(rates).all() == (kind == "StepTooLarge")
+            for dist, error in zip(dists, errors):
+                if error is not None:
+                    assert (type(error).__name__, str(error)) == _outcome(
+                        lambda: mir_discrete(unit_chr2, dist, 0.4)
+                    )
 
     def test_unsettled_pair_is_the_row_error(self, unit_chr2, monkeypatch):
         # the second pair of the second point never settles
@@ -526,16 +534,17 @@ class TestDiscreteRows:
         unsettled = NoConvergence("expectation did not stabilize by n=1600 nodes per panel")
 
         def failing(specs, f, params=None):
-            rows = real(specs, f, params)
+            values, nodes, deltas, errors = real(specs, f, params)
             if params is not None:
-                rows[3] = unsettled
-            return rows
+                values[3], errors[3] = np.nan, unsettled
+            return values, nodes, deltas, errors
 
         monkeypatch.setattr(mir_module, "expectation_rows", failing)
         dists = _grid_dists(steps=3)[:3]
         chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
         e_xlnx = real(dists, _xlnx_vec)
-        e_xlnx[1] = e_xlnx[2] = NoConvergence("x ln x did not settle")
-        rates, errors = _discrete_rows(unit_chr2, dists, 1e-3, chains, e_xlnx)
-        assert errors[0] is None and errors[1] is unsettled and errors[2] is e_xlnx[2]
+        e_xlnx[3][1] = e_xlnx[3][2] = NoConvergence("x ln x did not settle")
+        e_xlnx[0][1:3] = np.nan
+        rates, errors = _discrete_rows(unit_chr2, dists, 2.0, 1e-3, chains, e_xlnx)
+        assert errors[0] is None and errors[1] is unsettled and errors[2] is e_xlnx[3][2]
         assert np.isnan(rates[1:]).all() and not np.isnan(rates[0]).any()

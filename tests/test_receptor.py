@@ -370,8 +370,9 @@ class TestMeanChainRows:
     def test_stack_equals_one_array_solves(self, spec):
         rng = np.random.default_rng(11)
         means = rng.uniform(1e-3, 5.0, 400).tolist() + [1.0, 1.0000011313117316, 0.37]
-        rows = mean_chain_rows(spec, means)
-        for (pi, gain), mean_x in zip(rows, means):
+        pis, gains, errors = mean_chain_rows(spec, means)
+        assert errors == [None] * len(means)
+        for pi, gain, mean_x in zip(pis, gains, means):
             assert pi.tobytes() == stationary_distribution(spec, mean_x).tobytes()
             assert pi.tobytes() == mean_chain_stationary(spec, mean_x).tobytes()
             assert gain == sensitive_gain(spec, pi)
@@ -380,27 +381,31 @@ class TestMeanChainRows:
     @pytest.mark.parametrize("spec", AFFINE_SPECS, ids=lambda spec: spec.name)
     def test_gain_pass_equals_float_by_float_sums(self, spec):
         means = np.random.default_rng(12).uniform(1e-3, 5.0, 300).tolist()
-        for pi, gain in mean_chain_rows(spec, means):
+        pis, gains, _ = mean_chain_rows(spec, means)
+        for pi, gain in zip(pis, gains):
             assert gain == scalar_gain(spec, pi) == sensitive_gain(spec, pi)
             assert gain == sensitive_gain(spec, pi.tolist())
 
     def test_bad_means_fail_alone(self, unit_chr2):
         means = [0.5, -0.5, 1.5, math.nan, 0.0, 2.5]
-        rows = mean_chain_rows(unit_chr2, means)
-        assert [type(row).__name__ for row in rows] == [
-            "tuple", "ValidationError", "tuple", "ValidationError", "NotIrreducible", "tuple",
+        pi, gain, errors = mean_chain_rows(unit_chr2, means)
+        assert [type(error).__name__ for error in errors] == [
+            "NoneType", "ValidationError", "NoneType",
+            "ValidationError", "NotIrreducible", "NoneType",
         ]
         for i in (0, 2, 5):
-            assert rows[i][0].tobytes() == mean_chain_stationary(unit_chr2, means[i]).tobytes()
+            assert pi[i].tobytes() == mean_chain_stationary(unit_chr2, means[i]).tobytes()
+        for i in (1, 3, 4):
+            assert np.isnan(pi[i]).all() and np.isnan(gain[i])
 
     def test_stored_error_raises_with_a_fresh_traceback(self, unit_chr2):
         # every method reading a row raises its stored error again; each raise
         # must not carry the frames of the raises before it
-        (entry,) = mean_chain_rows(unit_chr2, [-0.5])
+        _, _, (error,) = mean_chain_rows(unit_chr2, [-0.5])
         lengths = []
         for _ in range(3):
             with pytest.raises(ValidationError) as info:
-                unwrap(entry)
+                unwrap(error)
             lengths.append(len(traceback.extract_tb(info.value.__traceback__)))
         assert lengths == [lengths[0]] * 3
 
@@ -414,11 +419,12 @@ class TestMeanChainRows:
             [[0.5, 0.6], [0.5, 0.5]],  # solvable, with residual 0.05
             other,
         ])
-        rows = _solve_stationary(stack)
-        assert rows[0].tobytes() == solve_stationary_one(good).tobytes()
-        assert rows[4].tobytes() == solve_stationary_one(other).tobytes()
-        messages = [str(row) for row in rows[1:4]]
-        assert all(isinstance(row, NotIrreducible) for row in rows[1:4])
+        pi, errors = _solve_stationary(stack)
+        assert pi[0].tobytes() == solve_stationary_one(good).tobytes()
+        assert pi[4].tobytes() == solve_stationary_one(other).tobytes()
+        assert errors[0] is None and errors[4] is None and np.isnan(pi[1:4]).all()
+        messages = [str(error) for error in errors[1:4]]
+        assert all(isinstance(error, NotIrreducible) for error in errors[1:4])
         assert "not strongly connected" in messages[0]
         assert "singular" in messages[1]
         assert "residual 5.00e-02" in messages[2]
@@ -440,9 +446,9 @@ class TestMeanChainRows:
             [[0.75, 0.25], [0.5, 0.5]],
             [[1.5, 0.5], [0.5, 0.5]],  # singular: takes the per-array fallback
         ])
-        rows = _solve_stationary(stack)
-        assert isinstance(rows[1], NotIrreducible)
-        assert [pi.shape for pi, _ in mean_chain_rows(unit_chr2, [0.5, 1.5])] == [(3,), (3,)]
+        _, errors = _solve_stationary(stack)
+        assert isinstance(errors[1], NotIrreducible)
+        assert mean_chain_rows(unit_chr2, [0.5, 1.5])[0].shape == (2, 3)
         assert len(shapes) == 4  # stack, two fallbacks, then the chr2 stack
 
 

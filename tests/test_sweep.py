@@ -385,6 +385,26 @@ class TestSerialization:
         first = text.splitlines()[1].split(",")
         assert first[6] == ""  # lb_s2 not requested
 
+    @pytest.mark.parametrize(
+        "text",
+        ['[{"bogus": 3}]', '{"bogus": 3}', "[1]", '{"a": 1}', "{not json"],
+        ids=["unknown-key", "object-payload", "number-entry", "string-entries", "bad-json"],
+    )
+    def test_json_reader_raises_validation_error(self, text):
+        with pytest.raises(ValidationError):
+            rows_from_json(text)
+
+    @pytest.mark.parametrize("cell", ["lots", "1.0.0"])
+    def test_csv_reader_raises_validation_error_on_a_non_numeric_cell(self, cell):
+        text = rows_to_csv([SweepRow(mu_bar=1.0, sigma_bar=0.5)])
+        assert "\n1.0,0.5," in text
+        with pytest.raises(ValidationError):
+            rows_from_csv(text.replace("\n1.0,0.5,", f"\n1.0,{cell},"))
+
+    def test_csv_reader_raises_validation_error_on_empty_text(self):
+        with pytest.raises(ValidationError):
+            rows_from_csv("")
+
     finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
     cell = st.one_of(st.none(), finite)
 

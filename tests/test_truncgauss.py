@@ -501,6 +501,11 @@ def one_spec_schedule(spec, f):
     return None
 
 
+def estimate_tuples(result):
+    """An ``expectation_rows`` result as one (value, nodes, delta) per row."""
+    return list(zip(*(column.tolist() for column in result[:3])))
+
+
 class TestExpectationRows:
     """The batched Gauss-Legendre pass gives every row the bits of the
     one-spec estimate, whatever rows share its block."""
@@ -532,9 +537,9 @@ class TestExpectationRows:
         )
         specs = specs[::2] + specs[1::2]  # interleave the panel groups
         assert len({len(_panel_edges(s, *_integration_bounds(s))) for s in specs}) > 2
-        assert expectation_rows(specs, _xlnx_vec) == [
-            one_spec_schedule(spec, _xlnx_vec) for spec in specs
-        ]
+        result = expectation_rows(specs, _xlnx_vec)
+        assert result[3] == [None] * len(specs)
+        assert estimate_tuples(result) == [one_spec_schedule(spec, _xlnx_vec) for spec in specs]
 
     def test_unsettled_row_fails_alone(self):
         # x ln x plus a unit step at 1.0137: only the last window holds the step
@@ -548,10 +553,12 @@ class TestExpectationRows:
         smooth = [TruncatedGaussianSpec(0.5, 0.01, 0.02, 2.0),
                   TruncatedGaussianSpec(1.5, 0.01, 0.02, 2.0)]
         stepped = TruncatedGaussianSpec(1.0, 0.5, 0.02, 2.0)
-        rows = expectation_rows([smooth[0], stepped, smooth[1]], recorded)
-        assert isinstance(rows[1], NoConvergence)
-        alone = [expectation_rows([spec], step)[0] for spec in smooth]
-        assert [rows[0], rows[2]] == alone == expectation_rows(smooth, step)
+        result = expectation_rows([smooth[0], stepped, smooth[1]], recorded)
+        assert isinstance(result[3][1], NoConvergence) and result[3][::2] == [None, None]
+        rows = estimate_tuples(result)
+        assert all(math.isnan(v) for v in rows[1])
+        alone = [estimate_tuples(expectation_rows([spec], step))[0] for spec in smooth]
+        assert [rows[0], rows[2]] == alone == estimate_tuples(expectation_rows(smooth, step))
         assert [row[1] for row in alone] == [400, 400]
         # the settled rows stop at 400 nodes; only the stepped row goes on
         assert sizes == [600, 1200, 800, 1600]
@@ -659,13 +666,15 @@ class TestSpecRows:
 
     def test_objects_equal_constructed_specs(self):
         rows = self.rows()
-        specs = _spec_objects(*(list(column) for column in zip(*rows)))
-        for row, spec in zip(rows, specs):
+        specs, errors = _spec_objects(*(list(column) for column in zip(*rows)))
+        for row, spec, error in zip(rows, specs, errors):
             try:
                 expected = TruncatedGaussianSpec(*row)
             except ValidationError as exc:
-                assert type(spec) is ValidationError and str(spec) == str(exc)
+                assert spec is None
+                assert type(error) is ValidationError and str(error) == str(exc)
                 continue
+            assert error is None
             assert spec == expected and hash(spec) == hash(expected)
             assert repr(spec) == repr(expected)
             assert [float(v).hex() for v in _spec_fields(spec)] == [
@@ -675,7 +684,7 @@ class TestSpecRows:
     def test_no_rows(self):
         derived, errors = _spec_rows([], [], [], [])
         assert errors == [] and all(column.shape == (0,) for column in derived)
-        assert _spec_objects([], [], [], []) == []
+        assert _spec_objects([], [], [], []) == ([], [])
 
 
 class TestOverflowingPowers:
