@@ -46,6 +46,7 @@ from .errors import (
 from .receptor import ReceptorSpec, mean_chain_rows, stationary_distribution  # noqa: F401
 from .truncgauss import (
     TruncatedGaussianSpec,
+    _columns,
     _fsum_rows,
     _log_rows,
     _moment_rows,
@@ -163,8 +164,8 @@ def h_s(x: float, mu: float, s: int) -> float:
     return float(values[0])
 
 
-def _bounds_rows(dists, s: int, chains=None) -> tuple:
-    """Gap and rate bounds of order s for every distribution, as one array pass.
+def _bounds_rows(columns, s: int, chains=None) -> tuple:
+    """Gap and rate bounds of order s for every row of ``columns``, as one array pass.
 
     ``chains`` holds the distributions' rows of ``mean_chain_rows``;
     without it no gain enters and only the gap bounds are checked.  Returns
@@ -175,9 +176,9 @@ def _bounds_rows(dists, s: int, chains=None) -> tuple:
     mean chain, then the ``BoundPair`` checks on gain times the gap bounds.
     """
     _check_order(s)
-    _, central, errors = _moment_rows(dists, s)
+    _, central, errors = _moment_rows(columns, s)
     live = np.flatnonzero(live_rows(errors))
-    mu, a, b = np.array([(d.mu, d.a, d.b) for d in dists], dtype=float).reshape(-1, 3)[live].T
+    mu, a, b = columns.mu[live], columns.a[live], columns.b[live]
     derivs = _f_derivatives(mu, _log_rows(mu))
     terms = [central[live, i] * derivs[i - 1] / math.factorial(i) for i in range(1, s)]
     (prefix,) = _fsum_rows(np.stack(terms, axis=1), [(0, s - 1)]).T
@@ -186,7 +187,7 @@ def _bounds_rows(dists, s: int, chains=None) -> tuple:
     h, h_errors = _h_rows(np.concatenate((b, a)), np.concatenate((mu, mu)), s)
     for i, error in zip(live.tolist(), merge_rows(h_errors[:n], h_errors[n:])):
         errors[i] = error
-    gap_lower, gap_upper, mu_s, gain = np.full((4, len(dists)), np.nan)
+    gap_lower, gap_upper, mu_s, gain = np.full((4, len(columns.mu)), np.nan)
     mu_s[live] = central[live, s]
     gap_lower[live] = prefix + h[:n] * mu_s[live]
     gap_upper[live] = prefix + h[n:] * mu_s[live]
@@ -212,7 +213,7 @@ def jensen_gap_bounds(
     a = 0 is admitted: only f(0) = 0 is needed there.  The one-row case of
     ``_bounds_rows``, without a mean chain.
     """
-    lower, upper, _, _, (error,) = _bounds_rows([dist], s)
+    lower, upper, _, _, (error,) = _bounds_rows(_columns([dist]), s)
     unwrap(error)
     return float(lower[0]), float(upper[0])
 
@@ -222,7 +223,7 @@ def mir_bounds(
 ) -> BoundPair:
     """Rate bounds in bits/s: gain times the gap bounds; the one-row case of
     ``_bounds_rows``."""
-    *columns, (error,) = _bounds_rows([dist], s, mean_chain_rows(spec, [dist.mu]))
+    *columns, (error,) = _bounds_rows(_columns([dist]), s, mean_chain_rows(spec, [dist.mu]))
     unwrap(error)
     gap_lower, gap_upper, mu_s, gain = (float(column[0]) for column in columns)
     return BoundPair(

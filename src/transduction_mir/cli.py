@@ -21,6 +21,7 @@ from .mcsim import dump_trajectory, estimate_mir, simulate
 from .mir import mir_discrete, mir_quadrature, mir_series
 from .receptor import ReceptorSpec, load_receptor
 from .sweep import (
+    _METHOD_COLUMNS,
     GridAxis,
     SweepConfig,
     _check_ranges,
@@ -246,7 +247,12 @@ def _cmd_sweep(args) -> int:
     out_format = output.get("format", "csv")
     if out_format not in ("csv", "json"):
         raise ConfigError(f"output.format must be csv or json, got {out_format!r}")
-    rows = run_sweep(_sweep_config(doc, args, args.config))
+    config = _sweep_config(doc, args, args.config)
+    # a column no method fills cannot be maximised: refuse before the sweep runs
+    filled = {name for method in config.methods for name in _METHOD_COLUMNS[method]}
+    if args.capacity_by and args.capacity_by not in filled:
+        raise ConfigError(f"--capacity-by {args.capacity_by}: no method of this sweep fills it")
+    rows = run_sweep(config)
     if out_path:
         write_rows(rows, out_path, out_format)
     else:
@@ -319,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--capacity-by",
         default=None,
+        choices=[name for names in _METHOD_COLUMNS.values() for name in names],
         help="report the argmax of this column on stderr (e.g. mir_quadrature)",
     )
     p_sweep.set_defaults(handler=_cmd_sweep)

@@ -43,6 +43,7 @@ from .receptor import (
 from .truncgauss import (
     MAX_MOMENT_ORDER,
     TruncatedGaussianSpec,
+    _columns,
     _fsum_rows,
     _log_rows,
     expectation,
@@ -180,9 +181,10 @@ def mir_discrete(
     Raises StepTooLarge if the step is inadmissible at the worst-case
     intensity x = b.
     """
+    columns = _columns([dist])
     chains = mean_chain_rows(spec, [dist.mu])
-    e_xlnx = expectation_rows([dist], _xlnx_vec)
-    rates, (error,) = _discrete_rows(spec, [dist], dist.b, delta_t, chains, e_xlnx)
+    e_xlnx = expectation_rows(columns, _xlnx_vec)
+    rates, (error,) = _discrete_rows(spec, columns, dist.b, delta_t, chains, e_xlnx)
     unwrap(error)
     value, gap_nats, diagonal, off_diagonal = rates[0].tolist()
     return MirResult(
@@ -198,10 +200,10 @@ def mir_discrete(
     )
 
 
-def _discrete_rows(spec, dists, b, delta_t, chains, e_xlnx) -> tuple[np.ndarray, list]:
-    """``mir_discrete`` at every distribution on a support that ends at
-    ``b``, from their rows of ``mean_chain_rows`` and of
-    ``expectation_rows`` with x ln x.
+def _discrete_rows(spec, columns, b, delta_t, chains, e_xlnx) -> tuple[np.ndarray, list]:
+    """``mir_discrete`` at every distribution of the ``SpecColumns`` on a
+    support that ends at ``b``, from their rows of ``mean_chain_rows`` and
+    of ``expectation_rows`` with x ln x.
 
     The E[phi(p_yy'(x))] of every sensitive pair of every distribution are
     one ``expectation_rows`` pass.  Returns (rates, errors): per row the
@@ -212,11 +214,11 @@ def _discrete_rows(spec, dists, b, delta_t, chains, e_xlnx) -> tuple[np.ndarray,
     chain, the pairs in ``sensitive_pairs`` order, E[x ln x], then the
     ``MirResult`` floor.
     """
-    rates = np.full((len(dists), 4), np.nan)
+    rates = np.full((len(columns.mu), 4), np.nan)
     try:
         const, lin = step_kernel(spec, delta_t, b)
     except MirError as exc:
-        return rates, [exc] * len(dists)
+        return rates, [exc] * len(columns.mu)
     errors = list(chains[2])
     live = np.flatnonzero(live_rows(errors))
     if not live.size:
@@ -226,7 +228,7 @@ def _discrete_rows(spec, dists, b, delta_t, chains, e_xlnx) -> tuple[np.ndarray,
     y, y_next = (np.array(index) for index in zip(*pairs))
     c, m = const[y, y_next], lin[y, y_next]
     e_phi, _, _, pair_errors = expectation_rows(
-        [dists[i] for i in live for _ in pairs],
+        columns.take(np.repeat(live, len(pairs))),
         _plogp_entry,
         np.tile(np.stack((c, m), axis=1), (len(live), 1)),
     )
@@ -234,7 +236,7 @@ def _discrete_rows(spec, dists, b, delta_t, chains, e_xlnx) -> tuple[np.ndarray,
     stage = merge_rows(*by_pair, [e_xlnx[3][i] for i in live])
     ok = live_rows(stage)
     e_phi = e_phi.reshape(len(live), len(pairs))
-    mu = np.array([dists[i].mu for i in live], dtype=float)
+    mu = columns.mu[live]
     pi = chains[0][live]
 
     mean_entry = np.minimum(np.maximum(c + m * mu[:, None], 0.0), 1.0)
@@ -264,7 +266,7 @@ def mir_quadrature(spec: ReceptorSpec, dist: TruncatedGaussianSpec) -> MirResult
     case of ``_quadrature_rows``.
     """
     chains = mean_chain_rows(spec, [dist.mu])
-    e_xlnx = expectation_rows([dist], _xlnx_vec)
+    e_xlnx = expectation_rows(_columns([dist]), _xlnx_vec)
     values, gaps, (error,) = _quadrature_rows(np.array([dist.mu]), chains, e_xlnx)
     unwrap(error)
     pi, gain, _ = chains

@@ -4,20 +4,20 @@ A sweep evaluates the selected methods at every grid point, never aborting
 on a per-point numerical failure (the row's status column records it), and
 emits rows in mu_bar-major order.  Each grid-wide quantity is computed once,
 as one array pass over the grid's columns: the input distributions of all
-points (``truncgauss._spec_rows``, its checks as per-row masks), the mean
-chains and gains of all valid points as one stack, their Jensen gaps from
-one Gauss-Legendre pass integrated in row blocks, the quadrature rates, the
-E[p log p] of every sensitive pair of every point for the discrete rate,
-and the bounds of each selected order s = 2, 4.  Every batched kernel
-returns one row format: value columns, float arrays with nan on the rows
-that fail, and one error list holding per row the MirError that rejected
-it, or None.  Method by method, the value columns fill the output fields
-and the errors the status column, and the rows are built from the
-columns.  The series and Monte Carlo run point by point into the same
-format.  The scalar library functions are the same kernels on one point,
-so a row holds the bits a single-point call returns, and the failure it
-would raise.  Monte Carlo points derive independent seeds from (master
-seed, row index), so output is byte-identical across runs.
+points (``truncgauss._spec_rows``, kept as the columns every kernel reads),
+the mean chains and gains of all valid points as one stack, their Jensen
+gaps from one Gauss-Legendre pass, the quadrature rates, the E[p log p] of
+every sensitive pair of every point for the discrete rate, and the bounds
+of each selected order s = 2, 4.  Every batched kernel returns one row
+format: value columns, float arrays with nan on the rows that fail, and one
+error list holding per row the MirError that rejected it, or None.  Method
+by method, the value columns fill the output fields and the errors the
+status column, and the rows are built from the columns.  The series and
+Monte Carlo run point by point, on one spec each, into the same format.
+The scalar library functions are the same kernels on one point, so a row
+holds the bits a single-point call returns, and the failure it would raise.
+Monte Carlo points derive independent seeds from (master seed, row index),
+so output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -31,13 +31,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# TruncatedGaussianSpec, mir_bounds, mir_discrete, mir_quadrature and
-# mir_series are not called here: the sweep runs their row kernels and
-# per-row cores on precomputed rows.  perfbench's tracer wraps these names and
+# mir_bounds, mir_discrete, mir_quadrature and mir_series are not called
+# here: the sweep runs their row kernels and per-row cores on precomputed
+# rows.  perfbench's tracer wraps these names, and TruncatedGaussianSpec, and
 # perfbench/tests/test_tracer.py looks each up without a default; remove them
 # together with those wraps.
 from .bounds import _bounds_rows, mir_bounds  # noqa: F401
-from .errors import ConfigError, EmptySweep, MirError, ValidationError
+from .errors import ConfigError, EmptySweep, MirError, ValidationError, live_rows
 from .mcsim import estimate_mir, simulate
 from .mir import (
     _discrete_rows,
@@ -52,7 +52,8 @@ from .receptor import ReceptorSpec, mean_chain_rows
 from .truncgauss import (
     MAX_MOMENT_ORDER,
     TruncatedGaussianSpec,  # noqa: F401
-    _spec_objects,
+    _spec_at,
+    _spec_rows,
     expectation_rows,
 )
 
@@ -183,13 +184,12 @@ _METHOD_COLUMNS = {
 def _method_columns(config: SweepConfig, method: str, indices, valid, chains, e_xlnx) -> tuple:
     """(columns, errors): per ``_METHOD_COLUMNS`` field of ``method`` its
     values at the valid points, nan where the method fails with the error in
-    ``errors``.  ``indices`` holds each point's grid index, ``chains`` and
-    ``e_xlnx`` its rows of the mean chain and E[x ln x] passes.  Quadrature,
-    discrete and the bounds are one pass over the points; the series and
-    Monte Carlo run point by point."""
+    ``errors``.  ``indices`` holds each point's grid index, ``valid``,
+    ``chains`` and ``e_xlnx`` its rows of the spec columns and of the mean
+    chain and E[x ln x] passes.  Quadrature, discrete and the bounds are one
+    pass over the points; the series and Monte Carlo run point by point."""
     if method == "quadrature":
-        mu = np.array([dist.mu for dist in valid], dtype=float)
-        values, _, errors = _quadrature_rows(mu, chains, e_xlnx)
+        values, _, errors = _quadrature_rows(valid.mu, chains, e_xlnx)
         return (values,), errors
     if method == "discrete":
         receptor, b, delta_t = config.receptor, config.b, config.delta_t
@@ -198,9 +198,10 @@ def _method_columns(config: SweepConfig, method: str, indices, valid, chains, e_
     if method in ("bounds_s2", "bounds_s4"):
         gap_lower, gap_upper, _, gain, errors = _bounds_rows(valid, int(method[-1]), chains)
         return (gain * gap_lower, gain * gap_upper), errors
-    columns = np.full((len(_METHOD_COLUMNS[method]), len(valid)), np.nan)
-    errors: list = [None] * len(valid)
-    for j, (index, dist) in enumerate(zip(indices, valid)):
+    columns = np.full((len(_METHOD_COLUMNS[method]), len(indices)), np.nan)
+    errors: list = [None] * len(indices)
+    for j, index in enumerate(indices):
+        dist = _spec_at(valid, j)
         try:
             if method == "series":
                 gain, error = float(chains[1][j]), chains[2][j]
@@ -238,25 +239,22 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     abort the sweep.  Monte Carlo seeds are keyed by grid index, so each row
     depends only on the config and its own grid point.
     """
-    points = [
-        (float(mu_bar), float(sigma_bar))
-        for mu_bar in config.mu_bar_grid.values()
-        for sigma_bar in config.sigma_bar_grid.values()
-    ]
-    n = len(points)
+    mu_axis, sigma_axis = config.mu_bar_grid.values(), config.sigma_bar_grid.values()
+    mu_bars = np.repeat(mu_axis, len(sigma_axis)).tolist()
+    sigma_bars = np.tile(sigma_axis, len(mu_axis)).tolist()
+    n = len(mu_bars)
     # one column per numeric field, filled in per method, and per point its
     # distribution's error or the methods that failed there
     columns = {name: [None] * n for name in _NUMERIC_FIELDS}
-    mu_bars = columns["mu_bar"] = [mu_bar for mu_bar, _ in points]
-    sigma_bars = columns["sigma_bar"] = [sigma_bar for _, sigma_bar in points]
-    dists, errors = _spec_objects(mu_bars, sigma_bars, [config.a] * n, [config.b] * n)
+    columns["mu_bar"], columns["sigma_bar"] = mu_bars, sigma_bars
+    specs, errors = _spec_rows(mu_bars, sigma_bars, [config.a] * n, [config.b] * n)
     problems = [[] if e is None else [f"distribution:{type(e).__name__}:{e}"] for e in errors]
-    indices = [i for i, dist in enumerate(dists) if dist is not None]
-    valid = [dists[i] for i in indices]
-    for i, dist in zip(indices, valid):
-        columns["mu"][i], columns["sigma2"][i] = dist.mu, dist.sigma2
+    indices = np.flatnonzero(live_rows(errors)).tolist()
+    valid = specs.take(indices)
+    for i, mu, sigma2 in zip(indices, valid.mu.tolist(), valid.sigma2.tolist()):
+        columns["mu"][i], columns["sigma2"][i] = mu, sigma2
 
-    chains = mean_chain_rows(config.receptor, [dist.mu for dist in valid])
+    chains = mean_chain_rows(config.receptor, valid.mu.tolist())
     e_xlnx = None
     if {"quadrature", "discrete"} & set(config.methods):
         e_xlnx = expectation_rows(valid, _xlnx_vec)
@@ -373,11 +371,17 @@ def rows_to_json(rows: Sequence[SweepRow]) -> str:
 
 
 def rows_from_json(text: str) -> list[SweepRow]:
-    """Inverse of rows_to_json; ValidationError on other text."""
+    """Inverse of rows_to_json; ValidationError on other text, such as a
+    value of the wrong type (a bool is not a number)."""
     try:
-        return [SweepRow(**entry) for entry in json.loads(text)]
+        rows = [SweepRow(**entry) for entry in json.loads(text)]
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed JSON rows: {exc}") from exc
+    for row in rows:
+        for name, value in vars(row).items():
+            if type(value) not in ((str,) if name == "status" else (int, float, type(None))):
+                raise ValidationError(f"malformed JSON rows: {name} = {value!r}")
+    return rows
 
 
 def _format_rows(rows: Sequence[SweepRow], fmt: str) -> str:

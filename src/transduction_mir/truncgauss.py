@@ -13,6 +13,7 @@ integrals against the density.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -169,21 +170,38 @@ class TruncatedGaussianSpec:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ValidationError(f"{name} must be a finite number, got {value!r}")
-        derived, (error,) = _spec_rows((self.mu_bar,), (self.sigma_bar,), (self.a,), (self.b,))
+        columns, (error,) = _spec_rows((self.mu_bar,), (self.sigma_bar,), (self.a,), (self.b,))
         unwrap(error)
-        for name, column in zip(_DERIVED, derived):
-            object.__setattr__(self, name, float(column[0]))
+        for name in SpecColumns._fields[4:]:  # the derived fields, alpha to sigma2
+            object.__setattr__(self, name, float(getattr(columns, name)[0]))
 
 
-#: The fields ``TruncatedGaussianSpec`` derives from its parameters.
-_DERIVED = ("alpha", "beta", "z", "mu", "sigma2")
+class SpecColumns(namedtuple("SpecColumns", "mu_bar sigma_bar a b alpha beta z mu sigma2")):
+    """Many specs as one float array per spec field: what every row kernel reads."""
+
+    def take(self, rows) -> SpecColumns:
+        """The given rows, in the given order."""
+        return SpecColumns(*(column[rows] for column in self))
 
 
-def _spec_rows(mu_bar, sigma_bar, a, b) -> tuple[tuple, list]:
-    """The derived fields of ``TruncatedGaussianSpec`` for whole columns.
+def _columns(specs) -> SpecColumns:
+    """The columns of a list of specs; how a scalar call enters a row kernel."""
+    fields = ([getattr(spec, name) for spec in specs] for name in SpecColumns._fields)
+    return SpecColumns(*(np.array(column, dtype=float) for column in fields))
 
-    Each argument holds one finite number per row.  Returns (alpha, beta, z,
-    mu, sigma2) as float arrays, and per row the ValidationError the
+
+def _spec_at(columns: SpecColumns, row: int) -> TruncatedGaussianSpec:
+    """The spec of a row of checked ``_spec_rows`` columns, without rerunning the checks."""
+    spec = object.__new__(TruncatedGaussianSpec)
+    vars(spec).update((name, float(column[row])) for name, column in zip(columns._fields, columns))
+    return spec
+
+
+def _spec_rows(mu_bar, sigma_bar, a, b) -> tuple[SpecColumns, list]:
+    """The fields of ``TruncatedGaussianSpec`` for whole columns.
+
+    Each argument holds one finite number per row.  Returns the
+    ``SpecColumns`` of the rows, and per row the ValidationError the
     constructor raises there, or None: the checks run as masks in the
     constructor's order, and a message shows each parameter as the caller
     passed it.  Each row has the bits of the scalar formulas; ``z`` takes
@@ -233,26 +251,7 @@ def _spec_rows(mu_bar, sigma_bar, a, b) -> tuple[tuple, list]:
             f"truncated variance {float(sigma2[i])} outside (0, sigma_bar^2]"
         ),
     )
-    return (alpha, beta, z, mu, sigma2), errors
-
-
-def _spec_objects(mu_bar, sigma_bar, a, b) -> tuple[list, list]:
-    """The ``TruncatedGaussianSpec`` of each row's finite parameters.
-
-    Returns (specs, errors): per row the spec, or None where its
-    constructor raises the ValidationError in ``errors``.  The checks run
-    once, as ``_spec_rows`` masks, and each spec is filled in from its
-    columns without running them again.
-    """
-    derived, errors = _spec_rows(mu_bar, sigma_bar, a, b)
-    names = ("mu_bar", "sigma_bar", "a", "b", *_DERIVED)
-    rows = zip(mu_bar, sigma_bar, a, b, *(column.tolist() for column in derived))
-    specs: list = [None] * len(errors)
-    for i, (error, values) in enumerate(zip(errors, rows)):
-        if error is None:
-            specs[i] = object.__new__(TruncatedGaussianSpec)
-            vars(specs[i]).update(zip(names, values))
-    return specs, errors
+    return SpecColumns(mb, sb, lo, hi, alpha, beta, z, mu, sigma2), errors
 
 
 @dataclass(frozen=True)
@@ -320,25 +319,19 @@ def _moments_about(mu_bar, sigma_bar, center, L: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _moment_rows(specs, order: int) -> tuple[np.ndarray, np.ndarray, list]:
-    """Raw and central moments up to ``order`` of every spec, as one array pass.
+def _moment_rows(columns: SpecColumns, order: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Raw and central moments up to ``order`` of every row, as one array pass.
 
-    Returns (raw, central, errors): (specs, order + 1) arrays and, per spec,
+    Returns (raw, central, errors): (rows, order + 1) arrays and, per row,
     the ValidationError ``raw_moments`` raises for it, or None.  Orders up
     to 20 come from the L-recursion: the moments about 0 and about the mean
-    of every spec are one expansion.  Higher orders come from
-    ``shifted_moment_vector``, spec by spec (see ``raw_moments``).
+    of every row are one expansion.  Higher orders come from
+    ``shifted_moment_vector``, row by row (see ``raw_moments``).
     """
-    n = len(specs)
-    columns = np.array(
-        [(s.mu_bar, s.sigma_bar, s.a, s.b, s.alpha, s.beta, s.z, s.mu, s.sigma2) for s in specs],
-        dtype=float,
-    ).reshape(n, 9)
-    mu_bar, sigma_bar, a, b, alpha, beta, z, mu, sigma2 = columns.T
+    mu_bar, sigma_bar, a, b, alpha, beta, z, mu, sigma2 = columns
+    n = len(mu)
     low = min(order, _RECURSION_MAX_ORDER)
-    L = np.empty((n, low + 1))
-    for i, column in enumerate(_l_coefficients(alpha, beta, z, low)):
-        L[:, i] = column
+    L = np.column_stack([np.broadcast_to(c, n) for c in _l_coefficients(alpha, beta, z, low)])
     # the expansions about 0 and about the mean, as one of 2n rows
     both = _moments_about(
         np.concatenate((mu_bar, mu_bar)),
@@ -349,6 +342,7 @@ def _moment_rows(specs, order: int) -> tuple[np.ndarray, np.ndarray, list]:
     raw, central = both[:n], both[n:]
     if order > _RECURSION_MAX_ORDER:
         high = slice(_RECURSION_MAX_ORDER + 1, None)
+        specs = [_spec_at(columns, row) for row in range(n)]
         raw = np.hstack((raw, [shifted_moment_vector(s, 0.0, order)[high] for s in specs]))
         central = np.hstack(
             (central, [shifted_moment_vector(s, s.mu, order)[high] for s in specs])
@@ -408,7 +402,7 @@ def raw_moments(spec: TruncatedGaussianSpec, order: int) -> MomentTable:
         raise ValidationError(f"order must be >= 0, got {order}")
     if order > MAX_MOMENT_ORDER:
         raise OrderTooHigh(f"order {order} exceeds ceiling {MAX_MOMENT_ORDER}")
-    raw, central, (error,) = _moment_rows([spec], order)
+    raw, central, (error,) = _moment_rows(_columns([spec]), order)
     unwrap(error)
     return MomentTable(raw=raw[0], central=central[0], order=order)
 
@@ -444,20 +438,14 @@ def _gl_nodes(n: int):
     return nodes, weights
 
 
-def _integration_bounds(spec: TruncatedGaussianSpec) -> tuple[float, float]:
-    """Standardized integration window: [alpha, beta] clipped to +-40 sigmas.
+def _panel_edges(columns: SpecColumns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Quadrature panels, graded toward a near-zero lower edge, as {panel
+    count: (rows, edges)}: the rows with that many panels and their edges.
 
-    Integration runs in the standardized variable t = (x - mu_bar)/sigma_bar:
-    forming t from exact Gauss-Legendre nodes avoids the cancellation of
-    x - mu_bar when sigma_bar is tiny relative to the interval.
-    """
-    lo = max(spec.alpha, -_SUPPORT_SIGMAS)
-    hi = min(spec.beta, _SUPPORT_SIGMAS)
-    return lo, hi
-
-
-def _panel_edges(spec: TruncatedGaussianSpec, lo: float, hi: float) -> tuple[float, ...]:
-    """Quadrature panels, dyadically graded toward a near-zero lower edge.
+    Integration runs in the standardized variable t = (x - mu_bar)/sigma_bar,
+    over [alpha, beta] clipped to +-40 sigmas: forming t from exact
+    Gauss-Legendre nodes avoids the cancellation of x - mu_bar when
+    sigma_bar is tiny relative to the interval.
 
     The integrands of interest (x ln x, p log p with p linear in x) are
     smooth except for unbounded derivatives as x -> 0.  When the window's
@@ -467,18 +455,22 @@ def _panel_edges(spec: TruncatedGaussianSpec, lo: float, hi: float) -> tuple[flo
     width away from every panel but the innermost, whose contribution is
     negligible.  Away from that regime a single panel is used.
     """
-    x_lo = spec.mu_bar + spec.sigma_bar * lo
-    x_hi = spec.mu_bar + spec.sigma_bar * hi
-    span = x_hi - x_lo
-    if span <= 0.0 or x_lo > 1e-2 * span:
-        return (lo, hi)
-    levels = min(40, max(1, math.ceil(math.log2(span / max(x_lo, span * 2.0**-40)))))
-    edges = [lo]
-    for j in range(levels, 0, -1):
-        x_edge = x_lo + span * 2.0**-j
-        edges.append((x_edge - spec.mu_bar) / spec.sigma_bar)
-    edges.append(hi)
-    return tuple(edges)
+    lo = np.maximum(columns.alpha, -_SUPPORT_SIGMAS)
+    hi = np.minimum(columns.beta, _SUPPORT_SIGMAS)
+    x_lo = columns.mu_bar + columns.sigma_bar * lo
+    span = (columns.mu_bar + columns.sigma_bar * hi) - x_lo
+    graded = np.flatnonzero((span > 0.0) & (x_lo <= 1e-2 * span))
+    ratio = span[graded] / np.maximum(x_lo[graded], span[graded] * 2.0**-40)
+    levels = np.zeros(len(lo), dtype=int)
+    # math.log2, not np.log2: the two differ in the last bit on some ratios
+    levels[graded] = [min(40, max(1, math.ceil(math.log2(r)))) for r in ratio.tolist()]
+    groups = {}
+    for count in dict.fromkeys(levels.tolist()):
+        rows = np.flatnonzero(levels == count)
+        x_edge = x_lo[rows, None] + span[rows, None] * np.ldexp(1.0, -np.arange(count, 0, -1))
+        inner = (x_edge - columns.mu_bar[rows, None]) / columns.sigma_bar[rows, None]
+        groups[count + 1] = rows, np.column_stack((lo[rows], inner, hi[rows]))
+    return groups
 
 
 def _refine(estimate: Callable[[int, np.ndarray], list], count: int, what: str) -> tuple:
@@ -544,39 +536,32 @@ def _gl_rows(edges, loc, scale, mass, f, n: int, params=None) -> list:
     return values
 
 
-def expectation_rows(specs, f: Callable[..., np.ndarray], params=None) -> tuple:
-    """E[f(x)] under each spec, by one Gauss-Legendre pass over all of them.
+def expectation_rows(columns: SpecColumns, f: Callable[..., np.ndarray], params=None) -> tuple:
+    """E[f(x)] under each row of ``columns``, by one Gauss-Legendre pass.
 
-    Specs are grouped by panel count, never padded, and each group runs the
-    fixed node schedule with a per-row agreement test (``_refine``), so only
-    unsettled rows go on to more nodes.  ``f`` must act entry by entry; with
-    ``params``, a (specs, k) array, row i integrates ``f(x, *params[i])``
-    (see ``_gl_rows``).  Returns (values, nodes, deltas, errors) as
-    ``_refine`` does: per spec E[f(x)], the nodes per panel of the accepted
-    estimate and its change from the estimate before, and NoConvergence
-    where the schedule ran out.
+    Rows are grouped by panel count (``_panel_edges``), never padded, and
+    each group runs the fixed node schedule with a per-row agreement test
+    (``_refine``), so only unsettled rows go on to more nodes.  ``f`` must
+    act entry by entry; with ``params``, a (rows, k) float array, row i
+    integrates ``f(x, *params[i])`` (see ``_gl_rows``).  Returns (values,
+    nodes, deltas, errors) as ``_refine`` does: per row E[f(x)], the nodes
+    per panel of the accepted estimate and its change from the estimate
+    before, and NoConvergence where the schedule ran out.
     """
-    groups: dict[int, tuple[list, list]] = {}
-    for i, spec in enumerate(specs):
-        edges = _panel_edges(spec, *_integration_bounds(spec))
-        members, records = groups.setdefault(len(edges) - 1, ([], []))
-        members.append(i)
-        records.append((spec.mu_bar, spec.sigma_bar, spec.z, *edges))
-    values, nodes, deltas = (np.full(len(specs), np.nan) for _ in range(3))
-    errors: list = [None] * len(specs)
-    if params is not None:
-        params = np.asarray(params, dtype=float)
-    for members, records in groups.values():
-        table = np.array(records)
+    values, nodes, deltas = (np.full(len(columns.mu), np.nan) for _ in range(3))
+    errors: list = [None] * len(columns.mu)
+    for members, edges in _panel_edges(columns).values():
+        table = np.stack((columns.mu_bar, columns.sigma_bar, columns.z))[:, members]
         group_params = None if params is None else params[members]
 
-        def estimate(n: int, rows: np.ndarray, table=table, group_params=group_params) -> list:
+        # called only by the _refine below, so the loop's current values hold
+        def estimate(n: int, rows: np.ndarray) -> list:
             row_params = None if group_params is None else group_params[rows]
-            return _gl_rows(table[rows, 3:], *table[rows, :3].T, f, n, row_params)
+            return _gl_rows(edges[rows], *table[:, rows], f, n, row_params)
 
         group = _refine(estimate, len(members), "expectation")
         values[members], nodes[members], deltas[members] = group[:3]
-        for i, error in zip(members, group[3]):
+        for i, error in zip(members.tolist(), group[3]):
             errors[i] = error
     return values, nodes, deltas, errors
 
@@ -594,7 +579,7 @@ def expectation(
 
     Raises NoConvergence if the estimates have not stabilized by 1600 nodes.
     """
-    values, _, _, (error,) = expectation_rows([spec], f)
+    values, _, _, (error,) = expectation_rows(_columns([spec]), f)
     unwrap(error)
     return float(values[0])
 
@@ -619,7 +604,7 @@ def shifted_moment_vector(
     """
     if order < 0:
         raise ValidationError(f"order must be >= 0, got {order}")
-    lo, hi = _integration_bounds(spec)
+    lo, hi = max(spec.alpha, -_SUPPORT_SIGMAS), min(spec.beta, _SUPPORT_SIGMAS)
     if lo > 0.0 or hi < 0.0:
         near, far = (lo, hi) if lo > 0.0 else (hi, lo)
         s_near = abs(spec.mu_bar - center + spec.sigma_bar * near)

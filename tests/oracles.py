@@ -8,9 +8,9 @@ arrays, and the tests pin the two against each other.  The remaining helpers
 Monte Carlo gap, occupancy and bigram counts, the Taylor limit of h_s, the
 per-step simulation loop) are oracles for the acceptance criteria and the
 unit tests.  The one-array stationary solve, the one-spec Gauss-Legendre
-estimate, the float-by-float spec fields, gain and gap bounds, and the
-pair-by-pair discrete rate are the scalar forms the batched kernels must
-match bit for bit.
+estimate, the float-by-float spec fields, panel edges, gain and gap bounds,
+and the pair-by-pair discrete rate are the scalar forms the batched kernels
+must match bit for bit.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from transduction_mir.receptor import LN2, _solve_stationary, _strongly_connecte
 from transduction_mir.truncgauss import (
     MAX_MOMENT_ORDER,
     MIN_TRUNCATION_MASS,
+    _SUPPORT_SIGMAS,
     expectation,
     _gl_nodes,
     _l_coefficients,
@@ -205,6 +206,48 @@ def scalar_spec_fields(mu_bar, sigma_bar, a, b) -> tuple[float, ...]:
     if not (0.0 < sigma2 <= sigma_bar**2 * (1.0 + 1e-12)):
         raise ValidationError(f"truncated variance {sigma2} outside (0, sigma_bar^2]")
     return alpha, beta, z, mu, sigma2
+
+
+def scalar_integration_bounds(spec: TruncatedGaussianSpec) -> tuple[float, float]:
+    """Standardized integration window: [alpha, beta] clipped to +-40 sigmas.
+
+    Integration runs in the standardized variable t = (x - mu_bar)/sigma_bar:
+    forming t from exact Gauss-Legendre nodes avoids the cancellation of
+    x - mu_bar when sigma_bar is tiny relative to the interval.
+    """
+    lo = max(spec.alpha, -_SUPPORT_SIGMAS)
+    hi = min(spec.beta, _SUPPORT_SIGMAS)
+    return lo, hi
+
+
+def scalar_panel_edges(spec: TruncatedGaussianSpec, lo: float, hi: float) -> tuple[float, ...]:
+    """Quadrature panels, dyadically graded toward a near-zero lower edge.
+
+    The integrands of interest (x ln x, p log p with p linear in x) are
+    smooth except for unbounded derivatives as x -> 0.  When the window's
+    lower x-edge sits close to zero relative to its span, plain
+    Gauss-Legendre converges only algebraically; panels whose widths shrink
+    geometrically toward that edge keep the singularity at least one panel
+    width away from every panel but the innermost, whose contribution is
+    negligible.  Away from that regime a single panel is used.
+    """
+    x_lo = spec.mu_bar + spec.sigma_bar * lo
+    x_hi = spec.mu_bar + spec.sigma_bar * hi
+    span = x_hi - x_lo
+    if span <= 0.0 or x_lo > 1e-2 * span:
+        return (lo, hi)
+    levels = min(40, max(1, math.ceil(math.log2(span / max(x_lo, span * 2.0**-40)))))
+    edges = [lo]
+    for j in range(levels, 0, -1):
+        x_edge = x_lo + span * 2.0**-j
+        edges.append((x_edge - spec.mu_bar) / spec.sigma_bar)
+    edges.append(hi)
+    return tuple(edges)
+
+
+def scalar_edges(spec: TruncatedGaussianSpec) -> tuple[float, ...]:
+    """The panel edges of one spec, by the scalar rule."""
+    return scalar_panel_edges(spec, *scalar_integration_bounds(spec))
 
 
 def scalar_gain(spec: ReceptorSpec, pi) -> float:

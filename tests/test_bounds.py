@@ -29,6 +29,7 @@ from transduction_mir import (
     mir_quadrature,
 )
 from transduction_mir.bounds import _bounds_rows, _log_rows
+from transduction_mir.truncgauss import _columns
 from transduction_mir.receptor import mean_chain_rows
 from transduction_mir.truncgauss import _pow_rows
 from conftest import random_valid_dist
@@ -253,7 +254,7 @@ class TestBoundsRows:
         dists = GRIDS[name]()
         chains = mean_chain_rows(chr2_receptor, [d.mu for d in dists])
         for s in (2, 4):
-            rows = _bounds_rows(dists, s, chains)
+            rows = _bounds_rows(_columns(dists), s, chains)
             *columns, errors = rows
             assert len(errors) == len(dists)
             assert all(column.shape == (len(dists),) for column in columns)
@@ -279,7 +280,7 @@ class TestBoundsRows:
         one = [mean_chain_rows(receptor, [dist.mu]) for receptor, dist in cases]
         chains = (None, np.array([gain[0] for _, gain, _ in one]), [e[0] for *_, e in one])
         for column, s in ((2, 2), (3, 4)):
-            rows = _bounds_rows(dists, s, chains)
+            rows = _bounds_rows(_columns(dists), s, chains)
             for i, (receptor, dist) in enumerate(cases):
                 expected = _outcome(lambda: mir_bounds(receptor, dist, s))
                 assert _row_outcome(rows, i, dist) == expected
@@ -290,7 +291,7 @@ class TestBoundsRows:
     def test_gap_rows_without_chains(self):
         dists = GRIDS["panel"]() + [TruncatedGaussianSpec(1e-5, 1e-12, 1e-5, 2.0)]
         for s in (2, 4):
-            gap_lower, gap_upper, _, gain, errors = _bounds_rows(dists, s)
+            gap_lower, gap_upper, _, gain, errors = _bounds_rows(_columns(dists), s)
             for i, (dist, error) in enumerate(zip(dists, errors)):
                 assert math.isnan(gain[i])
                 try:
@@ -301,11 +302,11 @@ class TestBoundsRows:
                 assert repr((float(gap_lower[i]), float(gap_upper[i]))) == expected
 
     def test_no_rows(self, chr2_receptor):
-        *columns, errors = _bounds_rows([], 2, mean_chain_rows(chr2_receptor, []))
+        *columns, errors = _bounds_rows(_columns([]), 2, mean_chain_rows(chr2_receptor, []))
         assert [column.shape for column in columns] == [(0,)] * 4
         assert errors == []
         with pytest.raises(ValidationError):
-            _bounds_rows([], 3, mean_chain_rows(chr2_receptor, []))
+            _bounds_rows(_columns([]), 3, mean_chain_rows(chr2_receptor, []))
 
 
 class TestScalarOperations:

@@ -238,6 +238,30 @@ class TestSweep:
         assert code == 0
         assert "capacity-achieving point" in capsys.readouterr().err
 
+    def test_capacity_by_misspelled_field_is_a_usage_error(self, point_config, tmp_path, capsys):
+        # rejected by the parser, before the sweep runs or writes anything
+        out = tmp_path / "rows.csv"
+        argv = ["sweep", "--config", str(point_config), "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--capacity-by", "mir_qudrature"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'mir_qudrature'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_capacity_by_field_no_method_fills(self, point_config, tmp_path, capsys):
+        doc = json.loads(point_config.read_text())
+        doc["sweep"]["methods"] = ["quadrature"]
+        config = point_config.parent / "quadrature_only.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "rows.csv"
+        argv = ["sweep", "--config", str(config), "--out", str(out), "--capacity-by", "mir_series"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "configuration error: --capacity-by mir_series: no method of this sweep fills it\n"
+        )
+        assert not out.exists()
+
     def test_capacity_report_names_the_grid_edge(self, tmp_path, capsys):
         # on the shipped surface the rate still rises toward the smallest
         # mu_bar, so the argmax sits on that edge of the grid

@@ -41,7 +41,7 @@ from transduction_mir.mir import (
     _xlnx_vec,
 )
 from transduction_mir.receptor import ReceptorSpec, Transition, mean_chain_rows, step_kernel
-from transduction_mir.truncgauss import expectation_rows
+from transduction_mir.truncgauss import _columns, expectation_rows
 from conftest import five_state_receptor, random_valid_dist
 from oracles import pair_integrand, scalar_discrete
 
@@ -397,7 +397,7 @@ class TestQuadratureRows:
     def test_rows_equal_one_point_calls(self, spec):
         dists = _grid_dists()
         chains = mean_chain_rows(spec, [d.mu for d in dists])
-        e_xlnx = expectation_rows(dists, _xlnx_vec)
+        e_xlnx = expectation_rows(_columns(dists), _xlnx_vec)
         values, gaps, errors = _quadrature_rows(np.array([d.mu for d in dists]), chains, e_xlnx)
         for dist, value, gap, error in zip(dists, values, gaps, errors):
             got = (type(error).__name__, str(error)) if error else (value, gap)
@@ -420,7 +420,7 @@ class TestQuadratureRows:
         dists = [d for d, flag in zip(candidates, odd) if flag][:8]
         assert len(dists) >= 2
         chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
-        e_xlnx = expectation_rows(dists, _xlnx_vec)
+        e_xlnx = expectation_rows(_columns(dists), _xlnx_vec)
         values, gaps, _ = _quadrature_rows(np.array([d.mu for d in dists]), chains, e_xlnx)
         for dist, gain, e_value, value, gap in zip(dists, chains[1], e_xlnx[0], values, gaps):
             assert gap == e_value - dist.mu * math.log(dist.mu)
@@ -429,7 +429,7 @@ class TestQuadratureRows:
     def test_failing_rows_keep_the_one_point_order(self, unit_chr2):
         dists = _grid_dists(steps=3)[:6]
         chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
-        e_xlnx = expectation_rows(dists, _xlnx_vec)
+        e_xlnx = expectation_rows(_columns(dists), _xlnx_vec)
         unsettled = NoConvergence("expectation did not stabilize")
         irreducible = NotIrreducible("no single recurrent class")
         chains[2][1] = chains[2][2] = irreducible
@@ -461,9 +461,10 @@ class TestDiscreteRows:
         pairs = sensitive_pairs(spec)
         const, lin = step_kernel(spec, 1e-3, 2.0)
         cm = [(const[i, j], lin[i, j]) for i, j in pairs]
-        rows = expectation_rows([d for d in dists for _ in pairs], _plogp_entry,
+        rows = expectation_rows(_columns([d for d in dists for _ in pairs]), _plogp_entry,
                                 np.tile(np.array(cm), (len(dists), 1)))
-        alone = [expectation_rows([d], pair_integrand(c, m)) for d in dists for c, m in cm]
+        alone = [expectation_rows(_columns([d]), pair_integrand(c, m))
+                 for d in dists for c, m in cm]
         for k, column in enumerate(rows):
             assert list(column) == [one[k][0] for one in alone]
 
@@ -473,8 +474,8 @@ class TestDiscreteRows:
     def test_rows_equal_one_point_calls(self, spec, delta_t):
         dists = _grid_dists(steps=5)
         chains = mean_chain_rows(spec, [d.mu for d in dists])
-        e_xlnx = expectation_rows(dists, _xlnx_vec)
-        rates, errors = _discrete_rows(spec, dists, 2.0, delta_t, chains, e_xlnx)
+        e_xlnx = expectation_rows(_columns(dists), _xlnx_vec)
+        rates, errors = _discrete_rows(spec, _columns(dists), 2.0, delta_t, chains, e_xlnx)
         for dist, rate, error in zip(dists, rates.tolist(), errors):
             expected = _outcome(lambda: mir_discrete(spec, dist, delta_t))
             if error is not None:
@@ -505,8 +506,8 @@ class TestDiscreteRows:
         dists = [d for d, flag in zip(candidates, odd) if flag][:6]
         assert len(dists) >= 2
         chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
-        e_xlnx = expectation_rows(dists, _xlnx_vec)
-        rates, errors = _discrete_rows(unit_chr2, dists, 2.0, 0.2, chains, e_xlnx)
+        e_xlnx = expectation_rows(_columns(dists), _xlnx_vec)
+        rates, errors = _discrete_rows(unit_chr2, _columns(dists), 2.0, 0.2, chains, e_xlnx)
         assert errors == [None] * len(dists)
         got = [tuple(rate[[0, 2]]) for rate in rates]
         assert got == [scalar_discrete(unit_chr2, dist, 0.2) for dist in dists]
@@ -516,8 +517,8 @@ class TestDiscreteRows:
         for b, kind in ((2.0, "NoneType"), (3.0, "StepTooLarge")):
             dists = [TruncatedGaussianSpec(m, 0.5, 1e-5, b) for m in (0.5, 1.0, 1.5)]
             chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
-            e_xlnx = expectation_rows(dists, _xlnx_vec)
-            rates, errors = _discrete_rows(unit_chr2, dists, b, 0.4, chains, e_xlnx)
+            e_xlnx = expectation_rows(_columns(dists), _xlnx_vec)
+            rates, errors = _discrete_rows(unit_chr2, _columns(dists), b, 0.4, chains, e_xlnx)
             assert [type(e).__name__ for e in errors] == [kind] * len(dists)
             assert np.isnan(rates).all() == (kind == "StepTooLarge")
             for dist, error in zip(dists, errors):
@@ -542,9 +543,9 @@ class TestDiscreteRows:
         monkeypatch.setattr(mir_module, "expectation_rows", failing)
         dists = _grid_dists(steps=3)[:3]
         chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
-        e_xlnx = real(dists, _xlnx_vec)
+        e_xlnx = real(_columns(dists), _xlnx_vec)
         e_xlnx[3][1] = e_xlnx[3][2] = NoConvergence("x ln x did not settle")
         e_xlnx[0][1:3] = np.nan
-        rates, errors = _discrete_rows(unit_chr2, dists, 2.0, 1e-3, chains, e_xlnx)
+        rates, errors = _discrete_rows(unit_chr2, _columns(dists), 2.0, 1e-3, chains, e_xlnx)
         assert errors[0] is None and errors[1] is unsettled and errors[2] is e_xlnx[3][2]
         assert np.isnan(rates[1:]).all() and not np.isnan(rates[0]).any()

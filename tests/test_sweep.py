@@ -394,6 +394,24 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             rows_from_json(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '[{"mu_bar": "x", "sigma_bar": [1]}]',
+            '[{"mu_bar": true, "sigma_bar": 0.5}]',
+            '[{"mu_bar": 1.0, "sigma_bar": 0.5, "mu": {}}]',
+            '[{"mu_bar": 1.0, "sigma_bar": 0.5, "status": 3}]',
+        ],
+        ids=["string-and-list", "bool", "object", "numeric-status"],
+    )
+    def test_json_reader_checks_values(self, text):
+        with pytest.raises(ValidationError):
+            rows_from_json(text)
+
+    def test_json_reader_keeps_numbers_and_nulls(self):
+        (row,) = rows_from_json('[{"mu_bar": 1, "sigma_bar": 0.5, "mu": null, "status": "ok"}]')
+        assert row == SweepRow(mu_bar=1, sigma_bar=0.5)
+
     @pytest.mark.parametrize("cell", ["lots", "1.0.0"])
     def test_csv_reader_raises_validation_error_on_a_non_numeric_cell(self, cell):
         text = rows_to_csv([SweepRow(mu_bar=1.0, sigma_bar=0.5)])

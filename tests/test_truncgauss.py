@@ -29,17 +29,24 @@ from transduction_mir import raw_moments as package_raw_moments
 from transduction_mir.mir import _xlnx_vec
 from transduction_mir.truncgauss import (
     MIN_TRUNCATION_MASS,
+    _columns,
     _gl_nodes,
     _gl_rows,
-    _integration_bounds,
     _panel_edges,
     _pow_rows,
-    _spec_objects,
+    _spec_at,
     _spec_rows,
     expectation_rows,
 )
 from conftest import random_valid_dist
-from oracles import density, gl_estimate, moments_about, scalar_spec_fields, scale
+from oracles import (
+    density,
+    gl_estimate,
+    moments_about,
+    scalar_edges,
+    scalar_spec_fields,
+    scale,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -489,7 +496,7 @@ def surface_specs():
 def one_spec_schedule(spec, f):
     """The fixed schedule on one spec with the one-spec estimate:
     (value, nodes per panel, last delta), or None if it never settles."""
-    edges = _panel_edges(spec, *_integration_bounds(spec))
+    edges = scalar_edges(spec)
     n = 200
     previous = gl_estimate(spec, f, n, edges)
     while n < 1600:
@@ -520,7 +527,7 @@ class TestExpectationRows:
     )
     def test_rows_equal_one_spec_estimates(self, specs, panels):
         specs = specs()
-        edges = [_panel_edges(spec, *_integration_bounds(spec)) for spec in specs]
+        edges = [scalar_edges(spec) for spec in specs]
         assert len(specs) == 2500 and {len(e) - 1 for e in edges} == {panels}
         grid = np.array(edges)
         params = np.array([(spec.mu_bar, spec.sigma_bar, spec.z) for spec in specs])
@@ -536,8 +543,8 @@ class TestExpectationRows:
             + [TruncatedGaussianSpec(1.0, 1e-8, 1e-5, 2.0)]
         )
         specs = specs[::2] + specs[1::2]  # interleave the panel groups
-        assert len({len(_panel_edges(s, *_integration_bounds(s))) for s in specs}) > 2
-        result = expectation_rows(specs, _xlnx_vec)
+        assert len({len(scalar_edges(s)) for s in specs}) > 2
+        result = expectation_rows(_columns(specs), _xlnx_vec)
         assert result[3] == [None] * len(specs)
         assert estimate_tuples(result) == [one_spec_schedule(spec, _xlnx_vec) for spec in specs]
 
@@ -553,12 +560,14 @@ class TestExpectationRows:
         smooth = [TruncatedGaussianSpec(0.5, 0.01, 0.02, 2.0),
                   TruncatedGaussianSpec(1.5, 0.01, 0.02, 2.0)]
         stepped = TruncatedGaussianSpec(1.0, 0.5, 0.02, 2.0)
-        result = expectation_rows([smooth[0], stepped, smooth[1]], recorded)
+        result = expectation_rows(_columns([smooth[0], stepped, smooth[1]]), recorded)
         assert isinstance(result[3][1], NoConvergence) and result[3][::2] == [None, None]
         rows = estimate_tuples(result)
         assert all(math.isnan(v) for v in rows[1])
-        alone = [estimate_tuples(expectation_rows([spec], step))[0] for spec in smooth]
-        assert [rows[0], rows[2]] == alone == estimate_tuples(expectation_rows(smooth, step))
+        alone = [estimate_tuples(expectation_rows(_columns([spec]), step))[0] for spec in smooth]
+        assert [rows[0], rows[2]] == alone == estimate_tuples(
+            expectation_rows(_columns(smooth), step)
+        )
         assert [row[1] for row in alone] == [400, 400]
         # the settled rows stop at 400 nodes; only the stepped row goes on
         assert sizes == [600, 1200, 800, 1600]
@@ -613,7 +622,9 @@ class TestSpecRows:
     def test_rows_equal_scalar_constructions(self):
         rows = self.rows()
         columns = [list(column) for column in zip(*rows)]
-        derived, errors = _spec_rows(*columns)
+        spec_columns, errors = _spec_rows(*columns)
+        assert [column.tolist() for column in spec_columns[:4]] == columns
+        derived = spec_columns[4:]  # alpha, beta, z, mu, sigma2
         got = [
             (type(error).__name__, str(error)) if error is not None
             else tuple(float(column[i]).hex() for column in derived)
@@ -628,7 +639,7 @@ class TestSpecRows:
         assert sum(len(outcome) == 5 for outcome in got) > 1500
 
     def test_each_failing_row_names_its_check(self):
-        derived, errors = _spec_rows(*(list(column) for column in zip(*FAILING_SPECS)))
+        columns, errors = _spec_rows(*(list(column) for column in zip(*FAILING_SPECS)))
         messages = [str(error) for error in errors]
         assert messages[0] == "sigma_bar must be positive, got 0.0"
         assert messages[1] == "sigma_bar must be positive, got -0.5"
@@ -636,7 +647,7 @@ class TestSpecRows:
         assert messages[3].startswith("truncation must satisfy 0 <= a < b, got [-0.1, 1.0]")
         assert messages[4].startswith("truncation [0.0, 2.0] keeps only 0.000e+00 of the parent")
         assert messages[5].startswith("truncation [0.0, 2.0] keeps only 6.")
-        assert derived[0][5] > 0.0 and derived[2][5] < MIN_TRUNCATION_MASS
+        assert columns.alpha[5] > 0.0 and columns.z[5] < MIN_TRUNCATION_MASS
         assert "keeps only" in messages[6]
         assert messages[7] == "truncated variance inf outside (0, sigma_bar^2]"
 
@@ -647,8 +658,9 @@ class TestSpecRows:
         odd = sigma[sigma * sigma != np.array([v**2 for v in sigma.tolist()])][:40].tolist()
         assert len(odd) >= 10
         rows = [(1.0, v, 1e-5, 2.0) for v in odd]
-        derived, errors = _spec_rows(*(list(column) for column in zip(*rows)))
+        columns, errors = _spec_rows(*(list(column) for column in zip(*rows)))
         assert errors == [None] * len(rows)
+        derived = columns[4:]  # alpha, beta, z, mu, sigma2
         got = [tuple(float(column[i]).hex() for column in derived) for i in range(len(rows))]
         assert got == [tuple(v.hex() for v in scalar_spec_fields(*row)) for row in rows]
 
@@ -666,15 +678,15 @@ class TestSpecRows:
 
     def test_objects_equal_constructed_specs(self):
         rows = self.rows()
-        specs, errors = _spec_objects(*(list(column) for column in zip(*rows)))
-        for row, spec, error in zip(rows, specs, errors):
+        columns, errors = _spec_rows(*(list(column) for column in zip(*rows)))
+        for i, (row, error) in enumerate(zip(rows, errors)):
             try:
                 expected = TruncatedGaussianSpec(*row)
             except ValidationError as exc:
-                assert spec is None
                 assert type(error) is ValidationError and str(error) == str(exc)
                 continue
             assert error is None
+            spec = _spec_at(columns, i)
             assert spec == expected and hash(spec) == hash(expected)
             assert repr(spec) == repr(expected)
             assert [float(v).hex() for v in _spec_fields(spec)] == [
@@ -682,9 +694,63 @@ class TestSpecRows:
             ]
 
     def test_no_rows(self):
-        derived, errors = _spec_rows([], [], [], [])
-        assert errors == [] and all(column.shape == (0,) for column in derived)
-        assert _spec_objects([], [], [], []) == ([], [])
+        columns, errors = _spec_rows([], [], [], [])
+        assert errors == [] and all(column.shape == (0,) for column in columns)
+        assert all(column.shape == (0,) for column in _columns([]))
+        assert _panel_edges(columns) == {}
+
+    def test_columns_of_specs_are_their_fields(self):
+        rows = self.rows()
+        columns, errors = _spec_rows(*(list(column) for column in zip(*rows)))
+        valid = [i for i, error in enumerate(errors) if error is None]
+        again = _columns([TruncatedGaussianSpec(*rows[i]) for i in valid])
+        assert all(
+            got.tobytes() == column[valid].tobytes() for got, column in zip(again, columns)
+        )
+        assert [column.tobytes() for column in columns.take(valid)] == [
+            column.tobytes() for column in again
+        ]
+
+
+class TestPanelEdges:
+    """The column pass gives every row the edges of the scalar rule
+    (``oracles.scalar_panel_edges``), bit for bit."""
+
+    @staticmethod
+    def columns():
+        rng = np.random.default_rng(11)
+        n = 20000
+        a = rng.choice([0.0, 1e-5, 0.02], n)
+        a[n // 2 :] = rng.uniform(0.0, 3.0, n - n // 2)
+        b = a + 10 ** rng.uniform(-3, 2, n)
+        sigma_bar = 10 ** rng.uniform(-4, 1, n)
+        mu_bar = rng.uniform(-2.0, 5.0, n)
+        # far-tail windows: the parent mean up to 7 sigmas below a or above b
+        tail = n // 8
+        mu_bar[:tail] = a[:tail] - sigma_bar[:tail] * rng.uniform(1.0, 7.0, tail)
+        mu_bar[tail : 2 * tail] = b[tail : 2 * tail] + sigma_bar[tail : 2 * tail] * rng.uniform(
+            1.0, 7.0, tail
+        )
+        columns, errors = _spec_rows(mu_bar, sigma_bar, a, b)
+        return columns.take([i for i, error in enumerate(errors) if error is None])
+
+    def test_edges_equal_the_scalar_rule(self):
+        columns = self.columns()
+        n = len(columns.mu)
+        assert n >= 10000
+        seen = np.zeros(n, dtype=int)
+        for count, (rows, edges) in _panel_edges(columns).items():
+            assert edges.shape == (len(rows), count + 1) and list(rows) == sorted(rows)
+            seen[rows] += 1
+            for row, got in zip(rows.tolist(), edges):
+                expected = scalar_edges(_spec_at(columns, row))
+                assert got.tobytes() == np.array(expected).tobytes()
+        assert (seen == 1).all()
+        graded = sum(len(rows) for count, (rows, _) in _panel_edges(columns).items() if count > 1)
+        assert graded > 3000 and len(_panel_edges(columns)) > 10
+        # every kind of window is present: a = 0, a = 1e-5, far tails
+        assert (columns.a == 0.0).sum() > 1000 and (columns.a == 1e-5).sum() > 1000
+        assert (columns.alpha > 1.0).sum() > 500 and (columns.beta < -1.0).sum() > 500
 
 
 class TestOverflowingPowers:
