@@ -4,8 +4,8 @@ Subcommands: ``mir`` (single point), ``bounds``, ``moments``, ``simulate``,
 ``sweep``.  All read a JSON configuration combining the receptor, the input
 distribution, and (for sweeps) the grid; single-point results print as JSON.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure (for
-sweeps: any row whose status is not "ok").
+Exit codes: 0 success, 2 configuration error or an output that cannot be
+written, 3 numerical failure (for sweeps: any row whose status is not "ok").
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .bounds import mir_bounds
@@ -144,10 +145,19 @@ def _sweep_config(doc: dict, args, config_path: str) -> SweepConfig:
     )
 
 
+@contextmanager
+def _writing(path):
+    """Report an output file the CLI cannot write as a configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(payload: dict, out_path) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        with _writing(out_path), open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -218,11 +228,12 @@ def _cmd_simulate(args) -> int:
     doc = _load_document(args.config)
     receptor = _receptor_from(doc, args.config)
     dist = _distribution_from(doc)
-    _check_ranges(delta_t=args.delta_t, mc_n=args.mc_n)
     seed = _seed_from(doc, args)
+    _check_ranges(delta_t=args.delta_t, mc_n=args.mc_n, seed=seed)
     traj = simulate(receptor, dist, args.delta_t, args.mc_n, seed)
     if args.dump:
-        dump_trajectory(traj, args.dump)
+        with _writing(args.dump):
+            dump_trajectory(traj, args.dump)
     est = estimate_mir(traj, receptor, dist)
     _emit(
         {
@@ -254,7 +265,8 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--capacity-by {args.capacity_by}: no method of this sweep fills it")
     rows = run_sweep(config)
     if out_path:
-        write_rows(rows, out_path, out_format)
+        with _writing(out_path):
+            write_rows(rows, out_path, out_format)
     else:
         sys.stdout.write(_format_rows(rows, out_format))
     failed = [row for row in rows if row.status != "ok"]

@@ -118,10 +118,13 @@ def simulate(
     Python work scales with the number of jumps, not of steps, and the path
     is bit-identical to drawing each step from the kernel in turn.
 
-    Raises StepTooLarge if delta_t is inadmissible at x = b.
+    Raises StepTooLarge if delta_t is inadmissible at x = b, and
+    ValidationError if n < 1 or the seed is a negative integer.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     const, lin = step_kernel(spec, delta_t, dist.b)
 
     rng = np.random.default_rng(seed)

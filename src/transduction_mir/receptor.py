@@ -19,6 +19,7 @@ import numpy as np
 from .errors import NotIrreducible, StepTooLarge, ValidationError, live_rows, mark_rows, unwrap
 
 LN2 = math.log(2.0)
+_BAD_INTENSITY = "intensity must be a nonnegative finite number, got {!r}"
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,7 @@ def chr2_skeleton(q12: float = 1.0, q23: float = 1.0, q31: float = 1.0) -> Recep
 
 def _check_intensity(x) -> None:
     if not (isinstance(x, (int, float)) and math.isfinite(x) and x >= 0.0):
-        raise ValidationError(f"intensity must be a nonnegative finite number, got {x!r}")
+        raise ValidationError(_BAD_INTENSITY.format(x))
 
 
 def step_kernel(
@@ -216,35 +217,35 @@ def _strongly_connected(adjacency: np.ndarray):
     return reach.all(axis=(-2, -1)).tolist()
 
 
-def _solve_stationary(p: np.ndarray) -> tuple[np.ndarray, list]:
-    """Unique pi with pi @ p = pi and sum(pi) = 1 for each row-stochastic
-    array in the stack p of shape (N, k, k).
+def _solve_stationary(q: np.ndarray, errors: list) -> tuple[np.ndarray, list]:
+    """Unique pi with pi @ q = 0 and sum(pi) = 1 for each generator in the
+    stack q of shape (N, k, k); an array that already has an error in
+    ``errors`` (one entry per array, or None) is not solved.
 
-    Solved as an augmented linear system: one balance equation is replaced by
-    the normalization constraint, which is deterministic and exact for the
-    matrix sizes used here.  Irreducibility is checked on the positive-entry
-    graph first so the failure mode is a clear error, not a singular solve.
-    Every check runs per array.  Returns (pi, errors): the (N, k) read-only
-    stationary vectors, nan on the arrays that fail, and per array the
-    NotIrreducible it fails with, or None.
+    Solved as an augmented linear system: the last balance equation is
+    replaced by the normalization constraint, which is deterministic and exact
+    for the matrix sizes used here.  Irreducibility is checked on the
+    positive-rate graph first so the failure mode is a clear error, not a
+    singular solve.  The residual |pi @ q| / (2 max|q_ii|) is |pi @ P - pi|
+    for the step P = I + q / (2 max|q_ii|).  Every check runs per array.
+    Returns (pi, errors): the (N, k) read-only stationary vectors, nan on the
+    arrays that fail, and per array its first error, or None.
     """
-    k = p.shape[-1]
-    adjacency = p > 0.0
-    adjacency[:, np.arange(k), np.arange(k)] = False
-    errors: list = [
-        None if connected else NotIrreducible(
-            "the positive-probability transition graph is not strongly connected"
-        )
-        for connected in _strongly_connected(adjacency)
-    ]
+    k = q.shape[-1]
+    errors = list(errors)
+    mark_rows(
+        errors,
+        np.logical_not(_strongly_connected(q > 0.0)),
+        lambda i: NotIrreducible("the positive-rate transition graph is not strongly connected"),
+    )
     rows = np.flatnonzero(live_rows(errors))
-    system = p[rows].transpose(0, 2, 1) - np.eye(k)
+    system = q[rows].transpose(0, 2, 1)
     system[:, -1, :] = 1.0
     # one (k, 1) column per array: numpy 1.x reads an rhs of one dimension
     # less than the system as a stack of vectors, so give it the stack shape
     rhs = np.zeros((len(rows), k, 1))
     rhs[:, -1] = 1.0
-    pi = np.full((len(p), k), np.nan)
+    pi = np.full((len(q), k), np.nan)
     try:
         pi[rows] = np.linalg.solve(system, rhs)[..., 0]
     except np.linalg.LinAlgError:
@@ -256,7 +257,8 @@ def _solve_stationary(p: np.ndarray) -> tuple[np.ndarray, list]:
                 errors[i] = NotIrreducible(f"stationary system is singular: {exc}")
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum(axis=1, keepdims=True)
-    residual = np.abs((pi[:, None, :] @ p)[:, 0, :] - pi).max(axis=1)
+    scale = 2.0 * np.abs(np.diagonal(q, axis1=1, axis2=2)).max(axis=1)
+    residual = np.abs(pi[:, None, :] @ q)[:, 0, :].max(axis=1) / scale
     mark_rows(
         errors,
         residual > 1e-10,
@@ -272,10 +274,8 @@ def mean_chain_rows(spec: ReceptorSpec, means) -> tuple[np.ndarray, np.ndarray, 
     stacked solve.
 
     Because every sensitive entry is linear in x, E[Q(x)] equals Q(E[x]), so
-    the mean chain's generator at mean m is base + m * slope; all of them are
-    solved as one stack.  The step used to form P only rescales P - I, so the
-    fixed point does not depend on it; the always-admissible step
-    0.5 / max|q_ii| is used, per mean.
+    the mean chain's generator at mean m is m * slope + base; all of them are
+    solved as one stack.
 
     Returns (pi, gain, errors): the (means, n_states) read-only stationary
     vectors and the gains of all means from one pass (``sensitive_gain`` is
@@ -283,32 +283,17 @@ def mean_chain_rows(spec: ReceptorSpec, means) -> tuple[np.ndarray, np.ndarray, 
     fails with (ValidationError for a mean that is not a nonnegative finite
     number, NotIrreducible otherwise), or None.
     """
-    errors: list = [None] * len(means)
-    for i, mean_x in enumerate(means):
-        try:
-            _check_intensity(mean_x)
-        except ValidationError as exc:
-            errors[i] = exc
-    rows = np.flatnonzero(live_rows(errors))
-    # q = base + mean * slope and p = I + (0.5 / scale) * q, formed in place
-    q = np.array([means[i] for i in rows.tolist()], dtype=float)[:, None, None] * spec.slope
+    column = np.asarray(means, dtype=float)
+    valid = np.isfinite(column) & (column >= 0.0)
+    errors: list = [None] * len(column)
+    mark_rows(errors, ~valid, lambda i: ValidationError(_BAD_INTENSITY.format(means[i])))
+    # a rejected mean stands in as 0; its row keeps its error and is not solved
+    q = np.where(valid, column, 0.0)[:, None, None] * spec.slope
     q += spec.base
-    scale = np.abs(np.diagonal(q, axis1=1, axis2=2)).max(axis=1)
-    active = scale > 0.0
-    for i in rows[~active].tolist():
-        errors[i] = NotIrreducible("no transitions are active at this mean intensity")
-    p = q[active]
-    p *= (0.5 / scale[active])[:, None, None]
-    p += np.eye(spec.n_states)
-    solved, solve_errors = _solve_stationary(p)
-    pi = np.full((len(means), spec.n_states), np.nan)
-    pi[rows[active]] = solved
-    for i, error in zip(rows[active].tolist(), solve_errors):
-        errors[i] = error
-    gain = np.full(len(means), np.nan)
+    pi, errors = _solve_stationary(q, errors)
+    gain = np.full(len(column), np.nan)
     ok = live_rows(errors)
     gain[ok] = _gain_rows(spec, pi[ok])
-    pi.flags.writeable = False
     return pi, gain, errors
 
 
@@ -317,6 +302,7 @@ def stationary_distribution(spec: ReceptorSpec, mean_x: float) -> np.ndarray:
 
     The one-mean case of ``mean_chain_rows``; raises its error for this mean.
     """
+    _check_intensity(mean_x)
     pi, _, (error,) = mean_chain_rows(spec, [mean_x])
     unwrap(error)
     return pi[0]

@@ -114,10 +114,13 @@ class SweepConfig:
             series_support=(self.a, self.b) if series else None,
             delta_t=self.delta_t,
             mc_n=self.mc_n,
+            seed=self.seed if "mc" in self.methods else None,
         )
 
 
-def _check_ranges(*, series_k=None, series_support=None, order=None, delta_t=None, mc_n=None):
+def _check_ranges(
+    *, series_k=None, series_support=None, order=None, delta_t=None, mc_n=None, seed=None
+):
     """Range checks on run parameters, shared by SweepConfig and the
     single-point CLI commands.  A parameter left as None is not checked;
     ``series_support`` is the truncation (a, b) the series must converge on.
@@ -138,6 +141,8 @@ def _check_ranges(*, series_k=None, series_support=None, order=None, delta_t=Non
         raise ConfigError(f"delta_t must be positive and finite, got {delta_t}")
     if mc_n is not None and mc_n < 1:
         raise ConfigError(f"mc_n must be >= 1, got {mc_n}")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)

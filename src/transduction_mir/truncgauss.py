@@ -104,16 +104,6 @@ def _fsum_rows(terms: np.ndarray, spans) -> np.ndarray:
     return np.array(sums, dtype=float).reshape(len(spans), len(terms)).T
 
 
-def _edge_terms(t: np.ndarray, pdf: np.ndarray, e: int) -> np.ndarray:
-    """t ** e * pdf entry by entry, with Python's ``**``.
-
-    A huge standardized endpoint has phi exactly 0.0; its term is then 0.0,
-    never 0 * inf, and its power is never taken.
-    """
-    pairs = zip(t.tolist(), pdf.tolist())
-    return np.array([0.0 if p == 0.0 else v**e * p for v, p in pairs], dtype=float)
-
-
 def _l_coefficients(alpha, beta, z, order: int) -> list:
     """Raw moments L_i of the standard normal truncated to [alpha, beta], mass z.
 
@@ -128,8 +118,10 @@ def _l_coefficients(alpha, beta, z, order: int) -> list:
     pdf_b = _norm_pdf(beta)
     L = [1.0, -(pdf_b - pdf_a) / z]
     for i in range(2, order + 1):
-        tb = _edge_terms(beta, pdf_b, i - 1)
-        ta = _edge_terms(alpha, pdf_a, i - 1)
+        # phi is exactly 0.0 at a huge endpoint: its term is 0.0, not inf * 0
+        with np.errstate(invalid="ignore"):
+            tb = np.where(pdf_b == 0.0, 0.0, _pow_rows(beta, i - 1) * pdf_b)
+            ta = np.where(pdf_a == 0.0, 0.0, _pow_rows(alpha, i - 1) * pdf_a)
         L.append(-(tb - ta) / z + (i - 1) * L[i - 2])
     return L[: order + 1]
 

@@ -131,45 +131,47 @@ def transition_matrix(q: RateMatrix, delta_t: float) -> TransitionMatrix:
     return TransitionMatrix(dim=q.dim, entries=p, delta_t=delta_t)
 
 
-def steady_state(p_bar: TransitionMatrix) -> SteadyState:
-    """Unique pi with pi @ P = pi and sum(pi) = 1; NotIrreducible otherwise."""
-    pi, (error,) = _solve_stationary(p_bar.entries[None])
+def steady_state(chain: RateMatrix | TransitionMatrix) -> SteadyState:
+    """Unique pi with pi @ Q = 0 and sum(pi) = 1; NotIrreducible otherwise.
+
+    A RateMatrix is solved as it is; a TransitionMatrix P from its generator
+    P - I, which has the same stationary vector as P.
+    """
+    q = chain.entries
+    if isinstance(chain, TransitionMatrix):
+        q = q - np.eye(chain.dim)
+    pi, (error,) = _solve_stationary(q[None], [None])
     unwrap(error)
     return SteadyState(probabilities=pi[0])
 
 
-def solve_stationary_one(p: np.ndarray) -> np.ndarray:
-    """The stationary solve of one row-stochastic array, one call per array.
+def solve_stationary_one(q: np.ndarray) -> np.ndarray:
+    """The stationary solve of one generator, one call per array.
 
-    The augmented system with one balance equation replaced by the
-    normalization, then clip, renormalise and the 1e-10 residual check; the
-    package solves a whole stack of arrays in one call and must give each
-    the bits of this form.
+    The augmented system with the last balance equation replaced by the
+    normalization, then clip, renormalise and the 1e-10 check on the
+    residual |pi @ q| / (2 max|q_ii|); the package solves a whole stack of
+    generators in one call and must give each the bits of this form.
     """
-    k = p.shape[0]
-    off = p.copy()
-    np.fill_diagonal(off, 0.0)
-    if not _strongly_connected(off > 0.0):
-        raise NotIrreducible("the positive-probability transition graph is not strongly connected")
-    system = p.T - np.eye(k)
+    k = q.shape[0]
+    if not _strongly_connected(q > 0.0):
+        raise NotIrreducible("the positive-rate transition graph is not strongly connected")
+    system = q.T.copy()
     system[-1, :] = 1.0
     rhs = np.zeros(k)
     rhs[-1] = 1.0
     pi = np.linalg.solve(system, rhs)
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
-    residual = float(np.abs(pi @ p - pi).max())
+    residual = float(np.abs(pi @ q).max()) / (2.0 * float(np.abs(np.diag(q)).max()))
     if residual > 1e-10:
         raise NotIrreducible(f"stationary residual {residual:.2e} exceeds 1e-10")
     return pi
 
 
 def mean_chain_stationary(spec: ReceptorSpec, mean_x: float) -> np.ndarray:
-    """``solve_stationary_one`` on the mean chain at mean_x, with the step
-    0.5 / max|q_ii| the package uses."""
-    q = spec.base + mean_x * spec.slope
-    scale = float(np.abs(np.diag(q)).max())
-    return solve_stationary_one(np.eye(spec.n_states) + (0.5 / scale) * q)
+    """``solve_stationary_one`` on the mean chain's generator at mean_x."""
+    return solve_stationary_one(spec.base + mean_x * spec.slope)
 
 
 def scalar_spec_fields(mu_bar, sigma_bar, a, b) -> tuple[float, ...]:

@@ -438,6 +438,45 @@ class TestConfigErrors:
         assert main([*argv, "--config", str(point_config)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_negative_simulate_seed(self, point_config, capsys):
+        argv = ["simulate", "--config", str(point_config), "--mc-n", "10", "--seed", "-1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "configuration error: seed must be >= 0, got -1\n"
+
+    def test_negative_seed_of_a_monte_carlo_sweep(self, point_config, tmp_path, capsys):
+        # the seed is checked only when a method draws from it, as series_k
+        # is only with the series
+        doc = json.loads(point_config.read_text())
+        doc["seed"] = -3
+        doc["sweep"]["methods"] = ["quadrature", "mc"]
+        doc["sweep"]["mc_n"] = 10
+        bad = point_config.parent / "negative_seed.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "configuration error: seed must be >= 0, got -3\n"
+        assert not out.exists()
+        doc["sweep"]["methods"] = ["quadrature"]
+        bad.write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mir", "--out", "{missing}/x.json"],
+            ["sweep", "--out", "{missing}/x.csv"],
+            ["simulate", "--mc-n", "10", "--dump", "{missing}/t.tsv"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_output_that_cannot_be_written(self, point_config, tmp_path, argv, capsys):
+        missing = tmp_path / "missing"
+        argv = [arg.format(missing=missing) for arg in argv]
+        assert main([*argv, "--config", str(point_config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot write {argv[-1]}: ")
+        assert not missing.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -484,7 +523,7 @@ class TestShippedConfigs:
     # sha256 of the 8x8 sweep of every deterministic method on [1e-5, 2],
     # where graded panels are active; it pins the series, s=4 and discrete
     # bytes that no committed results file covers
-    PANEL_CSV = "e0da417845cead6bdf113355fa99603a1decb110c0953f94d2a9d8928fdb3d80"
+    PANEL_CSV = "eef6411460f500467fa6fdfa47ef7b8fe718da0b85df893a094f3a025ccae96d"
 
     def test_panel_sweep_csv_frozen(self, tmp_path):
         doc = {

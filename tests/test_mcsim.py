@@ -82,6 +82,10 @@ class TestSimulate:
             simulate(unit_chr2, canonical_dist, delta_t, 10, seed=1)
         assert type(exc.value) is ValidationError
 
+    def test_negative_seed_is_validation_error(self, unit_chr2, canonical_dist):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            simulate(unit_chr2, canonical_dist, 1e-3, 10, seed=-1)
+
     def test_bigram_rows_normalize_to_mean_chain(self, unit_chr2, canonical_dist):
         traj = simulate(unit_chr2, canonical_dist, 1e-2, 200_000, seed=99)
         counts = bigram_counts(traj, 3)

@@ -8,6 +8,7 @@ pinned against.
 
 import math
 import traceback
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -343,9 +344,7 @@ class TestStationaryDistribution:
         ],
     )
     def test_bit_identical_to_typed_pipeline(self, spec, mean_x):
-        q = build_rate_matrix(spec, mean_x)
-        scale = float(np.abs(np.diag(q.entries)).max())
-        reference = steady_state(transition_matrix(q, 0.5 / scale)).probabilities
+        reference = steady_state(build_rate_matrix(spec, mean_x)).probabilities
         direct = stationary_distribution(spec, mean_x)
         assert direct.tobytes() == reference.tobytes()
 
@@ -361,6 +360,60 @@ class TestStationaryDistribution:
         first = stationary_distribution(spec, 0.37).tobytes()
         assert stationary_distribution(spec, 0.37).tobytes() == first
         assert stationary_distribution(spec, 0.37).tobytes() == first
+
+
+def unit_chr2_closed_form(mean_x: float) -> tuple[float, float, float]:
+    """pi = (1, m, m) / (1 + 2m) of the unit ChR2 skeleton at mean m, each
+    component the correctly rounded float of the exact rational."""
+    m = Fraction(mean_x)
+    total = 1 + 2 * m
+    return float(1 / total), float(m / total), float(m / total)
+
+
+class TestClosedFormStationary:
+    """The mean chain of the unit ChR2 skeleton against pi = (1, m, m) / (1 + 2m).
+
+    The balance equations of the unit cycle C1 -(m)-> O2 -(1)-> C3 -(1)-> C1
+    give pi[O2] = pi[C3] = m * pi[C1].  A float mean is an exact rational, so
+    ``Fraction`` arithmetic gives the closed form exactly; FROZEN mpmath
+    values (50 digits) confirm it at a few means.
+    """
+
+    @pytest.mark.parametrize(
+        "mean_x, first, rest",
+        [
+            (1e-8, 0.9999999800000005, 9.999999800000003e-09),
+            (0.02, 0.9615384615384616, 0.019230769230769232),
+            (2.0, 0.2, 0.4),
+            (1e16, 5e-17, 0.5),
+            (1e80, 5e-81, 0.5),
+        ],
+    )
+    def test_closed_form_equals_mpmath(self, mean_x, first, rest):
+        assert unit_chr2_closed_form(mean_x) == (first, rest, rest)
+
+    @pytest.mark.parametrize(
+        "means",
+        [np.linspace(0.02, 2.0, 2000).tolist(), np.logspace(-8.0, 80.0, 89).tolist()],
+        ids=["grid", "wide"],
+    )
+    def test_every_component_within_1e15(self, unit_chr2, means):
+        pi, gain, errors = mean_chain_rows(unit_chr2, means)
+        assert errors == [None] * len(means)
+        exact = np.array([unit_chr2_closed_form(mean_x) for mean_x in means])
+        assert (np.abs(pi - exact) <= 1e-15 * exact).all()
+        assert np.isfinite(gain).all()
+
+    def test_all_sensitive_receptor_at_mean_zero(self):
+        # every rate scales with the mean, so at mean 0 no transition is active
+        spec = ReceptorSpec(
+            "lit", ("A", "B", "C"), tuple(Transition(i, (i + 1) % 3, 1.0 + i, True) for i in range(3))
+        )
+        pi, gain, errors = mean_chain_rows(spec, [0.0, 1.0])
+        assert isinstance(errors[0], NotIrreducible) and errors[1] is None
+        assert np.isnan(pi[0]).all() and np.isnan(gain[0])
+        with pytest.raises(NotIrreducible):
+            stationary_distribution(spec, 0.0)
 
 
 class TestMeanChainRows:
@@ -410,16 +463,18 @@ class TestMeanChainRows:
         assert lengths == [lengths[0]] * 3
 
     def test_each_check_runs_per_array(self):
-        good = np.array([[0.75, 0.25], [0.5, 0.5]])
-        other = np.array([[0.2, 0.8], [0.4, 0.6]])
+        # each generator is P - I of a step matrix P, so the residual
+        # |pi @ q| / (2 max|q_ii|) reads |pi @ P - pi| where max|q_ii| = 0.5
+        good = np.array([[0.75, 0.25], [0.5, 0.5]]) - np.eye(2)
+        other = np.array([[0.2, 0.8], [0.4, 0.6]]) - np.eye(2)
         stack = np.array([
             good,
-            np.eye(2),  # no positive off-diagonal: not strongly connected
-            [[1.5, 0.5], [0.5, 0.5]],  # connected, but its augmented system is singular
-            [[0.5, 0.6], [0.5, 0.5]],  # solvable, with residual 0.05
+            np.zeros((2, 2)),  # P = I, no positive off-diagonal: not strongly connected
+            [[0.5, 0.5], [0.5, -0.5]],  # connected, but its augmented system is singular
+            [[-0.5, 0.6], [0.5, -0.5]],  # solvable, with residual 0.05
             other,
         ])
-        pi, errors = _solve_stationary(stack)
+        pi, errors = _solve_stationary(stack, [None] * len(stack))
         assert pi[0].tobytes() == solve_stationary_one(good).tobytes()
         assert pi[4].tobytes() == solve_stationary_one(other).tobytes()
         assert errors[0] is None and errors[4] is None and np.isnan(pi[1:4]).all()
@@ -443,10 +498,10 @@ class TestMeanChainRows:
 
         monkeypatch.setattr(np.linalg, "solve", solve_same_ndim)
         stack = np.array([
-            [[0.75, 0.25], [0.5, 0.5]],
-            [[1.5, 0.5], [0.5, 0.5]],  # singular: takes the per-array fallback
+            [[-0.25, 0.25], [0.5, -0.5]],
+            [[0.5, 0.5], [0.5, -0.5]],  # singular: takes the per-array fallback
         ])
-        _, errors = _solve_stationary(stack)
+        _, errors = _solve_stationary(stack, [None] * len(stack))
         assert isinstance(errors[1], NotIrreducible)
         assert mean_chain_rows(unit_chr2, [0.5, 1.5])[0].shape == (2, 3)
         assert len(shapes) == 4  # stack, two fallbacks, then the chr2 stack

@@ -219,7 +219,7 @@ class TestRunSweep:
         stacks = []
         solve = receptor._solve_stationary
         monkeypatch.setattr(
-            receptor, "_solve_stationary", lambda p: stacks.append(len(p)) or solve(p)
+            receptor, "_solve_stationary", lambda q, errors: stacks.append(len(q)) or solve(q, errors)
         )
         config = small_config(
             unit_chr2,
