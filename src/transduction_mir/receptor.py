@@ -257,8 +257,8 @@ def _solve_stationary(q: np.ndarray, errors: list) -> tuple[np.ndarray, list]:
                 errors[i] = NotIrreducible(f"stationary system is singular: {exc}")
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum(axis=1, keepdims=True)
-    scale = 2.0 * np.abs(np.diagonal(q, axis1=1, axis2=2)).max(axis=1)
-    residual = np.abs(pi[:, None, :] @ q)[:, 0, :].max(axis=1) / scale
+    max_exit = np.abs(np.diagonal(q, axis1=1, axis2=2)).max(axis=1)
+    residual = np.abs(pi[:, None, :] @ q)[:, 0, :].max(axis=1) / (2.0 * max_exit)
     mark_rows(
         errors,
         residual > 1e-10,
