@@ -16,9 +16,9 @@ moment tables, remainders and checks run on arrays, one row per
 distribution, and end in the package's one row format: value columns, nan
 where a row fails, and one error list holding the error that rejected it.
 ``mir_bounds``, ``jensen_gap_bounds`` and ``h_s`` are the one-row case.
-Powers, logs and correctly rounded sums are taken entry by entry with
-Python's ``**``, ``math.log`` and ``math.fsum``, so a row has the bits of a
-scalar evaluation of the formulas above.
+Powers are running products (``truncgauss._powers``), logs come from
+``np.log`` and sums of terms from ``math.fsum``, so a row has the bits of
+the formulas above evaluated in that arithmetic, one float at a time.
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ from .truncgauss import (
     TruncatedGaussianSpec,
     _columns,
     _fsum_rows,
-    _log_rows,
     _moment_rows,
-    _pow_rows,
+    _powers,
     raw_moments,  # noqa: F401
 )
 
@@ -133,15 +132,16 @@ def _h_rows(x: np.ndarray, mu: np.ndarray, s: int) -> tuple[np.ndarray, list]:
     )
     ok = live_rows(errors)
     x, mu, dx = x[ok], mu[ok], dx[ok]
-    log_mu = _log_rows(mu)
+    log_mu = np.log(mu)
     derivs = _f_derivatives(mu, log_mu)
     # x ln x, continuously 0 at x = 0
     f_x = np.zeros_like(x)
     inside = x != 0.0
-    f_x[inside] = x[inside] * _log_rows(x[inside])
-    value = (f_x - mu * log_mu) / _pow_rows(dx, s)
+    f_x[inside] = x[inside] * np.log(x[inside])
+    dx_pow = _powers(dx, s)
+    value = (f_x - mu * log_mu) / dx_pow[:, s]
     for i in range(1, s):
-        value -= derivs[i - 1] / (math.factorial(i) * _pow_rows(dx, s - i))
+        value -= derivs[i - 1] / (math.factorial(i) * dx_pow[:, s - i])
     values = np.full(len(ok), np.nan)
     values[ok] = value
     return values, errors
@@ -179,7 +179,7 @@ def _bounds_rows(columns, s: int, chains=None) -> tuple:
     _, central, errors = _moment_rows(columns, s)
     live = np.flatnonzero(live_rows(errors))
     mu, a, b = columns.mu[live], columns.a[live], columns.b[live]
-    derivs = _f_derivatives(mu, _log_rows(mu))
+    derivs = _f_derivatives(mu, np.log(mu))
     terms = [central[live, i] * derivs[i - 1] / math.factorial(i) for i in range(1, s)]
     (prefix,) = _fsum_rows(np.stack(terms, axis=1), [(0, s - 1)]).T
     # h at b and at a, as one call on 2n rows

@@ -45,7 +45,6 @@ from .truncgauss import (
     TruncatedGaussianSpec,
     _columns,
     _fsum_rows,
-    _log_rows,
     expectation,
     expectation_rows,
     raw_moments,  # noqa: F401
@@ -104,15 +103,14 @@ def _mark_floor(errors: list, method: str, values: np.ndarray, floor: float) -> 
 
 
 def plogp(p: float) -> float:
-    """p * log2(p), continuously extended by 0 at p = 0.
+    """p * log2(p), continuously extended by 0 at p = 0; the one-value
+    case of ``_plogp_vec``.
 
     Raises DomainError outside [0, 1].
     """
     if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
         raise DomainError(f"plogp requires 0 <= p <= 1, got {p!r}")
-    if p == 0.0:
-        return 0.0
-    return p * math.log2(p)
+    return float(_plogp_vec(np.float64(p)))
 
 
 def _plogp_vec(p: np.ndarray) -> np.ndarray:
@@ -133,12 +131,11 @@ def _xlnx_vec(x: np.ndarray) -> np.ndarray:
 
 
 def xlnx(x: float) -> float:
-    """Scalar x * ln(x), 0 at x = 0; the convex function whose gap is the rate."""
+    """Scalar x * ln(x), 0 at x = 0; the convex function whose gap is the
+    rate, and the one-value case of ``_xlnx_vec``."""
     if x < 0.0:
         raise DomainError(f"x*ln(x) requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    return x * math.log(x)
+    return float(_xlnx_vec(np.float64(x)))
 
 
 def jensen_gap(dist: TruncatedGaussianSpec) -> float:
@@ -147,9 +144,8 @@ def jensen_gap(dist: TruncatedGaussianSpec) -> float:
 
 
 def _gap(e_xlnx: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """E[x ln x] - mu ln(mu) per row; math.log, not np.log: the two differ
-    in the last bit for some means."""
-    return e_xlnx - mu * _log_rows(mu)
+    """E[x ln x] - mu ln(mu) per row."""
+    return e_xlnx - mu * np.log(mu)
 
 
 def sensitive_pairs(spec: ReceptorSpec) -> list[tuple[int, int]]:
@@ -240,8 +236,7 @@ def _discrete_rows(spec, columns, b, delta_t, chains, e_xlnx) -> tuple[np.ndarra
     pi = chains[0][live]
 
     mean_entry = np.minimum(np.maximum(c + m * mu[:, None], 0.0), 1.0)
-    phi_mean = np.array([plogp(p) for p in mean_entry.ravel().tolist()]).reshape(mean_entry.shape)
-    terms = pi[:, y] * (e_phi - phi_mean)
+    terms = pi[:, y] * (e_phi - _plogp_vec(mean_entry))
     diagonal = y == y_next
     total = _fsum_rows(terms, [(0, len(pairs))])[:, 0]
     diag = _fsum_rows(terms[:, diagonal], [(0, int(diagonal.sum()))])[:, 0]

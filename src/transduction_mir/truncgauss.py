@@ -63,45 +63,34 @@ def _norm_pdf(t):
     return np.exp(-0.5 * np.square(t)) / _SQRT_2PI
 
 
-def _pow_rows(x: np.ndarray, e: int) -> np.ndarray:
-    """x ** e entry by entry, with Python's float ``**`` (the C library's pow).
+def _powers(x: np.ndarray, order: int) -> np.ndarray:
+    """x^0, ..., x^order of every entry, along a new last axis.
 
-    numpy's ``**`` squares, or runs its own pow, and differs from the C
-    library's in the last bit on some inputs; the scalar formulas that the
-    row kernels vectorise use Python's, so the rows keep their bits.
-    Exponents 0 and 1 are exact either way.  A power that overflows is
-    +-inf, as in IEEE arithmetic, where Python's ``**`` raises.
+    Running products, x^0 = 1 and x^k = x^(k-1) * x: plain IEEE ``*``
+    steps, so any code that multiplies in the same order gets the same
+    bits, and x^k is within about k ulps of the exact power (Higham 2002,
+    ch. 3).  A power past the float range is +-inf.
     """
-    if e == 0:
-        return np.ones_like(x)
-    if e == 1:
-        return x
-    values = x.tolist()
-    try:
-        return np.array([v**e for v in values], dtype=float)
-    except OverflowError:
-        return np.array([_pow_or_inf(v, e) for v in values], dtype=float)
-
-
-def _pow_or_inf(v: float, e: int) -> float:
-    try:
-        return v**e
-    except OverflowError:
-        return math.copysign(math.inf, v) if e % 2 else math.inf
-
-
-def _log_rows(x: np.ndarray) -> np.ndarray:
-    """ln(x) entry by entry with ``math.log``, whose last bit ``np.log`` does
-    not always match.  Raises ValueError at x <= 0, as math.log does."""
-    return np.array(list(map(math.log, x.tolist())), dtype=float)
+    steps = np.repeat(np.asarray(x, dtype=float)[..., None], order + 1, axis=-1)
+    steps[..., 0] = 1.0
+    with np.errstate(over="ignore"):
+        return np.cumprod(steps, axis=-1)
 
 
 def _fsum_rows(terms: np.ndarray, spans) -> np.ndarray:
     """Correctly rounded sums, by ``math.fsum``: entry (r, k) sums the
     slice ``start:stop`` of row r of ``terms``, for the k-th (start, stop)
-    in ``spans``."""
-    sums = [list(map(math.fsum, terms[:, start:stop].tolist())) for start, stop in spans]
+    in ``spans``.  A sum fsum cannot form (inf - inf, or an intermediate
+    overflow) is nan, which the callers' checks reject."""
+    sums = [list(map(_fsum_or_nan, terms[:, start:stop].tolist())) for start, stop in spans]
     return np.array(sums, dtype=float).reshape(len(spans), len(terms)).T
+
+
+def _fsum_or_nan(values: list) -> float:
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 def _l_coefficients(alpha, beta, z, order: int) -> list:
@@ -117,11 +106,12 @@ def _l_coefficients(alpha, beta, z, order: int) -> list:
     pdf_a = _norm_pdf(alpha)
     pdf_b = _norm_pdf(beta)
     L = [1.0, -(pdf_b - pdf_a) / z]
+    pow_a, pow_b = _powers(alpha, order), _powers(beta, order)
     for i in range(2, order + 1):
         # phi is exactly 0.0 at a huge endpoint: its term is 0.0, not inf * 0
         with np.errstate(invalid="ignore"):
-            tb = np.where(pdf_b == 0.0, 0.0, _pow_rows(beta, i - 1) * pdf_b)
-            ta = np.where(pdf_a == 0.0, 0.0, _pow_rows(alpha, i - 1) * pdf_a)
+            tb = np.where(pdf_b == 0.0, 0.0, pow_b[..., i - 1] * pdf_b)
+            ta = np.where(pdf_a == 0.0, 0.0, pow_a[..., i - 1] * pdf_a)
         L.append(-(tb - ta) / z + (i - 1) * L[i - 2])
     return L[: order + 1]
 
@@ -212,7 +202,7 @@ def _spec_rows(mu_bar, sigma_bar, a, b) -> tuple[SpecColumns, list]:
         lambda i: ValidationError(f"truncation must satisfy 0 <= a < b, got [{a[i]}, {b[i]}]"),
     )
     # rows already rejected may divide by zero; their values are never read
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         alpha = (lo - mb) / sb
         beta = (hi - mb) / sb
         z = np.where(alpha > 0.0, ndtr(-alpha) - ndtr(-beta), ndtr(beta) - ndtr(alpha))
@@ -226,7 +216,7 @@ def _spec_rows(mu_bar, sigma_bar, a, b) -> tuple[SpecColumns, list]:
         )
         _, L1, L2 = _l_coefficients(alpha, beta, z, 2)
         mu = mb + sb * L1
-        sigma_sq = _pow_rows(sb, 2)
+        sigma_sq = sb * sb
         sigma2 = sigma_sq * (L2 - L1 * L1)
 
     span = hi - lo
@@ -278,6 +268,12 @@ def _mark_table_errors(errors: list, raw: np.ndarray, central: np.ndarray) -> No
             np.abs(central[:, 1]) > 1e-12,
             lambda i: ValidationError(f"first central moment must vanish, got {central[i, 1]}"),
         )
+    # a sum past the float range (see ``_fsum_rows``)
+    mark_rows(
+        errors,
+        np.isnan(raw).any(axis=1) | np.isnan(central).any(axis=1),
+        lambda i: ValidationError("a moment is nan: its sum is past the float range"),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -305,8 +301,8 @@ def _moments_about(mu_bar, sigma_bar, center, L: np.ndarray) -> np.ndarray:
     """
     width = L.shape[1]
     m, i, comb, spans = _binomial_layout(width)
-    sigma_pow = np.array([_pow_rows(sigma_bar, k) for k in range(width)]).T
-    d_pow = np.array([_pow_rows(mu_bar - center, k) for k in range(width)]).T
+    sigma_pow = _powers(sigma_bar, width - 1)
+    d_pow = _powers(mu_bar - center, width - 1)
     return _fsum_rows(comb * sigma_pow[:, i] * d_pow[:, m - i] * L[:, i], spans)
 
 
@@ -345,9 +341,10 @@ def _moment_rows(columns: SpecColumns, order: int) -> tuple[np.ndarray, np.ndarr
     # forward recursion is unstable on narrow windows and breaks the ratio
     # form long before the power form.
     errors: list = [None] * n
+    pow_a, pow_b = _powers(a, order), _powers(b, order)
     for m in range(order + 1):
         value = raw[:, m]
-        lo, hi = _pow_rows(a, m), _pow_rows(b, m)
+        lo, hi = pow_a[:, m], pow_b[:, m]
         slack = 1e-9 * np.maximum(1.0, hi)
         if m > 0:
             # Python's max(lo, v) and min(hi, v), which keep lo and hi on ties
@@ -453,9 +450,11 @@ def _panel_edges(columns: SpecColumns) -> dict[int, tuple[np.ndarray, np.ndarray
     span = (columns.mu_bar + columns.sigma_bar * hi) - x_lo
     graded = np.flatnonzero((span > 0.0) & (x_lo <= 1e-2 * span))
     ratio = span[graded] / np.maximum(x_lo[graded], span[graded] * 2.0**-40)
+    # ceil(log2(ratio)), exactly: ratio = mantissa * 2^exponent with the
+    # mantissa in [0.5, 1), so it is the exponent, less 1 at a power of 2
+    mantissa, exponent = np.frexp(ratio)
     levels = np.zeros(len(lo), dtype=int)
-    # math.log2, not np.log2: the two differ in the last bit on some ratios
-    levels[graded] = [min(40, max(1, math.ceil(math.log2(r)))) for r in ratio.tolist()]
+    levels[graded] = np.clip(exponent - (mantissa == 0.5), 1, 40)
     groups = {}
     for count in dict.fromkeys(levels.tolist()):
         rows = np.flatnonzero(levels == count)

@@ -10,7 +10,9 @@ per-step simulation loop) are oracles for the acceptance criteria and the
 unit tests.  The one-array stationary solve, the one-spec Gauss-Legendre
 estimate, the float-by-float spec fields, panel edges, gain and gap bounds,
 and the pair-by-pair discrete rate are the scalar forms the batched kernels
-must match bit for bit.
+must match bit for bit.  They use the package's arithmetic one float at a
+time: powers are running products (``power``), logs come from ``np.log``,
+sums of terms from ``math.fsum``, and a panel level from ``math.frexp``.
 """
 
 from __future__ import annotations
@@ -174,6 +176,14 @@ def mean_chain_stationary(spec: ReceptorSpec, mean_x: float) -> np.ndarray:
     return solve_stationary_one(spec.base + mean_x * spec.slope)
 
 
+def power(x: float, k: int) -> float:
+    """x^k as the running product ((1 * x) * x) ... * x, inf past the float range."""
+    value = 1.0
+    for _ in range(k):
+        value *= x
+    return value
+
+
 def scalar_spec_fields(mu_bar, sigma_bar, a, b) -> tuple[float, ...]:
     """(alpha, beta, z, mu, sigma2) of a truncated Gaussian, float by float.
 
@@ -201,11 +211,12 @@ def scalar_spec_fields(mu_bar, sigma_bar, a, b) -> tuple[float, ...]:
     ta = 0.0 if pdf_a == 0.0 else alpha * pdf_a
     L2 = -(tb - ta) / z + 1.0
     mu = mu_bar + sigma_bar * L1
-    sigma2 = sigma_bar**2 * (L2 - L1 * L1)
+    sigma_sq = sigma_bar * sigma_bar
+    sigma2 = sigma_sq * (L2 - L1 * L1)
     span = b - a
     if not (a - 1e-9 * span <= mu <= b + 1e-9 * span):
         raise ValidationError(f"truncated mean {mu} escaped [{a}, {b}]")
-    if not (0.0 < sigma2 <= sigma_bar**2 * (1.0 + 1e-12)):
+    if not (0.0 < sigma2 <= sigma_sq * (1.0 + 1e-12) and sigma2 < math.inf):
         raise ValidationError(f"truncated variance {sigma2} outside (0, sigma_bar^2]")
     return alpha, beta, z, mu, sigma2
 
@@ -238,7 +249,9 @@ def scalar_panel_edges(spec: TruncatedGaussianSpec, lo: float, hi: float) -> tup
     span = x_hi - x_lo
     if span <= 0.0 or x_lo > 1e-2 * span:
         return (lo, hi)
-    levels = min(40, max(1, math.ceil(math.log2(span / max(x_lo, span * 2.0**-40)))))
+    # ceil(log2(ratio)): the binary exponent, less 1 at an exact power of 2
+    mantissa, exponent = math.frexp(span / max(x_lo, span * 2.0**-40))
+    levels = min(40, max(1, exponent - (mantissa == 0.5)))
     edges = [lo]
     for j in range(levels, 0, -1):
         x_edge = x_lo + span * 2.0**-j
@@ -341,27 +354,31 @@ def scalar_gap_bounds(dist: TruncatedGaussianSpec, s: int) -> tuple[float, float
 
     The bounds formulas on one distribution in plain Python floats: the
     L-recursion, the binomial expansion about the mean summed with
-    ``math.fsum``, and h at b and at a with Python's ``**`` and ``math.log``.
-    No checks: a row the package rejects has no value to compare.
+    ``math.fsum``, and h at b and at a, with ``power`` and ``np.log``.  No
+    checks: a row the package rejects has no value to compare.
     """
     pdf_a, pdf_b = (float(_norm_pdf(t)) for t in (dist.alpha, dist.beta))
     L = [1.0, -(pdf_b - pdf_a) / dist.z]
     for i in range(2, s + 1):
-        tb = 0.0 if pdf_b == 0.0 else dist.beta ** (i - 1) * pdf_b
-        ta = 0.0 if pdf_a == 0.0 else dist.alpha ** (i - 1) * pdf_a
+        tb = 0.0 if pdf_b == 0.0 else power(dist.beta, i - 1) * pdf_b
+        ta = 0.0 if pdf_a == 0.0 else power(dist.alpha, i - 1) * pdf_a
         L.append(-(tb - ta) / dist.z + (i - 1) * L[i - 2])
     mu, d = dist.mu, dist.mu_bar - dist.mu
     central = [
-        math.fsum(math.comb(m, i) * dist.sigma_bar**i * d ** (m - i) * L[i] for i in range(m + 1))
+        math.fsum(
+            math.comb(m, i) * power(dist.sigma_bar, i) * power(d, m - i) * L[i]
+            for i in range(m + 1)
+        )
         for m in range(s + 1)
     ]
-    derivs = (math.log(mu) + 1.0, 1.0 / mu, -1.0 / (mu * mu))
+    log_mu = float(np.log(mu))
+    derivs = (log_mu + 1.0, 1.0 / mu, -1.0 / (mu * mu))
 
     def h(x: float) -> float:
         dx = x - mu
-        value = ((0.0 if x == 0.0 else x * math.log(x)) - mu * math.log(mu)) / dx**s
+        value = ((0.0 if x == 0.0 else x * float(np.log(x))) - mu * log_mu) / power(dx, s)
         for i in range(1, s):
-            value -= derivs[i - 1] / (math.factorial(i) * dx ** (s - i))
+            value -= derivs[i - 1] / (math.factorial(i) * power(dx, s - i))
         return value
 
     prefix = math.fsum(central[i] * derivs[i - 1] / math.factorial(i) for i in range(1, s))

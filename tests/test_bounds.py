@@ -28,10 +28,9 @@ from transduction_mir import (
     mir_bounds,
     mir_quadrature,
 )
-from transduction_mir.bounds import _bounds_rows, _log_rows
+from transduction_mir.bounds import _bounds_rows
 from transduction_mir.truncgauss import _columns
 from transduction_mir.receptor import mean_chain_rows
-from transduction_mir.truncgauss import _pow_rows
 from conftest import random_valid_dist
 from oracles import h_s_limit, scalar_gap_bounds
 
@@ -307,26 +306,6 @@ class TestBoundsRows:
         assert errors == []
         with pytest.raises(ValidationError):
             _bounds_rows(_columns([]), 3, mean_chain_rows(chr2_receptor, []))
-
-
-class TestScalarOperations:
-    """The elementwise helpers are Python's own operations, bit for bit."""
-
-    @given(
-        values=st.lists(st.floats(-1e3, 1e3), max_size=40),
-        exponent=st.integers(0, 40),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_pow_rows_is_python_pow(self, values, exponent):
-        got = _pow_rows(np.array(values, dtype=float), exponent)
-        expected = np.array([v**exponent for v in values], dtype=float)
-        assert got.tobytes() == expected.tobytes()
-
-    @given(values=st.lists(st.floats(5e-324, 1e300), max_size=40))
-    @settings(max_examples=100, deadline=None)
-    def test_log_rows_is_math_log(self, values):
-        got = _log_rows(np.array(values, dtype=float))
-        assert got.tobytes() == np.array([math.log(v) for v in values], dtype=float).tobytes()
 
 
 class TestWideWindows:

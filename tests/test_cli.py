@@ -158,6 +158,19 @@ class TestMoments:
         assert len(payload["raw"]) == 7
         assert payload["central"][2] == pytest.approx(payload["sigma2"], rel=1e-10)
 
+    @pytest.mark.parametrize("order", ["10", "20"])
+    def test_moments_past_the_float_range_exit_3(self, point_config, capsys, order):
+        doc = json.loads(point_config.read_text())
+        doc["distribution"] = {
+            "mu_bar": 3.457032552295589e44,
+            "sigma_bar": 2.421867596011739e44,
+            "a": 0.0,
+            "b": 3.1664191723467982e53,
+        }
+        point_config.write_text(json.dumps(doc))
+        assert main(["moments", "--config", str(point_config), "--order", order]) == 3
+        assert "ValidationError" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_estimate_and_dump(self, point_config, tmp_path, capsys):
@@ -523,7 +536,7 @@ class TestShippedConfigs:
     # sha256 of the 8x8 sweep of every deterministic method on [1e-5, 2],
     # where graded panels are active; it pins the series, s=4 and discrete
     # bytes that no committed results file covers
-    PANEL_CSV = "eef6411460f500467fa6fdfa47ef7b8fe718da0b85df893a094f3a025ccae96d"
+    PANEL_CSV = "1417d5e63ebaff724b6ccd30450b1b22769eb9f8af330da96a296116b3dc731f"
 
     def test_panel_sweep_csv_frozen(self, tmp_path):
         doc = {

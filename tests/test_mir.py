@@ -36,7 +36,6 @@ from transduction_mir.mir import (
     MirResult,
     _discrete_rows,
     _plogp_entry,
-    _plogp_vec,
     _quadrature_rows,
     _xlnx_vec,
 )
@@ -406,25 +405,10 @@ class TestQuadratureRows:
                 expected = (expected.value, expected.gap_nats)
                 _, gain, _ = mean_chain_rows(spec, [dist.mu])
                 e_value = expectation(dist, _xlnx_vec)
-                assert value == gain[0] * (e_value - dist.mu * math.log(dist.mu))
+                assert value == gain[0] * (e_value - dist.mu * np.log(dist.mu))
             else:
                 assert np.isnan(value) and np.isnan(gap)
             assert got == expected
-
-    def test_gap_takes_the_scalar_log(self, unit_chr2):
-        # truncated means whose np.log differs in the last bit from math.log
-        candidates = [TruncatedGaussianSpec(float(m), 0.3, 1e-5, 2.0)
-                      for m in np.linspace(0.2, 1.8, 400)]
-        mu = np.array([d.mu for d in candidates])
-        odd = np.log(mu) != [math.log(m) for m in mu.tolist()]
-        dists = [d for d, flag in zip(candidates, odd) if flag][:8]
-        assert len(dists) >= 2
-        chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
-        e_xlnx = expectation_rows(_columns(dists), _xlnx_vec)
-        values, gaps, _ = _quadrature_rows(np.array([d.mu for d in dists]), chains, e_xlnx)
-        for dist, gain, e_value, value, gap in zip(dists, chains[1], e_xlnx[0], values, gaps):
-            assert gap == e_value - dist.mu * math.log(dist.mu)
-            assert value == gain * gap
 
     def test_failing_rows_keep_the_one_point_order(self, unit_chr2):
         dists = _grid_dists(steps=3)[:6]
@@ -438,12 +422,12 @@ class TestQuadratureRows:
         e_xlnx[0][2:4] = np.nan
         # E[x ln x] 1e-6 nats below mu ln mu: a rate below the floor
         mu = dists[4].mu
-        e_xlnx[0][4] = mu * math.log(mu) - 1e-6
+        e_xlnx[0][4] = mu * np.log(mu) - 1e-6
         values, gaps, errors = _quadrature_rows(np.array([d.mu for d in dists]), chains, e_xlnx)
         assert errors[0] is None and errors[5] is None
         assert errors[1] is irreducible and errors[2] is irreducible and errors[3] is unsettled
         gain = float(chains[1][4])
-        gap = float(e_xlnx[0][4]) - mu * math.log(mu)
+        gap = float(e_xlnx[0][4] - mu * np.log(mu))
         with pytest.raises(ValidationError) as info:
             MirResult(value=gain * gap, method="quadrature", gain=gain, gap_nats=gap)
         assert type(errors[4]) is ValidationError and str(errors[4]) == str(info.value)
@@ -490,27 +474,6 @@ class TestDiscreteRows:
         # the step kernel is checked first, then the mean chain
         kind = "NotIrreducible" if spec is REDUCIBLE else "NoneType"
         assert {type(e).__name__ for e in errors} == {"StepTooLarge" if delta_t > 0.5 else kind}
-
-    def test_mean_entries_take_the_scalar_log2(self, unit_chr2):
-        # points whose closed-form mean entry c + m * mu has an np.log2 that
-        # differs in the last bit from math.log2
-        # at delta_t = 0.2 the entries spread over (0.04, 0.96)
-        const, lin = step_kernel(unit_chr2, 0.2, 2.0)
-        candidates = [TruncatedGaussianSpec(float(m), 0.3, 1e-5, 2.0)
-                      for m in np.linspace(0.2, 1.8, 2000)]
-        mu = np.array([d.mu for d in candidates])
-        odd = np.zeros(len(candidates), dtype=bool)
-        for i, j in sensitive_pairs(unit_chr2):
-            entries = const[i, j] + lin[i, j] * mu
-            odd |= _plogp_vec(entries) != [plogp(p) for p in entries.tolist()]
-        dists = [d for d, flag in zip(candidates, odd) if flag][:6]
-        assert len(dists) >= 2
-        chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
-        e_xlnx = expectation_rows(_columns(dists), _xlnx_vec)
-        rates, errors = _discrete_rows(unit_chr2, _columns(dists), 2.0, 0.2, chains, e_xlnx)
-        assert errors == [None] * len(dists)
-        got = [tuple(rate[[0, 2]]) for rate in rates]
-        assert got == [scalar_discrete(unit_chr2, dist, 0.2) for dist in dists]
 
     def test_step_kernel_error_reaches_every_row(self, unit_chr2):
         # at delta_t = 0.4 the step is admissible up to x = 2.5 only

@@ -33,7 +33,7 @@ from transduction_mir.truncgauss import (
     _gl_nodes,
     _gl_rows,
     _panel_edges,
-    _pow_rows,
+    _powers,
     _spec_at,
     _spec_rows,
     expectation_rows,
@@ -632,8 +632,7 @@ class TestSpecRows:
         ]
         for row, outcome in zip(rows, got):
             assert outcome == _spec_outcome(lambda: _spec_fields(TruncatedGaussianSpec(*row)))
-            if row != FAILING_SPECS[-1]:  # the oracle's ** raises OverflowError there
-                assert outcome == _spec_outcome(lambda: scalar_spec_fields(*row))
+            assert outcome == _spec_outcome(lambda: scalar_spec_fields(*row))
         kinds = {outcome[1].split(" ")[0] for outcome in got if len(outcome) == 2}
         assert kinds == {"sigma_bar", "truncation", "truncated"}
         assert sum(len(outcome) == 5 for outcome in got) > 1500
@@ -650,19 +649,6 @@ class TestSpecRows:
         assert columns.alpha[5] > 0.0 and columns.z[5] < MIN_TRUNCATION_MASS
         assert "keeps only" in messages[6]
         assert messages[7] == "truncated variance inf outside (0, sigma_bar^2]"
-
-    def test_variance_takes_the_scalar_square(self):
-        # sigma_bar values whose numpy square differs in the last bit from
-        # Python's ** (the C library's pow), which the constructor used
-        sigma = np.random.default_rng(3).uniform(0.05, 3.0, 20000)
-        odd = sigma[sigma * sigma != np.array([v**2 for v in sigma.tolist()])][:40].tolist()
-        assert len(odd) >= 10
-        rows = [(1.0, v, 1e-5, 2.0) for v in odd]
-        columns, errors = _spec_rows(*(list(column) for column in zip(*rows)))
-        assert errors == [None] * len(rows)
-        derived = columns[4:]  # alpha, beta, z, mu, sigma2
-        got = [tuple(float(column[i]).hex() for column in derived) for i in range(len(rows))]
-        assert got == [tuple(v.hex() for v in scalar_spec_fields(*row)) for row in rows]
 
     def test_messages_show_parameters_as_passed(self):
         # an int parameter prints as the int it is, in rows and one by one
@@ -712,6 +698,16 @@ class TestSpecRows:
         ]
 
 
+# graded windows [a, a + span] of a unit parent at 0 whose ratio span / a is
+# exactly 2^k, or one ulp above it (span 4 + 2^-50): k and k + 1 levels
+DYADIC_K = range(7, 40)
+DYADIC_ROWS = [
+    (0.0, 1.0, 2.0 ** (2 - k), 2.0 ** (2 - k) + span)
+    for k in DYADIC_K
+    for span in (4.0, 4.0 + 2.0**-50)
+]
+
+
 class TestPanelEdges:
     """The column pass gives every row the edges of the scalar rule
     (``oracles.scalar_panel_edges``), bit for bit."""
@@ -731,6 +727,10 @@ class TestPanelEdges:
         mu_bar[tail : 2 * tail] = b[tail : 2 * tail] + sigma_bar[tail : 2 * tail] * rng.uniform(
             1.0, 7.0, tail
         )
+        dyadic = np.array(DYADIC_ROWS).T
+        mu_bar, sigma_bar, a, b = (
+            np.concatenate(pair) for pair in zip((mu_bar, sigma_bar, a, b), dyadic)
+        )
         columns, errors = _spec_rows(mu_bar, sigma_bar, a, b)
         return columns.take([i for i, error in enumerate(errors) if error is None])
 
@@ -746,6 +746,12 @@ class TestPanelEdges:
                 expected = scalar_edges(_spec_at(columns, row))
                 assert got.tobytes() == np.array(expected).tobytes()
         assert (seen == 1).all()
+        # ceil(log2(ratio)) levels and one panel more: k + 1 panels at 2^k,
+        # k + 2 one ulp above
+        panels = {row: count for count, (rows, _) in _panel_edges(columns).items() for row in rows}
+        dyadic = range(n - len(DYADIC_ROWS), n)
+        assert columns.b[dyadic].tolist() == [row[3] for row in DYADIC_ROWS]
+        assert [panels[row] for row in dyadic] == [k + step for k in DYADIC_K for step in (1, 2)]
         graded = sum(len(rows) for count, (rows, _) in _panel_edges(columns).items() if count > 1)
         assert graded > 3000 and len(_panel_edges(columns)) > 10
         # every kind of window is present: a = 0, a = 1e-5, far tails
@@ -756,10 +762,22 @@ class TestPanelEdges:
 class TestOverflowingPowers:
     """A power past the float range is +-inf, never a bare OverflowError."""
 
-    def test_pow_rows_overflow_is_inf(self):
-        got = _pow_rows(np.array([1e200, -1e200, 2.0, -1e200]), 3)
-        assert got[0] == math.inf and got[1] == -math.inf and got[2] == 8.0
-        assert _pow_rows(np.array([-1e200]), 2)[0] == math.inf
+    def test_powers_overflow_is_inf(self):
+        got = _powers(np.array([1e200, -1e200, 2.0, -1e200]), 3)
+        assert got[:, 3].tolist() == [math.inf, -math.inf, 8.0, -math.inf]
+        assert got[:, :2].tolist() == [[1.0, 1e200], [1.0, -1e200], [1.0, 2.0], [1.0, -1e200]]
+        assert _powers(np.array([-1e200]), 2)[0, 2] == math.inf
+
+    @pytest.mark.parametrize("order", [10, 20])
+    def test_moment_sums_past_the_float_range_raise_typed(self, order):
+        # a valid spec where math.fsum cannot form some of the moment sums
+        # (terms of +-inf, or finite terms whose sum overflows): they are
+        # nan, and the table checks reject the spec with a typed error
+        spec = TruncatedGaussianSpec(
+            3.457032552295589e44, 2.421867596011739e44, 0.0, 3.1664191723467982e53
+        )
+        with pytest.raises(ValidationError):
+            package_raw_moments(spec, order)
 
     def test_wide_window_table(self):
         # b**20 = 1e320 overflows; the mass beyond x = 10 (18 parent sigmas)

@@ -103,6 +103,8 @@ class TestDistributionContracts:
             MomentTable(raw=np.array([0.9, 0.5]), central=np.array([1.0, 0.0]), order=1)
         with pytest.raises(ValidationError):
             MomentTable(raw=np.array([1.0, 0.5]), central=np.array([1.0, 0.3]), order=1)
+        with pytest.raises(ValidationError, match="nan"):
+            MomentTable(raw=np.array([1.0, 0.5, np.nan]), central=np.array([1.0, 0.0, np.nan]), order=2)
 
 
 class TestResultTypes:
