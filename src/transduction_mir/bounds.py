@@ -138,10 +138,10 @@ def _h_rows(x: np.ndarray, mu: np.ndarray, s: int) -> tuple[np.ndarray, list]:
     f_x = np.zeros_like(x)
     inside = x != 0.0
     f_x[inside] = x[inside] * np.log(x[inside])
-    dx_pow = _powers(dx, s)
-    value = (f_x - mu * log_mu) / dx_pow[:, s]
+    dx_pow = list(_powers(dx, s))
+    value = (f_x - mu * log_mu) / dx_pow[s]
     for i in range(1, s):
-        value -= derivs[i - 1] / (math.factorial(i) * dx_pow[:, s - i])
+        value -= derivs[i - 1] / (math.factorial(i) * dx_pow[s - i])
     values = np.full(len(ok), np.nan)
     values[ok] = value
     return values, errors

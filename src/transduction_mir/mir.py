@@ -7,7 +7,9 @@
   a chosen order, valid on 0 < a and b <= 2.
 
 All three return values in bits/s.  The gain factor carries the 1/ln 2
-conversion, so the recorded Jensen gap stays in nats.
+conversion, so the recorded Jensen gap stays in nats.  Each is the one-row
+case of a row kernel (``_discrete_rows``, ``_quadrature_rows``,
+``_series_rows``) that a sweep runs over all its points at once.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from .errors import (
     unwrap,
 )
 
-# raw_moments and stationary_distribution are not called here: perfbench's
-# tracer wraps ``mir.raw_moments`` and ``mir.stationary_distribution``, and
+# raw_moments, shifted_moment_vector and stationary_distribution are not
+# called here: perfbench's tracer wraps ``mir.raw_moments``,
+# ``mir.shifted_moment_vector`` and ``mir.stationary_distribution``, and
 # perfbench/tests/test_tracer.py looks up every wrapped name without a
 # default.  Remove them together with those wraps.
 from .receptor import (
@@ -45,10 +48,11 @@ from .truncgauss import (
     TruncatedGaussianSpec,
     _columns,
     _fsum_rows,
+    _shifted_moment_rows,
     expectation,
     expectation_rows,
     raw_moments,  # noqa: F401
-    shifted_moment_vector,
+    shifted_moment_vector,  # noqa: F401
 )
 
 
@@ -93,12 +97,14 @@ class MirResult:
 _RATE_FLOOR = -1e-9
 
 
-def _mark_floor(errors: list, method: str, values: np.ndarray, floor: float) -> None:
-    """The ``MirResult`` floor check on rows of rates, marked as by ``mark_rows``."""
+def _mark_floor(errors: list, method: str, values: np.ndarray, floor) -> None:
+    """The ``MirResult`` floor check (one floor, or one per row) on rows of
+    rates, marked as by ``mark_rows``."""
+    floor = np.broadcast_to(floor, values.shape)
     mark_rows(
         errors,
         values < floor,
-        lambda i: ValidationError(f"{method} rate {values[i]} below admissible floor {floor}"),
+        lambda i: ValidationError(f"{method} rate {values[i]} below admissible floor {floor[i]}"),
     )
 
 
@@ -155,11 +161,7 @@ def sensitive_pairs(spec: ReceptorSpec) -> list[tuple[int, int]]:
     return list(zip(rows.tolist(), cols.tolist()))
 
 
-def mir_discrete(
-    spec: ReceptorSpec,
-    dist: TruncatedGaussianSpec,
-    delta_t: float,
-) -> MirResult:
+def mir_discrete(spec: ReceptorSpec, dist: TruncatedGaussianSpec, delta_t: float) -> MirResult:
     """Information rate at a finite step, in bits/s.
 
     For every x-dependent entry (y, y') of P(x), accumulates
@@ -300,11 +302,7 @@ def _quadrature_rows(mu: np.ndarray, chains: tuple, e_xlnx: tuple) -> tuple:
     return values, gaps, errors
 
 
-def mir_series(
-    spec: ReceptorSpec,
-    dist: TruncatedGaussianSpec,
-    order: int = 40,
-) -> MirResult:
+def mir_series(spec: ReceptorSpec, dist: TruncatedGaussianSpec, order: int = 40) -> MirResult:
     """Series approximation of the continuous-time rate, truncated at ``order``.
 
     Expands ln(x) about 1, turning the Jensen gap into
@@ -316,40 +314,49 @@ def mir_series(
     ``diagnostics["tail_bound_nats"]``), so the rate lies within gain/order
     of the quadrature value; that bound is the series' only guarantee.
     E[(x-1)^k] is computed by quadrature (bounded integrand, no
-    cancellation).
+    cancellation).  The one-row case of ``_series_rows``.
 
     Raises OutOfConvergenceRegion when the support leaves (0, 2], and
     OrderTooHigh above the shared order ceiling.
     """
-    _, gain, (error,) = mean_chain_rows(spec, [dist.mu])
-    return _series(dist, order, float(gain[0]), error)
+    chains = mean_chain_rows(spec, [dist.mu])
+    values, gaps, (error,) = _series_rows(_columns([dist]), order, chains)
+    unwrap(error)
+    value, gain, gap = float(values[0]), float(chains[1][0]), float(gaps[0])
+    return MirResult(value, f"series({order})", gain, gap, order, {"tail_bound_nats": 1.0 / order})
 
 
-def _series(dist, order, gain, chain_error) -> MirResult:
-    """``mir_series`` from its row of ``mean_chain_rows``: the gain, or the
-    error the mean chain fails with."""
-    if dist.a <= 0.0 or dist.b > 2.0:
-        raise OutOfConvergenceRegion(
-            f"series needs support within (0, 2], got [{dist.a}, {dist.b}]"
-        )
-    if order < 2:
-        raise ValidationError(f"series order must be >= 2, got {order}")
-    if order > MAX_MOMENT_ORDER:
-        raise OrderTooHigh(f"series order {order} exceeds ceiling {MAX_MOMENT_ORDER}")
-
-    moments = shifted_moment_vector(dist, 1.0, order)
-    series_sum = math.fsum(
-        (-1.0) ** k * float(moments[k]) / (k * (k - 1)) for k in range(2, order + 1)
+def _series_rows(columns, order: int, chains: tuple) -> tuple:
+    """``mir_series`` at every distribution of ``columns``, from their rows
+    of ``mean_chain_rows``; the E[(x-1)^k] of all rows are one
+    ``_shifted_moment_rows`` pass, unless the order is out of range.  Returns (values, gaps, errors) as
+    ``_quadrature_rows`` does, each row's error in the order of a one-row
+    call: the convergence region, the order, the moment quadrature, the
+    mean chain, then the ``MirResult`` floor.
+    """
+    n = len(columns.mu)
+    errors: list = [None] * n
+    mark_rows(
+        errors,
+        (columns.a <= 0.0) | (columns.b > 2.0),
+        lambda i: OutOfConvergenceRegion(
+            f"series needs support within (0, 2], got [{columns.a[i]}, {columns.b[i]}]"
+        ),
     )
-    mu = dist.mu
-    gap = series_sum - mu * (math.log(mu) - 1.0) - 1.0
-
-    unwrap(chain_error)
-    return MirResult(
-        value=gain * gap,
-        method=f"series({order})",
-        gain=gain,
-        gap_nats=gap,
-        order=order,
-        diagnostics={"tail_bound_nats": 1.0 / order},
-    )
+    if not 2 <= order <= MAX_MOMENT_ORDER:
+        error = OrderTooHigh(f"series order {order} exceeds ceiling {MAX_MOMENT_ORDER}")
+        if order < 2:
+            error = ValidationError(f"series order must be >= 2, got {order}")
+        return np.full(n, np.nan), np.full(n, np.nan), merge_rows(errors, [error] * n)
+    moments, moment_errors = _shifted_moment_rows(columns, 1.0, order)
+    k = np.arange(2, order + 1)
+    terms = (-1.0) ** k * moments[:, 2:] / (k * (k - 1))
+    mu = columns.mu
+    gaps = _fsum_rows(terms, [(0, order - 1)])[:, 0] - mu * (np.log(mu) - 1.0) - 1.0
+    errors = merge_rows(errors, moment_errors, chains[2])
+    values = chains[1] * gaps
+    # a truncated tail can undershoot zero by up to gain/order
+    _mark_floor(errors, f"series({order})", values, -(chains[1] / order + 1e-9))
+    failed = ~live_rows(errors)
+    values[failed], gaps[failed] = np.nan, np.nan
+    return values, gaps, errors

@@ -7,13 +7,14 @@ as one array pass over the grid's columns: the input distributions of all
 points (``truncgauss._spec_rows``, kept as the columns every kernel reads),
 the mean chains and gains of all valid points as one stack, their Jensen
 gaps from one Gauss-Legendre pass, the quadrature rates, the E[p log p] of
-every sensitive pair of every point for the discrete rate, and the bounds
-of each selected order s = 2, 4.  Every batched kernel returns one row
-format: value columns, float arrays with nan on the rows that fail, and one
-error list holding per row the MirError that rejected it, or None.  Method
-by method, the value columns fill the output fields and the errors the
-status column, and the rows are built from the columns.  The series and
-Monte Carlo run point by point, on one spec each, into the same format.
+every sensitive pair of every point for the discrete rate, the moments
+E[(x - 1)^k] of every point for the series, and the bounds of each selected
+order s = 2, 4.  Every batched kernel returns one row format: value
+columns, float arrays with nan on the rows that fail, and one error list
+holding per row the MirError that rejected it, or None.  Method by method,
+the value columns fill the output fields and the errors the status column,
+and the rows are built from the columns.  Only Monte Carlo runs point by
+point, on a spec built by the constructor, into the same format.
 The scalar library functions are the same kernels on one point, so a row
 holds the bits a single-point call returns, and the failure it would raise.
 Monte Carlo points derive independent seeds from (master seed, row index),
@@ -32,30 +33,23 @@ from typing import Optional, Sequence
 import numpy as np
 
 # mir_bounds, mir_discrete, mir_quadrature and mir_series are not called
-# here: the sweep runs their row kernels and per-row cores on precomputed
-# rows.  perfbench's tracer wraps these names, and TruncatedGaussianSpec, and
-# perfbench/tests/test_tracer.py looks each up without a default; remove them
-# together with those wraps.
+# here: the sweep runs their row kernels on precomputed rows.  perfbench's
+# tracer wraps these names, and perfbench/tests/test_tracer.py looks each up
+# without a default; remove them together with those wraps.
 from .bounds import _bounds_rows, mir_bounds  # noqa: F401
 from .errors import ConfigError, EmptySweep, MirError, ValidationError, live_rows
 from .mcsim import estimate_mir, simulate
 from .mir import (
     _discrete_rows,
     _quadrature_rows,
-    _series,
+    _series_rows,
     _xlnx_vec,
     mir_discrete,  # noqa: F401
     mir_quadrature,  # noqa: F401
     mir_series,  # noqa: F401
 )
 from .receptor import ReceptorSpec, mean_chain_rows
-from .truncgauss import (
-    MAX_MOMENT_ORDER,
-    TruncatedGaussianSpec,  # noqa: F401
-    _spec_at,
-    _spec_rows,
-    expectation_rows,
-)
+from .truncgauss import MAX_MOMENT_ORDER, TruncatedGaussianSpec, _spec_rows, expectation_rows
 
 VALID_METHODS = ("quadrature", "series", "bounds_s2", "bounds_s4", "discrete", "mc")
 
@@ -191,10 +185,13 @@ def _method_columns(config: SweepConfig, method: str, indices, valid, chains, e_
     values at the valid points, nan where the method fails with the error in
     ``errors``.  ``indices`` holds each point's grid index, ``valid``,
     ``chains`` and ``e_xlnx`` its rows of the spec columns and of the mean
-    chain and E[x ln x] passes.  Quadrature, discrete and the bounds are one
-    pass over the points; the series and Monte Carlo run point by point."""
+    chain and E[x ln x] passes.  Every method but Monte Carlo is one pass
+    over the points; Monte Carlo runs point by point."""
     if method == "quadrature":
         values, _, errors = _quadrature_rows(valid.mu, chains, e_xlnx)
+        return (values,), errors
+    if method == "series":
+        values, _, errors = _series_rows(valid, config.series_k, chains)
         return (values,), errors
     if method == "discrete":
         receptor, b, delta_t = config.receptor, config.b, config.delta_t
@@ -203,19 +200,15 @@ def _method_columns(config: SweepConfig, method: str, indices, valid, chains, e_
     if method in ("bounds_s2", "bounds_s4"):
         gap_lower, gap_upper, _, gain, errors = _bounds_rows(valid, int(method[-1]), chains)
         return (gain * gap_lower, gain * gap_upper), errors
-    columns = np.full((len(_METHOD_COLUMNS[method]), len(indices)), np.nan)
+    columns = np.full((2, len(indices)), np.nan)
     errors: list = [None] * len(indices)
-    for j, index in enumerate(indices):
-        dist = _spec_at(valid, j)
+    for j, (index, mu_bar, sigma_bar) in enumerate(zip(indices, valid.mu_bar, valid.sigma_bar)):
         try:
-            if method == "series":
-                gain, error = float(chains[1][j]), chains[2][j]
-                columns[0, j] = _series(dist, config.series_k, gain, error).value
-            else:
-                seed = _derive_seed(config.seed, index)
-                traj = simulate(config.receptor, dist, config.delta_t, config.mc_n, seed)
-                est = estimate_mir(traj, config.receptor, dist)
-                columns[:, j] = est.value, est.stderr
+            dist = TruncatedGaussianSpec(float(mu_bar), float(sigma_bar), config.a, config.b)
+            seed = _derive_seed(config.seed, index)
+            traj = simulate(config.receptor, dist, config.delta_t, config.mc_n, seed)
+            est = estimate_mir(traj, config.receptor, dist)
+            columns[:, j] = est.value, est.stderr
         except MirError as exc:
             errors[j] = exc
     return tuple(columns), errors

@@ -2,12 +2,11 @@
 
 A parent Gaussian with mean ``mu_bar`` and standard deviation ``sigma_bar``
 is conditioned on the interval ``[a, b]``.  This module provides the
-closed-form truncated mean/variance, raw and recentred moments (through the
-two-term recursion for the moments of the truncated standard normal up to
-order 20, for many specs as one array pass, by quadrature above),
-inverse-CDF sampling, and a node-doubling Gauss-Legendre expectation
-engine, on one fixed node schedule, used throughout the package for
-integrals against the density.
+closed-form truncated mean/variance, raw and recentred moments (by the
+two-term recursion for the truncated standard normal up to order 20, by
+quadrature above), inverse-CDF sampling, and the one node-doubling
+Gauss-Legendre engine (``_gl_rows`` on the schedule of ``_refine``) behind
+every integral against the density, each one array pass over many specs.
 """
 
 from __future__ import annotations
@@ -16,12 +15,13 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr, ndtri, roots_legendre
 
-from .errors import NoConvergence, OrderTooHigh, ValidationError, mark_rows, unwrap
+from .errors import NoConvergence, OrderTooHigh, ValidationError, mark_rows, merge_rows, unwrap
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -63,18 +63,21 @@ def _norm_pdf(t):
     return np.exp(-0.5 * np.square(t)) / _SQRT_2PI
 
 
-def _powers(x: np.ndarray, order: int) -> np.ndarray:
-    """x^0, ..., x^order of every entry, along a new last axis.
+def _powers(x: np.ndarray, order: int):
+    """x^0, ..., x^order of every entry, one array per order.
 
     Running products, x^0 = 1 and x^k = x^(k-1) * x: plain IEEE ``*``
     steps, so any code that multiplies in the same order gets the same
     bits, and x^k is within about k ulps of the exact power (Higham 2002,
-    ch. 3).  A power past the float range is +-inf.
+    ch. 3).  A power past the float range is +-inf.  Yielded one order at a
+    time, so an integrand of many orders never holds a table of them.
     """
-    steps = np.repeat(np.asarray(x, dtype=float)[..., None], order + 1, axis=-1)
-    steps[..., 0] = 1.0
-    with np.errstate(over="ignore"):
-        return np.cumprod(steps, axis=-1)
+    power = np.ones_like(x, dtype=float)
+    yield power
+    for _ in range(order):
+        with np.errstate(over="ignore"):
+            power = power * x
+        yield power
 
 
 def _fsum_rows(terms: np.ndarray, spans) -> np.ndarray:
@@ -106,12 +109,12 @@ def _l_coefficients(alpha, beta, z, order: int) -> list:
     pdf_a = _norm_pdf(alpha)
     pdf_b = _norm_pdf(beta)
     L = [1.0, -(pdf_b - pdf_a) / z]
-    pow_a, pow_b = _powers(alpha, order), _powers(beta, order)
+    pow_a, pow_b = list(_powers(alpha, order)), list(_powers(beta, order))
     for i in range(2, order + 1):
         # phi is exactly 0.0 at a huge endpoint: its term is 0.0, not inf * 0
         with np.errstate(invalid="ignore"):
-            tb = np.where(pdf_b == 0.0, 0.0, pow_b[..., i - 1] * pdf_b)
-            ta = np.where(pdf_a == 0.0, 0.0, pow_a[..., i - 1] * pdf_a)
+            tb = np.where(pdf_b == 0.0, 0.0, pow_b[i - 1] * pdf_b)
+            ta = np.where(pdf_a == 0.0, 0.0, pow_a[i - 1] * pdf_a)
         L.append(-(tb - ta) / z + (i - 1) * L[i - 2])
     return L[: order + 1]
 
@@ -170,13 +173,6 @@ def _columns(specs) -> SpecColumns:
     """The columns of a list of specs; how a scalar call enters a row kernel."""
     fields = ([getattr(spec, name) for spec in specs] for name in SpecColumns._fields)
     return SpecColumns(*(np.array(column, dtype=float) for column in fields))
-
-
-def _spec_at(columns: SpecColumns, row: int) -> TruncatedGaussianSpec:
-    """The spec of a row of checked ``_spec_rows`` columns, without rerunning the checks."""
-    spec = object.__new__(TruncatedGaussianSpec)
-    vars(spec).update((name, float(column[row])) for name, column in zip(columns._fields, columns))
-    return spec
 
 
 def _spec_rows(mu_bar, sigma_bar, a, b) -> tuple[SpecColumns, list]:
@@ -265,7 +261,7 @@ def _mark_table_errors(errors: list, raw: np.ndarray, central: np.ndarray) -> No
     if central.shape[1] > 1:
         mark_rows(
             errors,
-            np.abs(central[:, 1]) > 1e-12,
+            np.abs(central[:, 1]) > 1e-12 * np.maximum(1.0, np.abs(raw[:, 1])),
             lambda i: ValidationError(f"first central moment must vanish, got {central[i, 1]}"),
         )
     # a sum past the float range (see ``_fsum_rows``)
@@ -301,8 +297,8 @@ def _moments_about(mu_bar, sigma_bar, center, L: np.ndarray) -> np.ndarray:
     """
     width = L.shape[1]
     m, i, comb, spans = _binomial_layout(width)
-    sigma_pow = _powers(sigma_bar, width - 1)
-    d_pow = _powers(mu_bar - center, width - 1)
+    sigma_pow = np.stack(list(_powers(sigma_bar, width - 1)), axis=1)
+    d_pow = np.stack(list(_powers(mu_bar - center, width - 1)), axis=1)
     return _fsum_rows(comb * sigma_pow[:, i] * d_pow[:, m - i] * L[:, i], spans)
 
 
@@ -311,10 +307,10 @@ def _moment_rows(columns: SpecColumns, order: int) -> tuple[np.ndarray, np.ndarr
     """Raw and central moments up to ``order`` of every row, as one array pass.
 
     Returns (raw, central, errors): (rows, order + 1) arrays and, per row,
-    the ValidationError ``raw_moments`` raises for it, or None.  Orders up
+    the MirError ``raw_moments`` raises for it, or None.  Orders up
     to 20 come from the L-recursion: the moments about 0 and about the mean
     of every row are one expansion.  Higher orders come from
-    ``shifted_moment_vector``, row by row (see ``raw_moments``).
+    ``_shifted_moment_rows``, whose NoConvergence comes before every check.
     """
     mu_bar, sigma_bar, a, b, alpha, beta, z, mu, sigma2 = columns
     n = len(mu)
@@ -328,23 +324,22 @@ def _moment_rows(columns: SpecColumns, order: int) -> tuple[np.ndarray, np.ndarr
         np.concatenate((L, L)),
     )
     raw, central = both[:n], both[n:]
+    errors: list = [None] * n
     if order > _RECURSION_MAX_ORDER:
-        high = slice(_RECURSION_MAX_ORDER + 1, None)
-        specs = [_spec_at(columns, row) for row in range(n)]
-        raw = np.hstack((raw, [shifted_moment_vector(s, 0.0, order)[high] for s in specs]))
-        central = np.hstack(
-            (central, [shifted_moment_vector(s, s.mu, order)[high] for s in specs])
+        # by quadrature, about 0 and about the mean as one call on 2n rows
+        high, quad_errors = _shifted_moment_rows(
+            columns.take(np.tile(np.arange(n), 2)), np.concatenate((np.zeros(n), mu)), order
         )
+        high = high[:, _RECURSION_MAX_ORDER + 1 :]
+        raw, central = np.hstack((raw, high[:n])), np.hstack((central, high[n:]))
+        errors = merge_rows(quad_errors[:n], quad_errors[n:])
 
     # support bounds a^m <= E[x^m] <= b^m and, since x^(m-1) (x - a) >= 0 on
     # [a, b], a E[x^(m-1)] <= E[x^m] <= b E[x^(m-1)], with float slack; the
     # forward recursion is unstable on narrow windows and breaks the ratio
     # form long before the power form.
-    errors: list = [None] * n
-    pow_a, pow_b = _powers(a, order), _powers(b, order)
-    for m in range(order + 1):
+    for m, (lo, hi) in enumerate(zip(_powers(a, order), _powers(b, order))):
         value = raw[:, m]
-        lo, hi = pow_a[:, m], pow_b[:, m]
         slack = 1e-9 * np.maximum(1.0, hi)
         if m > 0:
             # Python's max(lo, v) and min(hi, v), which keep lo and hi on ties
@@ -381,11 +376,11 @@ def raw_moments(spec: TruncatedGaussianSpec, order: int) -> MomentTable:
     about the truncated mean using the same recursion coefficients, which
     avoids the catastrophic cancellation of differencing large raw moments
     when sigma_bar is small.  Higher orders, where the recursion loses its
-    digits, come from ``shifted_moment_vector`` about 0 and about the mean.
+    digits, come from the moment quadrature about 0 and about the mean.
 
     Raises OrderTooHigh for order > MAX_MOMENT_ORDER, and ValidationError
     when a moment escapes its support bound or central[2] disagrees with
-    sigma2.
+    sigma2; NoConvergence when the quadrature of a high order does not settle.
     """
     if order < 0:
         raise ValidationError(f"order must be >= 0, got {order}")
@@ -506,9 +501,11 @@ def _gl_rows(edges, loc, scale, mass, f, n: int, params=None) -> list:
     ``_BLOCK_NODES`` nodes (and at least one row) as node arrays of shape
     (rows, panels * n); ``f`` gets a block's nodes in that 2-D shape, then,
     when ``params`` (one row of parameters per row) is given, one (rows, 1)
-    column per parameter, and must act entry by entry.  The sum over a
-    row's nodes is a stacked matmul, the same dot product as for that row
-    alone, so a row's value does not depend on the rows batched with it.
+    column per parameter, and must act entry by entry: it returns one array
+    of that shape, or yields several, for a vector of estimates per row.
+    Each array's sum over a row's nodes is a stacked matmul, the same dot
+    product as for that row alone, so a row's value does not depend on the
+    rows batched with it.
     """
     nodes, weights = _gl_nodes(n)
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])
@@ -522,8 +519,10 @@ def _gl_rows(edges, loc, scale, mass, f, n: int, params=None) -> list:
         ws = half[b, :, None] * weights * _norm_pdf(ts) / mass[b, None, None]
         ws = ws.reshape(len(ts), -1)
         columns = () if params is None else params[b].T[:, :, None]
-        fx = np.asarray(f(xs.reshape(len(ts), -1), *columns), dtype=float)
-        values += (ws[:, None, :] @ fx[:, :, None])[:, 0, 0].tolist()
+        out = f(xs.reshape(len(ts), -1), *columns)
+        single = isinstance(out, np.ndarray)
+        sums = [(ws[:, None, :] @ fx[:, :, None])[:, 0, 0] for fx in ([out] if single else out)]
+        values += (sums[0] if single else np.transpose(sums)).tolist()
     return values
 
 
@@ -557,9 +556,7 @@ def expectation_rows(columns: SpecColumns, f: Callable[..., np.ndarray], params=
     return values, nodes, deltas, errors
 
 
-def expectation(
-    spec: TruncatedGaussianSpec, f: Callable[[np.ndarray], np.ndarray]
-) -> float:
+def expectation(spec: TruncatedGaussianSpec, f: Callable[[np.ndarray], np.ndarray]) -> float:
     """E[f(x)] by Gauss-Legendre quadrature with node-doubling refinement.
 
     ``f`` must accept an ndarray of evaluation points.  The node count per
@@ -575,17 +572,18 @@ def expectation(
     return float(values[0])
 
 
-def shifted_moment_vector(
-    spec: TruncatedGaussianSpec, center: float, order: int
-) -> np.ndarray:
-    """E[(x - center)^m] for m = 0..order by quadrature, all orders at once.
+@np.errstate(divide="ignore", invalid="ignore")
+def _shifted_moment_rows(columns: SpecColumns, center, order: int) -> tuple[np.ndarray, list]:
+    """E[(x - center)^m] for m = 0..order of every row by quadrature, with
+    one ``center`` or one per row.  Returns (moments, errors): a (rows,
+    order + 1) array, nan where the estimates never settled, and per row
+    NoConvergence there, or None.
 
-    Stable for any truncation: the integrand is bounded by max(|a - center|,
-    |b - center|)^m, so no cancellation occurs.  Used as the production path
-    for the series evaluation, for which the recursion loses too many digits
-    beyond order ~25.  Refined on the same node schedule as ``expectation``,
-    every order from 2 up to the same tolerance; orders 0 and 1 are the
-    closed forms 1 and ``mu - center``.
+    The integrand, bounded by max(|a - center|, |b - center|)^m, yields its
+    powers order by order (``_powers``) of x - center, built from exact t
+    with ``mu_bar - center`` as the location.  Orders 0 and 1 are the closed
+    forms 1 and ``mu - center``, so the rounding noise of their quadrature
+    (order 1 is near 0) never holds back the agreement test.
 
     A one-sided window (alpha > 0 or beta < 0) keeps its mass at the near
     edge, and a far end many sigmas away stalls the node schedule.  It is cut
@@ -593,32 +591,33 @@ def shifted_moment_vector(
     falls by e^-40 at t^2 = edge^2 + 80, and |x - center|^m rises at most by
     (s_far / s_near)^m, which adds 2 * order * ln(s_far / s_near).
     """
+    mu_bar, sigma_bar, _, _, alpha, beta, z, mu, _ = columns
+    loc = mu_bar - center
+    lo, hi = np.maximum(alpha, -_SUPPORT_SIGMAS), np.minimum(beta, _SUPPORT_SIGMAS)
+    near, far = np.where(lo > 0.0, lo, hi), np.where(lo > 0.0, hi, lo)
+    s_near, s_far = np.abs(loc + sigma_bar * near), np.abs(loc + sigma_bar * far)
+    rise = np.log(np.maximum(s_far, s_near)) - np.log(s_near)
+    cut = np.sqrt(near * near + 80.0 + 2.0 * order * rise)
+    cut = np.where(((lo > 0.0) | (hi < 0.0)) & (s_near > 0.0), cut, np.inf)
+    edges = np.column_stack((np.maximum(lo, -cut), np.minimum(hi, cut)))
+    closed = np.column_stack((np.ones(len(mu)), mu - center))[:, : order + 1]
+    if order < 2:
+        return closed, [None] * len(mu)
+
+    def estimate(n: int, rows: np.ndarray) -> np.ndarray:
+        powers = lambda x: islice(_powers(x, order), 2, None)
+        quad = _gl_rows(edges[rows], loc[rows], sigma_bar[rows], z[rows], powers, n)
+        return np.hstack((closed[rows], np.reshape(quad, (len(rows), order - 1))))
+
+    values, _, _, errors = _refine(estimate, len(mu), "moment quadrature")
+    return values, errors
+
+
+def shifted_moment_vector(spec: TruncatedGaussianSpec, center: float, order: int) -> np.ndarray:
+    """E[(x - center)^m] for m = 0..order by quadrature; the one-spec case of
+    ``_shifted_moment_rows``.  Raises NoConvergence when it does not settle."""
     if order < 0:
         raise ValidationError(f"order must be >= 0, got {order}")
-    lo, hi = max(spec.alpha, -_SUPPORT_SIGMAS), min(spec.beta, _SUPPORT_SIGMAS)
-    if lo > 0.0 or hi < 0.0:
-        near, far = (lo, hi) if lo > 0.0 else (hi, lo)
-        s_near = abs(spec.mu_bar - center + spec.sigma_bar * near)
-        s_far = abs(spec.mu_bar - center + spec.sigma_bar * far)
-        if s_near > 0.0:
-            rise = math.log(max(s_far, s_near)) - math.log(s_near)
-            cut = math.sqrt(near * near + 80.0 + 2.0 * order * rise)
-            lo, hi = max(lo, -cut), min(hi, cut)
-
-    def moment_block(n: int) -> np.ndarray:
-        nodes, weights = _gl_nodes(n)
-        half = 0.5 * (hi - lo)
-        ts = half * nodes + 0.5 * (hi + lo)
-        dens_t = _norm_pdf(ts) / spec.z
-        # (x - center) built from exact t keeps full relative precision
-        shifted = (spec.mu_bar - center) + spec.sigma_bar * ts
-        powers = np.vander(shifted, order + 1, increasing=True)  # (n, order+1)
-        block = half * (powers.T @ (weights * dens_t))
-        # orders 0 and 1 have closed forms; the rounding noise of their
-        # quadrature (order 1 is near 0) must not hold back the agreement test
-        block[:2] = (1.0, spec.mu - center)[: order + 1]
-        return block
-
-    values, _, _, (error,) = _refine(lambda n, rows: [moment_block(n)], 1, "moment quadrature")
+    values, (error,) = _shifted_moment_rows(_columns([spec]), center, order)
     unwrap(error)
     return values[0]

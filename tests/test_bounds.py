@@ -321,3 +321,17 @@ class TestWideWindows:
         # the window's mass beyond x = 10 is below e^-160: the same rate
         near = mir_quadrature(spec, TruncatedGaussianSpec(1.0, 0.5, 1e-5, 10.0)).value
         assert exact == pytest.approx(near, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "s, lower, upper", [(2, 0.0022596, 0.0095887), (4, 0.0082850, 0.0085276)]
+    )
+    def test_bounds_sandwich_the_rate_thousands_wide(self, s, lower, upper):
+        # the first central moment there is rounding at the window's scale
+        dist = TruncatedGaussianSpec(
+            -4339.894654759865, 5136.712298966036, 8156.676555253254, 168304.04545198614
+        )
+        pair = mir_bounds(chr2_skeleton(), dist, s)
+        exact = mir_quadrature(chr2_skeleton(), dist).value
+        assert exact == pytest.approx(0.0084402, rel=1e-4)
+        assert pair.lower <= exact <= pair.upper
+        assert (pair.lower, pair.upper) == pytest.approx((lower, upper), rel=1e-4)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from transduction_mir import (
+    MirError,
     NoConvergence,
     OrderTooHigh,
     TruncatedGaussianSpec,
@@ -32,9 +33,10 @@ from transduction_mir.truncgauss import (
     _columns,
     _gl_nodes,
     _gl_rows,
+    _moment_rows,
     _panel_edges,
     _powers,
-    _spec_at,
+    _shifted_moment_rows,
     _spec_rows,
     expectation_rows,
 )
@@ -534,6 +536,46 @@ class TestExpectationRows:
         for n in (200, 400):
             got = _gl_rows(grid, *params.T, _xlnx_vec, n)
             assert got == [gl_estimate(spec, _xlnx_vec, n, e) for spec, e in zip(specs, edges)]
+        # an integrand that yields several arrays: one estimate per array
+        pairs = _gl_rows(grid, *params.T, lambda x: (x, _xlnx_vec(x)), 400)
+        assert [pair[1] for pair in pairs] == got
+
+    def test_moment_rows_equal_one_spec_vectors(self):
+        # 125 rows at order 40 span two blocks at n = 200 and four at 400;
+        # one-sided windows and one center per row among them
+        rng = np.random.default_rng(3)
+        specs = [random_valid_dist(rng) for _ in range(120)] + [
+            TruncatedGaussianSpec(-0.5, 0.08475, 1e-5, 2.0),
+            TruncatedGaussianSpec(2.5, 0.08475, 1e-5, 2.0),
+            TruncatedGaussianSpec(-0.1, 1.0, 0.05, 50.0),
+            TruncatedGaussianSpec(1.0, 0.5, 1e-5, 1e16),
+            TruncatedGaussianSpec(1.0, 1e-8, 1e-5, 2.0),
+        ]
+        columns = _columns(specs)
+        centers = rng.uniform(0.0, 2.0, len(specs))
+        got, errors = _shifted_moment_rows(columns, centers, 40)
+        for row, spec, center, error in zip(got, specs, centers.tolist(), errors):
+            if error is None:
+                assert row.tobytes() == shifted_moment_vector(spec, center, 40).tobytes()
+                continue
+            # a center inside the one-sided window (-0.1, 1, [0.05, 50]) cuts it
+            # at 18 sigmas, where the estimates never settle
+            assert type(error) is NoConvergence and np.isnan(row).all()
+            with pytest.raises(NoConvergence):
+                shifted_moment_vector(spec, center, 40)
+        assert errors.count(None) == len(specs) - 1
+        # orders above 20 of the moment tables: one call on 2n rows
+        raw, central, errors = _moment_rows(columns, 64)
+        for i, spec in enumerate(specs):
+            try:
+                table = package_raw_moments(spec, 64)
+            except MirError as exc:
+                assert type(errors[i]) is type(exc) and str(errors[i]) == str(exc)
+                continue
+            assert errors[i] is None
+            assert raw[i].tobytes() == table.raw.tobytes()
+            assert central[i].tobytes() == table.central.tobytes()
+        assert errors.count(None) > 100
 
     def test_mixed_panel_counts_follow_the_schedule(self):
         specs = (
@@ -573,6 +615,11 @@ class TestExpectationRows:
         assert sizes == [600, 1200, 800, 1600]
         with pytest.raises(NoConvergence):
             expectation(stepped, step)
+
+
+def spec_of_row(columns, row):
+    """The spec built by the constructor from one row's parameters."""
+    return TruncatedGaussianSpec(*(float(column[row]) for column in columns[:4]))
 
 
 def _spec_outcome(run):
@@ -663,6 +710,8 @@ class TestSpecRows:
         ]
 
     def test_objects_equal_constructed_specs(self):
+        # a spec built from a row's parameters, as a sweep builds each Monte
+        # Carlo point's, holds the bits of that row
         rows = self.rows()
         columns, errors = _spec_rows(*(list(column) for column in zip(*rows)))
         for i, (row, error) in enumerate(zip(rows, errors)):
@@ -672,11 +721,11 @@ class TestSpecRows:
                 assert type(error) is ValidationError and str(error) == str(exc)
                 continue
             assert error is None
-            spec = _spec_at(columns, i)
+            spec = spec_of_row(columns, i)
             assert spec == expected and hash(spec) == hash(expected)
             assert repr(spec) == repr(expected)
             assert [float(v).hex() for v in _spec_fields(spec)] == [
-                float(v).hex() for v in _spec_fields(expected)
+                float(column[i]).hex() for column in columns[4:]
             ]
 
     def test_no_rows(self):
@@ -743,7 +792,7 @@ class TestPanelEdges:
             assert edges.shape == (len(rows), count + 1) and list(rows) == sorted(rows)
             seen[rows] += 1
             for row, got in zip(rows.tolist(), edges):
-                expected = scalar_edges(_spec_at(columns, row))
+                expected = scalar_edges(spec_of_row(columns, row))
                 assert got.tobytes() == np.array(expected).tobytes()
         assert (seen == 1).all()
         # ceil(log2(ratio)) levels and one panel more: k + 1 panels at 2^k,
@@ -763,10 +812,10 @@ class TestOverflowingPowers:
     """A power past the float range is +-inf, never a bare OverflowError."""
 
     def test_powers_overflow_is_inf(self):
-        got = _powers(np.array([1e200, -1e200, 2.0, -1e200]), 3)
-        assert got[:, 3].tolist() == [math.inf, -math.inf, 8.0, -math.inf]
-        assert got[:, :2].tolist() == [[1.0, 1e200], [1.0, -1e200], [1.0, 2.0], [1.0, -1e200]]
-        assert _powers(np.array([-1e200]), 2)[0, 2] == math.inf
+        got = list(_powers(np.array([1e200, -1e200, 2.0, -1e200]), 3))
+        assert got[3].tolist() == [math.inf, -math.inf, 8.0, -math.inf]
+        assert [power.tolist() for power in got[:2]] == [[1.0] * 4, [1e200, -1e200, 2.0, -1e200]]
+        assert list(_powers(np.array([-1e200]), 2))[2][0] == math.inf
 
     @pytest.mark.parametrize("order", [10, 20])
     def test_moment_sums_past_the_float_range_raise_typed(self, order):
@@ -776,8 +825,18 @@ class TestOverflowingPowers:
         spec = TruncatedGaussianSpec(
             3.457032552295589e44, 2.421867596011739e44, 0.0, 3.1664191723467982e53
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="a moment is nan"):
             package_raw_moments(spec, order)
+
+    def test_first_central_moment_is_relative_to_the_mean(self):
+        # a window thousands of units wide: E[x - mu] rounds to 1.8e-12
+        # against a mean of 9846, which the table checks accept
+        spec = TruncatedGaussianSpec(
+            -4339.894654759865, 5136.712298966036, 8156.676555253254, 168304.04545198614
+        )
+        table = package_raw_moments(spec, 4)
+        assert 1e-12 < abs(table.central[1]) <= 1e-12 * table.raw[1]
+        assert table.raw[1] == spec.mu
 
     def test_wide_window_table(self):
         # b**20 = 1e320 overflows; the mass beyond x = 10 (18 parent sigmas)
