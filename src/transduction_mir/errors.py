@@ -73,7 +73,10 @@ def live_rows(errors: list) -> np.ndarray:
 def merge_rows(errors: list, *others: list) -> list:
     """Per row the first error in ``errors`` and then ``others``, or None: the
     first error wins, as in a scalar call that stops at its first failure."""
-    return [next((e for e in row if e is not None), None) for row in zip(errors, *others)]
+    merged = list(errors)
+    for other in others:
+        merged = [first if first is not None else e for first, e in zip(merged, other)]
+    return merged
 
 
 def mark_rows(errors: list, failed, make) -> None:

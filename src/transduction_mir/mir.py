@@ -119,10 +119,15 @@ def plogp(p: float) -> float:
     return float(_plogp_vec(np.float64(p)))
 
 
+def _xlogx(x: np.ndarray, log) -> np.ndarray:
+    """x * log(x) of every entry, 0 where x is not positive (0 log 0 = 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x > 0.0, x * log(x), 0.0)
+
+
 def _plogp_vec(p: np.ndarray) -> np.ndarray:
     """Vectorized p*log2(p) with the 0 log 0 = 0 extension; no domain check."""
-    safe = np.where(p > 0.0, p, 1.0)
-    return np.where(p > 0.0, p * np.log2(safe), 0.0)
+    return _xlogx(p, np.log2)
 
 
 def _plogp_entry(x: np.ndarray, c, m) -> np.ndarray:
@@ -132,8 +137,7 @@ def _plogp_entry(x: np.ndarray, c, m) -> np.ndarray:
 
 def _xlnx_vec(x: np.ndarray) -> np.ndarray:
     """x * ln(x) extended by continuity to 0 at x = 0."""
-    safe = np.where(x > 0.0, x, 1.0)
-    return np.where(x > 0.0, x * np.log(safe), 0.0)
+    return _xlogx(x, np.log)
 
 
 def xlnx(x: float) -> float:

@@ -218,15 +218,12 @@ def audit_rows(rows: Sequence[SweepRow]) -> list[tuple[int, str]]:
     """Check the bound-sandwich invariant on every fully populated row."""
     violations = []
     for i, row in enumerate(rows):
-        if row.mir_quadrature is None:
+        exact = row.mir_quadrature
+        if exact is None:
             continue
-        for s in (2, 4):
-            lb = getattr(row, f"lb_s{s}")
-            ub = getattr(row, f"ub_s{s}")
-            if lb is not None and not (lb - 1e-9 <= row.mir_quadrature <= ub + 1e-9):
-                violations.append(
-                    (i, f"s={s} bounds [{lb}, {ub}] fail to sandwich {row.mir_quadrature}")
-                )
+        for s, lb, ub in ((2, row.lb_s2, row.ub_s2), (4, row.lb_s4, row.ub_s4)):
+            if lb is not None and not (lb - 1e-9 <= exact <= ub + 1e-9):
+                violations.append((i, f"s={s} bounds [{lb}, {ub}] fail to sandwich {exact}"))
     return violations
 
 

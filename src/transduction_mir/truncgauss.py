@@ -19,11 +19,11 @@ from itertools import islice
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri, roots_legendre
 
 from .errors import NoConvergence, OrderTooHigh, ValidationError, mark_rows, merge_rows, unwrap
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 
 #: Hard ceiling on moment order, for moment tables and the series order;
 #: higher orders are refused outright.
@@ -58,9 +58,26 @@ _ATOL = 1e-14
 # was the fastest block measured; 256 rows was slower and held more memory.
 _BLOCK_NODES = 32 * 400
 
+# Newton steps allowed per Gauss-Legendre rule.  From Tricomi's guess every
+# rule up to n = 3200 settles in at most four.
+_NEWTON_STEPS = 10
+
 
 def _norm_pdf(t):
     return np.exp(-0.5 * np.square(t)) / _SQRT_2PI
+
+
+def _ndtr(t) -> np.ndarray:
+    """Standard normal CDF of every entry, ``0.5 * erfc(-t / sqrt(2))``.
+
+    One stdlib ``math.erfc`` call per entry.  Against 50-digit mpmath it is
+    within 1.8e-15 relative on [-3, 3], 1.5e-14 on [-10, -3] and 1.5e-13 on
+    [-30, -10], where the rounding of ``t / sqrt(2)`` is amplified by the
+    tail's slope; below -37.5 it is subnormal, far under
+    ``MIN_TRUNCATION_MASS``.
+    """
+    args = (-np.asarray(t, dtype=float) * _SQRT_HALF).tolist()
+    return 0.5 * np.fromiter(map(math.erfc, args), dtype=float, count=len(args))
 
 
 def _powers(x: np.ndarray, order: int):
@@ -85,8 +102,16 @@ def _fsum_rows(terms: np.ndarray, spans) -> np.ndarray:
     slice ``start:stop`` of row r of ``terms``, for the k-th (start, stop)
     in ``spans``.  A sum fsum cannot form (inf - inf, or an intermediate
     overflow) is nan, which the callers' checks reject."""
-    sums = [list(map(_fsum_or_nan, terms[:, start:stop].tolist())) for start, stop in spans]
+    sums = [_fsum_each(terms[:, start:stop].tolist()) for start, stop in spans]
     return np.array(sums, dtype=float).reshape(len(spans), len(terms)).T
+
+
+def _fsum_each(rows: list) -> list:
+    """``math.fsum`` of every row; where one fails, row by row with nan there."""
+    try:
+        return list(map(math.fsum, rows))
+    except (OverflowError, ValueError):
+        return list(map(_fsum_or_nan, rows))
 
 
 def _fsum_or_nan(values: list) -> float:
@@ -128,10 +153,10 @@ class TruncatedGaussianSpec:
     mu_bar, sigma_bar : parent mean and standard deviation.
     a, b : truncation interval, ``0 <= a < b < inf``.
     alpha, beta : standardized truncation points ``(a - mu_bar)/sigma_bar`` etc.
-    z : parent mass kept by the truncation, ``ndtr(beta) - ndtr(alpha)``; when
-      ``alpha > 0`` it is formed on the reflected upper tail as
-      ``ndtr(-alpha) - ndtr(-beta)``, which keeps its digits where
-      ``ndtr(alpha)`` rounds toward 1.
+    z : parent mass kept by the truncation, ``Phi(beta) - Phi(alpha)`` with
+      the standard normal CDF ``Phi`` (``_ndtr``); when ``alpha > 0`` it is
+      formed on the reflected upper tail as ``Phi(-alpha) - Phi(-beta)``,
+      which keeps its digits where ``Phi(alpha)`` rounds toward 1.
     mu, sigma2 : mean and variance of the truncated variable, in closed form
       from the first two raw moments L_1, L_2 of the truncated standard
       normal (see ``_l_coefficients``)::
@@ -201,7 +226,8 @@ def _spec_rows(mu_bar, sigma_bar, a, b) -> tuple[SpecColumns, list]:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         alpha = (lo - mb) / sb
         beta = (hi - mb) / sb
-        z = np.where(alpha > 0.0, ndtr(-alpha) - ndtr(-beta), ndtr(beta) - ndtr(alpha))
+        upper = alpha > 0.0
+        z = _ndtr(np.where(upper, -alpha, beta)) - _ndtr(np.where(upper, -beta, alpha))
         mark_rows(
             errors,
             z <= MIN_TRUNCATION_MASS,
@@ -398,14 +424,17 @@ def sample(spec: TruncatedGaussianSpec, rng: np.random.Generator, size=None):
     the standard normal quantile function.  When ``alpha > 0`` it is drawn
     on the reflected upper-tail mass instead, as for ``z``, so a far-tail
     window keeps distinct draws.  Deterministic for a given generator state;
-    the caller owns the generator.
+    the caller owns the generator.  The quantile function is scipy's
+    ``ndtri``, imported here: only Monte Carlo loads scipy.
     """
+    from scipy.special import ndtri
+
     if spec.alpha > 0.0:
-        u = rng.uniform(float(ndtr(-spec.beta)), float(ndtr(-spec.alpha)), size)
-        x = spec.mu_bar - spec.sigma_bar * ndtri(u)
+        lo, hi = _ndtr((-spec.beta, -spec.alpha)).tolist()
+        x = spec.mu_bar - spec.sigma_bar * ndtri(rng.uniform(lo, hi, size))
     else:
-        u = rng.uniform(float(ndtr(spec.alpha)), float(ndtr(spec.beta)), size)
-        x = spec.mu_bar + spec.sigma_bar * ndtri(u)
+        lo, hi = _ndtr((spec.alpha, spec.beta)).tolist()
+        x = spec.mu_bar + spec.sigma_bar * ndtri(rng.uniform(lo, hi, size))
     # ndtri(0) = -inf can occur with probability 2^-53; clipping keeps the
     # support contract without distorting the distribution measurably
     x = np.clip(x, spec.a, spec.b)
@@ -414,9 +443,48 @@ def sample(spec: TruncatedGaussianSpec, rng: np.random.Generator, size=None):
     return x
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) at every entry, by the three-term recurrence
+    j P_j = (2j - 1) x P_(j-1) - (j - 1) P_(j-2), with 1 - x^2 formed as
+    (1 - x)(1 + x) in the derivative n (P_(n-1) - x P_n) / (1 - x^2)."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+
+
 @lru_cache(maxsize=64)
 def _gl_nodes(n: int):
-    nodes, weights = roots_legendre(n)
+    """The n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on the three-term recurrence, after Hale & Townsend
+    (2013), run on the ceil(n/2) nonnegative nodes at once from Tricomi's
+    first-order guess and mirrored; the middle node of an odd rule is
+    exactly 0.  The weights are 2 / ((1 - x^2) P_n'(x)^2) at the converged
+    nodes.  The guesses take the stdlib cosine and the rest is +, * and /,
+    so the rule has the same bits whichever SIMD path numpy takes.
+
+    Against 40-digit mpmath the nodes are within 1 ulp, except next to 0,
+    where the recurrence's rounding is absolute: under 5e-18, which is up
+    to 3.5 ulp of the innermost nodes at n = 800 and 1600.  The weights are
+    within 3e-13 relative at n = 200 and 5e-11 at n = 1600.  O(n^2) work:
+    about 5 ms at n = 200 and 60 ms at n = 1600.
+    """
+    theta = np.pi * (4.0 * np.arange((n + 1) // 2, 0, -1) - 1.0) / (4.0 * n + 2.0)
+    cos = np.fromiter(map(math.cos, theta.tolist()), dtype=float, count=len(theta))
+    x = cos * (1.0 - (n - 1.0) / (8.0 * n**3))
+    if n % 2:
+        x[0] = 0.0
+    for _ in range(_NEWTON_STEPS):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x = x - step
+        if np.abs(step).max() <= 1e-15:
+            break
+    _, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    nodes = np.concatenate((-x[::-1], x[n % 2 :]))
+    weights = np.concatenate((w[::-1], w[n % 2 :]))
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
@@ -514,9 +582,15 @@ def _gl_rows(edges, loc, scale, mass, f, n: int, params=None) -> list:
     values = []
     for start in range(0, len(edges), block):
         b = slice(start, start + block)
-        ts = half[b, :, None] * nodes + mid[b, :, None]
-        xs = loc[b, None, None] + scale[b, None, None] * ts
-        ws = half[b, :, None] * weights * _norm_pdf(ts) / mass[b, None, None]
+        # ts = half * nodes + mid, xs = loc + scale * ts and
+        # ws = half * weights * pdf / mass, in place in the same order
+        ts = half[b, :, None] * nodes
+        ts += mid[b, :, None]
+        xs = scale[b, None, None] * ts
+        xs += loc[b, None, None]
+        ws = half[b, :, None] * weights
+        ws *= _norm_pdf(ts)
+        ws /= mass[b, None, None]
         ws = ws.reshape(len(ts), -1)
         columns = () if params is None else params[b].T[:, :, None]
         out = f(xs.reshape(len(ts), -1), *columns)

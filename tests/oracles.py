@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from transduction_mir import (
     DomainError,
@@ -184,6 +183,11 @@ def power(x: float, k: int) -> float:
     return value
 
 
+def ndtr(t: float) -> float:
+    """Standard normal CDF of one float, by the package's formula."""
+    return 0.5 * math.erfc(-t * math.sqrt(0.5))
+
+
 def scalar_spec_fields(mu_bar, sigma_bar, a, b) -> tuple[float, ...]:
     """(alpha, beta, z, mu, sigma2) of a truncated Gaussian, float by float.
 
@@ -197,9 +201,9 @@ def scalar_spec_fields(mu_bar, sigma_bar, a, b) -> tuple[float, ...]:
     alpha = (a - mu_bar) / sigma_bar
     beta = (b - mu_bar) / sigma_bar
     if alpha > 0.0:
-        z = float(ndtr(-alpha) - ndtr(-beta))
+        z = ndtr(-alpha) - ndtr(-beta)
     else:
-        z = float(ndtr(beta) - ndtr(alpha))
+        z = ndtr(beta) - ndtr(alpha)
     if z <= MIN_TRUNCATION_MASS:
         raise ValidationError(
             f"truncation [{a}, {b}] keeps only {z:.3e} of the parent "

@@ -1,9 +1,13 @@
 """CLI surface tests: subcommands, exit codes, file outputs, determinism."""
 
+import csv
 import hashlib
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -536,7 +540,7 @@ class TestShippedConfigs:
     # sha256 of the 8x8 sweep of every deterministic method on [1e-5, 2],
     # where graded panels are active; it pins the series, s=4 and discrete
     # bytes that no committed results file covers
-    PANEL_CSV = "35c7b8e03c9e1b0d55247837b8b9d61cbc6dc320b81bb4a45a99b906562bf045"
+    PANEL_CSV = "ec56fc22f17d6f0ffc14d7e16e379a2ff94a8309a9afb68b4f402485c8f688e0"
 
     def test_panel_sweep_csv_frozen(self, tmp_path):
         doc = {
@@ -557,6 +561,59 @@ class TestShippedConfigs:
         out = tmp_path / "panel.csv"
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PANEL_CSV
+
+
+class TestScipyOnlyForSampling:
+    """The deterministic commands run on numpy and the stdlib alone; scipy is
+    imported only to draw Monte Carlo inputs.  Each check is a fresh
+    interpreter, since this test process has scipy loaded already."""
+
+    PRELUDE = (
+        "import sys\n"
+        "from transduction_mir.cli import main\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+    )
+
+    def run(self, body: str, tmp_path) -> list:
+        env = dict(os.environ)
+        src = str(CONFIG_DIR.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PRELUDE + body, str(CONFIG_DIR / "chr2_point.json"),
+             str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_deterministic_commands_never_import_scipy(self, tmp_path):
+        body = (
+            "import json\n"
+            "config, out = sys.argv[1], sys.argv[2] + '/sweep.csv'\n"
+            "for argv in (['mir', '--config', config], ['moments', '--config', config],\n"
+            "             ['bounds', '--config', config, '--s', '4'],\n"
+            "             ['sweep', '--config', config, '--out', out]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(json.dumps(scipy_modules()))\n"
+        )
+        assert self.run(body, tmp_path) == []
+        # the sweep ran every deterministic method of chr2_point.json
+        (row,) = csv.DictReader((tmp_path / "sweep.csv").open())
+        assert row["status"] == "ok"
+        assert [key for key, value in row.items() if not value] == ["mc_value", "mc_stderr"]
+
+    def test_simulate_imports_scipy_only_to_sample(self, tmp_path):
+        body = (
+            "import json\n"
+            "before = scipy_modules()\n"
+            "argv = ['simulate', '--config', sys.argv[1], '--out', sys.argv[2] + '/sim.json',\n"
+            "        '--mc-n', '1000', '--seed', '3']\n"
+            "assert main(argv) == 0\n"
+            "print(json.dumps([before, 'scipy.special' in sys.modules]))\n"
+        )
+        assert self.run(body, tmp_path) == [[], True]
+        assert json.loads((tmp_path / "sim.json").read_text())["n"] == 1000
 
 
 class TestReadme:

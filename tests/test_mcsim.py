@@ -138,9 +138,11 @@ class TestMatchesPerStepLoop:
 class TestFrozenPaths:
     """Paths, CLI output and a Monte Carlo sweep, frozen as sha256 digests.
 
-    The values were taken from the per-step simulator before the
+    The path digests were taken from the per-step simulator before the
     event-driven walk replaced it, so they pin the same answers
-    independently of the oracle loop.
+    independently of the oracle loop.  The seed-0 CLI digest and the sweep
+    digest were taken again when the kept mass moved to the stdlib erfc,
+    which moves the plug-in estimate in its last digits; the paths held.
     """
 
     STATES = {
@@ -148,10 +150,10 @@ class TestFrozenPaths:
         7: "4a5c0521840085ce8aaba8a7723f983148900d7152beed74466d8ea7a6253274",
     }
     CLI_JSON = {
-        0: "fc4939c42862089a281d0247f53de0871213870fe01e9046a43255ea5886b22f",
+        0: "73a95615347cb9960103e5b9dc7d8dbd8fbfaf74cfc64d0e6ae92f777b30fbb0",
         7: "d00a6b25946f5e9c9029fd6f07ec9a43b621a7c45ec6f65906b88b9440f3d781",
     }
-    MC_SWEEP_CSV = "24cf788af48fd71703c0123def6048dd2ecaaba710c3518297f68bfebcb58d95"
+    MC_SWEEP_CSV = "a48ae1c62892e03069165e5fac105b3084afbe448c64f3aa5265f5cb412c2b38"
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_states(self, unit_chr2, canonical_dist, seed):

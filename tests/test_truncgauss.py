@@ -10,11 +10,12 @@ import math
 import time
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from transduction_mir import (
     MirError,
@@ -34,6 +35,7 @@ from transduction_mir.truncgauss import (
     _gl_nodes,
     _gl_rows,
     _moment_rows,
+    _ndtr,
     _panel_edges,
     _powers,
     _shifted_moment_rows,
@@ -554,16 +556,20 @@ class TestExpectationRows:
         columns = _columns(specs)
         centers = rng.uniform(0.0, 2.0, len(specs))
         got, errors = _shifted_moment_rows(columns, centers, 40)
-        for row, spec, center, error in zip(got, specs, centers.tolist(), errors):
-            if error is None:
-                assert row.tobytes() == shifted_moment_vector(spec, center, 40).tobytes()
-                continue
-            # a center inside the one-sided window (-0.1, 1, [0.05, 50]) cuts it
-            # at 18 sigmas, where the estimates never settle
-            assert type(error) is NoConvergence and np.isnan(row).all()
-            with pytest.raises(NoConvergence):
-                shifted_moment_vector(spec, center, 40)
-        assert errors.count(None) == len(specs) - 1
+        assert errors == [None] * len(specs)
+        for row, spec, center in zip(got, specs, centers.tolist()):
+            assert row.tobytes() == shifted_moment_vector(spec, center, 40).tobytes()
+        # the one-sided window (-0.1, 1, [0.05, 50]), cut at 18 sigmas about
+        # this center, settles too.  FROZEN: E[(x - center)^m], m = 2..8, by
+        # mpmath at 50 digits (mp.quad with breakpoints at a + 1, 3 and 8)
+        assert centers[122] == 1.6522404711782654
+        frozen = [
+            1.065517967141172665020015, -1.280406724093764255831541,
+            1.755643532935376284102704, -2.294496192168346574894322,
+            3.33999569666384821193539, -4.464291080918050344957662,
+            6.920267952192655232334992,
+        ]
+        np.testing.assert_allclose(got[122, 2:9], frozen, rtol=1e-13, atol=0.0)
         # orders above 20 of the moment tables: one call on 2n rows
         raw, central, errors = _moment_rows(columns, 64)
         for i, spec in enumerate(specs):
@@ -845,3 +851,78 @@ class TestOverflowingPowers:
         near = package_raw_moments(TruncatedGaussianSpec(1, 0.5, 1e-5, 10.0), 20)
         np.testing.assert_allclose(wide.raw, near.raw, rtol=1e-13)
         np.testing.assert_allclose(wide.central, near.central, rtol=1e-12, atol=1e-15)
+
+
+class TestNormalCdf:
+    """``_ndtr`` against 50-digit mpmath, with scipy's ``ndtr`` as a second,
+    independent oracle: relative error per range of the argument."""
+
+    RANGES = [(-3.0, 8.0, 1.8e-15), (-10.0, -3.0, 1.5e-14), (-30.0, -10.0, 1.5e-13),
+              (-37.5, -30.0, 2.5e-13)]
+
+    def test_against_mpmath_and_scipy(self):
+        rng = np.random.default_rng(11)
+        t = np.concatenate((np.linspace(-38.0, 8.0, 461), rng.uniform(-38.0, 8.0, 1000)))
+        got = _ndtr(t)
+        with mp.workdps(50):
+            exact = [mp.ncdf(mp.mpf(x)) for x in t.tolist()]
+            rel = np.array([float(abs(mp.mpf(g) / e - 1)) for g, e in zip(got.tolist(), exact)])
+        other = special.ndtr(t)
+        for lo, hi, rtol in self.RANGES:
+            inside = (lo <= t) & (t <= hi)
+            assert rel[inside].max() <= rtol
+            np.testing.assert_allclose(got[inside], other[inside], rtol=rtol, atol=0.0)
+        # below -37.5 the mass is subnormal (scipy returns 0), far under
+        # any truncation the package accepts
+        deep = t < -37.5
+        assert deep.any() and (got[deep] >= 0.0).all() and (got[deep] < 1e-307).all()
+        assert (other[deep] >= 0.0).all() and (other[deep] < 1e-307).all()
+
+    def test_infinite_arguments(self):
+        assert _ndtr([-math.inf, 0.0, math.inf]).tolist() == [0.0, 0.5, 1.0]
+
+
+class TestGaussLegendreRule:
+    """``_gl_nodes`` against mpmath roots of P_n at 40 digits, on the node
+    counts of the quadrature schedule."""
+
+    @staticmethod
+    def exact(n: int, x: float):
+        """The root of P_n next to x and its weight, by Newton in mpmath."""
+        def newton_pair(r):
+            p, q = mp.legendre(n, r), mp.legendre(n - 1, r)
+            return p, n * (q - r * p) / (1 - r * r)
+
+        r = mp.mpf(x)
+        for _ in range(2):
+            p, dp = newton_pair(r)
+            r -= p / dp
+        _, dp = newton_pair(r)
+        return r, 2 / ((1 - r * r) * dp * dp)
+
+    @pytest.mark.parametrize("n, weight_rtol", [
+        (1, 0.0), (2, 1e-15), (7, 1e-15), (24, 1e-14), (200, 1e-12), (400, 1e-11),
+        (800, 1e-11), (1600, 1e-10),
+    ])
+    def test_against_mpmath(self, n, weight_rtol):
+        _gl_nodes.cache_clear()
+        nodes, weights = _gl_nodes(n)
+        assert nodes.tolist() == (-nodes[::-1]).tolist() and weights.tolist() == weights[::-1].tolist()
+        assert np.all(np.diff(nodes) > 0.0)
+        assert math.fsum(weights.tolist()) == pytest.approx(2.0, rel=1e-15)
+        # the ten nodes next to 0, the ten next to 1 (where the weights are
+        # least accurate) and sixteen between
+        half = n // 2
+        picks = sorted({*range(half, min(half + 10, n)), *range(max(n - 10, half), n),
+                        *range(half, n, max(1, half // 16))})
+        with mp.workdps(40):
+            for i in picks:
+                root, weight = self.exact(n, float(nodes[i]))
+                # one ulp; near 0 the recurrence's rounding is absolute, so
+                # 2^-57 there (the innermost nodes at n = 800 and 1600 are
+                # up to 3.5 ulp, 4.7e-18, off)
+                tol = max(np.spacing(abs(float(root))), 2.0**-57)
+                assert abs(mp.mpf(float(nodes[i])) - root) <= tol
+                assert abs(mp.mpf(float(weights[i])) / weight - 1) <= weight_rtol
+        if n % 2:
+            assert nodes[half] == 0.0
