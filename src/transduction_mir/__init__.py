@@ -37,7 +37,6 @@ from .mir import (
     mir_quadrature,
     mir_series,
     plogp,
-    sensitive_pairs,
     xlnx,
 )
 from .receptor import (

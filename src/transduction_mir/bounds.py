@@ -39,6 +39,8 @@ from .errors import (
     unwrap,
 )
 
+from .mir import _xlnx_vec
+
 # stationary_distribution and raw_moments are not called here: perfbench's
 # tracer wraps ``bounds.stationary_distribution`` and ``bounds.raw_moments``,
 # and perfbench/tests/test_tracer.py looks up every wrapped name without a
@@ -134,12 +136,8 @@ def _h_rows(x: np.ndarray, mu: np.ndarray, s: int) -> tuple[np.ndarray, list]:
     x, mu, dx = x[ok], mu[ok], dx[ok]
     log_mu = np.log(mu)
     derivs = _f_derivatives(mu, log_mu)
-    # x ln x, continuously 0 at x = 0
-    f_x = np.zeros_like(x)
-    inside = x != 0.0
-    f_x[inside] = x[inside] * np.log(x[inside])
     dx_pow = list(_powers(dx, s))
-    value = (f_x - mu * log_mu) / dx_pow[s]
+    value = (_xlnx_vec(x) - mu * log_mu) / dx_pow[s]
     for i in range(1, s):
         value -= derivs[i - 1] / (math.factorial(i) * dx_pow[s - i])
     values = np.full(len(ok), np.nan)

@@ -1,7 +1,8 @@
 """Mutual information rate of the receptor channel, three ways.
 
-* ``mir_discrete``   -- finite-step rate at delta_t, the per-pair entropy
-  difference of the input-conditioned and input-averaged chains.
+* ``mir_discrete``   -- finite-step rate at delta_t: the continuous-time
+  rate plus the entropy difference of the input-conditioned and
+  input-averaged chains on the x-dependent diagonal entries, O(delta_t).
 * ``mir_quadrature`` -- continuous-time limit: gain * Jensen gap of x*ln(x).
 * ``mir_series``     -- power-series approximation of the gap, truncated at
   a chosen order, valid on 0 < a and b <= 2.
@@ -14,7 +15,6 @@ case of a row kernel (``_discrete_rows``, ``_quadrature_rows``,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -82,7 +82,7 @@ class MirResult:
             # a truncated tail can undershoot zero by up to gain/order
             floor = -(self.gain / self.order + 1e-9)
         else:
-            floor = -math.inf
+            raise ValidationError(f"unknown method {self.method!r}")
         errors = [None]
         _mark_floor(errors, self.method, np.array([self.value]), floor)
         unwrap(errors[0])
@@ -158,27 +158,23 @@ def _gap(e_xlnx: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return e_xlnx - mu * np.log(mu)
 
 
-def sensitive_pairs(spec: ReceptorSpec) -> list[tuple[int, int]]:
-    """Entries of P(x) that depend on x: the nonzero entries of the slope,
-    sensitive off-diagonals plus the diagonals of rows that contain one."""
-    rows, cols = np.nonzero(spec.slope)
-    return list(zip(rows.tolist(), cols.tolist()))
-
-
 def mir_discrete(spec: ReceptorSpec, dist: TruncatedGaussianSpec, delta_t: float) -> MirResult:
     """Information rate at a finite step, in bits/s.
 
-    For every x-dependent entry (y, y') of P(x), accumulates
+    Every x-dependent entry (y, y') of P(x) contributes
 
         pi_y * ( E[ phi(p_yy'(x)) ] - phi( E[p_yy'(x)] ) ) / delta_t
 
-    with phi(p) = p log2 p, summed with math.fsum so the result does not
-    depend on the pair order.  x-independent entries cancel exactly.  The
-    diagonal pairs contribute O(delta_t); they are included, not assumed
-    away, so the vanishing in the continuous-time limit is observable.
-    Each entry is c + m*x, so E[p_yy'(x)] = c + m*mu in closed form; only
-    E[phi(p_yy'(x))] needs quadrature.  The one-row case of
-    ``_discrete_rows``.
+    with phi(p) = p log2 p; x-independent entries cancel exactly.  An
+    x-dependent off-diagonal entry is delta_t * rate * x, since a pair is
+    listed once, so its term is pi_y * rate * gap / ln 2: these terms sum to
+    the continuous-time rate gain * gap, and ``off_diagonal_bits_per_s`` is
+    the ``mir_quadrature`` value.  Only the x-dependent diagonal entries
+    c + m*x need quadrature of E[phi(p_yy(x))], as E[p_yy(x)] = c + m*mu is
+    closed form; their terms, summed with math.fsum, are the O(delta_t)
+    ``diagonal_bits_per_s``, included, not assumed away, so the vanishing in
+    the continuous-time limit is observable.  The rate is the sum of the
+    two parts.  The one-row case of ``_discrete_rows``.
 
     Raises StepTooLarge if the step is inadmissible at the worst-case
     intensity x = b.
@@ -207,14 +203,15 @@ def _discrete_rows(spec, columns, b, delta_t, chains, e_xlnx) -> tuple[np.ndarra
     support that ends at ``b``, from their rows of ``mean_chain_rows`` and
     of ``expectation_rows`` with x ln x.
 
-    The E[phi(p_yy'(x))] of every sensitive pair of every distribution are
-    one ``expectation_rows`` pass.  Returns (rates, errors): per row the
-    rate, its Jensen gap in nats and its diagonal and off-diagonal parts in
-    bits/s, as a (rows, 4) array with nan on failed rows, and the MirError
-    ``mir_discrete`` raises for the row, or None.  The errors keep the
-    one-row order: ``step_kernel`` at b, which every row shares, the mean
-    chain, the pairs in ``sensitive_pairs`` order, E[x ln x], then the
-    ``MirResult`` floor.
+    The off-diagonal part is gain * gap from those rows.  The
+    E[phi(p_yy(x))] of every x-dependent diagonal entry of every
+    distribution are one ``expectation_rows`` pass.  Returns (rates,
+    errors): per row the rate, its Jensen gap in nats and its diagonal and
+    off-diagonal parts in bits/s, as a (rows, 4) array with nan on failed
+    rows, and the MirError ``mir_discrete`` raises for the row, or None.
+    The errors keep the one-row order: ``step_kernel`` at b, which every row
+    shares, the mean chain, the diagonal entries in state order, E[x ln x],
+    then the ``MirResult`` floor.
     """
     rates = np.full((len(columns.mu), 4), np.nan)
     try:
@@ -226,32 +223,29 @@ def _discrete_rows(spec, columns, b, delta_t, chains, e_xlnx) -> tuple[np.ndarra
     if not live.size:
         return rates, errors
 
-    pairs = sensitive_pairs(spec)
-    y, y_next = (np.array(index) for index in zip(*pairs))
-    c, m = const[y, y_next], lin[y, y_next]
-    e_phi, _, _, pair_errors = expectation_rows(
-        columns.take(np.repeat(live, len(pairs))),
+    y = np.flatnonzero(np.diagonal(spec.slope))
+    c, m = const[y, y], lin[y, y]
+    e_phi, _, _, entry_errors = expectation_rows(
+        columns.take(np.repeat(live, len(y))),
         _plogp_entry,
         np.tile(np.stack((c, m), axis=1), (len(live), 1)),
     )
-    by_pair = (pair_errors[k :: len(pairs)] for k in range(len(pairs)))
-    stage = merge_rows(*by_pair, [e_xlnx[3][i] for i in live])
+    by_entry = (entry_errors[k :: len(y)] for k in range(len(y)))
+    stage = merge_rows(*by_entry, [e_xlnx[3][i] for i in live])
     ok = live_rows(stage)
-    e_phi = e_phi.reshape(len(live), len(pairs))
     mu = columns.mu[live]
     pi = chains[0][live]
 
     mean_entry = np.minimum(np.maximum(c + m * mu[:, None], 0.0), 1.0)
-    terms = pi[:, y] * (e_phi - _plogp_vec(mean_entry))
-    diagonal = y == y_next
-    total = _fsum_rows(terms, [(0, len(pairs))])[:, 0]
-    diag = _fsum_rows(terms[:, diagonal], [(0, int(diagonal.sum()))])[:, 0]
-    value = total / delta_t
-    _mark_floor(stage, f"discrete({delta_t!r})", value, _RATE_FLOOR)
-
+    terms = pi[:, y] * (e_phi.reshape(len(live), len(y)) - _plogp_vec(mean_entry))
+    diagonal = _fsum_rows(terms, [(0, len(y))])[:, 0] / delta_t
     gap = np.full(len(live), np.nan)
     gap[ok] = _gap(e_xlnx[0][live][ok], mu[ok])
-    rates[live] = np.stack((value, gap, diag / delta_t, (total - diag) / delta_t), axis=1)
+    off_diagonal = chains[1][live] * gap
+    value = diagonal + off_diagonal
+    _mark_floor(stage, f"discrete({delta_t!r})", value, _RATE_FLOOR)
+
+    rates[live] = np.stack((value, gap, diagonal, off_diagonal), axis=1)
     for i, error in zip(live.tolist(), stage):
         errors[i] = error
     rates[~live_rows(errors)] = np.nan

@@ -9,10 +9,12 @@ Monte Carlo gap, occupancy and bigram counts, the Taylor limit of h_s, the
 per-step simulation loop) are oracles for the acceptance criteria and the
 unit tests.  The one-array stationary solve, the one-spec Gauss-Legendre
 estimate, the float-by-float spec fields, panel edges, gain and gap bounds,
-and the pair-by-pair discrete rate are the scalar forms the batched kernels
+and the entry-by-entry discrete rate are the scalar forms the batched kernels
 must match bit for bit.  They use the package's arithmetic one float at a
 time: powers are running products (``power``), logs come from ``np.log``,
 sums of terms from ``math.fsum``, and a panel level from ``math.frexp``.
+The all-pairs discrete rate integrates every x-dependent entry, off-diagonal
+ones too, as an independent check of the kernel's gain * gap identity.
 """
 
 from __future__ import annotations
@@ -280,23 +282,47 @@ def pair_integrand(c: float, m: float):
     return lambda x: _plogp_vec(c + m * x)
 
 
-def scalar_discrete(spec: ReceptorSpec, dist: TruncatedGaussianSpec, delta_t: float) -> tuple:
-    """(value, diagonal part) of the finite-step rate in bits/s, pair by pair.
+def sensitive_pairs(spec: ReceptorSpec) -> list[tuple[int, int]]:
+    """Entries of P(x) that depend on x: the nonzero entries of the slope,
+    sensitive off-diagonals plus the diagonals of rows that contain one."""
+    rows, cols = np.nonzero(spec.slope)
+    return list(zip(rows.tolist(), cols.tolist()))
 
-    Each x-dependent entry's E[phi(p(x))] comes from its own one-spec
-    ``expectation`` call with a closure, and the terms are summed with
-    ``math.fsum``; no checks beyond the ones those calls make.
+
+def _entry_term(dist: TruncatedGaussianSpec, pi, c: float, m: float) -> float:
+    """pi_y * (E[phi(c + m x)] - phi(c + m mu)) of one entry, by a one-spec
+    ``expectation`` call with a closure."""
+    mean_entry = min(max(c + m * dist.mu, 0.0), 1.0)
+    return pi * (expectation(dist, pair_integrand(c, m)) - plogp(mean_entry))
+
+
+def scalar_discrete(spec: ReceptorSpec, dist: TruncatedGaussianSpec, delta_t: float) -> tuple:
+    """(value, diagonal part) of the finite-step rate in bits/s, entry by entry.
+
+    Each x-dependent diagonal entry's term comes from its own one-spec
+    ``expectation`` call, and the terms are summed with ``math.fsum``; the
+    off-diagonal part is gain * gap, from ``scalar_gain`` and a one-spec
+    E[x ln x].  No checks beyond the ones those calls make.
     """
     const, lin = step_kernel(spec, delta_t, dist.b)
     pi = stationary_distribution(spec, dist.mu)
-    terms = {}
-    for i, j in zip(*(index.tolist() for index in np.nonzero(spec.slope))):
-        c, m = const[i, j], lin[i, j]
-        e_phi = expectation(dist, pair_integrand(c, m))
-        mean_entry = min(max(c + m * dist.mu, 0.0), 1.0)
-        terms[i, j] = pi[i] * (e_phi - plogp(mean_entry))
+    y = np.flatnonzero(np.diagonal(spec.slope)).tolist()
+    diagonal = math.fsum(_entry_term(dist, pi[i], const[i, i], lin[i, i]) for i in y) / delta_t
+    gap = expectation(dist, _xlnx_vec) - dist.mu * np.log(dist.mu)
+    return diagonal + scalar_gain(spec, pi) * gap, diagonal
+
+
+def all_pairs_discrete(spec: ReceptorSpec, dist: TruncatedGaussianSpec, delta_t: float) -> tuple:
+    """(value, diagonal part, off-diagonal part) of the finite-step rate in
+    bits/s, from the E[phi(p(x))] of every x-dependent entry, off-diagonal
+    ones included: the definition, independent of the gain * gap identity."""
+    const, lin = step_kernel(spec, delta_t, dist.b)
+    pi = stationary_distribution(spec, dist.mu)
+    terms = {(i, j): _entry_term(dist, pi[i], const[i, j], lin[i, j])
+             for i, j in sensitive_pairs(spec)}
     diagonal = math.fsum(term for (i, j), term in terms.items() if i == j)
-    return math.fsum(terms.values()) / delta_t, diagonal / delta_t
+    off_diagonal = math.fsum(term for (i, j), term in terms.items() if i != j)
+    return math.fsum(terms.values()) / delta_t, diagonal / delta_t, off_diagonal / delta_t
 
 
 def gl_estimate(spec: TruncatedGaussianSpec, f, n: int, edges) -> float:

@@ -5,6 +5,7 @@ tolerance against the closed-form gain; the quadrature method is also
 cross-checked against an in-test adaptive-quadrature oracle.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -28,7 +29,6 @@ from transduction_mir import (
     mir_series,
     plogp,
     raw_moments,
-    sensitive_pairs,
     xlnx,
 )
 from transduction_mir.errors import MirError, NotIrreducible
@@ -42,7 +42,7 @@ from transduction_mir.mir import (
 from transduction_mir.receptor import ReceptorSpec, Transition, mean_chain_rows, step_kernel
 from transduction_mir.truncgauss import _columns, expectation_rows
 from conftest import five_state_receptor, random_valid_dist
-from oracles import pair_integrand, scalar_discrete
+from oracles import all_pairs_discrete, pair_integrand, scalar_discrete, sensitive_pairs
 
 # FROZEN oracle values at the canonical point (unit-rate skeleton,
 # mu_bar=1, sigma_bar=0.5, [1e-5, 2]).
@@ -204,10 +204,30 @@ class TestDiscrete:
 
     def test_off_diagonal_term_is_step_free(self, unit_chr2, canonical_dist):
         # sensitive off-diagonal entries are exactly linear in x, so their
-        # per-step contribution equals the asymptotic rate at any step
-        exact = mir_quadrature(unit_chr2, canonical_dist).value
-        r = mir_discrete(unit_chr2, canonical_dist, 1e-3)
-        assert r.diagnostics["off_diagonal_bits_per_s"] == pytest.approx(exact, rel=1e-9)
+        # per-step contribution is the continuous-time rate at any step
+        for spec, dt in itertools.product((unit_chr2, five_state_receptor()), (1e-3, 1e-4)):
+            exact = mir_quadrature(spec, canonical_dist).value
+            r = mir_discrete(spec, canonical_dist, dt)
+            assert r.diagnostics["off_diagonal_bits_per_s"] == exact
+            assert r.value == r.diagnostics["diagonal_bits_per_s"] + exact
+
+    @pytest.mark.parametrize("spec", [chr2_skeleton(1.3, 0.7, 2.1), five_state_receptor()],
+                             ids=lambda spec: spec.name)
+    def test_all_pairs_oracle(self, spec):
+        # the definition, with the E[phi(p(x))] of every off-diagonal entry
+        # integrated too, agrees with gain * gap plus the diagonal part
+        rng = np.random.default_rng(2024)
+        exit_rate = np.abs(np.diagonal(spec.slope)).max() + np.abs(np.diagonal(spec.base)).max()
+        for _ in range(8):
+            dist = random_valid_dist(rng)
+            dt = float(rng.uniform(1e-4, 0.05)) / (exit_rate * dist.b)
+            got = mir_discrete(spec, dist, dt)
+            value, diagonal, off_diagonal = all_pairs_discrete(spec, dist, dt)
+            assert got.value == pytest.approx(value, rel=1e-10, abs=0.0)
+            assert got.diagnostics["diagonal_bits_per_s"] == diagonal
+            assert got.diagnostics["off_diagonal_bits_per_s"] == pytest.approx(
+                off_diagonal, rel=1e-10, abs=0.0
+            )
 
 
 class TestSeries:
@@ -491,7 +511,7 @@ class TestDiscreteRows:
                     )
 
     def test_unsettled_pair_is_the_row_error(self, unit_chr2, monkeypatch):
-        # the second pair of the second point never settles
+        # the diagonal entry of the second point never settles
         import transduction_mir.mir as mir_module
 
         real = mir_module.expectation_rows
@@ -500,7 +520,7 @@ class TestDiscreteRows:
         def failing(specs, f, params=None):
             values, nodes, deltas, errors = real(specs, f, params)
             if params is not None:
-                values[3], errors[3] = np.nan, unsettled
+                values[1], errors[1] = np.nan, unsettled
             return values, nodes, deltas, errors
 
         monkeypatch.setattr(mir_module, "expectation_rows", failing)

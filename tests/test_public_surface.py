@@ -18,7 +18,7 @@ PUBLIC_NAMES = [
     "jensen_gap_bounds", "load_receptor", "mir_bounds", "mir_discrete",
     "mir_quadrature", "mir_series", "plogp", "raw_moments", "rows_from_csv",
     "rows_from_json", "rows_to_csv", "rows_to_json", "run_sweep", "sample",
-    "sensitive_gain", "sensitive_pairs", "shifted_moment_vector", "simulate",
+    "sensitive_gain", "shifted_moment_vector", "simulate",
     "stationary_distribution", "write_rows", "xlnx",
 ]
 
@@ -26,7 +26,7 @@ PUBLIC_NAMES = [
 REMOVED_NAMES = [
     "RateMatrix", "TransitionMatrix", "SteadyState", "build_rate_matrix",
     "transition_matrix", "steady_state", "density", "scale", "moments_about",
-    "mc_gap", "empirical_occupancy", "bigram_counts", "h_s_limit",
+    "mc_gap", "empirical_occupancy", "bigram_counts", "h_s_limit", "sensitive_pairs",
 ]
 
 

@@ -231,9 +231,9 @@ class TestRunSweep:
         assert stacks == [4]
 
     def test_refinement_calls_per_sweep(self, unit_chr2, monkeypatch):
-        # one E[x ln x] pass, one pass over every sensitive pair of every
-        # point, and one pass over the moment vectors of every point for the
-        # series
+        # one E[x ln x] pass, one pass over the x-dependent diagonal entries
+        # of every point for the discrete rate, and one pass over the moment
+        # vectors of every point for the series
         calls = []
         refine = truncgauss._refine
         monkeypatch.setattr(
@@ -248,8 +248,8 @@ class TestRunSweep:
         rows = run_sweep(config)
         assert [row.status for row in rows] == ["ok"] * 64
         assert len(calls) == 3
-        assert calls.count((64, "expectation")) == 1
-        assert calls.count((128, "expectation")) == 1  # two sensitive pairs per point
+        # E[x ln x], then one diagonal entry per point
+        assert calls.count((64, "expectation")) == 2
         assert calls.count((64, "moment quadrature")) == 1
 
     # the reducible receptor fails every valid row's stationary solve; at
@@ -285,6 +285,27 @@ class TestRunSweep:
     def test_audit_clean(self, unit_chr2):
         rows = run_sweep(small_config(unit_chr2, methods=("quadrature", "bounds_s2", "bounds_s4")))
         assert audit_rows(rows) == []
+
+    def test_audit_slack_is_relative_to_the_rate(self, unit_chr2):
+        # a window 0.0016 parent sigmas wide: the rate is 5.6e-6 bits/s, and
+        # the s=4 pair misses it by 1e-4 relative, which an absolute slack of
+        # 1e-9 bits/s lets pass; the s=2 pair holds it
+        mu_bar, sigma_bar = -0.23401700995488373, 1.5972108257237898
+        config = small_config(
+            unit_chr2,
+            a=0.05928128419236875,
+            b=0.06180208139557882,
+            mu_bar_grid=GridAxis(mu_bar, mu_bar, 1),
+            sigma_bar_grid=GridAxis(sigma_bar, sigma_bar, 1),
+            methods=("quadrature", "bounds_s2", "bounds_s4"),
+        )
+        (row,) = run_sweep(config)
+        exact = row.mir_quadrature
+        assert row.lb_s2 <= exact <= row.ub_s2
+        assert row.lb_s4 - exact > 1e-5 * exact
+        message = f"s=4 bounds [{row.lb_s4}, {row.ub_s4}] fail to sandwich {exact}"
+        assert row.status == f"audit:{message}"
+        assert audit_rows([row]) == [(0, message)]
 
     def test_rows_match_direct_api_calls(self, unit_chr2):
         from transduction_mir import TruncatedGaussianSpec, mir_quadrature

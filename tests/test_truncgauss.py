@@ -366,6 +366,13 @@ class TestMoments:
         by_quad = shifted_moment_vector(canonical_dist, 1.0, 12)
         by_rec = moments_about(canonical_dist, 1.0, 12)
         np.testing.assert_allclose(by_quad, by_rec, rtol=1e-9, atol=1e-13)
+        # orders 0 and 1 are the closed forms 1 and mu - center, no quadrature
+        closed = [1.0, canonical_dist.mu - 1.0]
+        for order in (0, 1):
+            got = shifted_moment_vector(canonical_dist, 1.0, order)
+            assert got.tolist() == closed[: order + 1] == by_quad[: order + 1].tolist()
+        with pytest.raises(ValidationError, match="order must be >= 0"):
+            shifted_moment_vector(canonical_dist, 1.0, -1)
 
 
 class TestSampling:

@@ -116,6 +116,10 @@ class TestResultTypes:
         with pytest.raises(ValidationError):
             MirResult(value=0.1, method="series(10)", gain=1.0, gap_nats=0.1)
 
+    def test_unknown_method_is_rejected(self):
+        with pytest.raises(ValidationError, match="unknown method 'trapezoid'"):
+            MirResult(value=-1.0, method="trapezoid", gain=1.0, gap_nats=0.1)
+
     def test_nonnegativity_floor(self):
         with pytest.raises(ValidationError):
             MirResult(value=-1e-6, method="quadrature", gain=1.0, gap_nats=-1e-6)
