@@ -33,6 +33,7 @@ from .errors import (
     DegenerateArgument,
     DomainError,
     ValidationError,
+    check_integer,
     live_rows,
     mark_rows,
     merge_rows,
@@ -89,6 +90,7 @@ class BoundPair:
 
 
 def _check_order(s: int) -> None:
+    check_integer(s, "s")
     if s not in _SUPPORTED_ORDERS:
         raise ValidationError(f"s must be one of {_SUPPORTED_ORDERS}, got {s}")
 

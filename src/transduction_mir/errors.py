@@ -1,6 +1,8 @@
 """Exception types shared across the package, and how the batched kernels
 carry them per row."""
 
+import numbers
+
 import numpy as np
 
 
@@ -50,6 +52,13 @@ class InsufficientData(MirError):
 
 class EmptySweep(MirError):
     """No rows to reduce."""
+
+
+def check_integer(value, name: str, error=ValidationError) -> None:
+    """Raise ``error`` unless ``value`` is an integer: a count or an order
+    given as a float, even a whole one, is refused, never truncated."""
+    if not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
 
 
 def unwrap(error) -> None:

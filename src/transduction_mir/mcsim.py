@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, ValidationError
+from .errors import InsufficientData, ValidationError, check_integer
 from .receptor import ReceptorSpec, stationary_distribution, step_kernel
 from .truncgauss import TruncatedGaussianSpec, sample
 
@@ -121,6 +121,7 @@ def simulate(
     Raises StepTooLarge if delta_t is inadmissible at x = b, and
     ValidationError if n < 1 or the seed is a negative integer.
     """
+    check_integer(n, "n")
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if isinstance(seed, (int, np.integer)) and seed < 0:

@@ -26,6 +26,7 @@ from .errors import (
     OrderTooHigh,
     OutOfConvergenceRegion,
     ValidationError,
+    check_integer,
     live_rows,
     mark_rows,
     merge_rows,
@@ -79,8 +80,7 @@ class MirResult:
         elif kind == "series":
             if not self.order or self.order < 2:
                 raise ValidationError("series results must carry their order")
-            # a truncated tail can undershoot zero by up to gain/order
-            floor = -(self.gain / self.order + 1e-9)
+            floor = _series_floor(self.gain, self.order)
         else:
             raise ValidationError(f"unknown method {self.method!r}")
         errors = [None]
@@ -95,6 +95,11 @@ class MirResult:
 
 #: Lowest admissible quadrature or discrete rate: zero less rounding slack.
 _RATE_FLOOR = -1e-9
+
+
+def _series_floor(gain, order: int):
+    """Lowest admissible series rate: a truncated tail undershoots zero by up to gain/order."""
+    return -(gain / order + 1e-9)
 
 
 def _mark_floor(errors: list, method: str, values: np.ndarray, floor) -> None:
@@ -317,6 +322,7 @@ def mir_series(spec: ReceptorSpec, dist: TruncatedGaussianSpec, order: int = 40)
     Raises OutOfConvergenceRegion when the support leaves (0, 2], and
     OrderTooHigh above the shared order ceiling.
     """
+    check_integer(order, "series order")
     chains = mean_chain_rows(spec, [dist.mu])
     values, gaps, (error,) = _series_rows(_columns([dist]), order, chains)
     unwrap(error)
@@ -353,8 +359,7 @@ def _series_rows(columns, order: int, chains: tuple) -> tuple:
     gaps = _fsum_rows(terms, [(0, order - 1)])[:, 0] - mu * (np.log(mu) - 1.0) - 1.0
     errors = merge_rows(errors, moment_errors, chains[2])
     values = chains[1] * gaps
-    # a truncated tail can undershoot zero by up to gain/order
-    _mark_floor(errors, f"series({order})", values, -(chains[1] / order + 1e-9))
+    _mark_floor(errors, f"series({order})", values, _series_floor(chains[1], order))
     failed = ~live_rows(errors)
     values[failed], gaps[failed] = np.nan, np.nan
     return values, gaps, errors

@@ -189,7 +189,9 @@ def step_kernel(
     _check_intensity(x_max)
     if not (isinstance(delta_t, (int, float)) and 0.0 < delta_t < math.inf):
         raise ValidationError(f"the step kernel needs 0 < delta_t < inf, got {delta_t!r}")
-    q = spec.base + x_max * spec.slope
+    # a rate past the float range is an infinite entry, which fails below
+    with np.errstate(over="ignore"):
+        q = spec.base + x_max * spec.slope
     p = np.eye(spec.n_states) + delta_t * q
     if p.min() < 0.0 or p.max() > 1.0:
         worst = float(p.min()) if -p.min() > p.max() - 1.0 else float(p.max())
@@ -227,7 +229,9 @@ def _solve_stationary(q: np.ndarray, errors: list) -> tuple[np.ndarray, list]:
     for the matrix sizes used here.  Irreducibility is checked on the
     positive-rate graph first so the failure mode is a clear error, not a
     singular solve.  The residual |pi @ q| / (2 max|q_ii|) is |pi @ P - pi|
-    for the step P = I + q / (2 max|q_ii|).  Every check runs per array.
+    for the step P = I + q / (2 max|q_ii|); it is divided by max|q_ii| before
+    it is halved, so a rate near the float ceiling does not overflow the
+    scale, and a nan residual fails.  Every check runs per array.
     Returns (pi, errors): the (N, k) read-only stationary vectors, nan on the
     arrays that fail, and per array its first error, or None.
     """
@@ -258,10 +262,10 @@ def _solve_stationary(q: np.ndarray, errors: list) -> tuple[np.ndarray, list]:
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum(axis=1, keepdims=True)
     max_exit = np.abs(np.diagonal(q, axis1=1, axis2=2)).max(axis=1)
-    residual = np.abs(pi[:, None, :] @ q)[:, 0, :].max(axis=1) / (2.0 * max_exit)
+    residual = np.abs(pi[:, None, :] @ q)[:, 0, :].max(axis=1) / max_exit / 2.0
     mark_rows(
         errors,
-        residual > 1e-10,
+        ~(residual <= 1e-10),
         lambda i: NotIrreducible(f"stationary residual {residual[i]:.2e} exceeds 1e-10"),
     )
     pi[~live_rows(errors)] = np.nan
@@ -281,15 +285,24 @@ def mean_chain_rows(spec: ReceptorSpec, means) -> tuple[np.ndarray, np.ndarray, 
     vectors and the gains of all means from one pass (``sensitive_gain`` is
     its one-row case), nan on failed rows, and per mean the MirError it
     fails with (ValidationError for a mean that is not a nonnegative finite
-    number, NotIrreducible otherwise), or None.
+    number, or whose generator has a rate past the float range;
+    NotIrreducible otherwise), or None.
     """
     column = np.asarray(means, dtype=float)
     valid = np.isfinite(column) & (column >= 0.0)
     errors: list = [None] * len(column)
     mark_rows(errors, ~valid, lambda i: ValidationError(_BAD_INTENSITY.format(means[i])))
     # a rejected mean stands in as 0; its row keeps its error and is not solved
-    q = np.where(valid, column, 0.0)[:, None, None] * spec.slope
+    with np.errstate(over="ignore"):
+        q = np.where(valid, column, 0.0)[:, None, None] * spec.slope
     q += spec.base
+    mark_rows(
+        errors,
+        ~np.isfinite(q).all(axis=(1, 2)),
+        lambda i: ValidationError(
+            f"the mean chain at intensity {means[i]!r} has a rate past the float range"
+        ),
+    )
     pi, errors = _solve_stationary(q, errors)
     gain = np.full(len(column), np.nan)
     ok = live_rows(errors)

@@ -38,7 +38,7 @@ import numpy as np
 # tracer wraps these names, and perfbench/tests/test_tracer.py looks each up
 # without a default; remove them together with those wraps.
 from .bounds import _bounds_rows, mir_bounds  # noqa: F401
-from .errors import ConfigError, EmptySweep, MirError, ValidationError, live_rows
+from .errors import ConfigError, EmptySweep, MirError, ValidationError, check_integer, live_rows
 from .mcsim import estimate_mir, simulate
 from .mir import (
     _discrete_rows,
@@ -52,8 +52,6 @@ from .mir import (
 from .receptor import ReceptorSpec, mean_chain_rows
 from .truncgauss import MAX_MOMENT_ORDER, TruncatedGaussianSpec, _spec_rows, expectation_rows
 
-VALID_METHODS = ("quadrature", "series", "bounds_s2", "bounds_s4", "discrete", "mc")
-
 
 @dataclass(frozen=True)
 class GridAxis:
@@ -66,6 +64,7 @@ class GridAxis:
     def __post_init__(self):
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
             raise ConfigError(f"grid bounds must be finite, got [{self.min}, {self.max}]")
+        check_integer(self.steps, "grid steps", ConfigError)
         if self.steps < 1:
             raise ConfigError(f"grid steps must be >= 1, got {self.steps}")
         if self.steps == 1:
@@ -120,8 +119,12 @@ def _check_ranges(
     single-point CLI commands.  A parameter left as None is not checked;
     ``series_support`` is the truncation (a, b) the series must converge on.
 
-    Raises ConfigError naming the first parameter out of range.
+    Raises ConfigError naming the first count that is not an integer, or
+    else the first parameter out of range.
     """
+    for name, count in (("series_k", series_k), ("order", order), ("mc_n", mc_n), ("seed", seed)):
+        if count is not None:
+            check_integer(count, name, ConfigError)
     if series_k is not None and not 2 <= series_k <= MAX_MOMENT_ORDER:
         raise ConfigError(f"series_k must be in [2, {MAX_MOMENT_ORDER}], got {series_k}")
     if series_support is not None:
@@ -170,7 +173,8 @@ def _derive_seed(master_seed: int, row_index: int) -> int:
     return int(np.random.SeedSequence([master_seed, row_index]).generate_state(1)[0])
 
 
-#: The SweepRow columns each method fills.
+#: The SweepRow columns each method fills; its keys, in this order, are
+#: ``VALID_METHODS``, the order a sweep runs its methods in.
 _METHOD_COLUMNS = {
     "quadrature": ("mir_quadrature",),
     "series": ("mir_series",),
@@ -179,6 +183,8 @@ _METHOD_COLUMNS = {
     "discrete": ("mir_discrete",),
     "mc": ("mc_value", "mc_stderr"),
 }
+
+VALID_METHODS = tuple(_METHOD_COLUMNS)
 
 
 def _method_columns(config: SweepConfig, method: str, indices, valid, chains, e_xlnx) -> tuple:

@@ -4,9 +4,10 @@ A parent Gaussian with mean ``mu_bar`` and standard deviation ``sigma_bar``
 is conditioned on the interval ``[a, b]``.  This module provides the
 closed-form truncated mean/variance, raw and recentred moments (by the
 two-term recursion for the truncated standard normal up to order 20, by
-quadrature above), inverse-CDF sampling, and the one node-doubling
-Gauss-Legendre engine (``_gl_rows`` on the schedule of ``_refine``) behind
-every integral against the density, each one array pass over many specs.
+quadrature above), inverse-CDF sampling, and the one Gauss-Legendre driver
+behind every integral against the density: ``_integrate`` runs the
+node-doubling schedule over groups of rows, each pass one ``_gl_rows``
+call over many specs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,16 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoConvergence, OrderTooHigh, ValidationError, mark_rows, merge_rows, unwrap
+from .errors import (
+    NoConvergence,
+    OrderTooHigh,
+    ValidationError,
+    check_integer,
+    live_rows,
+    mark_rows,
+    merge_rows,
+    unwrap,
+)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
@@ -408,6 +418,7 @@ def raw_moments(spec: TruncatedGaussianSpec, order: int) -> MomentTable:
     when a moment escapes its support bound or central[2] disagrees with
     sigma2; NoConvergence when the quadrature of a high order does not settle.
     """
+    check_integer(order, "order")
     if order < 0:
         raise ValidationError(f"order must be >= 0, got {order}")
     if order > MAX_MOMENT_ORDER:
@@ -527,40 +538,8 @@ def _panel_edges(columns: SpecColumns) -> dict[int, tuple[np.ndarray, np.ndarray
     return groups
 
 
-def _refine(estimate: Callable[[int, np.ndarray], list], count: int, what: str) -> tuple:
-    """Run ``estimate(n, rows)`` on the fixed node schedule until each row settles.
-
-    ``estimate(n, rows)`` returns one estimate per row index in the array
-    ``rows``: a float, or a vector compared entry by entry.  n starts at
-    ``_INITIAL_NODES`` and doubles; a row whose every entry agrees with its
-    predecessor to ``_RTOL`` relative (``_ATOL`` absolute near zero) keeps
-    its estimate, and only the unsettled rows go on to the next n.  Returns
-    (values, nodes, deltas, errors): per row the accepted estimate, its n
-    and its change |estimate - previous estimate|, nan on the rows still
-    unsettled once ``_MAX_NODES`` was tried, whose error is NoConvergence.
-    """
-    n = _INITIAL_NODES
-    rows = np.arange(count)
-    previous = np.asarray(estimate(n, rows), dtype=float)
-    values, deltas = np.full(previous.shape, np.nan), np.full(previous.shape, np.nan)
-    nodes = np.full(count, np.nan)
-    while rows.size and n < _MAX_NODES:
-        n *= 2
-        current = np.asarray(estimate(n, rows), dtype=float)
-        delta = np.abs(current - previous)
-        agree = delta <= np.maximum(_RTOL * np.abs(current), _ATOL)
-        settled = agree.reshape(rows.size, -1).all(axis=1)
-        done = rows[settled]
-        values[done], nodes[done], deltas[done] = current[settled], n, delta[settled]
-        rows, previous = rows[~settled], current[~settled]
-    errors: list = [None] * count
-    for row in rows.tolist():
-        errors[row] = NoConvergence(f"{what} did not stabilize by n={_MAX_NODES} nodes per panel")
-    return values, nodes, deltas, errors
-
-
-def _gl_rows(edges, loc, scale, mass, f, n: int, params=None) -> list:
-    """n-node Gauss-Legendre estimates of E[f(x)], one per row.
+def _gl_rows(edges, loc, scale, mass, f, n: int, outputs: int, params=None) -> np.ndarray:
+    """n-node Gauss-Legendre estimates of E[f(x)], a (rows, outputs) array.
 
     Row i integrates f against the density of parent mean ``loc[i]``,
     standard deviation ``scale[i]`` and kept mass ``mass[i]`` over the
@@ -569,17 +548,16 @@ def _gl_rows(edges, loc, scale, mass, f, n: int, params=None) -> list:
     ``_BLOCK_NODES`` nodes (and at least one row) as node arrays of shape
     (rows, panels * n); ``f`` gets a block's nodes in that 2-D shape, then,
     when ``params`` (one row of parameters per row) is given, one (rows, 1)
-    column per parameter, and must act entry by entry: it returns one array
-    of that shape, or yields several, for a vector of estimates per row.
-    Each array's sum over a row's nodes is a stacked matmul, the same dot
-    product as for that row alone, so a row's value does not depend on the
-    rows batched with it.
+    column per parameter, and must act entry by entry: it yields one array
+    of that shape per output.  Each array's sum over a row's nodes is a
+    stacked matmul, the same dot product as for that row alone, so a row's
+    value does not depend on the rows batched with it.
     """
     nodes, weights = _gl_nodes(n)
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
     block = max(1, _BLOCK_NODES // (half.shape[1] * n))
-    values = []
+    values = np.empty((len(edges), outputs))
     for start in range(0, len(edges), block):
         b = slice(start, start + block)
         # ts = half * nodes + mid, xs = loc + scale * ts and
@@ -593,41 +571,61 @@ def _gl_rows(edges, loc, scale, mass, f, n: int, params=None) -> list:
         ws /= mass[b, None, None]
         ws = ws.reshape(len(ts), -1)
         columns = () if params is None else params[b].T[:, :, None]
-        out = f(xs.reshape(len(ts), -1), *columns)
-        single = isinstance(out, np.ndarray)
-        sums = [(ws[:, None, :] @ fx[:, :, None])[:, 0, 0] for fx in ([out] if single else out)]
-        values += (sums[0] if single else np.transpose(sums)).tolist()
+        for k, fx in enumerate(f(xs.reshape(len(ts), -1), *columns)):
+            values[b, k] = (ws[:, None, :] @ fx[:, :, None])[:, 0, 0]
     return values
 
 
-def expectation_rows(columns: SpecColumns, f: Callable[..., np.ndarray], params=None) -> tuple:
-    """E[f(x)] under each row of ``columns``, by one Gauss-Legendre pass.
+def _integrate(groups, loc, scale, mass, f, outputs: int, what: str, params=None) -> tuple:
+    """E[f(x)] of every row by ``_gl_rows``, on the one node schedule.
 
-    Rows are grouped by panel count (``_panel_edges``), never padded, and
-    each group runs the fixed node schedule with a per-row agreement test
-    (``_refine``), so only unsettled rows go on to more nodes.  ``f`` must
-    act entry by entry; with ``params``, a (rows, k) float array, row i
-    integrates ``f(x, *params[i])`` (see ``_gl_rows``).  Returns (values,
-    nodes, deltas, errors) as ``_refine`` does: per row E[f(x)], the nodes
-    per panel of the accepted estimate and its change from the estimate
-    before, and NoConvergence where the schedule ran out.
+    ``groups`` holds (rows, edges) pairs that between them take each row of
+    ``loc``, ``scale``, ``mass`` (and ``params``) once: the row indices of
+    one panel count and their standardized panel edges.  Per group, n starts
+    at ``_INITIAL_NODES`` and doubles; a row whose every output agrees with
+    its estimate at n / 2 to ``_RTOL`` relative (``_ATOL`` absolute near
+    zero) keeps its estimate, and only the unsettled rows go on to the next
+    n.  Returns (values, nodes, deltas, errors): per row its accepted
+    estimate of each output, its n, and the change of each output from the
+    estimate before, nan on the rows still unsettled once ``_MAX_NODES`` was
+    tried, whose error is NoConvergence.
     """
-    values, nodes, deltas = (np.full(len(columns.mu), np.nan) for _ in range(3))
-    errors: list = [None] * len(columns.mu)
-    for members, edges in _panel_edges(columns).values():
-        table = np.stack((columns.mu_bar, columns.sigma_bar, columns.z))[:, members]
-        group_params = None if params is None else params[members]
-
-        # called only by the _refine below, so the loop's current values hold
-        def estimate(n: int, rows: np.ndarray) -> list:
-            row_params = None if group_params is None else group_params[rows]
-            return _gl_rows(edges[rows], *table[:, rows], f, n, row_params)
-
-        group = _refine(estimate, len(members), "expectation")
-        values[members], nodes[members], deltas[members] = group[:3]
-        for i, error in zip(members.tolist(), group[3]):
-            errors[i] = error
+    values, deltas = np.full((2, len(loc), outputs), np.nan)
+    nodes = np.full(len(loc), np.nan)
+    errors: list = [None] * len(loc)
+    failure = f"{what} did not stabilize by n={_MAX_NODES} nodes per panel"
+    for rows, edges in groups:
+        n, previous = _INITIAL_NODES, None
+        while rows.size and n <= _MAX_NODES:
+            part = None if params is None else params[rows]
+            current = _gl_rows(edges, loc[rows], scale[rows], mass[rows], f, n, outputs, part)
+            if previous is not None:
+                delta = np.abs(current - previous)
+                settled = (delta <= np.maximum(_RTOL * np.abs(current), _ATOL)).all(axis=1)
+                done = rows[settled]
+                values[done], nodes[done], deltas[done] = current[settled], n, delta[settled]
+                rows, edges, current = rows[~settled], edges[~settled], current[~settled]
+            n, previous = 2 * n, current
+        for row in rows.tolist():
+            errors[row] = NoConvergence(failure)
     return values, nodes, deltas, errors
+
+
+def expectation_rows(columns: SpecColumns, f: Callable[..., np.ndarray], params=None) -> tuple:
+    """E[f(x)] under each row of ``columns``, by one ``_integrate`` pass.
+
+    Rows are grouped by panel count (``_panel_edges``), never padded.  ``f``
+    must act entry by entry and return one array; with ``params``, a (rows,
+    k) float array, row i integrates ``f(x, *params[i])`` (see ``_gl_rows``).
+    Returns (values, nodes, deltas, errors) as ``_integrate`` does, with one
+    value and one delta per row.
+    """
+    one = lambda *args: (f(*args),)  # the one output
+    values, nodes, deltas, errors = _integrate(
+        _panel_edges(columns).values(), columns.mu_bar, columns.sigma_bar, columns.z,
+        one, 1, "expectation", params,
+    )
+    return values[:, 0], nodes, deltas[:, 0], errors
 
 
 def expectation(spec: TruncatedGaussianSpec, f: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -677,19 +675,17 @@ def _shifted_moment_rows(columns: SpecColumns, center, order: int) -> tuple[np.n
     closed = np.column_stack((np.ones(len(mu)), mu - center))[:, : order + 1]
     if order < 2:
         return closed, [None] * len(mu)
-
-    def estimate(n: int, rows: np.ndarray) -> np.ndarray:
-        powers = lambda x: islice(_powers(x, order), 2, None)
-        quad = _gl_rows(edges[rows], loc[rows], sigma_bar[rows], z[rows], powers, n)
-        return np.hstack((closed[rows], np.reshape(quad, (len(rows), order - 1))))
-
-    values, _, _, errors = _refine(estimate, len(mu), "moment quadrature")
-    return values, errors
+    powers = lambda x: islice(_powers(x, order), 2, None)
+    one = [(np.arange(len(mu)), edges)]  # one group: every row has one panel
+    quad, _, _, errors = _integrate(one, loc, sigma_bar, z, powers, order - 1, "moment quadrature")
+    closed[~live_rows(errors)] = np.nan
+    return np.hstack((closed, quad)), errors
 
 
 def shifted_moment_vector(spec: TruncatedGaussianSpec, center: float, order: int) -> np.ndarray:
     """E[(x - center)^m] for m = 0..order by quadrature; the one-spec case of
     ``_shifted_moment_rows``.  Raises NoConvergence when it does not settle."""
+    check_integer(order, "order")
     if order < 0:
         raise ValidationError(f"order must be >= 0, got {order}")
     values, (error,) = _shifted_moment_rows(_columns([spec]), center, order)

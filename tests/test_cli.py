@@ -219,6 +219,18 @@ class TestSweep:
         assert main(["sweep", "--config", str(point_config), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_without_an_output_path(self, point_config, tmp_path, capsys, fmt):
+        doc = json.loads(point_config.read_text())
+        doc["output"] = {"format": fmt}
+        config = tmp_path / "to_stdout.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / f"rows.{fmt}"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(config)]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
     def test_json_format(self, point_config, tmp_path):
         doc = json.loads(point_config.read_text())
         doc["output"] = {"format": "json"}
@@ -454,6 +466,66 @@ class TestConfigErrors:
     def test_single_point_out_of_range_is_config_error(self, point_config, argv, capsys):
         assert main([*argv, "--config", str(point_config)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, edit, message",
+        [
+            ("mir", lambda doc: [doc], "config {path} must be a JSON object"),
+            ("mir", lambda doc: doc.pop("receptor"), "receptor: missing"),
+            (
+                "mir",
+                lambda doc: doc.pop("distribution"),
+                "distribution: missing or not an object",
+            ),
+            ("mir", lambda doc: doc["distribution"].pop("b"), "distribution: missing field 'b'"),
+            (
+                "mir",
+                lambda doc: doc["distribution"].update(sigma_bar="wide"),
+                "distribution: could not convert string to float: 'wide'",
+            ),
+            ("sweep", lambda doc: doc.pop("sweep"), "sweep: missing or not an object"),
+            (
+                "sweep",
+                lambda doc: doc["sweep"].update(mu_bar=3),
+                "sweep.mu_bar: missing or not an object",
+            ),
+            (
+                "sweep",
+                lambda doc: doc["sweep"]["sigma_bar"].pop("min"),
+                "sweep.sigma_bar: missing field 'min'",
+            ),
+            (
+                "sweep",
+                lambda doc: doc["sweep"]["mu_bar"].update(min="low"),
+                "sweep.mu_bar: could not convert string to float: 'low'",
+            ),
+            (
+                "sweep",
+                lambda doc: (doc["sweep"].pop("a"), doc["distribution"].pop("a")),
+                "sweep.a / sweep.b: truncation interval is required",
+            ),
+            (
+                "sweep",
+                lambda doc: doc["sweep"].update(methods="quadrature"),
+                "sweep.methods: must be a list of method names",
+            ),
+        ],
+        ids=[
+            "config-not-an-object", "no-receptor", "no-distribution",
+            "distribution-field-missing", "distribution-field-not-numeric", "no-sweep",
+            "axis-not-an-object", "axis-field-missing", "axis-field-not-numeric",
+            "no-interval", "methods-not-a-list",
+        ],
+    )
+    def test_config_faults_are_named(self, point_config, capsys, command, edit, message):
+        doc = json.loads(point_config.read_text())
+        # an edit returning a list replaces the whole document
+        replaced = edit(doc)
+        bad = point_config.parent / "bad_config.json"
+        bad.write_text(json.dumps(replaced if isinstance(replaced, list) else doc))
+        assert main([command, "--config", str(bad)]) == 2
+        expected = message.format(path=bad)
+        assert capsys.readouterr().err == f"configuration error: {expected}\n"
 
     def test_negative_simulate_seed(self, point_config, capsys):
         argv = ["simulate", "--config", str(point_config), "--mc-n", "10", "--seed", "-1"]

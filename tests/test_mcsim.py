@@ -256,6 +256,39 @@ class TestEstimateMir:
             estimate_mir(traj, unit_chr2, canonical_dist)
 
 
+# a 0 -> 2 jump in a path long enough for the batch means: the one-way ring
+# cannot make it, so the mean chain gives it probability 0
+IMPOSSIBLE_PATH = Trajectory(
+    delta_t=1e-3,
+    initial_state=0,
+    states=np.array([2] + [0] * 19, dtype=np.int64),
+    inputs=np.ones(20),
+    seed=0,
+)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda spec, dist: simulate(spec, dist, 1e-3, 0, 1),
+            ValidationError,
+            "n must be >= 1, got 0",
+        ),
+        (
+            lambda spec, dist: estimate_mir(IMPOSSIBLE_PATH, spec, dist),
+            InsufficientData,
+            "observed a transition that is impossible under the mean chain",
+        ),
+    ],
+    ids=["no-steps", "impossible-transition"],
+)
+def test_rejections_name_the_fault(unit_chr2, canonical_dist, call, error, message):
+    with pytest.raises(error) as info:
+        call(unit_chr2, canonical_dist)
+    assert type(info.value) is error and str(info.value) == message
+
+
 class TestMcGap:
     def test_degenerate(self):
         dist = TruncatedGaussianSpec(1.0, 1e-9, 1e-5, 2.0)

@@ -8,6 +8,7 @@ pinned against.
 
 import math
 import traceback
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,12 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transduction_mir import (
+    MirError,
     NotIrreducible,
     ReceptorSpec,
     StepTooLarge,
     Transition,
+    TruncatedGaussianSpec,
     ValidationError,
     chr2_skeleton,
+    mir_bounds,
+    mir_discrete,
+    mir_quadrature,
     sensitive_gain,
     stationary_distribution,
 )
@@ -127,6 +133,44 @@ class TestSpecValidation:
         }
         with pytest.raises(ValidationError):
             ReceptorSpec.from_mapping(doc)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: ReceptorSpec("x", ("A",), (Transition(0, 0, 1.0, True),)),
+                "a receptor needs at least two states",
+            ),
+            (
+                lambda: ReceptorSpec("x", ("A", "A"), (Transition(0, 1, 1.0, True),)),
+                "state labels must be unique",
+            ),
+            (lambda: ReceptorSpec("x", ("A", "B"), ()), "at least one transition is required"),
+            (
+                lambda: ReceptorSpec.from_mapping(
+                    {"name": "x", "states": ["A", "B"], "transitions": [{"from": "A"}]}
+                ),
+                "bad transition entry {'from': 'A'}: 'to'",
+            ),
+            (
+                lambda: ReceptorSpec.from_mapping(
+                    {
+                        "name": "x",
+                        "states": ["A", "B"],
+                        "transitions": [
+                            {"from": "Z", "to": "A", "rate": 1.0, "sensitive": True}
+                        ],
+                    }
+                ),
+                "transition references unknown state 'Z'",
+            ),
+        ],
+        ids=["one-state", "duplicate-labels", "no-transitions", "bad-entry", "unknown-source"],
+    )
+    def test_rejections_name_the_fault(self, build, message):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert type(info.value) is ValidationError and str(info.value) == message
 
 
 class TestRateMatrix:
@@ -450,6 +494,41 @@ class TestMeanChainRows:
             assert pi[i].tobytes() == mean_chain_stationary(unit_chr2, means[i]).tobytes()
         for i in (1, 3, 4):
             assert np.isnan(pi[i]).all() and np.isnan(gain[i])
+
+    @pytest.mark.parametrize(
+        "method, error, fragment",
+        [
+            (mir_quadrature, ValidationError, "has a rate past the float range"),
+            (
+                lambda spec, dist: mir_bounds(spec, dist, 2),
+                ValidationError,
+                "has a rate past the float range",
+            ),
+            # the step kernel at x = b overflows first
+            (
+                lambda spec, dist: mir_discrete(spec, dist, 1e-3),
+                StepTooLarge,
+                "makes an entry of I + Q*dt equal inf",
+            ),
+        ],
+        ids=["quadrature", "bounds", "discrete"],
+    )
+    def test_overflowing_mean_chain_is_an_error(self, method, error, fragment):
+        # q12 * mu = 1e309 is past the float range: an infinite generator
+        # entry once solved to pi = (0, 0, 1) and a rate of 0 bits/s, where
+        # the true gain is about 0.72
+        with pytest.raises(MirError) as info:
+            method(chr2_skeleton(q12=1e308), TruncatedGaussianSpec(10.0, 1.0, 5.0, 15.0))
+        assert type(info.value) is error and fragment in str(info.value)
+
+    def test_rate_near_the_float_ceiling_keeps_its_closed_form(self, unit_chr2):
+        # 2 * max|q_ii| = 2e308 is past the float range; the residual check
+        # forms its scale without it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pi = stationary_distribution(unit_chr2, 1e308)
+        # pi_C1 * x = pi_O2 = pi_C3 on the unit ring
+        np.testing.assert_allclose(pi, [0.5 / 1e308, 0.5, 0.5], rtol=1e-12, atol=0.0)
 
     def test_stored_error_raises_with_a_fresh_traceback(self, unit_chr2):
         # every method reading a row raises its stored error again; each raise

@@ -19,6 +19,7 @@ from transduction_mir import (
     TruncatedGaussianSpec,
     ValidationError,
     audit_rows,
+    chr2_skeleton,
     estimate_mir,
     find_capacity,
     mir_bounds,
@@ -235,9 +236,11 @@ class TestRunSweep:
         # of every point for the discrete rate, and one pass over the moment
         # vectors of every point for the series
         calls = []
-        refine = truncgauss._refine
+        integrate = truncgauss._integrate
         monkeypatch.setattr(
-            truncgauss, "_refine", lambda *args: calls.append(args[1:]) or refine(*args)
+            truncgauss,
+            "_integrate",
+            lambda *args: calls.append((len(args[1]), args[6])) or integrate(*args),
         )
         config = small_config(
             unit_chr2,
@@ -504,3 +507,31 @@ class TestSerialization:
             best.sigma_bar,
             best.mir_quadrature,
         )
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: GridAxis(1.0, 0.0, 1), ConfigError, "grid needs min <= max, got [1.0, 0.0]"),
+        (
+            lambda: small_config(chr2_skeleton(), methods=("quadrature", "quadrature")),
+            ConfigError,
+            "methods must not repeat",
+        ),
+        (
+            lambda: find_capacity([SweepRow(1.0, 1.0, mir_quadrature=0.1)], by="nope"),
+            ValidationError,
+            "cannot maximize over field 'nope'",
+        ),
+        (
+            lambda: rows_from_csv(CSV_HEADER + "\n1.0,2.0\n"),
+            ValidationError,
+            "malformed CSV record: ['1.0', '2.0']",
+        ),
+    ],
+    ids=["grid-min-above-max", "repeated-methods", "unknown-field", "short-record"],
+)
+def test_rejections_name_the_fault(call, error, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -131,6 +131,14 @@ class TestSpecConstruction:
         with pytest.raises(ValidationError):
             TruncatedGaussianSpec(0.0, 0.01, 1.0, 1.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["mu_bar", "sigma_bar", "a", "b"])
+    def test_rejects_non_finite_parameter(self, field, value):
+        params = {"mu_bar": 1.0, "sigma_bar": 0.5, "a": 1e-5, "b": 2.0, field: value}
+        with pytest.raises(ValidationError) as info:
+            TruncatedGaussianSpec(**params)
+        assert str(info.value) == f"{field} must be a finite number, got {value!r}"
+
     def test_mean_var_within_bounds(self, canonical_dist):
         assert canonical_dist.a <= canonical_dist.mu <= canonical_dist.b
         assert 0.0 < canonical_dist.sigma2 <= canonical_dist.sigma_bar**2
@@ -543,11 +551,11 @@ class TestExpectationRows:
         grid = np.array(edges)
         params = np.array([(spec.mu_bar, spec.sigma_bar, spec.z) for spec in specs])
         for n in (200, 400):
-            got = _gl_rows(grid, *params.T, _xlnx_vec, n)
+            got = _gl_rows(grid, *params.T, lambda x: (_xlnx_vec(x),), n, 1)[:, 0].tolist()
             assert got == [gl_estimate(spec, _xlnx_vec, n, e) for spec, e in zip(specs, edges)]
         # an integrand that yields several arrays: one estimate per array
-        pairs = _gl_rows(grid, *params.T, lambda x: (x, _xlnx_vec(x)), 400)
-        assert [pair[1] for pair in pairs] == got
+        pairs = _gl_rows(grid, *params.T, lambda x: (x, _xlnx_vec(x)), 400, 2)
+        assert pairs[:, 1].tolist() == got
 
     def test_moment_rows_equal_one_spec_vectors(self):
         # 125 rows at order 40 span two blocks at n = 200 and four at 400;

@@ -7,17 +7,26 @@ import pytest
 
 from transduction_mir import (
     BoundPair,
+    ConfigError,
     DomainError,
+    GridAxis,
     McEstimate,
     MirResult,
     MomentTable,
     OrderTooHigh,
+    SweepConfig,
     Trajectory,
     ValidationError,
+    chr2_skeleton,
     h_s,
     jensen_gap_bounds,
     load_receptor,
+    mir_series,
+    raw_moments,
+    run_sweep,
     sensitive_gain,
+    shifted_moment_vector,
+    simulate,
     stationary_distribution,
 )
 from oracles import (
@@ -190,3 +199,57 @@ class TestStationaryHelper:
         assert pi.ndim == 1 and pi.dtype == np.float64
         with pytest.raises(ValueError):
             pi[0] = 0.5
+
+
+def sweep_with(**run):
+    """``run_sweep`` on one point of the unit ring with series and Monte
+    Carlo selected, so every run parameter is read."""
+    axis = GridAxis(1.0, 1.0, 1)
+    config = SweepConfig(chr2_skeleton(), 1e-5, 2.0, axis, axis, ("series", "mc"), **run)
+    return run_sweep(config)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda d: raw_moments(d, 2.5), ValidationError, "order must be an integer, got 2.5"),
+        (
+            lambda d: shifted_moment_vector(d, 1.0, 3.0),
+            ValidationError,
+            "order must be an integer, got 3.0",
+        ),
+        (
+            lambda d: mir_series(chr2_skeleton(), d, 10.0),
+            ValidationError,
+            "series order must be an integer, got 10.0",
+        ),
+        (lambda d: h_s(0.5, 1.0, 2.0), ValidationError, "s must be an integer, got 2.0"),
+        (
+            lambda d: simulate(chr2_skeleton(), d, 1e-3, 1000.5, 1),
+            ValidationError,
+            "n must be an integer, got 1000.5",
+        ),
+        (
+            lambda d: GridAxis(0.0, 1.0, 2.5).values(),
+            ConfigError,
+            "grid steps must be an integer, got 2.5",
+        ),
+        (
+            lambda d: sweep_with(series_k=10.5),
+            ConfigError,
+            "series_k must be an integer, got 10.5",
+        ),
+        (lambda d: sweep_with(mc_n=1000.5), ConfigError, "mc_n must be an integer, got 1000.5"),
+        (lambda d: sweep_with(seed=2.5), ConfigError, "seed must be an integer, got 2.5"),
+    ],
+    ids=[
+        "raw_moments", "shifted_moment_vector", "mir_series", "h_s", "simulate",
+        "GridAxis", "series_k", "mc_n", "seed",
+    ],
+)
+def test_counts_given_as_floats_are_rejected(canonical_dist, call, error, message):
+    # a float count once reached range() or a numpy shape as a bare TypeError;
+    # the CLI converts whole floats from a config before these calls
+    with pytest.raises(ValidationError) as info:
+        call(canonical_dist)
+    assert type(info.value) is error and str(info.value) == message
