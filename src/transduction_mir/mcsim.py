@@ -118,12 +118,21 @@ def simulate(
     Python work scales with the number of jumps, not of steps, and the path
     is bit-identical to drawing each step from the kernel in turn.
 
+    ``seed`` is a nonnegative integer, a ``np.random.Generator`` (drawn
+    from in place) or a ``np.random.SeedSequence``.
+
     Raises StepTooLarge if delta_t is inadmissible at x = b, and
-    ValidationError if n < 1 or the seed is a negative integer.
+    ValidationError if n < 1 or the seed is none of those.
     """
     check_integer(n, "n")
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
+    if isinstance(seed, bool) or not isinstance(
+        seed, (int, np.integer, np.random.Generator, np.random.SeedSequence)
+    ):
+        raise ValidationError(
+            f"seed must be an integer, a Generator or a SeedSequence, got {seed!r}"
+        )
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     const, lin = step_kernel(spec, delta_t, dist.b)
@@ -193,17 +202,24 @@ def estimate_mir(
     const, lin = step_kernel(spec, traj.delta_t, dist.b)
     p_bar = const + dist.mu * lin
 
-    # each (prev, cur) pair gathered once, as one flat index into the rows
-    pair = np.concatenate(([traj.initial_state], traj.states[:-1]))
+    # each (prev, cur) pair gathered once, as one flat index into the rows;
+    # z = log2((lin*x + const) / p_mean) / delta_t is formed in place
+    pair = np.empty(n, dtype=np.int64)
+    pair[0] = traj.initial_state
+    pair[1:] = traj.states[:-1]
     pair *= spec.n_states
     pair += traj.states
-    p_step = const.ravel()[pair] + traj.inputs * lin.ravel()[pair]
-    p_mean = p_bar.ravel()[pair]
+    p_mean = p_bar.ravel().take(pair)
     if np.any(p_mean <= 0.0):
         raise InsufficientData(
             "observed a transition that is impossible under the mean chain"
         )
-    z = np.log2(p_step / p_mean) / traj.delta_t
+    z = lin.ravel().take(pair)
+    z *= traj.inputs
+    z += const.ravel().take(pair)
+    z /= p_mean
+    np.log2(z, out=z)
+    z /= traj.delta_t
     value = float(z.mean())
     batch_means = np.array([chunk.mean() for chunk in np.array_split(z, BATCH_COUNT)])
     stderr = float(batch_means.std(ddof=1) / math.sqrt(BATCH_COUNT))

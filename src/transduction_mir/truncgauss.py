@@ -4,10 +4,10 @@ A parent Gaussian with mean ``mu_bar`` and standard deviation ``sigma_bar``
 is conditioned on the interval ``[a, b]``.  This module provides the
 closed-form truncated mean/variance, raw and recentred moments (by the
 two-term recursion for the truncated standard normal up to order 20, by
-quadrature above), inverse-CDF sampling, and the one Gauss-Legendre driver
-behind every integral against the density: ``_integrate`` runs the
-node-doubling schedule over groups of rows, each pass one ``_gl_rows``
-call over many specs.
+quadrature above), inverse-CDF sampling through the module's own AS 241
+quantile, and the one Gauss-Legendre driver behind every integral against
+the density: ``_integrate`` runs the node-doubling schedule over groups of
+rows, each pass one ``_gl_rows`` call over many specs.
 """
 
 from __future__ import annotations
@@ -88,6 +88,109 @@ def _ndtr(t) -> np.ndarray:
     """
     args = (-np.asarray(t, dtype=float) * _SQRT_HALF).tolist()
     return 0.5 * np.fromiter(map(math.erfc, args), dtype=float, count=len(args))
+
+
+# The rational approximations of Wichura's AS 241 (PPND16, Applied
+# Statistics 37, 1988), highest power first: numerator and denominator in
+# r = 0.180625 - q^2 for |q| = |p - 0.5| <= 0.425, then in r - 1.6 and r - 5
+# for r = sqrt(-ln(min(p, 1 - p))) up to 5 and beyond.
+_AS241_CENTRAL = (
+    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+     1.3314166789178437745e2, 3.3871328727963666080e0),
+    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+     4.2313330701600911252e1, 1.0),
+)
+_AS241_NEAR = (
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+     1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+     4.63033784615654529590e0, 1.42343711074968357734e0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+     2.05319162663775882187e0, 1.0),
+)
+_AS241_FAR = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+     5.46378491116411436990e0, 6.65790464350110377720e0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0),
+)
+
+# Entries per block of ``_ndtri``, so that the block's work arrays (about
+# 1 MB) stay in cache across the 28 Horner passes of the central rational.
+# Blocks of 16384 to 131072 entries took the same 20 ms per 1e6 draws;
+# 4096 entries, or one block of 1e6, took 1.6-1.8 times as long.
+_NDTRI_BLOCK = 32768
+
+
+def _horner(coefficients, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The polynomial with ``coefficients`` (highest power first) at every
+    entry of r, by Horner steps in place in ``out``."""
+    np.multiply(r, coefficients[0], out=out)
+    for c in coefficients[1:-1]:
+        out += c
+        out *= r
+    out += coefficients[-1]
+    return out
+
+
+def _as241_rational(pair, r: np.ndarray) -> np.ndarray:
+    """A(r) / B(r) for a (numerator, denominator) pair of coefficients."""
+    num, den = pair
+    top = _horner(num, r, np.empty_like(r))
+    return np.divide(top, _horner(den, r, np.empty_like(r)), out=top)
+
+
+def _ndtri(p, out=None) -> np.ndarray:
+    """Standard normal quantile of every entry of p in [0, 1], by AS 241.
+
+    The central rational runs on every entry of a block; the tail entries,
+    |p - 0.5| > 0.425, are gathered and overwritten by the rational in
+    r = sqrt(-ln(min(p, 1 - p))) for r <= 5 or r > 5.  p = 0 and 1 give
+    -inf and +inf without a warning.  Every step is an IEEE +, *, / or sqrt
+    except the tail's ``np.log``, whose bits follow numpy's SIMD path.
+    Against 50-digit mpmath it is within 5.3 ulp for p >= 1.4e-11 and 6.3
+    ulp down to 1e-300 (the rationals themselves are within 0.8 ulp; the
+    rest is rounding), and within 1.2e-15 relative of scipy's ``ndtri``.
+    Written to ``out``, a contiguous float array of p's shape, which may be
+    p itself; a new array when it is None.
+    """
+    p = np.asarray(p, dtype=float)
+    x = np.empty_like(p) if out is None else out
+    flat, x_flat = p.reshape(-1), x.reshape(-1)
+    q, r, den = np.empty((3, min(_NDTRI_BLOCK, flat.size)))
+    for start in range(0, flat.size, _NDTRI_BLOCK):
+        pb = flat[start : start + _NDTRI_BLOCK]
+        xb = x_flat[start : start + _NDTRI_BLOCK]
+        qb, rb, db = q[: len(pb)], r[: len(pb)], den[: len(pb)]
+        np.subtract(pb, 0.5, out=qb)
+        tail = np.flatnonzero(np.abs(qb, out=rb) > 0.425)
+        p_tail = pb[tail]  # before xb, which may be pb, is written
+        # x = q * A(r) / B(r) with r = 0.180625 - q^2
+        np.multiply(qb, qb, out=rb)
+        np.subtract(0.180625, rb, out=rb)
+        _horner(_AS241_CENTRAL[0], rb, xb)
+        xb *= qb
+        xb /= _horner(_AS241_CENTRAL[1], rb, db)
+        if tail.size:
+            xb[tail] = _ndtri_tail(p_tail, qb[tail])
+    return x
+
+
+def _ndtri_tail(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """AS 241's tail branches on entries with |q| = |p - 0.5| > 0.425: the
+    r <= 5 rational on every entry, then the r > 5 one where it applies."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+        x = _as241_rational(_AS241_NEAR, r - 1.6)
+        far = np.flatnonzero(r > 5.0)
+        x[far] = _as241_rational(_AS241_FAR, r[far] - 5.0)
+    # p = 0 or 1: r = inf, where the rationals are inf / inf
+    x[r == np.inf] = np.inf
+    return np.copysign(x, q, out=x)
 
 
 def _powers(x: np.ndarray, order: int):
@@ -435,20 +538,22 @@ def sample(spec: TruncatedGaussianSpec, rng: np.random.Generator, size=None):
     the standard normal quantile function.  When ``alpha > 0`` it is drawn
     on the reflected upper-tail mass instead, as for ``z``, so a far-tail
     window keeps distinct draws.  Deterministic for a given generator state;
-    the caller owns the generator.  The quantile function is scipy's
-    ``ndtri``, imported here: only Monte Carlo loads scipy.
+    the caller owns the generator.  The quantile function is ``_ndtri``,
+    Wichura's AS 241 on numpy, within about 6 ulp of the exact quantile;
+    its tail branch takes ``np.log``, so a seeded draw keeps its bits on
+    one numpy SIMD path, as the quadrature does.
     """
-    from scipy.special import ndtri
-
-    if spec.alpha > 0.0:
-        lo, hi = _ndtr((-spec.beta, -spec.alpha)).tolist()
-        x = spec.mu_bar - spec.sigma_bar * ndtri(rng.uniform(lo, hi, size))
-    else:
-        lo, hi = _ndtr((spec.alpha, spec.beta)).tolist()
-        x = spec.mu_bar + spec.sigma_bar * ndtri(rng.uniform(lo, hi, size))
-    # ndtri(0) = -inf can occur with probability 2^-53; clipping keeps the
+    reflect = spec.alpha > 0.0
+    ends = (-spec.beta, -spec.alpha) if reflect else (spec.alpha, spec.beta)
+    lo, hi = _ndtr(ends).tolist()
+    # mu_bar -+ sigma_bar * quantile, in place over the uniform draws
+    x = np.asarray(rng.uniform(lo, hi, size), dtype=float)
+    _ndtri(x, out=x)
+    x *= -spec.sigma_bar if reflect else spec.sigma_bar
+    x += spec.mu_bar
+    # _ndtri(0) = -inf can occur with probability 2^-53; clipping keeps the
     # support contract without distorting the distribution measurably
-    x = np.clip(x, spec.a, spec.b)
+    np.clip(x, spec.a, spec.b, out=x)
     if size is None:
         return float(x)
     return x

@@ -635,13 +635,13 @@ class TestShippedConfigs:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PANEL_CSV
 
 
-class TestScipyOnlyForSampling:
-    """The deterministic commands run on numpy and the stdlib alone; scipy is
-    imported only to draw Monte Carlo inputs.  Each check is a fresh
-    interpreter, since this test process has scipy loaded already."""
+class TestNoScipyAtRuntime:
+    """Every command runs on numpy and the stdlib alone: scipy is a test
+    oracle, not a dependency.  Each check is a fresh interpreter, since this
+    test process has scipy loaded already."""
 
     PRELUDE = (
-        "import sys\n"
+        "import json, sys\n"
         "from transduction_mir.cli import main\n"
         "def scipy_modules():\n"
         "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
@@ -661,7 +661,6 @@ class TestScipyOnlyForSampling:
 
     def test_deterministic_commands_never_import_scipy(self, tmp_path):
         body = (
-            "import json\n"
             "config, out = sys.argv[1], sys.argv[2] + '/sweep.csv'\n"
             "for argv in (['mir', '--config', config], ['moments', '--config', config],\n"
             "             ['bounds', '--config', config, '--s', '4'],\n"
@@ -675,17 +674,23 @@ class TestScipyOnlyForSampling:
         assert row["status"] == "ok"
         assert [key for key, value in row.items() if not value] == ["mc_value", "mc_stderr"]
 
-    def test_simulate_imports_scipy_only_to_sample(self, tmp_path):
+    def test_monte_carlo_commands_never_import_scipy(self, tmp_path):
+        doc = json.loads((CONFIG_DIR / "chr2_point.json").read_text())
+        doc["receptor"] = str(CONFIG_DIR / doc["receptor"])
+        doc["sweep"].update(methods=["mc"], mc_n=2000)
+        (tmp_path / "mc.json").write_text(json.dumps(doc))
         body = (
-            "import json\n"
-            "before = scipy_modules()\n"
-            "argv = ['simulate', '--config', sys.argv[1], '--out', sys.argv[2] + '/sim.json',\n"
-            "        '--mc-n', '1000', '--seed', '3']\n"
-            "assert main(argv) == 0\n"
-            "print(json.dumps([before, 'scipy.special' in sys.modules]))\n"
+            "config, out = sys.argv[1], sys.argv[2]\n"
+            "for argv in (['simulate', '--config', config, '--out', out + '/sim.json',\n"
+            "              '--mc-n', '1000', '--seed', '3'],\n"
+            "             ['sweep', '--config', out + '/mc.json', '--out', out + '/mc.csv']):\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(json.dumps(scipy_modules()))\n"
         )
-        assert self.run(body, tmp_path) == [[], True]
+        assert self.run(body, tmp_path) == []
         assert json.loads((tmp_path / "sim.json").read_text())["n"] == 1000
+        (row,) = csv.DictReader((tmp_path / "mc.csv").open())
+        assert row["status"] == "ok" and row["mc_value"] and row["mc_stderr"]
 
 
 class TestReadme:

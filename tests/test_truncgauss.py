@@ -35,7 +35,9 @@ from transduction_mir.truncgauss import (
     _gl_nodes,
     _gl_rows,
     _moment_rows,
+    _NDTRI_BLOCK,
     _ndtr,
+    _ndtri,
     _panel_edges,
     _powers,
     _shifted_moment_rows,
@@ -410,6 +412,15 @@ class TestSampling:
         a = sample(canonical_dist, np.random.default_rng(99), 1000)
         b = sample(canonical_dist, np.random.default_rng(99), 1000)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("args", [(1.0, 0.5, 1e-5, 2.0), (-3.0, 1.0, 0.0, 2.0)])
+    def test_scalar_and_array_forms_agree(self, args):
+        # the plain and the reflected (alpha > 0) draw
+        spec = TruncatedGaussianSpec(*args)
+        for seed in range(20):
+            x = sample(spec, np.random.default_rng(seed))
+            draws = sample(spec, np.random.default_rng(seed), 3)
+            assert isinstance(x, float) and x == draws[0]
 
     def test_against_rejection_oracle(self, canonical_dist):
         # rejection sampling from the parent normal is the oracle path
@@ -895,6 +906,65 @@ class TestNormalCdf:
 
     def test_infinite_arguments(self):
         assert _ndtr([-math.inf, 0.0, math.inf]).tolist() == [0.0, 0.5, 1.0]
+
+
+class TestNormalQuantile:
+    """``_ndtri`` (AS 241) against frozen 50-digit mpmath quantiles and
+    scipy's ``ndtri``, per branch."""
+
+    # FROZEN: Phi^-1(p) by Newton on mpmath's ncdf at 50 digits (checked by
+    # findroot at 80): the central edge 0.075 / 0.925 (|p - 0.5| = 0.425),
+    # both sides of r = sqrt(-ln p) = 5, a deep and a subnormal tail, and
+    # the largest double below 1
+    FROZEN = [
+        (0.075, "-1.439531470938455934949801"),
+        (0.925, "1.43953147093845622906332"),
+        (1.39e-11, "-6.657777073049201731919326"),
+        (1.38e-11, "-6.6588385028507655283087"),
+        (1e-300, "-37.04709629936119923654704"),
+        (5e-324, "-38.46740561714434625078436"),
+        (1 - 2**-53, "8.209536151601386855630769"),
+    ]
+
+    @pytest.mark.parametrize("p, exact", FROZEN)
+    def test_frozen_mpmath(self, p, exact):
+        got = float(_ndtri(p))
+        assert abs(mp.mpf(got) - mp.mpf(exact)) <= 4 * np.spacing(abs(got))
+
+    def test_edges_without_warning(self):
+        # tier-1 turns a RuntimeWarning into an error
+        assert _ndtri([0.0, 0.5, 1.0]).tolist() == [-math.inf, 0.0, math.inf]
+        assert float(_ndtri(0.0)) == -math.inf
+
+    BRANCHES = {
+        "central": lambda rng, n: rng.uniform(0.075, 0.925, n),
+        "near-lower": lambda rng, n: 10.0 ** rng.uniform(math.log10(1.4e-11), math.log10(0.075), n),
+        "near-upper": lambda rng, n: 1.0 - 10.0 ** rng.uniform(math.log10(1.4e-11), math.log10(0.075), n),
+        "far": lambda rng, n: 10.0 ** rng.uniform(-300.0, math.log10(1.38e-11), n),
+    }
+
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_against_scipy(self, branch):
+        # against mpmath AS 241 errs by up to 6.3 ulp and scipy by up to 3.7
+        # (AS 241's rationals themselves by under 0.8; the rest is rounding),
+        # so the two differ by up to 5 machine epsilons relative on 1e6
+        # points per branch
+        p = self.BRANCHES[branch](np.random.default_rng(241), 100_000)
+        np.testing.assert_allclose(_ndtri(p), special.ndtri(p), rtol=6 * np.finfo(float).eps, atol=0.0)
+
+    @pytest.mark.parametrize("n", [_NDTRI_BLOCK - 1, _NDTRI_BLOCK + 1])
+    def test_blocks_equal_entry_by_entry(self, n):
+        rng = np.random.default_rng(n)
+        p = np.concatenate((rng.uniform(0.0, 1.0, n - 4), 10.0 ** rng.uniform(-300.0, -1.0, 2),
+                            [0.0, 1.0]))
+        rng.shuffle(p)
+        got = _ndtri(p)
+        assert got.shape == p.shape
+        # both ends, every entry far in a tail and a random 2000 of the rest
+        rows = np.unique(np.concatenate((np.arange(64), np.arange(n - 64, n),
+                                         np.flatnonzero(np.abs(p - 0.5) > 0.49),
+                                         rng.choice(n, 2000))))
+        assert got[rows].tolist() == [float(_ndtri(v)) for v in p[rows].tolist()]
 
 
 class TestGaussLegendreRule:
