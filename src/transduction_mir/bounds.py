@@ -181,7 +181,7 @@ def _bounds_rows(columns, s: int, chains=None) -> tuple:
     mu, a, b = columns.mu[live], columns.a[live], columns.b[live]
     derivs = _f_derivatives(mu, np.log(mu))
     terms = [central[live, i] * derivs[i - 1] / math.factorial(i) for i in range(1, s)]
-    (prefix,) = _fsum_rows(np.stack(terms, axis=1), [(0, s - 1)]).T
+    prefix = _fsum_rows(np.stack(terms, axis=1))
     # h at b and at a, as one call on 2n rows
     n = len(live)
     h, h_errors = _h_rows(np.concatenate((b, a)), np.concatenate((mu, mu)), s)

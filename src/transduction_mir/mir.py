@@ -243,7 +243,7 @@ def _discrete_rows(spec, columns, b, delta_t, chains, e_xlnx) -> tuple[np.ndarra
 
     mean_entry = np.minimum(np.maximum(c + m * mu[:, None], 0.0), 1.0)
     terms = pi[:, y] * (e_phi.reshape(len(live), len(y)) - _plogp_vec(mean_entry))
-    diagonal = _fsum_rows(terms, [(0, len(y))])[:, 0] / delta_t
+    diagonal = _fsum_rows(terms) / delta_t
     gap = np.full(len(live), np.nan)
     gap[ok] = _gap(e_xlnx[0][live][ok], mu[ok])
     off_diagonal = chains[1][live] * gap
@@ -356,7 +356,7 @@ def _series_rows(columns, order: int, chains: tuple) -> tuple:
     k = np.arange(2, order + 1)
     terms = (-1.0) ** k * moments[:, 2:] / (k * (k - 1))
     mu = columns.mu
-    gaps = _fsum_rows(terms, [(0, order - 1)])[:, 0] - mu * (np.log(mu) - 1.0) - 1.0
+    gaps = _fsum_rows(terms) - mu * (np.log(mu) - 1.0) - 1.0
     errors = merge_rows(errors, moment_errors, chains[2])
     values = chains[1] * gaps
     _mark_floor(errors, f"series({order})", values, _series_floor(chains[1], order))

@@ -2,12 +2,12 @@
 
 A parent Gaussian with mean ``mu_bar`` and standard deviation ``sigma_bar``
 is conditioned on the interval ``[a, b]``.  This module provides the
-closed-form truncated mean/variance, raw and recentred moments (by the
-two-term recursion for the truncated standard normal up to order 20, by
-quadrature above), inverse-CDF sampling through the module's own AS 241
-quantile, and the one Gauss-Legendre driver behind every integral against
-the density: ``_integrate`` runs the node-doubling schedule over groups of
-rows, each pass one ``_gl_rows`` call over many specs.
+closed-form truncated mean/variance, moment tables (orders up to 2 from
+those closed forms, higher orders by quadrature), inverse-CDF sampling
+through the module's own AS 241 quantile, and the one Gauss-Legendre driver
+behind every integral against the density: ``_integrate`` runs the
+node-doubling schedule over groups of rows, each pass one ``_gl_rows`` call
+over many specs.
 """
 
 from __future__ import annotations
@@ -38,12 +38,6 @@ _SQRT_HALF = math.sqrt(0.5)
 #: Hard ceiling on moment order, for moment tables and the series order;
 #: higher orders are refused outright.
 MAX_MOMENT_ORDER = 64
-
-#: Highest order taken from the L-recursion; higher orders come from
-#: quadrature.  The forward recursion loses about a digit every four orders
-#: (on the canonical input E[x^m] is 2e-14 relative off at m = 20, 1e-8 at
-#: 44 and 5% at 64), while the quadrature stays near 5e-13 at every order.
-_RECURSION_MAX_ORDER = 20
 
 #: Truncations keeping less parent mass than this are rejected as numerically
 #: empty: every downstream formula divides by the kept mass.
@@ -210,21 +204,16 @@ def _powers(x: np.ndarray, order: int):
         yield power
 
 
-def _fsum_rows(terms: np.ndarray, spans) -> np.ndarray:
-    """Correctly rounded sums, by ``math.fsum``: entry (r, k) sums the
-    slice ``start:stop`` of row r of ``terms``, for the k-th (start, stop)
-    in ``spans``.  A sum fsum cannot form (inf - inf, or an intermediate
-    overflow) is nan, which the callers' checks reject."""
-    sums = [_fsum_each(terms[:, start:stop].tolist()) for start, stop in spans]
-    return np.array(sums, dtype=float).reshape(len(spans), len(terms)).T
-
-
-def _fsum_each(rows: list) -> list:
-    """``math.fsum`` of every row; where one fails, row by row with nan there."""
+def _fsum_rows(terms: np.ndarray) -> np.ndarray:
+    """The correctly rounded sum of every row of ``terms``, by ``math.fsum``.
+    A sum fsum cannot form (inf - inf, or an intermediate overflow) is nan,
+    which the callers' checks reject."""
+    rows = terms.tolist()
     try:
-        return list(map(math.fsum, rows))
+        sums = list(map(math.fsum, rows))
     except (OverflowError, ValueError):
-        return list(map(_fsum_or_nan, rows))
+        sums = list(map(_fsum_or_nan, rows))
+    return np.array(sums, dtype=float)
 
 
 def _fsum_or_nan(values: list) -> float:
@@ -232,29 +221,6 @@ def _fsum_or_nan(values: list) -> float:
         return math.fsum(values)
     except (OverflowError, ValueError):
         return math.nan
-
-
-def _l_coefficients(alpha, beta, z, order: int) -> list:
-    """Raw moments L_i of the standard normal truncated to [alpha, beta], mass z.
-
-    L_0 = 1
-    L_1 = -(phi(beta) - phi(alpha)) / z
-    L_i = -(beta^(i-1) phi(beta) - alpha^(i-1) phi(alpha)) / z + (i-1) L_{i-2}
-
-    The arguments are row arrays; returns [L_0, ..., L_order], one array
-    per order (L_0 stays the float 1.0).
-    """
-    pdf_a = _norm_pdf(alpha)
-    pdf_b = _norm_pdf(beta)
-    L = [1.0, -(pdf_b - pdf_a) / z]
-    pow_a, pow_b = list(_powers(alpha, order)), list(_powers(beta, order))
-    for i in range(2, order + 1):
-        # phi is exactly 0.0 at a huge endpoint: its term is 0.0, not inf * 0
-        with np.errstate(invalid="ignore"):
-            tb = np.where(pdf_b == 0.0, 0.0, pow_b[i - 1] * pdf_b)
-            ta = np.where(pdf_a == 0.0, 0.0, pow_a[i - 1] * pdf_a)
-        L.append(-(tb - ta) / z + (i - 1) * L[i - 2])
-    return L[: order + 1]
 
 
 @dataclass(frozen=True)
@@ -271,11 +237,16 @@ class TruncatedGaussianSpec:
       formed on the reflected upper tail as ``Phi(-alpha) - Phi(-beta)``,
       which keeps its digits where ``Phi(alpha)`` rounds toward 1.
     mu, sigma2 : mean and variance of the truncated variable, in closed form
-      from the first two raw moments L_1, L_2 of the truncated standard
-      normal (see ``_l_coefficients``)::
+      from the first two raw moments of the truncated standard normal, with
+      phi the standard normal density::
 
+        L_1    = -(phi(beta) - phi(alpha)) / z
+        L_2    = -(beta phi(beta) - alpha phi(alpha)) / z + 1
         mu     = mu_bar + sigma_bar * L_1
         sigma2 = sigma_bar^2 * (L_2 - L_1^2)
+
+      Moment tables (``raw_moments``) take orders 0 to 2 from these and
+      higher orders from quadrature.
     """
 
     mu_bar: float
@@ -349,7 +320,12 @@ def _spec_rows(mu_bar, sigma_bar, a, b) -> tuple[SpecColumns, list]:
                 f"mass (minimum {MIN_TRUNCATION_MASS:.0e})"
             ),
         )
-        _, L1, L2 = _l_coefficients(alpha, beta, z, 2)
+        pdf_a, pdf_b = _norm_pdf(alpha), _norm_pdf(beta)
+        L1 = -(pdf_b - pdf_a) / z
+        # phi is exactly 0.0 at a huge endpoint: its term is 0.0, not inf * 0
+        tb = np.where(pdf_b == 0.0, 0.0, beta * pdf_b)
+        ta = np.where(pdf_a == 0.0, 0.0, alpha * pdf_a)
+        L2 = -(tb - ta) / z + 1.0
         mu = mb + sb * L1
         sigma_sq = sb * sb
         sigma2 = sigma_sq * (L2 - L1 * L1)
@@ -403,42 +379,11 @@ def _mark_table_errors(errors: list, raw: np.ndarray, central: np.ndarray) -> No
             np.abs(central[:, 1]) > 1e-12 * np.maximum(1.0, np.abs(raw[:, 1])),
             lambda i: ValidationError(f"first central moment must vanish, got {central[i, 1]}"),
         )
-    # a sum past the float range (see ``_fsum_rows``)
     mark_rows(
         errors,
         np.isnan(raw).any(axis=1) | np.isnan(central).any(axis=1),
-        lambda i: ValidationError("a moment is nan: its sum is past the float range"),
+        lambda i: ValidationError("a moment is nan"),
     )
-
-
-@lru_cache(maxsize=None)
-def _binomial_layout(width: int):
-    """The terms of the binomial expansions of orders m < width, flattened:
-    (m, i, C(m, i)) per term with i <= m, m-major, and per order its
-    (start, stop) in that flat order."""
-    m, i = np.tril_indices(width)
-    comb = np.array([math.comb(*pair) for pair in zip(m.tolist(), i.tolist())], dtype=float)
-    for shared in (m, i, comb):
-        shared.flags.writeable = False
-    spans = tuple((k * (k + 1) // 2, (k + 1) * (k + 2) // 2) for k in range(width))
-    return m, i, comb, spans
-
-
-def _moments_about(mu_bar, sigma_bar, center, L: np.ndarray) -> np.ndarray:
-    """E[(x - center)^m] for m = 0..order via the binomial expansion in L_i.
-
-    Row arrays: row r has parent mean ``mu_bar[r]``, standard deviation
-    ``sigma_bar[r]``, center ``center[r]`` and L_0..L_order in ``L[r]``.
-    x - center = (mu_bar - center) + sigma_bar * t, so the m-th moment is
-    sum_i C(m, i) sigma_bar^i (mu_bar - center)^(m-i) L_i.  Summed with
-    compensated summation; the terms stay O(|x - center|^m) when the center
-    is near the mass, which keeps small-sigma cases exact.
-    """
-    width = L.shape[1]
-    m, i, comb, spans = _binomial_layout(width)
-    sigma_pow = np.stack(list(_powers(sigma_bar, width - 1)), axis=1)
-    d_pow = np.stack(list(_powers(mu_bar - center, width - 1)), axis=1)
-    return _fsum_rows(comb * sigma_pow[:, i] * d_pow[:, m - i] * L[:, i], spans)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -446,37 +391,26 @@ def _moment_rows(columns: SpecColumns, order: int) -> tuple[np.ndarray, np.ndarr
     """Raw and central moments up to ``order`` of every row, as one array pass.
 
     Returns (raw, central, errors): (rows, order + 1) arrays and, per row,
-    the MirError ``raw_moments`` raises for it, or None.  Orders up
-    to 20 come from the L-recursion: the moments about 0 and about the mean
-    of every row are one expansion.  Higher orders come from
-    ``_shifted_moment_rows``, whose NoConvergence comes before every check.
+    the MirError ``raw_moments`` raises for it, or None.  Orders 0 to 2 are
+    the closed forms, raw ``[1, mu, sigma2 + mu^2]`` and central ``[1, 0,
+    sigma2]``.  Orders 3 and up come from ``_shifted_moment_rows``, about 0
+    and about the mean as one call on 2n rows, whose NoConvergence comes
+    before every check.
     """
-    mu_bar, sigma_bar, a, b, alpha, beta, z, mu, sigma2 = columns
+    mu_bar, _, a, b, _, _, _, mu, sigma2 = columns
     n = len(mu)
-    low = min(order, _RECURSION_MAX_ORDER)
-    L = np.column_stack([np.broadcast_to(c, n) for c in _l_coefficients(alpha, beta, z, low)])
-    # the expansions about 0 and about the mean, as one of 2n rows
-    both = _moments_about(
-        np.concatenate((mu_bar, mu_bar)),
-        np.concatenate((sigma_bar, sigma_bar)),
-        np.concatenate((np.zeros(n), mu)),
-        np.concatenate((L, L)),
-    )
-    raw, central = both[:n], both[n:]
+    raw = np.column_stack((np.ones(n), mu, sigma2 + mu * mu))[:, : order + 1]
+    central = np.column_stack((np.ones(n), np.zeros(n), sigma2))[:, : order + 1]
     errors: list = [None] * n
-    if order > _RECURSION_MAX_ORDER:
-        # by quadrature, about 0 and about the mean as one call on 2n rows
-        high, quad_errors = _shifted_moment_rows(
+    if order >= 3:
+        quad, quad_errors = _shifted_moment_rows(
             columns.take(np.tile(np.arange(n), 2)), np.concatenate((np.zeros(n), mu)), order
         )
-        high = high[:, _RECURSION_MAX_ORDER + 1 :]
-        raw, central = np.hstack((raw, high[:n])), np.hstack((central, high[n:]))
+        raw, central = np.hstack((raw, quad[:n, 3:])), np.hstack((central, quad[n:, 3:]))
         errors = merge_rows(quad_errors[:n], quad_errors[n:])
 
     # support bounds a^m <= E[x^m] <= b^m and, since x^(m-1) (x - a) >= 0 on
-    # [a, b], a E[x^(m-1)] <= E[x^m] <= b E[x^(m-1)], with float slack; the
-    # forward recursion is unstable on narrow windows and breaks the ratio
-    # form long before the power form.
+    # [a, b], a E[x^(m-1)] <= E[x^m] <= b E[x^(m-1)], with float slack
     for m, (lo, hi) in enumerate(zip(_powers(a, order), _powers(b, order))):
         value = raw[:, m]
         slack = 1e-9 * np.maximum(1.0, hi)
@@ -493,15 +427,30 @@ def _moment_rows(columns: SpecColumns, order: int) -> tuple[np.ndarray, np.ndarr
                 f"[{float(lo[i])}, {float(hi[i])}]"
             ),
         )
-    # then central[2] against sigma2, and the MomentTable checks
+    # then the closed-form sigma2 = sigma_bar^2 (L_2 - L_1^2), which keeps no
+    # digits where L_1^2 nearly cancels L_2 (narrow windows): the rounding
+    # of the difference alone is eps (L_2 + L_1^2) / (L_2 - L_1^2) relative,
+    # with L_1 = (mu - mu_bar) / sigma_bar and L_2 - L_1^2 = sigma2 / sigma_bar^2
     if order >= 2:
-        rel = np.abs(central[:, 2] - sigma2) / sigma2
+        cancel = np.finfo(float).eps * (1.0 + 2.0 * (mu - mu_bar) ** 2 / sigma2)
+        mark_rows(
+            errors,
+            cancel > 1e-10,
+            lambda i: ValidationError(
+                f"sigma2 = {sigma2[i]} is lost to cancellation in L_2 - L_1^2 "
+                f"(its rounding alone may reach {cancel[i]:.2e} relative)"
+            ),
+        )
+    # then sigma2 against the quadrature's own order 2 about the mean, and
+    # the MomentTable checks
+    if order >= 3:
+        rel = np.abs(quad[n:, 2] - sigma2) / sigma2
         mark_rows(
             errors,
             rel > 1e-10,
             lambda i: ValidationError(
-                f"central[2] = {central[i, 2]} disagrees with sigma2 = {sigma2[i]} "
-                f"(relative {rel[i]:.2e})"
+                f"quadrature central[2] = {quad[n + i, 2]} disagrees with sigma2 = "
+                f"{sigma2[i]} (relative {rel[i]:.2e})"
             ),
         )
     _mark_table_errors(errors, raw, central)
@@ -511,15 +460,16 @@ def _moment_rows(columns: SpecColumns, order: int) -> tuple[np.ndarray, np.ndarr
 def raw_moments(spec: TruncatedGaussianSpec, order: int) -> MomentTable:
     """Moment table up to ``order``; the one-spec case of ``_moment_rows``.
 
-    Orders up to 20 come from the L-recursion.  Central moments are expanded
-    about the truncated mean using the same recursion coefficients, which
-    avoids the catastrophic cancellation of differencing large raw moments
-    when sigma_bar is small.  Higher orders, where the recursion loses its
-    digits, come from the moment quadrature about 0 and about the mean.
+    Orders 0 to 2 are the closed forms of ``mu`` and ``sigma2``.  Higher
+    orders come from the moment quadrature about 0 (raw) and about the mean
+    (central): integrating (x - mu)^m directly avoids the cancellation of
+    differencing large raw moments when sigma_bar is small.
 
-    Raises OrderTooHigh for order > MAX_MOMENT_ORDER, and ValidationError
-    when a moment escapes its support bound or central[2] disagrees with
-    sigma2; NoConvergence when the quadrature of a high order does not settle.
+    Raises OrderTooHigh for order > MAX_MOMENT_ORDER; NoConvergence when the
+    quadrature does not settle; ValidationError when a moment escapes its
+    support bound, when at order 2 and up the rounding of the closed-form
+    sigma2 may pass 1e-10 relative, or when at order 3 and up the
+    quadrature's central[2] disagrees with it by more than 1e-10 relative.
     """
     check_integer(order, "order")
     if order < 0:

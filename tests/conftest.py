@@ -20,9 +20,7 @@ def random_valid_dist(rng: np.random.Generator) -> TruncatedGaussianSpec:
     """Draw a valid spec from the regime the package targets.
 
     Truncations follow the intensity-window geometry of the shipped sweeps
-    (lower cut near zero, upper cut near 2); the moment recursion is
-    documented as fragile outside it, where the standardized window sits
-    strictly inside the parent bulk.
+    (lower cut near zero, upper cut near 2).
     """
     mu_bar = rng.uniform(0.05, 2.0)
     sigma_bar = rng.uniform(0.05, 1.0)

@@ -147,7 +147,7 @@ def test_criterion_4_step_convergence():
     )
 
 
-def test_criterion_5_moment_recursion():
+def test_criterion_5_moment_tables():
     start = time.perf_counter()
     rng = np.random.default_rng(20250808)
     worst = 0.0
@@ -173,7 +173,7 @@ def test_criterion_5_moment_recursion():
     ok = worst < 1e-8 and elapsed < 5.0
     _report(
         5,
-        "moment recursion vs adaptive quadrature, 50 specs, m <= 20",
+        "moment tables vs adaptive quadrature, 50 specs, m <= 20",
         ok,
         f"worst relative error {worst:.3e} < 1e-8, runtime {elapsed:.2f}s < 5s",
     )

@@ -2,7 +2,7 @@
 
 FROZEN gap-bound values come from the closed-form endpoint expressions
 evaluated with plain math against scipy-quad central moments, independent of
-the package's moment recursion.
+the package's moment quadrature.
 """
 
 import math
@@ -142,6 +142,16 @@ class TestGapBounds:
         assert max(widths) / min(widths) < 1.05
 
 
+#: windows of 1e-4 to 5e-3 parent sigmas where, without the cancellation
+#: check, the s=2 pair excluded the 50-digit rate by 5e-4 to 9e-4 relative
+CANCELLING = [
+    (-0.4504932221021558, 0.5468170222873648, 0.08170751427938507, 0.08181898160090187),
+    (-0.33445998543082167, 0.9902917379602421, 0.25107243986157357, 0.25123039224532173),
+    (-0.7648200496934476, 1.346905721973789, 0.27161087059464034, 0.27180686892877487),
+    (0.9081466711289616, 0.6543425519146873, 0.23675192335875278, 0.23689269921135767),
+]
+
+
 class TestMirBounds:
     def test_linear_in_gain(self, canonical_dist):
         base = mir_bounds(chr2_skeleton(), canonical_dist, 2)
@@ -173,6 +183,13 @@ class TestMirBounds:
     def test_rejects_unsupported_order(self, unit_chr2, canonical_dist):
         with pytest.raises(ValidationError):
             mir_bounds(unit_chr2, canonical_dist, 3)
+
+    @pytest.mark.parametrize("args", CANCELLING)
+    def test_cancelled_variance_raises_not_returns(self, unit_chr2, args):
+        dist = TruncatedGaussianSpec(*args)
+        for s in (2, 4):
+            with pytest.raises(ValidationError, match="lost to cancellation in L_2 - L_1"):
+                mir_bounds(unit_chr2, dist, s)
 
 
 @pytest.fixture(scope="module")
@@ -215,17 +232,25 @@ SPLIT = ReceptorSpec(
 FAILING = [
     # the mean sits 8e-13 above a: h(a) is degenerate
     (None, (1e-5, 1e-12, 1e-5, 2.0), "DegenerateArgument", "DegenerateArgument"),
-    # a narrow window breaks the recursion's support bound
+    # a narrow window: the closed-form sigma2 drifts, and E[x^2] = sigma2 +
+    # mu^2 escapes its support bound
     (None, (3.365807324814968, 1.0634951824538557, 0.0015116004714033071,
             0.0015129628060781403), "ValidationError", "ValidationError"),
-    # central[2] disagrees with the closed-form variance
-    (None, (2.0, 1e-11, 1e-5, 2.0), "ValidationError", "ValidationError"),
+    # the mean sits 8e-12 below b: h(b) is degenerate at s=2; at s=4 the
+    # quadrature's central[2] disagrees with the closed-form variance first
+    (None, (2.0, 1e-11, 1e-5, 2.0), "DegenerateArgument", "ValidationError"),
     # the mean chain has two recurrent classes
     (SPLIT, (1.0, 0.5, 1e-5, 2.0), "NotIrreducible", "NotIrreducible"),
-    # the s=4 bounds cross on a narrow window
+    # a narrow window where L_1^2 cancels L_2: the closed-form variance may
+    # be 1.2e-8 relative off by rounding alone
     (None, (-4.842012532672418, 2.562038689645731, 0.18755529632959123,
-            0.19085944706556), None, "ValidationError"),
+            0.19085944706556), "ValidationError", "ValidationError"),
+    # a narrower cancellation that keeps the variance within 1e-10, yet the
+    # quadrature's central[2] is 2.9e-7 relative off it: s=4 fails alone
+    (None, (-0.23401700995488373, 1.5972108257237898, 0.05928128419236875,
+            0.06180208139557882), None, "ValidationError"),
 ]
+
 
 
 def _outcome(call):

@@ -259,7 +259,7 @@ class TestSeries:
 
     def test_raw_form_agrees_at_order_20(self, unit_chr2, canonical_dist):
         # expanding E[(x-1)^k] into sum_m (-1)^m C(k,m) E[x^m] with the
-        # recursion moments gives the same gap; at the canonical point the
+        # raw moment table gives the same gap; at the canonical point the
         # raw alternating sum is still accurate through order 20
         order = 20
         raw = raw_moments(canonical_dist, order).raw

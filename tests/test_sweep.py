@@ -1,6 +1,7 @@
 """Sweep engine and serialization tests."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -233,8 +234,9 @@ class TestRunSweep:
 
     def test_refinement_calls_per_sweep(self, unit_chr2, monkeypatch):
         # one E[x ln x] pass, one pass over the x-dependent diagonal entries
-        # of every point for the discrete rate, and one pass over the moment
-        # vectors of every point for the series
+        # of every point for the discrete rate, one pass over the moment
+        # vectors of every point for the series, and one over the moments
+        # about 0 and about the mean of every point for the s=4 bounds
         calls = []
         integrate = truncgauss._integrate
         monkeypatch.setattr(
@@ -250,10 +252,11 @@ class TestRunSweep:
         )
         rows = run_sweep(config)
         assert [row.status for row in rows] == ["ok"] * 64
-        assert len(calls) == 3
+        assert len(calls) == 4
         # E[x ln x], then one diagonal entry per point
         assert calls.count((64, "expectation")) == 2
         assert calls.count((64, "moment quadrature")) == 1
+        assert calls.count((128, "moment quadrature")) == 1
 
     # the reducible receptor fails every valid row's stationary solve; at
     # delta_t = 0.75 discrete and mc fail with StepTooLarge, raised first
@@ -290,9 +293,10 @@ class TestRunSweep:
         assert audit_rows(rows) == []
 
     def test_audit_slack_is_relative_to_the_rate(self, unit_chr2):
-        # a window 0.0016 parent sigmas wide: the rate is 5.6e-6 bits/s, and
-        # the s=4 pair misses it by 1e-4 relative, which an absolute slack of
-        # 1e-9 bits/s lets pass; the s=2 pair holds it
+        # a window 0.0016 parent sigmas wide, where the rate is 5.6e-6
+        # bits/s.  There the closed-form sigma2 is 2.9e-7 relative off the
+        # moment quadrature's, so the s=4 bounds fail typed, and the s=2
+        # pair holds the rate
         mu_bar, sigma_bar = -0.23401700995488373, 1.5972108257237898
         config = small_config(
             unit_chr2,
@@ -305,10 +309,16 @@ class TestRunSweep:
         (row,) = run_sweep(config)
         exact = row.mir_quadrature
         assert row.lb_s2 <= exact <= row.ub_s2
-        assert row.lb_s4 - exact > 1e-5 * exact
-        message = f"s=4 bounds [{row.lb_s4}, {row.ub_s4}] fail to sandwich {exact}"
-        assert row.status == f"audit:{message}"
-        assert audit_rows([row]) == [(0, message)]
+        assert (row.status, row.lb_s4, row.ub_s4) == ("bounds_s4:ValidationError", None, None)
+        with pytest.raises(ValidationError, match=r"quadrature central\[2\] = .* disagrees"):
+            mir_bounds(unit_chr2, TruncatedGaussianSpec(mu_bar, sigma_bar, config.a, config.b), 4)
+        # an s=4 pair that misses the rate by 1e-4 relative is a violation,
+        # which an absolute slack of 1e-9 bits/s would let pass
+        missed = SweepRow(mu_bar, sigma_bar, mir_quadrature=exact, lb_s2=row.lb_s2,
+                          ub_s2=row.ub_s2, lb_s4=exact * (1.0 + 1e-4), ub_s4=exact * (1.0 + 2e-4))
+        message = f"s=4 bounds [{missed.lb_s4}, {missed.ub_s4}] fail to sandwich {exact}"
+        assert audit_rows([missed]) == [(0, message)]
+        assert audit_rows([replace(missed, lb_s4=exact * (1.0 + 5e-10))]) == []
 
     def test_rows_match_direct_api_calls(self, unit_chr2):
         from transduction_mir import TruncatedGaussianSpec, mir_quadrature

@@ -1,8 +1,9 @@
 """Truncated Gaussian distribution tests.
 
 Expected values marked FROZEN were computed with scipy.integrate.quad /
-scipy.stats.truncnorm oracles, independent of the package's own quadrature
-engine and recursion; the oracle code is kept inline where it is cheap.
+scipy.stats.truncnorm or 50-digit mpmath oracles, independent of the
+package's own quadrature engine; the oracle code is kept inline where it is
+cheap.
 """
 
 import json
@@ -19,6 +20,7 @@ from scipy import integrate, special, stats
 
 from transduction_mir import (
     MirError,
+    MomentTable,
     NoConvergence,
     OrderTooHigh,
     TruncatedGaussianSpec,
@@ -46,6 +48,7 @@ from transduction_mir.truncgauss import (
 )
 from conftest import random_valid_dist
 from oracles import (
+    MPMATH_MOMENTS,
     density,
     gl_estimate,
     moments_about,
@@ -77,14 +80,14 @@ CANONICAL_E_XLNX = 0.10748072701789235
 def raw_moments(spec, order):
     """Every moment table built in this module verifies itself by quadrature.
 
-    Orders 1..6 of the recursion must match the package's expectation
-    engine to 1e-8 relative.
+    Orders 1..6 of the table must match the package's expectation engine to
+    1e-8 relative.
     """
     table = package_raw_moments(spec, order)
     for m in range(1, min(order, 6) + 1):
         ref = expectation(spec, lambda x, _m=m: x**_m)
         assert abs(table.raw[m] - ref) <= 1e-8 * max(abs(ref), 1e-300), (
-            f"moment recursion disagrees with quadrature at m={m}: {table.raw[m]} vs {ref}"
+            f"moment table disagrees with quadrature at m={m}: {table.raw[m]} vs {ref}"
         )
     return table
 
@@ -299,7 +302,7 @@ class TestMoments:
         for m, expected in CANONICAL_RAW.items():
             assert table.raw[m] == pytest.approx(expected, rel=1e-8), f"m={m}"
 
-    def test_recursion_matches_quadrature_oracle(self):
+    def test_tables_match_quadrature_oracle(self):
         rng = np.random.default_rng(20250808)
         for _ in range(12):
             spec = random_valid_dist(rng)
@@ -314,15 +317,11 @@ class TestMoments:
             assert canonical_dist.a**m - 1e-9 <= table.raw[m] <= canonical_dist.b**m + 1e-9
 
     def test_unstable_recursion_raises_not_returns(self):
-        # a narrow window under a wide parent: the forward recursion used to
-        # return E[x^20] = 1143.13 here with no error
+        # a narrow window under a wide parent: a forward recursion in the L_i
+        # once returned E[x^20] = 1143.13 here with no error
         spec = TruncatedGaussianSpec(0.7, 3.0, 0.5, 1.5)
         reference = 232.72157950403442  # mpmath, 50 digits
-        try:
-            value = package_raw_moments(spec, 20).raw[20]
-        except ValidationError:
-            return
-        assert value == pytest.approx(reference, rel=1e-8)
+        assert package_raw_moments(spec, 20).raw[20] == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.parametrize(
         "m, raw, central",
@@ -334,8 +333,8 @@ class TestMoments:
         ],
     )
     def test_high_orders_against_mpmath(self, canonical_dist, m, raw, central):
-        # the forward recursion alone was 1e-8 off at m = 44 and 4.5% off at
-        # m = 64, with negative even central moments, yet passed its checks
+        # a forward recursion in the L_i was 1e-8 off at m = 44 and 4.5% off
+        # at m = 64, with negative even central moments, yet passed its checks
         table = package_raw_moments(canonical_dist, 64)
         assert table.raw[m] == pytest.approx(raw, rel=1e-11)
         assert table.central[m] == pytest.approx(central, rel=1e-10)
@@ -349,9 +348,7 @@ class TestMoments:
 
     def test_central_moments(self, canonical_dist):
         table = raw_moments(canonical_dist, 8)
-        assert table.central[0] == 1.0
-        assert abs(table.central[1]) < 1e-12
-        assert table.central[2] == pytest.approx(canonical_dist.sigma2, rel=1e-10)
+        assert table.central[:3].tolist() == [1.0, 0.0, canonical_dist.sigma2]
         assert all(table.central[i] > 0 for i in (2, 4, 6, 8))
 
     def test_central_stable_for_tiny_sigma(self):
@@ -372,10 +369,10 @@ class TestMoments:
             ref = quad_moment(canonical_dist, lambda x, _m=m: (x - 1.0) ** _m)
             assert ms[m] == pytest.approx(ref, rel=1e-8, abs=1e-12)
 
-    def test_shifted_vector_matches_recursion(self, canonical_dist):
+    def test_shifted_vector_matches_mpmath(self, canonical_dist):
         by_quad = shifted_moment_vector(canonical_dist, 1.0, 12)
-        by_rec = moments_about(canonical_dist, 1.0, 12)
-        np.testing.assert_allclose(by_quad, by_rec, rtol=1e-9, atol=1e-13)
+        exact = moments_about(canonical_dist, 1.0, 12)
+        np.testing.assert_allclose(by_quad, exact, rtol=1e-12, atol=1e-16)
         # orders 0 and 1 are the closed forms 1 and mu - center, no quadrature
         closed = [1.0, canonical_dist.mu - 1.0]
         for order in (0, 1):
@@ -383,6 +380,26 @@ class TestMoments:
             assert got.tolist() == closed[: order + 1] == by_quad[: order + 1].tolist()
         with pytest.raises(ValidationError, match="order must be >= 0"):
             shifted_moment_vector(canonical_dist, 1.0, -1)
+
+
+class TestMomentsAgainstMpmath:
+    """Every order above 2 comes from the moment quadrature."""
+
+    @pytest.mark.parametrize("args", sorted(MPMATH_MOMENTS), ids=["chr2_point", "surface_row"])
+    @pytest.mark.parametrize("order", [4, 10, 20, 64])
+    def test_frozen_tables(self, args, order):
+        table = package_raw_moments(TruncatedGaussianSpec(*args), order)
+        for m, (raw, central) in MPMATH_MOMENTS[args].items():
+            if m <= order:
+                assert table.raw[m] == pytest.approx(raw, rel=1e-12), m
+                assert table.central[m] == pytest.approx(central, rel=1e-12), m
+
+    def test_even_central_moments_of_the_surface_are_positive(self):
+        # a forward recursion in the L_i gave 562 of these 2500 rows a
+        # negative order-20 central moment, and flagged only 3
+        raw, central, errors = _moment_rows(_columns(surface_specs()), 20)
+        assert errors == [None] * 2500
+        assert (central[:, 2::2] > 0.0).all()
 
 
 class TestSampling:
@@ -596,7 +613,7 @@ class TestExpectationRows:
             6.920267952192655232334992,
         ]
         np.testing.assert_allclose(got[122, 2:9], frozen, rtol=1e-13, atol=0.0)
-        # orders above 20 of the moment tables: one call on 2n rows
+        # orders above 2 of the moment tables: one call on 2n rows
         raw, central, errors = _moment_rows(columns, 64)
         for i, spec in enumerate(specs):
             try:
@@ -851,24 +868,27 @@ class TestOverflowingPowers:
 
     @pytest.mark.parametrize("order", [10, 20])
     def test_moment_sums_past_the_float_range_raise_typed(self, order):
-        # a valid spec where math.fsum cannot form some of the moment sums
-        # (terms of +-inf, or finite terms whose sum overflows): they are
-        # nan, and the table checks reject the spec with a typed error
+        # a valid spec whose moments of order 10 and up pass the float range
+        # (E[x^10] is about 7e445): the integrand's powers are +-inf, the
+        # quadrature estimates never settle, and the table raises a typed
+        # NoConvergence, as at every order above 2
         spec = TruncatedGaussianSpec(
             3.457032552295589e44, 2.421867596011739e44, 0.0, 3.1664191723467982e53
         )
-        with pytest.raises(ValidationError, match="a moment is nan"):
+        with pytest.raises(NoConvergence, match="moment quadrature did not stabilize"):
             package_raw_moments(spec, order)
 
     def test_first_central_moment_is_relative_to_the_mean(self):
-        # a window thousands of units wide: E[x - mu] rounds to 1.8e-12
-        # against a mean of 9846, which the table checks accept
+        # a window thousands of units wide: a quadrature's E[x - mu] of
+        # 1.8e-12 against a mean of 9846 is accepted.  The package's tables
+        # take central[1] = 0 exactly, so the table is built directly
         spec = TruncatedGaussianSpec(
             -4339.894654759865, 5136.712298966036, 8156.676555253254, 168304.04545198614
         )
         table = package_raw_moments(spec, 4)
-        assert 1e-12 < abs(table.central[1]) <= 1e-12 * table.raw[1]
-        assert table.raw[1] == spec.mu
+        assert table.central[1] == 0.0 and table.raw[1] == spec.mu
+        noisy = MomentTable(raw=table.raw[:2].copy(), central=np.array([1.0, 1.8e-12]), order=1)
+        assert 1e-12 < noisy.central[1] <= 1e-12 * noisy.raw[1]
 
     def test_wide_window_table(self):
         # b**20 = 1e320 overflows; the mass beyond x = 10 (18 parent sigmas)
