@@ -165,7 +165,8 @@ def h_s(x: float, mu: float, s: int) -> float:
 
 
 def _bounds_rows(columns, s: int, chains=None) -> tuple:
-    """Gap and rate bounds of order s for every row of ``columns``, as one array pass.
+    """Gap and rate bounds of order s for every row of ``columns``, as one
+    array pass over every row.
 
     ``chains`` holds the distributions' rows of ``mean_chain_rows``;
     without it no gain enters and only the gap bounds are checked.  Returns
@@ -177,20 +178,17 @@ def _bounds_rows(columns, s: int, chains=None) -> tuple:
     """
     _check_order(s)
     _, central, errors = _moment_rows(columns, s)
-    live = np.flatnonzero(live_rows(errors))
-    mu, a, b = columns.mu[live], columns.a[live], columns.b[live]
+    mu, a, b, n = columns.mu, columns.a, columns.b, len(columns.mu)
     derivs = _f_derivatives(mu, np.log(mu))
-    terms = [central[live, i] * derivs[i - 1] / math.factorial(i) for i in range(1, s)]
+    terms = [central[:, i] * derivs[i - 1] / math.factorial(i) for i in range(1, s)]
     prefix = _fsum_rows(np.stack(terms, axis=1))
     # h at b and at a, as one call on 2n rows
-    n = len(live)
     h, h_errors = _h_rows(np.concatenate((b, a)), np.concatenate((mu, mu)), s)
-    for i, error in zip(live.tolist(), merge_rows(h_errors[:n], h_errors[n:])):
-        errors[i] = error
-    gap_lower, gap_upper, mu_s, gain = np.full((4, len(columns.mu)), np.nan)
-    mu_s[live] = central[live, s]
-    gap_lower[live] = prefix + h[:n] * mu_s[live]
-    gap_upper[live] = prefix + h[n:] * mu_s[live]
+    errors = merge_rows(errors, h_errors[:n], h_errors[n:])
+    mu_s = central[:, s]
+    gap_lower = prefix + h[:n] * mu_s
+    gap_upper = prefix + h[n:] * mu_s
+    gain = np.full(n, np.nan)
     if chains is not None:
         errors = merge_rows(errors, chains[2])
         gain = chains[1]

@@ -63,36 +63,40 @@ class McEstimate:
             raise ValidationError(f"n must be >= 1, got {self.n}")
 
 
-def _leave_steps(xs, us, cum_const, cum_slope) -> list[np.ndarray]:
-    """Per state y, the sorted steps at which a walker in y lands elsewhere.
+def _landings(xs, us, cum_const, cum_slope) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per state y, the sorted steps at which a walker in y lands elsewhere,
+    and the state it lands on at each of them.
 
-    The per-step rule lands on y iff u > cum[j] for every column j < y and,
-    unless y is the last column, not u > cum[y].  Every column below y is
-    tested, not only y - 1, so the result does not rest on the float rows
-    being monotone (slope rows carry negative diagonals).  The expressions
-    are the per-step rule's, term for term.
+    The per-step rule lands on the first column j of row y whose edge
+    cum[j] is not below the scaled draw u, or on the last column if none
+    is: the landing column counts the columns j < last for which u is above
+    every edge up to and including cum[j].  That running mask keeps the
+    rule exact on ties (u equal to an edge lands on that column) and on
+    float rows that are not monotone (slope rows carry negative diagonals).
+    The expressions are the per-step rule's, term for term.
     """
     n = len(xs)
     last = cum_const.shape[1] - 1
-    leave = []
-    u = np.empty(n)
-    edge = np.empty(n)
+    u, edge = np.empty((2, n))
+    above, mask = np.empty((2, n), dtype=bool)
+    land = np.empty(n, dtype=np.min_scalar_type(last))
+    landings = []
     for y in range(last + 1):
         # scale the draw by the float row total so the landing column always
         # has positive probability, even when the total rounds below 1
         np.multiply(xs, cum_slope[y, last], out=u)
         u += cum_const[y, last]
         u *= us
-        stay = np.ones(n, dtype=bool)
-        for j in range(min(y + 1, last)):
+        land.fill(0)
+        above.fill(True)
+        for j in range(last):
             np.multiply(xs, cum_slope[y, j], out=edge)
             edge += cum_const[y, j]
-            if j < y:
-                stay &= u > edge
-            else:
-                stay &= ~(u > edge)
-        leave.append(np.flatnonzero(~stay))
-    return leave
+            above &= np.greater(u, edge, out=mask)
+            land += above
+        steps = np.flatnonzero(np.not_equal(land, y, out=mask))
+        landings.append((steps, land[steps]))
+    return landings
 
 
 def simulate(
@@ -112,11 +116,12 @@ def simulate(
     none is).  Fully deterministic given the seed.
 
     The path is followed event by event: for each state, one vectorised
-    pass finds the steps at which a walker there would leave it, using the
-    same float expressions as the per-step rule, and the walk jumps from
-    one such step to the next, filling the stays in between as slices.
-    Python work scales with the number of jumps, not of steps, and the path
-    is bit-identical to drawing each step from the kernel in turn.
+    pass applies the per-step rule, with the same float expressions, to
+    every step, and keeps the steps at which a walker there would land
+    elsewhere and where it lands.  The walk jumps from one such step to the
+    next, filling the stays in between as slices.  Python work scales with
+    the number of jumps, not of steps, and the path is bit-identical to
+    drawing each step from the kernel in turn.
 
     ``seed`` is a nonnegative integer, a ``np.random.Generator`` (drawn
     from in place) or a ``np.random.SeedSequence``.
@@ -149,29 +154,19 @@ def simulate(
     xs = sample(dist, rng, n)
     us = rng.random(n)
 
-    leave = _leave_steps(xs, us, cum_const, cum_slope)
-    const_rows = cum_const.tolist()
-    slope_rows = cum_slope.tolist()
+    landings = _landings(xs, us, cum_const, cum_slope)
     states = np.empty(n, dtype=np.int64)
     i, y = 0, y0
     while True:
-        steps = leave[y]
+        steps, lands = landings[y]
         pos = int(steps.searchsorted(i))
         if pos == len(steps):
             states[i:] = y
             break
         stop = int(steps[pos])
         states[i:stop] = y
-        # the jump step: the per-step landing rule, once
-        x = float(xs[stop])
-        const_row = const_rows[y]
-        slope_row = slope_rows[y]
-        u_stop = float(us[stop]) * (const_row[last] + x * slope_row[last])
-        j = 0
-        while j < last and u_stop > const_row[j] + x * slope_row[j]:
-            j += 1
-        states[stop] = j
-        i, y = stop + 1, j
+        i, y = stop + 1, int(lands[pos])
+        states[stop] = y
     return Trajectory(
         delta_t=delta_t, initial_state=y0, states=states, inputs=xs, seed=seed
     )

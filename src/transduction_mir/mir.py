@@ -135,11 +135,6 @@ def _plogp_vec(p: np.ndarray) -> np.ndarray:
     return _xlogx(p, np.log2)
 
 
-def _plogp_entry(x: np.ndarray, c, m) -> np.ndarray:
-    """phi(p(x)) for the step-kernel entry p(x) = c + m * x."""
-    return _plogp_vec(c + m * x)
-
-
 def _xlnx_vec(x: np.ndarray) -> np.ndarray:
     """x * ln(x) extended by continuity to 0 at x = 0."""
     return _xlogx(x, np.log)
@@ -208,51 +203,39 @@ def _discrete_rows(spec, columns, b, delta_t, chains, e_xlnx) -> tuple[np.ndarra
     support that ends at ``b``, from their rows of ``mean_chain_rows`` and
     of ``expectation_rows`` with x ln x.
 
-    The off-diagonal part is gain * gap from those rows.  The
-    E[phi(p_yy(x))] of every x-dependent diagonal entry of every
-    distribution are one ``expectation_rows`` pass.  Returns (rates,
-    errors): per row the rate, its Jensen gap in nats and its diagonal and
-    off-diagonal parts in bits/s, as a (rows, 4) array with nan on failed
-    rows, and the MirError ``mir_discrete`` raises for the row, or None.
-    The errors keep the one-row order: ``step_kernel`` at b, which every row
-    shares, the mean chain, the diagonal entries in state order, E[x ln x],
-    then the ``MirResult`` floor.
+    The off-diagonal part is gain * gap from those rows.  Each x-dependent
+    diagonal entry c + m*x is one ``expectation_rows`` pass of
+    phi(c + m*x) over every distribution, entry by entry in state order.
+    Every row is computed; returns (rates, errors): per row the rate, its
+    Jensen gap in nats and its diagonal and off-diagonal parts in bits/s,
+    as a (rows, 4) array with nan on failed rows, and the MirError
+    ``mir_discrete`` raises for the row, or None.  The errors keep the
+    one-row order: ``step_kernel`` at b, which every row shares, the mean
+    chain, the diagonal entries in state order, E[x ln x], then the
+    ``MirResult`` floor.
     """
-    rates = np.full((len(columns.mu), 4), np.nan)
     try:
         const, lin = step_kernel(spec, delta_t, b)
     except MirError as exc:
-        return rates, [exc] * len(columns.mu)
-    errors = list(chains[2])
-    live = np.flatnonzero(live_rows(errors))
-    if not live.size:
-        return rates, errors
-
+        return np.full((len(columns.mu), 4), np.nan), [exc] * len(columns.mu)
+    errors = chains[2]
     y = np.flatnonzero(np.diagonal(spec.slope))
-    c, m = const[y, y], lin[y, y]
-    e_phi, _, _, entry_errors = expectation_rows(
-        columns.take(np.repeat(live, len(y))),
-        _plogp_entry,
-        np.tile(np.stack((c, m), axis=1), (len(live), 1)),
-    )
-    by_entry = (entry_errors[k :: len(y)] for k in range(len(y)))
-    stage = merge_rows(*by_entry, [e_xlnx[3][i] for i in live])
-    ok = live_rows(stage)
-    mu = columns.mu[live]
-    pi = chains[0][live]
+    e_phi = np.empty((len(columns.mu), len(y)))
+    for k, i in enumerate(y.tolist()):
+        c, m = const[i, i], lin[i, i]
+        e_phi[:, k], _, _, entry_errors = expectation_rows(columns, lambda x: _plogp_vec(c + m * x))
+        errors = merge_rows(errors, entry_errors)
+    errors = merge_rows(errors, e_xlnx[3])
 
-    mean_entry = np.minimum(np.maximum(c + m * mu[:, None], 0.0), 1.0)
-    terms = pi[:, y] * (e_phi.reshape(len(live), len(y)) - _plogp_vec(mean_entry))
+    mu, pi, gain = columns.mu, chains[0], chains[1]
+    mean_entry = np.minimum(np.maximum(const[y, y] + lin[y, y] * mu[:, None], 0.0), 1.0)
+    terms = pi[:, y] * (e_phi - _plogp_vec(mean_entry))
     diagonal = _fsum_rows(terms) / delta_t
-    gap = np.full(len(live), np.nan)
-    gap[ok] = _gap(e_xlnx[0][live][ok], mu[ok])
-    off_diagonal = chains[1][live] * gap
+    gap = _gap(e_xlnx[0], mu)
+    off_diagonal = gain * gap
     value = diagonal + off_diagonal
-    _mark_floor(stage, f"discrete({delta_t!r})", value, _RATE_FLOOR)
-
-    rates[live] = np.stack((value, gap, diagonal, off_diagonal), axis=1)
-    for i, error in zip(live.tolist(), stage):
-        errors[i] = error
+    _mark_floor(errors, f"discrete({delta_t!r})", value, _RATE_FLOOR)
+    rates = np.stack((value, gap, diagonal, off_diagonal), axis=1)
     rates[~live_rows(errors)] = np.nan
     return rates, errors
 
@@ -295,9 +278,7 @@ def _quadrature_rows(mu: np.ndarray, chains: tuple, e_xlnx: tuple) -> tuple:
     chain's, E[x ln x]'s, then the ``MirResult`` floor's.
     """
     errors = merge_rows(chains[2], e_xlnx[3])
-    ok = live_rows(errors)
-    gaps = np.full(len(mu), np.nan)
-    gaps[ok] = _gap(e_xlnx[0][ok], mu[ok])
+    gaps = _gap(e_xlnx[0], mu)
     values = chains[1] * gaps
     _mark_floor(errors, "quadrature", values, _RATE_FLOOR)
     failed = ~live_rows(errors)

@@ -282,11 +282,11 @@ def mean_chain_rows(spec: ReceptorSpec, means) -> tuple[np.ndarray, np.ndarray, 
     solved as one stack.
 
     Returns (pi, gain, errors): the (means, n_states) read-only stationary
-    vectors and the gains of all means from one pass (``sensitive_gain`` is
-    its one-row case), nan on failed rows, and per mean the MirError it
-    fails with (ValidationError for a mean that is not a nonnegative finite
-    number, or whose generator has a rate past the float range;
-    NotIrreducible otherwise), or None.
+    vectors and the gains of all means from one pass over every row
+    (``sensitive_gain`` is its one-row case), nan on failed rows, and per
+    mean the MirError it fails with (ValidationError for a mean that is not
+    a nonnegative finite number, or whose generator has a rate past the
+    float range; NotIrreducible otherwise), or None.
     """
     column = np.asarray(means, dtype=float)
     valid = np.isfinite(column) & (column >= 0.0)
@@ -304,10 +304,8 @@ def mean_chain_rows(spec: ReceptorSpec, means) -> tuple[np.ndarray, np.ndarray, 
         ),
     )
     pi, errors = _solve_stationary(q, errors)
-    gain = np.full(len(column), np.nan)
-    ok = live_rows(errors)
-    gain[ok] = _gain_rows(spec, pi[ok])
-    return pi, gain, errors
+    # a failed row's pi is nan, and so is its gain
+    return pi, np.array(_gain_rows(spec, pi), dtype=float), errors
 
 
 def stationary_distribution(spec: ReceptorSpec, mean_x: float) -> np.ndarray:

@@ -351,7 +351,9 @@ def _spec_rows(mu_bar, sigma_bar, a, b) -> tuple[SpecColumns, list]:
 class MomentTable:
     """Raw and central moments of a truncated Gaussian up to ``order``.
 
-    ``raw[m] = E[x^m]`` and ``central[i] = E[(x - mu)^i]``.
+    ``raw[m] = E[x^m]`` and ``central[i] = E[(x - mu)^i]``.  The zeroth
+    moments must be 1 and the first central moment 0 (to 1e-12), and no
+    moment may be nan; ``_moment_rows`` builds every row to pass these.
     """
 
     raw: np.ndarray
@@ -359,31 +361,17 @@ class MomentTable:
     order: int
 
     def __post_init__(self):
-        if len(self.raw) != self.order + 1 or len(self.central) != self.order + 1:
+        raw, central = self.raw, self.central
+        if len(raw) != self.order + 1 or len(central) != self.order + 1:
             raise ValidationError("moment vectors must have length order + 1")
-        errors = [None]
-        _mark_table_errors(errors, self.raw[None], self.central[None])
-        unwrap(errors[0])
-        self.raw.flags.writeable = False
-        self.central.flags.writeable = False
-
-
-def _mark_table_errors(errors: list, raw: np.ndarray, central: np.ndarray) -> None:
-    """The ``MomentTable`` checks on rows of (rows, order + 1) moment arrays,
-    marked as by ``mark_rows``."""
-    zeroth = (np.abs(raw[:, 0] - 1.0) > 1e-12) | (np.abs(central[:, 0] - 1.0) > 1e-12)
-    mark_rows(errors, zeroth, lambda i: ValidationError("zeroth moments must equal 1"))
-    if central.shape[1] > 1:
-        mark_rows(
-            errors,
-            np.abs(central[:, 1]) > 1e-12 * np.maximum(1.0, np.abs(raw[:, 1])),
-            lambda i: ValidationError(f"first central moment must vanish, got {central[i, 1]}"),
-        )
-    mark_rows(
-        errors,
-        np.isnan(raw).any(axis=1) | np.isnan(central).any(axis=1),
-        lambda i: ValidationError("a moment is nan"),
-    )
+        if abs(raw[0] - 1.0) > 1e-12 or abs(central[0] - 1.0) > 1e-12:
+            raise ValidationError("zeroth moments must equal 1")
+        if len(central) > 1 and abs(central[1]) > 1e-12 * np.maximum(1.0, abs(raw[1])):
+            raise ValidationError(f"first central moment must vanish, got {central[1]}")
+        if np.isnan(raw).any() or np.isnan(central).any():
+            raise ValidationError("a moment is nan")
+        raw.flags.writeable = False
+        central.flags.writeable = False
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -441,8 +429,9 @@ def _moment_rows(columns: SpecColumns, order: int) -> tuple[np.ndarray, np.ndarr
                 f"(its rounding alone may reach {cancel[i]:.2e} relative)"
             ),
         )
-    # then sigma2 against the quadrature's own order 2 about the mean, and
-    # the MomentTable checks
+    # then sigma2 against the quadrature's own order 2 about the mean.  The
+    # MomentTable checks hold on every row by construction: orders 0 and 1
+    # are exact, and a quadrature row is nan only with its NoConvergence
     if order >= 3:
         rel = np.abs(quad[n:, 2] - sigma2) / sigma2
         mark_rows(
@@ -453,7 +442,6 @@ def _moment_rows(columns: SpecColumns, order: int) -> tuple[np.ndarray, np.ndarr
                 f"{sigma2[i]} (relative {rel[i]:.2e})"
             ),
         )
-    _mark_table_errors(errors, raw, central)
     return raw, central, errors
 
 
@@ -593,7 +581,7 @@ def _panel_edges(columns: SpecColumns) -> dict[int, tuple[np.ndarray, np.ndarray
     return groups
 
 
-def _gl_rows(edges, loc, scale, mass, f, n: int, outputs: int, params=None) -> np.ndarray:
+def _gl_rows(edges, loc, scale, mass, f, n: int, outputs: int) -> np.ndarray:
     """n-node Gauss-Legendre estimates of E[f(x)], a (rows, outputs) array.
 
     Row i integrates f against the density of parent mean ``loc[i]``,
@@ -601,12 +589,11 @@ def _gl_rows(edges, loc, scale, mass, f, n: int, outputs: int, params=None) -> n
     standardized panels ``edges[i]``, n nodes on each; every row has the
     same panel count.  Rows go through in blocks of at most
     ``_BLOCK_NODES`` nodes (and at least one row) as node arrays of shape
-    (rows, panels * n); ``f`` gets a block's nodes in that 2-D shape, then,
-    when ``params`` (one row of parameters per row) is given, one (rows, 1)
-    column per parameter, and must act entry by entry: it yields one array
-    of that shape per output.  Each array's sum over a row's nodes is a
-    stacked matmul, the same dot product as for that row alone, so a row's
-    value does not depend on the rows batched with it.
+    (rows, panels * n); ``f`` gets a block's nodes in that 2-D shape, must
+    act entry by entry, and yields one array of that shape per output.
+    Each array's sum over a row's nodes is a stacked matmul, the same dot
+    product as for that row alone, so a row's value does not depend on the
+    rows batched with it.
     """
     nodes, weights = _gl_nodes(n)
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])
@@ -625,19 +612,18 @@ def _gl_rows(edges, loc, scale, mass, f, n: int, outputs: int, params=None) -> n
         ws *= _norm_pdf(ts)
         ws /= mass[b, None, None]
         ws = ws.reshape(len(ts), -1)
-        columns = () if params is None else params[b].T[:, :, None]
-        for k, fx in enumerate(f(xs.reshape(len(ts), -1), *columns)):
+        for k, fx in enumerate(f(xs.reshape(len(ts), -1))):
             values[b, k] = (ws[:, None, :] @ fx[:, :, None])[:, 0, 0]
     return values
 
 
-def _integrate(groups, loc, scale, mass, f, outputs: int, what: str, params=None) -> tuple:
+def _integrate(groups, loc, scale, mass, f, outputs: int, what: str) -> tuple:
     """E[f(x)] of every row by ``_gl_rows``, on the one node schedule.
 
     ``groups`` holds (rows, edges) pairs that between them take each row of
-    ``loc``, ``scale``, ``mass`` (and ``params``) once: the row indices of
-    one panel count and their standardized panel edges.  Per group, n starts
-    at ``_INITIAL_NODES`` and doubles; a row whose every output agrees with
+    ``loc``, ``scale`` and ``mass`` once: the row indices of one panel
+    count and their standardized panel edges.  Per group, n starts at
+    ``_INITIAL_NODES`` and doubles; a row whose every output agrees with
     its estimate at n / 2 to ``_RTOL`` relative (``_ATOL`` absolute near
     zero) keeps its estimate, and only the unsettled rows go on to the next
     n.  Returns (values, nodes, deltas, errors): per row its accepted
@@ -652,8 +638,7 @@ def _integrate(groups, loc, scale, mass, f, outputs: int, what: str, params=None
     for rows, edges in groups:
         n, previous = _INITIAL_NODES, None
         while rows.size and n <= _MAX_NODES:
-            part = None if params is None else params[rows]
-            current = _gl_rows(edges, loc[rows], scale[rows], mass[rows], f, n, outputs, part)
+            current = _gl_rows(edges, loc[rows], scale[rows], mass[rows], f, n, outputs)
             if previous is not None:
                 delta = np.abs(current - previous)
                 settled = (delta <= np.maximum(_RTOL * np.abs(current), _ATOL)).all(axis=1)
@@ -666,19 +651,17 @@ def _integrate(groups, loc, scale, mass, f, outputs: int, what: str, params=None
     return values, nodes, deltas, errors
 
 
-def expectation_rows(columns: SpecColumns, f: Callable[..., np.ndarray], params=None) -> tuple:
+def expectation_rows(columns: SpecColumns, f: Callable[[np.ndarray], np.ndarray]) -> tuple:
     """E[f(x)] under each row of ``columns``, by one ``_integrate`` pass.
 
     Rows are grouped by panel count (``_panel_edges``), never padded.  ``f``
-    must act entry by entry and return one array; with ``params``, a (rows,
-    k) float array, row i integrates ``f(x, *params[i])`` (see ``_gl_rows``).
+    must act entry by entry and return one array (see ``_gl_rows``).
     Returns (values, nodes, deltas, errors) as ``_integrate`` does, with one
     value and one delta per row.
     """
-    one = lambda *args: (f(*args),)  # the one output
     values, nodes, deltas, errors = _integrate(
         _panel_edges(columns).values(), columns.mu_bar, columns.sigma_bar, columns.z,
-        one, 1, "expectation", params,
+        lambda x: (f(x),), 1, "expectation",
     )
     return values[:, 0], nodes, deltas[:, 0], errors
 

@@ -484,6 +484,20 @@ def h_s_limit(mu: float, s: int) -> float:
     return 1.0 / (12.0 * mu**3)  # f'''' = 2/mu^3, / 4!
 
 
+def landing_column(const_row: list, slope_row: list, x: float, u: float) -> int:
+    """The per-step landing rule: the first column j of a cumulative row
+    const_row + x * slope_row whose entry is not below u times the row
+    total, or the last column if none is."""
+    last = len(const_row) - 1
+    # scale the draw by the float row total so the landing column always
+    # has positive probability, even when the total rounds below 1
+    u = u * (const_row[last] + x * slope_row[last])
+    j = 0
+    while j < last and u > const_row[j] + x * slope_row[j]:
+        j += 1
+    return j
+
+
 def simulate_reference(
     spec: ReceptorSpec,
     dist: TruncatedGaussianSpec,
@@ -516,22 +530,10 @@ def simulate_reference(
     us = rng.random(n)
 
     states = np.empty(n, dtype=np.int64)
-    xs_list = xs.tolist()
-    us_list = us.tolist()
-    last = k - 1
     y = y0
-    for i in range(n):
-        x = xs_list[i]
-        const_row = cum_const[y]
-        slope_row = cum_slope[y]
-        # scale the draw by the float row total so the landing column always
-        # has positive probability, even when the total rounds below 1
-        u = us_list[i] * (const_row[last] + x * slope_row[last])
-        j = 0
-        while j < last and u > const_row[j] + x * slope_row[j]:
-            j += 1
-        states[i] = j
-        y = j
+    for i, (x, u) in enumerate(zip(xs.tolist(), us.tolist())):
+        y = landing_column(cum_const[y], cum_slope[y], x, u)
+        states[i] = y
     return Trajectory(
         delta_t=delta_t, initial_state=y0, states=states, inputs=xs, seed=seed
     )

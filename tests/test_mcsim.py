@@ -25,11 +25,14 @@ from transduction_mir import (
     stationary_distribution,
 )
 from transduction_mir.cli import main
+from transduction_mir.mcsim import _landings
+from transduction_mir.receptor import step_kernel
 from conftest import five_state_receptor
 from oracles import (
     bigram_counts,
     build_rate_matrix,
     empirical_occupancy,
+    landing_column,
     mc_gap,
     scale,
     simulate_reference,
@@ -150,6 +153,53 @@ class TestMatchesPerStepLoop:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_single_step(self, unit_chr2, canonical_dist, seed):
         self.assert_same_path(unit_chr2, canonical_dist, 0.3, 1, seed)
+
+    def test_landing_pass_is_the_per_step_rule(self):
+        # the five-state receptor just inside its largest admissible step at
+        # b = 2, where a diagonal entry of P(b) nearly vanishes
+        spec, b = five_state_receptor(), 2.0
+        delta_t = (1.0 - 1e-9) / np.abs(np.diagonal(spec.base + b * spec.slope)).max()
+        const, lin = step_kernel(spec, delta_t, b)
+        cum_const, cum_slope = np.cumsum(const, axis=1), np.cumsum(lin, axis=1)
+        rows = list(zip(cum_const.tolist(), cum_slope.tolist()))
+        rng = np.random.default_rng(17)
+        xs = np.concatenate(([0.0, b, b], rng.uniform(0.0, b, 20_000))).tolist()
+        us = np.concatenate(([0.0, 0.0, np.nextafter(1.0, 0.0)], rng.random(20_000))).tolist()
+        # draws whose scaled u is exactly a column edge: each lands there
+        edges = []
+        for y, (const_row, slope_row) in enumerate(rows):
+            for x in [0.0, b, *rng.uniform(0.0, b, 8).tolist()]:
+                total = const_row[-1] + x * slope_row[-1]
+                for j in range(len(const_row) - 1):
+                    edge = const_row[j] + x * slope_row[j]
+                    if any(const_row[i] + x * slope_row[i] >= edge for i in range(j)):
+                        continue  # an earlier column takes this draw
+                    guess = edge / total
+                    for u in (guess, math.nextafter(guess, 0.0), math.nextafter(guess, 1.0)):
+                        if u * total == edge and 0.0 <= u < 1.0:
+                            edges.append((y, j, x, u))
+                            break
+        assert len(edges) > 100
+        for y, j, x, u in edges:
+            assert landing_column(*rows[y], x, u) == j
+        xs += [x for _, _, x, _ in edges]
+        us += [u for _, _, _, u in edges]
+        self.assert_landings_follow_rule(xs, us, cum_const, cum_slope)
+        # a row that is not monotone: the rule stops at the first edge not
+        # below u, though a later edge is below it
+        cum_const = np.array([[0.5, 0.25, 1.0]] * 3)
+        us = [0.125, 0.375, 0.5, 0.75]
+        self.assert_landings_follow_rule([0.0] * 4, us, cum_const, np.zeros((3, 3)))
+
+    @staticmethod
+    def assert_landings_follow_rule(xs, us, cum_const, cum_slope):
+        rows = list(zip(cum_const.tolist(), cum_slope.tolist()))
+        landings = _landings(np.array(xs), np.array(us), cum_const, cum_slope)
+        for y, (steps, lands) in enumerate(landings):
+            want = [landing_column(*rows[y], x, u) for x, u in zip(xs, us)]
+            moved = [i for i, j in enumerate(want) if j != y]
+            assert steps.tolist() == moved
+            assert lands.tolist() == [want[i] for i in moved]
 
 
 class TestFrozenPaths:

@@ -35,7 +35,7 @@ from transduction_mir.errors import MirError, NotIrreducible
 from transduction_mir.mir import (
     MirResult,
     _discrete_rows,
-    _plogp_entry,
+    _plogp_vec,
     _quadrature_rows,
     _xlnx_vec,
 )
@@ -461,16 +461,16 @@ class TestDiscreteRows:
     @pytest.mark.parametrize("spec", [chr2_skeleton(), five_state_receptor()],
                              ids=lambda spec: spec.name)
     def test_pair_pass_equals_one_pair_calls(self, spec):
+        # each x-dependent entry's pass over all points, as _discrete_rows
+        # makes it for the diagonal ones, against one call per point
         dists = _grid_dists(steps=5)
-        pairs = sensitive_pairs(spec)
         const, lin = step_kernel(spec, 1e-3, 2.0)
-        cm = [(const[i, j], lin[i, j]) for i, j in pairs]
-        rows = expectation_rows(_columns([d for d in dists for _ in pairs]), _plogp_entry,
-                                np.tile(np.array(cm), (len(dists), 1)))
-        alone = [expectation_rows(_columns([d]), pair_integrand(c, m))
-                 for d in dists for c, m in cm]
-        for k, column in enumerate(rows):
-            assert list(column) == [one[k][0] for one in alone]
+        for i, j in sensitive_pairs(spec):
+            f = pair_integrand(const[i, j], lin[i, j])
+            rows = expectation_rows(_columns(dists), f)
+            alone = [expectation_rows(_columns([d]), f) for d in dists]
+            for k, column in enumerate(rows):
+                assert list(column) == [one[k][0] for one in alone]
 
     @pytest.mark.parametrize("delta_t", [1e-3, 0.75])
     @pytest.mark.parametrize("spec", [chr2_skeleton(), five_state_receptor(), REDUCIBLE],
@@ -510,25 +510,49 @@ class TestDiscreteRows:
                         lambda: mir_discrete(unit_chr2, dist, 0.4)
                     )
 
-    def test_unsettled_pair_is_the_row_error(self, unit_chr2, monkeypatch):
-        # the diagonal entry of the second point never settles
+    def test_unsettled_pair_is_the_row_error(self, monkeypatch):
+        # entry k's pass fails rows 1..k+1, each with its own error, and
+        # E[x ln x] fails rows 1..entries+1: a row keeps the error of its
+        # first failing entry, in state order, then E[x ln x]'s; the next
+        # row fails the floor alone
         import transduction_mir.mir as mir_module
 
         real = mir_module.expectation_rows
-        unsettled = NoConvergence("expectation did not stabilize by n=1600 nodes per panel")
+        for spec in (chr2_skeleton(), five_state_receptor()):
+            const, lin = step_kernel(spec, 1e-3, 2.0)
+            y = np.flatnonzero(np.diagonal(spec.slope))
+            entries = len(y)
+            # an entry's integrand phi(c + m*x) is told by its value at x = 1
+            at_one = _plogp_vec(const[y, y] + lin[y, y]).tolist()
+            unsettled = [NoConvergence(f"entry {k} did not settle") for k in range(entries)]
+            calls: list = []
 
-        def failing(specs, f, params=None):
-            values, nodes, deltas, errors = real(specs, f, params)
-            if params is not None:
-                values[1], errors[1] = np.nan, unsettled
-            return values, nodes, deltas, errors
+            def failing(specs, f):
+                values, nodes, deltas, errors = real(specs, f)
+                k = at_one.index(float(f(np.array([1.0]))[0]))
+                calls.append(k)
+                values[1 : k + 2] = np.nan
+                errors[1 : k + 2] = [unsettled[k]] * (k + 1)
+                return values, nodes, deltas, errors
 
-        monkeypatch.setattr(mir_module, "expectation_rows", failing)
-        dists = _grid_dists(steps=3)[:3]
-        chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
-        e_xlnx = real(_columns(dists), _xlnx_vec)
-        e_xlnx[3][1] = e_xlnx[3][2] = NoConvergence("x ln x did not settle")
-        e_xlnx[0][1:3] = np.nan
-        rates, errors = _discrete_rows(unit_chr2, _columns(dists), 2.0, 1e-3, chains, e_xlnx)
-        assert errors[0] is None and errors[1] is unsettled and errors[2] is e_xlnx[3][2]
-        assert np.isnan(rates[1:]).all() and not np.isnan(rates[0]).any()
+            monkeypatch.setattr(mir_module, "expectation_rows", failing)
+            dists = _grid_dists(steps=3)[: entries + 4]
+            chains = mean_chain_rows(spec, [d.mu for d in dists])
+            e_xlnx = real(_columns(dists), _xlnx_vec)
+            xlnx_error = NoConvergence("x ln x did not settle")
+            e_xlnx[3][1 : entries + 2] = [xlnx_error] * (entries + 1)
+            e_xlnx[0][1 : entries + 2] = np.nan
+            # E[x ln x] far below mu ln mu: a rate below the floor
+            floor_row = entries + 2
+            mu = dists[floor_row].mu
+            e_xlnx[0][floor_row] = mu * np.log(mu) - 1.0
+            rates, errors = _discrete_rows(spec, _columns(dists), 2.0, 1e-3, chains, e_xlnx)
+            assert calls == list(range(entries))
+            assert errors[1 : entries + 1] == unsettled
+            assert errors[entries + 1] is xlnx_error
+            assert type(errors[floor_row]) is ValidationError
+            assert str(errors[floor_row]).startswith("discrete(0.001) rate -")
+            assert errors[0] is None and errors[floor_row + 1] is None
+            failed = slice(1, floor_row + 1)
+            assert np.isnan(rates[failed]).all()
+            assert not np.isnan(rates[0]).any() and not np.isnan(rates[floor_row + 1]).any()
