@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InsufficientData, ValidationError, check_integer
 from .receptor import ReceptorSpec, stationary_distribution, step_kernel
-from .truncgauss import TruncatedGaussianSpec, sample
+from .truncgauss import _DRAW_BLOCK, TruncatedGaussianSpec, sample
 
 #: Batch count for batch-means standard errors; the path samples are Markov
 #: dependent, so naive iid errors would be optimistic.
@@ -73,7 +73,9 @@ def _landings(xs, us, cum_const, cum_slope) -> list[tuple[np.ndarray, np.ndarray
     every edge up to and including cum[j].  That running mask keeps the
     rule exact on ties (u equal to an edge lands on that column) and on
     float rows that are not monotone (slope rows carry negative diagonals).
-    The expressions are the per-step rule's, term for term.
+    The expressions are the per-step rule's, term for term.  ``simulate``
+    calls it on one block of steps at a time, so its work arrays are as
+    long as the draws it is given.
     """
     n = len(xs)
     last = cum_const.shape[1] - 1
@@ -115,13 +117,17 @@ def simulate(
     probability is not below u_i times the row total (the last column if
     none is).  Fully deterministic given the seed.
 
-    The path is followed event by event: for each state, one vectorised
-    pass applies the per-step rule, with the same float expressions, to
-    every step, and keeps the steps at which a walker there would land
-    elsewhere and where it lands.  The walk jumps from one such step to the
-    next, filling the stays in between as slices.  Python work scales with
-    the number of jumps, not of steps, and the path is bit-identical to
-    drawing each step from the kernel in turn.
+    The path is followed event by event, one block of ``_DRAW_BLOCK`` steps
+    at a time: the block's uniforms are drawn (block by block, the same
+    stream as one draw of n), then for each state one vectorised pass
+    applies the per-step rule, with the same float expressions, to every
+    step of the block, and keeps the steps at which a walker there would
+    land elsewhere and where it lands.  The walk jumps from one such step
+    to the next, filling the stays in between as slices, and carries its
+    state into the next block.  Python work scales with the number of jumps
+    and blocks, not of steps; memory is the inputs and the states plus one
+    block of work; and the path is bit-identical to drawing each step from
+    the kernel in turn.
 
     ``seed`` is a nonnegative integer, a ``np.random.Generator`` (drawn
     from in place) or a ``np.random.SeedSequence``.
@@ -152,21 +158,24 @@ def simulate(
     y0 = int(np.searchsorted(np.cumsum(pi), rng.random()))
     y0 = min(y0, last)
     xs = sample(dist, rng, n)
-    us = rng.random(n)
 
-    landings = _landings(xs, us, cum_const, cum_slope)
     states = np.empty(n, dtype=np.int64)
-    i, y = 0, y0
-    while True:
-        steps, lands = landings[y]
-        pos = int(steps.searchsorted(i))
-        if pos == len(steps):
-            states[i:] = y
-            break
-        stop = int(steps[pos])
-        states[i:stop] = y
-        i, y = stop + 1, int(lands[pos])
-        states[stop] = y
+    y = y0
+    for start in range(0, n, _DRAW_BLOCK):
+        xb = xs[start : start + _DRAW_BLOCK]
+        block = states[start : start + len(xb)]
+        landings = _landings(xb, rng.random(len(xb)), cum_const, cum_slope)
+        i = 0
+        while True:
+            steps, lands = landings[y]
+            pos = int(steps.searchsorted(i))
+            if pos == len(steps):
+                block[i:] = y
+                break
+            stop = int(steps[pos])
+            block[i:stop] = y
+            i, y = stop + 1, int(lands[pos])
+            block[stop] = y
     return Trajectory(
         delta_t=delta_t, initial_state=y0, states=states, inputs=xs, seed=seed
     )
@@ -185,7 +194,10 @@ def estimate_mir(
     The averaged-kernel term uses the known mean chain rather than a binned
     nonparametric estimate, since the kernels are available exactly.
 
-    Standard error by batch means over BATCH_COUNT consecutive blocks.
+    The summands are formed one block of ``_DRAW_BLOCK`` steps at a time
+    into one array of n, so memory beyond the trajectory is that array plus
+    one block of work; the mean is taken over the whole array.  Standard
+    error by batch means over BATCH_COUNT consecutive blocks.
 
     Raises InsufficientData if an observed pair has zero probability under
     the mean chain (model mismatch) or the path is shorter than the batch
@@ -199,22 +211,28 @@ def estimate_mir(
 
     # each (prev, cur) pair gathered once, as one flat index into the rows;
     # z = log2((lin*x + const) / p_mean) / delta_t is formed in place
-    pair = np.empty(n, dtype=np.int64)
-    pair[0] = traj.initial_state
-    pair[1:] = traj.states[:-1]
-    pair *= spec.n_states
-    pair += traj.states
-    p_mean = p_bar.ravel().take(pair)
-    if np.any(p_mean <= 0.0):
-        raise InsufficientData(
-            "observed a transition that is impossible under the mean chain"
-        )
-    z = lin.ravel().take(pair)
-    z *= traj.inputs
-    z += const.ravel().take(pair)
-    z /= p_mean
-    np.log2(z, out=z)
-    z /= traj.delta_t
+    z = np.empty(n)
+    prev = traj.initial_state
+    for start in range(0, n, _DRAW_BLOCK):
+        cur = traj.states[start : start + _DRAW_BLOCK]
+        zb = z[start : start + len(cur)]
+        pair = np.empty(len(cur), dtype=np.int64)
+        pair[0] = prev
+        pair[1:] = cur[:-1]
+        pair *= spec.n_states
+        pair += cur
+        p_mean = p_bar.ravel().take(pair)
+        if np.any(p_mean <= 0.0):
+            raise InsufficientData(
+                "observed a transition that is impossible under the mean chain"
+            )
+        lin.ravel().take(pair, out=zb)
+        zb *= traj.inputs[start : start + len(cur)]
+        zb += const.ravel().take(pair)
+        zb /= p_mean
+        np.log2(zb, out=zb)
+        zb /= traj.delta_t
+        prev = cur[-1]
     value = float(z.mean())
     batch_means = np.array([chunk.mean() for chunk in np.array_split(z, BATCH_COUNT)])
     stderr = float(batch_means.std(ddof=1) / math.sqrt(BATCH_COUNT))

@@ -116,8 +116,10 @@ _AS241_FAR = (
 # Entries per block of ``_ndtri``, so that the block's work arrays (about
 # 1 MB) stay in cache across the 28 Horner passes of the central rational.
 # Blocks of 16384 to 131072 entries took the same 20 ms per 1e6 draws;
-# 4096 entries, or one block of 1e6, took 1.6-1.8 times as long.
-_NDTRI_BLOCK = 32768
+# 4096 entries, or one block of 1e6, took 1.6-1.8 times as long.  The Monte
+# Carlo path (``mcsim``) streams its uniforms, landing pass and plug-in
+# summands in blocks of the same size, so no work array outgrows one block.
+_DRAW_BLOCK = 32768
 
 
 def _horner(coefficients, r: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -155,10 +157,10 @@ def _ndtri(p, out=None) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     x = np.empty_like(p) if out is None else out
     flat, x_flat = p.reshape(-1), x.reshape(-1)
-    q, r, den = np.empty((3, min(_NDTRI_BLOCK, flat.size)))
-    for start in range(0, flat.size, _NDTRI_BLOCK):
-        pb = flat[start : start + _NDTRI_BLOCK]
-        xb = x_flat[start : start + _NDTRI_BLOCK]
+    q, r, den = np.empty((3, min(_DRAW_BLOCK, flat.size)))
+    for start in range(0, flat.size, _DRAW_BLOCK):
+        pb = flat[start : start + _DRAW_BLOCK]
+        xb = x_flat[start : start + _DRAW_BLOCK]
         qb, rb, db = q[: len(pb)], r[: len(pb)], den[: len(pb)]
         np.subtract(pb, 0.5, out=qb)
         tail = np.flatnonzero(np.abs(qb, out=rb) > 0.425)

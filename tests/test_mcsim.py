@@ -7,6 +7,7 @@ quadrature gap; standard-error tolerances are 4 sigma throughout.
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +22,14 @@ from transduction_mir import (
     estimate_mir,
     jensen_gap,
     mir_discrete,
+    sample,
     simulate,
     stationary_distribution,
 )
 from transduction_mir.cli import main
 from transduction_mir.mcsim import _landings
 from transduction_mir.receptor import step_kernel
+from transduction_mir.truncgauss import _DRAW_BLOCK as B
 from conftest import five_state_receptor
 from oracles import (
     bigram_counts,
@@ -106,6 +109,17 @@ class TestSimulate:
             np.testing.assert_array_equal(traj.states, paths[0].states)
             np.testing.assert_array_equal(traj.inputs, paths[0].inputs)
 
+    @pytest.mark.parametrize("n", [1, B + 1])
+    def test_generator_drawn_in_place(self, unit_chr2, canonical_dist, n):
+        # the caller's generator ends where the draws in their order leave
+        # it: the initial state, the n inputs, then the n uniforms
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        simulate(unit_chr2, canonical_dist, 1e-3, n, rng)
+        ref.random()
+        sample(canonical_dist, ref, n)
+        ref.random(n)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_bigram_rows_normalize_to_mean_chain(self, unit_chr2, canonical_dist):
         traj = simulate(unit_chr2, canonical_dist, 1e-2, 200_000, seed=99)
         counts = bigram_counts(traj, 3)
@@ -140,6 +154,17 @@ class TestMatchesPerStepLoop:
         traj = self.assert_same_path(spec, canonical_dist, 2e-2, 200_000, seed=5)
         assert np.count_nonzero(np.diff(traj.states)) > 5_000
         assert set(np.unique(traj.states).tolist()) == {0, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 3 * B + 7])
+    @pytest.mark.parametrize("branching", [False, True], ids=["chr2", "branching"])
+    def test_block_edges(self, unit_chr2, canonical_dist, branching, n):
+        spec, delta_t = (five_state_receptor(), 2e-2) if branching else (unit_chr2, 1e-2)
+        traj = self.assert_same_path(spec, canonical_dist, delta_t, n, seed=31)
+        if n == 3 * B + 7:
+            # at this seed a jump falls on the first step of a block, so the
+            # walk leaves the state it carried in at once
+            firsts = np.arange(B, n, B)
+            assert np.any(traj.states[firsts] != traj.states[firsts - 1])
 
     def test_far_tail_truncation(self, unit_chr2):
         dist = TruncatedGaussianSpec(-3.0, 1.0, 0.0, 2.0)
@@ -265,6 +290,14 @@ class TestFrozenPaths:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.MC_SWEEP_CSV
 
 
+def impossible_path(step: int, n: int) -> Trajectory:
+    """A ChR2 path resting in state 0 but for a 0 -> 2 jump at ``step``: the
+    one-way ring cannot make it, so the mean chain gives it probability 0."""
+    states = np.zeros(n, dtype=np.int64)
+    states[step] = 2
+    return Trajectory(delta_t=1e-3, initial_state=0, states=states, inputs=np.ones(n), seed=0)
+
+
 class TestEstimateMir:
     def test_degenerate_input(self, unit_chr2):
         dist = TruncatedGaussianSpec(1.0, 1e-8, 1e-5, 2.0)
@@ -311,16 +344,11 @@ class TestEstimateMir:
         assert medians[0] > medians[1] > medians[2]
 
     def test_impossible_bigram_detected(self, unit_chr2, canonical_dist):
-        # a 0 -> 2 jump cannot happen in the one-way ring
-        traj = Trajectory(
-            delta_t=1e-3,
-            initial_state=0,
-            states=np.array([2, 0, 1], dtype=np.int64),
-            inputs=np.array([1.0, 1.0, 1.0]),
-            seed=0,
-        )
-        with pytest.raises(InsufficientData):
-            estimate_mir(traj, unit_chr2, canonical_dist)
+        # on the first step, in a later block, and across a block edge
+        for step in (0, 2 * B + 5, B):
+            with pytest.raises(InsufficientData) as info:
+                estimate_mir(impossible_path(step, 3 * B + 7), unit_chr2, canonical_dist)
+            assert str(info.value) == "observed a transition that is impossible under the mean chain"
 
     def test_too_short_rejected(self, unit_chr2, canonical_dist):
         traj = simulate(unit_chr2, canonical_dist, 1e-3, 5, seed=4)
@@ -328,15 +356,8 @@ class TestEstimateMir:
             estimate_mir(traj, unit_chr2, canonical_dist)
 
 
-# a 0 -> 2 jump in a path long enough for the batch means: the one-way ring
-# cannot make it, so the mean chain gives it probability 0
-IMPOSSIBLE_PATH = Trajectory(
-    delta_t=1e-3,
-    initial_state=0,
-    states=np.array([2] + [0] * 19, dtype=np.int64),
-    inputs=np.ones(20),
-    seed=0,
-)
+# the shortest path with an impossible jump that reaches the mean-chain check
+IMPOSSIBLE_PATH = impossible_path(0, 20)
 
 
 @pytest.mark.parametrize(
@@ -359,6 +380,26 @@ def test_rejections_name_the_fault(unit_chr2, canonical_dist, call, error, messa
     with pytest.raises(error) as info:
         call(unit_chr2, canonical_dist)
     assert type(info.value) is error and str(info.value) == message
+
+
+class TestMemory:
+    def test_peaks_at_a_million_steps(self, unit_chr2, canonical_dist):
+        # the mc_path point: simulate holds the inputs and the states,
+        # estimate_mir the summands, each plus at most one block of work
+        n = 10**6
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            traj = simulate(unit_chr2, canonical_dist, 1e-3, n, seed=0)
+            simulate_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            estimate_mir(traj, unit_chr2, canonical_dist)
+            estimate_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert simulate_peak <= 2 * 8 * n + 2_000_000
+        assert estimate_peak <= 8 * n + 2_000_000
 
 
 class TestMcGap:

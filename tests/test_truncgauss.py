@@ -33,11 +33,11 @@ from transduction_mir import raw_moments as package_raw_moments
 from transduction_mir.mir import _xlnx_vec
 from transduction_mir.truncgauss import (
     MIN_TRUNCATION_MASS,
+    _DRAW_BLOCK,
     _columns,
     _gl_nodes,
     _gl_rows,
     _moment_rows,
-    _NDTRI_BLOCK,
     _ndtr,
     _ndtri,
     _panel_edges,
@@ -972,7 +972,7 @@ class TestNormalQuantile:
         p = self.BRANCHES[branch](np.random.default_rng(241), 100_000)
         np.testing.assert_allclose(_ndtri(p), special.ndtri(p), rtol=6 * np.finfo(float).eps, atol=0.0)
 
-    @pytest.mark.parametrize("n", [_NDTRI_BLOCK - 1, _NDTRI_BLOCK + 1])
+    @pytest.mark.parametrize("n", [_DRAW_BLOCK - 1, _DRAW_BLOCK + 1])
     def test_blocks_equal_entry_by_entry(self, n):
         rng = np.random.default_rng(n)
         p = np.concatenate((rng.uniform(0.0, 1.0, n - 4), 10.0 ** rng.uniform(-300.0, -1.0, 2),
