@@ -48,6 +48,7 @@ from .truncgauss import (
     MAX_MOMENT_ORDER,
     TruncatedGaussianSpec,
     _columns,
+    _expectations,
     _fsum_rows,
     _shifted_moment_rows,
     expectation,
@@ -125,9 +126,18 @@ def plogp(p: float) -> float:
 
 
 def _xlogx(x: np.ndarray, log) -> np.ndarray:
-    """x * log(x) of every entry, 0 where x is not positive (0 log 0 = 0)."""
+    """x * log(x) of every entry, 0 where x is not positive (0 log 0 = 0).
+
+    Formed in place in the array of log(x); x is not changed.  A 0-d x
+    gives a 0-d array.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(x > 0.0, x * log(x), 0.0)
+        out = log(x)
+        if np.ndim(out) == 0:
+            return np.where(x > 0.0, x * out, 0.0)
+        out *= x
+    out[~(x > 0.0)] = 0.0
+    return out
 
 
 def _plogp_vec(p: np.ndarray) -> np.ndarray:
@@ -174,15 +184,17 @@ def mir_discrete(spec: ReceptorSpec, dist: TruncatedGaussianSpec, delta_t: float
     closed form; their terms, summed with math.fsum, are the O(delta_t)
     ``diagonal_bits_per_s``, included, not assumed away, so the vanishing in
     the continuous-time limit is observable.  The rate is the sum of the
-    two parts.  The one-row case of ``_discrete_rows``.
+    two parts.  E[x ln x] and the diagonal entries' E[phi(p_yy(x))] are
+    the outputs of one Gauss-Legendre pass (``_rate_pass``).  The one-row
+    case of ``_discrete_rows``.
 
     Raises StepTooLarge if the step is inadmissible at the worst-case
     intensity x = b.
     """
     columns = _columns([dist])
     chains = mean_chain_rows(spec, [dist.mu])
-    e_xlnx = expectation_rows(columns, _xlnx_vec)
-    rates, (error,) = _discrete_rows(spec, columns, dist.b, delta_t, chains, e_xlnx)
+    fused = _rate_pass(spec, columns, dist.b, delta_t)
+    rates, (error,) = _discrete_rows(spec, columns, delta_t, chains, fused)
     unwrap(error)
     value, gap_nats, diagonal, off_diagonal = rates[0].tolist()
     return MirResult(
@@ -198,40 +210,60 @@ def mir_discrete(spec: ReceptorSpec, dist: TruncatedGaussianSpec, delta_t: float
     )
 
 
-def _discrete_rows(spec, columns, b, delta_t, chains, e_xlnx) -> tuple[np.ndarray, list]:
-    """``mir_discrete`` at every distribution of the ``SpecColumns`` on a
-    support that ends at ``b``, from their rows of ``mean_chain_rows`` and
-    of ``expectation_rows`` with x ln x.
+def _rate_pass(spec, columns, b, delta_t) -> tuple:
+    """The one Gauss-Legendre pass of the finite-step rate at ``delta_t`` on
+    a support that ends at ``b``, over every distribution of ``columns``.
 
-    The off-diagonal part is gain * gap from those rows.  Each x-dependent
-    diagonal entry c + m*x is one ``expectation_rows`` pass of
-    phi(c + m*x) over every distribution, entry by entry in state order.
-    Every row is computed; returns (rates, errors): per row the rate, its
-    Jensen gap in nats and its diagonal and off-diagonal parts in bits/s,
-    as a (rows, 4) array with nan on failed rows, and the MirError
+    Its outputs are E[x ln x], then E[phi(c + m*x)] of each x-dependent
+    diagonal entry c + m*x of P(x) in state order, each with the bits of
+    its own ``expectation_rows`` pass (``_integrate`` settles output by
+    output).  Returns (kernel, integrals): ``step_kernel``'s (C, L) at b,
+    or the MirError it raises, and the ``_integrate`` result, which holds
+    E[x ln x] alone when the step kernel fails.
+    """
+    try:
+        kernel = step_kernel(spec, delta_t, b)
+    except MirError as exc:
+        return exc, _expectations(columns, lambda x: (_xlnx_vec(x),), 1)
+    y = np.flatnonzero(np.diagonal(spec.slope))
+    entries = list(zip(kernel[0][y, y], kernel[1][y, y]))
+
+    def integrands(x):
+        yield _xlnx_vec(x)
+        for c, m in entries:
+            yield _plogp_vec(c + m * x)
+
+    return kernel, _expectations(columns, integrands, 1 + len(entries))
+
+
+def _discrete_rows(spec, columns, delta_t, chains, fused) -> tuple[np.ndarray, list]:
+    """``mir_discrete`` at every distribution of the ``SpecColumns``, from
+    their rows of ``mean_chain_rows`` and their ``_rate_pass``, ``fused``.
+
+    The off-diagonal part is gain * gap from those rows, with E[x ln x] and
+    the E[phi(c + m*x)] of each x-dependent diagonal entry read from the
+    one pass.  Every row is computed; returns (rates, errors): per row the
+    rate, its Jensen gap in nats and its diagonal and off-diagonal parts in
+    bits/s, as a (rows, 4) array with nan on failed rows, and the MirError
     ``mir_discrete`` raises for the row, or None.  The errors keep the
     one-row order: ``step_kernel`` at b, which every row shares, the mean
     chain, the diagonal entries in state order, E[x ln x], then the
-    ``MirResult`` floor.
+    ``MirResult`` floor.  A row whose entry never settles fails here, and
+    keeps its E[x ln x] for ``_quadrature_rows``.
     """
-    try:
-        const, lin = step_kernel(spec, delta_t, b)
-    except MirError as exc:
-        return np.full((len(columns.mu), 4), np.nan), [exc] * len(columns.mu)
-    errors = chains[2]
+    kernel, (values, _, _, output_errors) = fused
+    if isinstance(kernel, MirError):
+        return np.full((len(columns.mu), 4), np.nan), [kernel] * len(columns.mu)
+    const, lin = kernel
     y = np.flatnonzero(np.diagonal(spec.slope))
-    e_phi = np.empty((len(columns.mu), len(y)))
-    for k, i in enumerate(y.tolist()):
-        c, m = const[i, i], lin[i, i]
-        e_phi[:, k], _, _, entry_errors = expectation_rows(columns, lambda x: _plogp_vec(c + m * x))
-        errors = merge_rows(errors, entry_errors)
-    errors = merge_rows(errors, e_xlnx[3])
+    e_phi = values[:, 1:]
+    errors = merge_rows(chains[2], *output_errors[1:], output_errors[0])
 
     mu, pi, gain = columns.mu, chains[0], chains[1]
     mean_entry = np.minimum(np.maximum(const[y, y] + lin[y, y] * mu[:, None], 0.0), 1.0)
     terms = pi[:, y] * (e_phi - _plogp_vec(mean_entry))
     diagonal = _fsum_rows(terms) / delta_t
-    gap = _gap(e_xlnx[0], mu)
+    gap = _gap(values[:, 0], mu)
     off_diagonal = gain * gap
     value = diagonal + off_diagonal
     _mark_floor(errors, f"discrete({delta_t!r})", value, _RATE_FLOOR)

@@ -8,7 +8,8 @@ points (``truncgauss._spec_rows``, kept as the columns every kernel reads),
 the mean chains and gains of all valid points as one stack, their Jensen
 gaps from one Gauss-Legendre pass, the quadrature rates, the discrete rate
 as the quadrature rate plus the E[p log p] of every x-dependent diagonal
-entry of every point, the moments E[(x - 1)^k] of every point for the
+entry of every point (further outputs of the E[x ln x] pass when the
+discrete rate runs), the moments E[(x - 1)^k] of every point for the
 series, and the bounds of each selected order s = 2, 4.  Every batched
 kernel returns one row format: value columns, float arrays with nan on the
 rows that fail, and one error list holding per row the MirError that
@@ -28,6 +29,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
@@ -43,6 +45,7 @@ from .mcsim import estimate_mir, simulate
 from .mir import (
     _discrete_rows,
     _quadrature_rows,
+    _rate_pass,
     _series_rows,
     _xlnx_vec,
     mir_discrete,  # noqa: F401
@@ -50,7 +53,13 @@ from .mir import (
     mir_series,  # noqa: F401
 )
 from .receptor import ReceptorSpec, mean_chain_rows
-from .truncgauss import MAX_MOMENT_ORDER, TruncatedGaussianSpec, _spec_rows, expectation_rows
+from .truncgauss import (
+    MAX_MOMENT_ORDER,
+    TruncatedGaussianSpec,
+    _output,
+    _spec_rows,
+    expectation_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -187,13 +196,14 @@ _METHOD_COLUMNS = {
 VALID_METHODS = tuple(_METHOD_COLUMNS)
 
 
-def _method_columns(config: SweepConfig, method: str, indices, valid, chains, e_xlnx) -> tuple:
+def _method_columns(config: SweepConfig, method, indices, valid, chains, e_xlnx, fused) -> tuple:
     """(columns, errors): per ``_METHOD_COLUMNS`` field of ``method`` its
     values at the valid points, nan where the method fails with the error in
     ``errors``.  ``indices`` holds each point's grid index, ``valid``,
     ``chains`` and ``e_xlnx`` its rows of the spec columns and of the mean
-    chain and E[x ln x] passes.  Every method but Monte Carlo is one pass
-    over the points; Monte Carlo runs point by point."""
+    chain and E[x ln x] passes, and ``fused`` its ``_rate_pass`` (None
+    unless the discrete rate runs).  Every method but Monte Carlo is one
+    pass over the points; Monte Carlo runs point by point."""
     if method == "quadrature":
         values, _, errors = _quadrature_rows(valid.mu, chains, e_xlnx)
         return (values,), errors
@@ -201,8 +211,7 @@ def _method_columns(config: SweepConfig, method: str, indices, valid, chains, e_
         values, _, errors = _series_rows(valid, config.series_k, chains)
         return (values,), errors
     if method == "discrete":
-        receptor, b, delta_t = config.receptor, config.b, config.delta_t
-        rates, errors = _discrete_rows(receptor, valid, b, delta_t, chains, e_xlnx)
+        rates, errors = _discrete_rows(config.receptor, valid, config.delta_t, chains, fused)
         return (rates[:, 0],), errors
     if method in ("bounds_s2", "bounds_s4"):
         gap_lower, gap_upper, _, gain, errors = _bounds_rows(valid, int(method[-1]), chains)
@@ -259,14 +268,19 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         columns["mu"][i], columns["sigma2"][i] = mu, sigma2
 
     chains = mean_chain_rows(config.receptor, valid.mu.tolist())
-    e_xlnx = None
-    if {"quadrature", "discrete"} & set(config.methods):
+    # E[x ln x] of every point: an output of the discrete rate's one pass
+    # when that rate runs, else a pass of its own
+    e_xlnx = fused = None
+    if "discrete" in config.methods:
+        fused = _rate_pass(config.receptor, valid, config.b, config.delta_t)
+        e_xlnx = _output(fused[1], 0)
+    elif "quadrature" in config.methods:
         e_xlnx = expectation_rows(valid, _xlnx_vec)
     # VALID_METHODS order, whatever order the config lists them in
     for method in VALID_METHODS:
         if method not in config.methods:
             continue
-        values, errors = _method_columns(config, method, indices, valid, chains, e_xlnx)
+        values, errors = _method_columns(config, method, indices, valid, chains, e_xlnx, fused)
         for name, column in zip(_METHOD_COLUMNS[method], values):
             target = columns[name]
             for i, value, error in zip(indices, column.tolist(), errors):
@@ -328,18 +342,29 @@ def _format_column(values) -> list[str]:
     return ["" if value is None else repr(float(value)) for value in values]
 
 
+#: The characters that may make ``csv.writer`` quote a cell.
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_cell(text: str) -> str:
+    """One cell as ``csv.writer`` writes it: a cell with no delimiter, quote
+    or line break as it is, any other through ``csv.writer`` itself."""
+    if _CSV_SPECIAL.search(text) is None:
+        return text
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
+    return buffer.getvalue()[:-2]
+
+
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:
     """Fixed-schema CSV; floats use shortest round-trip representation.
 
-    Formatted column by column; ``csv.writer`` quotes the statuses that
-    hold commas."""
+    Formatted column by column and joined directly, with the bytes of
+    ``csv.writer``: the numeric cells never need quoting, and each status
+    is quoted as ``csv.writer`` quotes it (``_csv_cell``)."""
     columns = [_format_column([getattr(row, name) for row in rows]) for name in _NUMERIC_FIELDS]
-    columns.append([row.status for row in rows])
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_FIELDS)
-    writer.writerows(zip(*columns))
-    return buffer.getvalue()
+    columns.append([_csv_cell(row.status) for row in rows])
+    return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
 
 
 def rows_from_csv(text: str) -> list[SweepRow]:

@@ -7,7 +7,10 @@ those closed forms, higher orders by quadrature), inverse-CDF sampling
 through the module's own AS 241 quantile, and the one Gauss-Legendre driver
 behind every integral against the density: ``_integrate`` runs the
 node-doubling schedule over groups of rows, each pass one ``_gl_rows`` call
-over many specs.
+over many specs.  Integrals against the same density can be the outputs of
+one pass (``_expectations``), which builds the nodes, the density and the
+weights once; each output settles on its own, so it has the bits of a pass
+that integrates it alone.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .errors import (
     OrderTooHigh,
     ValidationError,
     check_integer,
-    live_rows,
     mark_rows,
     merge_rows,
     unwrap,
@@ -625,47 +627,71 @@ def _integrate(groups, loc, scale, mass, f, outputs: int, what: str) -> tuple:
     ``groups`` holds (rows, edges) pairs that between them take each row of
     ``loc``, ``scale`` and ``mass`` once: the row indices of one panel
     count and their standardized panel edges.  Per group, n starts at
-    ``_INITIAL_NODES`` and doubles; a row whose every output agrees with
-    its estimate at n / 2 to ``_RTOL`` relative (``_ATOL`` absolute near
-    zero) keeps its estimate, and only the unsettled rows go on to the next
-    n.  Returns (values, nodes, deltas, errors): per row its accepted
-    estimate of each output, its n, and the change of each output from the
-    estimate before, nan on the rows still unsettled once ``_MAX_NODES`` was
-    tried, whose error is NoConvergence.
+    ``_INITIAL_NODES`` and doubles.  Acceptance is per output: an output of
+    a row settles at the first n where its estimate agrees with the one at
+    n / 2 to ``_RTOL`` relative (``_ATOL`` absolute near zero), and keeps
+    that estimate, that n and that change.  A row stays on the schedule
+    until every one of its outputs has settled.  Since a row's estimates do
+    not depend on the rows or outputs computed with it, each output has the
+    bits of a pass that integrates it alone.
+
+    Returns (values, nodes, deltas, errors): (rows, outputs) arrays of each
+    output's accepted estimate, its n and its change from the estimate
+    before, nan where the output was still unsettled once ``_MAX_NODES`` was
+    tried; and per output one error list, NoConvergence on those rows and
+    None on the others.
     """
-    values, deltas = np.full((2, len(loc), outputs), np.nan)
-    nodes = np.full(len(loc), np.nan)
-    errors: list = [None] * len(loc)
-    failure = f"{what} did not stabilize by n={_MAX_NODES} nodes per panel"
+    values, nodes, deltas = np.full((3, len(loc), outputs), np.nan)
     for rows, edges in groups:
         n, previous = _INITIAL_NODES, None
+        unsettled = np.ones((len(rows), outputs), dtype=bool)
         while rows.size and n <= _MAX_NODES:
             current = _gl_rows(edges, loc[rows], scale[rows], mass[rows], f, n, outputs)
             if previous is not None:
                 delta = np.abs(current - previous)
-                settled = (delta <= np.maximum(_RTOL * np.abs(current), _ATOL)).all(axis=1)
-                done = rows[settled]
+                settled = unsettled & (delta <= np.maximum(_RTOL * np.abs(current), _ATOL))
+                row, output = np.nonzero(settled)
+                done = rows[row], output
                 values[done], nodes[done], deltas[done] = current[settled], n, delta[settled]
-                rows, edges, current = rows[~settled], edges[~settled], current[~settled]
+                unsettled &= ~settled
+                live = unsettled.any(axis=1)
+                rows, edges, current = rows[live], edges[live], current[live]
+                unsettled = unsettled[live]
             n, previous = 2 * n, current
-        for row in rows.tolist():
-            errors[row] = NoConvergence(failure)
+    failure = f"{what} did not stabilize by n={_MAX_NODES} nodes per panel"
+    errors = []
+    for column in np.isnan(nodes).T:
+        errors.append([None] * len(loc))
+        mark_rows(errors[-1], column, lambda i: NoConvergence(failure))
     return values, nodes, deltas, errors
 
 
-def expectation_rows(columns: SpecColumns, f: Callable[[np.ndarray], np.ndarray]) -> tuple:
-    """E[f(x)] under each row of ``columns``, by one ``_integrate`` pass.
-
-    Rows are grouped by panel count (``_panel_edges``), never padded.  ``f``
-    must act entry by entry and return one array (see ``_gl_rows``).
-    Returns (values, nodes, deltas, errors) as ``_integrate`` does, with one
-    value and one delta per row.
-    """
-    values, nodes, deltas, errors = _integrate(
+def _expectations(columns: SpecColumns, f, outputs: int) -> tuple:
+    """E of each of the ``outputs`` arrays ``f`` yields (see ``_gl_rows``)
+    under each row of ``columns``, by one ``_integrate`` pass, with that
+    pass's (values, nodes, deltas, errors).  Rows are grouped by panel count
+    (``_panel_edges``), never padded."""
+    return _integrate(
         _panel_edges(columns).values(), columns.mu_bar, columns.sigma_bar, columns.z,
-        lambda x: (f(x),), 1, "expectation",
+        f, outputs, "expectation",
     )
-    return values[:, 0], nodes, deltas[:, 0], errors
+
+
+def _output(result: tuple, k: int) -> tuple:
+    """Output k of an ``_integrate`` result, as ``expectation_rows`` gives
+    it: (values, nodes, deltas, errors) with one of each per row."""
+    values, nodes, deltas, errors = result
+    return values[:, k], nodes[:, k], deltas[:, k], errors[k]
+
+
+def expectation_rows(columns: SpecColumns, f: Callable[[np.ndarray], np.ndarray]) -> tuple:
+    """E[f(x)] under each row of ``columns``; the one-output case of
+    ``_expectations``, for an ``f`` that acts entry by entry and returns one
+    array.  Returns (values, nodes, deltas, errors): per row the accepted
+    estimate, its n, its change from the estimate before, and its
+    NoConvergence or None.
+    """
+    return _output(_expectations(columns, lambda x: (f(x),), 1), 0)
 
 
 def expectation(spec: TruncatedGaussianSpec, f: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -717,9 +743,16 @@ def _shifted_moment_rows(columns: SpecColumns, center, order: int) -> tuple[np.n
         return closed, [None] * len(mu)
     powers = lambda x: islice(_powers(x, order), 2, None)
     one = [(np.arange(len(mu)), edges)]  # one group: every row has one panel
-    quad, _, _, errors = _integrate(one, loc, sigma_bar, z, powers, order - 1, "moment quadrature")
-    closed[~live_rows(errors)] = np.nan
-    return np.hstack((closed, quad)), errors
+    quad, _, _, output_errors = _integrate(
+        one, loc, sigma_bar, z, powers, order - 1, "moment quadrature"
+    )
+    # a row fails with its first unsettled order, and is nan throughout
+    failed = np.isnan(quad).any(axis=1)
+    errors = output_errors[0]
+    mark_rows(errors, failed, lambda i: next(e[i] for e in output_errors if e[i] is not None))
+    moments = np.hstack((closed, quad))
+    moments[failed] = np.nan
+    return moments, errors
 
 
 def shifted_moment_vector(spec: TruncatedGaussianSpec, center: float, order: int) -> np.ndarray:

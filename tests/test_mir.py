@@ -7,6 +7,7 @@ cross-checked against an in-test adaptive-quadrature oracle.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,12 +36,13 @@ from transduction_mir.errors import MirError, NotIrreducible
 from transduction_mir.mir import (
     MirResult,
     _discrete_rows,
-    _plogp_vec,
     _quadrature_rows,
+    _rate_pass,
     _xlnx_vec,
 )
 from transduction_mir.receptor import ReceptorSpec, Transition, mean_chain_rows, step_kernel
-from transduction_mir.truncgauss import _columns, expectation_rows
+from transduction_mir.sweep import GridAxis, SweepConfig, run_sweep
+from transduction_mir.truncgauss import _columns, _output, expectation_rows
 from conftest import five_state_receptor, random_valid_dist
 from oracles import all_pairs_discrete, pair_integrand, scalar_discrete, sensitive_pairs
 
@@ -87,6 +89,65 @@ class TestPlogp:
         assert xlnx(1.0) == 0.0
         with pytest.raises(DomainError):
             xlnx(-1e-9)
+
+
+def where_xlogx(x, log):
+    """x log(x), 0 where x is not positive: the np.where form ``_xlogx``
+    replaced, kept here as its reference."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x > 0.0, x * log(x), 0.0)
+
+
+class TestXlogx:
+    """``_xlogx`` works in place in the array of log(x), with the bits of
+    the np.where form on every input."""
+
+    EDGES = [0.0, -0.0, -1.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-300, 0.5, 1.0,
+             2.0, 1e300, math.inf, -math.inf, math.nan]
+
+    @pytest.mark.parametrize("name, log", [("_plogp_vec", np.log2), ("_xlnx_vec", np.log)])
+    def test_vectors_keep_the_where_bits(self, name, log):
+        import transduction_mir.mir as mir_module
+
+        f = getattr(mir_module, name)
+        x = np.array(self.EDGES)
+        for shaped in (x, x.reshape(13, 1), np.tile(x, (3, 1))[:, ::2]):
+            before = shaped.copy()
+            got = f(shaped)
+            assert got.shape == shaped.shape and got.dtype == np.float64
+            assert got.tobytes() == where_xlogx(shaped, log).tobytes()
+            assert shaped.tobytes() == before.tobytes()
+        for value in self.EDGES:
+            zero_d = np.float64(value)
+            got = f(zero_d)
+            assert np.ndim(got) == 0
+            assert np.asarray(got).tobytes() == where_xlogx(zero_d, log).tobytes()
+            array_0d = np.array(value)
+            assert np.asarray(f(array_0d)).tobytes() == where_xlogx(array_0d, log).tobytes()
+            assert array_0d.tobytes() == np.float64(value).tobytes()
+
+    def test_scalars_keep_the_where_bits(self):
+        for p in (0.0, 5e-324, 1e-300, 0.25, 1.0):
+            assert plogp(p).hex() == float(where_xlogx(np.float64(p), np.log2)).hex()
+        for x in (0.0, 5e-324, 1e-300, 0.5, 1e300, math.inf, math.nan):
+            assert xlnx(x).hex() == float(where_xlogx(np.float64(x), np.log)).hex()
+
+    @pytest.mark.parametrize("s", [2, 4])
+    def test_bounds_rows_keep_their_bits(self, s, unit_chr2, monkeypatch):
+        import transduction_mir.mir as mir_module
+        from transduction_mir.bounds import _bounds_rows
+
+        rng = np.random.default_rng(5)
+        dists = [random_valid_dist(rng) for _ in range(30)] + _grid_dists(a=0.0, steps=3)
+        columns = _columns(dists)
+        chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
+        got = _bounds_rows(columns, s, chains)
+        monkeypatch.setattr(mir_module, "_xlogx", where_xlogx)
+        want = _bounds_rows(columns, s, chains)
+        for column, reference in zip(got[:4], want[:4]):
+            assert column.tobytes() == reference.tobytes()
+        assert [repr(e) for e in got[4]] == [repr(e) for e in want[4]]
+        assert got[4].count(None) > 30
 
 
 class TestQuadrature:
@@ -478,8 +539,8 @@ class TestDiscreteRows:
     def test_rows_equal_one_point_calls(self, spec, delta_t):
         dists = _grid_dists(steps=5)
         chains = mean_chain_rows(spec, [d.mu for d in dists])
-        e_xlnx = expectation_rows(_columns(dists), _xlnx_vec)
-        rates, errors = _discrete_rows(spec, _columns(dists), 2.0, delta_t, chains, e_xlnx)
+        fused = _rate_pass(spec, _columns(dists), 2.0, delta_t)
+        rates, errors = _discrete_rows(spec, _columns(dists), delta_t, chains, fused)
         for dist, rate, error in zip(dists, rates.tolist(), errors):
             expected = _outcome(lambda: mir_discrete(spec, dist, delta_t))
             if error is not None:
@@ -496,58 +557,52 @@ class TestDiscreteRows:
         assert {type(e).__name__ for e in errors} == {"StepTooLarge" if delta_t > 0.5 else kind}
 
     def test_step_kernel_error_reaches_every_row(self, unit_chr2):
-        # at delta_t = 0.4 the step is admissible up to x = 2.5 only
+        # at delta_t = 0.4 the step is admissible up to x = 2.5 only; the
+        # pass then holds E[x ln x] alone, with the bits of its lone pass
         for b, kind in ((2.0, "NoneType"), (3.0, "StepTooLarge")):
             dists = [TruncatedGaussianSpec(m, 0.5, 1e-5, b) for m in (0.5, 1.0, 1.5)]
+            columns = _columns(dists)
             chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
-            e_xlnx = expectation_rows(_columns(dists), _xlnx_vec)
-            rates, errors = _discrete_rows(unit_chr2, _columns(dists), b, 0.4, chains, e_xlnx)
+            fused = _rate_pass(unit_chr2, columns, b, 0.4)
+            assert fused[1][0].shape == (len(dists), 2 if kind == "NoneType" else 1)
+            lone = expectation_rows(columns, _xlnx_vec)
+            assert _output(fused[1], 0)[0].tobytes() == lone[0].tobytes()
+            rates, errors = _discrete_rows(unit_chr2, columns, 0.4, chains, fused)
             assert [type(e).__name__ for e in errors] == [kind] * len(dists)
             assert np.isnan(rates).all() == (kind == "StepTooLarge")
             for dist, error in zip(dists, errors):
                 if error is not None:
+                    assert error is fused[0]
                     assert (type(error).__name__, str(error)) == _outcome(
                         lambda: mir_discrete(unit_chr2, dist, 0.4)
                     )
 
-    def test_unsettled_pair_is_the_row_error(self, monkeypatch):
-        # entry k's pass fails rows 1..k+1, each with its own error, and
-        # E[x ln x] fails rows 1..entries+1: a row keeps the error of its
+    def test_unsettled_pair_is_the_row_error(self):
+        # entry k's output fails rows 1..k+1, each with its own error, and
+        # E[x ln x]'s fails rows 1..entries+1: a row keeps the error of its
         # first failing entry, in state order, then E[x ln x]'s; the next
         # row fails the floor alone
-        import transduction_mir.mir as mir_module
-
-        real = mir_module.expectation_rows
         for spec in (chr2_skeleton(), five_state_receptor()):
-            const, lin = step_kernel(spec, 1e-3, 2.0)
-            y = np.flatnonzero(np.diagonal(spec.slope))
-            entries = len(y)
-            # an entry's integrand phi(c + m*x) is told by its value at x = 1
-            at_one = _plogp_vec(const[y, y] + lin[y, y]).tolist()
-            unsettled = [NoConvergence(f"entry {k} did not settle") for k in range(entries)]
-            calls: list = []
-
-            def failing(specs, f):
-                values, nodes, deltas, errors = real(specs, f)
-                k = at_one.index(float(f(np.array([1.0]))[0]))
-                calls.append(k)
-                values[1 : k + 2] = np.nan
-                errors[1 : k + 2] = [unsettled[k]] * (k + 1)
-                return values, nodes, deltas, errors
-
-            monkeypatch.setattr(mir_module, "expectation_rows", failing)
+            entries = len(np.flatnonzero(np.diagonal(spec.slope)))
             dists = _grid_dists(steps=3)[: entries + 4]
             chains = mean_chain_rows(spec, [d.mu for d in dists])
-            e_xlnx = real(_columns(dists), _xlnx_vec)
+            kernel, (values, nodes, deltas, output_errors) = _rate_pass(
+                spec, _columns(dists), 2.0, 1e-3
+            )
+            assert values.shape == (len(dists), 1 + entries) and len(output_errors) == 1 + entries
+            unsettled = [NoConvergence(f"entry {k} did not settle") for k in range(entries)]
+            for k in range(entries):
+                values[1 : k + 2, 1 + k] = np.nan
+                output_errors[1 + k][1 : k + 2] = [unsettled[k]] * (k + 1)
             xlnx_error = NoConvergence("x ln x did not settle")
-            e_xlnx[3][1 : entries + 2] = [xlnx_error] * (entries + 1)
-            e_xlnx[0][1 : entries + 2] = np.nan
+            output_errors[0][1 : entries + 2] = [xlnx_error] * (entries + 1)
+            values[1 : entries + 2, 0] = np.nan
             # E[x ln x] far below mu ln mu: a rate below the floor
             floor_row = entries + 2
             mu = dists[floor_row].mu
-            e_xlnx[0][floor_row] = mu * np.log(mu) - 1.0
-            rates, errors = _discrete_rows(spec, _columns(dists), 2.0, 1e-3, chains, e_xlnx)
-            assert calls == list(range(entries))
+            values[floor_row, 0] = mu * np.log(mu) - 1.0
+            fused = kernel, (values, nodes, deltas, output_errors)
+            rates, errors = _discrete_rows(spec, _columns(dists), 1e-3, chains, fused)
             assert errors[1 : entries + 1] == unsettled
             assert errors[entries + 1] is xlnx_error
             assert type(errors[floor_row]) is ValidationError
@@ -556,3 +611,58 @@ class TestDiscreteRows:
             failed = slice(1, floor_row + 1)
             assert np.isnan(rates[failed]).all()
             assert not np.isnan(rates[0]).any() and not np.isnan(rates[floor_row + 1]).any()
+
+
+class TestRatePass:
+    """E[x ln x] and the E[phi(c + m*x)] of every x-dependent diagonal entry
+    are the outputs of one pass, each with the bits of its lone pass."""
+
+    @pytest.mark.parametrize("delta_t", [1e-3, 0.1])
+    @pytest.mark.parametrize("spec", [chr2_skeleton(), five_state_receptor()],
+                             ids=lambda spec: spec.name)
+    def test_outputs_equal_lone_passes(self, spec, delta_t):
+        rng = np.random.default_rng(26)
+        dists = [random_valid_dist(rng) for _ in range(40)] + _grid_dists(steps=4)
+        b = max(d.b for d in dists)
+        columns = _columns(dists)
+        (const, lin), result = _rate_pass(spec, columns, b, delta_t)
+        y = np.flatnonzero(np.diagonal(spec.slope)).tolist()
+        integrands = [_xlnx_vec] + [pair_integrand(const[i, i], lin[i, i]) for i in y]
+        assert result[0].shape == (len(dists), len(integrands))
+        for k, f in enumerate(integrands):
+            fused, lone = _output(result, k), expectation_rows(columns, f)
+            for got, want in zip(fused[:3], lone[:3]):
+                assert got.tobytes() == want.tobytes()
+            assert fused[3] == lone[3] == [None] * len(dists)
+
+    def test_unsettled_entry_keeps_the_quadrature(self, unit_chr2, monkeypatch):
+        # phi stepped by 1e-6 where the C1 diagonal 1 - x * 1e-3 passes
+        # x = 1.0137: the entry never settles on the windows that hold that
+        # x, and the discrete rate fails there alone; E[x ln x], an output
+        # of the same pass, settles and keeps the lone pass's bits
+        import transduction_mir.mir as mir_module
+
+        real = mir_module._plogp_vec
+        edge = 1.0 - 1.0137e-3
+        monkeypatch.setattr(
+            mir_module, "_plogp_vec", lambda p: real(p) + np.where(p < edge, 1e-6, 0.0)
+        )
+        config = SweepConfig(
+            receptor=unit_chr2, a=0.02, b=2.0,
+            mu_bar_grid=GridAxis(0.5, 1.5, 3), sigma_bar_grid=GridAxis(0.01, 0.5, 2),
+            methods=("quadrature", "discrete"),
+        )
+        rows = run_sweep(config)
+        lone = run_sweep(replace(config, methods=("quadrature",)))
+        assert [row.mir_quadrature for row in rows] == [row.mir_quadrature for row in lone]
+        assert all(row.mir_quadrature is not None for row in rows)
+        failed = [row.status == "discrete:NoConvergence" for row in rows]
+        # sigma_bar = 0.01 at mu_bar = 0.5 and 1.5 keeps clear of the step
+        assert failed == [False, True, True, True, False, True]
+        assert all((row.mir_discrete is None) == bad for row, bad in zip(rows, failed))
+        for row in rows:
+            dist = TruncatedGaussianSpec(row.mu_bar, row.sigma_bar, 0.02, 2.0)
+            assert mir_quadrature(unit_chr2, dist).value == row.mir_quadrature
+            if row.status != "ok":
+                with pytest.raises(NoConvergence):
+                    mir_discrete(unit_chr2, dist, 1e-3)

@@ -1,5 +1,7 @@
 """Sweep engine and serialization tests."""
 
+import csv
+import io
 import json
 from dataclasses import replace
 
@@ -233,16 +235,17 @@ class TestRunSweep:
         assert stacks == [4]
 
     def test_refinement_calls_per_sweep(self, unit_chr2, monkeypatch):
-        # one E[x ln x] pass, one pass over the x-dependent diagonal entries
-        # of every point for the discrete rate, one pass over the moment
-        # vectors of every point for the series, and one over the moments
-        # about 0 and about the mean of every point for the s=4 bounds
+        # one pass whose outputs are E[x ln x] and the x-dependent diagonal
+        # entry of every point for the discrete rate, one pass over the
+        # moment vectors of every point for the series, and one over the
+        # moments about 0 and about the mean of every point for the s=4
+        # bounds; each call as (rows, outputs, what)
         calls = []
         integrate = truncgauss._integrate
         monkeypatch.setattr(
             truncgauss,
             "_integrate",
-            lambda *args: calls.append((len(args[1]), args[6])) or integrate(*args),
+            lambda *args: calls.append((len(args[1]), *args[5:7])) or integrate(*args),
         )
         config = small_config(
             unit_chr2,
@@ -252,11 +255,16 @@ class TestRunSweep:
         )
         rows = run_sweep(config)
         assert [row.status for row in rows] == ["ok"] * 64
-        assert len(calls) == 4
-        # E[x ln x], then one diagonal entry per point
-        assert calls.count((64, "expectation")) == 2
-        assert calls.count((64, "moment quadrature")) == 1
-        assert calls.count((128, "moment quadrature")) == 1
+        entries = len(np.flatnonzero(np.diagonal(unit_chr2.slope)))
+        assert calls == [
+            (64, 1 + entries, "expectation"),
+            (64, config.series_k - 1, "moment quadrature"),
+            (128, 3, "moment quadrature"),
+        ]
+        # without the discrete rate, E[x ln x] is a pass of its own
+        calls.clear()
+        run_sweep(replace(config, methods=("quadrature", "bounds_s2")))
+        assert calls == [(64, 1, "expectation")]
 
     # the reducible receptor fails every valid row's stationary solve; at
     # delta_t = 0.75 discrete and mc fail with StepTooLarge, raised first
@@ -493,6 +501,54 @@ class TestSerialization:
             for mb, sb, mq, lb, ub, status in rows
         ]
         assert rows_from_csv(rows_to_csv(built)) == built
+
+    @staticmethod
+    def writer_csv(rows):
+        """The rows as ``csv.writer`` writes them, cell by cell."""
+        names = CSV_HEADER.split(",")
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(names)
+        for row in rows:
+            values = [getattr(row, name) for name in names[:-1]]
+            writer.writerow(["" if v is None else repr(float(v)) for v in values] + [row.status])
+        return buffer.getvalue()
+
+    @pytest.mark.parametrize(
+        "status", ["ok", "", "a,b", 'say "hi"', "a\rb", "a\nb", "\r\n", '",\r\n"', "x y"]
+    )
+    def test_csv_bytes_are_csv_writer_bytes(self, status):
+        rows = [SweepRow(mu_bar=1.0, sigma_bar=0.5, mu=0.75, status=status),
+                SweepRow(mu_bar=-0.0, sigma_bar=1e-300, lb_s4=2.5e17)]
+        assert rows_to_csv(rows) == self.writer_csv(rows)
+        assert rows_to_csv([]) == self.writer_csv([]) == CSV_HEADER + "\n"
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                finite,
+                finite,
+                cell,
+                st.text(
+                    alphabet=st.one_of(
+                        st.sampled_from(',"\r\n ;:ok'),
+                        st.characters(blacklist_categories=("Cs",)),
+                    ),
+                    max_size=12,
+                ),
+            ),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_csv_bytes_property(self, rows):
+        # any status, control characters included, is quoted as csv.writer
+        # quotes it
+        built = [
+            SweepRow(mu_bar=mb, sigma_bar=sb, mir_discrete=md, status=status)
+            for mb, sb, md, status in rows
+        ]
+        assert rows_to_csv(built) == self.writer_csv(built)
 
     @given(
         values=st.lists(

@@ -35,11 +35,13 @@ from transduction_mir.truncgauss import (
     MIN_TRUNCATION_MASS,
     _DRAW_BLOCK,
     _columns,
+    _expectations,
     _gl_nodes,
     _gl_rows,
     _moment_rows,
     _ndtr,
     _ndtri,
+    _output,
     _panel_edges,
     _powers,
     _shifted_moment_rows,
@@ -664,6 +666,63 @@ class TestExpectationRows:
         assert sizes == [600, 1200, 800, 1600]
         with pytest.raises(NoConvergence):
             expectation(stepped, step)
+
+
+class TestPerOutputAcceptance:
+    """``_integrate`` settles output by output: a row stays on the schedule
+    until its last output settles, and each output keeps its first settled
+    estimate, so every output has the bits of its lone pass."""
+
+    # x ln x settles at 400 nodes on these windows; x ln x plus a 1e-8 step
+    # at x = 1.0137 settles at 400, 800 or 1600 nodes, or never; cos(600 x)
+    # at 400 to 1600
+    INTEGRANDS = (
+        _xlnx_vec,
+        lambda x: _xlnx_vec(x) + np.where(x > 1.0137, 1e-8, 0.0),
+        lambda x: np.cos(600.0 * x),
+    )
+
+    def test_outputs_equal_lone_passes(self):
+        rng = np.random.default_rng(26)
+        specs = [random_valid_dist(rng) for _ in range(40)] + grid_specs(
+            1e-5, 2.0, (0.2, 1.8, 4), (0.1, 1.0, 4)
+        )
+        columns = _columns(specs)
+        fused = _expectations(columns, lambda x: (f(x) for f in self.INTEGRANDS), 3)
+        nodes = fused[1]
+        for k, f in enumerate(self.INTEGRANDS):
+            got, lone = _output(fused, k), expectation_rows(columns, f)
+            for column, reference in zip(got[:3], lone[:3]):
+                assert column.tobytes() == reference.tobytes()
+            assert [repr(e) for e in got[3]] == [repr(e) for e in lone[3]]
+            assert [e is None for e in got[3]] == (~np.isnan(nodes[:, k])).tolist()
+        # the outputs settle at different n within one row, and the step
+        # never settles on some rows, whose x ln x is kept
+        assert set(nodes[:, 0].tolist()) == {400.0}
+        assert {400.0, 800.0, 1600.0} <= set(nodes[:, 1].tolist())
+        assert {400.0, 800.0} <= set(nodes[:, 2].tolist()) <= {400.0, 800.0, 1600.0}
+        assert np.isnan(nodes[:, 1]).sum() >= 5
+        assert (nodes[:, 2] > nodes[:, 0]).sum() >= 20
+
+    def test_unsettled_output_stays_on_the_schedule_alone(self):
+        # the stepped window stays on the schedule to 1600 nodes for its
+        # second output; the smooth windows stop at 400
+        sizes = []
+
+        def recorded(x):
+            sizes.append(x.size)
+            return _xlnx_vec(x), _xlnx_vec(x) + np.where(x > 1.0137, 1.0, 0.0)
+
+        specs = [TruncatedGaussianSpec(0.5, 0.01, 0.02, 2.0),
+                 TruncatedGaussianSpec(1.0, 0.5, 0.02, 2.0),
+                 TruncatedGaussianSpec(1.5, 0.01, 0.02, 2.0)]
+        values, nodes, deltas, errors = _expectations(_columns(specs), recorded, 2)
+        assert sizes == [600, 1200, 800, 1600]
+        assert nodes.tolist()[0] == nodes.tolist()[2] == [400.0, 400.0]
+        assert nodes[1, 0] == 400.0 and math.isnan(nodes[1, 1])
+        assert errors[0] == [None] * 3
+        assert errors[1][::2] == [None, None] and isinstance(errors[1][1], NoConvergence)
+        assert str(errors[1][1]) == "expectation did not stabilize by n=1600 nodes per panel"
 
 
 def spec_of_row(columns, row):
