@@ -51,6 +51,7 @@ from .sweep import (
     GridAxis,
     SweepConfig,
     SweepRow,
+    SweepTable,
     audit_rows,
     find_capacity,
     rows_from_csv,

@@ -263,26 +263,26 @@ def _cmd_sweep(args) -> int:
     filled = {name for method in config.methods for name in _METHOD_COLUMNS[method]}
     if args.capacity_by and args.capacity_by not in filled:
         raise ConfigError(f"--capacity-by {args.capacity_by}: no method of this sweep fills it")
-    rows = run_sweep(config)
+    table = run_sweep(config)
     if out_path:
         with _writing(out_path):
-            write_rows(rows, out_path, out_format)
+            write_rows(table, out_path, out_format)
     else:
-        sys.stdout.write(_format_rows(rows, out_format))
-    failed = [row for row in rows if row.status != "ok"]
+        sys.stdout.write(_format_rows(table, out_format))
+    failed = len(table.statuses) - table.statuses.count("ok")
     if failed:
         print(
-            f"sweep finished with {len(failed)} failed point(s); "
+            f"sweep finished with {failed} failed point(s); "
             f"see the status column",
             file=sys.stderr,
         )
         return 3
     if args.capacity_by:
-        mu_bar, sigma_bar, value = find_capacity(rows, by=args.capacity_by)
+        mu_bar, sigma_bar, value = find_capacity(table, by=args.capacity_by)
         print(
             f"capacity-achieving point by {args.capacity_by}: "
             f"mu_bar={mu_bar!r} sigma_bar={sigma_bar!r} value={value!r}"
-            f"{_edge_note(rows, mu_bar, sigma_bar)}",
+            f"{_edge_note(table, mu_bar, sigma_bar)}",
             file=sys.stderr,
         )
     return 0

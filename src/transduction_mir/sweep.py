@@ -14,9 +14,11 @@ series, and the bounds of each selected order s = 2, 4.  Every batched
 kernel returns one row format: value columns, float arrays with nan on the
 rows that fail, and one error list holding per row the MirError that
 rejected it, or None.  Method by method, the value columns fill the output
-fields and the errors the status column, and the rows are built from the
-columns.  Only Monte Carlo runs point by point, on a spec built by the
-constructor, into the same format.
+fields and the errors the status column.  Only Monte Carlo runs point by
+point, on a spec built by the constructor, into the same format.  The result
+stays columns, a ``SweepTable``, through the bound-sandwich audit (array
+masks), the capacity search and the CSV/JSON formatter; ``SweepRow`` objects
+are built from the columns only on request (``SweepTable.rows``).
 The scalar library functions are the same kernels on one point, so a row
 holds the bits a single-point call returns, and the failure it would raise.
 Monte Carlo points derive independent seeds from (master seed, row index),
@@ -30,7 +32,7 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -174,6 +176,8 @@ class SweepRow:
 #: float fields first and ``status`` last.
 _FIELDS = tuple(f.name for f in fields(SweepRow))
 _NUMERIC_FIELDS = _FIELDS[:-1]
+#: The fields whose distinct values are the grid's axes.
+_GRID_FIELDS = _FIELDS[:2]
 CSV_HEADER = ",".join(_FIELDS)
 
 
@@ -230,42 +234,118 @@ def _method_columns(config: SweepConfig, method, indices, valid, chains, e_xlnx,
     return tuple(columns), errors
 
 
-def audit_rows(rows: Sequence[SweepRow]) -> list[tuple[int, str]]:
-    """Check the bound-sandwich invariant on every fully populated row,
-    with a slack of 1e-9 relative to the rate (1e-12 bits/s at least)."""
+class SweepTable:
+    """A sweep's rows as columns, in row order.
+
+    ``values`` holds one float64 array per numeric ``SweepRow`` field, and
+    ``present`` a bool array per field that is False where the cell is
+    absent (None in a ``SweepRow``, written "" in CSV and null in JSON; a
+    present nan is written nan, or NaN in JSON).  ``statuses`` holds the
+    status text per row, and ``axes`` maps each grid field, ``mu_bar`` and
+    ``sigma_bar``, to its distinct values and each row's index into them,
+    so each distinct value is formatted once.
+    """
+
+    __slots__ = ("values", "present", "statuses", "axes")
+
+    def __init__(self, values: dict, present: dict, statuses: list[str], axes: dict):
+        self.values, self.present, self.statuses, self.axes = values, present, statuses, axes
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[SweepRow]) -> "SweepTable":
+        """The table of a row list; each grid field's distinct values are
+        its distinct float bit patterns."""
+        values, present = {}, {}
+        for name in _NUMERIC_FIELDS:
+            cells = [getattr(row, name) for row in rows]
+            present[name] = np.array([cell is not None for cell in cells], dtype=bool)
+            values[name] = np.array(
+                [math.nan if cell is None else cell for cell in cells], dtype=np.float64
+            )
+        axes = {}
+        for name in _GRID_FIELDS:
+            bits, index = np.unique(values[name].view(np.uint64), return_inverse=True)
+            axes[name] = (bits.view(np.float64), index.reshape(-1))
+        return cls(values, present, [row.status for row in rows], axes)
+
+    def rows(self) -> list[SweepRow]:
+        """The table as ``SweepRow`` objects, absent cells None."""
+        columns = [
+            _absent_as(self.values[name].tolist(), self.present[name], None)
+            for name in _NUMERIC_FIELDS
+        ]
+        return list(map(SweepRow, *columns, self.statuses))
+
+    def cell(self, name: str, index: int) -> Optional[float]:
+        """One cell as a ``SweepRow`` holds it: a float, or None if absent."""
+        return self.values[name][index].item() if self.present[name][index] else None
+
+
+def _absent_as(cells: list, present: np.ndarray, absent) -> list:
+    """``cells`` with ``absent`` in place of each cell that is not present."""
+    for i in np.flatnonzero(~present).tolist():
+        cells[i] = absent
+    return cells
+
+
+def _table(rows: SweepTable | Sequence[SweepRow]) -> SweepTable:
+    """A ``SweepTable`` as it is, or a row list converted once."""
+    return rows if isinstance(rows, SweepTable) else SweepTable.from_rows(rows)
+
+
+def audit_rows(rows: SweepTable | Sequence[SweepRow]) -> list[tuple[int, str]]:
+    """Check the bound-sandwich invariant on every row where the quadrature
+    rate and a bound pair are present, with a slack of 1e-9 relative to the
+    rate (1e-12 bits/s at least).  Takes a ``SweepTable`` or a row list;
+    returns (row, message) in row order, s=2 before s=4 in a row."""
+    table = _table(rows)
+    exact = table.values["mir_quadrature"]
+    slack = np.maximum(1e-9 * np.abs(exact), 1e-12)
+    missed = {}
+    for s in (2, 4):
+        lb, ub = table.values[f"lb_s{s}"], table.values[f"ub_s{s}"]
+        with np.errstate(invalid="ignore"):  # inf - inf: a nan that sandwiches nothing
+            held = (lb - slack <= exact) & (exact <= ub + slack)
+        missed[s] = table.present["mir_quadrature"] & table.present[f"lb_s{s}"] & ~held
     violations = []
-    for i, row in enumerate(rows):
-        exact = row.mir_quadrature
-        if exact is None:
-            continue
-        slack = max(1e-9 * abs(exact), 1e-12)
-        for s, lb, ub in ((2, row.lb_s2, row.ub_s2), (4, row.lb_s4, row.ub_s4)):
-            if lb is not None and not (lb - slack <= exact <= ub + slack):
-                violations.append((i, f"s={s} bounds [{lb}, {ub}] fail to sandwich {exact}"))
+    for i in np.flatnonzero(missed[2] | missed[4]).tolist():
+        exact_i = table.cell("mir_quadrature", i)
+        for s in (2, 4):
+            if missed[s][i]:
+                lb, ub = table.cell(f"lb_s{s}", i), table.cell(f"ub_s{s}", i)
+                violations.append((i, f"s={s} bounds [{lb}, {ub}] fail to sandwich {exact_i}"))
     return violations
 
 
-def run_sweep(config: SweepConfig) -> list[SweepRow]:
+def run_sweep(config: SweepConfig) -> SweepTable:
     """Evaluate every grid point; rows ordered mu_bar-major, then sigma_bar.
 
-    Per-point numerical failures are recorded in the row status and never
-    abort the sweep.  Monte Carlo seeds are keyed by grid index, so each row
-    depends only on the config and its own grid point.
+    Returns the columns of the rows as a ``SweepTable``; ``table.rows()``
+    builds the ``SweepRow`` objects.  Per-point numerical failures are
+    recorded in the row status and never abort the sweep.  Monte Carlo
+    seeds are keyed by grid index, so each row depends only on the config
+    and its own grid point.
     """
     mu_axis, sigma_axis = config.mu_bar_grid.values(), config.sigma_bar_grid.values()
-    mu_bars = np.repeat(mu_axis, len(sigma_axis)).tolist()
-    sigma_bars = np.tile(sigma_axis, len(mu_axis)).tolist()
-    n = len(mu_bars)
-    # one column per numeric field, filled in per method, and per point its
-    # distribution's error or the methods that failed there
-    columns = {name: [None] * n for name in _NUMERIC_FIELDS}
-    columns["mu_bar"], columns["sigma_bar"] = mu_bars, sigma_bars
+    mu_index = np.repeat(np.arange(len(mu_axis)), len(sigma_axis))
+    sigma_index = np.tile(np.arange(len(sigma_axis)), len(mu_axis))
+    n = len(mu_index)
+    # one column per numeric field, filled in per method, and per failed
+    # point its distribution's error or the methods that failed there
+    values = {name: np.full(n, np.nan) for name in _NUMERIC_FIELDS}
+    present = {name: np.zeros(n, dtype=bool) for name in _NUMERIC_FIELDS}
+    values["mu_bar"], values["sigma_bar"] = mu_axis[mu_index], sigma_axis[sigma_index]
+    present["mu_bar"][:] = present["sigma_bar"][:] = True
+    # Python floats, so that an error message shows the grid value as given
+    mu_bars, sigma_bars = values["mu_bar"].tolist(), values["sigma_bar"].tolist()
     specs, errors = _spec_rows(mu_bars, sigma_bars, [config.a] * n, [config.b] * n)
-    problems = [[] if e is None else [f"distribution:{type(e).__name__}:{e}"] for e in errors]
-    indices = np.flatnonzero(live_rows(errors)).tolist()
+    problems = {
+        i: [f"distribution:{type(e).__name__}:{e}"] for i, e in enumerate(errors) if e is not None
+    }
+    indices = np.flatnonzero(live_rows(errors))
     valid = specs.take(indices)
-    for i, mu, sigma2 in zip(indices, valid.mu.tolist(), valid.sigma2.tolist()):
-        columns["mu"][i], columns["sigma2"][i] = mu, sigma2
+    for name, column in (("mu", valid.mu), ("sigma2", valid.sigma2)):
+        values[name][indices], present[name][indices] = column, True
 
     chains = mean_chain_rows(config.receptor, valid.mu.tolist())
     # E[x ln x] of every point: an output of the discrete rate's one pass
@@ -280,66 +360,66 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     for method in VALID_METHODS:
         if method not in config.methods:
             continue
-        values, errors = _method_columns(config, method, indices, valid, chains, e_xlnx, fused)
-        for name, column in zip(_METHOD_COLUMNS[method], values):
-            target = columns[name]
-            for i, value, error in zip(indices, column.tolist(), errors):
-                if error is None:
-                    target[i] = value
-        for i, error in zip(indices, errors):
+        columns, errors = _method_columns(
+            config, method, indices.tolist(), valid, chains, e_xlnx, fused
+        )
+        held = live_rows(errors)
+        for name, column in zip(_METHOD_COLUMNS[method], columns):
+            values[name][indices[held]], present[name][indices[held]] = column[held], True
+        for i, error in zip(indices.tolist(), errors):
             if error is not None:
-                problems[i].append(f"{method}:{type(error).__name__}")
-    statuses = [";".join(failed) or "ok" for failed in problems]
-    rows = list(map(SweepRow, *columns.values(), statuses))
+                problems.setdefault(i, []).append(f"{method}:{type(error).__name__}")
+    statuses = ["ok"] * n
+    for i, failed in problems.items():
+        statuses[i] = ";".join(failed)
+    axes = {"mu_bar": (mu_axis, mu_index), "sigma_bar": (sigma_axis, sigma_index)}
+    table = SweepTable(values, present, statuses, axes)
 
-    for index, message in audit_rows(rows):
-        row = rows[index]
+    for index, message in audit_rows(table):
         suffix = f"audit:{message}"
-        status = suffix if row.status == "ok" else f"{row.status};{suffix}"
-        rows[index] = replace(row, status=status)
-    return rows
+        status = statuses[index]
+        statuses[index] = suffix if status == "ok" else f"{status};{suffix}"
+    return table
 
 
-def find_capacity(rows: Sequence[SweepRow], by: str = "mir_quadrature"):
-    """Grid argmax of one populated field.
+def find_capacity(rows: SweepTable | Sequence[SweepRow], by: str = "mir_quadrature"):
+    """Grid argmax of one populated field of a ``SweepTable`` or row list.
 
     Returns (mu_bar, sigma_bar, value); exact-value ties break toward the
-    smallest mu_bar, then the smallest sigma_bar.
+    smallest mu_bar, then the smallest sigma_bar, then the first row.
     """
     if by not in _NUMERIC_FIELDS[4:]:
         raise ValidationError(f"cannot maximize over field {by!r}")
-    if not rows:
+    table = _table(rows)
+    if not table.statuses:
         raise EmptySweep("no rows to maximize over")
-    best = None
-    for row in rows:
-        value = getattr(row, by)
-        if value is None:
-            raise ValidationError(f"field {by!r} is not populated in every row")
-        key = (-value, row.mu_bar, row.sigma_bar)
-        if best is None or key < best[0]:
-            best = (key, row)
-    row = best[1]
-    return row.mu_bar, row.sigma_bar, getattr(row, by)
+    if not table.present[by].all():
+        raise ValidationError(f"field {by!r} is not populated in every row")
+    value = table.values[by]
+    # as a row-by-row scan for the least (-value, mu_bar, sigma_bar) has it,
+    # a nan value is the maximum only in the first row
+    if math.isnan(value[0]):
+        best = 0
+    else:
+        best = int(np.lexsort((table.values["sigma_bar"], table.values["mu_bar"], -value))[0])
+    return tuple(table.cell(name, best) for name in ("mu_bar", "sigma_bar", by))
 
 
-def _edge_note(rows: Sequence[SweepRow], mu_bar: float, sigma_bar: float) -> str:
+def _edge_note(rows: SweepTable | Sequence[SweepRow], mu_bar: float, sigma_bar: float) -> str:
     """The clause a capacity report appends when its grid point lies on the
     grid's edge: "" inside the grid, else, for example, " on the mu_bar min
     edge; the maximum may lie outside the grid".  An axis of one step has
-    no edge."""
+    no edge.  Takes a ``SweepTable`` or a row list."""
+    table = _table(rows)
     edges = []
     for name, value in (("mu_bar", mu_bar), ("sigma_bar", sigma_bar)):
-        axis = [getattr(row, name) for row in rows]
-        low, high = min(axis), max(axis)
+        axis = table.axes[name][0]
+        low, high = axis.min().item(), axis.max().item()
         if low < high and value in (low, high):
             edges.append(f"the {name} {'min' if value == low else 'max'} edge")
     if not edges:
         return ""
     return f" on {' and '.join(edges)}; the maximum may lie outside the grid"
-
-
-def _format_column(values) -> list[str]:
-    return ["" if value is None else repr(float(value)) for value in values]
 
 
 #: The characters that may make ``csv.writer`` quote a cell.
@@ -356,25 +436,75 @@ def _csv_cell(text: str) -> str:
     return buffer.getvalue()[:-2]
 
 
-def rows_to_csv(rows: Sequence[SweepRow]) -> str:
-    """Fixed-schema CSV; floats use shortest round-trip representation.
+#: How ``json.dumps`` writes the floats that ``repr`` writes nan, inf, -inf.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-    Formatted column by column and joined directly, with the bytes of
-    ``csv.writer``: the numeric cells never need quoting, and each status
-    is quoted as ``csv.writer`` quotes it (``_csv_cell``)."""
-    columns = [_format_column([getattr(row, name) for row in rows]) for name in _NUMERIC_FIELDS]
-    columns.append([_csv_cell(row.status) for row in rows])
-    return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
+#: One row object of ``json.dumps(rows, indent=2)``, a %s per field.
+_JSON_ROW = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in _FIELDS) + "\n  }"
+
+
+def _float_text(values: np.ndarray, json_floats: bool) -> list[str]:
+    """``repr`` of each value, or its ``json.dumps`` text."""
+    text = list(map(repr, values.tolist()))
+    if json_floats:
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            text[i] = _JSON_NONFINITE[text[i]]
+    return text
+
+
+def _column_text(table: SweepTable, name: str, fmt: str) -> list[str]:
+    """The cells of one numeric column as CSV or JSON text; a grid field
+    formats each distinct value once."""
+    present, json_floats = table.present[name], fmt == "json"
+    absent = "null" if json_floats else ""
+    if not present.any():
+        return [absent] * len(present)
+    if name in table.axes:
+        distinct, index = table.axes[name]
+        text = np.array(_float_text(distinct, json_floats), dtype=object)[index].tolist()
+    else:
+        text = _float_text(table.values[name], json_floats)
+    return _absent_as(text, present, absent)
+
+
+def _format_rows(rows: SweepTable | Sequence[SweepRow], fmt: str) -> str:
+    """A ``SweepTable`` or row list as CSV or JSON text: the one formatter
+    behind every sweep output.
+
+    CSV has the bytes of ``csv.writer``: the numeric cells never need
+    quoting, and each status is quoted as ``csv.writer`` quotes it
+    (``_csv_cell``).  JSON has the bytes of ``json.dumps(.., indent=2)`` of
+    the row objects."""
+    table = _table(rows)
+    quote = _csv_cell if fmt == "csv" else json.dumps
+    quoted = {status: quote(status) for status in set(table.statuses)}
+    columns = [_column_text(table, name, fmt) for name in _NUMERIC_FIELDS]
+    columns.append([quoted[status] for status in table.statuses])
+    if fmt == "csv":
+        return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
+    if not table.statuses:
+        return "[]\n"
+    return "[\n" + ",\n".join([_JSON_ROW % cells for cells in zip(*columns)]) + "\n]\n"
+
+
+def rows_to_csv(rows: SweepTable | Sequence[SweepRow]) -> str:
+    """Fixed-schema CSV of a ``SweepTable`` or row list; floats use the
+    shortest round-trip representation."""
+    return _format_rows(rows, "csv")
 
 
 def rows_from_csv(text: str) -> list[SweepRow]:
-    """Inverse of rows_to_csv, field-for-field; ValidationError on other text."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, [])
+    """Inverse of rows_to_csv, field-for-field; ValidationError on other text,
+    such as text the csv module cannot parse (a bare carriage return)."""
+    try:
+        records = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValidationError(f"malformed CSV text: {exc}") from exc
+    header = records[0] if records else []
     if tuple(header) != _FIELDS:
         raise ValidationError(f"unexpected CSV header: {header}")
     rows = []
-    for record in reader:
+    for record in records[1:]:
         if not record:
             continue
         if len(record) != len(_FIELDS):
@@ -390,13 +520,10 @@ def rows_from_csv(text: str) -> list[SweepRow]:
     return rows
 
 
-def rows_to_json(rows: Sequence[SweepRow]) -> str:
-    """JSON array of row objects with the CSV field names; null for absents."""
-    payload = [
-        {name: getattr(row, name) for name in _NUMERIC_FIELDS} | {"status": row.status}
-        for row in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+def rows_to_json(rows: SweepTable | Sequence[SweepRow]) -> str:
+    """JSON array of row objects with the CSV field names; null for absents.
+    Takes a ``SweepTable`` or row list; every value is written as a float."""
+    return _format_rows(rows, "json")
 
 
 def rows_from_json(text: str) -> list[SweepRow]:
@@ -413,11 +540,7 @@ def rows_from_json(text: str) -> list[SweepRow]:
     return rows
 
 
-def _format_rows(rows: Sequence[SweepRow], fmt: str) -> str:
-    """Rows as CSV or JSON text: the one formatter behind every sweep output."""
-    return rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
-
-
-def write_rows(rows: Sequence[SweepRow], path, fmt: str = "csv") -> None:
+def write_rows(rows: SweepTable | Sequence[SweepRow], path, fmt: str = "csv") -> None:
+    """Write a ``SweepTable`` or row list to ``path`` as CSV or JSON."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_format_rows(rows, fmt))

@@ -14,7 +14,8 @@ must match bit for bit.  They use the package's arithmetic one float at a
 time: powers are running products (``power``), logs come from ``np.log``,
 sums of terms from ``math.fsum``, and a panel level from ``math.frexp``.
 The all-pairs discrete rate integrates every x-dependent entry, off-diagonal
-ones too, as an independent check of the kernel's gain * gap identity.
+ones too, as an independent check of the kernel's gain * gap identity.  The
+row-by-row sandwich audit is the reference for the sweep's column audit.
 """
 
 from __future__ import annotations
@@ -537,3 +538,30 @@ def simulate_reference(
     return Trajectory(
         delta_t=delta_t, initial_state=y0, states=states, inputs=xs, seed=seed
     )
+
+
+def audit_rows_reference(rows) -> list[tuple[int, str]]:
+    """The bound-sandwich audit one ``SweepRow`` at a time: on every row with
+    a quadrature rate, each present lower bound must satisfy
+    ``lb - slack <= exact <= ub + slack`` with ``slack = max(1e-9 * |exact|,
+    1e-12)``; returns (row, message) in row order, s=2 before s=4."""
+    violations = []
+    for i, row in enumerate(rows):
+        exact = row.mir_quadrature
+        if exact is None:
+            continue
+        slack = max(1e-9 * abs(exact), 1e-12)
+        for s, lb, ub in ((2, row.lb_s2, row.ub_s2), (4, row.lb_s4, row.ub_s4)):
+            if lb is not None and not (lb - slack <= exact <= ub + slack):
+                violations.append((i, f"s={s} bounds [{lb}, {ub}] fail to sandwich {exact}"))
+    return violations
+
+
+def with_audit(statuses: list[str], violations) -> list[str]:
+    """``statuses`` with each violation appended to its row's status as
+    ``audit:<message>``, in place of an ``ok``."""
+    statuses = list(statuses)
+    for index, message in violations:
+        suffix = f"audit:{message}"
+        statuses[index] = suffix if statuses[index] == "ok" else f"{statuses[index]};{suffix}"
+    return statuses

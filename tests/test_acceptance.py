@@ -267,7 +267,7 @@ def test_criterion_10_trend_agreement():
         methods=("quadrature", "bounds_s2"),
         seed=0,
     )
-    rows = run_sweep(config)
+    rows = run_sweep(config).rows()
     exact = np.array([row.mir_quadrature for row in rows]).reshape(50, 50)
     upper = np.array([row.ub_s2 for row in rows]).reshape(50, 50)
     rho = float(spearmanr(exact.ravel(), upper.ravel()).statistic)

@@ -652,8 +652,8 @@ class TestRatePass:
             mu_bar_grid=GridAxis(0.5, 1.5, 3), sigma_bar_grid=GridAxis(0.01, 0.5, 2),
             methods=("quadrature", "discrete"),
         )
-        rows = run_sweep(config)
-        lone = run_sweep(replace(config, methods=("quadrature",)))
+        rows = run_sweep(config).rows()
+        lone = run_sweep(replace(config, methods=("quadrature",))).rows()
         assert [row.mir_quadrature for row in rows] == [row.mir_quadrature for row in lone]
         assert all(row.mir_quadrature is not None for row in rows)
         failed = [row.status == "discrete:NoConvergence" for row in rows]

@@ -12,7 +12,7 @@ PUBLIC_NAMES = [
     "GridAxis", "InsufficientData", "McEstimate", "MirError", "MirResult",
     "MomentTable", "NoConvergence", "NotIrreducible", "OrderTooHigh",
     "OutOfConvergenceRegion", "ReceptorSpec", "StepTooLarge", "SweepConfig",
-    "SweepRow", "Trajectory", "Transition", "TruncatedGaussianSpec",
+    "SweepRow", "SweepTable", "Trajectory", "Transition", "TruncatedGaussianSpec",
     "ValidationError", "audit_rows", "chr2_skeleton", "dump_trajectory",
     "estimate_mir", "expectation", "find_capacity", "h_s", "jensen_gap",
     "jensen_gap_bounds", "load_receptor", "mir_bounds", "mir_discrete",
