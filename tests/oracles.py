@@ -4,15 +4,17 @@ The typed matrix pipeline (RateMatrix -> TransitionMatrix -> SteadyState)
 builds the generator, the first-order step and the stationary vector as
 validated wrapper objects; the package computes the same quantities on plain
 arrays, and the tests pin the two against each other.  The remaining helpers
-(density, scaling closure, 50-digit moments about a center, the direct
-Monte Carlo gap, occupancy and bigram counts, the Taylor limit of h_s, the
-per-step simulation loop) are oracles for the acceptance criteria and the
-unit tests.  The one-array stationary solve, the one-spec Gauss-Legendre
-estimate, the float-by-float spec fields, panel edges, gain and gap bounds,
-and the entry-by-entry discrete rate are the scalar forms the batched kernels
-must match bit for bit.  They use the package's arithmetic one float at a
-time: powers are running products (``power``), logs come from ``np.log``,
-sums of terms from ``math.fsum``, and a panel level from ``math.frexp``.
+(density, scaling closure, the exact rational stationary vector, 50-digit
+moments about a center, the direct Monte Carlo gap, occupancy and bigram
+counts, the Taylor limit of h_s, the per-step simulation loop) are oracles
+for the acceptance criteria and the unit tests.  The one-array stationary
+solve, the one-spec Gauss-Legendre estimate, the float-by-float spec
+fields, panel edges, gain and gap bounds, and the entry-by-entry discrete
+rate are the scalar forms the batched kernels must match bit for bit.
+They use the package's arithmetic one float at a time: powers are running
+products (``power``), logs come from ``np.log``, sums of terms from
+``math.fsum`` (the stationary solve's sums run left to right), and a panel
+level from ``math.frexp``.
 The all-pairs discrete rate integrates every x-dependent entry, off-diagonal
 ones too, as an independent check of the kernel's gain * gap identity.  The
 row-by-row sandwich audit is the reference for the sweep's column audit.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -40,9 +43,8 @@ from transduction_mir import (
     shifted_moment_vector,
     stationary_distribution,
 )
-from transduction_mir.errors import unwrap
 from transduction_mir.mir import _plogp_vec, _xlnx_vec, plogp
-from transduction_mir.receptor import LN2, _solve_stationary, _strongly_connected, step_kernel
+from transduction_mir.receptor import LN2, _strongly_connected, step_kernel
 from transduction_mir.truncgauss import (
     MAX_MOMENT_ORDER,
     MIN_TRUNCATION_MASS,
@@ -139,38 +141,85 @@ def steady_state(chain: RateMatrix | TransitionMatrix) -> SteadyState:
     """Unique pi with pi @ Q = 0 and sum(pi) = 1; NotIrreducible otherwise.
 
     A RateMatrix is solved as it is; a TransitionMatrix P from its generator
-    P - I, which has the same stationary vector as P.
+    P - I, which has the same stationary vector as P.  Both go through the
+    one-array solve ``solve_stationary_one``.
     """
     q = chain.entries
     if isinstance(chain, TransitionMatrix):
         q = q - np.eye(chain.dim)
-    pi, (error,) = _solve_stationary(q[None], [None])
-    unwrap(error)
-    return SteadyState(probabilities=pi[0])
+    return SteadyState(probabilities=solve_stationary_one(q))
+
+
+def left_sum(values) -> float:
+    """Sum of floats strictly left to right from 0.0 (the builtin ``sum``
+    of floats compensates its rounding from Python 3.12 on)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def solve_stationary_one(q: np.ndarray) -> np.ndarray:
-    """The stationary solve of one generator, one call per array.
+    """The stationary solve of one generator, in Python floats.
 
-    The augmented system with the last balance equation replaced by the
-    normalization, then clip, renormalise and the 1e-10 check on the
-    residual |pi @ q| / (2 max|q_ii|); the package solves a whole stack of
+    The Grassmann-Taksar-Heyman elimination entry by entry: states k-1 ... 1
+    are eliminated in turn, each pivot the sum of the rates out of that state
+    into the states kept; pi is back-substituted from pi[0] = 1, rescaled by
+    a power of two at each step so that the new component is below 1, and
+    normalised once, every sum left to right.  Then the 1e-10 check on the
+    residual |pi @ q| / (2 max|q_ii|).  The package solves a whole stack of
     generators in one call and must give each the bits of this form.
     """
     k = q.shape[0]
     if not _strongly_connected(q > 0.0):
         raise NotIrreducible("the positive-rate transition graph is not strongly connected")
-    system = q.T.copy()
-    system[-1, :] = 1.0
-    rhs = np.zeros(k)
-    rhs[-1] = 1.0
-    pi = np.linalg.solve(system, rhs)
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
-    residual = float(np.abs(pi @ q).max()) / (2.0 * float(np.abs(np.diag(q)).max()))
-    if residual > 1e-10:
+    a = q.tolist()
+    pivots = [None] * k
+    for n in range(k - 1, 0, -1):
+        pivots[n] = left_sum(a[n][:n])
+        for j in range(n):
+            a[n][j] /= pivots[n]
+        for i in range(n):
+            for j in range(n):
+                a[i][j] += a[i][n] * a[n][j]
+    pi = [1.0]
+    for j in range(1, k):
+        inflow = left_sum(pi[i] * a[i][j] for i in range(j))
+        shift = max(math.frexp(inflow)[1] - math.frexp(pivots[j])[1] + 1, 0)
+        pi = [math.ldexp(value, -shift) for value in pi]
+        pi.append(math.ldexp(inflow, -shift) / pivots[j])
+    total = left_sum(pi)
+    pi = np.array([value / total for value in pi])
+    residual = float(np.abs(pi @ q).max()) / float(np.abs(np.diag(q)).max()) / 2.0
+    if not residual <= 1e-10:
         raise NotIrreducible(f"stationary residual {residual:.2e} exceeds 1e-10")
     return pi
+
+
+def exact_stationary(q: np.ndarray) -> list:
+    """The exact stationary vector, as ``Fraction``s, of the generator whose
+    off-diagonal rates are those of the float array q and whose diagonal is
+    exactly minus their row sum.
+
+    Gauss-Jordan elimination in rational arithmetic on the balance equations
+    of states 0 ... k-2 and sum(pi) = 1, an independent check of the float
+    elimination; q must be irreducible.
+    """
+    k = q.shape[0]
+    rates = [[Fraction(q[i, j]) if i != j else Fraction(0) for j in range(k)] for i in range(k)]
+    system = [
+        [rates[i][j] if i != j else -sum(rates[j]) for i in range(k)] + [Fraction(0)]
+        for j in range(k - 1)
+    ]
+    system.append([Fraction(1)] * (k + 1))
+    for c in range(k):
+        pivot = next(r for r in range(c, k) if system[r][c] != 0)
+        system[c], system[pivot] = system[pivot], system[c]
+        for r in range(k):
+            if r != c and system[r][c] != 0:
+                factor = system[r][c] / system[c][c]
+                system[r] = [x - factor * y for x, y in zip(system[r], system[c])]
+    return [system[i][k] / system[i][i] for i in range(k)]
 
 
 def mean_chain_stationary(spec: ReceptorSpec, mean_x: float) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Receptor Markov model tests.
 
 Steady-state DERIVED values are checked against an in-test power-iteration
-oracle, which is independent of the package's linear solve.  The typed
-matrix pipeline in ``oracles`` is the reference the plain-array path is
-pinned against.
+oracle and against the exact rational solve ``oracles.exact_stationary``,
+both independent of the package's elimination.  The typed matrix pipeline
+in ``oracles`` is the reference the plain-array path is pinned against.
 """
 
 import math
@@ -43,6 +43,7 @@ from conftest import five_state_receptor
 from oracles import (
     RateMatrix,
     build_rate_matrix,
+    exact_stationary,
     mean_chain_stationary,
     scalar_gain,
     solve_stationary_one,
@@ -310,16 +311,52 @@ class TestSteadyState:
             stationary_distribution(unit_chr2, 0.0)
 
     def test_connectivity_matches_dfs_oracle(self):
-        rng = np.random.default_rng(2024)
+        # the closure and the solve's verdict against depth-first search on
+        # seeded graphs; each graph's generator, with weights over six decades
+        # drawn from their own stream, is solved in one stack per state count
+        rng, weights = np.random.default_rng(2024), np.random.default_rng(2025)
         verdicts = set()
-        for k in range(2, 9):
-            for density in (0.15, 0.3, 0.5, 0.8):
-                for _ in range(150):
-                    adjacency = rng.random((k, k)) < density
-                    np.fill_diagonal(adjacency, False)
-                    expected = dfs_strongly_connected(adjacency)
-                    assert _strongly_connected(adjacency) is expected, adjacency
-                    verdicts.add(expected)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for k in range(2, 9):
+                adjacencies = []
+                for density in (0.15, 0.3, 0.5, 0.8):
+                    for _ in range(150):
+                        adjacency = rng.random((k, k)) < density
+                        np.fill_diagonal(adjacency, False)
+                        expected = dfs_strongly_connected(adjacency)
+                        assert _strongly_connected(adjacency) is expected, adjacency
+                        verdicts.add(expected)
+                        adjacencies.append(adjacency)
+                q = np.array(adjacencies) * 10.0 ** weights.uniform(-3.0, 3.0, (600, k, k))
+                q[:, range(k), range(k)] = -q.sum(axis=2)
+                pi, errors = _solve_stationary(q, [None] * len(q))
+                for i, adjacency in enumerate(adjacencies):
+                    if dfs_strongly_connected(adjacency):
+                        assert errors[i] is None
+                        assert pi[i].tobytes() == solve_stationary_one(q[i]).tobytes()
+                    else:
+                        assert isinstance(errors[i], NotIrreducible)
+                        assert "not strongly connected" in str(errors[i])
+                        assert np.isnan(pi[i]).all()
+            # a transient state, and two closed classes entered from a
+            # transient state, beside an irreducible ring
+            stack = np.zeros((3, 5, 5))
+            for m, edges in enumerate([
+                [(0, 1, 1.0), (1, 0, 2.0), (1, 2, 0.5), (2, 1, 1.5), (3, 0, 4.0), (4, 3, 0.3)],
+                [(0, 1, 1.0), (1, 0, 2.0), (2, 3, 0.5), (3, 2, 1.5), (4, 0, 0.2), (4, 2, 0.7)],
+                [(i, (i + 1) % 5, 1.0 + i) for i in range(5)],
+            ]):
+                for i, j, rate in edges:
+                    stack[m, i, j] = rate
+            stack[:, range(5), range(5)] = -stack.sum(axis=2)
+            pi, errors = _solve_stationary(stack, [None] * 3)
+        assert [dfs_strongly_connected(q > 0.0) for q in stack] == [False, False, True]
+        for error in errors[:2]:
+            assert isinstance(error, NotIrreducible) and "not strongly connected" in str(error)
+        assert np.isnan(pi[:2]).all() and errors[2] is None
+        # the ring's mass is proportional to 1 / exit rate
+        np.testing.assert_allclose(pi[2], 60.0 / 137.0 / np.arange(1.0, 6.0), rtol=1e-15)
         assert verdicts == {True, False}
 
 
@@ -460,6 +497,51 @@ class TestClosedFormStationary:
             stationary_distribution(spec, 0.0)
 
 
+class TestExactStationary:
+    """Every component of pi against ``oracles.exact_stationary``, the exact
+    rational solution of the float generator's off-diagonal rates."""
+
+    @pytest.mark.parametrize(
+        "spec, means",
+        [
+            (chr2_skeleton(), np.logspace(-8.0, 80.0, 45)),
+            (five_state_receptor(), np.logspace(-6.0, math.log10(2.0), 40)),
+            (chr2_skeleton(1.0, 1e6, 1e-6), np.logspace(-6.0, math.log10(2.0), 40)),
+        ],
+        ids=["unit-chr2", "five-state", "stiff-chr2"],
+    )
+    def test_every_component_within_1e15(self, spec, means):
+        pi, _, errors = mean_chain_rows(spec, means.tolist())
+        assert errors == [None] * len(means)
+        for row, mean_x in zip(pi.tolist(), means):
+            exact = exact_stationary(spec.base + mean_x * spec.slope)
+            for value, target in zip(row, exact):
+                assert abs(Fraction(value) - target) <= Fraction(1e-15) * target
+
+    @pytest.mark.parametrize(
+        "spec, mean_x",
+        [
+            (five_state_receptor(), 1e-300),
+            (chr2_skeleton(1e200, 1e-200, 1.0), 1.0),
+            (chr2_skeleton(1.0, 1e-200, 1e200), 1.0),
+            (chr2_skeleton(1e300, 1e-300, 1.0), 1.0),
+        ],
+    )
+    def test_mass_below_the_float_range_is_zero(self, spec, mean_x):
+        # masses whose ratios pass the float range: a component whose exact
+        # value is below the smallest float reads 0.0, the others keep their
+        # relative accuracy
+        pi = stationary_distribution(spec, mean_x)
+        exact = exact_stationary(spec.base + mean_x * spec.slope)
+        below = [target < Fraction(1, 2**1075) for target in exact]
+        assert any(below)
+        for value, target, tiny in zip(pi.tolist(), exact, below):
+            if tiny:
+                assert value == 0.0
+            else:
+                assert abs(Fraction(value) - target) <= Fraction(1e-15) * target
+
+
 class TestMeanChainRows:
     """All means solved as one stack, each row as its own one-array solve."""
 
@@ -549,8 +631,10 @@ class TestMeanChainRows:
         stack = np.array([
             good,
             np.zeros((2, 2)),  # P = I, no positive off-diagonal: not strongly connected
-            [[0.5, 0.5], [0.5, -0.5]],  # connected, but its augmented system is singular
-            [[-0.5, 0.6], [0.5, -0.5]],  # solvable, with residual 0.05
+            # connected, but no generator: the elimination reads the
+            # off-diagonals only, so the diagonal fails the residual check
+            [[0.5, 0.5], [0.5, -0.5]],
+            [[-0.5, 0.6], [0.5, -0.5]],  # pi = (1, 1.2) / 2.2, with residual 0.1 / 2.2
             other,
         ])
         pi, errors = _solve_stationary(stack, [None] * len(stack))
@@ -560,30 +644,8 @@ class TestMeanChainRows:
         messages = [str(error) for error in errors[1:4]]
         assert all(isinstance(error, NotIrreducible) for error in errors[1:4])
         assert "not strongly connected" in messages[0]
-        assert "singular" in messages[1]
-        assert "residual 5.00e-02" in messages[2]
-
-    def test_rhs_has_the_stack_shape(self, monkeypatch, unit_chr2):
-        # numpy 1.x reads an rhs with one dimension less than the system as
-        # a stack of vectors and numpy 2.x as one matrix; an rhs with the
-        # system's dimension means the same under both
-        solve = np.linalg.solve
-        shapes = []
-
-        def solve_same_ndim(a, b):
-            shapes.append((a.shape, b.shape))
-            assert b.ndim == a.ndim and b.shape[:-1] == a.shape[:-1]
-            return solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", solve_same_ndim)
-        stack = np.array([
-            [[-0.25, 0.25], [0.5, -0.5]],
-            [[0.5, 0.5], [0.5, -0.5]],  # singular: takes the per-array fallback
-        ])
-        _, errors = _solve_stationary(stack, [None] * len(stack))
-        assert isinstance(errors[1], NotIrreducible)
-        assert mean_chain_rows(unit_chr2, [0.5, 1.5])[0].shape == (2, 3)
-        assert len(shapes) == 4  # stack, two fallbacks, then the chr2 stack
+        assert "residual 5.00e-01" in messages[1]
+        assert "residual 4.55e-02" in messages[2]
 
 
 class TestStepKernel:
