@@ -2,6 +2,8 @@
 carry them per row."""
 
 import numbers
+import operator
+from itertools import repeat
 
 import numpy as np
 
@@ -31,7 +33,8 @@ class OrderTooHigh(MirError):
 
 
 class NoConvergence(MirError):
-    """Quadrature refinement did not stabilize within the doubling budget."""
+    """Quadrature refinement did not stabilize within the doubling budget,
+    or the moment recurrence found no start within its budget."""
 
 
 class DomainError(MirError, ValueError):
@@ -75,16 +78,21 @@ def unwrap(error) -> None:
 
 
 def live_rows(errors: list) -> np.ndarray:
-    """True on the rows that have no error."""
-    return np.array([error is None for error in errors], dtype=bool)
+    """True on the rows that have no error.  A list without errors, the
+    common case, is told by one C-level count."""
+    if errors.count(None) == len(errors):
+        return np.ones(len(errors), dtype=bool)
+    return np.fromiter(map(operator.is_, errors, repeat(None)), dtype=bool, count=len(errors))
 
 
 def merge_rows(errors: list, *others: list) -> list:
     """Per row the first error in ``errors`` and then ``others``, or None: the
-    first error wins, as in a scalar call that stops at its first failure."""
+    first error wins, as in a scalar call that stops at its first failure.
+    A list of ``others`` that holds no error changes nothing and is skipped."""
     merged = list(errors)
     for other in others:
-        merged = [first if first is not None else e for first, e in zip(merged, other)]
+        if other.count(None) < len(other):
+            merged = [first if first is not None else e for first, e in zip(merged, other)]
     return merged
 
 

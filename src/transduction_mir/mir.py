@@ -50,7 +50,7 @@ from .truncgauss import (
     _columns,
     _expectations,
     _fsum_rows,
-    _shifted_moment_rows,
+    _recurrence_rows,
     expectation,
     expectation_rows,
     raw_moments,  # noqa: F401
@@ -329,8 +329,9 @@ def mir_series(spec: ReceptorSpec, dist: TruncatedGaussianSpec, order: int = 40)
     truncation error is bounded by 1/order in nats (reported as
     ``diagnostics["tail_bound_nats"]``), so the rate lies within gain/order
     of the quadrature value; that bound is the series' only guarantee.
-    E[(x-1)^k] is computed by quadrature (bounded integrand, no
-    cancellation).  The one-row case of ``_series_rows``.
+    E[(x-1)^k] comes from the three-term recurrence of
+    ``truncgauss._recurrence_rows``, run about 1 itself, so no moment is
+    differenced from raw ones.  The one-row case of ``_series_rows``.
 
     Raises OutOfConvergenceRegion when the support leaves (0, 2], and
     OrderTooHigh above the shared order ceiling.
@@ -346,10 +347,10 @@ def mir_series(spec: ReceptorSpec, dist: TruncatedGaussianSpec, order: int = 40)
 def _series_rows(columns, order: int, chains: tuple) -> tuple:
     """``mir_series`` at every distribution of ``columns``, from their rows
     of ``mean_chain_rows``; the E[(x-1)^k] of all rows are one
-    ``_shifted_moment_rows`` pass, unless the order is out of range.  Returns (values, gaps, errors) as
-    ``_quadrature_rows`` does, each row's error in the order of a one-row
-    call: the convergence region, the order, the moment quadrature, the
-    mean chain, then the ``MirResult`` floor.
+    ``_recurrence_rows`` call, unless the order is out of range.  Returns
+    (values, gaps, errors) as ``_quadrature_rows`` does, each row's error in
+    the order of a one-row call: the convergence region, the order, the
+    moment recurrence, the mean chain, then the ``MirResult`` floor.
     """
     n = len(columns.mu)
     errors: list = [None] * n
@@ -365,7 +366,7 @@ def _series_rows(columns, order: int, chains: tuple) -> tuple:
         if order < 2:
             error = ValidationError(f"series order must be >= 2, got {order}")
         return np.full(n, np.nan), np.full(n, np.nan), merge_rows(errors, [error] * n)
-    moments, moment_errors = _shifted_moment_rows(columns, 1.0, order)
+    moments, moment_errors = _recurrence_rows(columns, 1.0, order)
     k = np.arange(2, order + 1)
     terms = (-1.0) ** k * moments[:, 2:] / (k * (k - 1))
     mu = columns.mu

@@ -3,14 +3,14 @@
 A parent Gaussian with mean ``mu_bar`` and standard deviation ``sigma_bar``
 is conditioned on the interval ``[a, b]``.  This module provides the
 closed-form truncated mean/variance, moment tables (orders up to 2 from
-those closed forms, higher orders by quadrature), inverse-CDF sampling
-through the module's own AS 241 quantile, and the one Gauss-Legendre driver
-behind every integral against the density: ``_integrate`` runs the
-node-doubling schedule over groups of rows, each pass one ``_gl_rows`` call
-over many specs.  Integrals against the same density can be the outputs of
-one pass (``_expectations``), which builds the nodes, the density and the
-weights once; each output settles on its own, so it has the bits of a pass
-that integrates it alone.
+those closed forms, higher orders by a three-term recurrence), inverse-CDF
+sampling through the module's own AS 241 quantile, and the one
+Gauss-Legendre engine behind every integral against the density:
+``_integrate`` runs the node-doubling schedule over groups of rows, each
+pass one ``_gl_rows`` call over many specs.  Integrals against the same
+density can be the outputs of one pass (``_expectations``), which builds
+the nodes, the density and the weights once; each output settles on its
+own, so it has the bits of a pass that integrates it alone.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -250,7 +249,7 @@ class TruncatedGaussianSpec:
         sigma2 = sigma_bar^2 * (L_2 - L_1^2)
 
       Moment tables (``raw_moments``) take orders 0 to 2 from these and
-      higher orders from quadrature.
+      higher orders from the recurrence of ``_recurrence_rows``.
     """
 
     mu_bar: float
@@ -378,6 +377,269 @@ class MomentTable:
         central.flags.writeable = False
 
 
+# The recurrence of ``_recurrence_rows`` runs each order in a direction
+# where its rounding errors grow by at most e^_GROWTH against the support
+# scale and, forward, by at most e^_CANCEL against the even orders
+# themselves; it starts a pass that truncates (a backward pass, the
+# boundary-value solve) where the truncation's error has shrunk by
+# e^-_DAMPING (about 4e-18) at the orders kept, looking at most
+# _MAX_START orders past the top one.
+_GROWTH = math.log(8.0)
+_CANCEL = math.log(1e3)
+_DAMPING = 40.0
+_MAX_START = 1 << 16
+
+
+def _frozen_roots(shift, r2, k) -> tuple[np.ndarray, np.ndarray]:
+    """The moduli of the two roots of lambda^2 + shift lambda - (k - 1) / r2
+    = 0, the homogeneous recurrence of ``_recurrence_rows`` with its
+    coefficients frozen at order k: (larger, smaller), one row per k."""
+    root = np.sqrt(shift * shift + 4.0 * np.maximum(k - 1, 0) / r2)
+    return 0.5 * (root + np.abs(shift)), 0.5 * (root - np.abs(shift))
+
+
+def _damped_start(shift, r2, order: int, which: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row the first N > order with the sum over k = order+1..N of ln
+    of root ``which`` of ``_frozen_roots`` at least ``_DAMPING``: an error
+    left at N has shrunk by e^-_DAMPING at ``order``, through a backward
+    pass (the smaller root) or a boundary-value solve (the larger).
+    Returns (N, found): a row not found within ``_MAX_START`` orders has N
+    = order + 1 and found False."""
+    size = 64
+    while True:
+        k = np.arange(order + 1, order + 1 + size)[:, None]
+        total = np.cumsum(np.log(_frozen_roots(shift, r2, k)[which]), axis=0)
+        reached = total >= _DAMPING
+        found = reached[-1]
+        if found.all() or size >= _MAX_START:
+            return order + 1 + reached.argmax(axis=0), found
+        size *= 2
+
+
+@np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore")
+def _recurrence_rows(columns: SpecColumns, center, order: int) -> tuple[np.ndarray, list]:
+    """E[(x - center)^k] for k = 0..order of every row, with one ``center``
+    or one per row, by a three-term recurrence.  Returns (moments, errors):
+    a (rows, order + 1) array and per row None, or the error of a row that
+    is nan throughout: OrderTooHigh where a moment passes the float range,
+    NoConvergence where a truncating pass finds no start.
+
+    Orders 0 and 1 are the closed forms 1 and ``mu - center``.  In t = (x -
+    mu_bar) / sigma_bar over [lo, hi], [alpha, beta] clipped to +-40 sigmas,
+    write tau = (center - mu_bar) / sigma_bar, R = max |t - tau| and V_k =
+    E[(x - center)^k] / (R sigma_bar)^k, so |V_k| <= 1.  Integration by
+    parts of (t - tau)^k against the density phi gives, for k >= 1,
+
+        V_k + s V_(k-1) - ((k - 1) / R^2) V_(k-2) = b_k,   s = tau / R,
+        b_k = (phi(lo) p^(k-1) - phi(hi) q^(k-1)) / (R z),
+
+    with p = (lo - tau) / R and q = (hi - tau) / R.  Both phi are taken
+    over phi at the edge nearer t = 0 as exp(-(t - t_near)(t + t_near) / 2)
+    <= 1, and b_1 as an expm1, so a tail window never underflows its
+    boundary terms.  V_1 comes from the recurrence too, not from the
+    rounded mu: where sigma_bar is tiny against mu that rounding would
+    shift every order above.
+
+    The direction follows the roots of lambda^2 + s lambda - (k - 1) / R^2
+    (Gautschi 1967; Olver 1967).  Forward from V_0 = 1 a rounding error
+    grows with the larger root, so each row runs forward while the product
+    of the larger roots above 1 stays under e^_GROWTH and the cancellation
+    of its even orders under e^_CANCEL; where R^2 >= order and |s| < 1 that
+    is usually every order.  Backward, Miller's way from zeros at
+    ``_damped_start``, an error grows with the inverse of the smaller root,
+    so a row runs backward from the first order whose growth down from the
+    top stays under e^_GROWTH.  The orders between (|tau| large, the center
+    far from mu_bar) solve the recurrence as a boundary-value problem, by
+    elimination down from the first backward order, or from V_N = 0 with N
+    at ``_damped_start``, and substitution up from the last forward order:
+    both steps shrink errors there, by the inverse of the larger root and
+    by the smaller.  Where R^2 < 2 every order above 1 is backward, and
+    that pass down to order 0 also gives the mass, so those rows (narrow
+    windows among them) never divide by z, whose last digits the window's
+    cancellation takes.  Each pass acts row by row, so a row has the bits
+    of its one-row call.
+    """
+    mu_bar, sigma_bar, a, b, alpha, beta, z, mu, _ = columns
+    n = len(mu)
+    center = np.broadcast_to(np.asarray(center, dtype=float), (n,))
+    closed = np.column_stack((np.ones(n), mu - center))[:, : order + 1]
+    if order < 2:
+        return closed, [None] * n
+    lo, hi = np.maximum(alpha, -_SUPPORT_SIGMAS), np.minimum(beta, _SUPPORT_SIGMAS)
+    tau = (center - mu_bar) / sigma_bar
+    # t - tau at the edges from x - center, which keeps the digits of a
+    # window narrow against its distance from mu_bar
+    ends = np.stack((lo, hi))
+    reach = np.where(ends == np.stack((alpha, beta)), (np.stack((a, b)) - center) / sigma_bar, ends - tau)
+    radius = np.abs(reach).max(axis=0)
+    r2, shift = radius * radius, tau / radius
+    p_lo, p_hi = reach / radius
+    # |p| - |q|, from x where neither edge is clipped
+    unclipped = (lo == alpha) & (hi == beta)
+    width = b - a
+    spread = np.where(center <= a, -width, np.where(center >= b, width, (center - a) - (b - center)))
+    spread = np.where(unclipped, spread / sigma_bar, np.abs(reach[0]) - np.abs(reach[1])) / radius
+    # phi(lo) and phi(hi) over phi at the edge nearer t = 0: 1 there and
+    # exp(fall) <= 1 at the other edge, and b_1 R = -+expm1(fall)
+    at_lo = np.abs(lo) <= np.abs(hi)
+    near = np.where(at_lo, lo, hi)
+    span = np.where(unclipped, width / sigma_bar, hi - lo)
+    fall = 0.5 * np.where(at_lo, -span, span) * (lo + hi)
+    w_lo, w_hi = np.where(at_lo, 1.0, np.exp(fall)) / radius, np.where(at_lo, np.exp(fall), 1.0) / radius
+    b_1 = np.where(at_lo, -np.expm1(fall), np.expm1(fall)) / radius
+    z_near = z / _norm_pdf(near)
+
+    # the last forward order and the first order backward can reach, of
+    # every row; a row whose R or s is not finite runs forward and fails
+    small_r2 = r2 < 2.0
+    larger, smaller = _frozen_roots(shift, r2, np.arange(order + 2)[:, None])
+    growth = np.cumsum(np.log(np.maximum(larger[2 : order + 1], 1.0)), axis=0)
+    last = np.where(small_r2 | (np.abs(shift) > 1.0), 1, 1 + (growth <= _GROWTH).sum(axis=0))
+    decay = np.log(np.maximum(1.0 / smaller[2:], 1.0))[::-1].cumsum(axis=0)[::-1]
+    back = np.where(smaller[order + 1] >= 1.0, 2 + (decay > _GROWTH).sum(axis=0), order + 1)
+    back = np.where(small_r2, 2, back)
+    finite = np.isfinite(r2) & np.isfinite(shift)
+    last, back = np.where(finite, last, order), np.where(finite, back, order + 1)
+    # V_1 by the recurrence, not from the closed-form mu: where mu's
+    # rounding is large against sigma_bar it would shift every order above
+    scaled = np.empty((order + 1, n))  # V_k, one row per order
+    scaled[0], scaled[1] = 1.0, b_1 / z_near - shift
+    k = np.arange(order + 1)[:, None]
+    lost = np.zeros(n, dtype=bool)  # rows whose truncating pass found no start
+
+    def boundary(rows, top: int) -> np.ndarray:
+        """b_1 .. b_top of ``rows``, times z / phi(t_near): b_(j+1) = w_lo
+        p^j - w_hi q^j, with the powers as running products (``_powers``).
+        Where the two weights are within a factor e, that difference
+        cancels when |p| and |q| nearly meet (a narrow window, or one
+        nearly symmetric about the center), so there it is w_lo (p^j -
+        q^j) + b_1 q^j, with |p|^j - |q|^j = (|p| - |q|) (1 + rho + ... +
+        rho^(j-1)), rho the smaller of |p|, |q| (the other is 1)."""
+        p, q = p_lo[rows], p_hi[rows]
+        lo_powers, hi_powers = np.empty((2, top, len(rows)))
+        lo_powers[0], lo_powers[1:] = 1.0, p
+        hi_powers[0], hi_powers[1:] = 1.0, q
+        np.cumprod(lo_powers, axis=0, out=lo_powers)
+        np.cumprod(hi_powers, axis=0, out=hi_powers)
+        terms = w_lo[rows] * lo_powers - w_hi[rows] * hi_powers
+        terms[0] = b_1[rows]
+        split = np.flatnonzero(np.abs(fall[rows]) <= 1.0)
+        if split.size:
+            p, p_powers, q_powers = p[split], lo_powers[:, split], hi_powers[:, split]
+            rho = np.minimum(np.abs(p_powers), np.abs(q_powers))
+            sums = np.zeros_like(rho)
+            np.cumsum(rho[:-1], axis=0, out=sums[1:])
+            # p^j - q^j: the sign of p^j times |p|^j - |q|^j, except at
+            # odd j when p and q differ in sign, where nothing cancels
+            odd = (np.arange(top) % 2 == 1)[:, None]
+            apart = spread[rows[split]] * sums * np.where(odd & (p < 0.0), -1.0, 1.0)
+            apart = np.where(odd & (p * q[split] <= 0.0), p_powers - q_powers, apart)
+            terms[:, split] = w_lo[rows[split]] * apart + b_1[rows[split]] * q_powers
+        return terms
+
+    ahead = np.flatnonzero(last >= 2)
+    if ahead.size:
+        top = int(last[ahead].max())
+        rhs = boundary(ahead, top) / z_near[ahead]
+        s, inv_r2 = shift[ahead], 1.0 / r2[ahead]
+        coefficient = np.arange(top + 1)[:, None] * inv_r2  # (j - 1) / R^2 at j + 1
+        v = np.empty((top + 1, len(ahead)))
+        v[:2] = scaled[:2, ahead]
+        step = np.empty(len(ahead))
+        for j in range(2, top + 1):
+            row = v[j]
+            np.multiply(v[j - 2], coefficient[j - 1], out=row)
+            np.subtract(row, np.multiply(s, v[j - 1], out=step), out=row)
+            np.add(row, rhs[j - 1], out=row)
+        scaled[2 : top + 1, ahead] = v[2:]
+        # an even order is positive about any center; the relative error of
+        # V_j grows with each step's cancellation, (sum of |terms|) / |V_j|,
+        # so a row stops before the even order where their product passes
+        # e^_CANCEL (a window cut off near its mass, whose moments follow
+        # the smaller solution of the recurrence)
+        even = v[2::2]
+        terms = np.abs(v[:-2:2] * coefficient[1:top:2])
+        terms += np.abs(s * v[1:-1:2]) + np.abs(rhs[1:top:2])
+        ratio = terms / np.abs(even)
+        ratio[~np.isfinite(ratio) | (even == 0.0)] = 1.0
+        kept = (np.cumsum(np.log(ratio), axis=0) <= _CANCEL).sum(axis=0)
+        last[ahead] = np.minimum(last[ahead], 2 * kept + 1)
+    first = np.maximum(back, last + 1)
+
+    behind = np.flatnonzero(first <= order)
+    if behind.size:
+        # each row starts from its own zeros: its boundary terms above its
+        # start are 0, so the rows batched with it leave its bits alone
+        s, r2_b = shift[behind], r2[behind]
+        start, found = _damped_start(s, r2_b, order, 1)
+        lost[behind[~found]] = True
+        top = int(start.max())
+        rhs = boundary(behind, top + 1)
+        rhs[np.arange(top + 1)[:, None] > start] = 0.0
+        gain = r2_b / np.arange(1, top + 1)[:, None]
+        w = np.zeros((top + 2, len(behind)))
+        for j in range(top + 1, 1, -1):
+            row = w[j - 2]
+            np.multiply(s, w[j - 1], out=row)
+            np.add(row, w[j], out=row)
+            np.subtract(row, rhs[j - 1], out=row)
+            np.multiply(row, gain[j - 2], out=row)
+        mass = np.where(small_r2[behind], w[0], z_near[behind])
+        below = scaled[:, behind]
+        scaled[:, behind] = np.where(k >= first[behind], w[: order + 1] / mass, below)
+
+    between = np.flatnonzero(first > last + 1)
+    if between.size:
+        s, r2_g, low = shift[between], r2[between], last[between]
+        # the boundary values: V at the first backward order where there is
+        # one, else V_N = 0 at N past the top order
+        ceiling = first[between].copy()
+        past = ceiling > order
+        if past.any():
+            ceiling[past], found = _damped_start(s[past], r2_g[past], order, 0)
+            lost[between[past][~found]] = True
+        top = int(ceiling.max())
+        known = np.zeros((top + 1, len(between)))
+        known[: order + 1] = scaled[: top + 1, between]
+        fixed = np.arange(top + 1)[:, None] >= ceiling
+        rhs = boundary(between, top) / z_near[between]
+        # V_j = u_j V_(j-1) + e_j, eliminated down from the boundary values
+        u, e = np.zeros((2, top + 1, len(between)))
+        e[top] = known[top]
+        for j in range(top - 1, int(low.min()), -1):
+            pivot = u[j + 1] + s
+            np.divide(j / r2_g, pivot, out=u[j])
+            np.subtract(rhs[j], e[j + 1], out=e[j])
+            e[j] /= pivot
+            np.copyto(u[j], 0.0, where=fixed[j])
+            np.copyto(e[j], known[j], where=fixed[j])
+        value = scaled[int(low.min()), between]
+        for j in range(int(low.min()) + 1, min(top, order + 1)):
+            value = np.where(j > low, u[j] * value + e[j], scaled[j, between])
+            scaled[j, between] = value
+
+    moments = scaled.T * (radius * sigma_bar)[:, None] ** np.arange(order + 1)
+    moments[:, :2] = closed
+    errors: list = [None] * n
+    mark_rows(
+        errors,
+        lost,
+        lambda i: NoConvergence(
+            f"moment recurrence about {center[i]} found no stable start within {_MAX_START} orders"
+        ),
+    )
+    bounded = np.isfinite(moments)
+    worst = np.argmin(bounded, axis=1)
+    overflow = ~bounded.all(axis=1)
+    mark_rows(
+        errors,
+        overflow,
+        lambda i: OrderTooHigh(f"moment E[(x - {center[i]})^{worst[i]}] passes the float range"),
+    )
+    moments[lost | overflow] = np.nan
+    return moments, errors
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _moment_rows(columns: SpecColumns, order: int) -> tuple[np.ndarray, np.ndarray, list]:
     """Raw and central moments up to ``order`` of every row, as one array pass.
@@ -385,8 +647,8 @@ def _moment_rows(columns: SpecColumns, order: int) -> tuple[np.ndarray, np.ndarr
     Returns (raw, central, errors): (rows, order + 1) arrays and, per row,
     the MirError ``raw_moments`` raises for it, or None.  Orders 0 to 2 are
     the closed forms, raw ``[1, mu, sigma2 + mu^2]`` and central ``[1, 0,
-    sigma2]``.  Orders 3 and up come from ``_shifted_moment_rows``, about 0
-    and about the mean as one call on 2n rows, whose NoConvergence comes
+    sigma2]``.  Orders 3 and up come from ``_recurrence_rows``, about 0
+    and about the mean as one call on 2n rows, whose OrderTooHigh comes
     before every check.
     """
     mu_bar, _, a, b, _, _, _, mu, sigma2 = columns
@@ -395,11 +657,11 @@ def _moment_rows(columns: SpecColumns, order: int) -> tuple[np.ndarray, np.ndarr
     central = np.column_stack((np.ones(n), np.zeros(n), sigma2))[:, : order + 1]
     errors: list = [None] * n
     if order >= 3:
-        quad, quad_errors = _shifted_moment_rows(
+        moments, moment_errors = _recurrence_rows(
             columns.take(np.tile(np.arange(n), 2)), np.concatenate((np.zeros(n), mu)), order
         )
-        raw, central = np.hstack((raw, quad[:n, 3:])), np.hstack((central, quad[n:, 3:]))
-        errors = merge_rows(quad_errors[:n], quad_errors[n:])
+        raw, central = np.hstack((raw, moments[:n, 3:])), np.hstack((central, moments[n:, 3:]))
+        errors = merge_rows(moment_errors[:n], moment_errors[n:])
 
     # support bounds a^m <= E[x^m] <= b^m and, since x^(m-1) (x - a) >= 0 on
     # [a, b], a E[x^(m-1)] <= E[x^m] <= b E[x^(m-1)], with float slack
@@ -433,16 +695,17 @@ def _moment_rows(columns: SpecColumns, order: int) -> tuple[np.ndarray, np.ndarr
                 f"(its rounding alone may reach {cancel[i]:.2e} relative)"
             ),
         )
-    # then sigma2 against the quadrature's own order 2 about the mean.  The
-    # MomentTable checks hold on every row by construction: orders 0 and 1
-    # are exact, and a quadrature row is nan only with its NoConvergence
+    # then sigma2 against the recurrence's own order 2 about the mean, which
+    # guards the backward pass (narrow windows) with a second path to
+    # sigma2.  The MomentTable checks hold on every row by construction:
+    # orders 0 and 1 are exact, and a row is nan only with its OrderTooHigh
     if order >= 3:
-        rel = np.abs(quad[n:, 2] - sigma2) / sigma2
+        rel = np.abs(moments[n:, 2] - sigma2) / sigma2
         mark_rows(
             errors,
             rel > 1e-10,
             lambda i: ValidationError(
-                f"quadrature central[2] = {quad[n + i, 2]} disagrees with sigma2 = "
+                f"recurrence central[2] = {moments[n + i, 2]} disagrees with sigma2 = "
                 f"{sigma2[i]} (relative {rel[i]:.2e})"
             ),
         )
@@ -453,15 +716,16 @@ def raw_moments(spec: TruncatedGaussianSpec, order: int) -> MomentTable:
     """Moment table up to ``order``; the one-spec case of ``_moment_rows``.
 
     Orders 0 to 2 are the closed forms of ``mu`` and ``sigma2``.  Higher
-    orders come from the moment quadrature about 0 (raw) and about the mean
-    (central): integrating (x - mu)^m directly avoids the cancellation of
-    differencing large raw moments when sigma_bar is small.
+    orders come from the three-term recurrence of ``_recurrence_rows``,
+    run about 0 (raw) and about the mean (central): recurring on (x - mu)^m
+    directly avoids the cancellation of differencing large raw moments when
+    sigma_bar is small.
 
-    Raises OrderTooHigh for order > MAX_MOMENT_ORDER; NoConvergence when the
-    quadrature does not settle; ValidationError when a moment escapes its
+    Raises OrderTooHigh for order > MAX_MOMENT_ORDER or where a moment
+    passes the float range; ValidationError when a moment escapes its
     support bound, when at order 2 and up the rounding of the closed-form
     sigma2 may pass 1e-10 relative, or when at order 3 and up the
-    quadrature's central[2] disagrees with it by more than 1e-10 relative.
+    recurrence's central[2] disagrees with it by more than 1e-10 relative.
     """
     check_integer(order, "order")
     if order < 0:
@@ -471,6 +735,21 @@ def raw_moments(spec: TruncatedGaussianSpec, order: int) -> MomentTable:
     raw, central, (error,) = _moment_rows(_columns([spec]), order)
     unwrap(error)
     return MomentTable(raw=raw[0], central=central[0], order=order)
+
+
+def shifted_moment_vector(spec: TruncatedGaussianSpec, center: float, order: int) -> np.ndarray:
+    """E[(x - center)^m] for m = 0..order; the one-spec case of
+    ``_recurrence_rows``, at any order.  Raises ValidationError for a
+    negative order or a center that is not a finite number, and OrderTooHigh
+    where a moment passes the float range."""
+    check_integer(order, "order")
+    if order < 0:
+        raise ValidationError(f"order must be >= 0, got {order}")
+    if not math.isfinite(center):
+        raise ValidationError(f"center must be a finite number, got {center!r}")
+    values, (error,) = _recurrence_rows(_columns([spec]), center, order)
+    unwrap(error)
+    return values[0]
 
 
 def sample(spec: TruncatedGaussianSpec, rng: np.random.Generator, size=None):
@@ -621,7 +900,7 @@ def _gl_rows(edges, loc, scale, mass, f, n: int, outputs: int) -> np.ndarray:
     return values
 
 
-def _integrate(groups, loc, scale, mass, f, outputs: int, what: str) -> tuple:
+def _integrate(groups, loc, scale, mass, f, outputs: int) -> tuple:
     """E[f(x)] of every row by ``_gl_rows``, on the one node schedule.
 
     ``groups`` holds (rows, edges) pairs that between them take each row of
@@ -658,7 +937,7 @@ def _integrate(groups, loc, scale, mass, f, outputs: int, what: str) -> tuple:
                 rows, edges, current = rows[live], edges[live], current[live]
                 unsettled = unsettled[live]
             n, previous = 2 * n, current
-    failure = f"{what} did not stabilize by n={_MAX_NODES} nodes per panel"
+    failure = f"expectation did not stabilize by n={_MAX_NODES} nodes per panel"
     errors = []
     for column in np.isnan(nodes).T:
         errors.append([None] * len(loc))
@@ -673,7 +952,7 @@ def _expectations(columns: SpecColumns, f, outputs: int) -> tuple:
     (``_panel_edges``), never padded."""
     return _integrate(
         _panel_edges(columns).values(), columns.mu_bar, columns.sigma_bar, columns.z,
-        f, outputs, "expectation",
+        f, outputs,
     )
 
 
@@ -708,59 +987,3 @@ def expectation(spec: TruncatedGaussianSpec, f: Callable[[np.ndarray], np.ndarra
     values, _, _, (error,) = expectation_rows(_columns([spec]), f)
     unwrap(error)
     return float(values[0])
-
-
-@np.errstate(divide="ignore", invalid="ignore")
-def _shifted_moment_rows(columns: SpecColumns, center, order: int) -> tuple[np.ndarray, list]:
-    """E[(x - center)^m] for m = 0..order of every row by quadrature, with
-    one ``center`` or one per row.  Returns (moments, errors): a (rows,
-    order + 1) array, nan where the estimates never settled, and per row
-    NoConvergence there, or None.
-
-    The integrand, bounded by max(|a - center|, |b - center|)^m, yields its
-    powers order by order (``_powers``) of x - center, built from exact t
-    with ``mu_bar - center`` as the location.  Orders 0 and 1 are the closed
-    forms 1 and ``mu - center``, so the rounding noise of their quadrature
-    (order 1 is near 0) never holds back the agreement test.
-
-    A one-sided window (alpha > 0 or beta < 0) keeps its mass at the near
-    edge, and a far end many sigmas away stalls the node schedule.  It is cut
-    where every integrand is e^-40 below its near-edge value: the density
-    falls by e^-40 at t^2 = edge^2 + 80, and |x - center|^m rises at most by
-    (s_far / s_near)^m, which adds 2 * order * ln(s_far / s_near).
-    """
-    mu_bar, sigma_bar, _, _, alpha, beta, z, mu, _ = columns
-    loc = mu_bar - center
-    lo, hi = np.maximum(alpha, -_SUPPORT_SIGMAS), np.minimum(beta, _SUPPORT_SIGMAS)
-    near, far = np.where(lo > 0.0, lo, hi), np.where(lo > 0.0, hi, lo)
-    s_near, s_far = np.abs(loc + sigma_bar * near), np.abs(loc + sigma_bar * far)
-    rise = np.log(np.maximum(s_far, s_near)) - np.log(s_near)
-    cut = np.sqrt(near * near + 80.0 + 2.0 * order * rise)
-    cut = np.where(((lo > 0.0) | (hi < 0.0)) & (s_near > 0.0), cut, np.inf)
-    edges = np.column_stack((np.maximum(lo, -cut), np.minimum(hi, cut)))
-    closed = np.column_stack((np.ones(len(mu)), mu - center))[:, : order + 1]
-    if order < 2:
-        return closed, [None] * len(mu)
-    powers = lambda x: islice(_powers(x, order), 2, None)
-    one = [(np.arange(len(mu)), edges)]  # one group: every row has one panel
-    quad, _, _, output_errors = _integrate(
-        one, loc, sigma_bar, z, powers, order - 1, "moment quadrature"
-    )
-    # a row fails with its first unsettled order, and is nan throughout
-    failed = np.isnan(quad).any(axis=1)
-    errors = output_errors[0]
-    mark_rows(errors, failed, lambda i: next(e[i] for e in output_errors if e[i] is not None))
-    moments = np.hstack((closed, quad))
-    moments[failed] = np.nan
-    return moments, errors
-
-
-def shifted_moment_vector(spec: TruncatedGaussianSpec, center: float, order: int) -> np.ndarray:
-    """E[(x - center)^m] for m = 0..order by quadrature; the one-spec case of
-    ``_shifted_moment_rows``.  Raises NoConvergence when it does not settle."""
-    check_integer(order, "order")
-    if order < 0:
-        raise ValidationError(f"order must be >= 0, got {order}")
-    values, (error,) = _shifted_moment_rows(_columns([spec]), center, order)
-    unwrap(error)
-    return values[0]

@@ -2,7 +2,7 @@
 
 FROZEN gap-bound values come from the closed-form endpoint expressions
 evaluated with plain math against scipy-quad central moments, independent of
-the package's moment quadrature.
+the package's moment recurrence.
 """
 
 import math
@@ -237,7 +237,8 @@ FAILING = [
     (None, (3.365807324814968, 1.0634951824538557, 0.0015116004714033071,
             0.0015129628060781403), "ValidationError", "ValidationError"),
     # the mean sits 8e-12 below b: h(b) is degenerate at s=2; at s=4 the
-    # quadrature's central[2] disagrees with the closed-form variance first
+    # recurrence's central[2], about the mean rounded to 2e-5 sigma_bar,
+    # disagrees with the closed-form variance first
     (None, (2.0, 1e-11, 1e-5, 2.0), "DegenerateArgument", "ValidationError"),
     # the mean chain has two recurrent classes
     (SPLIT, (1.0, 0.5, 1e-5, 2.0), "NotIrreducible", "NotIrreducible"),
@@ -246,7 +247,7 @@ FAILING = [
     (None, (-4.842012532672418, 2.562038689645731, 0.18755529632959123,
             0.19085944706556), "ValidationError", "ValidationError"),
     # a narrower cancellation that keeps the variance within 1e-10, yet the
-    # quadrature's central[2] is 2.9e-7 relative off it: s=4 fails alone
+    # recurrence's central[2] is 2.9e-7 relative off it: s=4 fails alone
     (None, (-0.23401700995488373, 1.5972108257237898, 0.05928128419236875,
             0.06180208139557882), None, "ValidationError"),
 ]

@@ -27,6 +27,7 @@ from transduction_mir import (
     chr2_skeleton,
     estimate_mir,
     find_capacity,
+    mir,
     mir_bounds,
     mir_discrete,
     mir_quadrature,
@@ -240,18 +241,24 @@ class TestRunSweep:
         assert stacks == [4]
 
     def test_refinement_calls_per_sweep(self, unit_chr2, monkeypatch):
-        # one pass whose outputs are E[x ln x] and the x-dependent diagonal
-        # entry of every point for the discrete rate, one pass over the
-        # moment vectors of every point for the series, and one over the
-        # moments about 0 and about the mean of every point for the s=4
-        # bounds; each call as (rows, outputs, what)
-        calls = []
-        integrate = truncgauss._integrate
+        # one quadrature pass whose outputs are E[x ln x] and the
+        # x-dependent diagonal entry of every point for the discrete rate;
+        # one moment recurrence over every point about 1 for the series, and
+        # one over the points about 0 and about their means for the s=4
+        # bounds.  Quadrature calls as (rows, outputs), recurrence calls as
+        # (rows, order)
+        calls, recurrences = [], []
+        integrate, recurrence = truncgauss._integrate, truncgauss._recurrence_rows
         monkeypatch.setattr(
             truncgauss,
             "_integrate",
-            lambda *args: calls.append((len(args[1]), *args[5:7])) or integrate(*args),
+            lambda *args: calls.append((len(args[1]), args[5])) or integrate(*args),
         )
+        spy = lambda columns, center, order: (
+            recurrences.append((len(columns.mu), order)) or recurrence(columns, center, order)
+        )
+        monkeypatch.setattr(truncgauss, "_recurrence_rows", spy)
+        monkeypatch.setattr(mir, "_recurrence_rows", spy)
         config = small_config(
             unit_chr2,
             mu_bar_grid=GridAxis(0.2, 1.8, 8),
@@ -261,15 +268,12 @@ class TestRunSweep:
         rows = run_sweep(config).rows()
         assert [row.status for row in rows] == ["ok"] * 64
         entries = len(np.flatnonzero(np.diagonal(unit_chr2.slope)))
-        assert calls == [
-            (64, 1 + entries, "expectation"),
-            (64, config.series_k - 1, "moment quadrature"),
-            (128, 3, "moment quadrature"),
-        ]
+        assert calls == [(64, 1 + entries)]
+        assert recurrences == [(64, config.series_k), (128, 4)]
         # without the discrete rate, E[x ln x] is a pass of its own
         calls.clear()
         run_sweep(replace(config, methods=("quadrature", "bounds_s2")))
-        assert calls == [(64, 1, "expectation")]
+        assert calls == [(64, 1)]
 
     # the reducible receptor fails every valid row's stationary solve; at
     # delta_t = 0.75 discrete and mc fail with StepTooLarge, raised first
@@ -308,7 +312,7 @@ class TestRunSweep:
     def test_audit_slack_is_relative_to_the_rate(self, unit_chr2):
         # a window 0.0016 parent sigmas wide, where the rate is 5.6e-6
         # bits/s.  There the closed-form sigma2 is 2.9e-7 relative off the
-        # moment quadrature's, so the s=4 bounds fail typed, and the s=2
+        # moment recurrence's, so the s=4 bounds fail typed, and the s=2
         # pair holds the rate
         mu_bar, sigma_bar = -0.23401700995488373, 1.5972108257237898
         config = small_config(
@@ -323,7 +327,7 @@ class TestRunSweep:
         exact = row.mir_quadrature
         assert row.lb_s2 <= exact <= row.ub_s2
         assert (row.status, row.lb_s4, row.ub_s4) == ("bounds_s4:ValidationError", None, None)
-        with pytest.raises(ValidationError, match=r"quadrature central\[2\] = .* disagrees"):
+        with pytest.raises(ValidationError, match=r"recurrence central\[2\] = .* disagrees"):
             mir_bounds(unit_chr2, TruncatedGaussianSpec(mu_bar, sigma_bar, config.a, config.b), 4)
         # an s=4 pair that misses the rate by 1e-4 relative is a violation,
         # which an absolute slack of 1e-9 bits/s would let pass

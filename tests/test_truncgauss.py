@@ -44,7 +44,7 @@ from transduction_mir.truncgauss import (
     _output,
     _panel_edges,
     _powers,
-    _shifted_moment_rows,
+    _recurrence_rows,
     _spec_rows,
     expectation_rows,
 )
@@ -55,6 +55,7 @@ from oracles import (
     gl_estimate,
     moments_about,
     scalar_edges,
+    scaled_moments,
     scalar_spec_fields,
     scale,
 )
@@ -213,8 +214,8 @@ class TestFarTail:
         ],
     )
     def test_one_sided_series_moments(self, mu_bar, moments):
-        # the mass hugs one edge of a window spanning ~24 sigmas; unclipped,
-        # the moment quadrature never settled here
+        # the mass hugs one edge of a window spanning ~24 sigmas, and the
+        # center lies far out in the density's tail (tau = +-17.7)
         spec = TruncatedGaussianSpec(mu_bar, 0.08475, 1e-5, 2.0)
         assert spec.alpha > 0.0 or spec.beta < 0.0
         got = shifted_moment_vector(spec, 1.0, 40)
@@ -375,17 +376,20 @@ class TestMoments:
         by_quad = shifted_moment_vector(canonical_dist, 1.0, 12)
         exact = moments_about(canonical_dist, 1.0, 12)
         np.testing.assert_allclose(by_quad, exact, rtol=1e-12, atol=1e-16)
-        # orders 0 and 1 are the closed forms 1 and mu - center, no quadrature
+        # orders 0 and 1 are the closed forms 1 and mu - center
         closed = [1.0, canonical_dist.mu - 1.0]
         for order in (0, 1):
             got = shifted_moment_vector(canonical_dist, 1.0, order)
             assert got.tolist() == closed[: order + 1] == by_quad[: order + 1].tolist()
         with pytest.raises(ValidationError, match="order must be >= 0"):
             shifted_moment_vector(canonical_dist, 1.0, -1)
+        for center in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="center must be a finite number"):
+                shifted_moment_vector(canonical_dist, center, 4)
 
 
 class TestMomentsAgainstMpmath:
-    """Every order above 2 comes from the moment quadrature."""
+    """Every order above 2 comes from the moment recurrence."""
 
     @pytest.mark.parametrize("args", sorted(MPMATH_MOMENTS), ids=["chr2_point", "surface_row"])
     @pytest.mark.parametrize("order", [4, 10, 20, 64])
@@ -520,10 +524,10 @@ class TestExpectation:
         assert time.perf_counter() - start < 1.0
 
     def test_overflowing_moments_raise_not_return(self):
-        # nodes reach x = 21 (40 sigmas up) and 21^400 overflows: non-finite
-        # estimates never agree, so the capped schedule raises, fast
+        # the window reaches x = 21 (40 sigmas up) and E[x^400] is about
+        # 1e330: the moment passes the float range and raises, fast
         spec = TruncatedGaussianSpec(1.0, 0.5, 1e-5, 50.0)
-        with np.errstate(all="ignore"), pytest.raises(NoConvergence):
+        with np.errstate(all="raise"), pytest.raises(OrderTooHigh, match="passes the float range"):
             shifted_moment_vector(spec, 0.0, 400)
 
 
@@ -588,7 +592,8 @@ class TestExpectationRows:
         assert pairs[:, 1].tolist() == got
 
     def test_moment_rows_equal_one_spec_vectors(self):
-        # 125 rows at order 40 span two blocks at n = 200 and four at 400;
+        # 125 rows at order 40 that take every direction of the recurrence
+        # (forward, backward, the boundary-value solve and their seams);
         # one-sided windows and one center per row among them
         rng = np.random.default_rng(3)
         specs = [random_valid_dist(rng) for _ in range(120)] + [
@@ -600,13 +605,13 @@ class TestExpectationRows:
         ]
         columns = _columns(specs)
         centers = rng.uniform(0.0, 2.0, len(specs))
-        got, errors = _shifted_moment_rows(columns, centers, 40)
+        got, errors = _recurrence_rows(columns, centers, 40)
         assert errors == [None] * len(specs)
         for row, spec, center in zip(got, specs, centers.tolist()):
             assert row.tobytes() == shifted_moment_vector(spec, center, 40).tobytes()
-        # the one-sided window (-0.1, 1, [0.05, 50]), cut at 18 sigmas about
-        # this center, settles too.  FROZEN: E[(x - center)^m], m = 2..8, by
-        # mpmath at 50 digits (mp.quad with breakpoints at a + 1, 3 and 8)
+        # the one-sided window (-0.1, 1, [0.05, 50]) about this center.
+        # FROZEN: E[(x - center)^m], m = 2..8, by mpmath at 50 digits
+        # (mp.quad with breakpoints at a + 1, 3 and 8)
         assert centers[122] == 1.6522404711782654
         frozen = [
             1.065517967141172665020015, -1.280406724093764255831541,
@@ -927,14 +932,15 @@ class TestOverflowingPowers:
 
     @pytest.mark.parametrize("order", [10, 20])
     def test_moment_sums_past_the_float_range_raise_typed(self, order):
-        # a valid spec whose moments of order 10 and up pass the float range
-        # (E[x^10] is about 7e445): the integrand's powers are +-inf, the
-        # quadrature estimates never settle, and the table raises a typed
-        # NoConvergence, as at every order above 2
+        # a valid spec whose moments of order 7 and up pass the float range
+        # (E[x^10] is about 7e445): the table raises a typed OrderTooHigh at
+        # the first such order, as at every order above 2
         spec = TruncatedGaussianSpec(
             3.457032552295589e44, 2.421867596011739e44, 0.0, 3.1664191723467982e53
         )
-        with pytest.raises(NoConvergence, match="moment quadrature did not stabilize"):
+        with np.errstate(all="raise"), pytest.raises(
+            OrderTooHigh, match=r"moment E\[\(x - 0.0\)\^7\] passes the float range"
+        ):
             package_raw_moments(spec, order)
 
     def test_first_central_moment_is_relative_to_the_mean(self):
@@ -1090,3 +1096,66 @@ class TestGaussLegendreRule:
                 assert abs(mp.mpf(float(weights[i])) / weight - 1) <= weight_rtol
         if n % 2:
             assert nodes[half] == 0.0
+
+
+MOMENT_TABLES = json.loads((Path(__file__).resolve().parent / "moment_tables.json").read_text())
+
+
+class TestRecurrenceGate:
+    """The moment recurrence against the FROZEN mpmath tables that
+    ``tests/moment_tables.py`` writes: rows of the shipped grids, the
+    narrow-window scan and seeded R^2 from 1e-4 to 1600, each about 0, the
+    mean, 1 or a drawn center."""
+
+    @pytest.mark.parametrize("order", [3, 4, 20, 40, 64])
+    def test_within_the_support_scale(self, order):
+        # every moment of order 2 and up within 1e-14 of h^k, with h the
+        # largest |x - center| on the window
+        cases = MOMENT_TABLES["cases"]
+        columns = _columns([TruncatedGaussianSpec(*case["spec"]) for case in cases])
+        got, errors = _recurrence_rows(columns, np.array([c["center"] for c in cases]), order)
+        assert errors == [None] * len(cases)
+        h = np.array([case["h"] for case in cases])[:, None]
+        exact = np.array([case["v"][: order + 1] for case in cases])
+        scaled = got[:, 2:] / h ** np.arange(2, order + 1)
+        assert np.abs(scaled - exact[:, 2:]).max() <= 1e-14
+        assert {case["family"] for case in cases} == {
+            "mean", "spread", "panel", "surface", "narrow", "seeded"
+        }
+        r2 = (h[:, 0] / columns.sigma_bar) ** 2
+        assert r2.min() < 1e-3 and r2.max() > 1000.0
+
+    @pytest.mark.parametrize("index", [0, 241, 250, 330])
+    def test_tables_recompute(self, index):
+        # a mean-sweep row, two narrow windows (about the mean and about 0)
+        # and a seeded row, recomputed live by the oracle
+        case = MOMENT_TABLES["cases"][index]
+        h, moments = scaled_moments(TruncatedGaussianSpec(*case["spec"]), case["center"], 64)
+        assert float(h) == case["h"]
+        np.testing.assert_allclose([float(v) for v in moments], case["v"], rtol=0.0, atol=1e-18)
+
+
+class TestExtremeOrders:
+    """``shifted_moment_vector`` has no order ceiling: it returns finite
+    moments or raises a typed error, fast, never inf or nan."""
+
+    def test_order_5000_passes_the_float_range_typed(self):
+        # E[x^5000] on [1e-5, 2] is near 2^5000
+        spec = TruncatedGaussianSpec(1, 0.5, 1e-5, 2)
+        start = time.perf_counter()
+        with np.errstate(all="raise"), pytest.raises(OrderTooHigh, match="passes the float range"):
+            shifted_moment_vector(spec, 0.0, 5000)
+        assert time.perf_counter() - start < 1.0
+
+    def test_order_1000_is_finite(self):
+        spec = TruncatedGaussianSpec(1, 0.5, 1e-5, 2)
+        start = time.perf_counter()
+        got = shifted_moment_vector(spec, 1.0, 1000)
+        assert time.perf_counter() - start < 1.0
+        assert np.isfinite(got).all()
+        # FROZEN: E[(x - 1)^k] by 60-digit mp.quad on [1e-5, 2]
+        np.testing.assert_allclose(
+            got[[100, 500, 1000]],
+            [0.0023294972793780886, 0.00045410622360038844, 0.00022581226942227294],
+            rtol=1e-13,
+        )

@@ -29,6 +29,7 @@ from transduction_mir import (
     simulate,
     stationary_distribution,
 )
+from transduction_mir.errors import live_rows, merge_rows
 from oracles import (
     RateMatrix,
     SteadyState,
@@ -253,3 +254,36 @@ def test_counts_given_as_floats_are_rejected(canonical_dist, call, error, messag
     with pytest.raises(ValidationError) as info:
         call(canonical_dist)
     assert type(info.value) is error and str(info.value) == message
+
+
+class TestRowErrors:
+    """``live_rows`` and ``merge_rows`` against their list-comprehension
+    definitions, on mixed, all-None and all-error lists."""
+
+    @staticmethod
+    def lists():
+        first, second, third = ValidationError("a"), OrderTooHigh("b"), DomainError("c")
+        return {
+            "mixed": ([None, first, None, second, None], [third, None, None, first, None]),
+            "none": ([None] * 5, [None] * 5),
+            "errors": ([first, second, third, first, second], [third] * 5),
+            "mixed_then_none": ([None, first, None, None, second], [None] * 5),
+            "none_then_errors": ([None] * 5, [first, second, third, first, second]),
+        }
+
+    @pytest.mark.parametrize("case", ["mixed", "none", "errors", "mixed_then_none", "none_then_errors"])
+    def test_against_comprehensions(self, case):
+        errors, other = self.lists()[case]
+        for rows in (errors, other):
+            got = live_rows(rows)
+            assert got.dtype == bool and got.tolist() == [e is None for e in rows]
+        expected = [f if f is not None else e for f, e in zip(errors, other)]
+        merged = merge_rows(errors, other)
+        assert len(merged) == len(expected)
+        assert all(m is e for m, e in zip(merged, expected))
+        # three lists: the first error wins, whichever list holds it
+        last = [DomainError("d")] * 5
+        expected = [f if f is not None else e for f, e in zip(expected, last)]
+        assert all(m is e for m, e in zip(merge_rows(errors, other, last), expected))
+        assert merge_rows(errors) == errors and merge_rows(errors) is not errors
+        assert live_rows([]).tolist() == [] and merge_rows([], []) == []
