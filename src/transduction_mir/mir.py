@@ -33,9 +33,10 @@ from .errors import (
     unwrap,
 )
 
-# raw_moments, shifted_moment_vector and stationary_distribution are not
-# called here: perfbench's tracer wraps ``mir.raw_moments``,
-# ``mir.shifted_moment_vector`` and ``mir.stationary_distribution``, and
+# expectation, raw_moments, shifted_moment_vector and stationary_distribution
+# are not called here: perfbench's tracer wraps ``mir.expectation``,
+# ``mir.raw_moments``, ``mir.shifted_moment_vector`` and
+# ``mir.stationary_distribution``, and
 # perfbench/tests/test_tracer.py looks up every wrapped name without a
 # default.  Remove them together with those wraps.
 from .receptor import (
@@ -51,8 +52,8 @@ from .truncgauss import (
     _expectations,
     _fsum_rows,
     _recurrence_rows,
-    expectation,
-    expectation_rows,
+    _xlnx_rows,
+    expectation,  # noqa: F401
     raw_moments,  # noqa: F401
     shifted_moment_vector,  # noqa: F401
 )
@@ -133,10 +134,12 @@ def _xlogx(x: np.ndarray, log) -> np.ndarray:
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         out = log(x)
+        positive = x > 0.0
         if np.ndim(out) == 0:
-            return np.where(x > 0.0, x * out, 0.0)
+            return np.where(positive, x * out, 0.0)
         out *= x
-    out[~(x > 0.0)] = 0.0
+    if not positive.all():
+        out[~positive] = 0.0
     return out
 
 
@@ -159,8 +162,13 @@ def xlnx(x: float) -> float:
 
 
 def jensen_gap(dist: TruncatedGaussianSpec) -> float:
-    """E[x ln x] - mu ln(mu) in nats, by quadrature."""
-    return float(_gap(np.array([expectation(dist, _xlnx_vec)]), np.array([dist.mu]))[0])
+    """E[x ln x] - mu ln(mu) in nats, by quadrature (``truncgauss._xlnx_rows``).
+
+    Raises NoConvergence if E[x ln x] has not stabilized by 1600 nodes.
+    """
+    values, _, _, (error,) = _xlnx_rows(_columns([dist]), _xlnx_vec)
+    unwrap(error)
+    return float(_gap(values, np.array([dist.mu]))[0])
 
 
 def _gap(e_xlnx: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -277,11 +285,12 @@ def mir_quadrature(spec: ReceptorSpec, dist: TruncatedGaussianSpec) -> MirResult
 
     ``diagnostics`` holds the stationary vector ``pi``, the Gauss-Legendre
     nodes per panel of the accepted E[x ln x] estimate (``nodes``) and its
-    change from the estimate before (``refine_delta``, nats).  The one-row
-    case of ``_quadrature_rows``.
+    change from the estimate before (``refine_delta``, nats), or, where the
+    first rung is certified (``truncgauss._xlnx_rows``), the proved bound
+    on that change.  The one-row case of ``_quadrature_rows``.
     """
     chains = mean_chain_rows(spec, [dist.mu])
-    e_xlnx = expectation_rows(_columns([dist]), _xlnx_vec)
+    e_xlnx = _xlnx_rows(_columns([dist]), _xlnx_vec)
     values, gaps, (error,) = _quadrature_rows(np.array([dist.mu]), chains, e_xlnx)
     unwrap(error)
     pi, gain, _ = chains
@@ -301,8 +310,8 @@ def mir_quadrature(spec: ReceptorSpec, dist: TruncatedGaussianSpec) -> MirResult
 
 def _quadrature_rows(mu: np.ndarray, chains: tuple, e_xlnx: tuple) -> tuple:
     """``mir_quadrature`` at every distribution, from its truncated mean
-    ``mu[i]`` and its rows of ``mean_chain_rows`` and of
-    ``expectation_rows`` with x ln x.
+    ``mu[i]`` and its rows of ``mean_chain_rows`` and of E[x ln x]
+    (``_xlnx_rows``, or an output of ``_rate_pass``).
 
     Returns (values, gaps, errors): per row the rate gain * (E[x ln x] -
     mu ln mu) in bits/s and the gap in nats, nan on failed rows, and the

@@ -60,7 +60,7 @@ from .truncgauss import (
     TruncatedGaussianSpec,
     _output,
     _spec_rows,
-    expectation_rows,
+    _xlnx_rows,
 )
 
 
@@ -355,7 +355,7 @@ def run_sweep(config: SweepConfig) -> SweepTable:
         fused = _rate_pass(config.receptor, valid, config.b, config.delta_t)
         e_xlnx = _output(fused[1], 0)
     elif "quadrature" in config.methods:
-        e_xlnx = expectation_rows(valid, _xlnx_vec)
+        e_xlnx = _xlnx_rows(valid, _xlnx_vec)
     # VALID_METHODS order, whatever order the config lists them in
     for method in VALID_METHODS:
         if method not in config.methods:

@@ -10,7 +10,10 @@ Gauss-Legendre engine behind every integral against the density:
 pass one ``_gl_rows`` call over many specs.  Integrals against the same
 density can be the outputs of one pass (``_expectations``), which builds
 the nodes, the density and the weights once; each output settles on its
-own, so it has the bits of a pass that integrates it alone.
+own, so it has the bits of a pass that integrates it alone.  E[x ln x]
+alone (``_xlnx_rows``) may skip the schedule's 200-node pass on a
+single-panel row, where a bound proved from closed forms
+(``_xlnx_rung_errors``) shows that the 200/400 agreement holds.
 """
 
 from __future__ import annotations
@@ -66,6 +69,20 @@ _BLOCK_NODES = 32 * 400
 # Newton steps allowed per Gauss-Legendre rule.  From Tricomi's guess every
 # rule up to n = 3200 settles in at most four.
 _NEWTON_STEPS = 10
+
+# What the certificate of E[x ln x]'s first rung (``_xlnx_rung_errors``)
+# assumes, each constant pinned by a test against mpmath: numpy's exp and
+# log are within _EXP_ULPS and _LOG_ULPS ulps wherever the quadrature calls
+# them with a normal result; ``_ndtr`` is within _NDTR_RTOL relative at
+# -37.5 and above, and under 1e-307 below; every node of ``_gl_nodes(n)`` is
+# within one ulp, 2^-52 relative, and the weights' errors sum to at most
+# _WEIGHT_ERRORS[n].  _RHOS are the Bernstein-ellipse parameters rho a row's
+# truncation bound may take.
+_EXP_ULPS = 4.0
+_LOG_ULPS = 4.0
+_NDTR_RTOL = 2.5e-13
+_WEIGHT_ERRORS = {200: 4e-15, 400: 6e-15}
+_RHOS = np.array([1.2, 1.5])[:, None]
 
 
 def _norm_pdf(t):
@@ -900,7 +917,7 @@ def _gl_rows(edges, loc, scale, mass, f, n: int, outputs: int) -> np.ndarray:
     return values
 
 
-def _integrate(groups, loc, scale, mass, f, outputs: int) -> tuple:
+def _integrate(groups, loc, scale, mass, f, outputs: int, first_rung=None) -> tuple:
     """E[f(x)] of every row by ``_gl_rows``, on the one node schedule.
 
     ``groups`` holds (rows, edges) pairs that between them take each row of
@@ -914,28 +931,52 @@ def _integrate(groups, loc, scale, mass, f, outputs: int) -> tuple:
     not depend on the rows or outputs computed with it, each output has the
     bits of a pass that integrates it alone.
 
+    ``first_rung``, for one output, proves the agreement of the first two
+    rungs instead of running the first: called on a single-panel group as
+    ``first_rung(edges, loc, scale, mass, estimates)`` with the estimates at
+    2 * ``_INITIAL_NODES`` nodes, it returns per row proved bounds on the
+    errors of the estimates at ``_INITIAL_NODES`` and at twice that, whose
+    sum bounds the change between them.  A row whose sum is within the
+    tolerance settles at twice ``_INITIAL_NODES`` with that estimate, as
+    the agreement test would settle it, and keeps the sum as its change;
+    the other rows take the schedule from its first rung.
+
     Returns (values, nodes, deltas, errors): (rows, outputs) arrays of each
     output's accepted estimate, its n and its change from the estimate
-    before, nan where the output was still unsettled once ``_MAX_NODES`` was
-    tried; and per output one error list, NoConvergence on those rows and
-    None on the others.
+    before (or its bound), nan where the output was still unsettled once
+    ``_MAX_NODES`` was tried; and per output one error list, NoConvergence
+    on those rows and None on the others.
     """
     values, nodes, deltas = np.full((3, len(loc), outputs), np.nan)
+
+    def settle(rows, edges, unsettled, current, delta, n):
+        """Settle the outputs whose change ``delta`` is within tolerance at
+        n; returns the rows still unsettled, with their edges, their
+        unsettled outputs and their ``current``."""
+        settled = unsettled & (delta <= np.maximum(_RTOL * np.abs(current), _ATOL))
+        row, output = np.nonzero(settled)
+        done = rows[row], output
+        values[done], nodes[done], deltas[done] = current[settled], n, delta[settled]
+        unsettled = unsettled & ~settled
+        live = unsettled.any(axis=1)
+        return rows[live], edges[live], unsettled[live], current[live]
+
     for rows, edges in groups:
-        n, previous = _INITIAL_NODES, None
+        n, previous, ahead = _INITIAL_NODES, None, None
         unsettled = np.ones((len(rows), outputs), dtype=bool)
+        if first_rung is not None and edges.shape[1] == 2 and rows.size:
+            picked = loc[rows], scale[rows], mass[rows]
+            ahead = _gl_rows(edges, *picked, f, 2 * n, outputs)
+            bound = np.add(*first_rung(edges, *picked, ahead[:, 0]))[:, None]
+            rows, edges, unsettled, ahead = settle(rows, edges, unsettled, ahead, bound, 2 * n)
         while rows.size and n <= _MAX_NODES:
-            current = _gl_rows(edges, loc[rows], scale[rows], mass[rows], f, n, outputs)
+            if ahead is not None and n == 2 * _INITIAL_NODES:
+                current = ahead
+            else:
+                current = _gl_rows(edges, loc[rows], scale[rows], mass[rows], f, n, outputs)
             if previous is not None:
                 delta = np.abs(current - previous)
-                settled = unsettled & (delta <= np.maximum(_RTOL * np.abs(current), _ATOL))
-                row, output = np.nonzero(settled)
-                done = rows[row], output
-                values[done], nodes[done], deltas[done] = current[settled], n, delta[settled]
-                unsettled &= ~settled
-                live = unsettled.any(axis=1)
-                rows, edges, current = rows[live], edges[live], current[live]
-                unsettled = unsettled[live]
+                rows, edges, unsettled, current = settle(rows, edges, unsettled, current, delta, n)
             n, previous = 2 * n, current
     failure = f"expectation did not stabilize by n={_MAX_NODES} nodes per panel"
     errors = []
@@ -943,6 +984,109 @@ def _integrate(groups, loc, scale, mass, f, outputs: int) -> tuple:
         errors.append([None] * len(loc))
         mark_rows(errors[-1], column, lambda i: NoConvergence(failure))
     return values, nodes, deltas, errors
+
+
+@np.errstate(all="ignore")
+def _xlnx_rung_errors(edges, loc, scale, mass, estimate) -> tuple:
+    """Proved bounds, per single-panel row, on |c_n - I| for n = 200 and
+    400, where c_n is the n-node estimate of E[x ln x] that ``_gl_rows``
+    forms with f(x) = log(x) * x (``mir._xlnx_vec``), given ``estimate``,
+    c_400; nan or inf where no bound is found.
+
+    I is the exact integral of g(u) = half phi(t) f(x) / mass over u in
+    [-1, 1], with t = half u + mid and x = loc + scale t on the rounded
+    half, mid, loc, scale and mass, and each c_n is within E_n + R_n of it:
+
+    * E_n bounds the error of the exact n-node rule, 64 M / (15 (rho^2 - 1)
+      rho^(2n - 2)) for g analytic with |g| <= M in the Bernstein ellipse
+      E_rho (Trefethen, SIAM Review 2008, and ATAP Thm 19.3, whose rule has
+      n + 1 nodes), the least over the ``_RHOS`` whose ellipse keeps Re x >
+      0, away from the branch point of x ln x at x = 0.  There |x ln x| <=
+      |x| (|ln |x|| + pi) and |phi(t)| <= exp((Im t)^2 / 2) / sqrt(2 pi).
+    * R_n bounds the rounding: gamma_n of the dot product; per term the
+      nodes' one ulp, the rounding of t, x and the weight, numpy's exp and
+      log (``_EXP_ULPS``, ``_LOG_ULPS``) and the density's error growing
+      with t^2; and the weights' summed error (``_WEIGHT_ERRORS``) times
+      the largest |g|.  It needs three sums over the nodes of the exact
+      rule: of the density, at most 1 plus the mass's error from ``_ndtr``
+      (``_NDTR_RTOL``); of t^2 times it, at most E[t^2] = 1 - (hi phi(hi)
+      - lo phi(lo)) / z, the closed form behind mu and sigma2, or max t^2
+      times the first; and of |g|, at most max |x ln x| times the first,
+      or c_400 (within R_400 + E_200 + E_400 of either sum of g) plus twice
+      the window's largest negative, or positive, part of x ln x times the
+      first.  The first two are also within their own E_n of their
+      integrals.
+    First-order terms are taken times 1.01, which covers the second-order
+    terms and this bound's own rounding, all below 1e-9 relative; and a
+    2^-1000 term covers underflow.
+    """
+    u = 2.0**-53  # unit roundoff
+    lo, hi = edges[:, 0], edges[:, 1]
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)  # the bits _gl_rows forms
+    top = (np.abs(mid) + half) * (1.0 + 8.0 * u)  # the largest |t| on the panel
+    # the rounding of x at a node, and a window of x that holds every x
+    # and every rounded x
+    dx = u * (11.0 * np.abs(loc) + scale * (6.0 * top + 3.0 * np.abs(mid)))
+    x_lo = loc + scale * (mid - half) - 2.0 * dx
+    x_hi = loc + scale * (mid + half) + 2.0 * dx
+    log_lo, log_hi = np.log(x_lo), np.log(x_hi)
+    # the largest negative part of x ln x on the window (1/e at x = 1/e),
+    # its largest positive part, and the largest |ln x + 1|
+    inv_e = math.exp(-1.0)
+    negative = np.where(x_hi < inv_e, -x_hi * log_hi, np.maximum(-x_lo * log_lo, 0.0))
+    negative[(x_lo <= inv_e) & (inv_e <= x_hi)] = inv_e
+    positive = np.maximum(x_hi * log_hi, 0.0)
+    f_max = np.maximum(negative, positive)
+    slope = np.maximum(np.abs(log_lo + 1.0), np.abs(log_hi + 1.0)) + 4.0 * u
+
+    # the panel's mass over ``mass``: z's error, and the panel's overhang
+    # past [lo, hi] by rounding; then E[t^2] on the panel times that ratio
+    overhang = 4.0 * u * top / _SQRT_2PI
+    mass_ratio = 1.0 + u + (2.0 * _NDTR_RTOL + 2e-307 + overhang) / mass
+    phi_lo, phi_hi = _norm_pdf(edges.T)
+    ends = np.abs(hi * phi_hi) + np.abs(lo * phi_lo)
+    ends_error = (2.0 * _EXP_ULPS + 6.0 + top * top) * u * ends + 1e-300
+    moment = mass_ratio + (lo * phi_lo - hi * phi_hi + ends_error + overhang * top * top) / mass
+
+    # per rho, ln of 64 / (15 (rho^2 - 1)) times max |half phi(t) / mass|
+    # on E_rho; and the ln M of t^2 times the density and of g over it
+    a_rho, b_rho = 0.5 * (_RHOS + 1.0 / _RHOS), 0.5 * (_RHOS - 1.0 / _RHOS)
+    level = 0.5 * np.square(half * b_rho) + np.log(64.0 / (15.0 * (_RHOS * _RHOS - 1.0)))
+    level += np.log(half / (_SQRT_2PI * mass))
+    t_factor = 2.0 * np.log(np.abs(mid) + half * a_rho)
+    center, radius = loc + scale * mid, scale * half * a_rho + 2.0 * dx
+    log_min, log_max = np.log(center - radius), np.log(np.abs(center) + radius)
+    g_factor = log_max + np.log(np.maximum(np.abs(log_min), np.abs(log_max)) + math.pi)
+    g_factor[np.isnan(log_min)] = np.inf  # the ellipse reaches Re x <= 0
+
+    relative = u * (2.0 * _EXP_ULPS + 2.0 * _LOG_ULPS + 6.5 + 1.5 * mid * mid)
+    peak = half / (_SQRT_2PI * mass) * f_max  # the largest |g|
+
+    def rung(n: int) -> tuple:
+        """R_n as its factor on the sum of |g| and the rest of it, the
+        bound on the sum of the density, and E_n of g; each E_n doubled
+        for the rounding of its own evaluation."""
+        at_n = level - (2 * n - 2) * np.log(_RHOS)
+        e_density, e_second, e_g = (
+            2.0 * np.exp(logs.min(axis=0)) for logs in (at_n, at_n + t_factor, at_n + g_factor)
+        )
+        density = mass_ratio + e_density
+        second = np.minimum(top * top * density, moment + e_second)
+        rest = 6.0 * u * f_max * second + slope * dx * density + _WEIGHT_ERRORS[n] * peak
+        rest = 1.01 * rest + 2.0**-1000 * (n + half / mass) * (1.0 + f_max)
+        return 1.01 * (n * u / (1.0 - n * u) + relative), rest, density, e_g
+
+    rungs = rung(200), rung(400)
+    factor, rest, density, _ = rungs[1]
+    spread = factor * f_max * density + rest + rungs[0][3] + rungs[1][3]
+    top_g, bottom_g = estimate + spread, estimate - spread
+    return tuple(
+        e_g + rest + factor * np.minimum(
+            f_max * density,
+            np.minimum(top_g + 2.0 * negative * density, 2.0 * positive * density - bottom_g),
+        )
+        for factor, rest, density, e_g in rungs
+    )
 
 
 def _expectations(columns: SpecColumns, f, outputs: int) -> tuple:
@@ -953,6 +1097,23 @@ def _expectations(columns: SpecColumns, f, outputs: int) -> tuple:
     return _integrate(
         _panel_edges(columns).values(), columns.mu_bar, columns.sigma_bar, columns.z,
         f, outputs,
+    )
+
+
+def _xlnx_rows(columns: SpecColumns, xlnx) -> tuple:
+    """E[x ln x] under each row of ``columns``, for ``xlnx`` =
+    ``mir._xlnx_vec``, as ``expectation_rows(columns, xlnx)`` gives it,
+    except that single-panel rows take the certified first rung
+    (``_xlnx_rung_errors``): a row whose proved bound on the 200/400-node
+    change is within the tolerance settles at 400 nodes with the value the
+    agreement test would accept, without the 200-node pass, and its delta is
+    that bound."""
+    return _output(
+        _integrate(
+            _panel_edges(columns).values(), columns.mu_bar, columns.sigma_bar, columns.z,
+            lambda x: (xlnx(x),), 1, first_rung=_xlnx_rung_errors,
+        ),
+        0,
     )
 
 
@@ -981,6 +1142,11 @@ def expectation(spec: TruncatedGaussianSpec, f: Callable[[np.ndarray], np.ndarra
     relative (or 1e-14 absolute near zero); integration is restricted to the
     part of [a, b] within 40 parent sigmas of mu_bar, outside which the
     density underflows to zero.  The one-spec case of ``expectation_rows``.
+    This generic path always runs the 200-node pass; E[x ln x] for the
+    rates goes through ``_xlnx_rows``, whose first rung may be certified
+    instead: there a single-panel row settles at 400 nodes with the same
+    value, and its reported change (``refine_delta``) is the proved bound
+    on the 200/400 change.
 
     Raises NoConvergence if the estimates have not stabilized by 1600 nodes.
     """

@@ -245,15 +245,16 @@ class TestRunSweep:
         # x-dependent diagonal entry of every point for the discrete rate;
         # one moment recurrence over every point about 1 for the series, and
         # one over the points about 0 and about their means for the s=4
-        # bounds.  Quadrature calls as (rows, outputs), recurrence calls as
-        # (rows, order)
+        # bounds.  Quadrature calls as (rows, outputs, whether the first
+        # rung may be certified), recurrence calls as (rows, order)
         calls, recurrences = [], []
         integrate, recurrence = truncgauss._integrate, truncgauss._recurrence_rows
-        monkeypatch.setattr(
-            truncgauss,
-            "_integrate",
-            lambda *args: calls.append((len(args[1]), args[5])) or integrate(*args),
-        )
+
+        def quadrature_spy(*args, **kwargs):
+            calls.append((len(args[1]), args[5], kwargs.get("first_rung") is not None))
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(truncgauss, "_integrate", quadrature_spy)
         spy = lambda columns, center, order: (
             recurrences.append((len(columns.mu), order)) or recurrence(columns, center, order)
         )
@@ -268,12 +269,13 @@ class TestRunSweep:
         rows = run_sweep(config).rows()
         assert [row.status for row in rows] == ["ok"] * 64
         entries = len(np.flatnonzero(np.diagonal(unit_chr2.slope)))
-        assert calls == [(64, 1 + entries)]
+        assert calls == [(64, 1 + entries, False)]
         assert recurrences == [(64, config.series_k), (128, 4)]
-        # without the discrete rate, E[x ln x] is a pass of its own
+        # without the discrete rate, E[x ln x] is a pass of its own, whose
+        # single-panel rows may skip the 200-node pass
         calls.clear()
         run_sweep(replace(config, methods=("quadrature", "bounds_s2")))
-        assert calls == [(64, 1)]
+        assert calls == [(64, 1, True)]
 
     # the reducible receptor fails every valid row's stationary solve; at
     # delta_t = 0.75 discrete and mc fail with StepTooLarge, raised first

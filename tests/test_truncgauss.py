@@ -33,7 +33,13 @@ from transduction_mir import raw_moments as package_raw_moments
 from transduction_mir.mir import _xlnx_vec
 from transduction_mir.truncgauss import (
     MIN_TRUNCATION_MASS,
+    _ATOL,
     _DRAW_BLOCK,
+    _EXP_ULPS,
+    _LOG_ULPS,
+    _NDTR_RTOL,
+    _RTOL,
+    _WEIGHT_ERRORS,
     _columns,
     _expectations,
     _gl_nodes,
@@ -46,6 +52,8 @@ from transduction_mir.truncgauss import (
     _powers,
     _recurrence_rows,
     _spec_rows,
+    _xlnx_rows,
+    _xlnx_rung_errors,
     expectation_rows,
 )
 from conftest import random_valid_dist
@@ -983,6 +991,8 @@ class TestNormalCdf:
             inside = (lo <= t) & (t <= hi)
             assert rel[inside].max() <= rtol
             np.testing.assert_allclose(got[inside], other[inside], rtol=rtol, atol=0.0)
+        # the error the certified first rung of E[x ln x] assumes for z
+        assert rel[t >= -37.5].max() <= _NDTR_RTOL
         # below -37.5 the mass is subnormal (scipy returns 0), far under
         # any truncation the package accepts
         deep = t < -37.5
@@ -1159,3 +1169,193 @@ class TestExtremeOrders:
             [0.0023294972793780886, 0.00045410622360038844, 0.00022581226942227294],
             rtol=1e-13,
         )
+
+
+def _single_panel(specs):
+    """The columns of the valid specs among ``specs`` whose quadrature is
+    one panel, with that group's (rows, edges)."""
+    columns, errors = _spec_rows(*(np.array(field, dtype=float) for field in zip(*specs)))
+    columns = columns.take(np.flatnonzero([e is None for e in errors]))
+    groups = _panel_edges(columns)
+    rows, edges = groups[1]
+    return columns.take(rows), edges
+
+
+def _first_rungs(columns, edges):
+    """The 200- and 400-node estimates of E[x ln x] of single-panel rows,
+    and the arguments the first rung's bound takes."""
+    params = columns.mu_bar, columns.sigma_bar, columns.z
+    one = lambda x: (_xlnx_vec(x),)
+    c200, c400 = (_gl_rows(edges, *params, one, n, 1)[:, 0] for n in (200, 400))
+    return c200, c400, (edges, *params, c400)
+
+
+def _random_single_panel_specs():
+    """Seeded windows in four families: the shipped geometry, lower x-edges
+    just above 1e-2 of the span (the graded-panel threshold), sigma_bar
+    down to 1e-3, and E[x ln x] near 0 (mu_bar about 1 - sigma_bar^2 / 2 on
+    windows around x = 1)."""
+    rng = np.random.default_rng(30)
+    k = 800
+    specs = []
+    # shifted and scaled windows, any mu_bar
+    a = rng.uniform(0.02, 1.0, k)
+    specs += zip(rng.uniform(-1.0, 3.0, k), np.exp(rng.uniform(np.log(1e-3), np.log(3.0), k)),
+                 a, a + rng.uniform(0.1, 5.0, k))
+    # x_lo just above 1e-2 * span: a = r b / (1 + r), r a little above 1e-2,
+    # with sigma_bar wide enough that the 40-sigma clip keeps x_lo = a
+    b = rng.uniform(0.5, 5.0, k)
+    ratio = 1e-2 * (1.0 + np.exp(rng.uniform(np.log(1e-9), np.log(1e-2), k)))
+    specs += zip(rng.uniform(0.0, 1.0, k) * b, b * rng.uniform(0.03, 2.0, k),
+                 ratio * b / (1 + ratio), b)
+    # sigma_bar down to 1e-3 on the shipped window
+    specs += zip(rng.uniform(0.05, 2.0, k), np.exp(rng.uniform(np.log(1e-3), np.log(0.1), k)),
+                 [0.02] * k, [2.0] * k)
+    # E[x ln x] near 0
+    sigma = np.exp(rng.uniform(np.log(1e-3), np.log(0.3), k))
+    mu = 1.0 - 0.5 * sigma * sigma * rng.uniform(0.9, 1.1, k)
+    specs += zip(mu, sigma, rng.uniform(0.3, 0.9, k), rng.uniform(1.1, 2.0, k))
+    return [tuple(map(float, spec)) for spec in specs]
+
+
+class TestCertifiedFirstRung:
+    """E[x ln x] on single-panel rows settles at 400 nodes without its
+    200-node pass where a proved bound on the 200/400 change is within the
+    tolerance: the bound must hold on every row, and a certified row keeps
+    the value and node count the agreement test gives it."""
+
+    def test_bound_holds_on_the_surface(self):
+        columns, edges = _single_panel([(s.mu_bar, s.sigma_bar, s.a, s.b) for s in surface_specs()])
+        assert len(edges) == 2500
+        c200, c400, args = _first_rungs(columns, edges)
+        bound = np.add(*_xlnx_rung_errors(*args))
+        assert (bound >= np.abs(c400 - c200)).all()
+        certified = bound <= np.maximum(_RTOL * np.abs(c400), _ATOL)
+        assert certified.sum() >= 2000
+
+    def test_bound_holds_on_seeded_windows(self):
+        columns, edges = _single_panel(_random_single_panel_specs())
+        assert len(edges) >= 2000
+        assert columns.sigma_bar.min() < 2e-3
+        c200, c400, args = _first_rungs(columns, edges)
+        bound = np.add(*_xlnx_rung_errors(*args))
+        observed = np.abs(c400 - c200)
+        # every bound holds; an unproved row may have nan or inf
+        assert not (bound < observed).any()
+        certified = bound <= np.maximum(_RTOL * np.abs(c400), _ATOL)
+        assert certified.sum() >= 1000
+        # lower edges just above the graded threshold and sigma_bar near
+        # 1e-3 have certified rows; near |E[x ln x]| = 0 the tolerance is
+        # _ATOL, below the rounding bound, but the bound is finite there
+        span = columns.b - columns.a
+        for family in (columns.a < 1.001e-2 * span, columns.sigma_bar < 3e-3):
+            assert (family & certified).sum() >= 100
+        near_zero = np.abs(c400) < 1e-4
+        assert near_zero.sum() >= 100 and np.isfinite(bound[near_zero]).all()
+
+    def test_certified_rows_keep_the_schedule_bits(self):
+        specs = [(s.mu_bar, s.sigma_bar, s.a, s.b) for s in surface_specs()[::5]]
+        specs += _random_single_panel_specs()[::8]
+        specs += [(s.mu_bar, s.sigma_bar, s.a, s.b)
+                  for s in grid_specs(1e-5, 2.0, (0.2, 1.8, 4), (0.1, 1.0, 4))]
+        columns, errors = _spec_rows(*(np.array(field, dtype=float) for field in zip(*specs)))
+        columns = columns.take(np.flatnonzero([e is None for e in errors]))
+        got, want = _xlnx_rows(columns, _xlnx_vec), expectation_rows(columns, _xlnx_vec)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        assert [repr(e) for e in got[3]] == [repr(e) for e in want[3]]
+        # a certified row reports its bound, at least the observed change
+        # and within the tolerance; every other row keeps its change
+        value, nodes, delta = got[:3]
+        proved = delta != want[2]
+        tolerance = np.maximum(_RTOL * np.abs(value), _ATOL)
+        assert (nodes[proved] == 400).all()
+        assert (delta[proved] >= want[2][proved]).all()
+        assert (delta[proved] <= tolerance[proved]).all()
+        assert proved.sum() >= 650  # 697 of the 886 rows here
+
+    def test_uncertified_rows_alone_take_the_200_node_pass(self, monkeypatch):
+        import transduction_mir.truncgauss as truncgauss
+
+        columns, edges = _single_panel([(s.mu_bar, s.sigma_bar, s.a, s.b) for s in surface_specs()])
+        c200, c400, args = _first_rungs(columns, edges)
+        certified = np.add(*_xlnx_rung_errors(*args)) <= np.maximum(_RTOL * np.abs(c400), _ATOL)
+        passes, gl_rows = [], truncgauss._gl_rows
+        monkeypatch.setattr(
+            truncgauss, "_gl_rows", lambda *a: passes.append((a[-2], len(a[0]))) or gl_rows(*a)
+        )
+        _xlnx_rows(columns, _xlnx_vec)
+        assert passes == [(400, 2500), (200, int((~certified).sum()))]
+
+    def test_mpmath_integral_within_each_rung_bound(self):
+        # FROZEN check: I by 40-digit mp.quad in t over the rounded panel,
+        # with breakpoints near the density's peak
+        surface = surface_specs()
+        specs = [(s.mu_bar, s.sigma_bar, s.a, s.b) for s in surface[::417]]
+        specs += _random_single_panel_specs()[::400]
+        columns, edges = _single_panel(specs)
+        c200, c400, args = _first_rungs(columns, edges)
+        errors = _xlnx_rung_errors(*args)
+        assert np.isfinite(errors[1]).sum() >= 8
+        with mp.workdps(40):
+            for i in range(len(edges)):
+                lo, hi = edges[i].tolist()
+                half, mid = mp.mpf(0.5 * (hi - lo)), mp.mpf(0.5 * (hi + lo))
+                loc, sigma, mass = (mp.mpf(float(v[i])) for v in args[1:4])
+                f = lambda t: mp.npdf(t) * (loc + sigma * t) * mp.log(loc + sigma * t) / mass
+                inner = (-8, -4, -2, -1, 0, 1, 2, 4, 8)
+                points = sorted({mid - half, mid + half}
+                                | {mp.mpf(p) for p in inner if mid - half < p < mid + half})
+                exact = mp.quad(f, points)
+                for estimate, error in zip((c200[i], c400[i]), errors):
+                    if np.isfinite(error[i]):
+                        assert abs(mp.mpf(float(estimate)) - exact) <= error[i]
+
+
+class TestCertificateConstants:
+    """The constants the certified first rung assumes, against mpmath: a
+    numpy or a node rule that breaks one fails here."""
+
+    @staticmethod
+    def legendre_pair(n: int, r):
+        """P_n(r) and P_n'(r) by the three-term recurrence, in mpmath."""
+        p0, p1 = mp.mpf(1), r
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * r * p1 - (j - 1) * p0) / j
+        return p1, n * (p0 - r * p1) / (1 - r * r)
+
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_node_and_weight_errors(self, n):
+        # every node within one ulp (2^-52 relative) and the weights'
+        # summed error within _WEIGHT_ERRORS[n]; one Newton step from the
+        # float node gives the root to about 1e-27
+        nodes, weights = _gl_nodes(n)
+        total = mp.mpf(0)
+        with mp.workdps(30):
+            for x, w in zip(nodes[n // 2:].tolist(), weights[n // 2:].tolist()):
+                r = mp.mpf(x)
+                p, dp = self.legendre_pair(n, r)
+                root = r - p / dp
+                _, dp = self.legendre_pair(n, root)
+                total += abs(w - 2 / ((1 - root * root) * dp * dp))
+                assert abs(r - root) <= 2.0**-52 * root
+            assert 2 * total <= _WEIGHT_ERRORS[n]
+
+    def test_exp_and_log_ulps(self):
+        # exp of -t^2 / 2 with a normal result (|t| < 37.6), and log of x
+        # over the normal floats, dense near 1
+        rng = np.random.default_rng(31)
+        t = np.concatenate((rng.uniform(0.0, 37.6, 1500), rng.uniform(0.0, 1e-3, 200)))
+        exp_args = np.concatenate((-0.5 * np.square(t), rng.uniform(-708.0, 0.0, 1500)))
+        log_args = np.concatenate((
+            np.exp(rng.uniform(-700.0, 700.0, 1500)), rng.uniform(0.01, 4.0, 1500),
+            1.0 + rng.uniform(-1e-6, 1e-6, 300),
+        ))
+        for f, oracle, args, ulps in ((np.exp, mp.exp, exp_args, _EXP_ULPS),
+                                      (np.log, mp.log, log_args, _LOG_ULPS)):
+            got = f(args).tolist()
+            with mp.workdps(40):
+                worst = max(
+                    float(abs(mp.mpf(g) - e)) / np.spacing(abs(float(e)))
+                    for g, e in zip(got, map(oracle, map(mp.mpf, args.tolist())))
+                )
+            assert worst <= ulps
