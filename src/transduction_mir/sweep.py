@@ -47,9 +47,9 @@ from .mcsim import estimate_mir, simulate
 from .mir import (
     _discrete_rows,
     _quadrature_rows,
+    _rate_integrals,
     _rate_pass,
     _series_rows,
-    _xlnx_vec,
     mir_discrete,  # noqa: F401
     mir_quadrature,  # noqa: F401
     mir_series,  # noqa: F401
@@ -60,7 +60,6 @@ from .truncgauss import (
     TruncatedGaussianSpec,
     _output,
     _spec_rows,
-    _xlnx_rows,
 )
 
 
@@ -355,7 +354,7 @@ def run_sweep(config: SweepConfig) -> SweepTable:
         fused = _rate_pass(config.receptor, valid, config.b, config.delta_t)
         e_xlnx = _output(fused[1], 0)
     elif "quadrature" in config.methods:
-        e_xlnx = _xlnx_rows(valid, _xlnx_vec)
+        e_xlnx = _output(_rate_integrals(valid), 0)
     # VALID_METHODS order, whatever order the config lists them in
     for method in VALID_METHODS:
         if method not in config.methods:

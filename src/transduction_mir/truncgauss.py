@@ -6,14 +6,13 @@ closed-form truncated mean/variance, moment tables (orders up to 2 from
 those closed forms, higher orders by a three-term recurrence), inverse-CDF
 sampling through the module's own AS 241 quantile, and the one
 Gauss-Legendre engine behind every integral against the density:
-``_integrate`` runs the node-doubling schedule over groups of rows, each
-pass one ``_gl_rows`` call over many specs.  Integrals against the same
-density can be the outputs of one pass (``_expectations``), which builds
-the nodes, the density and the weights once; each output settles on its
-own, so it has the bits of a pass that integrates it alone.  E[x ln x]
-alone (``_xlnx_rows``) may skip the schedule's 200-node pass on a
-single-panel row, where a bound proved from closed forms
-(``_xlnx_rung_errors``) shows that the 200/400 agreement holds.
+``_integrate`` runs over groups of rows, each pass one ``_gl_rows`` call
+over many specs.  Integrals against the same density can be the outputs of
+one pass (``_expectations``); each output settles on its own, so it has the
+bits of a pass that integrates it alone.  The rate integrals, s q ln q with
+q linear in x, settle by proof on the rungs of ``_LADDER``
+(``_rate_proof``); other integrands, and outputs no rung settles, where
+the node-doubling schedule's estimates agree.
 """
 
 from __future__ import annotations
@@ -61,6 +60,10 @@ _MAX_NODES = 1600
 _RTOL = 1e-12
 _ATOL = 1e-14
 
+# The rate integrals' certified ladder (``_rate_proof``): nodes per panel
+# at which an output may settle by proof, smallest first.
+_LADDER = (32, 64, 128)
+
 # Most nodes one block of rows holds in ``_gl_rows`` (a block keeps at least
 # one row).  On the capacity-surface grid 32 single-panel rows at 400 nodes
 # was the fastest block measured; 256 rows was slower and held more memory.
@@ -70,19 +73,17 @@ _BLOCK_NODES = 32 * 400
 # rule up to n = 3200 settles in at most four.
 _NEWTON_STEPS = 10
 
-# What the certificate of E[x ln x]'s first rung (``_xlnx_rung_errors``)
-# assumes, each constant pinned by a test against mpmath: numpy's exp and
-# log are within _EXP_ULPS and _LOG_ULPS ulps wherever the quadrature calls
-# them with a normal result; ``_ndtr`` is within _NDTR_RTOL relative at
-# -37.5 and above, and under 1e-307 below; every node of ``_gl_nodes(n)`` is
-# within one ulp, 2^-52 relative, and the weights' errors sum to at most
-# _WEIGHT_ERRORS[n].  _RHOS are the Bernstein-ellipse parameters rho a row's
-# truncation bound may take.
+# What ``_rate_proof`` assumes, each pinned by a test against mpmath:
+# numpy's exp, log and log2 within _EXP_ULPS and _LOG_ULPS ulps at a normal
+# result; ``_ndtr`` within _NDTR_RTOL relative at -37.5 and above; every node
+# x of ``_gl_nodes(n)`` within one ulp, and on the ladder its weight within
+# _WEIGHT_ERRORS[n] 2^-53 / (1 - x^2) relative.  _RHOS are the
+# Bernstein-ellipse parameters rho a panel's truncation bound may take.
 _EXP_ULPS = 4.0
 _LOG_ULPS = 4.0
 _NDTR_RTOL = 2.5e-13
-_WEIGHT_ERRORS = {200: 4e-15, 400: 6e-15}
-_RHOS = np.array([1.2, 1.5])[:, None]
+_WEIGHT_ERRORS = {32: 12.0, 64: 16.0, 128: 26.0}
+_RHOS = np.array([1.2, 1.6, 2.4, 3.4, 4.6, 6.5, 10.0])
 
 
 def _norm_pdf(t):
@@ -756,9 +757,16 @@ def raw_moments(spec: TruncatedGaussianSpec, order: int) -> MomentTable:
 
 def shifted_moment_vector(spec: TruncatedGaussianSpec, center: float, order: int) -> np.ndarray:
     """E[(x - center)^m] for m = 0..order; the one-spec case of
-    ``_recurrence_rows``, at any order.  Raises ValidationError for a
-    negative order or a center that is not a finite number, and OrderTooHigh
-    where a moment passes the float range."""
+    ``_recurrence_rows``, at any order.
+
+    Each moment is accurate to the support scale, not relative: within
+    about 1e-14 (R sigma_bar)^m, R sigma_bar the largest |x - center| on
+    the window clipped to 40 parent sigmas (checked to order 64 against
+    ``tests/moment_tables.json``).  An even moment far below that scale
+    keeps fewer relative digits: 5e-6 relative at 6e-21 of the scale on a
+    window cut off 2.8 parent sigmas above mu_bar.  Raises ValidationError
+    for a negative order or a center that is not a finite number, and
+    OrderTooHigh where a moment passes the float range."""
     check_integer(order, "order")
     if order < 0:
         raise ValidationError(f"order must be >= 0, got {order}")
@@ -881,7 +889,7 @@ def _panel_edges(columns: SpecColumns) -> dict[int, tuple[np.ndarray, np.ndarray
     return groups
 
 
-def _gl_rows(edges, loc, scale, mass, f, n: int, outputs: int) -> np.ndarray:
+def _gl_rows(edges, loc, scale, mass, f, n: int, outputs: int, rounding: bool = False):
     """n-node Gauss-Legendre estimates of E[f(x)], a (rows, outputs) array.
 
     Row i integrates f against the density of parent mean ``loc[i]``,
@@ -891,15 +899,31 @@ def _gl_rows(edges, loc, scale, mass, f, n: int, outputs: int) -> np.ndarray:
     ``_BLOCK_NODES`` nodes (and at least one row) as node arrays of shape
     (rows, panels * n); ``f`` gets a block's nodes in that 2-D shape, must
     act entry by entry, and yields one array of that shape per output.
-    Each array's sum over a row's nodes is a stacked matmul, the same dot
-    product as for that row alone, so a row's value does not depend on the
-    rows batched with it.
+    The weighted terms are summed by ``np.add.reduce`` over each panel's
+    nodes, then over the panels: the pairwise sums of that row alone, so a
+    row's value depends neither on its batch nor on a BLAS kernel, and
+    their rounding is within gamma_(n + panels) of the sum of |term| (at 19
+    panels of 32 nodes a twelfth of gamma over the row's 608 nodes).
+
+    With ``rounding`` (n on ``_LADDER``) it returns (values, spread,
+    masses), the sums ``_rate_proof``'s bound takes: per output the sum of
+    |term| times the term's allowance for that rounding and for its own,
+    of t, of the density (growing with t^2), of the weight
+    (``_WEIGHT_ERRORS``), of numpy's exp and log and of the products; and
+    per panel the sum of its weights times the density.
     """
     nodes, weights = _gl_nodes(n)
     half = 0.5 * (edges[:, 1:] - edges[:, :-1])
     mid = 0.5 * (edges[:, 1:] + edges[:, :-1])
     block = max(1, _BLOCK_NODES // (half.shape[1] * n))
     values = np.empty((len(edges), outputs))
+    if rounding:
+        u = 2.0**-53
+        spread, masses = np.empty((len(edges), outputs)), np.empty(half.shape)
+        count = half.shape[1] + n  # gamma_count, then every term's own roundings
+        own = 7.0 + 2.0 * _EXP_ULPS + 2.0 * _LOG_ULPS + _WEIGHT_ERRORS[n] / ((1.0 - nodes) * (1.0 + nodes))
+        base = count * u / (1.0 - count * u) + u * own
+        widths = 1.5 * u * np.square(half)
     for start in range(0, len(edges), block):
         b = slice(start, start + block)
         # ts = half * nodes + mid, xs = loc + scale * ts and
@@ -911,72 +935,161 @@ def _gl_rows(edges, loc, scale, mass, f, n: int, outputs: int) -> np.ndarray:
         ws = half[b, :, None] * weights
         ws *= _norm_pdf(ts)
         ws /= mass[b, None, None]
-        ws = ws.reshape(len(ts), -1)
+        if rounding:
+            # each term's allowance, u (3 t^2 + 1.5 half^2) + base, times ws
+            allowance = ((3.0 * u * np.square(ts) + widths[b, :, None] + base) * ws).reshape(len(ts), -1)
+            masses[b] = np.add.reduce(ws, axis=2)
         for k, fx in enumerate(f(xs.reshape(len(ts), -1))):
-            values[b, k] = (ws[:, None, :] @ fx[:, :, None])[:, 0, 0]
-    return values
+            terms = ws * fx.reshape(ws.shape)
+            values[b, k] = np.add.reduce(np.add.reduce(terms, axis=2), axis=1)
+            if rounding:
+                spread[b, k] = np.add.reduce(np.abs(fx) * allowance, axis=1)
+    return (values, spread, masses) if rounding else values
 
 
-def _integrate(groups, loc, scale, mass, f, outputs: int, first_rung=None) -> tuple:
-    """E[f(x)] of every row by ``_gl_rows``, on the one node schedule.
+@np.errstate(all="ignore")
+def _rate_proof(edges, loc, scale, mass, lines) -> tuple:
+    """The closed-form part of the rate integrals' certificate, for rows of
+    one panel count: (fixed, drift, reach), each (rungs, rows, outputs) but
+    drift (rows, outputs, panels); nan or inf where no bound is found.
+
+    Output k is E[s q ln q], q = c + m x, for row (c, m, s) of ``lines``
+    (x ln x is (0, 1, 1), p log2 p of a diagonal entry (c, m, 1 / ln 2)).
+    I is the exact integral over each panel [mid - half, mid + half] in t,
+    x = loc + scale t, on the rounded half, mid, loc, scale and mass.  The
+    n-node estimate c_n of ``_gl_rows`` with ``rounding`` is within
+    fixed[r] + 1.01 (spread + sum over panels of drift * masses) of I at n
+    = ``_LADDER[r]``:
+
+    * fixed is 1.01 times the sum over panels of Trefethen's bound 64 M /
+      (15 (rho^2 - 1) rho^(2n - 2)) on the exact n-node rule, for M >= |.|
+      in the Bernstein ellipse E_rho (SIAM Review 2008; ATAP Thm 19.3,
+      whose rule has n + 1 nodes), at the best rho of ``_RHOS`` whose
+      ellipse keeps Re q > 0, clear of the branch point x = -c / m.  There
+      |q ln q| <= |q| (|ln |q|| + pi / 2) and |phi(t)| <= exp(((half
+      b_rho)^2 - d^2) / 2) / sqrt(2 pi), d the distance of the ellipse's
+      real extent in t from 0.  Plus 2^-900 (1 + G) / mass for underflow,
+      G the largest |s q ln q| on the row's window.
+    * drift is s dq max |ln q + 1| on the panel, dq bounding the rounding
+      of q at a node; spread bounds every other rounding (``_gl_rows``).
+
+    reach is False where a rung cannot settle: a settled |c_n| is at most
+    2 (G + _ATOL), as |I| <= 1.5 G (the panels' mass over z is under 1.5
+    for z >= MIN_TRUNCATION_MASS within _NDTR_RTOL), so a fixed part above
+    max(2 _RTOL (G + _ATOL), _ATOL) never settles.
+    """
+    u = 2.0**-53
+    half, mid = 0.5 * (edges[:, 1:] - edges[:, :-1]), 0.5 * (edges[:, 1:] + edges[:, :-1])
+    top = (np.abs(mid) + half) * (1.0 + 4.0 * u)
+    loc, scale, mass = loc[:, None], scale[:, None], mass[:, None]
+    # each panel's x window, then its q window per output (an axis before
+    # the panels', so that a sum over panels is one contiguous reduction
+    # at any output count), widened by 2 dq for the rounding of q and q_mid
+    center, width = (loc + scale * mid)[:, None], (scale * half)[:, None]
+    extent = (np.abs(loc) + scale * top)[:, None]
+    c, m, s = np.asarray(lines, dtype=float).T[..., None]
+    q_mid = c + m * center
+    q_half = np.abs(m) * width
+    dq = 9.0 * u * (np.abs(c) + np.abs(m) * extent)
+    q_lo, q_hi = q_mid - q_half - 2.0 * dq, q_mid + q_half + 2.0 * dq
+    inside = q_lo > 0.0
+    log_lo, log_hi = np.log(np.where(inside, q_lo, 1.0)), np.log(q_hi)
+    drift = np.where(inside, s * dq * np.maximum(np.abs(log_lo + 1.0), np.abs(log_hi + 1.0)), np.inf)
+    # the largest |q ln q| on [q_lo, q_hi]: at an end, or at q = 1/e
+    q_e = np.clip(math.exp(-1.0), q_lo, q_hi)
+    peak = np.maximum(np.maximum(np.abs(q_lo * log_lo), np.abs(q_hi * log_hi)), np.abs(q_e * np.log(q_e)))
+    largest = np.where(inside, s * peak, np.inf).max(axis=2)
+
+    rho = _RHOS[:, None, None]
+    a_rho, b_rho = 0.5 * (rho + 1.0 / rho) * (1.0 + 4.0 * u), 0.5 * (rho - 1.0 / rho) * (1.0 + 4.0 * u)
+    # ln of 64 / (15 (rho^2 - 1)) max |half phi(t) / mass| on E_rho, plus
+    # ln M of s q ln q there: nan, which ``np.fmin`` passes over, where the
+    # ellipse reaches q <= 0 (no log is taken there: it is five times slower)
+    d = np.maximum(np.abs(mid) - half * a_rho, 0.0)
+    level = np.log(64.0 / (15.0 * (rho * rho - 1.0)) * half / (_SQRT_2PI * mass))
+    level += 0.5 * (np.square(half * b_rho) - np.square(d))
+    q_min = q_half * a_rho[..., None]
+    q_min += 2.0 * dq
+    q_max = q_min + np.abs(q_mid)
+    np.subtract(q_mid, q_min, out=q_min)
+    far = q_min <= 0.0
+    q_min[far] = 1.0
+    # M = s q_max (max(|ln q_min|, ln q_max) + pi / 2), in place
+    level_g = np.abs(np.log(q_min, out=q_min), out=q_min)
+    np.maximum(level_g, np.log(q_max), out=level_g)
+    level_g += 0.5 * math.pi
+    level_g *= q_max
+    level_g *= s
+    level_g = np.log(level_g, out=level_g)
+    level_g += level[:, :, None]
+    level_g[far] = np.nan
+
+    ln_rho = np.log(rho)[..., None]
+    bounds = [np.exp(np.fmin.reduce(level_g - (2 * n - 2) * ln_rho)).sum(axis=2) for n in _LADDER]
+    fixed = 1.01 * np.stack(bounds) + 2.0**-900 * (1.0 + largest) / mass
+    reach = fixed <= np.maximum(2.0 * _RTOL * (largest + _ATOL), _ATOL)
+    return fixed, drift, reach
+
+
+def _integrate(groups, loc, scale, mass, f, outputs: int, lines=None) -> tuple:
+    """E[f(x)] of every row by ``_gl_rows``, by proof on the certified
+    ladder where ``lines`` describes the outputs, else on the schedule.
 
     ``groups`` holds (rows, edges) pairs that between them take each row of
     ``loc``, ``scale`` and ``mass`` once: the row indices of one panel
-    count and their standardized panel edges.  Per group, n starts at
-    ``_INITIAL_NODES`` and doubles.  Acceptance is per output: an output of
-    a row settles at the first n where its estimate agrees with the one at
-    n / 2 to ``_RTOL`` relative (``_ATOL`` absolute near zero), and keeps
-    that estimate, that n and that change.  A row stays on the schedule
-    until every one of its outputs has settled.  Since a row's estimates do
-    not depend on the rows or outputs computed with it, each output has the
-    bits of a pass that integrates it alone.
+    count and their standardized panel edges.  Acceptance is per output,
+    and a row is computed while any of its outputs is unsettled; as a row's
+    estimates do not depend on the rows or outputs computed with it, each
+    output has the bits of a pass that integrates it alone.
 
-    ``first_rung``, for one output, proves the agreement of the first two
-    rungs instead of running the first: called on a single-panel group as
-    ``first_rung(edges, loc, scale, mass, estimates)`` with the estimates at
-    2 * ``_INITIAL_NODES`` nodes, it returns per row proved bounds on the
-    errors of the estimates at ``_INITIAL_NODES`` and at twice that, whose
-    sum bounds the change between them.  A row whose sum is within the
-    tolerance settles at twice ``_INITIAL_NODES`` with that estimate, as
-    the agreement test would settle it, and keeps the sum as its change;
-    the other rows take the schedule from its first rung.
+    ``lines``, one (c, m, s) per output, says output k is s q ln q with q =
+    c + m x (``_rate_proof``).  Then an output settles at the first n of
+    ``_LADDER`` whose proved bound on |c_n - I| is within ``_RTOL`` of
+    |c_n| (``_ATOL`` near zero), keeping c_n and the bound; a row skips a
+    rung that cannot settle it.  The other outputs take the schedule: n
+    starts at ``_INITIAL_NODES`` and doubles, and an output settles at the
+    first n where its estimate agrees with the one at n / 2 to the same
+    tolerance, keeping that estimate, n and change.
 
     Returns (values, nodes, deltas, errors): (rows, outputs) arrays of each
-    output's accepted estimate, its n and its change from the estimate
-    before (or its bound), nan where the output was still unsettled once
-    ``_MAX_NODES`` was tried; and per output one error list, NoConvergence
-    on those rows and None on the others.
+    output's accepted estimate, its n and its change or bound, nan where
+    the output was still unsettled once ``_MAX_NODES`` was tried; and per
+    output one error list, NoConvergence on those rows and None on the
+    others.
     """
     values, nodes, deltas = np.full((3, len(loc), outputs), np.nan)
 
-    def settle(rows, edges, unsettled, current, delta, n):
-        """Settle the outputs whose change ``delta`` is within tolerance at
-        n; returns the rows still unsettled, with their edges, their
-        unsettled outputs and their ``current``."""
+    def settle(rows, unsettled, current, delta, n):
+        """Record the outputs of ``rows`` in ``unsettled`` whose change or
+        bound ``delta`` is within tolerance at n; returns those left."""
         settled = unsettled & (delta <= np.maximum(_RTOL * np.abs(current), _ATOL))
         row, output = np.nonzero(settled)
         done = rows[row], output
         values[done], nodes[done], deltas[done] = current[settled], n, delta[settled]
-        unsettled = unsettled & ~settled
-        live = unsettled.any(axis=1)
-        return rows[live], edges[live], unsettled[live], current[live]
+        return unsettled & ~settled
 
     for rows, edges in groups:
-        n, previous, ahead = _INITIAL_NODES, None, None
         unsettled = np.ones((len(rows), outputs), dtype=bool)
-        if first_rung is not None and edges.shape[1] == 2 and rows.size:
-            picked = loc[rows], scale[rows], mass[rows]
-            ahead = _gl_rows(edges, *picked, f, 2 * n, outputs)
-            bound = np.add(*first_rung(edges, *picked, ahead[:, 0]))[:, None]
-            rows, edges, unsettled, ahead = settle(rows, edges, unsettled, ahead, bound, 2 * n)
+        if lines is not None and rows.size:
+            fixed, drift, reach = _rate_proof(edges, loc[rows], scale[rows], mass[rows], lines)
+            for r, n in enumerate(_LADDER):
+                run = np.flatnonzero((unsettled & reach[r]).any(axis=1))
+                if run.size:
+                    picked = rows[run]
+                    current, spread, masses = _gl_rows(
+                        edges[run], loc[picked], scale[picked], mass[picked], f, n, outputs, True
+                    )
+                    bound = fixed[r, run] + 1.01 * (spread + (drift[run] * masses[:, None]).sum(axis=2))
+                    unsettled[run] = settle(picked, unsettled[run], current, bound, n)
+        live = unsettled.any(axis=1)
+        rows, edges, unsettled = rows[live], edges[live], unsettled[live]
+        n, previous = _INITIAL_NODES, None
         while rows.size and n <= _MAX_NODES:
-            if ahead is not None and n == 2 * _INITIAL_NODES:
-                current = ahead
-            else:
-                current = _gl_rows(edges, loc[rows], scale[rows], mass[rows], f, n, outputs)
+            current = _gl_rows(edges, loc[rows], scale[rows], mass[rows], f, n, outputs)
             if previous is not None:
-                delta = np.abs(current - previous)
-                rows, edges, unsettled, current = settle(rows, edges, unsettled, current, delta, n)
+                unsettled = settle(rows, unsettled, current, np.abs(current - previous), n)
+                live = unsettled.any(axis=1)
+                rows, edges, unsettled, current = rows[live], edges[live], unsettled[live], current[live]
             n, previous = 2 * n, current
     failure = f"expectation did not stabilize by n={_MAX_NODES} nodes per panel"
     errors = []
@@ -986,134 +1099,13 @@ def _integrate(groups, loc, scale, mass, f, outputs: int, first_rung=None) -> tu
     return values, nodes, deltas, errors
 
 
-@np.errstate(all="ignore")
-def _xlnx_rung_errors(edges, loc, scale, mass, estimate) -> tuple:
-    """Proved bounds, per single-panel row, on |c_n - I| for n = 200 and
-    400, where c_n is the n-node estimate of E[x ln x] that ``_gl_rows``
-    forms with f(x) = log(x) * x (``mir._xlnx_vec``), given ``estimate``,
-    c_400; nan or inf where no bound is found.
-
-    I is the exact integral of g(u) = half phi(t) f(x) / mass over u in
-    [-1, 1], with t = half u + mid and x = loc + scale t on the rounded
-    half, mid, loc, scale and mass, and each c_n is within E_n + R_n of it:
-
-    * E_n bounds the error of the exact n-node rule, 64 M / (15 (rho^2 - 1)
-      rho^(2n - 2)) for g analytic with |g| <= M in the Bernstein ellipse
-      E_rho (Trefethen, SIAM Review 2008, and ATAP Thm 19.3, whose rule has
-      n + 1 nodes), the least over the ``_RHOS`` whose ellipse keeps Re x >
-      0, away from the branch point of x ln x at x = 0.  There |x ln x| <=
-      |x| (|ln |x|| + pi) and |phi(t)| <= exp((Im t)^2 / 2) / sqrt(2 pi).
-    * R_n bounds the rounding: gamma_n of the dot product; per term the
-      nodes' one ulp, the rounding of t, x and the weight, numpy's exp and
-      log (``_EXP_ULPS``, ``_LOG_ULPS``) and the density's error growing
-      with t^2; and the weights' summed error (``_WEIGHT_ERRORS``) times
-      the largest |g|.  It needs three sums over the nodes of the exact
-      rule: of the density, at most 1 plus the mass's error from ``_ndtr``
-      (``_NDTR_RTOL``); of t^2 times it, at most E[t^2] = 1 - (hi phi(hi)
-      - lo phi(lo)) / z, the closed form behind mu and sigma2, or max t^2
-      times the first; and of |g|, at most max |x ln x| times the first,
-      or c_400 (within R_400 + E_200 + E_400 of either sum of g) plus twice
-      the window's largest negative, or positive, part of x ln x times the
-      first.  The first two are also within their own E_n of their
-      integrals.
-    First-order terms are taken times 1.01, which covers the second-order
-    terms and this bound's own rounding, all below 1e-9 relative; and a
-    2^-1000 term covers underflow.
-    """
-    u = 2.0**-53  # unit roundoff
-    lo, hi = edges[:, 0], edges[:, 1]
-    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)  # the bits _gl_rows forms
-    top = (np.abs(mid) + half) * (1.0 + 8.0 * u)  # the largest |t| on the panel
-    # the rounding of x at a node, and a window of x that holds every x
-    # and every rounded x
-    dx = u * (11.0 * np.abs(loc) + scale * (6.0 * top + 3.0 * np.abs(mid)))
-    x_lo = loc + scale * (mid - half) - 2.0 * dx
-    x_hi = loc + scale * (mid + half) + 2.0 * dx
-    log_lo, log_hi = np.log(x_lo), np.log(x_hi)
-    # the largest negative part of x ln x on the window (1/e at x = 1/e),
-    # its largest positive part, and the largest |ln x + 1|
-    inv_e = math.exp(-1.0)
-    negative = np.where(x_hi < inv_e, -x_hi * log_hi, np.maximum(-x_lo * log_lo, 0.0))
-    negative[(x_lo <= inv_e) & (inv_e <= x_hi)] = inv_e
-    positive = np.maximum(x_hi * log_hi, 0.0)
-    f_max = np.maximum(negative, positive)
-    slope = np.maximum(np.abs(log_lo + 1.0), np.abs(log_hi + 1.0)) + 4.0 * u
-
-    # the panel's mass over ``mass``: z's error, and the panel's overhang
-    # past [lo, hi] by rounding; then E[t^2] on the panel times that ratio
-    overhang = 4.0 * u * top / _SQRT_2PI
-    mass_ratio = 1.0 + u + (2.0 * _NDTR_RTOL + 2e-307 + overhang) / mass
-    phi_lo, phi_hi = _norm_pdf(edges.T)
-    ends = np.abs(hi * phi_hi) + np.abs(lo * phi_lo)
-    ends_error = (2.0 * _EXP_ULPS + 6.0 + top * top) * u * ends + 1e-300
-    moment = mass_ratio + (lo * phi_lo - hi * phi_hi + ends_error + overhang * top * top) / mass
-
-    # per rho, ln of 64 / (15 (rho^2 - 1)) times max |half phi(t) / mass|
-    # on E_rho; and the ln M of t^2 times the density and of g over it
-    a_rho, b_rho = 0.5 * (_RHOS + 1.0 / _RHOS), 0.5 * (_RHOS - 1.0 / _RHOS)
-    level = 0.5 * np.square(half * b_rho) + np.log(64.0 / (15.0 * (_RHOS * _RHOS - 1.0)))
-    level += np.log(half / (_SQRT_2PI * mass))
-    t_factor = 2.0 * np.log(np.abs(mid) + half * a_rho)
-    center, radius = loc + scale * mid, scale * half * a_rho + 2.0 * dx
-    log_min, log_max = np.log(center - radius), np.log(np.abs(center) + radius)
-    g_factor = log_max + np.log(np.maximum(np.abs(log_min), np.abs(log_max)) + math.pi)
-    g_factor[np.isnan(log_min)] = np.inf  # the ellipse reaches Re x <= 0
-
-    relative = u * (2.0 * _EXP_ULPS + 2.0 * _LOG_ULPS + 6.5 + 1.5 * mid * mid)
-    peak = half / (_SQRT_2PI * mass) * f_max  # the largest |g|
-
-    def rung(n: int) -> tuple:
-        """R_n as its factor on the sum of |g| and the rest of it, the
-        bound on the sum of the density, and E_n of g; each E_n doubled
-        for the rounding of its own evaluation."""
-        at_n = level - (2 * n - 2) * np.log(_RHOS)
-        e_density, e_second, e_g = (
-            2.0 * np.exp(logs.min(axis=0)) for logs in (at_n, at_n + t_factor, at_n + g_factor)
-        )
-        density = mass_ratio + e_density
-        second = np.minimum(top * top * density, moment + e_second)
-        rest = 6.0 * u * f_max * second + slope * dx * density + _WEIGHT_ERRORS[n] * peak
-        rest = 1.01 * rest + 2.0**-1000 * (n + half / mass) * (1.0 + f_max)
-        return 1.01 * (n * u / (1.0 - n * u) + relative), rest, density, e_g
-
-    rungs = rung(200), rung(400)
-    factor, rest, density, _ = rungs[1]
-    spread = factor * f_max * density + rest + rungs[0][3] + rungs[1][3]
-    top_g, bottom_g = estimate + spread, estimate - spread
-    return tuple(
-        e_g + rest + factor * np.minimum(
-            f_max * density,
-            np.minimum(top_g + 2.0 * negative * density, 2.0 * positive * density - bottom_g),
-        )
-        for factor, rest, density, e_g in rungs
-    )
-
-
-def _expectations(columns: SpecColumns, f, outputs: int) -> tuple:
+def _expectations(columns: SpecColumns, f, outputs: int, lines=None) -> tuple:
     """E of each of the ``outputs`` arrays ``f`` yields (see ``_gl_rows``)
-    under each row of ``columns``, by one ``_integrate`` pass, with that
-    pass's (values, nodes, deltas, errors).  Rows are grouped by panel count
-    (``_panel_edges``), never padded."""
+    under each row of ``columns``: the ``_integrate`` result of one pass
+    (``lines`` as it takes them), rows grouped by panel count."""
     return _integrate(
         _panel_edges(columns).values(), columns.mu_bar, columns.sigma_bar, columns.z,
-        f, outputs,
-    )
-
-
-def _xlnx_rows(columns: SpecColumns, xlnx) -> tuple:
-    """E[x ln x] under each row of ``columns``, for ``xlnx`` =
-    ``mir._xlnx_vec``, as ``expectation_rows(columns, xlnx)`` gives it,
-    except that single-panel rows take the certified first rung
-    (``_xlnx_rung_errors``): a row whose proved bound on the 200/400-node
-    change is within the tolerance settles at 400 nodes with the value the
-    agreement test would accept, without the 200-node pass, and its delta is
-    that bound."""
-    return _output(
-        _integrate(
-            _panel_edges(columns).values(), columns.mu_bar, columns.sigma_bar, columns.z,
-            lambda x: (xlnx(x),), 1, first_rung=_xlnx_rung_errors,
-        ),
-        0,
+        f, outputs, lines,
     )
 
 
@@ -1142,11 +1134,9 @@ def expectation(spec: TruncatedGaussianSpec, f: Callable[[np.ndarray], np.ndarra
     relative (or 1e-14 absolute near zero); integration is restricted to the
     part of [a, b] within 40 parent sigmas of mu_bar, outside which the
     density underflows to zero.  The one-spec case of ``expectation_rows``.
-    This generic path always runs the 200-node pass; E[x ln x] for the
-    rates goes through ``_xlnx_rows``, whose first rung may be certified
-    instead: there a single-panel row settles at 400 nodes with the same
-    value, and its reported change (``refine_delta``) is the proved bound
-    on the 200/400 change.
+    This generic path always runs the schedule; the rate integrals of
+    ``mir`` settle at 32, 64 or 128 nodes per panel where a proved error
+    bound is within that tolerance (``_integrate``).
 
     Raises NoConvergence if the estimates have not stabilized by 1600 nodes.
     """

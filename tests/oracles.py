@@ -379,8 +379,9 @@ def all_pairs_discrete(spec: ReceptorSpec, dist: TruncatedGaussianSpec, delta_t:
 def gl_estimate(spec: TruncatedGaussianSpec, f, n: int, edges) -> float:
     """One Gauss-Legendre estimate of E[f(x)] with n nodes on each panel.
 
-    Builds each panel's nodes and weights in turn, concatenates them and
-    sums with one 1-D dot product: the one-spec form that the batched
+    Builds each panel's nodes and weights in turn, stacks them one panel
+    per row and sums the weighted terms per panel, then over the panels,
+    each a 1-D ``np.add.reduce``: the one-spec form that the batched
     ``expectation_rows`` must reproduce bit for bit in every row.
     """
     nodes, weights = _gl_nodes(n)
@@ -393,7 +394,39 @@ def gl_estimate(spec: TruncatedGaussianSpec, f, n: int, edges) -> float:
         w_parts.append(half * weights * _norm_pdf(ts))
     xs = np.concatenate(xs_parts)
     ws = np.concatenate(w_parts) / spec.z
-    return float(ws @ np.asarray(f(xs), dtype=float))
+    terms = (ws * np.asarray(f(xs), dtype=float)).reshape(len(edges) - 1, n)
+    return float(np.add.reduce([np.add.reduce(panel) for panel in terms]))
+
+
+def rate_integral(spec: TruncatedGaussianSpec, c: float = 0.0, m: float = 1.0, base2: bool = False):
+    """E[g(x)] with g = q ln q (q log2 q with ``base2``), q = c + m x, by
+    40-digit mpmath; an mpmath number.
+
+    Integrates phi(t) g(mu_bar + sigma_bar t) / z in the standardized
+    variable over each panel of ``scalar_edges(spec)``, as ``_gl_rows``
+    rounds it: [mid - half, mid + half] with half = (t1 - t0) / 2 and mid =
+    (t1 + t0) / 2 in floats, split at every integer t.  Every input is a
+    float as the package holds it, so this is the integral that the
+    package's quadrature approximates and its certificate bounds; the
+    rounded panels and the float z move it from E[g] by about 1e-16
+    relative.  No package arithmetic but the edges.
+    """
+    edges = scalar_edges(spec)
+    with mp.workdps(40):
+        loc, scale, cc, mm = (mp.mpf(v) for v in (spec.mu_bar, spec.sigma_bar, c, m))
+        unit = 1 / mp.log(2) if base2 else mp.mpf(1)
+
+        def integrand(t):
+            q = cc + mm * (loc + scale * t)
+            return mp.npdf(t) * (q * mp.log(q) * unit if q > 0 else 0)
+
+        total = mp.mpf(0)
+        for t0, t1 in zip(edges, edges[1:]):
+            half, mid = mp.mpf(0.5 * (t1 - t0)), mp.mpf(0.5 * (t1 + t0))
+            lo, hi = mid - half, mid + half
+            points = [lo, *range(int(mp.floor(lo)) + 1, int(mp.ceil(hi))), hi]
+            total += mp.quad(integrand, points)
+        return total / mp.mpf(spec.z)
 
 
 def density(spec: TruncatedGaussianSpec, x):

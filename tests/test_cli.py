@@ -84,11 +84,12 @@ class TestMir:
         assert set(payload["diagnostics"]) == keys
 
     def test_quadrature_cost_diagnostics(self, point_config, capsys):
-        # settled at 400 nodes per panel
+        # certified at the ladder's first rung, 32 nodes on each of the 19
+        # graded panels of [1e-5, 2]; refine_delta is the proved bound
         assert main(["mir", "--config", str(point_config)]) == 0
         diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
-        assert diagnostics["nodes"] == 400
-        assert 0.0 <= diagnostics["refine_delta"] <= 1e-12
+        assert diagnostics["nodes"] == 32
+        assert 0.0 < diagnostics["refine_delta"] <= 1e-14
 
     def test_numerical_failure_exit_code(self, point_config, capsys):
         code = main(["mir", "--config", str(point_config), "--method", "discrete", "--delta-t", "0.9"])
@@ -627,9 +628,10 @@ class TestShippedConfigs:
     # sha256 of the 8x8 sweep of every deterministic method on [1e-5, 2],
     # where graded panels are active; it pins the series, s=4 and discrete
     # bytes that no committed results file covers
-    PANEL_CSV = "93f19b45c555b0cbbb1c60f65293737b5b3ff2bc58b506beda719539066aa748"
+    PANEL_CSV = "37fc126c87b1abce973cf6ff26d0530df619e7dca25706700a7d9513bbe2598c"
 
-    def test_panel_sweep_csv_frozen(self, tmp_path):
+    @staticmethod
+    def panel_config(tmp_path) -> Path:
         doc = {
             "receptor": json.loads((CONFIG_DIR / "chr2_receptor.json").read_text()),
             "sweep": {
@@ -645,9 +647,36 @@ class TestShippedConfigs:
         }
         config = tmp_path / "panel.json"
         config.write_text(json.dumps(doc))
+        return config
+
+    def test_panel_sweep_csv_frozen(self, tmp_path):
         out = tmp_path / "panel.csv"
-        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["sweep", "--config", str(self.panel_config(tmp_path)), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PANEL_CSV
+
+    def test_sweeps_keep_their_bytes_under_another_blas_kernel(self, tmp_path):
+        # no BLAS routine lies on the way to an output byte: the three
+        # shipped sweeps and the panel sweep, rerun in a fresh interpreter
+        # with OpenBLAS forced to its Haswell kernels, give the same bytes
+        runs = [(CONFIG_DIR / f"{name}.json", tmp_path / f"{name}.csv")
+                for name in ("capacity_surface", "chr2_mean_sweep", "chr2_spread_sweep")]
+        runs.append((self.panel_config(tmp_path), tmp_path / "panel.csv"))
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+        src = str(CONFIG_DIR.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        body = (
+            "import sys\n"
+            "from transduction_mir.cli import main\n"
+            "for config, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+            "    assert main(['sweep', '--config', config, '--out', out]) == 0\n"
+        )
+        argv = [str(path) for run in runs for path in run]
+        proc = subprocess.run([sys.executable, "-c", body, *argv], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        for config, out in runs[:3]:
+            assert out.read_bytes() == (RESULTS_DIR / out.name).read_bytes()
+        assert hashlib.sha256(runs[3][1].read_bytes()).hexdigest() == self.PANEL_CSV
 
 
 class TestNoScipyAtRuntime:

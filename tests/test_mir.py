@@ -37,12 +37,13 @@ from transduction_mir.mir import (
     MirResult,
     _discrete_rows,
     _quadrature_rows,
+    _rate_integrals,
     _rate_pass,
     _xlnx_vec,
 )
 from transduction_mir.receptor import ReceptorSpec, Transition, mean_chain_rows, step_kernel
 from transduction_mir.sweep import GridAxis, SweepConfig, run_sweep
-from transduction_mir.truncgauss import _columns, _output, expectation_rows
+from transduction_mir.truncgauss import _columns, _expectations, _output, expectation_rows
 from conftest import five_state_receptor, random_valid_dist
 from oracles import all_pairs_discrete, pair_integrand, scalar_discrete, sensitive_pairs
 
@@ -285,7 +286,12 @@ class TestDiscrete:
             got = mir_discrete(spec, dist, dt)
             value, diagonal, off_diagonal = all_pairs_discrete(spec, dist, dt)
             assert got.value == pytest.approx(value, rel=1e-10, abs=0.0)
-            assert got.diagnostics["diagonal_bits_per_s"] == diagonal
+            # the oracle integrates each entry on the doubling schedule, the
+            # rate on the certified ladder: each E[phi] within 1e-14 of the
+            # other, for at most five diagonal entries, over delta_t
+            assert got.diagnostics["diagonal_bits_per_s"] == pytest.approx(
+                diagonal, rel=0.0, abs=1e-13 / dt
+            )
             assert got.diagnostics["off_diagonal_bits_per_s"] == pytest.approx(
                 off_diagonal, rel=1e-10, abs=0.0
             )
@@ -477,7 +483,7 @@ class TestQuadratureRows:
     def test_rows_equal_one_point_calls(self, spec):
         dists = _grid_dists()
         chains = mean_chain_rows(spec, [d.mu for d in dists])
-        e_xlnx = expectation_rows(_columns(dists), _xlnx_vec)
+        e_xlnx = _output(_rate_integrals(_columns(dists)), 0)
         values, gaps, errors = _quadrature_rows(np.array([d.mu for d in dists]), chains, e_xlnx)
         for dist, value, gap, error in zip(dists, values, gaps, errors):
             got = (type(error).__name__, str(error)) if error else (value, gap)
@@ -485,8 +491,11 @@ class TestQuadratureRows:
             if isinstance(expected, MirResult):
                 expected = (expected.value, expected.gap_nats)
                 _, gain, _ = mean_chain_rows(spec, [dist.mu])
-                e_value = expectation(dist, _xlnx_vec)
+                e_value = _output(_rate_integrals(_columns([dist])), 0)[0][0]
                 assert value == gain[0] * (e_value - dist.mu * np.log(dist.mu))
+                # the generic schedule's E[x ln x] within the tolerance
+                generic = expectation(dist, _xlnx_vec)
+                assert abs(e_value - generic) <= 2.0 * max(1e-12 * abs(generic), 1e-14)
             else:
                 assert np.isnan(value) and np.isnan(gap)
             assert got == expected
@@ -551,7 +560,9 @@ class TestDiscreteRows:
             assert expected.value == value and expected.gap_nats == gap_nats
             assert expected.diagnostics["diagonal_bits_per_s"] == diagonal
             assert expected.diagnostics["off_diagonal_bits_per_s"] == off_diagonal
-            assert (value, diagonal) == scalar_discrete(spec, dist, delta_t)
+            # the oracle integrates every entry on the doubling schedule
+            oracle = scalar_discrete(spec, dist, delta_t)
+            assert (value, diagonal) == pytest.approx(oracle, rel=1e-10, abs=1e-13 / delta_t)
         # the step kernel is checked first, then the mean chain
         kind = "NotIrreducible" if spec is REDUCIBLE else "NoneType"
         assert {type(e).__name__ for e in errors} == {"StepTooLarge" if delta_t > 0.5 else kind}
@@ -565,7 +576,7 @@ class TestDiscreteRows:
             chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
             fused = _rate_pass(unit_chr2, columns, b, 0.4)
             assert fused[1][0].shape == (len(dists), 2 if kind == "NoneType" else 1)
-            lone = expectation_rows(columns, _xlnx_vec)
+            lone = _output(_rate_integrals(columns), 0)
             assert _output(fused[1], 0)[0].tobytes() == lone[0].tobytes()
             rates, errors = _discrete_rows(unit_chr2, columns, 0.4, chains, fused)
             assert [type(e).__name__ for e in errors] == [kind] * len(dists)
@@ -628,25 +639,38 @@ class TestRatePass:
         (const, lin), result = _rate_pass(spec, columns, b, delta_t)
         y = np.flatnonzero(np.diagonal(spec.slope)).tolist()
         integrands = [_xlnx_vec] + [pair_integrand(const[i, i], lin[i, i]) for i in y]
+        lines = [(0.0, 1.0, 1.0)] + [(const[i, i], lin[i, i], 1.0 / math.log(2.0)) for i in y]
         assert result[0].shape == (len(dists), len(integrands))
-        for k, f in enumerate(integrands):
-            fused, lone = _output(result, k), expectation_rows(columns, f)
+        for k, (f, line) in enumerate(zip(integrands, lines)):
+            lone = _output(_expectations(columns, lambda x: (f(x),), 1, np.array([line])), 0)
+            fused = _output(result, k)
             for got, want in zip(fused[:3], lone[:3]):
                 assert got.tobytes() == want.tobytes()
             assert fused[3] == lone[3] == [None] * len(dists)
+        # most outputs settle by proof, at a rung of the ladder
+        assert np.isin(result[1], (32, 64, 128)).mean() > 0.8
 
     def test_unsettled_entry_keeps_the_quadrature(self, unit_chr2, monkeypatch):
         # phi stepped by 1e-6 where the C1 diagonal 1 - x * 1e-3 passes
-        # x = 1.0137: the entry never settles on the windows that hold that
-        # x, and the discrete rate fails there alone; E[x ln x], an output
-        # of the same pass, settles and keeps the lone pass's bits
+        # x = 1.0137, and no proof for the entry (a step is not p log p):
+        # the entry never settles on the windows that hold that x, and the
+        # discrete rate fails there alone; E[x ln x], an output of the same
+        # pass, settles and keeps the lone pass's bits
         import transduction_mir.mir as mir_module
+        import transduction_mir.truncgauss as truncgauss
 
-        real = mir_module._plogp_vec
+        real, proof = mir_module._plogp_vec, truncgauss._rate_proof
         edge = 1.0 - 1.0137e-3
         monkeypatch.setattr(
             mir_module, "_plogp_vec", lambda p: real(p) + np.where(p < edge, 1e-6, 0.0)
         )
+
+        def unproved_entries(*args):
+            fixed, drift, reach = proof(*args)
+            fixed[..., 1:], reach[..., 1:] = np.inf, False
+            return fixed, drift, reach
+
+        monkeypatch.setattr(truncgauss, "_rate_proof", unproved_entries)
         config = SweepConfig(
             receptor=unit_chr2, a=0.02, b=2.0,
             mu_bar_grid=GridAxis(0.5, 1.5, 3), sigma_bar_grid=GridAxis(0.01, 0.5, 2),

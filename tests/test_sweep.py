@@ -245,14 +245,15 @@ class TestRunSweep:
         # x-dependent diagonal entry of every point for the discrete rate;
         # one moment recurrence over every point about 1 for the series, and
         # one over the points about 0 and about their means for the s=4
-        # bounds.  Quadrature calls as (rows, outputs, whether the first
-        # rung may be certified), recurrence calls as (rows, order)
+        # bounds.  Quadrature calls as (rows, outputs, whether the outputs
+        # are described for the certified ladder), recurrence calls as
+        # (rows, order)
         calls, recurrences = [], []
         integrate, recurrence = truncgauss._integrate, truncgauss._recurrence_rows
 
-        def quadrature_spy(*args, **kwargs):
-            calls.append((len(args[1]), args[5], kwargs.get("first_rung") is not None))
-            return integrate(*args, **kwargs)
+        def quadrature_spy(*args):
+            calls.append((len(args[1]), args[5], args[6] is not None))
+            return integrate(*args)
 
         monkeypatch.setattr(truncgauss, "_integrate", quadrature_spy)
         spy = lambda columns, center, order: (
@@ -269,10 +270,10 @@ class TestRunSweep:
         rows = run_sweep(config).rows()
         assert [row.status for row in rows] == ["ok"] * 64
         entries = len(np.flatnonzero(np.diagonal(unit_chr2.slope)))
-        assert calls == [(64, 1 + entries, False)]
+        assert calls == [(64, 1 + entries, True)]
         assert recurrences == [(64, config.series_k), (128, 4)]
-        # without the discrete rate, E[x ln x] is a pass of its own, whose
-        # single-panel rows may skip the 200-node pass
+        # without the discrete rate, E[x ln x] is a pass of its own, on the
+        # same certified ladder
         calls.clear()
         run_sweep(replace(config, methods=("quadrature", "bounds_s2")))
         assert calls == [(64, 1, True)]
