@@ -24,6 +24,7 @@ the formulas above evaluated in that arithmetic, one float at a time.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -40,19 +41,17 @@ from .errors import (
     unwrap,
 )
 
-from .mir import _xlnx_vec
-
-# stationary_distribution and raw_moments are not called here: perfbench's
-# tracer wraps ``bounds.stationary_distribution`` and ``bounds.raw_moments``,
-# and perfbench/tests/test_tracer.py looks up every wrapped name without a
-# default.  Remove them with those wraps.
-from .receptor import ReceptorSpec, mean_chain_rows, stationary_distribution  # noqa: F401
+# A name marked noqa: F401 is not called here: perfbench's tracer wraps it
+# (tests/test_layering.py); remove it together with that wrap.
+from .receptor import ReceptorSpec, mean_chain_rows
+from .receptor import stationary_distribution  # noqa: F401
 from .truncgauss import (
     TruncatedGaussianSpec,
     _columns,
     _fsum_rows,
     _moment_rows,
     _powers,
+    _xlogx,
     raw_moments,  # noqa: F401
 )
 
@@ -139,7 +138,7 @@ def _h_rows(x: np.ndarray, mu: np.ndarray, s: int) -> tuple[np.ndarray, list]:
     log_mu = np.log(mu)
     derivs = _f_derivatives(mu, log_mu)
     dx_pow = list(_powers(dx, s))
-    value = (_xlnx_vec(x) - mu * log_mu) / dx_pow[s]
+    value = (_xlogx(x, np.log) - mu * log_mu) / dx_pow[s]
     for i in range(1, s):
         value -= derivs[i - 1] / (math.factorial(i) * dx_pow[s - i])
     values = np.full(len(ok), np.nan)
@@ -154,11 +153,14 @@ def h_s(x: float, mu: float, s: int) -> float:
                    - sum_{i=1..s-1} f^(i)(mu) / (i! (x - mu)^(s-i))
 
     Only f(x) itself is evaluated at x, so x = 0 is fine via the continuous
-    extension.  Raises DegenerateArgument when |x - mu| < 1e-10; at the
-    expansion point h is its limit f^(s)(mu)/s!.  The one-row case of the
-    remainder kernel of ``_bounds_rows``.
+    extension.  Raises DomainError unless x and mu are finite numbers, and
+    DegenerateArgument when |x - mu| < 1e-10; at the expansion point h is
+    its limit f^(s)(mu)/s!.  The one-row case of the remainder kernel of
+    ``_bounds_rows``.
     """
     _check_order(s)
+    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (x, mu)):
+        raise DomainError(f"h_s requires finite numbers, got x={x!r}, mu={mu!r}")
     values, (error,) = _h_rows(np.array([x], dtype=float), np.array([mu], dtype=float), s)
     unwrap(error)
     return float(values[0])

@@ -80,10 +80,14 @@ def _distribution_from(doc: dict) -> TruncatedGaussianSpec:
 
 def _whole_number(value, name: str) -> int:
     """``int(value)`` for a config field that counts something; a float
-    must be whole (so not infinite or nan), never truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    must be whole (so not infinite or nan), never truncated, and a bool is
+    refused.  ConfigError names the field."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{name} must be a whole number, got {value}")
-    return int(value)
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def _axis_from(entry, name: str) -> GridAxis:
@@ -99,14 +103,7 @@ def _axis_from(entry, name: str) -> GridAxis:
 
 
 def _seed_from(doc: dict, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    try:
-        return _whole_number(doc.get("seed", 0), "seed")
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"seed: {exc}") from exc
+    return args.seed if args.seed is not None else _whole_number(doc.get("seed", 0), "seed")
 
 
 def _sweep_config(doc: dict, args, config_path: str) -> SweepConfig:

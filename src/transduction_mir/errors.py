@@ -59,8 +59,9 @@ class EmptySweep(MirError):
 
 def check_integer(value, name: str, error=ValidationError) -> None:
     """Raise ``error`` unless ``value`` is an integer: a count or an order
-    given as a float, even a whole one, is refused, never truncated."""
-    if not isinstance(value, numbers.Integral):
+    given as a float, even a whole one, is refused, never truncated, and so
+    is a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
 
 

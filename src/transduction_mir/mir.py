@@ -15,6 +15,7 @@ case of a row kernel (``_discrete_rows``, ``_quadrature_rows``,
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -33,12 +34,8 @@ from .errors import (
     unwrap,
 )
 
-# expectation, raw_moments, shifted_moment_vector and stationary_distribution
-# are not called here: perfbench's tracer wraps ``mir.expectation``,
-# ``mir.raw_moments``, ``mir.shifted_moment_vector`` and
-# ``mir.stationary_distribution``, and
-# perfbench/tests/test_tracer.py looks up every wrapped name without a
-# default.  Remove them together with those wraps.
+# A name marked noqa: F401 is not called here: perfbench's tracer wraps it
+# (tests/test_layering.py); remove it together with that wrap.
 from .receptor import (
     LN2,
     ReceptorSpec,
@@ -47,13 +44,14 @@ from .receptor import (
     step_kernel,
 )
 from .truncgauss import (
+    _XLNX_LINE,
     MAX_MOMENT_ORDER,
     TruncatedGaussianSpec,
     _columns,
-    _expectations,
     _fsum_rows,
-    _output,
+    _rate_rows,
     _recurrence_rows,
+    _xlogx,
     expectation,  # noqa: F401
     raw_moments,  # noqa: F401
     shifted_moment_vector,  # noqa: F401
@@ -127,23 +125,6 @@ def plogp(p: float) -> float:
     return float(_plogp_vec(np.float64(p)))
 
 
-def _xlogx(x: np.ndarray, log) -> np.ndarray:
-    """x * log(x) of every entry, 0 where x is not positive (0 log 0 = 0).
-
-    Formed in place in the array of log(x); x is not changed.  A 0-d x
-    gives a 0-d array.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = log(x)
-        positive = x > 0.0
-        if np.ndim(out) == 0:
-            return np.where(positive, x * out, 0.0)
-        out *= x
-    if not positive.all():
-        out[~positive] = 0.0
-    return out
-
-
 def _plogp_vec(p: np.ndarray) -> np.ndarray:
     """Vectorized p*log2(p) with the 0 log 0 = 0 extension; no domain check."""
     return _xlogx(p, np.log2)
@@ -156,22 +137,23 @@ def _xlnx_vec(x: np.ndarray) -> np.ndarray:
 
 def xlnx(x: float) -> float:
     """Scalar x * ln(x), 0 at x = 0; the convex function whose gap is the
-    rate, and the one-value case of ``_xlnx_vec``."""
-    if x < 0.0:
-        raise DomainError(f"x*ln(x) requires x >= 0, got {x}")
+    rate, and the one-value case of ``_xlnx_vec``.  Raises DomainError
+    unless x is a number >= 0 (nan is not)."""
+    if not (isinstance(x, numbers.Real) and x >= 0.0):
+        raise DomainError(f"x*ln(x) requires x >= 0, got {x!r}")
     return float(_xlnx_vec(np.float64(x)))
 
 
 def jensen_gap(dist: TruncatedGaussianSpec) -> float:
-    """E[x ln x] - mu ln(mu) in nats, by quadrature (``_rate_integrals``):
+    """E[x ln x] - mu ln(mu) in nats, by quadrature (``_rate_rows``):
     E[x ln x] within 1e-12 relative (1e-14 absolute near zero), proved at
     32, 64 or 128 nodes per panel, else where the doubling schedule agrees.
 
     Raises NoConvergence if E[x ln x] has not stabilized by 1600 nodes.
     """
-    values, _, _, (error,) = _output(_rate_integrals(_columns([dist])), 0)
+    values, _, _, ((error,),) = _rate_rows(_columns([dist]), [_XLNX_LINE])
     unwrap(error)
-    return float(_gap(values, np.array([dist.mu]))[0])
+    return float(_gap(values[0, 0], dist.mu))
 
 
 def _gap(e_xlnx: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -204,8 +186,8 @@ def mir_discrete(spec: ReceptorSpec, dist: TruncatedGaussianSpec, delta_t: float
     """
     columns = _columns([dist])
     chains = mean_chain_rows(spec, [dist.mu])
-    fused = _rate_pass(spec, columns, dist.b, delta_t)
-    rates, (error,) = _discrete_rows(spec, columns, delta_t, chains, fused)
+    kernel, integrals = _rate_pass(spec, columns, dist.b, delta_t)
+    rates, (error,) = _discrete_rows(spec, columns, delta_t, chains, kernel, integrals)
     unwrap(error)
     value, gap_nats, diagonal, off_diagonal = rates[0].tolist()
     return MirResult(
@@ -225,51 +207,41 @@ def _rate_pass(spec, columns, b, delta_t) -> tuple:
     """The one Gauss-Legendre pass of the finite-step rate at ``delta_t`` on
     a support that ends at ``b``, over every distribution of ``columns``.
 
-    Its outputs are E[x ln x], then E[phi(c + m*x)] of each x-dependent
-    diagonal entry c + m*x of P(x) in state order (``_rate_integrals``),
-    each with the bits of its lone pass.  Returns (kernel, integrals):
-    ``step_kernel``'s (C, L) at b, or the MirError it raises, and the
-    ``_integrate`` result, which holds E[x ln x] alone when the step kernel
-    fails.
+    Its outputs are the lines of ``_rate_rows``: E[x ln x], then E[phi(c +
+    m*x)] of each x-dependent diagonal entry c + m*x of P(x) in state order,
+    the line (c, m, 1 / ln 2), each with the bits of its lone pass.  Returns
+    (kernel, integrals): ``step_kernel``'s (C, L) at b, or the MirError it
+    raises, and the ``_rate_rows`` result, which holds E[x ln x] alone when
+    the step kernel fails.
     """
+    lines = [_XLNX_LINE]
     try:
         kernel = step_kernel(spec, delta_t, b)
     except MirError as exc:
-        return exc, _rate_integrals(columns)
-    y = np.flatnonzero(np.diagonal(spec.slope))
-    return kernel, _rate_integrals(columns, list(zip(kernel[0][y, y], kernel[1][y, y])))
+        kernel = exc
+    else:
+        y = np.flatnonzero(np.diagonal(spec.slope))
+        lines += [(c, m, 1.0 / LN2) for c, m in zip(kernel[0][y, y], kernel[1][y, y])]
+    return kernel, _rate_rows(columns, lines)
 
 
-def _rate_integrals(columns, entries=()) -> tuple:
-    """E[x ln x], then E[phi(c + m*x)] of each (c, m) of ``entries``, under
-    every distribution of ``columns``: the ``_integrate`` result of one
-    pass on the certified ladder, each output s q ln q with q = c + m x."""
-
-    def integrands(x):
-        yield _xlnx_vec(x)
-        for c, m in entries:
-            yield _plogp_vec(c + m * x)
-
-    lines = [(0.0, 1.0, 1.0)] + [(c, m, 1.0 / LN2) for c, m in entries]
-    return _expectations(columns, integrands, len(lines), np.array(lines, dtype=float))
-
-
-def _discrete_rows(spec, columns, delta_t, chains, fused) -> tuple[np.ndarray, list]:
+def _discrete_rows(spec, columns, delta_t, chains, kernel, integrals) -> tuple[np.ndarray, list]:
     """``mir_discrete`` at every distribution of the ``SpecColumns``, from
-    their rows of ``mean_chain_rows`` and their ``_rate_pass``, ``fused``.
+    their rows of ``mean_chain_rows`` and their ``_rate_pass``, ``kernel``
+    and ``integrals``.
 
     The off-diagonal part is gain * gap from those rows, with E[x ln x] and
     the E[phi(c + m*x)] of each x-dependent diagonal entry read from the
-    one pass.  Every row is computed; returns (rates, errors): per row the
-    rate, its Jensen gap in nats and its diagonal and off-diagonal parts in
-    bits/s, as a (rows, 4) array with nan on failed rows, and the MirError
-    ``mir_discrete`` raises for the row, or None.  The errors keep the
-    one-row order: ``step_kernel`` at b, which every row shares, the mean
+    columns of the one pass.  Every row is computed; returns (rates,
+    errors): per row the rate, its Jensen gap in nats and its diagonal and
+    off-diagonal parts in bits/s, as a (rows, 4) array with nan on failed
+    rows, and the MirError ``mir_discrete`` raises for the row, or None.
+    The errors keep the one-row order: ``step_kernel`` at b, which every row shares, the mean
     chain, the diagonal entries in state order, E[x ln x], then the
     ``MirResult`` floor.  A row whose entry never settles fails here, and
     keeps its E[x ln x] for ``_quadrature_rows``.
     """
-    kernel, (values, _, _, output_errors) = fused
+    values, _, _, output_errors = integrals
     if isinstance(kernel, MirError):
         return np.full((len(columns.mu), 4), np.nan), [kernel] * len(columns.mu)
     const, lin = kernel
@@ -301,11 +273,11 @@ def mir_quadrature(spec: ReceptorSpec, dist: TruncatedGaussianSpec) -> MirResult
     one-row case of ``_quadrature_rows``.
     """
     chains = mean_chain_rows(spec, [dist.mu])
-    e_xlnx = _output(_rate_integrals(_columns([dist])), 0)
-    values, gaps, (error,) = _quadrature_rows(np.array([dist.mu]), chains, e_xlnx)
+    integrals = _rate_rows(_columns([dist]), [_XLNX_LINE])
+    values, gaps, (error,) = _quadrature_rows(np.array([dist.mu]), chains, integrals)
     unwrap(error)
     pi, gain, _ = chains
-    _, nodes, delta, _ = e_xlnx
+    _, nodes, delta, _ = integrals
     return MirResult(
         value=float(values[0]),
         method="quadrature",
@@ -313,24 +285,25 @@ def mir_quadrature(spec: ReceptorSpec, dist: TruncatedGaussianSpec) -> MirResult
         gap_nats=float(gaps[0]),
         diagnostics={
             "pi": tuple(pi[0].tolist()),
-            "nodes": int(nodes[0]),
-            "refine_delta": float(delta[0]),
+            "nodes": int(nodes[0, 0]),
+            "refine_delta": float(delta[0, 0]),
         },
     )
 
 
-def _quadrature_rows(mu: np.ndarray, chains: tuple, e_xlnx: tuple) -> tuple:
+def _quadrature_rows(mu: np.ndarray, chains: tuple, integrals: tuple) -> tuple:
     """``mir_quadrature`` at every distribution, from its truncated mean
-    ``mu[i]`` and its rows of ``mean_chain_rows`` and of E[x ln x]
-    (output 0 of ``_rate_integrals``, alone or in ``_rate_pass``).
+    ``mu[i]`` and its rows of ``mean_chain_rows`` and of ``integrals``, a
+    ``_rate_rows`` result whose output 0 is E[x ln x] (alone, or in
+    ``_rate_pass``).
 
     Returns (values, gaps, errors): per row the rate gain * (E[x ln x] -
     mu ln mu) in bits/s and the gap in nats, nan on failed rows, and the
     MirError ``mir_quadrature`` raises for the row, or None: the mean
     chain's, E[x ln x]'s, then the ``MirResult`` floor's.
     """
-    errors = merge_rows(chains[2], e_xlnx[3])
-    gaps = _gap(e_xlnx[0], mu)
+    errors = merge_rows(chains[2], integrals[3][0])
+    gaps = _gap(integrals[0][:, 0], mu)
     values = chains[1] * gaps
     _mark_floor(errors, "quadrature", values, _RATE_FLOOR)
     failed = ~live_rows(errors)

@@ -37,17 +37,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# mir_bounds, mir_discrete, mir_quadrature and mir_series are not called
-# here: the sweep runs their row kernels on precomputed rows.  perfbench's
-# tracer wraps these names, and perfbench/tests/test_tracer.py looks each up
-# without a default; remove them together with those wraps.
-from .bounds import _bounds_rows, mir_bounds  # noqa: F401
+# A name marked noqa: F401 is not called here (the sweep runs the row
+# kernels): perfbench's tracer wraps it (tests/test_layering.py); remove it
+# together with that wrap.
+from .bounds import _bounds_rows
+from .bounds import mir_bounds  # noqa: F401
 from .errors import ConfigError, EmptySweep, MirError, ValidationError, check_integer, live_rows
 from .mcsim import estimate_mir, simulate
 from .mir import (
     _discrete_rows,
     _quadrature_rows,
-    _rate_integrals,
     _rate_pass,
     _series_rows,
     mir_discrete,  # noqa: F401
@@ -55,12 +54,7 @@ from .mir import (
     mir_series,  # noqa: F401
 )
 from .receptor import ReceptorSpec, mean_chain_rows
-from .truncgauss import (
-    MAX_MOMENT_ORDER,
-    TruncatedGaussianSpec,
-    _output,
-    _spec_rows,
-)
+from .truncgauss import _XLNX_LINE, MAX_MOMENT_ORDER, TruncatedGaussianSpec, _rate_rows, _spec_rows
 
 
 @dataclass(frozen=True)
@@ -199,22 +193,24 @@ _METHOD_COLUMNS = {
 VALID_METHODS = tuple(_METHOD_COLUMNS)
 
 
-def _method_columns(config: SweepConfig, method, indices, valid, chains, e_xlnx, fused) -> tuple:
+def _method_columns(config: SweepConfig, method, indices, valid, chains, kernel, integrals) -> tuple:
     """(columns, errors): per ``_METHOD_COLUMNS`` field of ``method`` its
     values at the valid points, nan where the method fails with the error in
     ``errors``.  ``indices`` holds each point's grid index, ``valid``,
-    ``chains`` and ``e_xlnx`` its rows of the spec columns and of the mean
-    chain and E[x ln x] passes, and ``fused`` its ``_rate_pass`` (None
-    unless the discrete rate runs).  Every method but Monte Carlo is one
-    pass over the points; Monte Carlo runs point by point."""
+    ``chains`` and ``integrals`` its rows of the spec columns, the mean
+    chains and the one rate pass (output 0 is E[x ln x]), and ``kernel``
+    that pass's step kernel (None unless the discrete rate runs).  Every
+    method but Monte Carlo is one pass over the points; Monte Carlo runs
+    point by point."""
     if method == "quadrature":
-        values, _, errors = _quadrature_rows(valid.mu, chains, e_xlnx)
+        values, _, errors = _quadrature_rows(valid.mu, chains, integrals)
         return (values,), errors
     if method == "series":
         values, _, errors = _series_rows(valid, config.series_k, chains)
         return (values,), errors
     if method == "discrete":
-        rates, errors = _discrete_rows(config.receptor, valid, config.delta_t, chains, fused)
+        spec, delta_t = config.receptor, config.delta_t
+        rates, errors = _discrete_rows(spec, valid, delta_t, chains, kernel, integrals)
         return (rates[:, 0],), errors
     if method in ("bounds_s2", "bounds_s4"):
         gap_lower, gap_upper, _, gain, errors = _bounds_rows(valid, int(method[-1]), chains)
@@ -347,20 +343,19 @@ def run_sweep(config: SweepConfig) -> SweepTable:
         values[name][indices], present[name][indices] = column, True
 
     chains = mean_chain_rows(config.receptor, valid.mu.tolist())
-    # E[x ln x] of every point: an output of the discrete rate's one pass
-    # when that rate runs, else a pass of its own
-    e_xlnx = fused = None
+    # E[x ln x] of every point, with the diagonal entries' E[p log p] as
+    # further outputs of the same pass when the discrete rate runs
+    kernel = integrals = None
     if "discrete" in config.methods:
-        fused = _rate_pass(config.receptor, valid, config.b, config.delta_t)
-        e_xlnx = _output(fused[1], 0)
+        kernel, integrals = _rate_pass(config.receptor, valid, config.b, config.delta_t)
     elif "quadrature" in config.methods:
-        e_xlnx = _output(_rate_integrals(valid), 0)
+        integrals = _rate_rows(valid, [_XLNX_LINE])
     # VALID_METHODS order, whatever order the config lists them in
     for method in VALID_METHODS:
         if method not in config.methods:
             continue
         columns, errors = _method_columns(
-            config, method, indices.tolist(), valid, chains, e_xlnx, fused
+            config, method, indices.tolist(), valid, chains, kernel, integrals
         )
         held = live_rows(errors)
         for name, column in zip(_METHOD_COLUMNS[method], columns):

@@ -6,18 +6,20 @@ closed-form truncated mean/variance, moment tables (orders up to 2 from
 those closed forms, higher orders by a three-term recurrence), inverse-CDF
 sampling through the module's own AS 241 quantile, and the one
 Gauss-Legendre engine behind every integral against the density:
-``_integrate`` runs over groups of rows, each pass one ``_gl_rows`` call
-over many specs.  Integrals against the same density can be the outputs of
-one pass (``_expectations``); each output settles on its own, so it has the
-bits of a pass that integrates it alone.  The rate integrals, s q ln q with
-q linear in x, settle by proof on the rungs of ``_LADDER``
-(``_rate_proof``); other integrands, and outputs no rung settles, where
-the node-doubling schedule's estimates agree.
+``_integrate`` groups the rows of many specs by panel count, each pass one
+``_gl_rows`` call.  Integrals against the same density can be the outputs
+of one pass; each output settles on its own, so it has the bits of a pass
+that integrates it alone.  The rate integrals, s q ln q with q linear in x,
+enter as lines (c, m, s) through ``_rate_rows``, which evaluates each line
+and settles it by proof on the rungs of ``_LADDER`` (``_rate_proof``);
+other integrands (``expectation_rows``), and outputs no rung settles, settle
+where the node-doubling schedule's estimates agree.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -770,7 +772,7 @@ def shifted_moment_vector(spec: TruncatedGaussianSpec, center: float, order: int
     check_integer(order, "order")
     if order < 0:
         raise ValidationError(f"order must be >= 0, got {order}")
-    if not math.isfinite(center):
+    if not (isinstance(center, numbers.Real) and math.isfinite(center)):
         raise ValidationError(f"center must be a finite number, got {center!r}")
     values, (error,) = _recurrence_rows(_columns([spec]), center, order)
     unwrap(error)
@@ -1031,25 +1033,22 @@ def _rate_proof(edges, loc, scale, mass, lines) -> tuple:
     return fixed, drift, reach
 
 
-def _integrate(groups, loc, scale, mass, f, outputs: int, lines=None) -> tuple:
-    """E[f(x)] of every row by ``_gl_rows``, by proof on the certified
-    ladder where ``lines`` describes the outputs, else on the schedule.
+def _integrate(columns: SpecColumns, f, outputs: int, lines=None) -> tuple:
+    """E[f(x)] under every row of ``columns`` by ``_gl_rows``, the rows
+    grouped by panel count (``_panel_edges``); ``f`` acts entry by entry
+    and yields ``outputs`` arrays.  Acceptance is per output, and a row is
+    computed while any of its outputs is unsettled; as a row's estimates do
+    not depend on the rows or outputs computed with it, each output has the
+    bits of a pass that integrates it alone.
 
-    ``groups`` holds (rows, edges) pairs that between them take each row of
-    ``loc``, ``scale`` and ``mass`` once: the row indices of one panel
-    count and their standardized panel edges.  Acceptance is per output,
-    and a row is computed while any of its outputs is unsettled; as a row's
-    estimates do not depend on the rows or outputs computed with it, each
-    output has the bits of a pass that integrates it alone.
-
-    ``lines``, one (c, m, s) per output, says output k is s q ln q with q =
-    c + m x (``_rate_proof``).  Then an output settles at the first n of
-    ``_LADDER`` whose proved bound on |c_n - I| is within ``_RTOL`` of
-    |c_n| (``_ATOL`` near zero), keeping c_n and the bound; a row skips a
-    rung that cannot settle it.  The other outputs take the schedule: n
-    starts at ``_INITIAL_NODES`` and doubles, and an output settles at the
-    first n where its estimate agrees with the one at n / 2 to the same
-    tolerance, keeping that estimate, n and change.
+    ``lines``, one (c, m, s) per output from ``_rate_rows``, says output k
+    is s q ln q with q = c + m x (``_rate_proof``).  Then an output settles
+    at the first n of ``_LADDER`` whose proved bound on |c_n - I| is within
+    ``_RTOL`` of |c_n| (``_ATOL`` near zero), keeping c_n and the bound; a
+    row skips a rung that cannot settle it.  The other outputs take the
+    schedule: n starts at ``_INITIAL_NODES`` and doubles, and an output
+    settles at the first n where its estimate agrees with the one at n / 2
+    to the same tolerance, keeping that estimate, n and change.
 
     Returns (values, nodes, deltas, errors): (rows, outputs) arrays of each
     output's accepted estimate, its n and its change or bound, nan where
@@ -1057,6 +1056,7 @@ def _integrate(groups, loc, scale, mass, f, outputs: int, lines=None) -> tuple:
     output one error list, NoConvergence on those rows and None on the
     others.
     """
+    loc, scale, mass = columns.mu_bar, columns.sigma_bar, columns.z
     values, nodes, deltas = np.full((3, len(loc), outputs), np.nan)
 
     def settle(rows, unsettled, current, delta, n):
@@ -1068,9 +1068,9 @@ def _integrate(groups, loc, scale, mass, f, outputs: int, lines=None) -> tuple:
         values[done], nodes[done], deltas[done] = current[settled], n, delta[settled]
         return unsettled & ~settled
 
-    for rows, edges in groups:
+    for rows, edges in _panel_edges(columns).values():
         unsettled = np.ones((len(rows), outputs), dtype=bool)
-        if lines is not None and rows.size:
+        if lines is not None:
             fixed, drift, reach = _rate_proof(edges, loc[rows], scale[rows], mass[rows], lines)
             for r, n in enumerate(_LADDER):
                 run = np.flatnonzero((unsettled & reach[r]).any(axis=1))
@@ -1099,31 +1099,58 @@ def _integrate(groups, loc, scale, mass, f, outputs: int, lines=None) -> tuple:
     return values, nodes, deltas, errors
 
 
-def _expectations(columns: SpecColumns, f, outputs: int, lines=None) -> tuple:
-    """E of each of the ``outputs`` arrays ``f`` yields (see ``_gl_rows``)
-    under each row of ``columns``: the ``_integrate`` result of one pass
-    (``lines`` as it takes them), rows grouped by panel count."""
-    return _integrate(
-        _panel_edges(columns).values(), columns.mu_bar, columns.sigma_bar, columns.z,
-        f, outputs, lines,
-    )
+def _xlogx(x: np.ndarray, log) -> np.ndarray:
+    """x * log(x) of every entry, 0 where x is not positive (0 log 0 = 0).
+
+    Formed in place in the array of log(x); x is not changed.  A 0-d x
+    gives a 0-d array.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = log(x)
+        positive = x > 0.0
+        if np.ndim(out) == 0:
+            return np.where(positive, x * out, 0.0)
+        out *= x
+    if not positive.all():
+        out[~positive] = 0.0
+    return out
 
 
-def _output(result: tuple, k: int) -> tuple:
-    """Output k of an ``_integrate`` result, as ``expectation_rows`` gives
-    it: (values, nodes, deltas, errors) with one of each per row."""
-    values, nodes, deltas, errors = result
-    return values[:, k], nodes[:, k], deltas[:, k], errors[k]
+# The line (c, m, s) of x ln x, and the log that evaluates s q ln q at each
+# scale s a line of ``_rate_rows`` may have: q log2 q is q ln q / ln 2.
+_XLNX_LINE = (0.0, 1.0, 1.0)
+_LOGS = {1.0: np.log, 1.0 / math.log(2.0): np.log2}
+
+
+def _rate_rows(columns: SpecColumns, lines) -> tuple:
+    """E[s q ln q], q = c + m x, for each line (c, m, s) of ``lines`` under
+    every row of ``columns``: the ``_integrate`` result of one pass whose
+    output k is line k, on the certified ladder.
+
+    The lines are the one description of these integrals: the integrand
+    evaluates each line, and ``_rate_proof`` bounds the same lines.  s is 1
+    (``np.log``) or 1 / ln 2 (``np.log2``), and q is x itself on the line
+    (0, 1), so x ln x has the bits of ``_xlogx(x, np.log)``.
+    """
+    lines = np.array(lines, dtype=float)
+    evaluated = [(c, m, _LOGS[s]) for c, m, s in lines.tolist()]
+
+    def integrands(x):
+        for c, m, log in evaluated:
+            yield _xlogx(x if (c, m) == (0.0, 1.0) else c + m * x, log)
+
+    return _integrate(columns, integrands, len(lines), lines)
 
 
 def expectation_rows(columns: SpecColumns, f: Callable[[np.ndarray], np.ndarray]) -> tuple:
     """E[f(x)] under each row of ``columns``; the one-output case of
-    ``_expectations``, for an ``f`` that acts entry by entry and returns one
+    ``_integrate``, for an ``f`` that acts entry by entry and returns one
     array.  Returns (values, nodes, deltas, errors): per row the accepted
     estimate, its n, its change from the estimate before, and its
     NoConvergence or None.
     """
-    return _output(_expectations(columns, lambda x: (f(x),), 1), 0)
+    values, nodes, deltas, (errors,) = _integrate(columns, lambda x: (f(x),), 1)
+    return values[:, 0], nodes[:, 0], deltas[:, 0], errors
 
 
 def expectation(spec: TruncatedGaussianSpec, f: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -1136,7 +1163,7 @@ def expectation(spec: TruncatedGaussianSpec, f: Callable[[np.ndarray], np.ndarra
     density underflows to zero.  The one-spec case of ``expectation_rows``.
     This generic path always runs the schedule; the rate integrals of
     ``mir`` settle at 32, 64 or 128 nodes per panel where a proved error
-    bound is within that tolerance (``_integrate``).
+    bound is within that tolerance (``_rate_rows``).
 
     Raises NoConvergence if the estimates have not stabilized by 1600 nodes.
     """

@@ -380,6 +380,24 @@ class TestConfigErrors:
         assert f"{field} must be a whole number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["series_k", "mc_n", "steps", "seed"])
+    def test_run_parameter_given_as_a_bool(self, point_config, field, capsys):
+        # a JSON true is not the count 1; simulate refuses a bool seed, and
+        # so does the config
+        doc = json.loads(point_config.read_text())
+        owner = {"seed": doc, "steps": doc["sweep"]["mu_bar"]}.get(field, doc["sweep"])
+        owner[field] = True
+        bad = point_config.parent / "bool_run.json"
+        bad.write_text(json.dumps(doc))
+        out = point_config.parent / "bool_run.csv"
+        assert main(["sweep", "--config", str(bad), "--out", str(out)]) == 2
+        assert f"{field} must be a whole number, got True" in capsys.readouterr().err
+        assert not out.exists()
+        if field == "seed":
+            assert main(["simulate", "--config", str(bad), "--mc-n", "10"]) == 2
+            err = capsys.readouterr().err
+            assert err == "configuration error: seed must be a whole number, got True\n"
+
     def test_whole_float_run_parameters_accepted(self, point_config, tmp_path):
         doc = json.loads(point_config.read_text())
         doc["sweep"].update(series_k=20.0, mc_n=1000.0)

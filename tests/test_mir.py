@@ -37,13 +37,18 @@ from transduction_mir.mir import (
     MirResult,
     _discrete_rows,
     _quadrature_rows,
-    _rate_integrals,
     _rate_pass,
     _xlnx_vec,
 )
 from transduction_mir.receptor import ReceptorSpec, Transition, mean_chain_rows, step_kernel
 from transduction_mir.sweep import GridAxis, SweepConfig, run_sweep
-from transduction_mir.truncgauss import _columns, _expectations, _output, expectation_rows
+from transduction_mir.truncgauss import (
+    _XLNX_LINE,
+    _columns,
+    _integrate,
+    _rate_rows,
+    expectation_rows,
+)
 from conftest import five_state_receptor, random_valid_dist
 from oracles import all_pairs_discrete, pair_integrand, scalar_discrete, sensitive_pairs
 
@@ -90,6 +95,8 @@ class TestPlogp:
         assert xlnx(1.0) == 0.0
         with pytest.raises(DomainError):
             xlnx(-1e-9)
+        # numpy scalars are numbers too
+        assert xlnx(np.float32(0.5)) == xlnx(0.5) and xlnx(np.int64(2)) == xlnx(2.0)
 
 
 def where_xlogx(x, log):
@@ -130,12 +137,12 @@ class TestXlogx:
     def test_scalars_keep_the_where_bits(self):
         for p in (0.0, 5e-324, 1e-300, 0.25, 1.0):
             assert plogp(p).hex() == float(where_xlogx(np.float64(p), np.log2)).hex()
-        for x in (0.0, 5e-324, 1e-300, 0.5, 1e300, math.inf, math.nan):
+        for x in (0.0, 5e-324, 1e-300, 0.5, 1e300, math.inf):
             assert xlnx(x).hex() == float(where_xlogx(np.float64(x), np.log)).hex()
 
     @pytest.mark.parametrize("s", [2, 4])
     def test_bounds_rows_keep_their_bits(self, s, unit_chr2, monkeypatch):
-        import transduction_mir.mir as mir_module
+        import transduction_mir.bounds as bounds_module
         from transduction_mir.bounds import _bounds_rows
 
         rng = np.random.default_rng(5)
@@ -143,7 +150,7 @@ class TestXlogx:
         columns = _columns(dists)
         chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
         got = _bounds_rows(columns, s, chains)
-        monkeypatch.setattr(mir_module, "_xlogx", where_xlogx)
+        monkeypatch.setattr(bounds_module, "_xlogx", where_xlogx)
         want = _bounds_rows(columns, s, chains)
         for column, reference in zip(got[:4], want[:4]):
             assert column.tobytes() == reference.tobytes()
@@ -483,15 +490,15 @@ class TestQuadratureRows:
     def test_rows_equal_one_point_calls(self, spec):
         dists = _grid_dists()
         chains = mean_chain_rows(spec, [d.mu for d in dists])
-        e_xlnx = _output(_rate_integrals(_columns(dists)), 0)
-        values, gaps, errors = _quadrature_rows(np.array([d.mu for d in dists]), chains, e_xlnx)
+        integrals = _rate_rows(_columns(dists), [_XLNX_LINE])
+        values, gaps, errors = _quadrature_rows(np.array([d.mu for d in dists]), chains, integrals)
         for dist, value, gap, error in zip(dists, values, gaps, errors):
             got = (type(error).__name__, str(error)) if error else (value, gap)
             expected = _outcome(lambda: mir_quadrature(spec, dist))
             if isinstance(expected, MirResult):
                 expected = (expected.value, expected.gap_nats)
                 _, gain, _ = mean_chain_rows(spec, [dist.mu])
-                e_value = _output(_rate_integrals(_columns([dist])), 0)[0][0]
+                e_value = _rate_rows(_columns([dist]), [_XLNX_LINE])[0][0, 0]
                 assert value == gain[0] * (e_value - dist.mu * np.log(dist.mu))
                 # the generic schedule's E[x ln x] within the tolerance
                 generic = expectation(dist, _xlnx_vec)
@@ -503,21 +510,22 @@ class TestQuadratureRows:
     def test_failing_rows_keep_the_one_point_order(self, unit_chr2):
         dists = _grid_dists(steps=3)[:6]
         chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
-        e_xlnx = expectation_rows(_columns(dists), _xlnx_vec)
+        integrals = _rate_rows(_columns(dists), [_XLNX_LINE])
+        e_xlnx, e_errors = integrals[0][:, 0], integrals[3][0]
         unsettled = NoConvergence("expectation did not stabilize")
         irreducible = NotIrreducible("no single recurrent class")
         chains[2][1] = chains[2][2] = irreducible
         chains[1][1:3] = np.nan
-        e_xlnx[3][2] = e_xlnx[3][3] = unsettled
-        e_xlnx[0][2:4] = np.nan
+        e_errors[2] = e_errors[3] = unsettled
+        e_xlnx[2:4] = np.nan
         # E[x ln x] 1e-6 nats below mu ln mu: a rate below the floor
         mu = dists[4].mu
-        e_xlnx[0][4] = mu * np.log(mu) - 1e-6
-        values, gaps, errors = _quadrature_rows(np.array([d.mu for d in dists]), chains, e_xlnx)
+        e_xlnx[4] = mu * np.log(mu) - 1e-6
+        values, gaps, errors = _quadrature_rows(np.array([d.mu for d in dists]), chains, integrals)
         assert errors[0] is None and errors[5] is None
         assert errors[1] is irreducible and errors[2] is irreducible and errors[3] is unsettled
         gain = float(chains[1][4])
-        gap = float(e_xlnx[0][4] - mu * np.log(mu))
+        gap = float(e_xlnx[4] - mu * np.log(mu))
         with pytest.raises(ValidationError) as info:
             MirResult(value=gain * gap, method="quadrature", gain=gain, gap_nats=gap)
         assert type(errors[4]) is ValidationError and str(errors[4]) == str(info.value)
@@ -549,7 +557,7 @@ class TestDiscreteRows:
         dists = _grid_dists(steps=5)
         chains = mean_chain_rows(spec, [d.mu for d in dists])
         fused = _rate_pass(spec, _columns(dists), 2.0, delta_t)
-        rates, errors = _discrete_rows(spec, _columns(dists), delta_t, chains, fused)
+        rates, errors = _discrete_rows(spec, _columns(dists), delta_t, chains, *fused)
         for dist, rate, error in zip(dists, rates.tolist(), errors):
             expected = _outcome(lambda: mir_discrete(spec, dist, delta_t))
             if error is not None:
@@ -576,9 +584,9 @@ class TestDiscreteRows:
             chains = mean_chain_rows(unit_chr2, [d.mu for d in dists])
             fused = _rate_pass(unit_chr2, columns, b, 0.4)
             assert fused[1][0].shape == (len(dists), 2 if kind == "NoneType" else 1)
-            lone = _output(_rate_integrals(columns), 0)
-            assert _output(fused[1], 0)[0].tobytes() == lone[0].tobytes()
-            rates, errors = _discrete_rows(unit_chr2, columns, 0.4, chains, fused)
+            lone = _rate_rows(columns, [_XLNX_LINE])
+            assert fused[1][0][:, 0].tobytes() == lone[0][:, 0].tobytes()
+            rates, errors = _discrete_rows(unit_chr2, columns, 0.4, chains, *fused)
             assert [type(e).__name__ for e in errors] == [kind] * len(dists)
             assert np.isnan(rates).all() == (kind == "StepTooLarge")
             for dist, error in zip(dists, errors):
@@ -612,8 +620,8 @@ class TestDiscreteRows:
             floor_row = entries + 2
             mu = dists[floor_row].mu
             values[floor_row, 0] = mu * np.log(mu) - 1.0
-            fused = kernel, (values, nodes, deltas, output_errors)
-            rates, errors = _discrete_rows(spec, _columns(dists), 1e-3, chains, fused)
+            integrals = values, nodes, deltas, output_errors
+            rates, errors = _discrete_rows(spec, _columns(dists), 1e-3, chains, kernel, integrals)
             assert errors[1 : entries + 1] == unsettled
             assert errors[entries + 1] is xlnx_error
             assert type(errors[floor_row]) is ValidationError
@@ -642,11 +650,11 @@ class TestRatePass:
         lines = [(0.0, 1.0, 1.0)] + [(const[i, i], lin[i, i], 1.0 / math.log(2.0)) for i in y]
         assert result[0].shape == (len(dists), len(integrands))
         for k, (f, line) in enumerate(zip(integrands, lines)):
-            lone = _output(_expectations(columns, lambda x: (f(x),), 1, np.array([line])), 0)
-            fused = _output(result, k)
-            for got, want in zip(fused[:3], lone[:3]):
-                assert got.tobytes() == want.tobytes()
-            assert fused[3] == lone[3] == [None] * len(dists)
+            # a lone pass of the oracle's integrand, proved by the same line
+            lone = _integrate(columns, lambda x: (f(x),), 1, np.array([line]))
+            for got, want in zip(result[:3], lone[:3]):
+                assert got[:, k].tobytes() == want[:, 0].tobytes()
+            assert result[3][k] == lone[3][0] == [None] * len(dists)
         # most outputs settle by proof, at a rung of the ladder
         assert np.isin(result[1], (32, 64, 128)).mean() > 0.8
 
@@ -656,14 +664,18 @@ class TestRatePass:
         # the entry never settles on the windows that hold that x, and the
         # discrete rate fails there alone; E[x ln x], an output of the same
         # pass, settles and keeps the lone pass's bits
-        import transduction_mir.mir as mir_module
         import transduction_mir.truncgauss as truncgauss
 
-        real, proof = mir_module._plogp_vec, truncgauss._rate_proof
+        real, proof = truncgauss._xlogx, truncgauss._rate_proof
         edge = 1.0 - 1.0137e-3
-        monkeypatch.setattr(
-            mir_module, "_plogp_vec", lambda p: real(p) + np.where(p < edge, 1e-6, 0.0)
-        )
+
+        def stepped_plogp(q, log):
+            # the integrand of every p log2 p line; x ln x is left as it is
+            if log is np.log2:
+                return real(q, log) + np.where(q < edge, 1e-6, 0.0)
+            return real(q, log)
+
+        monkeypatch.setattr(truncgauss, "_xlogx", stepped_plogp)
 
         def unproved_entries(*args):
             fixed, drift, reach = proof(*args)

@@ -251,9 +251,9 @@ class TestRunSweep:
         calls, recurrences = [], []
         integrate, recurrence = truncgauss._integrate, truncgauss._recurrence_rows
 
-        def quadrature_spy(*args):
-            calls.append((len(args[1]), args[5], args[6] is not None))
-            return integrate(*args)
+        def quadrature_spy(columns, f, outputs, lines=None):
+            calls.append((len(columns.mu), outputs, lines is not None))
+            return integrate(columns, f, outputs, lines)
 
         monkeypatch.setattr(truncgauss, "_integrate", quadrature_spy)
         spy = lambda columns, center, order: (

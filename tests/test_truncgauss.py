@@ -31,7 +31,7 @@ from transduction_mir import (
 )
 from transduction_mir import raw_moments as package_raw_moments
 from transduction_mir import load_receptor
-from transduction_mir.mir import _plogp_vec, _rate_integrals, _rate_pass, _xlnx_vec
+from transduction_mir.mir import _plogp_vec, _rate_pass, _xlnx_vec
 from transduction_mir.truncgauss import (
     MIN_TRUNCATION_MASS,
     _ATOL,
@@ -42,17 +42,18 @@ from transduction_mir.truncgauss import (
     _RTOL,
     _LADDER,
     _WEIGHT_ERRORS,
+    _XLNX_LINE,
     _columns,
-    _expectations,
     _gl_nodes,
     _gl_rows,
+    _integrate,
     _moment_rows,
     _ndtr,
     _ndtri,
-    _output,
     _panel_edges,
     _powers,
     _rate_proof,
+    _rate_rows,
     _recurrence_rows,
     _spec_rows,
     expectation_rows,
@@ -63,6 +64,7 @@ from oracles import (
     density,
     gl_estimate,
     moments_about,
+    pair_integrand,
     rate_integral,
     scalar_edges,
     scaled_moments,
@@ -703,10 +705,10 @@ class TestPerOutputAcceptance:
             1e-5, 2.0, (0.2, 1.8, 4), (0.1, 1.0, 4)
         )
         columns = _columns(specs)
-        fused = _expectations(columns, lambda x: (f(x) for f in self.INTEGRANDS), 3)
+        fused = _integrate(columns, lambda x: (f(x) for f in self.INTEGRANDS), 3)
         nodes = fused[1]
         for k, f in enumerate(self.INTEGRANDS):
-            got, lone = _output(fused, k), expectation_rows(columns, f)
+            got, lone = output(fused, k), expectation_rows(columns, f)
             for column, reference in zip(got[:3], lone[:3]):
                 assert column.tobytes() == reference.tobytes()
             assert [repr(e) for e in got[3]] == [repr(e) for e in lone[3]]
@@ -731,13 +733,20 @@ class TestPerOutputAcceptance:
         specs = [TruncatedGaussianSpec(0.5, 0.01, 0.02, 2.0),
                  TruncatedGaussianSpec(1.0, 0.5, 0.02, 2.0),
                  TruncatedGaussianSpec(1.5, 0.01, 0.02, 2.0)]
-        values, nodes, deltas, errors = _expectations(_columns(specs), recorded, 2)
+        values, nodes, deltas, errors = _integrate(_columns(specs), recorded, 2)
         assert sizes == [600, 1200, 800, 1600]
         assert nodes.tolist()[0] == nodes.tolist()[2] == [400.0, 400.0]
         assert nodes[1, 0] == 400.0 and math.isnan(nodes[1, 1])
         assert errors[0] == [None] * 3
         assert errors[1][::2] == [None, None] and isinstance(errors[1][1], NoConvergence)
         assert str(errors[1][1]) == "expectation did not stabilize by n=1600 nodes per panel"
+
+
+def output(result, k):
+    """Output k of an ``_integrate`` result: (values, nodes, deltas, errors),
+    one of each per row, as ``expectation_rows`` returns them."""
+    values, nodes, deltas, errors = result
+    return values[:, k], nodes[:, k], deltas[:, k], errors[k]
 
 
 def spec_of_row(columns, row):
@@ -1311,7 +1320,7 @@ class TestCertifiedFirstRung:
         specs = [(s.mu_bar, s.sigma_bar, s.a, s.b) for s in surface_specs()[::5]]
         specs += _seeded_windows()[::4]
         columns = _valid_columns(specs)
-        values, nodes, deltas, errors = _rate_integrals(columns)
+        values, nodes, deltas, errors = _rate_rows(columns, [_XLNX_LINE])
         estimates, bounds, edges = _rungs(columns, SEEDED_LINES[:1])
         schedule = expectation_rows(columns, _xlnx_vec)
         proved = np.isin(nodes[:, 0], _LADDER)
@@ -1343,12 +1352,51 @@ class TestCertifiedFirstRung:
             truncgauss, "_gl_rows",
             lambda *a: passes.append((a[5], len(a[0]))) or gl_rows(*a),
         )
-        _, nodes, _, _ = _rate_integrals(columns)
+        _, nodes, _, _ = _rate_rows(columns, [_XLNX_LINE])
         # the proof skips 32 and 64 nodes, which cannot settle a row of the
         # surface, whose ellipse the branch point at x = 0 keeps near 1.2
         assert 0 < unproved <= 100
         assert passes == [(128, 2500), (200, unproved), (400, unproved)]
         assert (nodes[:, 0] == 128).sum() == 2500 - unproved
+
+
+class TestRateIntegrandBits:
+    """The integrand ``_rate_rows`` evaluates from its lines, at the nodes of
+    every rung of the ladder: the line (0, 1, 1) has the bits of
+    ``_xlnx_vec``, and a ChR2 diagonal line (c, m, 1 / ln 2) those of
+    ``oracles.pair_integrand(c, m)``, the integrands before the lines
+    described them."""
+
+    def test_lines_evaluate_to_the_reference_integrands(self, monkeypatch):
+        import transduction_mir.truncgauss as truncgauss
+
+        receptor = load_receptor(ROOT / "configs" / "chr2_receptor.json")
+        # graded windows of [1e-5, 2] (19 panels) and single panels of [0.02, 2]
+        specs = grid_specs(1e-5, 2.0, (0.2, 1.8, 3), (0.1, 1.0, 3))
+        specs += grid_specs(0.02, 2.0, (0.2, 1.8, 3), (0.01, 1.0, 3))
+        columns = _columns(specs)
+        passes, integrate = [], truncgauss._integrate
+        monkeypatch.setattr(truncgauss, "_integrate", lambda *a: passes.append(a) or integrate(*a))
+        (const, lin), _ = _rate_pass(receptor, columns, 2.0, 1e-3)
+        ((_, f, outputs, lines),) = passes
+        (y,) = np.flatnonzero(np.diagonal(receptor.slope)).tolist()
+        c, m = const[y, y], lin[y, y]
+        assert lines.tolist() == [list(_XLNX_LINE), [c, m, 1.0 / math.log(2.0)]]
+        references = (_xlnx_vec, pair_integrand(c, m))
+        groups = list(_panel_edges(columns).values())
+        assert {edges.shape[1] - 1 for _, edges in groups} == {1, 19}
+        for n in _LADDER:
+            nodes, _ = _gl_nodes(n)
+            for rows, edges in groups:
+                # the nodes as ``_gl_rows`` forms them, in its (rows, panels * n) shape
+                ts = 0.5 * (edges[:, 1:] - edges[:, :-1])[:, :, None] * nodes
+                ts += 0.5 * (edges[:, 1:] + edges[:, :-1])[:, :, None]
+                xs = columns.sigma_bar[rows, None, None] * ts + columns.mu_bar[rows, None, None]
+                xs = xs.reshape(len(rows), -1)
+                got = list(f(xs))
+                assert len(got) == outputs == 2
+                for array, reference in zip(got, references):
+                    assert array.tobytes() == reference(xs).tobytes()
 
 
 def _panel_counts(columns):
@@ -1394,7 +1442,7 @@ class TestRateTables:
         cases = [case for case in RATE_TABLES["cases"] if case["family"] == family]
         columns = _valid_columns([case["spec"] for case in cases])
         assert len(columns.mu) == len(cases)
-        values, nodes, deltas, errors = _output(_rate_integrals(columns), 0)
+        values, nodes, deltas, errors = output(_rate_rows(columns, [_XLNX_LINE]), 0)
         assert errors == [None] * len(cases)
         certified = self.check(values, nodes, deltas, [case["e_xlnx"] for case in cases])
         assert certified >= (2400 if family == "surface" else len(cases))

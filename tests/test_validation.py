@@ -1,6 +1,7 @@
 """Contract tests: constructor validation and error paths across the package."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from transduction_mir import (
     DomainError,
     GridAxis,
     McEstimate,
+    MirError,
     MirResult,
     MomentTable,
     OrderTooHigh,
@@ -28,6 +30,7 @@ from transduction_mir import (
     shifted_moment_vector,
     simulate,
     stationary_distribution,
+    xlnx,
 )
 from transduction_mir.errors import live_rows, merge_rows
 from oracles import (
@@ -252,6 +255,79 @@ def test_counts_given_as_floats_are_rejected(canonical_dist, call, error, messag
     # a float count once reached range() or a numpy shape as a bare TypeError;
     # the CLI converts whole floats from a config before these calls
     with pytest.raises(ValidationError) as info:
+        call(canonical_dist)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda d: raw_moments(d, True), ValidationError, "order must be an integer, got True"),
+        (
+            lambda d: shifted_moment_vector(d, 1.0, True),
+            ValidationError,
+            "order must be an integer, got True",
+        ),
+        (
+            lambda d: mir_series(chr2_skeleton(), d, True),
+            ValidationError,
+            "series order must be an integer, got True",
+        ),
+        (lambda d: h_s(0.5, 1.0, True), ValidationError, "s must be an integer, got True"),
+        (
+            lambda d: simulate(chr2_skeleton(), d, 1e-3, True, 0),
+            ValidationError,
+            "n must be an integer, got True",
+        ),
+        (
+            lambda d: GridAxis(0.0, 1.0, True),
+            ConfigError,
+            "grid steps must be an integer, got True",
+        ),
+        (lambda d: sweep_with(series_k=True), ConfigError, "series_k must be an integer, got True"),
+        (lambda d: sweep_with(mc_n=True), ConfigError, "mc_n must be an integer, got True"),
+        (lambda d: sweep_with(seed=False), ConfigError, "seed must be an integer, got False"),
+    ],
+    ids=[
+        "raw_moments", "shifted_moment_vector", "mir_series", "h_s", "simulate",
+        "GridAxis", "series_k", "mc_n", "seed",
+    ],
+)
+def test_counts_given_as_bools_are_rejected(canonical_dist, call, error, message):
+    # bool is an Integral: True once ran as the count 1 (a 1-point grid, an
+    # order-True table) or reached numpy as a bare TypeError
+    with pytest.raises(ValidationError) as info:
+        call(canonical_dist)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda d: xlnx(math.nan), DomainError, "x*ln(x) requires x >= 0, got nan"),
+        (lambda d: xlnx("a"), DomainError, "x*ln(x) requires x >= 0, got 'a'"),
+        (
+            lambda d: h_s("a", 1.0, 2),
+            DomainError,
+            "h_s requires finite numbers, got x='a', mu=1.0",
+        ),
+        (
+            lambda d: h_s(0.5, math.nan, 2),
+            DomainError,
+            "h_s requires finite numbers, got x=0.5, mu=nan",
+        ),
+        (
+            lambda d: shifted_moment_vector(d, "1", 3),
+            ValidationError,
+            "center must be a finite number, got '1'",
+        ),
+    ],
+    ids=["xlnx-nan", "xlnx-str", "h_s-str", "h_s-nan", "shifted_moment_vector-str"],
+)
+def test_bad_scalars_raise_typed_errors(canonical_dist, call, error, message):
+    # each once returned a silent 0.0 or nan, or raised a bare TypeError or
+    # ValueError from numpy or math
+    with pytest.raises(MirError) as info:
         call(canonical_dist)
     assert type(info.value) is error and str(info.value) == message
 
